@@ -354,3 +354,28 @@ def chain_reflections(chain: LambdaChain, J):
         return out
 
     return {"r_J": r_J, "rhat_Jlt": rhat, "rtilde_Jgt": rtilde, "n_J": n_J}
+
+
+def descent_subsets(chain: LambdaChain, w, ascending):
+    """All (u, J) with J a sorted tuple of chain positions along which w
+    descends: scanning the positions in the given direction, each
+    position j in J right-multiplies by r_{h_j} and lowers the length;
+    u is the element reached."""
+    W = chain.rs.weyl()
+    l = len(chain)
+    refl = [None] + [W.reflection(h.root) for h in chain.hyperplanes()]
+    positions = list(range(1, l + 1)) if ascending else list(range(l, 0, -1))
+    out = []
+
+    def dfs(pos_idx, cur, J):
+        if pos_idx == len(positions):
+            out.append((cur, tuple(sorted(J))))
+            return
+        dfs(pos_idx + 1, cur, J)
+        j = positions[pos_idx]
+        nxt = W.mul(cur, refl[j])
+        if W.length[nxt] < W.length[cur]:
+            dfs(pos_idx + 1, nxt, J + [j])
+
+    dfs(0, w, [])
+    return out

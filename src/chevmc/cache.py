@@ -1,14 +1,15 @@
 """Content-addressed on-disk cache for computed tables.
 
 Entries are JSON files named by the SHA-256 of their canonical key,
-which includes the package version so results from stale code are never
-reused.  Corrupted entries are treated as misses and recomputed; write
-uses a temp-file rename so concurrent writers of the same key converge
-on identical content.
+which includes the package version and a digest of the package sources
+so results from stale code are never reused.  Corrupted entries are
+treated as misses and recomputed; write uses a temp-file rename so
+concurrent writers of the same key converge on identical content.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -19,9 +20,23 @@ from . import __version__
 ENV_CACHE_DIR = "CHEVMC_CACHE_DIR"
 
 
+@functools.lru_cache(maxsize=None)
+def source_digest():
+    """SHA-256 over the package's source files, computed once per
+    process."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith((".py", ".json")):
+            h.update(name.encode() + b"\0")
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(fh.read() + b"\0")
+    return h.hexdigest()
+
+
 def cache_key(kind, family, rank, lam=None, w=None, method=None, extra=None):
     """Stable digest of the computation identity, including the code
-    version."""
+    version and source."""
     payload = {
         "kind": kind,
         "family": family,
@@ -31,6 +46,7 @@ def cache_key(kind, family, rank, lam=None, w=None, method=None, extra=None):
         "method": method,
         "extra": extra,
         "version": __version__,
+        "source": source_digest(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -18,6 +18,8 @@ slower.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .params import Scalar, ONE
 
 
@@ -121,8 +123,13 @@ class GA:
     def __bool__(self):
         return bool(self.c)
 
-    def is_monomial(self):
-        return len(self.c) == 1
+    def unit_inverse(self):
+        """The inverse of a unit monomial +-v^k e^mu, otherwise None."""
+        if len(self.c) != 1:
+            return None
+        (k, x), = self.c.items()
+        inv = x.inverse()
+        return None if inv is None else GA({_wneg(k): inv})
 
     # -- lattice / Weyl operations ------------------------------------
     def map_weights(self, f):
@@ -143,9 +150,6 @@ class GA:
     def star(self):
         """e^mu -> e^-mu, parameters fixed."""
         return GA({_wneg(k): x for k, x in self.c.items()})
-
-    def map_scalars(self, f):
-        return GA({k: f(x) for k, x in self.c.items() if f(x)})
 
     def y_inverse(self):
         return GA({k: x.v_inverse() for k, x in self.c.items()})
@@ -251,7 +255,9 @@ class GA:
 
 
 class Frac:
-    """num / prod(factors); factors is a tuple of GA elements."""
+    """num / prod(den) over a polynomial ring: GA in K-theory, CohPoly in
+    cohomology.  The ring supplies `exact_div`, `unit_inverse` and
+    `const`; everything else here is ring-independent."""
 
     __slots__ = ("num", "den")
 
@@ -261,23 +267,17 @@ class Frac:
         self.num = num
         self.den = tuple(den)
 
-    @staticmethod
-    def from_ga(g):
-        return Frac(g)
-
     def _reduce(self):
         """Cancel denominator factors that divide the numerator exactly."""
-        if not self.num:
-            return Frac(GA())
         num = self.num
+        if not num:
+            return self
         kept = []
         for f in self.den:
-            if f.is_monomial():
-                (k, x), = f.c.items()
-                inv = x.inverse()
-                if inv is not None:
-                    num = num.map_weights(lambda w, k=k: _wsub(w, k)) * inv
-                    continue
+            inv = f.unit_inverse()
+            if inv is not None:
+                num = num * inv
+                continue
             q = num.exact_div(f)
             if q is not None:
                 num = q
@@ -291,17 +291,14 @@ class Frac:
         if not self.num:
             return other
         # common denominator via multiset lcm of factors
-        from collections import Counter
         c1 = Counter(self.den)
         c2 = Counter(other.den)
         lcm = c1 | c2
-        m1 = list(((lcm - c1)).elements())
-        m2 = list(((lcm - c2)).elements())
         n1 = self.num
-        for f in m1:
+        for f in (lcm - c1).elements():
             n1 = n1 * f
         n2 = other.num
-        for f in m2:
+        for f in (lcm - c2).elements():
             n2 = n2 * f
         return Frac(n1 + n2, tuple(lcm.elements()))._reduce()
 
@@ -312,10 +309,11 @@ class Frac:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int)):
-            return Frac(self.num * other, self.den)
-        if isinstance(other, GA):
+        if isinstance(other, type(self.num)):
             other = Frac(other)
+        elif not isinstance(other, Frac):
+            # a coefficient scalar
+            return Frac(self.num * other, self.den)
         return Frac(self.num * other.num, self.den + other.den)._reduce()
 
     __rmul__ = __mul__
@@ -323,13 +321,13 @@ class Frac:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError
-        den = GA.const(1, len(next(iter(self.num.c))))
+        den = self.num.const(1, len(next(iter(self.num.c))))
         for f in self.den:
             den = den * f
         return Frac(den, (self.num,))._reduce()
 
     def __truediv__(self, other):
-        if isinstance(other, GA):
+        if isinstance(other, type(self.num)):
             other = Frac(other)
         return self * other.inverse()
 
@@ -339,52 +337,35 @@ class Frac:
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
             return not self.num
-        if isinstance(other, GA):
+        if isinstance(other, type(self.num)):
             other = Frac(other)
-        diff = self - other
-        return not diff.num
+        return not (self - other).num
 
     def __hash__(self):
         raise TypeError("fractions are not hashable")
 
-    def as_ga(self):
+    def as_poly(self):
         """Return the reduced numerator if the fraction is polynomial."""
         r = self._reduce()
-        if r.den:
-            num = r.num
-            for f in r.den:
-                q = num.exact_div(f) if num else GA()
-                if q is None:
-                    return None
-                num = q
-            return num
-        return r.num
+        num = r.num
+        for f in r.den:
+            num = num.exact_div(f)
+            if num is None:
+                return None
+        return num
 
-    def map(self, gmap):
-        """Apply a GA -> GA ring map to numerator and factors."""
-        return Frac(gmap(self.num), tuple(gmap(f) for f in self.den))
+    def map(self, ring_map):
+        """Apply a ring map to numerator and factors."""
+        return Frac(ring_map(self.num), tuple(ring_map(f) for f in self.den))
 
-    def den_expanded(self, rank):
-        den = GA.const(1, rank)
-        for f in self.den:
-            den = den * f
-        return den
-
-    def render(self, names=None, scale=1, var=None):
-        g = self.as_ga()
+    def render(self, **kw):
+        g = self.as_poly()
         if g is not None:
-            return g.render(names=names, scale=scale, var=var)
-        s = "(%s)" % self.num.render(names=names, scale=scale, var=var)
+            return g.render(**kw)
+        s = "(%s)" % self.num.render(**kw)
         for f in self.den:
-            s += " / (%s)" % f.render(names=names, scale=scale, var=var)
+            s += " / (%s)" % f.render(**kw)
         return s
 
     def __repr__(self):
         return "Frac(%s)" % self.render()
-
-
-def ga_sum(items, rank):
-    out = GA()
-    for g in items:
-        out = out + g
-    return out

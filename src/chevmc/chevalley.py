@@ -19,15 +19,15 @@ from __future__ import annotations
 
 from .params import Scalar
 from .charring import GA
-from .alcove import chain_reflections, chain_lex_height
+from .alcove import chain_reflections, chain_lex_height, descent_subsets
 
 
 def _one_plus_y():
     return Scalar.int(1) + Scalar.y(1)
 
 
-def _dfs_terms(chain, w, sign):
-    """Yield (u, J) over the subsets in the lambda-chain formula.
+def chevalley_terms(chain, w, sign):
+    """All terms of the chain formula: list of (u, J, mu_fine, coeff).
 
     sign=+1 (coefficient of L_{+lambda}): the J> condition, i.e. the
     descent from w multiplies r_{h_j} with j ascending.
@@ -36,34 +36,11 @@ def _dfs_terms(chain, w, sign):
     """
     rs = chain.rs
     W = rs.weyl()
-    l = len(chain)
-    refl = [None] + [W.reflection(h.root) for h in chain.hyperplanes()]
-    positions = list(range(1, l + 1)) if sign > 0 else list(range(l, 0, -1))
-    out = []
-
-    def dfs(pos_idx, cur, J):
-        if pos_idx == len(positions):
-            out.append((cur, tuple(sorted(J))))
-            return
-        dfs(pos_idx + 1, cur, J)
-        j = positions[pos_idx]
-        nxt = W.mul(cur, refl[j])
-        if W.length[nxt] < W.length[cur]:
-            dfs(pos_idx + 1, nxt, J + [j])
-
-    dfs(0, w, [])
-    return out
-
-
-def chevalley_terms(chain, w, sign):
-    """All terms of the chain formula: list of (u, J, mu_fine, coeff)."""
-    rs = chain.rs
-    W = rs.weyl()
     lam = chain.lam
     neg_lam = tuple(-c for c in lam)
     one_plus_y = _one_plus_y()
     terms = []
-    for u, J in _dfs_terms(chain, w, sign):
+    for u, J in descent_subsets(chain, w, ascending=sign > 0):
         data = chain_reflections(chain, J)
         t = len(J)
         dl = W.length[w] - W.length[u] - t

@@ -2,9 +2,10 @@
 
 Subcommands: chevalley, hecke-coeffs, chain, oracle, stab, whittaker,
 hl, csm, verify, search-positivity.  Exit codes: 0 success, 1 failed
-verification, 2 parse/usage error.  All weights are given in
-fundamental-weight coordinates; type-A output can additionally be
-displayed in the epsilon coordinates of the standard torus.
+verification, 2 parse/usage error or an input the library rejects.  All
+weights are given in fundamental-weight coordinates; type-A output can
+additionally be displayed in the epsilon coordinates of the standard
+torus.
 """
 
 from __future__ import annotations
@@ -15,15 +16,10 @@ import os
 import sys
 
 from . import __version__
-from .params import Scalar
 from .charring import GA
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
-from .chevalley import (
-    chevalley_table,
-    chevalley_terms,
-    render_table,
-)
+from .chevalley import chevalley_table, render_table
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
 from .verify import run_suite
 
@@ -70,6 +66,19 @@ def _parse_w(W, text):
         raise CliError("bad Weyl word %r" % text)
 
 
+def _parse_word(rank, text):
+    """Chain letters from an affine word like s0s2s1 over generators
+    0..rank, where 0 is the affine reflection."""
+    try:
+        gens = [int(p) for p in text.replace("s", " ").split()]
+    except ValueError:
+        raise CliError("bad affine word %r" % text)
+    if any(not 0 <= g <= rank for g in gens):
+        raise CliError("affine word %r has letters outside 0..%d"
+                       % (text, rank))
+    return [g - 1 if g else -1 for g in gens]
+
+
 def _parse_sign(text):
     if text in ("+", "+1", "plus"):
         return 1
@@ -80,22 +89,27 @@ def _parse_sign(text):
 
 # -- emitters ----------------------------------------------------------
 
-def _ga_json(g):
-    return [
-        {"weight": list(k), "coeff": g.c[k].to_json()}
-        for k in sorted(g.c)
-    ]
-
-
 def _table_json(rs, table):
     W = rs.weyl()
     return [
         {
             "u": W.word_str(u),
-            "value": _ga_json(table[u]),
+            "value": table[u].to_json(),
         }
         for u in sorted(table, key=lambda x: (W.length[x], W.words[x]))
     ]
+
+
+def _cached_table(W, doc):
+    """The table stored by `_table_json`, or None for a miss or an entry
+    of another shape."""
+    if not isinstance(doc, list):
+        return None
+    try:
+        return {W.from_word_str(d["u"]): GA.from_json(d["value"])
+                for d in doc}
+    except (KeyError, TypeError, ValueError, AttributeError):
+        return None
 
 
 def _doc(command, rs, **fields):
@@ -207,11 +221,8 @@ def _cmd_chevalley(args, out):
     ws = range(W.n) if w is None else [w]
     chain = None
     if args.word:
-        letters = [
-            (int(p) - 1) if int(p) else -1
-            for p in args.word.replace("s", " ").split()
-        ]
-        chain = chain_from_word(rs, lam, letters, require_reduced=False)
+        chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
+                                require_reduced=False)
     cache_dir = args.cache_dir or default_cache_dir()
     blocks = []
     docs = []
@@ -220,13 +231,8 @@ def _cmd_chevalley(args, out):
             "chevalley", rs.family, rs.rank, lam, W.word_str(wv),
             args.method, extra={"sign": sign, "word": args.word},
         )
-        cached = cache_get(cache_dir, key)
-        if cached is not None:
-            table = {
-                W.from_word_str(d["u"]): GA.from_json(d["value"])
-                for d in cached
-            }
-        else:
+        table = _cached_table(W, cache_get(cache_dir, key))
+        if table is None:
             table = chevalley_table(
                 rs, lam, wv, sign=sign, method=args.method, chain=chain
             )
@@ -275,11 +281,8 @@ def _cmd_chain(args, out):
     rs = _parse_type(args.type)
     lam = _parse_lambda(args.lam, rs.rank)
     if args.word:
-        letters = [
-            (int(p) - 1) if int(p) else -1
-            for p in args.word.replace("s", " ").split()
-        ]
-        chain = chain_from_word(rs, lam, letters, require_reduced=False)
+        chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
+                                require_reduced=False)
     else:
         chain = chain_lex_height(rs, lam)
     doc = _doc("chain", rs, lam=list(lam), reduced=chain.reduced,
@@ -338,7 +341,7 @@ def _cmd_whittaker(args, out):
     docs = []
     for wv in ws:
         g = whittaker(rs, lam, wv)
-        docs.append({"w": W.word_str(wv), "value": _ga_json(g)})
+        docs.append({"w": W.word_str(wv), "value": g.to_json()})
         lines.append("W[%s] = %s"
                      % (W.word_str(wv),
                         g.render(names=names, scale=rs.h)))
@@ -366,7 +369,7 @@ def _cmd_hl(args, out):
         names = ["w%d" % (i + 1) for i in range(rs.rank)]
         text = g.render(names=names, scale=rs.h, var="t")
     doc = _doc("hl", rs, lam=list(lam), method=args.method,
-               value=_ga_json(g))
+               value=g.to_json())
     _emit(doc, text, args.format, out)
     return 0
 
@@ -570,7 +573,8 @@ def run(argv=None, out=None):
         return 0 if exc.code == 0 else 2
     try:
         return args.func(args, out)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # a library ValueError is a rejected input, not a crash
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -1,10 +1,10 @@
 """Chern-Schwartz-MacPherson classes in equivariant cohomology.
 
 A localization model of H_T*(G/B) over the polynomial ring on the
-fundamental-weight linear forms, the degenerate affine Hecke algebra
-with its commutation lemma, CSM/SM classes of Schubert cells built by
-the cohomological Demazure-Lusztig recursion, and the first-Chern-class
-Chevalley formula
+fundamental-weight linear forms (the shared core of localization.py
+with the cohomological Demazure-Lusztig operator), the degenerate
+affine Hecke algebra with its commutation lemma, CSM/SM classes of
+Schubert cells, and the first-Chern-class Chevalley formula
 
     c1(L_lambda) . csm(X(w W_P)^o)
         = w(lambda) csm(X(w W_P)^o)
@@ -14,8 +14,10 @@ Chevalley formula
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
+
+from .charring import Frac
+from .localization import Localization
 
 
 class CohPoly:
@@ -87,6 +89,13 @@ class CohPoly:
 
     def __bool__(self):
         return bool(self.c)
+
+    def unit_inverse(self):
+        """The inverse of a nonzero constant, otherwise None."""
+        if len(self.c) != 1:
+            return None
+        (k, x), = self.c.items()
+        return None if any(k) else CohPoly({k: 1 / x})
 
     def act(self, W, w):
         """The Weyl action through the fundamental-coordinate matrices."""
@@ -164,114 +173,9 @@ class CohPoly:
         return "CohPoly(%s)" % self.render()
 
 
-class CohFrac:
-    """num / prod(factors) over CohPoly, factors kept in factored form."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=()):
-        if not num:
-            den = ()
-        self.num = num
-        self.den = tuple(den)
-
-    def _reduce(self):
-        if not self.num:
-            return CohFrac(CohPoly())
-        num = self.num
-        kept = []
-        for f in self.den:
-            if len(f.c) == 1:
-                (k, x), = f.c.items()
-                if not any(k):
-                    num = num * (1 / x)
-                    continue
-            q = num.exact_div(f)
-            if q is not None:
-                num = q
-            else:
-                kept.append(f)
-        return CohFrac(num, kept)
-
-    def __add__(self, other):
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        c1 = Counter(self.den)
-        c2 = Counter(other.den)
-        lcm = c1 | c2
-        n1 = self.num
-        for f in (lcm - c1).elements():
-            n1 = n1 * f
-        n2 = other.num
-        for f in (lcm - c2).elements():
-            n2 = n2 * f
-        return CohFrac(n1 + n2, tuple(lcm.elements()))._reduce()
-
-    def __neg__(self):
-        return CohFrac(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CohFrac(self.num * other, self.den)
-        if isinstance(other, CohPoly):
-            other = CohFrac(other)
-        return CohFrac(self.num * other.num, self.den + other.den)._reduce()
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError
-        rank = len(next(iter(self.num.c)))
-        den = CohPoly.const(1, rank)
-        for f in self.den:
-            den = den * f
-        return CohFrac(den, (self.num,))._reduce()
-
-    def __truediv__(self, other):
-        if isinstance(other, CohPoly):
-            other = CohFrac(other)
-        return self * other.inverse()
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.num
-        if isinstance(other, CohPoly):
-            other = CohFrac(other)
-        return not (self - other).num
-
-    def as_poly(self):
-        r = self._reduce()
-        num = r.num
-        for f in r.den:
-            q = num.exact_div(f) if num else CohPoly()
-            if q is None:
-                return None
-            num = q
-        return num
-
-    def map_poly(self, f):
-        return CohFrac(f(self.num), tuple(f(g) for g in self.den))
-
-    def render(self):
-        p = self.as_poly()
-        if p is not None:
-            return p.render()
-        s = "(%s)" % self.num.render()
-        for f in self.den:
-            s += " / (%s)" % f.render()
-        return s
-
-    def __repr__(self):
-        return "CohFrac(%s)" % self.render()
+def _simple_root(rs, i):
+    """alpha_i as a linear form in the fundamental weights."""
+    return CohPoly.linear(tuple(rs.cartan[k][i] for k in range(rs.rank)))
 
 
 # -- degenerate affine Hecke algebra -----------------------------------
@@ -284,15 +188,11 @@ class DegenerateHecke:
         self.rs = rs
         self.W = rs.weyl()
 
-    def _alpha_poly(self, i):
-        rs = self.rs
-        return CohPoly.linear(tuple(rs.cartan[k][i] for k in range(rs.rank)))
-
     def demazure(self, i, p):
         """partial_i(p) = (p - s_i p) / alpha_i, always polynomial."""
         si = self.W.from_word((i,))
         diff = p - p.act(self.W, si)
-        q = diff.exact_div(self._alpha_poly(i))
+        q = diff.exact_div(_simple_root(self.rs, i))
         assert q is not None, "Demazure difference not divisible"
         return q
 
@@ -326,56 +226,33 @@ class DegenerateHecke:
         """The commutation lemma's right-hand side:
 
             x_{w lambda} T_w - sum_{alpha>0, w s_alpha < w}
-                <lambda, alpha^vee> T_{w s_alpha}.
-        """
-        rs = self.rs
-        W = self.W
-        wl = CohPoly.linear(lam_fund).act(W, w)
-        out = {w: wl} if wl else {}
-        for a in rs.positive_roots:
-            ws = W.mul(w, W.reflection(a))
-            if W.length[ws] < W.length[w]:
-                pairing = rs.pairing(lam_fund, a)
-                if pairing:
-                    s = out.get(ws, CohPoly()) - CohPoly.const(
-                        pairing, rs.rank
-                    )
-                    if s:
-                        out[ws] = s
-                    elif ws in out:
-                        del out[ws]
-        return out
+                <lambda, alpha^vee> T_{w s_alpha},
+
+        which has the shape of the CSM Chevalley formula."""
+        return _c1_closed(self.rs, lam_fund, w, (), down=True)
 
 
 # -- cohomological localization oracle ---------------------------------
 
-class CohOracle:
-    """H_T*(G/B) by restriction to fixed points, CohFrac valued."""
+class CohOracle(Localization):
+    """Localization model of H_T*(G/B) over the polynomial ring."""
 
-    def __init__(self, rs):
-        self.rs = rs
-        self.W = rs.weyl()
-        self.rank = rs.rank
-        self.N = rs.n_positive()
-        W = self.W
-        self._eul = []
-        for w in range(W.n):
-            facs = []
-            for a in rs.positive_roots:
-                wa = CohPoly.linear(a.fund).act(W, w)
-                facs.append(-wa)
-            self._eul.append(tuple(facs))
-        self._order = sorted(
-            range(W.n), key=lambda x: (W.length[x], W.words[x])
-        )
-        self._csm = None
-        self._sm = None
+    ring = CohPoly
 
-    def point_class(self):
-        g = CohPoly.const(1, self.rank)
-        for f in self._eul[0]:
-            g = g * f
-        return {0: CohFrac(g)}
+    def _euler_factor(self, w, a):
+        """-w(alpha)."""
+        return -CohPoly.linear(self.W.act(w, a.fund))
+
+    def _act(self, w, p):
+        return p.act(self.W, w)
+
+    def _dl_coeffs(self, i):
+        """T_i = ((alpha_i + 1)/alpha_i) s_i^L - 1/alpha_i."""
+        ai = _simple_root(self.rs, i)
+        return Frac(ai + self._one(), (ai,)), Frac(self._one(), (ai,))
+
+    csm = Localization.cell_class  # c_SM(X(w)^o)
+    sm_y = Localization.dual_class  # s_M(Y(u)^o), dual to the CSM classes
 
     def first_chern(self, lam_fund):
         """c1(L_lambda)|_v = v(lambda)."""
@@ -385,116 +262,22 @@ class CohOracle:
         for v in range(W.n):
             p = lam.act(W, v)
             if p:
-                out[v] = CohFrac(p)
+                out[v] = Frac(p)
         return out
-
-    def mul(self, F, G):
-        out = {}
-        for w, f in F.items():
-            if w in G:
-                p = f * G[w]
-                if p:
-                    out[w] = p
-        return out
-
-    def add(self, F, G):
-        out = dict(F)
-        for w, g in G.items():
-            s = out.get(w, CohFrac(CohPoly())) + g
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return out
-
-    def dl_left(self, i, F):
-        """T_i = ((alpha_i + 1)/alpha_i) s_i^L - 1/alpha_i pointwise."""
-        rs = self.rs
-        W = self.W
-        ai = CohPoly.linear(tuple(rs.cartan[k][i] for k in range(rs.rank)))
-        c1 = CohFrac(ai + CohPoly.const(1, rs.rank), (ai,))
-        c2 = CohFrac(CohPoly.const(1, rs.rank), (ai,))
-        si = W.from_word((i,))
-        out = {}
-        for w in range(W.n):
-            sw = W.mul(si, w)
-            acc = CohFrac(CohPoly())
-            if sw in F:
-                moved = F[sw].map_poly(lambda p: p.act(W, si))
-                acc = acc + c1 * moved
-            if w in F:
-                acc = acc - c2 * F[w]
-            if acc:
-                out[w] = acc
-        return out
-
-    def csm(self, w):
-        """c_SM(X(w)^o) by the Demazure-Lusztig recursion."""
-        if self._csm is None:
-            self._csm = {0: self.point_class()}
-        cache = self._csm
-        if w not in cache:
-            word = self.W.word(w)
-            rest = self.W.from_word(word[1:])
-            cache[w] = self.dl_left(word[0], self.csm(rest))
-        return cache[w]
-
-    def integral(self, F):
-        acc = CohFrac(CohPoly())
-        for w, f in F.items():
-            acc = acc + CohFrac(f.num, f.den + self._eul[w])
-        p = acc.as_poly()
-        assert p is not None, "integral is not polynomial"
-        return p
-
-    def pair(self, F, G):
-        return self.integral(self.mul(F, G))
-
-    def sm_y(self, u):
-        """s_M(Y(u)^o): the basis dual to the CSM classes."""
-        if self._sm is None:
-            self._sm = self._solve_sm()
-        return self._sm[u]
-
-    def _solve_sm(self):
-        W = self.W
-        sm = {u: {} for u in range(W.n)}
-        inv_eul = {
-            w: CohFrac(CohPoly.const(1, self.rank), self._eul[w])
-            for w in range(W.n)
-        }
-        for w in self._order:
-            cw = self.csm(w)
-            diag = (cw[w] * inv_eul[w]).inverse()
-            for u in range(W.n):
-                acc = CohFrac(CohPoly.const(1 if u == w else 0, self.rank))
-                for v, f in cw.items():
-                    if v != w and v in sm[u]:
-                        acc = acc - f * sm[u][v] * inv_eul[v]
-                val = acc * diag
-                if val:
-                    sm[u][w] = val
-        return sm
 
     def expand_chern_product(self, lam_fund, w):
         """{u: coefficient} of c1(L_lambda) . csm(X(w)^o) in the CSM
-        basis, by pairing with the dual basis."""
-        W = self.W
+        basis."""
         F = self.mul(self.first_chern(lam_fund), self.csm(w))
-        out = {}
-        for u in range(W.n):
-            if not W.leq(u, w):
-                continue
-            p = self.pair(F, self.sm_y(u))
-            if p:
-                out[u] = p
-        return out
+        return self._expand(F, w)
 
 
 # -- closed Chevalley formulas -----------------------------------------
 
-def csm_chevalley(rs, lam_fund, w, parabolic=()):
-    """{u in W^P: CohPoly} for c1(L_lambda) . csm(X(w W_P)^o)."""
+def _c1_closed(rs, lam_fund, w, parabolic, down):
+    """w(lambda) at w minus <lambda, alpha^vee> at the minimal
+    representative of w s_alpha W_P, over alpha > 0 with w s_alpha below
+    w (down) or above it."""
     W = rs.weyl()
     if any(lam_fund[i] for i in parabolic):
         raise ValueError("lambda must pair to zero with the parabolic roots")
@@ -506,7 +289,7 @@ def csm_chevalley(rs, lam_fund, w, parabolic=()):
         out[w] = diag
     for a in rs.positive_roots:
         ws = W.mul(w, W.reflection(a))
-        if W.length[ws] < W.length[w]:
+        if (W.length[ws] < W.length[w]) == down:
             pairing = rs.pairing(lam_fund, a)
             if pairing:
                 u = W.min_coset_rep(ws, parabolic)
@@ -516,29 +299,14 @@ def csm_chevalley(rs, lam_fund, w, parabolic=()):
                 elif u in out:
                     del out[u]
     return out
+
+
+def csm_chevalley(rs, lam_fund, w, parabolic=()):
+    """{u in W^P: CohPoly} for c1(L_lambda) . csm(X(w W_P)^o)."""
+    return _c1_closed(rs, lam_fund, w, parabolic, down=True)
 
 
 def sm_chevalley(rs, lam_fund, w, parabolic=()):
     """{u in W^P: CohPoly} for c1(L_lambda) . s_M(Y(w W_P)^o), where the
     correction runs over alpha > 0 with w s_alpha > w."""
-    W = rs.weyl()
-    if any(lam_fund[i] for i in parabolic):
-        raise ValueError("lambda must pair to zero with the parabolic roots")
-    if W.min_coset_rep(w, parabolic) != w:
-        raise ValueError("w must be a minimal coset representative")
-    out = {}
-    diag = CohPoly.linear(lam_fund).act(W, w)
-    if diag:
-        out[w] = diag
-    for a in rs.positive_roots:
-        ws = W.mul(w, W.reflection(a))
-        if W.length[ws] > W.length[w]:
-            pairing = rs.pairing(lam_fund, a)
-            if pairing:
-                u = W.min_coset_rep(ws, parabolic)
-                s = out.get(u, CohPoly()) - CohPoly.const(pairing, rs.rank)
-                if s:
-                    out[u] = s
-                elif u in out:
-                    del out[u]
-    return out
+    return _c1_closed(rs, lam_fund, w, parabolic, down=False)

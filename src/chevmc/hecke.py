@@ -15,7 +15,7 @@ arithmetic (transition_direct) or from a lambda-chain (transition_chain).
 from __future__ import annotations
 
 from .params import Scalar
-from .alcove import chain_reflections
+from .alcove import chain_reflections, descent_subsets
 
 
 class HeckeElement:
@@ -279,20 +279,14 @@ class HeckeAlgebra:
         sign=+1: Eq. with (q-1)^|J| over u -(J<)-> w and mu = w rtilde_{J>}(lambda).
         sign=-1: Eq. with (1-q)^|J| over u -(J>)-> w and mu = w rhat_{J<}(-lambda).
         """
-        rs = self.rs
         W = self.W
-        l = len(chain)
-        hs = [None] + chain.hyperplanes()
-        refl = [None] + [W.reflection(h.root) for h in hs[1:]]
-        # walking down from w: +lambda reads J descending (r_{h_jt} first),
-        # so scan positions l..1; -lambda reads J ascending, scan 1..l.
-        positions = list(range(l, 0, -1)) if sign > 0 else list(range(1, l + 1))
-        out = {}
         lam = chain.lam
         neg_lam = tuple(-c for c in lam)
-
-        def emit(u, J):
-            data = chain_reflections(chain, tuple(sorted(J)))
+        out = {}
+        # walking down from w: +lambda reads J descending (r_{h_jt} first),
+        # so scan positions l..1; -lambda reads J ascending, scan 1..l.
+        for u, J in descent_subsets(chain, w, ascending=sign < 0):
+            data = chain_reflections(chain, J)
             t = len(J)
             if sign > 0:
                 mu = W.act(w, data["rtilde_Jgt"](lam))
@@ -311,18 +305,6 @@ class HeckeAlgebra:
                 out[key] = s
             elif key in out:
                 del out[key]
-
-        def dfs(pos_idx, cur, J):
-            if pos_idx == len(positions):
-                emit(cur, J)
-                return
-            dfs(pos_idx + 1, cur, J)
-            j = positions[pos_idx]
-            nxt = W.mul(cur, refl[j])
-            if W.length[nxt] < W.length[cur]:
-                dfs(pos_idx + 1, nxt, J + [j])
-
-        dfs(0, w, [])
         return out
 
     def render_transition(self, table):

@@ -1,0 +1,196 @@
+"""Fixed-point localization on G/B, shared by K-theory and cohomology.
+
+A class is stored by its restrictions to the torus fixed points e_w,
+each restriction a Frac over the theory's ring.  The two theories differ
+only in that ring, in the Euler factor of a tangent weight, in the two
+coefficients of the left Demazure-Lusztig operator and in how the Weyl
+group acts on ring elements; a subclass supplies those, and this class
+does the rest: the operator recursion for the classes of Schubert
+cells, the Atiyah-Bott sum, the dual basis by triangular inversion and
+the expansion of a class in the cell basis.
+"""
+
+from __future__ import annotations
+
+from .charring import Frac
+
+
+class Localization:
+    """Localization model for one root system; caches are write-once.
+
+    Subclasses set `ring` and define `_euler_factor(w, root)`,
+    `_dl_coeffs(i)` and `_act(w, g)`.
+    """
+
+    ring = None
+
+    def __init__(self, rs):
+        self.rs = rs
+        self.W = rs.weyl()
+        self.rank = rs.rank
+        self.N = rs.n_positive()
+        W = self.W
+        self._eul = [
+            tuple(self._euler_factor(w, a) for a in rs.positive_roots)
+            for w in range(W.n)
+        ]
+        self._order = sorted(
+            range(W.n), key=lambda x: (W.length[x], W.words[x])
+        )
+        self._cells = {}
+        self._dual = None
+
+    def _zero(self):
+        return Frac(self.ring())
+
+    def _one(self):
+        return self.ring.const(1, self.rank)
+
+    # -- pointwise ring structure --------------------------------------
+    def point_class(self):
+        """The class of the point e_id: the product of its Euler factors."""
+        g = self._one()
+        for f in self._eul[0]:
+            g = g * f
+        return {0: Frac(g)}
+
+    def mul(self, F, G):
+        out = {}
+        for w, f in F.items():
+            if w in G:
+                p = f * G[w]
+                if p:
+                    out[w] = p
+        return out
+
+    def add(self, F, G):
+        out = dict(F)
+        for w, g in G.items():
+            s = out.get(w, self._zero()) + g
+            if s:
+                out[w] = s
+            elif w in out:
+                del out[w]
+        return out
+
+    def classes_equal(self, F, G):
+        z = self._zero()
+        return all(F.get(v, z) == G.get(v, z) for v in set(F) | set(G))
+
+    # -- Demazure-Lusztig ----------------------------------------------
+    def dl_left(self, i, F):
+        """The left Demazure-Lusztig operator T_i = c1 s_i^L - c2:
+
+            (T_i F)|_w = c1 s_i(F|_{s_i w}) - c2 F|_w
+        """
+        W = self.W
+        c1, c2 = self._dl_coeffs(i)
+        si = W.from_word((i,))
+        out = {}
+        for w in range(W.n):
+            sw = W.mul(si, w)
+            acc = self._zero()
+            if sw in F:
+                acc = acc + c1 * F[sw].map(lambda g: self._act(si, g))
+            if w in F:
+                acc = acc - c2 * F[w]
+            if acc:
+                out[w] = acc
+        return out
+
+    def cell_class(self, w):
+        """The class of the Schubert cell X(w)^o by the Demazure-Lusztig
+        recursion from the point class."""
+        cache = self._cells
+        if w not in cache:
+            if w == 0:
+                cache[0] = self.point_class()
+            else:
+                word = self.W.word(w)
+                rest = self.W.from_word(word[1:])
+                cache[w] = self.dl_left(word[0], self.cell_class(rest))
+        return cache[w]
+
+    # -- Atiyah-Bott sum and the dual basis ----------------------------
+    def _integrate(self, F, eul):
+        """sum_w F|_w / prod(eul[w]), which must be a polynomial."""
+        acc = self._zero()
+        for w, f in F.items():
+            acc = acc + Frac(f.num, f.den + eul[w])
+        g = acc.as_poly()
+        assert g is not None, "localization sum is not polynomial"
+        return g
+
+    def integral(self, F):
+        """Atiyah-Bott: the pushforward of F to a point."""
+        return self._integrate(F, self._eul)
+
+    def pair(self, F, G):
+        return self.integral(self.mul(F, G))
+
+    def _dual_basis(self, order, cells, eul):
+        """{u: D_u} with sum_w (cells[x] D_u)|_w / prod(eul[w]) = [u == x],
+        by triangular inversion: cells[x] is supported on points that
+        come no later than x in `order`."""
+        one = self._one()
+        inv_eul = {w: Frac(one, eul[w]) for w in order}
+        dual = {u: {} for u in order}
+        for x in order:
+            cx = cells[x]
+            diag = (cx[x] * inv_eul[x]).inverse()
+            for u in order:
+                acc = Frac(one if u == x else self.ring())
+                for v, f in cx.items():
+                    if v != x and v in dual[u]:
+                        acc = acc - f * dual[u][v] * inv_eul[v]
+                val = acc * diag
+                if val:
+                    dual[u][x] = val
+        return dual
+
+    def dual_class(self, u):
+        """The basis dual to the cell classes under the pairing."""
+        if self._dual is None:
+            cells = {w: self.cell_class(w) for w in range(self.W.n)}
+            self._dual = self._dual_basis(self._order, cells, self._eul)
+        return self._dual[u]
+
+    # -- expansion in the cell basis -----------------------------------
+    def _expand_by_pairing(self, F, points, dual, eul):
+        """{u: nonzero sum_w (F dual[u])|_w / prod(eul[w])} over `points`."""
+        out = {}
+        for u in points:
+            g = self._integrate(self.mul(F, dual[u]), eul)
+            if g:
+                out[u] = g
+        return out
+
+    def _expand(self, F, w, method="solve"):
+        """{u: coefficient} of F in the cell basis, for F supported on
+        the Bruhat interval below w."""
+        W = self.W
+        if method == "pairing":
+            points = [u for u in range(W.n) if W.leq(u, w)]
+            dual = {u: self.dual_class(u) for u in points}
+            return self._expand_by_pairing(F, points, dual, self._eul)
+        if method != "solve":
+            raise ValueError("unknown method %r" % method)
+        # triangular solve against the cell basis, top length first
+        rem = dict(F)
+        out = {}
+        for v in reversed(self._order):
+            if v not in rem:
+                continue
+            cv = self.cell_class(v)
+            coeff = rem[v] / cv[v]
+            g = coeff.as_poly()
+            assert g is not None, "non-polynomial Chevalley coefficient"
+            out[v] = g
+            for x, f in cv.items():
+                s = rem.get(x, self._zero()) - f * coeff
+                if s:
+                    rem[x] = s
+                elif x in rem:
+                    del rem[x]
+        assert not rem, "expansion left a remainder"
+        return out

@@ -1,14 +1,13 @@
 """Brute-force localization model of equivariant K-theory of G/B.
 
-A class is stored by its restrictions to the torus fixed points e_w,
-each restriction an exact fraction over the character ring.  The module
-provides line bundles, left Demazure-Lusztig operators, motivic Chern
-classes of Schubert cells (by operator recursion), Segre motivic classes
-(by inverting the triangular Poincare pairing), Euler characteristics by
-the Atiyah-Bott fixed-point sum, and the expansion of a line bundle
-times a motivic class in the motivic basis.  Everything here is
-independent of the lambda-chain combinatorics, so agreement with the
-chain formulas is a genuine cross-check.
+On the shared localization core (localization.py) with the character
+ring as coefficients, the module provides line bundles, motivic Chern
+classes of Schubert cells (by the left Demazure-Lusztig recursion),
+Segre motivic classes (by inverting the triangular Poincare pairing),
+Euler characteristics by the Atiyah-Bott fixed-point sum, and the
+expansion of a line bundle times a motivic class in the motivic basis.
+Everything here is independent of the lambda-chain combinatorics, so
+agreement with the chain formulas is a genuine cross-check.
 
 The stable-basis layer of the cotangent bundle lives at the end of the
 file; it is the only place where half powers of q (odd powers of v)
@@ -20,35 +19,46 @@ from __future__ import annotations
 from .params import Scalar
 from .charring import GA, Frac
 from .alcove import chain_lex_height
+from .localization import Localization
 
 
 def _wneg(t):
     return tuple(-c for c in t)
 
 
-class KOracle:
-    """Localization model for one root system; caches are write-once."""
+class KOracle(Localization):
+    """Localization model of K_T(G/B) over the character ring."""
+
+    ring = GA
 
     def __init__(self, rs):
-        self.rs = rs
-        self.W = rs.weyl()
-        self.rank = rs.rank
-        self.N = rs.n_positive()
-        W = self.W
-        # Euler factor family 1 - e^{w(alpha)}, alpha > 0, per fixed point
-        self._eul = []
-        for w in range(W.n):
-            facs = []
-            for a in rs.positive_roots:
-                wa = W.act(w, tuple(rs.h * c for c in a.fund))
-                facs.append(GA.const(1, self.rank) - GA.term(wa))
-            self._eul.append(tuple(facs))
-        self._order = sorted(
-            range(W.n), key=lambda x: (W.length[x], W.words[x])
-        )
-        self._mc = None
-        self._mc_y = None
-        self._smc = None
+        super().__init__(rs)
+        self._mc_y = {}
+
+    def _root_fine(self, a):
+        return tuple(self.rs.h * c for c in a.fund)
+
+    def _euler_factor(self, w, a):
+        """1 - e^{w(alpha)}."""
+        return self._one() - GA.term(self.W.act(w, self._root_fine(a)))
+
+    def _act(self, w, g):
+        act = self.W.act
+        return g.map_weights(lambda k: act(w, k))
+
+    def _alpha_fine(self, i):
+        rs = self.rs
+        return rs.weight(tuple(rs.cartan[k][i] for k in range(rs.rank)))
+
+    def _dl_coeffs(self, i):
+        """T_i = c1 s_i - c2 with c1 = (1 + y e^{-a_i})/(1 - e^{-a_i})
+        and c2 = (1 + y)/(1 - e^{-a_i})."""
+        one = self._one()
+        nai = _wneg(self._alpha_fine(i))
+        den = (one - GA.term(nai),)
+        y = Scalar.y(1)
+        return (Frac(one + GA.term(nai, y), den),
+                Frac(one + GA.const(y, self.rank), den))
 
     # -- basic classes -------------------------------------------------
     def line_bundle(self, lam_fund):
@@ -58,158 +68,51 @@ class KOracle:
             w: Frac(GA.term(self.W.act(w, lam))) for w in range(self.W.n)
         }
 
-    def point_class(self):
-        """[O_{X(id)}]: the Koszul class prod(1 - e^alpha) at e_id."""
-        g = GA.const(1, self.rank)
-        for f in self._eul[0]:
-            g = g * f
-        return {0: Frac(g)}
-
     def constant(self, ga):
         """A class pulled back from the point."""
         return {w: Frac(ga) for w in range(self.W.n)}
-
-    def mul(self, F, G):
-        out = {}
-        for w, f in F.items():
-            if w in G:
-                p = f * G[w]
-                if p:
-                    out[w] = p
-        return out
-
-    def add(self, F, G):
-        out = dict(F)
-        for w, g in G.items():
-            s = out.get(w, Frac(GA())) + g
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return out
 
     def scale(self, F, c):
         return {w: f * c for w, f in F.items()}
 
     def lambda_y_cotangent(self, w):
         """lambda_y(T*)|_w = prod_{alpha>0} (1 + y e^{w(alpha)})."""
-        rs = self.rs
         y = Scalar.y(1)
-        g = GA.const(1, self.rank)
-        for a in rs.positive_roots:
-            wa = self.W.act(w, tuple(rs.h * c for c in a.fund))
-            g = g * (GA.const(1, self.rank) + GA.term(wa, y))
+        g = self._one()
+        for a in self.rs.positive_roots:
+            wa = self.W.act(w, self._root_fine(a))
+            g = g * (self._one() + GA.term(wa, y))
         return g
-
-    # -- Demazure-Lusztig ----------------------------------------------
-    def _alpha_fine(self, i):
-        rs = self.rs
-        return rs.weight(tuple(rs.cartan[k][i] for k in range(rs.rank)))
-
-    def dl_left(self, i, F):
-        """The left Demazure-Lusztig operator at the fixed points:
-
-            (T F)|_w = (1 + y e^{-a_i})/(1 - e^{-a_i}) s_i(F|_{s_i w})
-                       - (1 + y)/(1 - e^{-a_i}) F|_w
-        """
-        rs = self.rs
-        W = self.W
-        ai = self._alpha_fine(i)
-        nai = _wneg(ai)
-        one = GA.const(1, self.rank)
-        den = (one - GA.term(nai),)
-        c1 = Frac(one + GA.term(nai, Scalar.y(1)), den)
-        c2 = Frac(GA.const(1, self.rank) + GA.const(Scalar.y(1), self.rank), den)
-        si = W.from_word((i,))
-        out = {}
-        for w in range(W.n):
-            sw = W.mul(si, w)
-            acc = Frac(GA())
-            if sw in F:
-                moved = F[sw].map(
-                    lambda g: g.map_weights(lambda k: W.act(si, k))
-                )
-                acc = acc + c1 * moved
-            if w in F:
-                acc = acc - c2 * F[w]
-            if acc:
-                out[w] = acc
-        return out
 
     def w0_left(self, F):
         """The left w0 action: (w0 F)|_v = w0(F|_{w0 v})."""
         W = self.W
-        w0 = W.w0
         out = {}
         for v in range(W.n):
-            src = W.mul(w0, v)
+            src = W.mul(W.w0, v)
             if src in F:
-                out[v] = F[src].map(
-                    lambda g: g.map_weights(lambda k: W.act(w0, k))
-                )
+                out[v] = F[src].map(lambda g: self._act(W.w0, g))
         return out
 
     # -- motivic classes -----------------------------------------------
-    def mc(self, w):
-        """MC_y(X(w)^o) by the Demazure-Lusztig recursion."""
-        if self._mc is None:
-            self._mc = {0: self.point_class()}
-        cache = self._mc
-        if w not in cache:
-            word = self.W.word(w)
-            rest = self.W.from_word(word[1:])
-            cache[w] = self.dl_left(word[0], self.mc(rest))
-        return cache[w]
+    mc = Localization.cell_class  # MC_y(X(w)^o)
+    smc = Localization.dual_class  # SMC_y(Y(u)^o), dual to MC
+    euler_char = Localization.integral
 
     def mc_y(self, w):
         """MC_y(Y(w)^o) = w0 . MC_y(X(w0 w)^o)."""
-        if self._mc_y is None:
-            self._mc_y = {}
         if w not in self._mc_y:
             self._mc_y[w] = self.w0_left(self.mc(self.W.mul(self.W.w0, w)))
         return self._mc_y[w]
 
-    def smc(self, u):
-        """SMC_y(Y(u)^o): the basis dual to MC under the pairing."""
-        if self._smc is None:
-            self._smc = self._solve_smc()
-        return self._smc[u]
-
-    def _solve_smc(self):
+    def _segre(self, F, d):
+        """(-y)^d D(F) / lambda_y(T*) with the duality
+        D(F)|_w = (-1)^{dim G/B} e^{2 w rho} (F|_w)^vee."""
         W = self.W
-        smc = {u: {} for u in range(W.n)}
-        mcs = {w: self.mc(w) for w in range(W.n)}
-        inv_eul = {
-            w: Frac(GA.const(1, self.rank), self._eul[w])
-            for w in range(W.n)
-        }
-        for w in self._order:
-            mcw = mcs[w]
-            diag = (mcw[w] * inv_eul[w]).inverse()
-            for u in range(W.n):
-                acc = Frac(GA.const(1 if u == w else 0, self.rank))
-                for v, f in mcw.items():
-                    if v != w and v in smc[u]:
-                        acc = acc - f * smc[u][v] * inv_eul[v]
-                val = acc * diag
-                if val:
-                    smc[u][w] = val
-        return smc
-
-    def smc_def(self, u):
-        """SMC_y(Y(u)^o) from the defining formula
-
-            (-y)^{dim Y(u)} D(MC_y(Y(u)^o)) / lambda_y(T*),
-            D(F)|_w = (-1)^{dim G/B} e^{2 w rho} (F|_w)^vee,
-
-        used as a validator for the dual-basis construction."""
-        rs = self.rs
-        W = self.W
-        d = self.N - W.length[u]
         pref = Scalar.y(d, (-1) ** d) * ((-1) ** self.N)
-        rho2 = tuple(2 * c for c in rs.rho())
+        rho2 = tuple(2 * c for c in self.rs.rho())
         out = {}
-        for w, f in self.mc_y(u).items():
+        for w, f in F.items():
             g = f.map(lambda x: x.dual_vee())
             g = g * GA.term(W.act(w, rho2), pref)
             g = g / Frac(self.lambda_y_cotangent(w))
@@ -217,13 +120,15 @@ class KOracle:
                 out[w] = g
         return out
 
+    def smc_def(self, u):
+        """SMC_y(Y(u)^o) from the defining formula (-y)^{dim Y(u)}
+        D(MC_y(Y(u)^o)) / lambda_y(T*), used as a validator for the
+        dual-basis construction."""
+        return self._segre(self.mc_y(u), self.N - self.W.length[u])
+
     def mc_prime(self, w):
         """MC'_y(X(w)^o) = lambda_y(id) MC_y(X(w)^o) / lambda_y(T*)."""
-        rs = self.rs
-        lam_id = GA.const(1, self.rank)
-        for a in rs.positive_roots:
-            af = tuple(rs.h * c for c in a.fund)
-            lam_id = lam_id * (GA.const(1, self.rank) + GA.term(af, Scalar.y(1)))
+        lam_id = self.lambda_y_cotangent(0)
         out = {}
         for v, f in self.mc(w).items():
             g = f * lam_id / Frac(self.lambda_y_cotangent(v))
@@ -231,21 +136,7 @@ class KOracle:
                 out[v] = g
         return out
 
-    # -- pairing and characters ----------------------------------------
-    def euler_char(self, F, as_frac=False):
-        """Atiyah-Bott: chi_T(F) = sum_w F|_w / prod(1 - e^{w alpha})."""
-        acc = Frac(GA())
-        for w, f in F.items():
-            acc = acc + Frac(f.num, f.den + self._eul[w])
-        if as_frac:
-            return acc
-        g = acc.as_ga()
-        assert g is not None, "Euler characteristic is not polynomial"
-        return g
-
-    def pair(self, F, G, as_frac=False):
-        return self.euler_char(self.mul(F, G), as_frac=as_frac)
-
+    # -- characters ----------------------------------------------------
     def weyl_character(self, mu_fund):
         """chi_mu for dominant mu by the Weyl character formula."""
         rs = self.rs
@@ -271,7 +162,6 @@ class KOracle:
         With `character` = {weight fund tuple: int}, expands the product
         with the homogeneous bundle of that character instead.
         """
-        W = self.W
         if character is None:
             bundle = self.line_bundle(lam_fund)
         else:
@@ -280,37 +170,7 @@ class KOracle:
                 bundle = self.add(
                     bundle, self.scale(self.line_bundle(lamc), a)
                 )
-        F = self.mul(bundle, self.mc(w))
-        if method == "pairing":
-            out = {}
-            for u in range(W.n):
-                if not W.leq(u, w):
-                    continue
-                g = self.pair(F, self.smc(u))
-                if g:
-                    out[u] = g
-            return out
-        if method != "solve":
-            raise ValueError("unknown method %r" % method)
-        # triangular solve against the MC basis, top length first
-        rem = dict(F)
-        out = {}
-        for v in reversed(self._order):
-            if v not in rem or not rem[v]:
-                continue
-            mcv = self.mc(v)
-            coeff = rem[v] / mcv[v]
-            g = coeff.as_ga()
-            assert g is not None, "non-polynomial Chevalley coefficient"
-            out[v] = g
-            for x, f in mcv.items():
-                s = rem.get(x, Frac(GA())) - f * coeff
-                if s:
-                    rem[x] = s
-                elif x in rem:
-                    del rem[x]
-        assert not rem, "expansion left a remainder"
-        return out
+        return self._expand(self.mul(bundle, self.mc(w)), w, method)
 
     # -- parabolic model -----------------------------------------------
     def parabolic_points(self, parabolic):
@@ -320,32 +180,27 @@ class KOracle:
         """pi_*: sum each coset against the vertical Euler classes."""
         rs = self.rs
         W = self.W
-        wp = W.parabolic_elements(parabolic)
         vert_roots = [
             a for a in rs.positive_roots
             if all(a.simple[i] == 0 for i in range(rs.rank) if i not in parabolic)
         ]
+        wp = W.parabolic_elements(parabolic)
         out = {}
         for v in self.parabolic_points(parabolic):
-            acc = Frac(GA())
+            acc = self._zero()
             for p in wp:
                 x = W.mul(v, p)
-                if x not in F:
-                    continue
-                den = tuple(
-                    GA.const(1, self.rank)
-                    - GA.term(W.act(x, tuple(rs.h * c for c in a.fund)))
-                    for a in vert_roots
-                )
-                acc = acc + Frac(F[x].num, F[x].den + den)
+                if x in F:
+                    den = tuple(self._euler_factor(x, a) for a in vert_roots)
+                    acc = acc + Frac(F[x].num, F[x].den + den)
             if acc:
                 out[v] = acc
         return out
 
     def expand_product_parabolic(self, lam_fund, w, parabolic):
-        """{u in W^P: C^{w,P}_{u,lambda}} in the G/P localization model."""
+        """{u in W^P: C^{w,P}_{u,lambda}} in the G/P localization model,
+        by pairing with the dual basis of the pushed-forward classes."""
         rs = self.rs
-        W = self.W
         points = self.parabolic_points(parabolic)
         if w not in points:
             raise ValueError("w must be a minimal coset representative")
@@ -353,40 +208,13 @@ class KOracle:
             a for a in rs.positive_roots
             if any(a.simple[i] for i in range(rs.rank) if i not in parabolic)
         ]
-        eul_p = {}
-        for v in points:
-            eul_p[v] = tuple(
-                GA.const(1, self.rank)
-                - GA.term(W.act(v, tuple(rs.h * c for c in a.fund)))
-                for a in horiz
-            )
+        eul_p = {
+            v: tuple(self._euler_factor(v, a) for a in horiz) for v in points
+        }
         mc_p = {x: self.pushforward(self.mc(x), parabolic) for x in points}
-        # dual basis on G/P by the same triangular inversion
-        smc_p = {u: {} for u in points}
-        for x in points:
-            mcx = mc_p[x]
-            diag = (mcx[x] * Frac(GA.const(1, self.rank), eul_p[x])).inverse()
-            for u in points:
-                acc = Frac(GA.const(1 if u == x else 0, self.rank))
-                for v, f in mcx.items():
-                    if v != x and v in smc_p[u]:
-                        acc = acc - f * smc_p[u][v] * Frac(
-                            GA.const(1, self.rank), eul_p[v]
-                        )
-                val = acc * diag
-                if val:
-                    smc_p[u][x] = val
+        smc_p = self._dual_basis(points, mc_p, eul_p)
         F = self.mul(self.line_bundle(lam_fund), mc_p[w])
-        out = {}
-        for u in points:
-            acc = Frac(GA())
-            for v, f in self.mul(F, smc_p[u]).items():
-                acc = acc + Frac(f.num, f.den + eul_p[v])
-            g = acc.as_ga()
-            assert g is not None
-            if g:
-                out[u] = g
-        return out
+        return self._expand_by_pairing(F, points, smc_p, eul_p)
 
     # -- star-duality input identity -----------------------------------
     def star_identity_sides(self, w):
@@ -402,31 +230,17 @@ class KOracle:
         lhs = self.mul(self.line_bundle((-1,) * rs.rank), self.mc(w))
         lhs = {v: f * GA.term(nrho) for v, f in lhs.items()}
         # SMC(X(w)^o) from the defining formula with dim X(w) = l(w)
-        d = W.length[w]
-        pref = Scalar.y(d, (-1) ** d) * ((-1) ** self.N)
-        rho2 = tuple(2 * c for c in rs.rho())
-        smcx = {}
-        for v, f in self.mc(w).items():
-            g = f.map(lambda x: x.dual_vee())
-            g = g * GA.term(W.act(v, rho2), pref)
-            g = g / Frac(self.lambda_y_cotangent(v))
-            if g:
-                smcx[v] = g
-        const = GA.const(1, self.rank)
+        smcx = self._segre(self.mc(w), W.length[w])
+        const = self._one()
         for a in rs.positive_roots:
-            af = tuple(-rs.h * c for c in a.fund)
-            const = const * (GA.const(1, self.rank) + GA.term(af, Scalar.y(1)))
+            af = _wneg(self._root_fine(a))
+            const = const * (self._one() + GA.term(af, Scalar.y(1)))
         sgn = (-1) ** (self.N - W.length[w])
         rhs = {
             v: f.map(lambda x: x.star()) * const * sgn
             for v, f in smcx.items()
         }
         return lhs, rhs
-
-    def classes_equal(self, F, G):
-        keys = set(F) | set(G)
-        z = Frac(GA())
-        return all(F.get(v, z) == G.get(v, z) for v in keys)
 
 
 # -- stable-basis layer ------------------------------------------------

@@ -14,7 +14,6 @@ word, and element 0 is the identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 
 _WEYL_ORDER = {
@@ -205,9 +204,6 @@ class RootSystem:
     def rho(self):
         return self.weight((1,) * self.rank)
 
-    def fundamental_weight(self, i):
-        return self.weight(tuple(1 if j == i else 0 for j in range(self.rank)))
-
     def pair_coroot(self, fine, root):
         """<mu, alpha^vee> * h for a fine-lattice mu (exact integer)."""
         return sum(d * c for d, c in zip(root.coroot, fine))
@@ -237,9 +233,6 @@ class RootSystem:
             )
             for j in range(r)
         )
-
-    def is_dominant(self, fine):
-        return all(c >= 0 for c in fine)
 
     def weyl(self):
         if self._weyl is None:
@@ -317,8 +310,6 @@ class WeylGroup:
         # Weyl matrices are integer with determinant +-1; invert by
         # composing the reversed word instead of numeric inversion.
         n = len(m)
-        import itertools
-
         # Gaussian elimination over the rationals, exact.
         a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         for col in range(n):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .params import Scalar
 from .charring import GA, Frac
-from .alcove import chain_lex_height, chain_reflections
-from .chevalley import _dfs_terms, chevalley_table
+from .alcove import chain_lex_height, chain_reflections, descent_subsets
+from .chevalley import chevalley_table
 
 
 def _wneg(t):
@@ -69,7 +69,7 @@ def whittaker(rs, lam_fund, w, as_frac=False):
     f = dl.apply(w, Frac(GA.term(rs.weight(lam_fund))))
     if as_frac:
         return f
-    g = f.as_ga()
+    g = f.as_poly()
     assert g is not None, "Whittaker function did not reduce to a polynomial"
     return g
 
@@ -104,7 +104,7 @@ def big_r(rs, lam_fund, method="localization"):
                 num = num * (GA.const(1, rs.rank) + GA.term(wa, Scalar.y(1)))
                 den.append(GA.const(1, rs.rank) - GA.term(wa))
             acc = acc + Frac(num, tuple(den))
-        g = acc.as_ga()
+        g = acc.as_poly()
         assert g is not None, "localization sum is not polynomial"
         return g
     if method == "operators":
@@ -113,7 +113,7 @@ def big_r(rs, lam_fund, method="localization"):
         acc = Frac(GA())
         for w in range(W.n):
             acc = acc + dl.apply(w, e_lam, variant="tilde_vee")
-        g = acc.as_ga()
+        g = acc.as_poly()
         assert g is not None
         return g
     if method == "chevalley":
@@ -147,7 +147,7 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
                 num = num * (GA.const(1, rs.rank) + GA.term(wa, Scalar.y(1)))
                 den.append(GA.const(1, rs.rank) - GA.term(wa))
             acc = acc + Frac(num, tuple(den))
-        g = acc.as_ga()
+        g = acc.as_poly()
         assert g is not None, "localization sum is not polynomial"
         return g
     if method == "chevalley":
@@ -200,7 +200,7 @@ def hall_littlewood(rs, lam_fund, method="closed", chain=None):
                 num = num * (GA.const(1, rs.rank) - GA.term(nwa, t))
                 den.append(GA.const(1, rs.rank) - GA.term(nwa))
             acc = acc + Frac(num, tuple(den))
-        g = acc.as_ga()
+        g = acc.as_poly()
         assert g is not None
         return g
     if method in ("chain_restricted", "chain_opposite"):
@@ -241,9 +241,8 @@ def hl_terms(rs, lam_fund, formula, chain=None):
     t = Scalar.q(1)
     one_minus_t = Scalar.one() - t
     out = []
-    sign = 1 if formula == 1 else -1
     for w in W.min_coset_reps(parabolic):
-        for u, J in _dfs_terms(chain, w, sign):
+        for u, J in descent_subsets(chain, w, ascending=formula == 1):
             data = chain_reflections(chain, J)
             nj = len(J)
             if formula == 1:

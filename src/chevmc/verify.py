@@ -9,10 +9,10 @@ failure description otherwise.
 from __future__ import annotations
 
 import itertools
+import os
 from multiprocessing import Pool
 
-from .params import Scalar
-from .charring import GA, Frac
+from .charring import GA
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height
 from .chevalley import (
@@ -267,9 +267,15 @@ def _run_one(item):
     return case_id, detail
 
 
+def pool_size(jobs):
+    """Worker processes for `jobs`, at most one per CPU."""
+    return min(jobs, os.cpu_count() or 1)
+
+
 def run_suite(suite, family, rank, max_weight=2, jobs=1):
     """Run a suite; returns a list of (case_id, failure_or_None)."""
     cases = suite_cases(suite, family, rank, max_weight)
+    jobs = pool_size(jobs)
     if jobs > 1:
         with Pool(jobs) as pool:
             return pool.map(_run_one, cases)

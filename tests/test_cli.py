@@ -153,13 +153,24 @@ def test_search_positivity_small_types_clean():
         assert doc["scanned"] > 0 and not doc["findings"], label
 
 
-def test_bad_args_exit_2():
+def test_bad_args_exit_2(capsys):
     assert _run(["chevalley", "--type", "Z9", "--lambda", "1,0",
                  "--w", "s1"])[0] == 2
     assert _run(["chevalley", "--type", "A2", "--lambda", "1",
                  "--w", "s1"])[0] == 2
     assert _run(["chevalley", "--type", "A2", "--lambda", "1,0",
                  "--w", "sQ"])[0] == 2
+    # inputs the library rejects: an error line, not a traceback
+    for argv in (
+        ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
+         "--method", "operator", "--sign", "-"],
+        ["whittaker", "--type", "A2", "--lambda", "1,1", "--w", "s1"],
+        ["chain", "--type", "A2", "--lambda", "1,0", "--word", "s0s5"],
+    ):
+        capsys.readouterr()
+        assert _run(argv)[0] == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv
 
 
 def test_cache_round_trip(tmp_path):
@@ -195,3 +206,56 @@ def test_cache_corrupted_entry_recomputed(tmp_path):
         f.write_text("{ not json")
     code, b = _run(argv)
     assert code == 0 and a == b
+
+
+@pytest.mark.parametrize("entry", ["{}", '[{"x": 1}]', '[{"u": 3}]',
+                                   '[{"u": "s1", "value": "v"}]'])
+def test_cache_misshaped_entry_recomputed(tmp_path, entry):
+    argv = ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
+            "--format", "json", "--cache-dir", str(tmp_path)]
+    code, a = _run(argv)
+    assert code == 0
+    for f in tmp_path.iterdir():
+        f.write_text(entry)
+    code, b = _run(argv)
+    assert code == 0 and a == b
+    # the recomputed table replaced the bad entry
+    code, c = _run(argv)
+    assert code == 0 and a == c
+
+
+def test_cache_key_includes_source(monkeypatch):
+    import chevmc.cache as cache_mod
+
+    key = cache_key("chevalley", "A", 2, (2, 1), (1, 0), "chain", None)
+    monkeypatch.setattr(cache_mod, "source_digest", lambda: "edited")
+    assert cache_key("chevalley", "A", 2, (2, 1), (1, 0), "chain",
+                     None) != key
+
+
+def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
+    import chevmc.verify as verify_mod
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(verify_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify_mod, "Pool", FakePool)
+    assert verify_mod.pool_size(10 ** 6) == 2
+    assert verify_mod.pool_size(1) == 1
+    results = verify_mod.run_suite("positivity", "A", 2, max_weight=1,
+                                   jobs=10 ** 6)
+    assert sizes == [2]
+    assert results and all(d is None for _, d in results)

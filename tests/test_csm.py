@@ -2,10 +2,10 @@
 
 import pytest
 
+from chevmc.charring import Frac
 from chevmc.rootsystem import RootSystem
 from chevmc.csm import (
     CohPoly,
-    CohFrac,
     CohOracle,
     DegenerateHecke,
     csm_chevalley,
@@ -22,7 +22,7 @@ def oracle():
 
 
 def _classes_equal(F, G):
-    zero = CohFrac(CohPoly())
+    zero = Frac(CohPoly())
     return all(
         F.get(w, zero) == G.get(w, zero) for w in set(F) | set(G)
     )
@@ -39,7 +39,7 @@ def test_operator_involution(oracle):
 def test_integrals(oracle):
     o = oracle
     assert o.integral(o.point_class()) == CohPoly.const(1, 2)
-    const1 = {w: CohFrac(CohPoly.const(1, 2)) for w in range(W.n)}
+    const1 = {w: Frac(CohPoly.const(1, 2)) for w in range(W.n)}
     assert o.integral(const1) == CohPoly()
     for w in range(W.n):
         assert o.integral(o.csm(w)) == CohPoly.const(1, 2), w

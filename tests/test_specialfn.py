@@ -57,10 +57,10 @@ def test_twisted_euler_char_vs_operators(oracle, lam):
     e_lam = Frac(GA.term(RS.weight(lam)))
     for w in range(W.n):
         lhs1 = o.euler_char(o.mul(L, o.mc(w)))
-        rhs1 = dl.apply(w, e_lam, "tilde_vee").as_ga()
+        rhs1 = dl.apply(w, e_lam, "tilde_vee").as_poly()
         assert rhs1 is not None and lhs1 == rhs1, (lam, w)
         lhs2 = o.euler_char(o.mul(L, o.mc_prime(w)))
-        rhs2 = dl.apply(w, e_lam, "tilde").as_ga()
+        rhs2 = dl.apply(w, e_lam, "tilde").as_poly()
         assert rhs2 is not None and lhs2 == rhs2, (lam, w)
 
 
