@@ -486,7 +486,7 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_lambda=True, need_w=False):
+    def common(sp, need_lambda=True, need_w=False, formats=("text", "json")):
         sp.add_argument("--type", required=True, help="root system, e.g. A2")
         if need_lambda:
             sp.add_argument("--lambda", dest="lam", required=True,
@@ -494,11 +494,11 @@ def build_parser():
         if need_w:
             sp.add_argument("--w", default="all",
                             help="Weyl word like s2*s1, or 'all'")
-        sp.add_argument("--format", choices=("text", "json", "latex"),
-                        default="text")
+        sp.add_argument("--format", choices=formats, default="text")
 
     sp = sub.add_parser("chevalley", help="Chevalley coefficient table")
-    common(sp, need_w=True)
+    # only the Chevalley table has a LaTeX renderer
+    common(sp, need_w=True, formats=("text", "json", "latex"))
     sp.add_argument("--sign", default="+", help="+ for L_lambda, - for L_-lambda")
     sp.add_argument("--method", choices=("chain", "operator", "bridge"),
                     default="chain")

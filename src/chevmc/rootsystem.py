@@ -13,8 +13,6 @@ word, and element 0 is the identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 _WEYL_ORDER = {
     "A": lambda n: _fact(n + 1),
@@ -36,6 +34,8 @@ def _fact(n):
 
 def cartan_matrix(family, rank):
     """cartan[i][j] = <alpha_j, alpha_i^vee>."""
+    if rank < 1:
+        raise ValueError("rank must be at least 1, got %d" % rank)
     A = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 
     def link(i, j, aij=-1, aji=-1):
@@ -224,16 +224,6 @@ class RootSystem:
             c - m * f + level * self.h * f for c, f in zip(fine, root.fund)
         )
 
-    def simple_reflection_matrix(self, i):
-        r = self.rank
-        return tuple(
-            tuple(
-                (1 if j == k else 0) - (self.cartan[j][i] if k == i else 0)
-                for k in range(r)
-            )
-            for j in range(r)
-        )
-
     def weyl(self):
         if self._weyl is None:
             self._weyl = WeylGroup(self)
@@ -241,14 +231,6 @@ class RootSystem:
 
     def __repr__(self):
         return "RootSystem(%s%d)" % (self.family, self.rank)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
 
 
 def _mat_vec(a, v):
@@ -265,24 +247,43 @@ class WeylGroup:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         r = rs.rank
-        self._smat = [rs.simple_reflection_matrix(i) for i in range(r)]
+        # (m s_i) differs from m only in column i:
+        # (m s_i)[a][i] = m[a][i] - sum_j m[a][j] * cartan[j][i].
+        cols = [
+            [(j, rs.cartan[j][i]) for j in range(r) if rs.cartan[j][i]]
+            for i in range(r)
+        ]
         ident = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
         mats = [ident]
         words = [()]
         index = {ident: 0}
-        level = [(0, ())]
+        right = [[None] * r]
+        level = [0]
         while level:
             nxt = []
-            for idx, word in level:
-                m = mats[idx]
+            for w in level:
+                m = mats[w]
+                rw = right[w]
                 for i in range(r):
-                    child = _mat_mul(m, self._smat[i])
-                    if child in index:
-                        continue
-                    index[child] = len(mats)
-                    mats.append(child)
-                    words.append(word + (i,))
-                    nxt.append((len(mats) - 1, word + (i,)))
+                    if rw[i] is not None:
+                        continue  # w s_i was met earlier as v with v s_i = w
+                    rows = []
+                    for row in m:
+                        d = sum(row[j] * c for j, c in cols[i])
+                        rows.append(
+                            row[:i] + (row[i] - d,) + row[i + 1:] if d else row
+                        )
+                    child = tuple(rows)
+                    v = index.get(child)
+                    if v is None:
+                        v = len(mats)
+                        index[child] = v
+                        mats.append(child)
+                        words.append(words[w] + (i,))
+                        right.append([None] * r)
+                        nxt.append(v)
+                    rw[i] = v
+                    right[v][i] = w
             level = nxt
         if len(mats) != rs.weyl_order:
             raise AssertionError(
@@ -295,36 +296,10 @@ class WeylGroup:
         self.length = [len(w) for w in words]
         self.w0 = max(range(self.n), key=lambda i: self.length[i])
         # right multiplication by simple generators
-        self.right = [
-            tuple(index[_mat_mul(mats[w], self._smat[i])] for i in range(r))
-            for w in range(self.n)
-        ]
-        self.inv = [
-            index[self._invert(mats[w])] for w in range(self.n)
-        ]
+        self.right = [tuple(row) for row in right]
+        self.inv = [self.from_word(reversed(word)) for word in words]
         self._leq_mask = None
         self._refl_cache = {}
-
-    @staticmethod
-    def _invert(m):
-        # Weyl matrices are integer with determinant +-1; invert by
-        # composing the reversed word instead of numeric inversion.
-        n = len(m)
-        # Gaussian elimination over the rationals, exact.
-        a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next(row for row in range(col, n) if a[row][col])
-            a[col], a[piv] = a[piv], a[col]
-            pv = a[col][col]
-            a[col] = [x / pv for x in a[col]]
-            for row in range(n):
-                if row != col and a[row][col]:
-                    f = a[row][col]
-                    a[row] = [x - f * y for x, y in zip(a[row], a[col])]
-        out = tuple(
-            tuple(int(a[i][n + j]) for j in range(n)) for i in range(n)
-        )
-        return out
 
     # -- basic operations ---------------------------------------------
     def word(self, w):

@@ -94,19 +94,10 @@ def big_r(rs, lam_fund, method="localization"):
     """R_lambda(y) = chi_T(G/B, lambda_y(T*) (x) L_lambda)."""
     W = rs.weyl()
     if method == "localization":
-        lam = rs.weight(lam_fund)
-        acc = Frac(GA())
-        for w in range(W.n):
-            num = GA.term(W.act(w, lam))
-            den = []
-            for a in rs.positive_roots:
-                wa = W.act(w, tuple(rs.h * c for c in a.fund))
-                num = num * (GA.const(1, rs.rank) + GA.term(wa, Scalar.y(1)))
-                den.append(GA.const(1, rs.rank) - GA.term(wa))
-            acc = acc + Frac(num, tuple(den))
-        g = acc.as_poly()
-        assert g is not None, "localization sum is not polynomial"
-        return g
+        return _fixed_point_sum(
+            rs, rs.weight(lam_fund), range(W.n),
+            [rs.weight(a.fund) for a in rs.positive_roots], Scalar.y(1),
+        )
     if method == "operators":
         dl = ScalarDL(rs)
         e_lam = Frac(GA.term(rs.weight(lam_fund)))
@@ -125,6 +116,35 @@ def _lambda_parabolic(rs, lam_fund):
     return tuple(i for i in range(rs.rank) if lam_fund[i] == 0)
 
 
+def _horizontal_roots(rs, parabolic):
+    """Positive roots outside the Levi of P: the tangent weights of G/P."""
+    return [
+        a for a in rs.positive_roots
+        if any(a.simple[i] for i in range(rs.rank) if i not in parabolic)
+    ]
+
+
+def _fixed_point_sum(rs, lam, reps, roots, c):
+    """sum_{w in reps} e^{w lam} prod_{a in roots} (1 + c e^{wa})/(1 - e^{wa})
+
+    for a fine weight lam and fine-lattice roots; the localization
+    formulas below are all of this shape and sum to a polynomial."""
+    W = rs.weyl()
+    one = GA.const(1, rs.rank)
+    acc = Frac(GA())
+    for w in reps:
+        num = GA.term(W.act(w, lam))
+        den = []
+        for a in roots:
+            wa = W.act(w, a)
+            num = num * (one + GA.term(wa, c))
+            den.append(one - GA.term(wa))
+        acc = acc + Frac(num, tuple(den))
+    g = acc.as_poly()
+    assert g is not None, "localization sum is not polynomial"
+    return g
+
+
 def big_h(rs, lam_fund, method="localization", parabolic=None):
     """H_lambda(y) = chi_T(G/P_lambda, lambda_y(T*) (x) L_lambda)."""
     W = rs.weyl()
@@ -133,23 +153,11 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
             raise ValueError("lambda or -lambda must be dominant")
         parabolic = _lambda_parabolic(rs, lam_fund)
     if method == "localization":
-        lam = rs.weight(lam_fund)
-        horiz = [
-            a for a in rs.positive_roots
-            if any(a.simple[i] for i in range(rs.rank) if i not in parabolic)
-        ]
-        acc = Frac(GA())
-        for w in W.min_coset_reps(parabolic):
-            num = GA.term(W.act(w, lam))
-            den = []
-            for a in horiz:
-                wa = W.act(w, tuple(rs.h * c for c in a.fund))
-                num = num * (GA.const(1, rs.rank) + GA.term(wa, Scalar.y(1)))
-                den.append(GA.const(1, rs.rank) - GA.term(wa))
-            acc = acc + Frac(num, tuple(den))
-        g = acc.as_poly()
-        assert g is not None, "localization sum is not polynomial"
-        return g
+        return _fixed_point_sum(
+            rs, rs.weight(lam_fund), W.min_coset_reps(parabolic),
+            [rs.weight(a.fund) for a in _horizontal_roots(rs, parabolic)],
+            Scalar.y(1),
+        )
     if method == "chevalley":
         # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
         acc = GA()
@@ -185,24 +193,12 @@ def hall_littlewood(rs, lam_fund, method="closed", chain=None):
     W = rs.weyl()
     parabolic = _lambda_parabolic(rs, lam_fund)
     if method == "closed":
-        lam = rs.weight(lam_fund)
-        horiz = [
-            a for a in rs.positive_roots
-            if any(a.simple[i] for i in range(rs.rank) if i not in parabolic)
-        ]
-        t = Scalar.q(1)
-        acc = Frac(GA())
-        for w in W.min_coset_reps(parabolic):
-            num = GA.term(W.act(w, lam))
-            den = []
-            for a in horiz:
-                nwa = _wneg(W.act(w, tuple(rs.h * c for c in a.fund)))
-                num = num * (GA.const(1, rs.rank) - GA.term(nwa, t))
-                den.append(GA.const(1, rs.rank) - GA.term(nwa))
-            acc = acc + Frac(num, tuple(den))
-        g = acc.as_poly()
-        assert g is not None
-        return g
+        # (1 - t e^{-wa})/(1 - e^{-wa}) over the negated horizontal roots
+        return _fixed_point_sum(
+            rs, rs.weight(lam_fund), W.min_coset_reps(parabolic),
+            [_wneg(rs.weight(a.fund)) for a in _horizontal_roots(rs, parabolic)],
+            -Scalar.q(1),
+        )
     if method in ("chain_restricted", "chain_opposite"):
         formula = 1 if method == "chain_restricted" else 2
         acc = GA()
@@ -234,10 +230,7 @@ def hl_terms(rs, lam_fund, formula, chain=None):
     if tuple(chain.lam_fund) != _wneg(tuple(lam_fund)):
         raise ValueError("chain must be a (-lambda)-chain")
     lam = rs.weight(lam_fund)
-    horiz = sum(
-        1 for a in rs.positive_roots
-        if any(a.simple[i] for i in range(rs.rank) if i not in parabolic)
-    )
+    horiz = len(_horizontal_roots(rs, parabolic))
     t = Scalar.q(1)
     one_minus_t = Scalar.one() - t
     out = []

@@ -1,11 +1,13 @@
 """Chevalley coefficient formulas: chain, bridge, operator, dualities."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chevmc.params import Scalar
 from chevmc.charring import GA
 from chevmc.rootsystem import RootSystem
 from chevmc.alcove import chain_from_word, chain_lex_height
+from chevmc.oracle import KOracle
 from chevmc.chevalley import (
     chevalley_table,
     chevalley_terms,
@@ -150,3 +152,38 @@ def test_render_table():
     t = chevalley_table(RS, (1, 0), W.from_word_str("s1"), sign=1)
     s = render_table(RS, t)
     assert "C[u=e]" in s and "C[u=s1]" in s
+
+
+# differential fuzzing: random (type, lambda, w), every route and, on rank
+# 2, the localization oracle
+_FUZZ_TYPES = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+_FUZZ_RS = {t: RootSystem(*t) for t in _FUZZ_TYPES}
+_FUZZ_ORACLES = {}
+
+
+@st.composite
+def _fuzz_cases(draw):
+    family, rank = draw(st.sampled_from(_FUZZ_TYPES))
+    rs = _FUZZ_RS[family, rank]
+    lam = draw(st.tuples(*[st.integers(-2, 2)] * rank).filter(any))
+    # a random word of length up to l(w0) reaches every element but
+    # mostly reduces to a short one, which keeps w0 at lambda = (2,2,2)
+    # on B3/C3, by far the slowest case, rare
+    Wr = rs.weyl()
+    word = draw(st.lists(st.integers(0, rank - 1),
+                         max_size=Wr.length[Wr.w0]))
+    return rs, lam, Wr.from_word(word)
+
+
+@given(_fuzz_cases())
+@settings(max_examples=25, deadline=None)
+def test_routes_agree_fuzzed(case):
+    rs, lam, w = case
+    chain = chevalley_table(rs, lam, w, sign=1, method="chain")
+    for method in ("operator", "bridge"):
+        other = chevalley_table(rs, lam, w, sign=1, method=method)
+        assert _tables_equal(chain, other), method
+    if rs.rank == 2:
+        if rs not in _FUZZ_ORACLES:
+            _FUZZ_ORACLES[rs] = KOracle(rs)
+        assert _tables_equal(chain, _FUZZ_ORACLES[rs].expand_product(lam, w))

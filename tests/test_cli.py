@@ -1,10 +1,14 @@
 """Command-line interface: exit codes, output formats, schema, caching."""
 
+import contextlib
 import io
 import json
+import os
+from unittest import mock
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chevmc import __version__
 from chevmc.cli import run
@@ -160,12 +164,16 @@ def test_bad_args_exit_2(capsys):
                  "--w", "s1"])[0] == 2
     assert _run(["chevalley", "--type", "A2", "--lambda", "1,0",
                  "--w", "sQ"])[0] == 2
+    # LaTeX is rendered by `chevalley` alone; the others reject it
+    assert _run(["oracle", "--type", "A2", "--lambda", "1,0", "--w", "s1",
+                 "--format", "latex"])[0] == 2
     # inputs the library rejects: an error line, not a traceback
     for argv in (
         ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
          "--method", "operator", "--sign", "-"],
         ["whittaker", "--type", "A2", "--lambda", "1,1", "--w", "s1"],
         ["chain", "--type", "A2", "--lambda", "1,0", "--word", "s0s5"],
+        ["chain", "--type", "A0", "--lambda", "1"],
     ):
         capsys.readouterr()
         assert _run(argv)[0] == 2, argv
@@ -259,3 +267,64 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
                                    jobs=10 ** 6)
     assert sizes == [2]
     assert results and all(d is None for _, d in results)
+
+
+# argv fuzz over rank <= 2: each command with its own options, drawn from
+# well-formed and malformed values, plus now and then an unknown option.
+# `verify` (a process pool) and `--cache-dir` (writes files) are left out.
+_FUZZ_COMMANDS = {
+    "chevalley": ("--w", "--format", "--method", "--sign", "--word",
+                  "--epsilon"),
+    "hecke-coeffs": ("--w", "--format"),
+    "chain": ("--format", "--word"),
+    "oracle": ("--w", "--format", "--method"),
+    "stab": ("--w", "--format"),
+    "whittaker": ("--w", "--format"),
+    "hl": ("--format", "--method", "--basis"),
+    "csm": ("--w", "--format"),
+    "search-positivity": ("--format",),
+}
+_FUZZ_WORDS = st.lists(st.integers(0, 3), max_size=7).map(
+    lambda gens: "".join("s%d" % i for i in gens))
+_FUZZ_VALUES = {
+    "--w": st.one_of(st.sampled_from(["all", "e", "sQ", "s1*s2", ""]),
+                     _FUZZ_WORDS),
+    "--format": st.sampled_from(["text", "json", "latex", "xml"]),
+    "--method": st.sampled_from(
+        ["chain", "operator", "bridge", "solve", "pairing", "closed",
+         "chain_restricted", "chain_opposite", "nope"]),
+    "--sign": st.sampled_from(["+", "-", "minus", "x"]),
+    "--word": st.one_of(st.sampled_from(["sx", "s0s5", ""]), _FUZZ_WORDS),
+    "--basis": st.sampled_from(["schur", "monomial", "other"]),
+    "--epsilon": st.none(),
+    "--bogus": st.just("1"),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    argv = [command, "--type=" + draw(st.sampled_from(
+        ["A1", "A2", "B2", "C2", "G2", "A0", "B1", "D2", "G3", "Z2", "a2",
+         "2A", ""]))]
+    if command != "search-positivity":
+        argv.append("--lambda=" + draw(st.one_of(
+            st.lists(st.integers(-2, 2), min_size=1, max_size=3).map(
+                lambda lam: ",".join(map(str, lam))),
+            st.sampled_from(["1,x", "1,,0", ""]))))
+    options = _FUZZ_COMMANDS[command] + ("--bogus",)
+    for opt in draw(st.lists(st.sampled_from(options), unique=True)):
+        value = draw(_FUZZ_VALUES[opt])
+        argv.append(opt if value is None else "%s=%s" % (opt, value))
+    return argv
+
+
+@given(_fuzz_argv())
+@settings(max_examples=60, deadline=None)
+def test_cli_fuzz_exit_codes(argv):
+    err = io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stderr(err):
+        os.environ.pop("CHEVMC_CACHE_DIR", None)
+        code, _ = _run(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

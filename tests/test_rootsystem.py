@@ -1,5 +1,7 @@
 """Root systems, Weyl groups, Bruhat order."""
 
+import hashlib
+
 import pytest
 
 from chevmc.rootsystem import RootSystem, cartan_matrix
@@ -127,3 +129,48 @@ def test_word_str_round_trip():
     W = rs.weyl()
     for w in range(W.n):
         assert W.from_word_str(W.word_str(w)) == w
+
+
+# every A-D type the CLI accepts (rank <= 5), G2 and F4; E6, with 51840
+# elements, is left out for time
+_CLI_TYPES = (
+    [("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 6)]
+    + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 6)]
+    + [("G", 2), ("F", 4)]
+)
+
+# SHA-256 of repr(W.words), taken from the matrix-product build that the
+# column-update walk replaced: any renumbering of the elements fails here
+_WORDS_SHA256 = {
+    ("D", 5): "b2373262daf9826d97bc1a6d86c85524c828f9f7984c4589a095eb53b3818d1b",
+    ("F", 4): "d48e2419bcbce582cd7f4679712cd4418d6ef29a73ab74c0ec2e19c1b2d38d54",
+}
+
+
+@pytest.mark.parametrize(
+    "family,rank", _CLI_TYPES, ids=["%s%d" % t for t in _CLI_TYPES]
+)
+def test_weyl_invariants(family, rank):
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    assert W.n == rs.weyl_order
+    assert list(range(W.n)) == sorted(
+        range(W.n), key=lambda w: (W.length[w], W.words[w])
+    )
+    ident = tuple(tuple(int(a == b) for b in range(rank)) for a in range(rank))
+    for w in range(W.n):
+        for i in range(rank):
+            v = W.right[w][i]
+            assert W.right[v][i] == w
+            assert abs(W.length[v] - W.length[w]) == 1
+        m, mi = W.mats[w], W.mats[W.inv[w]]
+        assert tuple(
+            tuple(sum(mi[a][k] * m[k][b] for k in range(rank))
+                  for b in range(rank))
+            for a in range(rank)
+        ) == ident
+    for a in rs.positive_roots:
+        assert W.length[W.reflection(a)] % 2 == 1
+    if (family, rank) in _WORDS_SHA256:
+        digest = hashlib.sha256(repr(W.words).encode()).hexdigest()
+        assert digest == _WORDS_SHA256[family, rank]
