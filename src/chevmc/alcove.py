@@ -327,18 +327,13 @@ def chain_reflections(chain: LambdaChain, J):
     chain-indexed reflection operators.
 
     Returns a dict with:
-      r_J        finite Weyl element r_{h_j1} ... r_{h_jt}
       rhat_Jlt   callable on fine weights: r^_{J<} = r^_{h_j1} ... r^_{h_jt}
       rtilde_Jgt callable on fine weights: r~_{J>} = r~_{h_jt} ... r~_{h_j1}
       n_J        #{j in J : beta_j < 0}
     """
     rs = chain.rs
-    W = rs.weyl()
     hs = [chain.hyperplane(j) for j in J]
     hps = [chain.reversed_hyperplane(len(chain) + 1 - j) for j in J]
-    r_J = 0
-    for h in hs:
-        r_J = W.mul(r_J, W.reflection(h.root))
     n_J = sum(1 for j in J if not chain.betas[j - 1].positive)
 
     def rhat(fine):
@@ -353,7 +348,7 @@ def chain_reflections(chain: LambdaChain, J):
             out = h.reflect_weight(rs, out)
         return out
 
-    return {"r_J": r_J, "rhat_Jlt": rhat, "rtilde_Jgt": rtilde, "n_J": n_J}
+    return {"rhat_Jlt": rhat, "rtilde_Jgt": rtilde, "n_J": n_J}
 
 
 def descent_subsets(chain: LambdaChain, w, ascending):

@@ -8,6 +8,13 @@ where h is the scaling constant of the ambient root system.  This keeps
 exponentials of mu/h integral for the operator formula while ordinary
 weights occupy the sublattice of coordinates divisible by h.
 
+GA is the one sparse exponent-tuple ring of the package: its addition,
+multiplication, equality, units and box-bounded exact division serve
+every subclass, which supplies only its coefficient operations and
+whether negative exponents are allowed.  csm.CohPoly, the polynomial
+ring on the fundamental weights with rational coefficients, is such a
+subclass.  `render_terms` joins the rendered terms of any of them.
+
 Fractions keep their denominator in factored form; every arithmetic
 operation tries to cancel each denominator factor by exact division,
 which succeeds for the factor families that actually occur
@@ -20,7 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .params import Scalar, ONE
+from .params import Scalar, ZERO, ONE
 
 
 def _wadd(a, b):
@@ -35,65 +42,91 @@ def _wsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def render_terms(terms, sep="*"):
+    """Join (coefficient text, coefficient is a single term, monomial
+    text) triples, leading term first: a unit coefficient is dropped, a
+    longer one is parenthesised, the monomial "1" (the constant) is
+    dropped after a coefficient, and a leading minus becomes " - "."""
+    parts = []
+    for cs, single, mono in terms:
+        if cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-" + mono)
+        else:
+            if not single:
+                cs = "(%s)" % cs
+            parts.append(cs if mono == "1" else cs + sep + mono)
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += " - " + p[1:] if p.startswith("-") else " + " + p
+    return out
+
+
 class GA:
     """An element of the group algebra Z[v,v^-1][weight lattice].
 
     `c` maps a weight (tuple of fine-lattice coordinates) to a nonzero
-    Scalar coefficient.
+    Scalar coefficient.  A subclass with other coefficients overrides
+    the class constants below.
     """
 
     __slots__ = ("c",)
 
+    laurent = True  # negative exponents allowed; units are monomials
+    _czero = ZERO
+    _cdiv = staticmethod(Scalar.divide)  # exact coefficient quotient or None
+    _cinv = staticmethod(Scalar.inverse)  # coefficient inverse or None
+
+    @staticmethod
+    def _coerce(x):
+        return Scalar.int(x) if isinstance(x, int) else x
+
     def __init__(self, c=None):
         self.c = {} if c is None else {k: x for k, x in c.items() if x}
 
-    @staticmethod
-    def zero(rank=None):
-        return GA()
+    @classmethod
+    def term(cls, weight, coeff=ONE):
+        return cls({tuple(weight): cls._coerce(coeff)})
 
-    @staticmethod
-    def term(weight, coeff=ONE):
-        if isinstance(coeff, int):
-            coeff = Scalar.int(coeff)
-        return GA({tuple(weight): coeff})
-
-    @staticmethod
-    def const(coeff, rank):
-        if isinstance(coeff, int):
-            coeff = Scalar.int(coeff)
-        return GA({(0,) * rank: coeff})
+    @classmethod
+    def const(cls, coeff, rank):
+        return cls({(0,) * rank: cls._coerce(coeff)})
 
     def __add__(self, other):
         c = dict(self.c)
+        zero = self._czero
         for k, x in other.c.items():
-            s = c.get(k, Scalar.zero()) + x
+            s = c.get(k, zero) + x
             if s:
                 c[k] = s
             elif k in c:
                 del c[k]
-        return GA(c)
+        return type(self)(c)
 
     def __neg__(self):
-        return GA({k: -x for k, x in self.c.items()})
+        return type(self)({k: -x for k, x in self.c.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, Scalar):
-            return GA({k: x * other for k, x in self.c.items()})
-        if isinstance(other, int):
-            return GA({k: x * other for k, x in self.c.items()})
+        if not isinstance(other, GA):
+            # a coefficient or an int
+            return type(self)({k: x * other for k, x in self.c.items()})
         c = {}
+        zero = self._czero
         for k1, x1 in self.c.items():
             for k2, x2 in other.c.items():
                 k = _wadd(k1, k2)
-                s = c.get(k, Scalar.zero()) + x1 * x2
+                s = c.get(k, zero) + x1 * x2
                 if s:
                     c[k] = s
                 elif k in c:
                     del c[k]
-        return GA(c)
+        return type(self)(c)
 
     __rmul__ = __mul__
 
@@ -101,7 +134,7 @@ class GA:
         if n < 0:
             raise ValueError("negative powers: invert explicitly")
         rank = len(next(iter(self.c))) if self.c else 0
-        out = GA.const(1, rank)
+        out = self.const(1, rank)
         base = self
         while n:
             if n & 1:
@@ -112,31 +145,32 @@ class GA:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return not self.c
-            other = GA.const(other, len(next(iter(self.c))))
+            other = self.const(other, len(next(iter(self.c))) if self.c else 0)
         return self.c == other.c
 
     def __hash__(self):
-        return hash(frozenset((k, frozenset(x.c.items())) for k, x in self.c.items()))
+        return hash(frozenset(self.c.items()))
 
     def __bool__(self):
         return bool(self.c)
 
     def unit_inverse(self):
-        """The inverse of a unit monomial +-v^k e^mu, otherwise None."""
+        """The inverse of a unit, otherwise None: a monomial with a unit
+        coefficient in a Laurent ring, a nonzero constant otherwise."""
         if len(self.c) != 1:
             return None
         (k, x), = self.c.items()
-        inv = x.inverse()
-        return None if inv is None else GA({_wneg(k): inv})
+        if not self.laurent and any(k):
+            return None
+        inv = self._cinv(x)
+        return None if inv is None else type(self)({_wneg(k): inv})
 
     # -- lattice / Weyl operations ------------------------------------
     def map_weights(self, f):
         c = {}
         for k, x in self.c.items():
             kk = f(k)
-            s = c.get(kk, Scalar.zero()) + x
+            s = c.get(kk, ZERO) + x
             if s:
                 c[kk] = s
             elif kk in c:
@@ -165,14 +199,15 @@ class GA:
         An exact quotient q of Laurent polynomials satisfies, coordinate
         by coordinate, max(q) = max(self) - max(other) and likewise for
         min (the extreme monomials of a product never cancel), so every
-        quotient monomial lies in that box; a reduction step that leaves
-        the box proves indivisibility, and steps inside it are finitely
-        many since the leading monomial strictly decreases.
+        quotient monomial lies in that box, cut at 0 in a polynomial
+        ring; a reduction step that leaves the box proves
+        indivisibility, and steps inside it are finitely many since the
+        leading monomial strictly decreases.
         """
         if not other:
             raise ZeroDivisionError
         if not self:
-            return GA()
+            return type(self)()
         n = len(next(iter(self.c)))
         qmax = tuple(
             max(k[i] for k in self.c) - max(k[i] for k in other.c)
@@ -182,37 +217,38 @@ class GA:
             min(k[i] for k in self.c) - min(k[i] for k in other.c)
             for i in range(n)
         )
+        if not self.laurent:
+            qmin = tuple(max(q, 0) for q in qmin)
         if any(a > b for a, b in zip(qmin, qmax)):
             return None
         rem = dict(self.c)
         dk, dc = other.leading()
+        div = self._cdiv
+        zero = self._czero
         quot = {}
         while rem:
             rk = max(rem)
-            qc = rem[rk].divide(dc)
+            qc = div(rem[rk], dc)
             if qc is None:
                 return None
             qk = _wsub(rk, dk)
             if any(c < lo or c > hi for c, lo, hi in zip(qk, qmin, qmax)):
                 return None
-            quot[qk] = quot.get(qk, Scalar.zero()) + qc
+            quot[qk] = quot.get(qk, zero) + qc
             for k, x in other.c.items():
                 kk = _wadd(k, qk)
-                s = rem.get(kk, Scalar.zero()) - qc * x
+                s = rem.get(kk, zero) - qc * x
                 if s:
                     rem[kk] = s
                 elif kk in rem:
                     del rem[kk]
-        return GA(quot)
+        return type(self)(quot)
 
     # -- display ------------------------------------------------------
     def render(self, names=None, scale=1, var=None):
         """Render with weights divided by `scale` (the lattice constant h)."""
-        if not self.c:
-            return "0"
-        parts = []
+        terms = []
         for k in sorted(self.c, reverse=True):
-            x = self.c[k]
             exps = []
             for i, e in enumerate(k):
                 if not e:
@@ -224,22 +260,12 @@ class GA:
                 nm = names[i] if names else "w%d" % (i + 1)
                 exps.append("%s*%s" % (es, nm) if es != "1" else nm)
             mono = "e^{%s}" % "+".join(exps).replace("+-", "-") if exps else "1"
-            cs = x.render(var=var)
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
-            elif len(x.c) == 1:
-                parts.append("%s*%s" % (cs, mono) if mono != "1" else cs)
-            else:
-                parts.append("(%s)*%s" % (cs, mono) if mono != "1" else "(%s)" % cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+            x = self.c[k]
+            terms.append((x.render(var=var), len(x.c) == 1, mono))
+        return render_terms(terms)
 
     def __repr__(self):
-        return "GA(%s)" % self.render()
+        return "%s(%s)" % (type(self).__name__, self.render())
 
     def to_json(self):
         return [

@@ -262,7 +262,7 @@ def render_table(rs, table, var="y"):
     W = rs.weyl()
     names = ["w%d" % (i + 1) for i in range(rs.rank)]
     lines = []
-    for u in sorted(table, key=lambda x: (W.length[x], W.words[x])):
+    for u in sorted(table):
         lines.append(
             "C[u=%s] = %s"
             % (W.word_str(u), table[u].render(names=names, scale=rs.h, var=var))

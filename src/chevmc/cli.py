@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .charring import GA
+from .charring import GA, render_terms
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
 from .chevalley import chevalley_table, render_table
@@ -66,6 +66,13 @@ def _parse_w(W, text):
         raise CliError("bad Weyl word %r" % text)
 
 
+def _parse_one_w(W, text, command):
+    w = _parse_w(W, text)
+    if w is None:
+        raise CliError("%s needs a single Weyl word" % command)
+    return w
+
+
 def _parse_word(rank, text):
     """Chain letters from an affine word like s0s2s1 over generators
     0..rank, where 0 is the affine reflection."""
@@ -96,7 +103,7 @@ def _table_json(rs, table):
             "u": W.word_str(u),
             "value": table[u].to_json(),
         }
-        for u in sorted(table, key=lambda x: (W.length[x], W.words[x]))
+        for u in sorted(table)
     ]
 
 
@@ -132,8 +139,7 @@ def _emit(doc, text, fmt, out):
 
 
 def _latex_scalar(x, var):
-    s = x.render(var=var)
-    return s.replace("*", " ").replace("y^", "y^")
+    return x.render(var=var).replace("*", " ")
 
 
 def _latex_weight(rs, fine):
@@ -155,31 +161,18 @@ def _latex_weight(rs, fine):
 
 
 def _latex_ga(rs, g, var):
-    if not g:
-        return "0"
-    parts = []
+    terms = []
     for k in sorted(g.c, reverse=True):
         x = g.c[k]
         mono = "e^{%s}" % _latex_weight(rs, k) if any(k) else "1"
-        cs = _latex_scalar(x, var)
-        if cs == "1":
-            parts.append(mono)
-        elif cs == "-1":
-            parts.append("-" + mono)
-        elif len(x.c) == 1:
-            parts.append("%s %s" % (cs, mono))
-        else:
-            parts.append("(%s) %s" % (cs, mono))
-    out = parts[0]
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+        terms.append((_latex_scalar(x, var), len(x.c) == 1, mono))
+    return render_terms(terms, sep=" ")
 
 
 def _latex_table(rs, table, var="y"):
     W = rs.weyl()
     lines = ["\\begin{aligned}"]
-    for u in sorted(table, key=lambda x: (W.length[x], W.words[x])):
+    for u in sorted(table):
         word = W.word_str(u).replace("s", "s_") if u else "e"
         lines.append(
             "C_{%s} &= %s \\\\" % (word, _latex_ga(rs, table[u], var))
@@ -195,7 +188,7 @@ def _epsilon_render(rs, table):
     W = rs.weyl()
     n = rs.rank + 1
     lines = []
-    for u in sorted(table, key=lambda x: (W.length[x], W.words[x])):
+    for u in sorted(table):
         parts = []
         g = table[u]
         for k in sorted(g.c, reverse=True):
@@ -258,9 +251,7 @@ def _cmd_hecke(args, out):
     rs = _parse_type(args.type)
     W = rs.weyl()
     lam = _parse_lambda(args.lam, rs.rank)
-    w = _parse_w(W, args.w)
-    if w is None:
-        raise CliError("hecke-coeffs needs a single Weyl word")
+    w = _parse_one_w(W, args.w, "hecke-coeffs")
     halg = HeckeAlgebra(rs)
     table = halg.transition_direct(w, lam)
     entries = [
@@ -296,9 +287,7 @@ def _cmd_oracle(args, out):
     rs = _parse_type(args.type)
     W = rs.weyl()
     lam = _parse_lambda(args.lam, rs.rank)
-    w = _parse_w(W, args.w)
-    if w is None:
-        raise CliError("oracle needs a single Weyl word")
+    w = _parse_one_w(W, args.w, "oracle")
     o = KOracle(rs)
     table = o.expand_product(lam, w, method=args.method)
     doc = _doc("oracle", rs, lam=list(lam), w=W.word_str(w),
@@ -379,9 +368,7 @@ def _cmd_csm(args, out):
     rs = _parse_type(args.type)
     W = rs.weyl()
     lam = _parse_lambda(args.lam, rs.rank)
-    w = _parse_w(W, args.w)
-    if w is None:
-        raise CliError("csm needs a single Weyl word")
+    w = _parse_one_w(W, args.w, "csm")
     table = csm_chevalley(rs, lam, w)
     entries = [
         {
@@ -391,11 +378,11 @@ def _cmd_csm(args, out):
                 for k in sorted(table[u].c)
             ],
         }
-        for u in sorted(table, key=lambda x: (W.length[x], W.words[x]))
+        for u in sorted(table)
     ]
     lines = [
         "c1[u=%s] = %s" % (W.word_str(u), table[u].render())
-        for u in sorted(table, key=lambda x: (W.length[x], W.words[x]))
+        for u in sorted(table)
     ]
     doc = _doc("csm", rs, lam=list(lam), w=W.word_str(w), entries=entries)
     _emit(doc, "\n".join(lines), args.format, out)
@@ -486,19 +473,23 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_lambda=True, need_w=False, formats=("text", "json")):
+    def common(sp, need_lambda=True, w=None, formats=("text", "json")):
+        """`w` is None (no --w), "all" (a word or 'all', the default) or
+        "one" (a required single word)."""
         sp.add_argument("--type", required=True, help="root system, e.g. A2")
         if need_lambda:
             sp.add_argument("--lambda", dest="lam", required=True,
                             help="weight in fundamental coordinates, e.g. 2,1")
-        if need_w:
+        if w == "all":
             sp.add_argument("--w", default="all",
                             help="Weyl word like s2*s1, or 'all'")
+        elif w == "one":
+            sp.add_argument("--w", required=True, help="Weyl word like s2*s1")
         sp.add_argument("--format", choices=formats, default="text")
 
     sp = sub.add_parser("chevalley", help="Chevalley coefficient table")
     # only the Chevalley table has a LaTeX renderer
-    common(sp, need_w=True, formats=("text", "json", "latex"))
+    common(sp, w="all", formats=("text", "json", "latex"))
     sp.add_argument("--sign", default="+", help="+ for L_lambda, - for L_-lambda")
     sp.add_argument("--method", choices=("chain", "operator", "bridge"),
                     default="chain")
@@ -510,7 +501,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_chevalley)
 
     sp = sub.add_parser("hecke-coeffs", help="affine Hecke transition table")
-    common(sp, need_w=True)
+    common(sp, w="one")
     sp.set_defaults(func=_cmd_hecke)
 
     sp = sub.add_parser("chain", help="print a lambda-chain")
@@ -519,16 +510,16 @@ def build_parser():
     sp.set_defaults(func=_cmd_chain)
 
     sp = sub.add_parser("oracle", help="localization-oracle expansion")
-    common(sp, need_w=True)
+    common(sp, w="one")
     sp.add_argument("--method", choices=("solve", "pairing"), default="solve")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("stab", help="stable-basis shift matrix")
-    common(sp, need_w=True)
+    common(sp, w="all")
     sp.set_defaults(func=_cmd_stab)
 
     sp = sub.add_parser("whittaker", help="Iwahori-Whittaker functions")
-    common(sp, need_w=True)
+    common(sp, w="all")
     sp.set_defaults(func=_cmd_whittaker)
 
     sp = sub.add_parser("hl", help="Hall-Littlewood polynomial")
@@ -542,7 +533,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_hl)
 
     sp = sub.add_parser("csm", help="cohomological Chevalley table")
-    common(sp, need_w=True)
+    common(sp, w="one")
     sp.set_defaults(func=_cmd_csm)
 
     sp = sub.add_parser("verify", help="run a verification suite")

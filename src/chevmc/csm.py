@@ -1,7 +1,11 @@
 """Chern-Schwartz-MacPherson classes in equivariant cohomology.
 
-A localization model of H_T*(G/B) over the polynomial ring on the
-fundamental-weight linear forms (the shared core of localization.py
+CohPoly, the polynomial ring on the fundamental-weight linear forms,
+is a subclass of the character ring charring.GA: it inherits all of
+GA's arithmetic and exact division and supplies only its Fraction
+coefficients, the polynomial (not Laurent) exponent range, linear
+forms, the Weyl action and its monomial format.  On it sit a
+localization model of H_T*(G/B) (the shared core of localization.py
 with the cohomological Demazure-Lusztig operator), the degenerate
 affine Hecke algebra with its commutation lemma, CSM/SM classes of
 Schubert cells, and the first-Chern-class Chevalley formula
@@ -15,27 +19,26 @@ Schubert cells, and the first-Chern-class Chevalley formula
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import truediv
 
-from .charring import Frac
+from .charring import GA, Frac, render_terms
 from .localization import Localization
 
 
-class CohPoly:
+class CohPoly(GA):
     """Polynomial in the fundamental weights with rational coefficients.
 
     `c` maps an exponent tuple (one slot per fundamental weight) to a
-    nonzero Fraction.
+    nonzero Fraction.  Arithmetic and exact division are GA's.
     """
 
-    __slots__ = ("c",)
+    __slots__ = ()
 
-    def __init__(self, c=None):
-        self.c = {} if c is None else {k: x for k, x in c.items() if x}
-
-    @staticmethod
-    def const(x, rank):
-        x = Fraction(x)
-        return CohPoly({(0,) * rank: x}) if x else CohPoly()
+    laurent = False  # exponents >= 0; only nonzero constants are units
+    _czero = Fraction(0)
+    _coerce = Fraction
+    _cdiv = staticmethod(truediv)
+    _cinv = staticmethod(lambda x: 1 / x)
 
     @staticmethod
     def linear(fund_coords):
@@ -46,56 +49,6 @@ class CohPoly:
             if a:
                 c[tuple(1 if j == i else 0 for j in range(r))] = Fraction(a)
         return CohPoly(c)
-
-    def __add__(self, other):
-        c = dict(self.c)
-        for k, x in other.c.items():
-            s = c.get(k, 0) + x
-            if s:
-                c[k] = s
-            elif k in c:
-                del c[k]
-        return CohPoly(c)
-
-    def __neg__(self):
-        return CohPoly({k: -x for k, x in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return CohPoly({k: x * other for k, x in self.c.items()})
-        c = {}
-        for k1, x1 in self.c.items():
-            for k2, x2 in other.c.items():
-                k = tuple(a + b for a, b in zip(k1, k2))
-                s = c.get(k, 0) + x1 * x2
-                if s:
-                    c[k] = s
-                elif k in c:
-                    del c[k]
-        return CohPoly(c)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = CohPoly.const(other, len(next(iter(self.c))) if self.c else 0)
-        return self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
-
-    def __bool__(self):
-        return bool(self.c)
-
-    def unit_inverse(self):
-        """The inverse of a nonzero constant, otherwise None."""
-        if len(self.c) != 1:
-            return None
-        (k, x), = self.c.items()
-        return None if any(k) else CohPoly({k: 1 / x})
 
     def act(self, W, w):
         """The Weyl action through the fundamental-coordinate matrices."""
@@ -114,63 +67,16 @@ class CohPoly:
             out = out + term
         return out
 
-    def exact_div(self, other):
-        """Exact quotient, or None; same box-bounded reduction as the
-        character ring, with all exponents non-negative."""
-        if not other:
-            raise ZeroDivisionError
-        if not self:
-            return CohPoly()
-        n = len(next(iter(self.c)))
-        qmax = tuple(
-            max(k[i] for k in self.c) - max(k[i] for k in other.c)
-            for i in range(n)
-        )
-        if any(q < 0 for q in qmax):
-            return None
-        dk = max(other.c)
-        dc = other.c[dk]
-        rem = dict(self.c)
-        quot = {}
-        while rem:
-            rk = max(rem)
-            qk = tuple(a - b for a, b in zip(rk, dk))
-            if any(c < 0 or c > hi for c, hi in zip(qk, qmax)):
-                return None
-            qc = rem[rk] / dc
-            quot[qk] = quot.get(qk, 0) + qc
-            for k, x in other.c.items():
-                kk = tuple(a + b for a, b in zip(k, qk))
-                s = rem.get(kk, 0) - qc * x
-                if s:
-                    rem[kk] = s
-                elif kk in rem:
-                    del rem[kk]
-        return CohPoly(quot)
-
     def render(self):
-        if not self.c:
-            return "0"
-        parts = []
+        terms = []
         for k in sorted(self.c, reverse=True):
             mono = "*".join(
                 ("w%d" % (i + 1)) if e == 1 else "w%d^%d" % (i + 1, e)
                 for i, e in enumerate(k)
                 if e
             )
-            x = self.c[k]
-            if not mono:
-                parts.append(str(x))
-            elif x == 1:
-                parts.append(mono)
-            elif x == -1:
-                parts.append("-" + mono)
-            else:
-                parts.append("%s*%s" % (x, mono))
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return "CohPoly(%s)" % self.render()
+            terms.append((str(self.c[k]), True, mono or "1"))
+        return render_terms(terms)
 
 
 def _simple_root(rs, i):

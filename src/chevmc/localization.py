@@ -34,9 +34,6 @@ class Localization:
             tuple(self._euler_factor(w, a) for a in rs.positive_roots)
             for w in range(W.n)
         ]
-        self._order = sorted(
-            range(W.n), key=lambda x: (W.length[x], W.words[x])
-        )
         self._cells = {}
         self._dual = None
 
@@ -152,7 +149,7 @@ class Localization:
         """The basis dual to the cell classes under the pairing."""
         if self._dual is None:
             cells = {w: self.cell_class(w) for w in range(self.W.n)}
-            self._dual = self._dual_basis(self._order, cells, self._eul)
+            self._dual = self._dual_basis(range(self.W.n), cells, self._eul)
         return self._dual[u]
 
     # -- expansion in the cell basis -----------------------------------
@@ -178,7 +175,7 @@ class Localization:
         # triangular solve against the cell basis, top length first
         rem = dict(F)
         out = {}
-        for v in reversed(self._order):
+        for v in reversed(range(W.n)):
             if v not in rem:
                 continue
             cv = self.cell_class(v)

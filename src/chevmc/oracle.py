@@ -17,13 +17,9 @@ occur.
 from __future__ import annotations
 
 from .params import Scalar
-from .charring import GA, Frac
+from .charring import GA, Frac, _wneg
 from .alcove import chain_lex_height
 from .localization import Localization
-
-
-def _wneg(t):
-    return tuple(-c for c in t)
 
 
 class KOracle(Localization):
@@ -180,10 +176,8 @@ class KOracle(Localization):
         """pi_*: sum each coset against the vertical Euler classes."""
         rs = self.rs
         W = self.W
-        vert_roots = [
-            a for a in rs.positive_roots
-            if all(a.simple[i] == 0 for i in range(rs.rank) if i not in parabolic)
-        ]
+        horiz = rs.horizontal_roots(parabolic)
+        vert_roots = [a for a in rs.positive_roots if a not in horiz]
         wp = W.parabolic_elements(parabolic)
         out = {}
         for v in self.parabolic_points(parabolic):
@@ -200,14 +194,10 @@ class KOracle(Localization):
     def expand_product_parabolic(self, lam_fund, w, parabolic):
         """{u in W^P: C^{w,P}_{u,lambda}} in the G/P localization model,
         by pairing with the dual basis of the pushed-forward classes."""
-        rs = self.rs
         points = self.parabolic_points(parabolic)
         if w not in points:
             raise ValueError("w must be a minimal coset representative")
-        horiz = [
-            a for a in rs.positive_roots
-            if any(a.simple[i] for i in range(rs.rank) if i not in parabolic)
-        ]
+        horiz = self.rs.horizontal_roots(parabolic)
         eul_p = {
             v: tuple(self._euler_factor(v, a) for a in horiz) for v in points
         }

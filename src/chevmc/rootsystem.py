@@ -184,6 +184,13 @@ class RootSystem:
     def n_positive(self):
         return len(self.positive_roots)
 
+    def horizontal_roots(self, parabolic):
+        """Positive roots outside the Levi of P: the tangent weights of G/P."""
+        return [
+            a for a in self.positive_roots
+            if any(a.simple[i] for i in range(self.rank) if i not in parabolic)
+        ]
+
     # -- weights ------------------------------------------------------
     def weight(self, fund_coords):
         """Fine-lattice tuple of an integral weight given in fundamental
@@ -349,9 +356,8 @@ class WeylGroup:
         """leq_masks()[w] is a bitmask of {u : u <= w}."""
         if self._leq_mask is None:
             masks = [0] * self.n
-            order = sorted(range(self.n), key=lambda i: self.length[i])
             refls = [self.reflection(t) for t in self.rs.positive_roots]
-            for w in order:
+            for w in range(self.n):
                 m = 1 << w
                 lw = self.length[w]
                 for s in refls:
@@ -379,10 +385,7 @@ class WeylGroup:
         return w
 
     def min_coset_reps(self, parabolic):
-        return sorted(
-            {self.min_coset_rep(w, parabolic) for w in range(self.n)},
-            key=lambda w: (self.length[w], self.words[w]),
-        )
+        return sorted({self.min_coset_rep(w, parabolic) for w in range(self.n)})
 
     def parabolic_elements(self, parabolic):
         """All elements of W_P."""
@@ -397,7 +400,7 @@ class WeylGroup:
                         out.add(v)
                         nxt.append(v)
             frontier = nxt
-        return sorted(out, key=lambda w: (self.length[w], self.words[w]))
+        return sorted(out)
 
     def stabilizer_parabolic(self, fine):
         """Simple indices i with <mu, alpha_i^vee> = 0."""

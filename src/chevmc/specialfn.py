@@ -11,13 +11,9 @@ parameter t is the Hecke parameter q of the shared coefficient ring
 from __future__ import annotations
 
 from .params import Scalar
-from .charring import GA, Frac
+from .charring import GA, Frac, _wneg, render_terms
 from .alcove import chain_lex_height, chain_reflections, descent_subsets
 from .chevalley import chevalley_table
-
-
-def _wneg(t):
-    return tuple(-c for c in t)
 
 
 class ScalarDL:
@@ -116,14 +112,6 @@ def _lambda_parabolic(rs, lam_fund):
     return tuple(i for i in range(rs.rank) if lam_fund[i] == 0)
 
 
-def _horizontal_roots(rs, parabolic):
-    """Positive roots outside the Levi of P: the tangent weights of G/P."""
-    return [
-        a for a in rs.positive_roots
-        if any(a.simple[i] for i in range(rs.rank) if i not in parabolic)
-    ]
-
-
 def _fixed_point_sum(rs, lam, reps, roots, c):
     """sum_{w in reps} e^{w lam} prod_{a in roots} (1 + c e^{wa})/(1 - e^{wa})
 
@@ -155,7 +143,7 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
     if method == "localization":
         return _fixed_point_sum(
             rs, rs.weight(lam_fund), W.min_coset_reps(parabolic),
-            [rs.weight(a.fund) for a in _horizontal_roots(rs, parabolic)],
+            [rs.weight(a.fund) for a in rs.horizontal_roots(parabolic)],
             Scalar.y(1),
         )
     if method == "chevalley":
@@ -196,7 +184,7 @@ def hall_littlewood(rs, lam_fund, method="closed", chain=None):
         # (1 - t e^{-wa})/(1 - e^{-wa}) over the negated horizontal roots
         return _fixed_point_sum(
             rs, rs.weight(lam_fund), W.min_coset_reps(parabolic),
-            [_wneg(rs.weight(a.fund)) for a in _horizontal_roots(rs, parabolic)],
+            [_wneg(rs.weight(a.fund)) for a in rs.horizontal_roots(parabolic)],
             -Scalar.q(1),
         )
     if method in ("chain_restricted", "chain_opposite"):
@@ -230,7 +218,7 @@ def hl_terms(rs, lam_fund, formula, chain=None):
     if tuple(chain.lam_fund) != _wneg(tuple(lam_fund)):
         raise ValueError("chain must be a (-lambda)-chain")
     lam = rs.weight(lam_fund)
-    horiz = len(_horizontal_roots(rs, parabolic))
+    horiz = len(rs.horizontal_roots(parabolic))
     t = Scalar.q(1)
     one_minus_t = Scalar.one() - t
     out = []
@@ -316,29 +304,19 @@ def render_schur(rs, expansion, degree, var="t"):
 
     `degree` is the GL partition size; each dominant weight is lifted to
     the partition of that size in rank+1 parts."""
-    parts = []
 
     def pkey(mu):
         return tuple(sum(mu[k:]) for k in range(len(mu)))
 
+    terms = []
     for mu in sorted(expansion, key=pkey, reverse=True):
         partition = list(gl_exponents(rs, mu, degree))
         while partition and not partition[-1]:
             partition.pop()
         label = "s" + "".join(str(p) for p in partition) if partition else "1"
-        cs = expansion[mu].render(var=var)
-        if cs == "1":
-            parts.append(label)
-        elif cs == "-1":
-            parts.append("-" + label)
-        elif len(expansion[mu].c) == 1:
-            parts.append("%s*%s" % (cs, label))
-        else:
-            parts.append("(%s)*%s" % (cs, label))
-    out = parts[0] if parts else "0"
-    for p in parts[1:]:
-        out += " - " + p[1:] if p.startswith("-") else " + " + p
-    return out
+        x = expansion[mu]
+        terms.append((x.render(var=var), len(x.c) == 1, label))
+    return render_terms(terms)
 
 
 # -- summation identities ----------------------------------------------

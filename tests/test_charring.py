@@ -1,9 +1,13 @@
 """Group-algebra elements and factored fractions."""
 
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevmc.params import Scalar
 from chevmc.charring import GA, Frac
+from chevmc.csm import CohPoly
 
 
 weights = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -11,6 +15,13 @@ scalars = st.dictionaries(
     st.integers(-4, 4), st.integers(-5, 5), max_size=3
 ).map(Scalar)
 gas = st.dictionaries(weights, scalars, max_size=4).map(GA)
+# the polynomial subclass: exponents >= 0, rational coefficients
+cohpolys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=4,
+).map(CohPoly)
+rings = pytest.mark.parametrize("elems", [gas, cohpolys], ids=["GA", "CohPoly"])
 
 
 def test_basics():
@@ -21,8 +32,10 @@ def test_basics():
     assert GA.const(3, 2).c == {(0, 0): Scalar.int(3)}
 
 
-@given(gas, gas, gas)
-def test_ring_axioms(a, b, c):
+@rings
+@given(data=st.data())
+def test_ring_axioms(elems, data):
+    a, b, c = (data.draw(elems) for _ in range(3))
     assert a + b == b + a
     assert a * b == b * a
     assert a * (b + c) == a * b + a * c
@@ -38,9 +51,11 @@ def test_dualities(g):
     assert g.star().y_inverse() == g.dual_vee()
 
 
-@given(gas, gas)
+@rings
+@given(data=st.data())
 @settings(max_examples=60)
-def test_exact_div_of_product(a, b):
+def test_exact_div_of_product(elems, data):
+    a, b = data.draw(elems), data.draw(elems)
     if not b:
         return
     q = (a * b).exact_div(b)
@@ -63,6 +78,18 @@ def test_exact_div_laurent_box():
     n = one - GA.term((-4, 2))
     q = n.exact_div(d)
     assert q == one + GA.term((-2, 1))
+
+
+def test_cohpoly_is_a_polynomial_ring():
+    w1 = CohPoly.linear((1, 0))
+    two = CohPoly.const(2, 2)
+    # no Laurent quotients and no monomial units
+    assert CohPoly.const(1, 2).exact_div(w1) is None
+    assert w1.unit_inverse() is None
+    assert two.unit_inverse() == CohPoly.const(Fraction(1, 2), 2)
+    assert (w1 * w1 - two * two).exact_div(w1 + two) == w1 - two
+    assert (w1 * Fraction(-1, 2) + CohPoly.const(3, 2)).render() == "-1/2*w1 + 3"
+    assert CohPoly().render() == "0"
 
 
 def test_frac_reduction():

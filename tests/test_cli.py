@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, schema, caching."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -52,6 +53,13 @@ def test_chevalley_latex():
     )
     assert code == 0
     assert r"\begin{aligned}" in text and r"\varpi_1" in text
+    # a constant term is its coefficient alone, with no trailing "1"
+    code, text = _run(
+        ["chevalley", "--type", "A2", "--lambda", "1,1", "--w", "s1s2",
+         "--format", "latex"]
+    )
+    assert code == 0
+    assert r"C_{s_2} &= (-y -1) e^{2\varpi_1-\varpi_2} + (-y -1) \\" in text
 
 
 def test_chevalley_epsilon_type_a_only():
@@ -167,6 +175,16 @@ def test_bad_args_exit_2(capsys):
     # LaTeX is rendered by `chevalley` alone; the others reject it
     assert _run(["oracle", "--type", "A2", "--lambda", "1,0", "--w", "s1",
                  "--format", "latex"])[0] == 2
+    # oracle, csm and hecke-coeffs take one word: --w is required, its
+    # help offers no 'all', and an explicit 'all' is rejected
+    for command in ("oracle", "csm", "hecke-coeffs"):
+        capsys.readouterr()
+        assert _run([command, "--type", "A2", "--lambda", "1,0"])[0] == 2
+        assert "required: --w" in capsys.readouterr().err, command
+        assert _run([command, "--help"])[0] == 0
+        assert "'all'" not in capsys.readouterr().out, command
+        assert _run([command, "--type", "A2", "--lambda", "1,0",
+                     "--w", "all"])[0] == 2
     # inputs the library rejects: an error line, not a traceback
     for argv in (
         ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
@@ -267,6 +285,82 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
                                    jobs=10 ** 6)
     assert sizes == [2]
     assert results and all(d is None for _, d in results)
+
+
+# SHA-256 of stdout for cheap argvs over every subcommand, text and JSON;
+# any change to CLI output, or to a value it prints, shows up here.
+# LaTeX output is checked by test_chevalley_latex.
+_GOLDEN = [
+    ("chevalley --type A2 --lambda 2,1 --w all",
+     "600ef09fc531f15d5f471206c48a8ec27f23c7cb49399394983251910acff7d8"),
+    ("chevalley --type A2 --lambda 2,1 --w all --format json",
+     "4b98161e19b7e0c4261abf2587e1bd378846eacb79c44351e1d5443a99c76de3"),
+    ("chevalley --type B2 --lambda 1,1 --w s1s2 --sign -",
+     "f13166242f5bf500dd025e04a1e3d0fbed1b526b0c58a8039a7a98b1b18800bc"),
+    ("chevalley --type A3 --lambda 1,0,1 --w s1s2s3 --method operator --format json",
+     "8af4a18a46ee278f205a81516b488bccbae3c169cae294ca8b248bcfd5804118"),
+    ("chevalley --type G2 --lambda 1,0 --w s2s1 --method bridge",
+     "ef29ed3b4990d3429ccad7f1c745e576868f61ca2927da047cb3e94c0a81ff03"),
+    ("chevalley --type C3 --lambda 0,1,0 --w s3s2",
+     "bfbb2b2e6e8eb38e8f232ff85f797e00171beeafff334e4410c05d6fa66cf5d2"),
+    ("chevalley --type A2 --lambda 1,1 --w s1s2 --epsilon",
+     "4f190a448d95af8066565766f7d8ef7e879ded2ecc94c68ce9ecf935fa74688e"),
+    ("chevalley --type A2 --lambda 2,1 --w s1s2 --word s2s1s2s0s1s2",
+     "a623041266c18c86c53cfff67df2b011d322bc6ddf9265a84e53edbc4b68d06f"),
+    ("chevalley --type B3 --lambda 1,0,0 --w all --format json",
+     "97b44b1ef9102d97d6ff6ed0b690fc895733b3a8b3200b89275841f0e7b2c92f"),
+    ("hecke-coeffs --type A2 --lambda 1,0 --w s1",
+     "f3aa0be07598abc57c97bd88bd53661abe462c265cd50dced2231e4a44c7340a"),
+    ("hecke-coeffs --type B2 --lambda 0,1 --w s2s1 --format json",
+     "d60068dcdf301aa5528422cf01ed3793941cbce3d0eb75451f66ba9ae818b047"),
+    ("chain --type A2 --lambda 2,1",
+     "11842b6c9f6750bb7a5f6c4ce1e0ddfe6a1db85518dcf432d907182dace222c9"),
+    ("chain --type B3 --lambda 1,0,0 --format json",
+     "d16452e23ccc358ecb47758ef1cc212fa3323ec6f835c839c735c7a36b491696"),
+    ("oracle --type A2 --lambda 1,1 --w s1s2",
+     "d07cf6cd0c86f821e1455b7f780674c8e6523a752c06a0ad8244ea31889df402"),
+    ("oracle --type A3 --lambda 1,1,0 --w s2s1",
+     "1ce97297dcfaef5acab82fbac3cec9b75ae42b620e62d7a14c693c6463e946f9"),
+    ("oracle --type B2 --lambda 1,0 --w s2 --method pairing --format json",
+     "b89eebcc12b3169036ab107a46e5891fa5f06bd4a75350e2492d2b31d149d5be"),
+    ("stab --type A2 --lambda 1,0 --w s1",
+     "42adfddac56691bb39733c4945ef2e9f0a33181b597274b5f9c9ebd4dbb3607b"),
+    ("stab --type A2 --lambda 1,1 --format json",
+     "1511c87a9366d5c1d840ac953ffa48d00f9aa07e854b3e5c58c031ccb490b2ec"),
+    ("whittaker --type A2 --lambda=-1,-1 --w all",
+     "b088138c6366dc3734c15291988396b8b5e3fcdd219ed22435206c99c5664023"),
+    ("whittaker --type B2 --lambda=-1,0 --w s1 --format json",
+     "47e1d50b32934b5ddfaf9d226b29f88dee8ef3a9dff434bdb1e5732f26e0ab2a"),
+    ("hl --type A2 --lambda 0,2",
+     "cfd50bd8c70582e9cd0400ee23ed4f51a4309760ea1fa0b190a8b02de13efff2"),
+    ("hl --type A2 --lambda 1,1 --basis monomial",
+     "53d64cc819511adc641f690f32cb96b872ddeff4a3d147dbc39c7cfbde30b4e2"),
+    ("hl --type B2 --lambda 1,1",
+     "6b9f609ac7896d99018383bc744162a5b8efa3b50bb2a03fef255946bf841019"),
+    ("hl --type A2 --lambda 0,0",
+     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("hl --type G2 --lambda 1,0 --method chain_restricted",
+     "6fdcee9fad3fe4d0cd618f562f8ed5a078119bc29906d432bb74115ede2ea6d6"),
+    ("hl --type A3 --lambda 0,1,0 --format json",
+     "ebeba9d7da2b47bbe66bf31fb61adc0dbc7523cf421ce87ccfa20a3f8ac3b71e"),
+    ("csm --type A2 --lambda 1,1 --w s1s2",
+     "d50434176028287110c96c7e2d9a35ba815cf4a2cd65318240bd2ef583a50dc4"),
+    ("csm --type B3 --lambda 1,0,1 --w s1s2s3 --format json",
+     "1e0d8a3d31e54396f1212ab03ebea57723dd7db5ef8e5059bca59982490d9c93"),
+    ("verify --suite methods --type A2 --max-weight 1",
+     "6d412e85bb8c06868449ce79c33cf80ff054471b849aad84ed5b101f756988d4"),
+    ("search-positivity --type A2 --format json",
+     "7d03a7024a870168df7083a34bf2757cd1b0a6a75dad3e3bd47981c00d9cbf78"),
+]
+
+
+def test_cli_golden_digests():
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CHEVMC_CACHE_DIR", None)
+        for argv, digest in _GOLDEN:
+            code, text = _run(argv.split())
+            assert code == 0, argv
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
 
 
 # argv fuzz over rank <= 2: each command with its own options, drawn from
