@@ -2,13 +2,18 @@
 
 An integral weight lambda determines the affine Weyl group element
 v_{-lambda} with v_{-lambda}(A) = A - lambda, where A is the fundamental
-alcove.  Each reduced word of v_{-lambda} yields a lambda-chain of roots
-beta_1..beta_l with separating hyperplanes H_{-beta_j, d_j}; the chains
-drive every transition and Chevalley formula downstream.
+alcove {x : 0 < <x, alpha^vee> < 1 for alpha > 0}.  Its walls define the
+affine letters: s_i is the reflection in H_{alpha_i,0} (i = 1..r) and
+s_0 the reflection in H_{theta~,1}, with theta~ the positive root of
+maximal coheight (its coroot is the highest coroot; theta~ is the
+highest short root).  Each word for v_{-lambda} yields a lambda-chain
+of roots beta_1..beta_l with separating hyperplanes H_{-beta_j, d_j};
+the chains drive every transition and Chevalley formula downstream.
 
-Alcove geometry is done by tracking one exact rational interior point of
-A; the base point (1-eps) * rho / h with eps = 1/(2h^2) can never land
-on a wall, which is asserted defensively.
+Alcoves are tracked by one interior point of A, (1 - 1/(2h^2)) rho/h,
+which never lies on a wall.  Points are integer tuples on the fine
+lattice scaled by S = 2h^2, where that point is (S-1, ..., S-1), and
+are moved only by RootSystem.affine_reflect with the level scaled by S.
 """
 
 from __future__ import annotations
@@ -47,13 +52,7 @@ class Hyperplane:
         """The affine reflection r^_h on the fine weight lattice."""
         return rs.affine_reflect(fine, self.root, self.level)
 
-    def reflect_point(self, rs: RootSystem, point):
-        """Same reflection on a rational point in fundamental coords."""
-        m = sum(Fraction(d) * c for d, c in zip(self.root.coroot, point))
-        shift = m - self.level
-        return tuple(c - shift * f for c, f in zip(point, self.root.fund))
-
-    def render(self, one_based=True):
+    def render(self):
         alpha = "+".join(
             ("a%d" % (i + 1)) if c == 1 else ("%d*a%d" % (c, i + 1))
             for i, c in enumerate(self.root.simple)
@@ -65,35 +64,26 @@ class Hyperplane:
         return self.render()
 
 
-def base_point(rs: RootSystem):
-    """A fixed rational interior point of the fundamental alcove."""
-    eps = Fraction(1, 2 * rs.h * rs.h)
-    c = (1 - eps) / rs.h
-    return (c,) * rs.rank
+def _walls(rs):
+    """The walls of A as (root, level), indexed by affine letter:
+    H_{alpha_i,0} at i = 0..r-1 and H_{theta~,1} at r, which index -1
+    also reaches."""
+    simple = [
+        rs.root_by_simple(tuple(int(j == i) for j in range(rs.rank)))
+        for i in range(rs.rank)
+    ]
+    theta = max(rs.positive_roots, key=lambda rt: rt.coheight())
+    return [(a, 0) for a in simple] + [(theta, 1)]
 
 
-def _in_fundamental_alcove(rs, point):
-    for rt in rs.positive_roots:
-        m = sum(Fraction(d) * c for d, c in zip(rt.coroot, point))
-        if m <= 0 or m >= 1:
-            return False
-    return True
+def _scale(rs):
+    return 2 * rs.h * rs.h
 
 
-def _pairing(rt, point):
-    return sum(Fraction(d) * c for d, c in zip(rt.coroot, point))
-
-
-def _apply_affine_letter(rs, i, point):
-    """Letter s_i of the affine Weyl group; i = -1 encodes s_0 = s_{theta,1}."""
-    if i < 0:
-        th = rs.highest_root
-        m = _pairing(th, point) - 1
-        return tuple(c - m * f for c, f in zip(point, th.fund))
-    m = point[i]
-    return tuple(
-        c - m * Fraction(rs.cartan[j][i]) for j, c in enumerate(point)
-    )
+def _in_alcove(rs, walls, p):
+    """Whether the scaled point p lies in A."""
+    top = _scale(rs) * rs.h
+    return all(c > 0 for c in p) and rs.pair_coroot(p, walls[-1][0]) < top
 
 
 def v_minus_lambda(rs: RootSystem, lam_fund):
@@ -103,32 +93,15 @@ def v_minus_lambda(rs: RootSystem, lam_fund):
     the fundamental alcove; each wall reflection shortens the gallery
     distance by one, so the collected word is reduced.
     """
-    p = tuple(
-        b - Fraction(c) for b, c in zip(base_point(rs), lam_fund)
-    )
+    S = _scale(rs)
+    walls = _walls(rs)
+    p = tuple(S - 1 - S * rs.h * c for c in lam_fund)
     word = []
-    guard = 0
-    while not _in_fundamental_alcove(rs, p):
-        guard += 1
-        if guard > 100000:
-            raise AssertionError("alcove walk failed to terminate")
-        moved = False
-        for i in range(rs.rank):
-            if p[i] < 0:
-                assert p[i] != 0, "interior point landed on a wall"
-                p = _apply_affine_letter(rs, i, p)
-                word.append(i)
-                moved = True
-                break
-        if moved:
-            continue
-        m = _pairing(rs.highest_root, p)
-        assert m != 1, "interior point landed on a wall"
-        if m > 1:
-            p = _apply_affine_letter(rs, -1, p)
-            word.append(-1)
-        else:  # pragma: no cover - inconsistent state
-            raise AssertionError("point outside alcove but no wall violated")
+    while not _in_alcove(rs, walls, p):
+        i = next((i for i in range(rs.rank) if p[i] < 0), -1)
+        root, level = walls[i]
+        p = rs.affine_reflect(p, root, level * S)
+        word.append(i)
     # collected letters satisfy s_lk ... s_l1 (A - lambda) = A, so
     # v_-lambda = s_l1 s_l2 ... s_lk with the rightmost letter acting
     # first -- already the composition order chain_from_word expects
@@ -137,7 +110,8 @@ def v_minus_lambda(rs: RootSystem, lam_fund):
 
 class LambdaChain:
     """A lambda-chain beta_1..beta_l with separating hyperplanes
-    H_{-beta_j, d_j}."""
+    h_j = H_{-beta_j, d_j}; the walls h'_j of the reversed chain are
+    computed with them."""
 
     def __init__(self, rs, lam_fund, betas, levels, word, reduced):
         self.rs = rs
@@ -147,45 +121,39 @@ class LambdaChain:
         self.levels = list(levels)     # d_j with hyperplane H_{-beta_j, d_j}
         self.word = tuple(word)
         self.reduced = reduced
+        # H_{-beta_j, d_j} = H_{beta_j, -d_j}, and beta_j's wall seen from
+        # A - lambda: H_{beta_j, <lambda, beta_j^vee> - d_j}
+        self.walls = [Hyperplane(rs, b, -d) for b, d in zip(betas, levels)]
+        self.far_levels = [
+            rs.pairing(lam_fund, b) - d for b, d in zip(betas, levels)
+        ]
+        self.far_walls = [
+            Hyperplane(rs, b, k) for b, k in zip(betas, self.far_levels)
+        ]
 
     def __len__(self):
         return len(self.betas)
 
     def hyperplane(self, j):
         """Separating hyperplane h_j = H_{-beta_j, d_j} (1-based j)."""
-        b = self.betas[j - 1]
-        neg = self.rs.root_by_simple(tuple(-c for c in b.simple))
-        return Hyperplane(self.rs, neg, self.levels[j - 1])
-
-    def hyperplanes(self):
-        return [self.hyperplane(j) for j in range(1, len(self) + 1)]
+        return self.walls[j - 1]
 
     def reversed_hyperplane(self, j):
         """h'_j = H_{beta_{l+1-j}, <lambda, beta^vee_{l+1-j}> - d_{l+1-j}}."""
-        l = len(self)
-        b = self.betas[l - j]
-        lvl = self.rs.pairing(self.lam_fund, b) - self.levels[l - j]
-        return Hyperplane(self.rs, b, lvl)
+        return self.far_walls[len(self) - j]
 
     def reverse(self):
-        """The (-lambda)-chain (-beta_l, ..., -beta_1)."""
+        """The (-lambda)-chain (-beta_l, ..., -beta_1), whose j-th
+        separating hyperplane is h'_j."""
         rs = self.rs
-        l = len(self)
         betas = [
             rs.root_by_simple(tuple(-c for c in b.simple))
             for b in reversed(self.betas)
         ]
-        # the j-th separating hyperplane of the reversed chain is
-        # h'_j = H_{beta_{l+1-j}, <lambda,beta^vee>-d}; since the new
-        # beta_j is -beta_{l+1-j}, this is literally H_{-beta_j^new, d'}
-        levels = []
-        for j in range(1, l + 1):
-            b_old = self.betas[l - j]
-            levels.append(
-                self.rs.pairing(self.lam_fund, b_old) - self.levels[l - j]
-            )
         neg_lam = tuple(-c for c in self.lam_fund)
-        return LambdaChain(rs, neg_lam, betas, levels, (), self.reduced)
+        return LambdaChain(
+            rs, neg_lam, betas, self.far_levels[::-1], (), self.reduced
+        )
 
     def render(self):
         out = []
@@ -213,63 +181,48 @@ def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
     map A to A - lambda raises ValueError.
     """
     word = tuple(-1 if i == rs.rank else i for i in word)
-    # verify endpoint: v = s_{i1} ... s_{il} as a composition (rightmost
-    # letter acts first) must send the base point into A - lambda
-    v_p = base_point(rs)
-    for i in reversed(word):
-        v_p = _apply_affine_letter(rs, i, v_p)
-    shifted = tuple(c + Fraction(x) for c, x in zip(v_p, lam_fund))
-    if not _in_fundamental_alcove(rs, shifted):
-        raise ValueError("word does not map the fundamental alcove to A-lambda")
-    if require_reduced and len(word) != len(v_minus_lambda(rs, lam_fund)):
-        raise ValueError("word is not reduced")
-
-    # betas: beta_j = sbar_{i1} ... sbar_{i_{j-1}} (alpha_{ij}) with
-    # alpha_0 = -theta and sbar_0 = s_theta (finite parts only)
     W = rs.weyl()
-    theta = rs.highest_root
+    h = rs.h
+    walls = _walls(rs)
+    # One pass over the prefixes v = s_{i1} ... s_{i_{j-1}}, each the map
+    # x -> wcur(x) + t.  With alpha_0 = -theta~, letter i reflects in the
+    # wall {<x, alpha_i^vee> = -k} of A (k = 1 at s_0, else 0), which v
+    # carries to H_{-beta_j, d_j}: beta_j = wcur(alpha_i) and
+    # d_j = k - <t, beta_j^vee>.
+    by_fine = {tuple(h * c for c in rt.fund): rt for rt in rs.roots}
+    theta = walls[-1][0]
     s_theta = W.reflection(theta)
+    theta_fine = tuple(h * c for c in theta.fund)
     betas = []
-    wcur = 0  # finite part sbar_{i1}...sbar_{i_{j-1}}
-    for j, i in enumerate(word):
-        if i < 0:
-            alpha_fine = tuple(-rs.h * c for c in theta.fund)
-        else:
-            alpha_fine = rs.weight(
-                tuple(rs.cartan[k][i] for k in range(rs.rank))
-            )
-        image = W.act(wcur, alpha_fine)
-        simple_coords = _root_simple_from_fine(rs, image)
-        betas.append(rs.root_by_simple(simple_coords))
-        step = s_theta if i < 0 else W.from_word((i,))
-        wcur = W.mul(wcur, step)
-
-    # levels from midpoints of consecutive alcove interior points
-    pts = [base_point(rs)]
-    for j in range(1, len(word) + 1):
-        q = base_point(rs)
-        for i in reversed(word[:j]):
-            q = _apply_affine_letter(rs, i, q)
-        pts.append(q)
     levels = []
-    for j, b in enumerate(betas, start=1):
-        mid = tuple(
-            (a + c) / 2 for a, c in zip(pts[j - 1], pts[j])
-        )
-        # hyperplane is H_{-beta_j, d_j}: <mid, (-beta_j)^vee> = d_j
-        val = -_pairing(b, mid)
-        assert val.denominator == 1, "midpoint not on an integral wall"
-        levels.append(int(val))
-    reduced = len(word) == len(v_minus_lambda(rs, lam_fund))
-    return LambdaChain(rs, lam_fund, betas, levels, word, reduced)
-
-
-def _root_simple_from_fine(rs, fine):
-    """Simple-root coordinates of a root given on the fine lattice."""
-    for rt in rs.roots:
-        if tuple(rs.h * c for c in rt.fund) == tuple(fine):
-            return rt.simple
-    raise ValueError("not a root: %r" % (fine,))
+    wcur = 0
+    t = (0,) * rs.rank  # fine coordinates
+    for i in word:
+        root, k = walls[i]
+        alpha = tuple((-1) ** k * h * c for c in root.fund)
+        beta = by_fine[W.act(wcur, alpha)]
+        betas.append(beta)
+        levels.append(k - rs.pair_coroot(t, beta) // h)
+        if k:
+            # v s_0 = (x -> wcur s_theta~(x) + wcur(theta~) + t)
+            t = tuple(a + b for a, b in zip(t, W.act(wcur, theta_fine)))
+            wcur = W.mul(wcur, s_theta)
+        else:
+            wcur = W.right[wcur][i]
+    # l(v_{-lambda}) counts the hyperplanes separating A from A - lambda
+    reduced = len(word) == sum(
+        abs(rs.pairing(lam_fund, rt)) for rt in rs.positive_roots
+    )
+    chain = LambdaChain(rs, lam_fund, betas, levels, word, reduced)
+    try:
+        _validate_chain(chain)
+    except AssertionError:
+        raise ValueError(
+            "word does not map the fundamental alcove to A-lambda"
+        ) from None
+    if require_reduced and not reduced:
+        raise ValueError("word is not reduced")
+    return chain
 
 
 def chain_lex_height(rs: RootSystem, lam_fund):
@@ -279,29 +232,24 @@ def chain_lex_height(rs: RootSystem, lam_fund):
     A - lambda); the order sorts h(s_{alpha,k}) lexicographically with
     the natural Dynkin-node order.
     """
-    entries = []  # (height tuple, root-or-negative, level d_j of H_{-beta,d})
+    entries = []  # (height tuple, beta_j, level d_j of H_{-beta_j, d_j})
     for rt in rs.positive_roots:
         m = rs.pairing(lam_fund, rt)
-        if m == 0:
-            continue
         if m > 0:
             ks = range(0, -m, -1)          # 0 >= k > -m
-        else:
+            beta = rt
+        elif m < 0:
             ks = range(1, -m + 1)          # 0 < k <= -m
+            beta = rs.root_by_simple(tuple(-c for c in rt.simple))
+        else:
+            continue
         for k in ks:
-            denom = Fraction(m)
-            height = (Fraction(-k) / denom,) + tuple(
-                Fraction(d) / denom for d in rt.coroot
+            height = tuple(
+                Fraction(x, m) for x in (-k,) + tuple(rt.coroot)
             )
-            if k <= 0:
-                beta = rt
-            else:
-                beta = rs.root_by_simple(tuple(-c for c in rt.simple))
-            # hyperplane is H_{alpha, k}; chain stores H_{-beta_j, d_j}
-            d = -k if k <= 0 else k  # level for root -beta
-            # H_{alpha,k} = H_{-beta, d}: if beta = alpha then -beta = -alpha
-            # and d = -k; if beta = -alpha then -beta = alpha and d = k.
-            entries.append((height, beta, -k if beta is rt else k))
+            # H_{alpha,k} = H_{-beta,|k|}: beta = alpha when k <= 0 and
+            # beta = -alpha when k > 0
+            entries.append((height, beta, abs(k)))
     entries.sort(key=lambda e: e[0])
     betas = [e[1] for e in entries]
     levels = [e[2] for e in entries]
@@ -311,14 +259,15 @@ def chain_lex_height(rs: RootSystem, lam_fund):
 
 
 def _validate_chain(chain):
-    """Composing the separating reflections must map A to A - lambda."""
+    """Composing the separating reflections must map A to A - lambda:
+    crossing the wall h_j reflects the tracked point of A."""
     rs = chain.rs
-    p = base_point(rs)
-    for j in range(1, len(chain) + 1):
-        # crossing the separating wall reflects the tracked point
-        p = chain.hyperplane(j).reflect_point(rs, p)
-    shifted = tuple(c + Fraction(x) for c, x in zip(p, chain.lam_fund))
-    if not _in_fundamental_alcove(rs, shifted):
+    S = _scale(rs)
+    p = (S - 1,) * rs.rank
+    for h in chain.walls:
+        p = rs.affine_reflect(p, h.root, h.level * S)
+    p = tuple(c + S * x for c, x in zip(p, chain.lam))
+    if not _in_alcove(rs, _walls(rs), p):
         raise AssertionError("chain reflections do not reach A - lambda")
 
 
@@ -332,8 +281,9 @@ def chain_reflections(chain: LambdaChain, J):
       n_J        #{j in J : beta_j < 0}
     """
     rs = chain.rs
-    hs = [chain.hyperplane(j) for j in J]
-    hps = [chain.reversed_hyperplane(len(chain) + 1 - j) for j in J]
+    hs = [chain.walls[j - 1] for j in J]
+    # r~_{h_j} reflects in h'_{l+1-j}, the wall of beta_j seen from A - lambda
+    hps = [chain.far_walls[j - 1] for j in J]
     n_J = sum(1 for j in J if not chain.betas[j - 1].positive)
 
     def rhat(fine):
@@ -358,7 +308,7 @@ def descent_subsets(chain: LambdaChain, w, ascending):
     u is the element reached."""
     W = chain.rs.weyl()
     l = len(chain)
-    refl = [None] + [W.reflection(h.root) for h in chain.hyperplanes()]
+    refl = [None] + [W.reflection(h.root) for h in chain.walls]
     positions = list(range(1, l + 1)) if ascending else list(range(l, 0, -1))
     out = []
 

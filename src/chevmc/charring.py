@@ -25,6 +25,7 @@ slower.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 
 from .params import Scalar, ZERO, ONE
@@ -222,12 +223,17 @@ class GA:
         if any(a > b for a, b in zip(qmin, qmax)):
             return None
         rem = dict(self.c)
+        # the remainder's monomials in ascending order; a popped monomial
+        # no longer in `rem` was cancelled (or is a duplicate) and is skipped
+        order = sorted(rem)
         dk, dc = other.leading()
         div = self._cdiv
         zero = self._czero
         quot = {}
         while rem:
-            rk = max(rem)
+            rk = order.pop()
+            if rk not in rem:
+                continue
             qc = div(rem[rk], dc)
             if qc is None:
                 return None
@@ -239,6 +245,8 @@ class GA:
                 kk = _wadd(k, qk)
                 s = rem.get(kk, zero) - qc * x
                 if s:
+                    if kk not in rem:
+                        insort(order, kk)
                     rem[kk] = s
                 elif kk in rem:
                     del rem[kk]

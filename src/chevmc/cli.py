@@ -189,7 +189,7 @@ def _epsilon_render(rs, table):
     n = rs.rank + 1
     lines = []
     for u in sorted(table):
-        parts = []
+        terms = []
         g = table[u]
         for k in sorted(g.c, reverse=True):
             fund = [c / rs.h for c in k]
@@ -198,8 +198,9 @@ def _epsilon_render(rs, table):
                 str(int(c)) if float(c).is_integer() else str(c)
                 for c in partial
             )
-            parts.append("%s*x^(%s)" % (g.c[k].render(), eps))
-        lines.append("C[u=%s] = %s" % (W.word_str(u), " + ".join(parts) or "0"))
+            x = g.c[k]
+            terms.append((x.render(), len(x.c) == 1, "x^(%s)" % eps))
+        lines.append("C[u=%s] = %s" % (W.word_str(u), render_terms(terms)))
     return "\n".join(lines)
 
 

@@ -15,7 +15,7 @@ arithmetic (transition_direct) or from a lambda-chain (transition_chain).
 from __future__ import annotations
 
 from .params import Scalar
-from .alcove import chain_reflections, descent_subsets
+from .chevalley import chevalley_terms
 
 
 class HeckeElement:
@@ -276,31 +276,17 @@ class HeckeAlgebra:
     def transition_chain(self, w, chain, sign):
         """c_{u,mu}^{w,sign*lambda} from a lambda-chain for +lambda.
 
-        sign=+1: Eq. with (q-1)^|J| over u -(J<)-> w and mu = w rtilde_{J>}(lambda).
-        sign=-1: Eq. with (1-q)^|J| over u -(J>)-> w and mu = w rhat_{J<}(-lambda).
+        Read term by term off the chain formula for C^w_{u,-sign*lambda}
+        through the bridge C^w_{u,-lambda} = sum_mu y^{l(w)-l(u)} e^{-mu}
+        c_{u,mu}^{w,lambda} (q = -y in the shared ring).
         """
         W = self.W
-        lam = chain.lam
-        neg_lam = tuple(-c for c in lam)
         out = {}
-        # walking down from w: +lambda reads J descending (r_{h_jt} first),
-        # so scan positions l..1; -lambda reads J ascending, scan 1..l.
-        for u, J in descent_subsets(chain, w, ascending=sign < 0):
-            data = chain_reflections(chain, J)
-            t = len(J)
-            if sign > 0:
-                mu = W.act(w, data["rtilde_Jgt"](lam))
-                base = Scalar.q(1) - Scalar.one()
-            else:
-                mu = W.act(w, data["rhat_Jlt"](neg_lam))
-                base = Scalar.one() - Scalar.q(1)
-            dl = W.length[u] - W.length[w] - t
-            assert dl % 2 == 0, "parity failure in the chain formula"
-            c = base ** t * Scalar.q(dl // 2)
-            if data["n_J"] % 2:
-                c = -c
-            key = (u, mu)
-            s = out.get(key, Scalar.zero()) + c
+        for u, _J, mu, c in chevalley_terms(chain, w, -sign):
+            key = (u, tuple(-m for m in mu))
+            s = out.get(key, Scalar.zero()) + c * Scalar.y(
+                W.length[u] - W.length[w]
+            )
             if s:
                 out[key] = s
             elif key in out:

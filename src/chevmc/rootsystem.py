@@ -109,16 +109,16 @@ class Root:
 class RootSystem:
     """Finite crystallographic root system of a given family and rank."""
 
-    def __init__(self, family, rank, element_cap=100000):
+    def __init__(self, family, rank):
         family = family.upper()
         self.family = family
         self.rank = rank
         self.cartan = cartan_matrix(family, rank)
         order = _WEYL_ORDER[family](rank)
-        if family in ("E", "F") and order > element_cap:
+        if family in ("E", "F") and order > 100000:
             raise ValueError(
                 "exhaustive mode for %s%d needs %d Weyl elements, above the "
-                "cap %d" % (family, rank, order, element_cap)
+                "cap 100000" % (family, rank, order)
             )
         if family in ("A", "B", "C", "D") and rank > 5:
             raise ValueError("rank %d above the supported bound 5" % rank)

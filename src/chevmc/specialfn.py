@@ -56,16 +56,13 @@ class ScalarDL:
         return f
 
 
-def whittaker(rs, lam_fund, w, as_frac=False):
+def whittaker(rs, lam_fund, w):
     """The Iwahori-Whittaker function W_{lambda,w} = T~_w(e^lambda) for
     anti-dominant lambda."""
     if not all(c <= 0 for c in lam_fund):
         raise ValueError("weight must be anti-dominant")
     dl = ScalarDL(rs)
-    f = dl.apply(w, Frac(GA.term(rs.weight(lam_fund))))
-    if as_frac:
-        return f
-    g = f.as_poly()
+    g = dl.apply(w, Frac(GA.term(rs.weight(lam_fund)))).as_poly()
     assert g is not None, "Whittaker function did not reduce to a polynomial"
     return g
 

@@ -1,8 +1,11 @@
 """Lambda-chains, alcove paths and hyperplane data."""
 
+import itertools
+
 import pytest
 
 from chevmc.rootsystem import RootSystem
+from chevmc.chevalley import chevalley_table
 from chevmc.alcove import (
     Hyperplane,
     chain_from_word,
@@ -64,7 +67,7 @@ def test_lex_height_minuscule_levels():
     rs = RootSystem("A", 2)
     chain = chain_lex_height(rs, (1, 0))
     # minuscule: all separating hyperplanes pass through the origin
-    assert all(h.level == 0 for h in chain.hyperplanes())
+    assert all(h.level == 0 for h in chain.walls)
 
 
 def test_reverse():
@@ -110,3 +113,36 @@ def test_v_minus_lambda_word():
     # the chain built from this word is reduced and self-consistent
     chain = chain_from_word(rs, (2, 1), word)
     assert chain.reduced
+
+
+# (type, rank, stride through [-1, 2]^r minus 0)
+_CHAIN_WORD_CASES = [
+    ("A", 2, 1), ("B", 2, 1), ("C", 2, 1), ("G", 2, 1),
+    ("A", 3, 7), ("B", 3, 7), ("C", 3, 7), ("D", 4, 41), ("F", 4, 41),
+]
+
+
+@pytest.mark.parametrize("family,rank,stride", _CHAIN_WORD_CASES)
+def test_v_minus_lambda_chain_in_every_type(family, rank, stride):
+    # s0 reflects in H_{theta~,1} with theta~ the root of maximal
+    # coheight, so the walked word is reduced in the non-simply-laced
+    # types too and its chain gives the lex-height chain's tables
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    lams = [
+        lam for lam in itertools.product(range(-1, 3), repeat=rank) if any(lam)
+    ][::stride]
+    # s1 and the Coxeter element s1...sr, and w0 in rank 2
+    ws = [1, W.from_word(range(rank))] + ([W.w0] if rank == 2 else [])
+    for lam in lams:
+        word = v_minus_lambda(rs, lam)
+        lex = chain_lex_height(rs, lam)
+        length = sum(abs(rs.pairing(lam, a)) for a in rs.positive_roots)
+        assert len(word) == length == len(lex), lam
+        chain = chain_from_word(rs, lam, word)
+        assert chain.reduced, lam
+        for w in ws:
+            for sign in (1, -1):
+                assert chevalley_table(
+                    rs, lam, w, sign, chain=chain
+                ) == chevalley_table(rs, lam, w, sign, chain=lex), (lam, w)

@@ -75,6 +75,19 @@ def test_chevalley_epsilon_type_a_only():
     assert code == 2
 
 
+def test_chevalley_epsilon_terms():
+    # multi-term coefficients are parenthesised and unit ones dropped,
+    # as in the default rendering
+    code, text = _run(
+        ["chevalley", "--type", "A2", "--lambda", "1,1", "--w", "s1s2",
+         "--epsilon"]
+    )
+    assert code == 0
+    lines = text.splitlines()
+    assert "C[u=s2] = (-y -1)*x^(1,-1,0) + (-y -1)*x^(0,0,0)" in lines
+    assert "C[u=s1s2] = x^(-1,1,0)" in lines
+
+
 def test_json_output_matches_schema():
     schema = _schema()
     for argv in (
@@ -192,11 +205,23 @@ def test_bad_args_exit_2(capsys):
         ["whittaker", "--type", "A2", "--lambda", "1,1", "--w", "s1"],
         ["chain", "--type", "A2", "--lambda", "1,0", "--word", "s0s5"],
         ["chain", "--type", "A0", "--lambda", "1"],
+        # s0 reflects in H_{theta~,1}; this one-letter word misses A - lambda
+        ["chevalley", "--type", "C2", "--lambda=-1,0", "--w", "s1",
+         "--word", "s0"],
     ):
         capsys.readouterr()
         assert _run(argv)[0] == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
+def test_chain_word_matches_default_table():
+    # s0 s2 s0 is a reduced word for v_{-lambda} in C2 at lambda = -w1
+    argv = ["chevalley", "--type", "C2", "--lambda=-1,0", "--w", "s1"]
+    code, default = _run(argv)
+    assert code == 0
+    assert _run(argv + ["--word", "s0s2s0"]) == (0, default)
+    assert "C[u=e] = (y +1)*e^{w1-1*w2}" in default.splitlines()
 
 
 def test_cache_round_trip(tmp_path):
@@ -304,7 +329,7 @@ _GOLDEN = [
     ("chevalley --type C3 --lambda 0,1,0 --w s3s2",
      "bfbb2b2e6e8eb38e8f232ff85f797e00171beeafff334e4410c05d6fa66cf5d2"),
     ("chevalley --type A2 --lambda 1,1 --w s1s2 --epsilon",
-     "4f190a448d95af8066565766f7d8ef7e879ded2ecc94c68ce9ecf935fa74688e"),
+     "088024138db2681ee03d64afaf493df910f8ebf0bca53a166d86cb8c8e324583"),
     ("chevalley --type A2 --lambda 2,1 --w s1s2 --word s2s1s2s0s1s2",
      "a623041266c18c86c53cfff67df2b011d322bc6ddf9265a84e53edbc4b68d06f"),
     ("chevalley --type B3 --lambda 1,0,0 --w all --format json",
