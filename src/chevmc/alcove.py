@@ -10,6 +10,12 @@ highest short root).  Each word for v_{-lambda} yields a lambda-chain
 of roots beta_1..beta_l with separating hyperplanes H_{-beta_j, d_j};
 the chains drive every transition and Chevalley formula downstream.
 
+Those formulas sum over subsets J of chain positions.  descent_subsets
+finds them in one depth-first pass that carries, next to the Weyl
+element reached, the translation part of the composed affine
+reflections, so each subset's weight is read off without replaying the
+reflections (the incremental alcove walk of Lenart-Postnikov).
+
 Alcoves are tracked by one interior point of A, (1 - 1/(2h^2)) rho/h,
 which never lies on a wall.  Points are integer tuples on the fine
 lattice scaled by S = 2h^2, where that point is (S-1, ..., S-1), and
@@ -47,10 +53,6 @@ class Hyperplane:
 
     def __hash__(self):
         return hash(self.key())
-
-    def reflect_weight(self, rs: RootSystem, fine):
-        """The affine reflection r^_h on the fine weight lattice."""
-        return rs.affine_reflect(fine, self.root, self.level)
 
     def render(self):
         alpha = "+".join(
@@ -271,56 +273,41 @@ def _validate_chain(chain):
         raise AssertionError("chain reflections do not reach A - lambda")
 
 
-def chain_reflections(chain: LambdaChain, J):
-    """For sorted J = (j_1 < ... < j_t) return the data of the
-    chain-indexed reflection operators.
-
-    Returns a dict with:
-      rhat_Jlt   callable on fine weights: r^_{J<} = r^_{h_j1} ... r^_{h_jt}
-      rtilde_Jgt callable on fine weights: r~_{J>} = r~_{h_jt} ... r~_{h_j1}
-      n_J        #{j in J : beta_j < 0}
-    """
-    rs = chain.rs
-    hs = [chain.walls[j - 1] for j in J]
-    # r~_{h_j} reflects in h'_{l+1-j}, the wall of beta_j seen from A - lambda
-    hps = [chain.far_walls[j - 1] for j in J]
-    n_J = sum(1 for j in J if not chain.betas[j - 1].positive)
-
-    def rhat(fine):
-        out = fine
-        for h in reversed(hs):
-            out = h.reflect_weight(rs, out)
-        return out
-
-    def rtilde(fine):
-        out = fine
-        for h in hps:
-            out = h.reflect_weight(rs, out)
-        return out
-
-    return {"rhat_Jlt": rhat, "rtilde_Jgt": rtilde, "n_J": n_J}
-
-
-def descent_subsets(chain: LambdaChain, w, ascending):
-    """All (u, J) with J a sorted tuple of chain positions along which w
+def descent_subsets(chain: LambdaChain, w, ascending, walls):
+    """All (u, J, B) with J a sorted tuple of chain positions along which w
     descends: scanning the positions in the given direction, each
     position j in J right-multiplies by r_{h_j} and lowers the length;
-    u is the element reached."""
-    W = chain.rs.weyl()
+    u is the element reached.
+
+    B is the translation the walk picks up on the fine lattice.  With
+    H_{alpha,k} the j-th entry of `walls` (chain.walls or
+    chain.far_walls), choosing j adds cur(k alpha), cur being the element
+    reached just before j.  So if j(1), ..., j(t) are the positions of J
+    in scan order and r_j is the affine reflection in walls[j-1],
+
+        w r_{j(1)} ... r_{j(t)} (x) = u(x) + B.
+    """
+    rs = chain.rs
+    W = rs.weyl()
     l = len(chain)
     refl = [None] + [W.reflection(h.root) for h in chain.walls]
+    shift = [None] + [
+        tuple(h.level * rs.h * c for c in h.root.fund) for h in walls
+    ]
     positions = list(range(1, l + 1)) if ascending else list(range(l, 0, -1))
     out = []
 
-    def dfs(pos_idx, cur, J):
+    def dfs(pos_idx, cur, J, B):
         if pos_idx == len(positions):
-            out.append((cur, tuple(sorted(J))))
+            out.append((cur, tuple(sorted(J)), B))
             return
-        dfs(pos_idx + 1, cur, J)
+        dfs(pos_idx + 1, cur, J, B)
         j = positions[pos_idx]
         nxt = W.mul(cur, refl[j])
         if W.length[nxt] < W.length[cur]:
-            dfs(pos_idx + 1, nxt, J + [j])
+            step = W.act(cur, shift[j])
+            dfs(pos_idx + 1, nxt, J + [j],
+                tuple(a + b for a, b in zip(B, step)))
 
-    dfs(0, w, [])
+    dfs(0, w, [], (0,) * rs.rank)
     return out

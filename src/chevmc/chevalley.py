@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .params import Scalar
 from .charring import GA
-from .alcove import chain_reflections, chain_lex_height, descent_subsets
+from .alcove import chain_lex_height, descent_subsets
 
 
 def _one_plus_y():
@@ -30,29 +30,28 @@ def chevalley_terms(chain, w, sign):
     """All terms of the chain formula: list of (u, J, mu_fine, coeff).
 
     sign=+1 (coefficient of L_{+lambda}): the J> condition, i.e. the
-    descent from w multiplies r_{h_j} with j ascending.
+    descent from w multiplies r_{h_j} with j ascending, and
+    mu = u(lambda) - B over the walls h_j.
     sign=-1 (coefficient of L_{-lambda}): the J< condition, descent from
-    w with j descending.
+    w with j descending, and mu = -u(lambda) - B over the walls h'_j of
+    the reversed chain.
     """
     rs = chain.rs
     W = rs.weyl()
     lam = chain.lam
-    neg_lam = tuple(-c for c in lam)
     one_plus_y = _one_plus_y()
+    if sign > 0:
+        walls, base, lam_sign = chain.walls, -one_plus_y, 1
+    else:
+        walls, base, lam_sign = chain.far_walls, one_plus_y, -1
     terms = []
-    for u, J in descent_subsets(chain, w, ascending=sign > 0):
-        data = chain_reflections(chain, J)
+    for u, J, B in descent_subsets(chain, w, sign > 0, walls):
         t = len(J)
         dl = W.length[w] - W.length[u] - t
         assert dl % 2 == 0, "parity failure in the Chevalley formula"
-        if sign > 0:
-            mu = tuple(-c for c in W.act(w, data["rhat_Jlt"](neg_lam)))
-            base = -one_plus_y
-        else:
-            mu = tuple(-c for c in W.act(w, data["rtilde_Jgt"](lam)))
-            base = one_plus_y
-        coeff = base ** t * Scalar.y(dl // 2, (-1) ** (dl // 2))
-        if data["n_J"] % 2:
+        mu = tuple(lam_sign * a - b for a, b in zip(W.act(u, lam), B))
+        coeff = base ** t * Scalar.q(dl // 2)
+        if sum(1 for j in J if not chain.betas[j - 1].positive) % 2:
             coeff = -coeff
         terms.append((u, J, mu, coeff))
     return terms
@@ -112,7 +111,7 @@ def chevalley_operator(chain, w):
             if W.length[us] < W.length[u]:
                 k = (W.length[u] - W.length[us] - 1)
                 assert k % 2 == 0
-                coeff = (-_one_plus_y()) * Scalar.y(k // 2, (-1) ** (k // 2))
+                coeff = (-_one_plus_y()) * Scalar.q(k // 2)
                 if sgn < 0:
                     coeff = -coeff
                 add = g * coeff
@@ -175,7 +174,7 @@ def chevalley_parabolic(rs, lam_fund, w, parabolic, method="chain"):
             v = W.mul(u, p)
             if v in full:
                 dl = W.length[v] - W.length[u]
-                acc = acc + full[v] * Scalar.y(dl, (-1) ** dl)
+                acc = acc + full[v] * Scalar.q(dl)
         if acc:
             out[u] = acc
     return out
@@ -207,7 +206,7 @@ def duality_check(rs, lam_fund, w, u, kind, table_fn):
     if kind == "serre":
         # C^w_{u,lambda} = (-y)^{l(w)-l(u)} w0((C^{w0u}_{w0w,-lambda})^vee)
         t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
-        rhs = _w0_act(rs, t.dual_vee()) * Scalar.y(dl, (-1) ** dl)
+        rhs = _w0_act(rs, t.dual_vee()) * Scalar.q(dl)
     elif kind == "star":
         t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
         rhs = _iota(rs, t) * ((-1) ** dl)

@@ -227,6 +227,8 @@ def _cmd_chevalley(args, out):
         )
         table = _cached_table(W, cache_get(cache_dir, key))
         if table is None:
+            if chain is None:
+                chain = chain_lex_height(rs, lam)
             table = chevalley_table(
                 rs, lam, wv, sign=sign, method=args.method, chain=chain
             )
@@ -434,8 +436,9 @@ def _cmd_search_positivity(args, out):
     findings = []
     checked = 0
     for lam in _minuscule_weights(rs):
+        chain = chain_lex_height(rs, lam)
         for w in range(W.n):
-            table = chevalley_table(rs, lam, w, sign=1)
+            table = chevalley_table(rs, lam, w, sign=1, chain=chain)
             for u, g in table.items():
                 for k, x in g.c.items():
                     checked += 1

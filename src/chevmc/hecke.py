@@ -9,7 +9,9 @@ normal form with the Bernstein relation
 
 whose right-hand side expands as a finite geometric sum.  The transition
 coefficients c_{u,mu}^{w,lambda} are obtained either directly from this
-arithmetic (transition_direct) or from a lambda-chain (transition_chain).
+relation (transition_direct, which applies one T_i^-1 at a time and stays
+in the basis X^mu T_{u^-1}^-1 it reports) or from a lambda-chain
+(transition_chain).
 """
 
 from __future__ import annotations
@@ -91,12 +93,6 @@ class HeckeAlgebra:
         if coeff is None:
             coeff = Scalar.one()
         return HeckeElement(self, {(w, tuple(mu)): coeff})
-
-    def X(self, mu):
-        return self.basis(0, self.rs.weight(mu))
-
-    def T(self, word):
-        return self.basis(self.W.from_word(word))
 
     # -- core rewriting -----------------------------------------------
     def _ts_x(self, i, mu):
@@ -211,14 +207,6 @@ class HeckeAlgebra:
             },
         )
 
-    def t_winv_inverse(self, w):
-        """T_{w^-1}^-1 = T_{i_1}^-1 ... T_{i_l}^-1 along the canonical
-        word (i_1..i_l) of w."""
-        out = self.one()
-        for i in self.W.word(w):
-            out = self.mul(out, self.t_simple_inverse(i))
-        return out
-
     def theta(self, a: HeckeElement):
         """The algebra involution with Theta(T_s) = -q T_s^-1 and
         Theta(X^mu) = X^-mu."""
@@ -236,42 +224,43 @@ class HeckeAlgebra:
     # -- transition coefficients --------------------------------------
     def transition_direct(self, w, lam_fund):
         """c_{u,mu}^{w,lambda}: expand T_{w^-1}^-1 X^lambda in the basis
-        X^mu T_{u^-1}^-1."""
-        lam = self.rs.weight(lam_fund)
-        elem = self.mul(self.t_winv_inverse(w), self.X(lam_fund))
-        # convert from X^mu T_x to X^mu T_{u^-1}^-1 by triangular solve:
-        # T_{u^-1}^-1 = sum_x d_{u,x} T_x with d_{u,u} = q^-l(u)
+        X^mu T_{u^-1}^-1.
+
+        T_{w^-1}^-1 = T_{i_1}^-1 ... T_{i_l}^-1 along the canonical word
+        (i_1..i_l) of w, so T_i^-1 acts on X^lambda for i = i_l, ..., i_1,
+        each step in the basis X^mu T_x^-1 (x = u^-1).  T_i^-1 =
+        q^-1 T_i + (q^-1 - 1) and T_i X^mu = X^{s_i mu} T_i + G (_ts_x)
+        give
+
+            T_i^-1 X^mu T_x^-1 = (q^-1 G + (q^-1 - 1) X^mu) T_x^-1
+                + X^{s_i mu} (T_{x s_i}^-1 + (1 - q^-1) T_x^-1)  if x s_i > x
+                + q^-1 X^{s_i mu} T_{x s_i}^-1                   if x s_i < x,
+
+        the second case from T_i^-2 = q^-1 + (q^-1 - 1) T_i^-1.
+        """
         W = self.W
-        basis_nf = {}
-        zero = (0,) * self.rs.rank
-        for u in range(W.n):
-            basis_nf[u] = {
-                x: c for (x, mu), c in self.t_winv_inverse(u).c.items()
-            }
-        # organize elem by weight
-        by_mu = {}
-        for (x, mu), c in elem.c.items():
-            by_mu.setdefault(mu, {})[x] = c
-        order = sorted(range(W.n), key=lambda u: -W.length[u])
-        out = {}
-        for mu, rem in by_mu.items():
-            rem = dict(rem)
-            for u in order:
-                if u not in rem or not rem[u]:
-                    continue
-                d_uu = basis_nf[u][u]
-                coeff = rem[u] * d_uu.inverse()
-                if not coeff:
-                    continue
-                out[(u, mu)] = coeff
-                for x, d in basis_nf[u].items():
-                    s = rem.get(x, Scalar.zero()) - coeff * d
-                    if s:
-                        rem[x] = s
-                    elif x in rem:
-                        del rem[x]
-            assert not any(rem.values()), "triangular solve left a remainder"
-        return {k: v for k, v in out.items() if v}
+        q_inv = Scalar.q(-1)
+        q_inv_minus_one = q_inv - Scalar.one()
+        state = {(0, self.rs.weight(lam_fund)): Scalar.one()}
+        for i in reversed(W.word(w)):
+            nxt = {}
+
+            def add(key, c):
+                nxt[key] = nxt.get(key, Scalar.zero()) + c
+
+            for (x, mu), c in state.items():
+                xs = W.right[x][i]
+                add((x, mu), c * q_inv_minus_one)
+                for (z, nu), g in self._ts_x(i, mu).items():
+                    if z == 0:
+                        add((x, nu), c * g * q_inv)
+                    elif W.length[xs] > W.length[x]:
+                        add((xs, nu), c)
+                        add((x, nu), -c * q_inv_minus_one)
+                    else:
+                        add((xs, nu), c * q_inv)
+            state = {k: c for k, c in nxt.items() if c}
+        return {(W.inv[x], mu): c for (x, mu), c in state.items()}
 
     def transition_chain(self, w, chain, sign):
         """c_{u,mu}^{w,sign*lambda} from a lambda-chain for +lambda.

@@ -105,7 +105,7 @@ class KOracle(Localization):
         """(-y)^d D(F) / lambda_y(T*) with the duality
         D(F)|_w = (-1)^{dim G/B} e^{2 w rho} (F|_w)^vee."""
         W = self.W
-        pref = Scalar.y(d, (-1) ** d) * ((-1) ** self.N)
+        pref = Scalar.q(d) * ((-1) ** self.N)
         rho2 = tuple(2 * c for c in self.rs.rho())
         out = {}
         for w, f in F.items():
@@ -322,9 +322,10 @@ class StableBasis:
         from .chevalley import chevalley_table
 
         W = self.W
+        chain = chain_lex_height(self.rs, lam_fund)
         out = {}
         for w in range(W.n):
-            table = chevalley_table(self.rs, lam_fund, w, sign=-1)
+            table = chevalley_table(self.rs, lam_fund, w, sign=-1, chain=chain)
             for u, g in table.items():
                 out[(u, w)] = g.star() * Scalar.v(W.length[u] - W.length[w])
         return out

@@ -50,15 +50,6 @@ class Scalar:
         sign = -1 if n % 2 else 1
         return Scalar({2 * n: sign * coeff}) if coeff else Scalar()
 
-    @staticmethod
-    def from_y_coeffs(d):
-        """Build from {y-exponent: int-coefficient}."""
-        out = {}
-        for n, a in d.items():
-            if a:
-                out[2 * n] = (-a) if n % 2 else a
-        return Scalar(out)
-
     # -- ring structure -----------------------------------------------
     def __add__(self, other):
         c = dict(self.c)

@@ -168,18 +168,9 @@ class RootSystem:
         for idx, t in enumerate(self.positive_roots):
             t.index = idx
         self._by_simple = {t.simple: t for t in roots}
-        self.highest_root = self.positive_roots[-1]
-        assert all(
-            self.highest_root.simple[i] >= t.simple[i]
-            for t in self.positive_roots
-            for i in range(r)
-        ), "highest root is not dominant in the root order"
 
     def root_by_simple(self, simple):
         return self._by_simple[tuple(simple)]
-
-    def positive_root(self, idx):
-        return self.positive_roots[idx]
 
     def n_positive(self):
         return len(self.positive_roots)
@@ -328,9 +319,6 @@ class WeylGroup:
             out = self.right[out][i]
         return out
 
-    def is_reduced(self, word):
-        return self.length[self.from_word(word)] == len(word)
-
     def reflection(self, root):
         """Index of s_alpha for a (positive) root."""
         key = root.simple
@@ -401,10 +389,6 @@ class WeylGroup:
                         nxt.append(v)
             frontier = nxt
         return sorted(out)
-
-    def stabilizer_parabolic(self, fine):
-        """Simple indices i with <mu, alpha_i^vee> = 0."""
-        return [i for i in range(self.rs.rank) if fine[i] == 0]
 
     def word_str(self, w):
         ww = self.words[w]

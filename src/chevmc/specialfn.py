@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .params import Scalar
 from .charring import GA, Frac, _wneg, render_terms
-from .alcove import chain_lex_height, chain_reflections, descent_subsets
+from .alcove import chain_lex_height, descent_subsets
 from .chevalley import chevalley_table
 
 
@@ -146,17 +146,19 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
     if method == "chevalley":
         # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
         acc = GA()
+        chain = chain_lex_height(rs, lam_fund)
         for w in W.min_coset_reps(parabolic):
-            for u, g in chevalley_table(rs, lam_fund, w, sign=1).items():
+            table = chevalley_table(rs, lam_fund, w, sign=1, chain=chain)
+            for u, g in table.items():
                 lu = W.length[u]
-                acc = acc + g * Scalar.y(lu, (-1) ** lu)
+                acc = acc + g * Scalar.q(lu)
         return acc
     if method == "quotient":
         r = big_r(rs, lam_fund)
         den = Scalar.zero()
         for p in W.parabolic_elements(parabolic):
             lp = W.length[p]
-            den = den + Scalar.y(lp, (-1) ** lp)
+            den = den + Scalar.q(lp)
         out = {}
         for k, x in r.c.items():
             d = x.divide(den)
@@ -220,15 +222,14 @@ def hl_terms(rs, lam_fund, formula, chain=None):
     one_minus_t = Scalar.one() - t
     out = []
     for w in W.min_coset_reps(parabolic):
-        for u, J in descent_subsets(chain, w, ascending=formula == 1):
-            data = chain_reflections(chain, J)
+        for u, J, B in descent_subsets(chain, w, formula == 1, chain.walls):
             nj = len(J)
             if formula == 1:
                 power2 = W.length[w] + W.length[u] - nj
-                mu = W.act(w, data["rhat_Jlt"](lam))
+                mu = tuple(a + b for a, b in zip(W.act(u, lam), B))
             else:
                 power2 = 2 * horiz - W.length[w] - W.length[u] - nj
-                mu = W.act(u, data["rhat_Jlt"](lam))
+                mu = tuple(a - b for a, b in zip(W.act(w, lam), B))
             assert power2 % 2 == 0 and power2 >= 0
             coeff = Scalar.q(power2 // 2) * one_minus_t ** nj
             out.append((w, tuple(J), u, GA.term(mu, coeff)))

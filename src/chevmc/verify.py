@@ -60,8 +60,9 @@ def case_oracle_equivalence(family, rank, lam):
     rs = RootSystem(family, rank)
     W = rs.weyl()
     o = KOracle(rs)
+    chain = chain_lex_height(rs, tuple(lam))
     for w in range(W.n):
-        a = chevalley_table(rs, tuple(lam), w, sign=1)
+        a = chevalley_table(rs, tuple(lam), w, sign=1, chain=chain)
         b = o.expand_product(tuple(lam), w)
         for u in set(a) | set(b):
             if a.get(u, GA()) != b.get(u, GA()):
@@ -74,10 +75,13 @@ def case_oracle_equivalence(family, rank, lam):
 def case_methods_agree(family, rank, lam):
     rs = RootSystem(family, rank)
     W = rs.weyl()
+    chain = chain_lex_height(rs, tuple(lam))
     for w in range(W.n):
-        a = chevalley_table(rs, tuple(lam), w, sign=1, method="chain")
+        a = chevalley_table(rs, tuple(lam), w, sign=1, method="chain",
+                            chain=chain)
         b = chevalley_table(rs, tuple(lam), w, sign=1, method="bridge")
-        c = chevalley_table(rs, tuple(lam), w, sign=1, method="operator")
+        c = chevalley_table(rs, tuple(lam), w, sign=1, method="operator",
+                            chain=chain)
         for u in set(a) | set(b) | set(c):
             ga, gb, gc = (t.get(u, GA()) for t in (a, b, c))
             if not (ga == gb == gc):

@@ -10,7 +10,7 @@ from chevmc.alcove import (
     Hyperplane,
     chain_from_word,
     chain_lex_height,
-    chain_reflections,
+    descent_subsets,
     v_minus_lambda,
 )
 
@@ -86,24 +86,57 @@ def test_reverse():
         assert h == rev.hyperplane(j)
 
 
-def test_chain_reflections_identity():
-    rs = RootSystem("A", 2)
-    chain = chain_lex_height(rs, (2, 1))
-    data = chain_reflections(chain, ())
-    mu = rs.weight((1, -1))
-    assert data["rhat_Jlt"](mu) == mu
-    assert data["rtilde_Jgt"](mu) == mu
-    assert data["n_J"] == 0
+def _compose(rs, walls, order, x):
+    """r_{order[0]} ... r_{order[-1]}(x) with r_j the affine reflection in
+    walls[j - 1]; the rightmost reflection acts first."""
+    for j in reversed(order):
+        h = walls[j - 1]
+        x = rs.affine_reflect(x, h.root, h.level)
+    return x
 
 
-def test_chain_reflections_single():
-    rs = RootSystem("A", 2)
-    chain = chain_lex_height(rs, (1, 0))
-    for j in (1, 2):
-        data = chain_reflections(chain, (j,))
-        h = chain.hyperplane(j)
-        mu = rs.weight((2, -1))
-        assert data["rhat_Jlt"](mu) == h.reflect_weight(rs, mu)
+def _neg(v):
+    return tuple(-c for c in v)
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("family", ["A", "B", "G"])
+def test_descent_translation_matches_affine_reflections(family):
+    # every leaf weight read off the DFS translation B equals the explicit
+    # composition of affine reflections named by the chain formulas:
+    # r^_{J<} = r_{h_j1} ... r_{h_jt} and r~_{J>} = r_{h'_jt} ... r_{h'_j1}
+    rs = RootSystem(family, 2)
+    W = rs.weyl()
+    translated = 0  # leaves whose walls lie off the origin
+    for lam_fund in [(1, 0), (0, 1), (1, 1), (2, -1), (-1, 2), (-2, -1)]:
+        chain = chain_lex_height(rs, lam_fund)
+        lam = chain.lam
+        walls, far = chain.walls, chain.far_walls
+        for w in range(W.n):
+            for u, J, B in descent_subsets(chain, w, True, walls):
+                rhat = _compose(rs, walls, J, _neg(lam))
+                # Chevalley +lambda: mu = u(lambda) - B = -w r^_{J<}(-lambda)
+                assert _add(W.act(u, lam), _neg(B)) == _neg(W.act(w, rhat))
+                # HL formula 1 on this (-lambda')-chain, lambda' = -lambda:
+                # mu = u(lambda') + B = w r^_{J<}(lambda')
+                assert _add(W.act(u, _neg(lam)), B) == W.act(w, rhat)
+                translated += any(B)
+            for u, J, B in descent_subsets(chain, w, False, far):
+                rtilde = _compose(rs, far, J[::-1], lam)
+                # Chevalley -lambda: mu = -u(lambda) - B = -w r~_{J>}(lambda)
+                assert _add(_neg(W.act(u, lam)), _neg(B)) == _neg(
+                    W.act(w, rtilde)
+                )
+                translated += any(B)
+            for u, J, B in descent_subsets(chain, w, False, walls):
+                rhat = _compose(rs, walls, J, _neg(lam))
+                # HL formula 2: mu = w(lambda') - B = u r^_{J<}(lambda')
+                assert _add(W.act(w, _neg(lam)), _neg(B)) == W.act(u, rhat)
+                translated += any(B)
+    assert translated > 0
 
 
 def test_v_minus_lambda_word():

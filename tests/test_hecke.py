@@ -88,8 +88,11 @@ def test_t_inverse():
         t = ALG.basis(W.from_word((i,)))
         assert ALG.mul(t, ALG.t_simple_inverse(i)) == ALG.one()
     for w in range(W.n):
-        # T_{w^-1} . (T_{w^-1})^-1 = 1
-        assert ALG.mul(ALG.basis(W.inv[w]), ALG.t_winv_inverse(w)) == ALG.one()
+        # T_{w^-1} . T_{i_1}^-1 ... T_{i_l}^-1 = 1 along the word of w
+        inverse = ALG.one()
+        for i in W.word(w):
+            inverse = ALG.mul(inverse, ALG.t_simple_inverse(i))
+        assert ALG.mul(ALG.basis(W.inv[w]), inverse) == ALG.one()
 
 
 def test_theta_on_generators():
@@ -105,13 +108,18 @@ def test_t_mul_reduced():
     assert prod == ALG.basis(W.from_word((0, 1)))
 
 
-def test_transition_direct_vs_chain():
-    chain = chain_lex_height(RS, (2, 1))
-    for w in range(W.n):
-        for sign in (1, -1):
-            a = ALG.transition_chain(w, chain, sign)
-            b = ALG.transition_direct(w, tuple(sign * c for c in (2, 1)))
-            assert a == b, (w, sign)
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_transition_direct_vs_chain(label):
+    rs = RootSystem(label[0], int(label[1]))
+    weyl = rs.weyl()
+    alg = HeckeAlgebra(rs)
+    for lam in [(1, 0), (0, 1), (2, 1), (1, -2)]:
+        chain = chain_lex_height(rs, lam)
+        for w in range(weyl.n):
+            for sign in (1, -1):
+                a = alg.transition_chain(w, chain, sign)
+                b = alg.transition_direct(w, tuple(sign * c for c in lam))
+                assert a == b, (lam, w, sign)
 
 
 def test_transition_identity_weight_zero():
