@@ -1,26 +1,38 @@
-"""Exact character-ring arithmetic.
+"""Exact character-ring arithmetic on packed integer keys.
 
 Elements of the equivariant K-group of a point are Laurent polynomials
 e^mu with mu in the weight lattice and coefficients in Z[v, v^-1]
-(see params.py).  Weights are stored as integer tuples in the "fine"
-lattice: coordinates are h times the fundamental-weight coordinates,
-where h is the scaling constant of the ambient root system.  This keeps
-exponentials of mu/h integral for the operator formula while ordinary
-weights occupy the sublattice of coordinates divisible by h.
+(see params.py).  Weights are stored in the "fine" lattice: coordinates
+are h times the fundamental-weight coordinates, where h is the scaling
+constant of the ambient root system.  This keeps exponentials of mu/h
+integral for the operator formula while ordinary weights occupy the
+sublattice of coordinates divisible by h.
 
-GA is the one sparse exponent-tuple ring of the package: its addition,
-multiplication, equality, units and box-bounded exact division serve
-every subclass, which supplies only its coefficient operations and
-whether negative exponents are allowed.  csm.CohPoly, the polynomial
-ring on the fundamental weights with rational coefficients, is such a
-subclass.  `render_terms` joins the rendered terms of any of them.
+GA is the one ring of the package: a dict from a packed int key to an
+int coefficient, over Z in (x_1..x_r, v).  A key has r + 1 fields of
+FIELD = 20 bits, each an exponent plus the bias 2^(FIELD-1): the weight
+coordinates first (most significant), then the v exponent.  So a
+product of monomials is key + key - bias, the weight of a key is
+key >> FIELD, its v part key & MASK, integer order is lex order, and
+the rank is read off the bit length.  Exponents lie in [-LIMIT, LIMIT),
+LIMIT = 2^13, a 64th of the bias: sums and differences of exponents,
+and Weyl matrices (row sums below 64) applied to weights, never carry
+into the next field, and every product, quotient and transform raises
+ValueError on an exponent that leaves the range.
 
-Fractions keep their denominator in factored form; every arithmetic
-operation tries to cancel each denominator factor by exact division,
-which succeeds for the factor families that actually occur
-(1 - e^beta, 1 + y e^beta and monomials).  Equality falls back to
-cross-multiplication, so an unreduced fraction is never wrong, only
-slower.
+Scalar, the coefficient ring Z[v, v^-1], is the rank-0 case, with keys
+of the v field only, so a Scalar times a GA is the same key sum.
+csm.CohPoly, the polynomial ring on the fundamental weights, keeps
+rational coefficients on the same keys (v field 0).  `render_terms`
+joins the rendered terms of any of them.
+
+Frac is num / prod(den) over GA or CohPoly, kept only where a value is
+a genuine quotient (the Atiyah-Bott sum, dual bases, Segre classes and
+the specialfn operators).  Each operation cancels the denominator
+factors that divide exactly, which they do for the factor families
+that occur (1 - e^beta, 1 + y e^beta and monomials); equality falls
+back to cross-multiplication, so an unreduced fraction is never wrong,
+only slower.
 """
 
 from __future__ import annotations
@@ -28,19 +40,68 @@ from __future__ import annotations
 from bisect import insort
 from collections import Counter
 
-from .params import Scalar, ZERO, ONE
+FIELD = 20
+MASK = (1 << FIELD) - 1
+_HALF = 1 << (FIELD - 1)  # the bias of every field
+LIMIT = 1 << 13  # exponents lie in [-LIMIT, LIMIT)
+MAX_RANK = 15
 
 
-def _wadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+def _layout(rank):
+    """(bias, lo, bad) for keys with `rank` weight fields: bias has every
+    field at the bias; a key k is in range iff (k - lo) & bad == 0,
+    since then every field of k - lo lies in [0, 2 LIMIT)."""
+    n = rank + 1
+    bias = sum(_HALF << (FIELD * i) for i in range(n))
+    lo = sum((_HALF - LIMIT) << (FIELD * i) for i in range(n))
+    ok = sum((2 * LIMIT - 1) << (FIELD * i) for i in range(n))
+    return bias, lo, ~ok
+
+
+_LAYOUT = [_layout(r) for r in range(MAX_RANK + 1)]
+_BIAS = [lay[0] for lay in _LAYOUT]
+
+
+def _rank(key):
+    return (key.bit_length() - 1) // FIELD
+
+
+def _check(c, rank):
+    """Raise unless every key of `c` has all its exponents in range."""
+    _, lo, bad = _LAYOUT[rank]
+    if any(map(bad.__and__, map(lo.__rsub__, c))):
+        raise ValueError("exponent out of range [%d, %d)" % (-LIMIT, LIMIT))
+
+
+def _pack(weight):
+    """The weight fields of a key (without the v field)."""
+    if len(weight) > MAX_RANK:
+        raise ValueError("rank %d exceeds %d" % (len(weight), MAX_RANK))
+    k = 0
+    for e in weight:
+        if not -LIMIT <= e < LIMIT:
+            raise ValueError("exponent %d out of range [%d, %d)"
+                             % (e, -LIMIT, LIMIT))
+        k = (k << FIELD) + e + _HALF
+    return k
+
+
+def _weight(k, rank):
+    """The weight tuple of a key with `rank` weight fields."""
+    out = []
+    for _ in range(rank):
+        k >>= FIELD
+        out.append((k & MASK) - _HALF)
+    return tuple(reversed(out))
 
 
 def _wneg(a):
     return tuple(-x for x in a)
 
 
-def _wsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+def _int_div(a, b):
+    q, r = divmod(a, b)
+    return None if r else q
 
 
 def render_terms(terms, sep="*"):
@@ -69,85 +130,141 @@ def render_terms(terms, sep="*"):
 class GA:
     """An element of the group algebra Z[v,v^-1][weight lattice].
 
-    `c` maps a weight (tuple of fine-lattice coordinates) to a nonzero
-    Scalar coefficient.  A subclass with other coefficients overrides
-    the class constants below.
+    `c` maps a packed key (see the module docstring) to a nonzero
+    integer.  The constructor takes {weight: coefficient} or (weight,
+    coefficient) pairs, coefficients ints or Scalars; `terms` reads them
+    back.  A subclass with other coefficients overrides the class
+    constants and `_split`.
     """
 
     __slots__ = ("c",)
 
     laurent = True  # negative exponents allowed; units are monomials
-    _czero = ZERO
-    _cdiv = staticmethod(Scalar.divide)  # exact coefficient quotient or None
-    _cinv = staticmethod(Scalar.inverse)  # coefficient inverse or None
+    _scalars = (int,)  # what `*` scales the coefficients by
+    _cdiv = staticmethod(_int_div)  # exact coefficient quotient or None
+    _cinv = staticmethod(lambda x: x if x in (1, -1) else None)
 
     @staticmethod
-    def _coerce(x):
-        return Scalar.int(x) if isinstance(x, int) else x
+    def _split(coeff):
+        """(v field, integer) pairs of an int or Scalar coefficient."""
+        if isinstance(coeff, int):
+            return ((_HALF, coeff),)
+        return coeff.c.items()
 
-    def __init__(self, c=None):
-        self.c = {} if c is None else {k: x for k, x in c.items() if x}
-
-    @classmethod
-    def term(cls, weight, coeff=ONE):
-        return cls({tuple(weight): cls._coerce(coeff)})
-
-    @classmethod
-    def const(cls, coeff, rank):
-        return cls({(0,) * rank: cls._coerce(coeff)})
-
-    def __add__(self, other):
-        c = dict(self.c)
-        zero = self._czero
-        for k, x in other.c.items():
-            s = c.get(k, zero) + x
-            if s:
-                c[k] = s
-            elif k in c:
-                del c[k]
-        return type(self)(c)
-
-    def __neg__(self):
-        return type(self)({k: -x for k, x in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, GA):
-            # a coefficient or an int
-            return type(self)({k: x * other for k, x in self.c.items()})
+    def __init__(self, terms=()):
+        if hasattr(terms, "items"):
+            terms = terms.items()
         c = {}
-        zero = self._czero
-        for k1, x1 in self.c.items():
-            for k2, x2 in other.c.items():
-                k = _wadd(k1, k2)
-                s = c.get(k, zero) + x1 * x2
+        for weight, coeff in terms:
+            wk = _pack(weight) << FIELD
+            for vk, x in self._split(coeff):
+                k = wk + vk
+                s = c.get(k, 0) + x
                 if s:
                     c[k] = s
                 elif k in c:
                     del c[k]
-        return type(self)(c)
+        self.c = c
+
+    @classmethod
+    def _new(cls, c):
+        g = cls.__new__(cls)
+        g.c = c
+        return g
+
+    @classmethod
+    def term(cls, weight, coeff=1):
+        wk = _pack(weight) << FIELD
+        return cls._new({wk + vk: x for vk, x in cls._split(coeff) if x})
+
+    @classmethod
+    def const(cls, coeff, rank):
+        return cls((((0,) * rank, coeff),))
+
+    def rank(self):
+        """The number of weight fields; 0 for the zero element."""
+        return _rank(next(iter(self.c))) if self.c else 0
+
+    def __add__(self, other):
+        if not isinstance(other, GA):
+            return NotImplemented
+        c = self.c.copy()
+        for k, x in other.c.items():
+            s = c.get(k, 0) + x
+            if s:
+                c[k] = s
+            else:
+                del c[k]
+        return type(self)._new(c)
+
+    def __neg__(self):
+        return type(self)._new({k: -x for k, x in self.c.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, GA):
+            return NotImplemented
+        c = self.c.copy()
+        for k, x in other.c.items():
+            s = c.get(k, 0) - x
+            if s:
+                c[k] = s
+            else:
+                del c[k]
+        return type(self)._new(c)
+
+    def __mul__(self, other):
+        if isinstance(other, GA):
+            # a Scalar is the rank-0 case: the product has the other type
+            cls = type(other) if type(self) is Scalar else type(self)
+            a, b = self.c, other.c
+            if not a or not b:
+                return cls._new({})
+            ra, rb = _rank(next(iter(a))), _rank(next(iter(b)))
+            bias = _BIAS[min(ra, rb)]
+            if len(a) > len(b):  # the longer loop inside
+                a, b = b, a
+            c = {}
+            get = c.get
+            for k1, x1 in a.items():
+                k1 -= bias
+                for k2, x2 in b.items():
+                    k = k1 + k2
+                    s = get(k, 0) + x1 * x2
+                    if s:
+                        c[k] = s
+                    else:
+                        del c[k]
+            _check(c, max(ra, rb))
+            return cls._new(c)
+        if isinstance(other, self._scalars):
+            if not other:
+                return type(self)._new({})
+            return type(self)._new({k: x * other for k, x in self.c.items()})
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative powers: invert explicitly")
-        rank = len(next(iter(self.c))) if self.c else 0
-        out = self.const(1, rank)
+        out = type(self)._new({_BIAS[self.rank()]: 1})
         base = self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
+        if isinstance(other, GA):
+            return self.c == other.c
         if isinstance(other, int):
-            other = self.const(other, len(next(iter(self.c))) if self.c else 0)
-        return self.c == other.c
+            if not other:
+                return not self.c
+            return self.c == {_BIAS[self.rank()]: other}
+        return NotImplemented
 
     def __hash__(self):
         return hash(frozenset(self.c.items()))
@@ -161,102 +278,146 @@ class GA:
         if len(self.c) != 1:
             return None
         (k, x), = self.c.items()
-        if not self.laurent and any(k):
+        r = _rank(k)
+        if not self.laurent and k != _BIAS[r]:
             return None
         inv = self._cinv(x)
-        return None if inv is None else type(self)({_wneg(k): inv})
+        if inv is None:
+            return None
+        c = {2 * _BIAS[r] - k: inv}
+        _check(c, r)
+        return type(self)._new(c)
+
+    def terms(self):
+        """(weight tuple, Scalar coefficient) pairs, weights ascending."""
+        r = self.rank()
+        groups = {}
+        for k in sorted(self.c):
+            groups.setdefault(k >> FIELD, {})[k & MASK] = self.c[k]
+        return [(_weight(wk << FIELD, r), Scalar._new(vc))
+                for wk, vc in groups.items()]
 
     # -- lattice / Weyl operations ------------------------------------
-    def map_weights(self, f):
+    def transform(self, mat):
+        """e^mu -> e^{mat mu} for an integer matrix: each key moves by
+        mu_j times the packed column j of `mat`."""
+        r = self.rank()
+        if max(sum(map(abs, row)) for row in mat) * LIMIT >= _HALF:
+            raise ValueError("matrix too large for the packed fields")
+        cols = [sum(mat[i][j] << (FIELD * (r - i)) for i in range(r))
+                for j in reversed(range(r))]
+        base = _BIAS[r] - _HALF
         c = {}
         for k, x in self.c.items():
-            kk = f(k)
-            s = c.get(kk, ZERO) + x
+            kk = base + (k & MASK)
+            for col in cols:
+                k >>= FIELD
+                kk += ((k & MASK) - _HALF) * col
+            s = c.get(kk, 0) + x
             if s:
                 c[kk] = s
-            elif kk in c:
+            else:
                 del c[kk]
-        return GA(c)
+        _check(c, r)
+        return type(self)._new(c)
+
+    def _negate(self, weights, v):
+        """Negate the weight exponents and/or the v exponent."""
+        r = self.rank()
+        bias = _BIAS[r]
+        c = {}
+        for k, x in self.c.items():
+            vk = k & MASK
+            if weights:  # every field negated, then the v field restored
+                k = 2 * bias - k + 2 * (vk - _HALF)
+            if v:
+                k += 2 * (_HALF - vk)
+            c[k] = x
+        _check(c, r)
+        return type(self)._new(c)
 
     def dual_vee(self):
         """e^mu -> e^-mu, y -> y^-1 (equivalently v -> v^-1)."""
-        return GA({_wneg(k): x.v_inverse() for k, x in self.c.items()})
+        return self._negate(True, True)
 
     def star(self):
         """e^mu -> e^-mu, parameters fixed."""
-        return GA({_wneg(k): x for k, x in self.c.items()})
+        return self._negate(True, False)
 
     def y_inverse(self):
-        return GA({k: x.v_inverse() for k, x in self.c.items()})
+        return self._negate(False, True)
 
     # -- division -----------------------------------------------------
-    def leading(self):
-        k = max(self.c)
-        return k, self.c[k]
-
     def exact_div(self, other):
         """Exact quotient self/other, or None when not divisible.
 
-        An exact quotient q of Laurent polynomials satisfies, coordinate
-        by coordinate, max(q) = max(self) - max(other) and likewise for
-        min (the extreme monomials of a product never cancel), so every
-        quotient monomial lies in that box, cut at 0 in a polynomial
-        ring; a reduction step that leaves the box proves
-        indivisibility, and steps inside it are finitely many since the
-        leading monomial strictly decreases.
+        An exact quotient q of Laurent polynomials satisfies, field by
+        field, max(q) = max(self) - max(other) and likewise for min (the
+        extreme monomials of a product never cancel), so every quotient
+        monomial lies in that box, cut at 0 in a polynomial ring; a
+        reduction step that leaves the box proves indivisibility, and
+        steps inside it are finitely many since the leading key strictly
+        decreases.  The box test is two packed subtractions: every field
+        difference is far below the bias in size, so a negative one
+        borrows and sets the top bit of its field.
         """
         if not other:
             raise ZeroDivisionError
-        if not self:
-            return type(self)()
-        n = len(next(iter(self.c)))
-        qmax = tuple(
-            max(k[i] for k in self.c) - max(k[i] for k in other.c)
-            for i in range(n)
-        )
-        qmin = tuple(
-            min(k[i] for k in self.c) - min(k[i] for k in other.c)
-            for i in range(n)
-        )
-        if not self.laurent:
-            qmin = tuple(max(q, 0) for q in qmin)
-        if any(a > b for a, b in zip(qmin, qmax)):
-            return None
-        rem = dict(self.c)
-        # the remainder's monomials in ascending order; a popped monomial
-        # no longer in `rem` was cancelled (or is a duplicate) and is skipped
+        a, d = self.c, other.c
+        if not a:
+            return type(self)._new({})
+        r = _rank(next(iter(a)))
+        bias = _BIAS[r]
+        lok = hik = 0
+        for s in range(0, FIELD * (r + 1), FIELD):
+            fa = [(k >> s) & MASK for k in a]
+            fd = [(k >> s) & MASK for k in d]
+            lo = min(fa) - min(fd)
+            hi = max(fa) - max(fd)
+            if not self.laurent:
+                lo = max(lo, 0)
+            if lo > hi:
+                return None
+            lok += (lo + _HALF) << s
+            hik += (hi + _HALF) << s
+        test = bias | (1 << (FIELD * (r + 1)))
+        rem = dict(a)
         order = sorted(rem)
-        dk, dc = other.leading()
+        dk = max(d)
+        dc = d[dk]
+        shift = bias - dk
+        rest = [(k - bias, x) for k, x in d.items() if k != dk]
         div = self._cdiv
-        zero = self._czero
         quot = {}
         while rem:
             rk = order.pop()
-            if rk not in rem:
+            x = rem.pop(rk, None)
+            if x is None:
                 continue
-            qc = div(rem[rk], dc)
+            qc = div(x, dc)
             if qc is None:
                 return None
-            qk = _wsub(rk, dk)
-            if any(c < lo or c > hi for c, lo, hi in zip(qk, qmin, qmax)):
+            qk = rk + shift
+            if ((qk - lok) | (hik - qk)) & test:
                 return None
-            quot[qk] = quot.get(qk, zero) + qc
-            for k, x in other.c.items():
-                kk = _wadd(k, qk)
-                s = rem.get(kk, zero) - qc * x
+            quot[qk] = qc
+            for k, dx in rest:
+                kk = k + qk
+                s = rem.get(kk, 0) - qc * dx
                 if s:
                     if kk not in rem:
                         insort(order, kk)
                     rem[kk] = s
-                elif kk in rem:
+                else:
                     del rem[kk]
-        return type(self)(quot)
+        _check(quot, r)
+        return type(self)._new(quot)
 
     # -- display ------------------------------------------------------
     def render(self, names=None, scale=1, var=None):
         """Render with weights divided by `scale` (the lattice constant h)."""
         terms = []
-        for k in sorted(self.c, reverse=True):
+        for k, x in reversed(self.terms()):
             exps = []
             for i, e in enumerate(k):
                 if not e:
@@ -268,7 +429,6 @@ class GA:
                 nm = names[i] if names else "w%d" % (i + 1)
                 exps.append("%s*%s" % (es, nm) if es != "1" else nm)
             mono = "e^{%s}" % "+".join(exps).replace("+-", "-") if exps else "1"
-            x = self.c[k]
             terms.append((x.render(var=var), len(x.c) == 1, mono))
         return render_terms(terms)
 
@@ -276,22 +436,128 @@ class GA:
         return "%s(%s)" % (type(self).__name__, self.render())
 
     def to_json(self):
-        return [
-            {"weight": list(k), "coeff": x.to_json()}
-            for k, x in sorted(self.c.items())
-        ]
+        return [{"weight": list(k), "coeff": x.to_json()}
+                for k, x in self.terms()]
 
     @staticmethod
     def from_json(items):
-        return GA(
-            {tuple(d["weight"]): Scalar.from_json(d["coeff"]) for d in items}
-        )
+        return GA((tuple(d["weight"]), Scalar.from_json(d["coeff"]))
+                  for d in items)
+
+
+class Scalar(GA):
+    """A Laurent polynomial in v with integer coefficients: the rank-0
+    case of GA, whose keys hold only the v field.  The constructor takes
+    {v exponent: integer coefficient}."""
+
+    __slots__ = ()
+
+    def __init__(self, c=None):
+        self.c = {_pack((n,)): x for n, x in c.items() if x} if c else {}
+
+    # -- constructors -------------------------------------------------
+    @staticmethod
+    def zero():
+        return Scalar()
+
+    @staticmethod
+    def one():
+        return Scalar.v(0)
+
+    @staticmethod
+    def int(n):
+        return Scalar.v(0, n)
+
+    @staticmethod
+    def v(n=1, coeff=1):
+        return Scalar({n: coeff})
+
+    @staticmethod
+    def q(n=1, coeff=1):
+        """coeff * q^n  (q = v^2; n may be a half-integer times 2 via v)."""
+        return Scalar({2 * n: coeff})
+
+    @staticmethod
+    def y(n=1, coeff=1):
+        """coeff * y^n  (y = -v^2)."""
+        return Scalar({2 * n: -coeff if n % 2 else coeff})
+
+    inverse = GA.unit_inverse
+
+    def _exps(self):
+        """{v exponent: coefficient}."""
+        return {k - _HALF: x for k, x in self.c.items()}
+
+    # -- substitutions ------------------------------------------------
+    def v_inverse(self):
+        """v -> v^-1.  Restricts to y -> y^-1, q -> q^-1, y -> -q^-1
+        on the even part, which is how all of those substitutions are
+        realized."""
+        return self.y_inverse()
+
+    def is_even(self):
+        """True when every power of v is even, i.e. the scalar lies in
+        the subring Z[y, y^-1] = Z[q, q^-1]."""
+        return all(k % 2 == 0 for k in self.c)
+
+    def y_coeffs(self):
+        """Return {y-exponent: coefficient}; requires an even scalar."""
+        return {n: -x if n % 2 else x for n, x in self.q_coeffs().items()}
+
+    def q_coeffs(self):
+        """Return {q-exponent: coefficient}; requires an even scalar."""
+        if not self.is_even():
+            raise ValueError("scalar has odd v-powers: %s" % self)
+        return {k // 2: x for k, x in self._exps().items()}
+
+    def t_coeffs(self):
+        """Return {t-exponent: coefficient} under t = -y = q."""
+        return self.q_coeffs()
+
+    # -- display ------------------------------------------------------
+    def render(self, var=None):
+        """Render in terms of y (default when even), q, t or raw v."""
+        if not self.c:
+            return "0"
+        if var is None:
+            var = "y" if self.is_even() else "v"
+        if var in ("y", "q", "t") and self.is_even():
+            coeffs = {"y": self.y_coeffs, "q": self.q_coeffs, "t": self.t_coeffs}[var]()
+        else:
+            var = "v"
+            coeffs = self._exps()
+        parts = []
+        for n in sorted(coeffs, reverse=True):
+            a = coeffs[n]
+            if n == 0:
+                parts.append(("+" if a >= 0 else "-") + str(abs(a)))
+                continue
+            mono = var if n == 1 else "%s^%d" % (var, n)
+            if a == 1:
+                parts.append("+" + mono)
+            elif a == -1:
+                parts.append("-" + mono)
+            else:
+                parts.append(("+" if a >= 0 else "-") + str(abs(a)) + "*" + mono)
+        s = " ".join(parts)
+        return s[1:] if s.startswith("+") else s
+
+    def __repr__(self):
+        return "Scalar(%s)" % self.render()
+
+    def to_json(self):
+        return {str(k): x for k, x in sorted(self._exps().items())}
+
+    @staticmethod
+    def from_json(d):
+        return Scalar({int(k): x for k, x in d.items()})
 
 
 class Frac:
     """num / prod(den) over a polynomial ring: GA in K-theory, CohPoly in
     cohomology.  The ring supplies `exact_div`, `unit_inverse` and
-    `const`; everything else here is ring-independent."""
+    `const`; everything else here is ring-independent.  Arithmetic with
+    a plain ring element on either side treats it as a fraction."""
 
     __slots__ = ("num", "den")
 
@@ -300,6 +566,10 @@ class Frac:
             den = ()
         self.num = num
         self.den = tuple(den)
+
+    @staticmethod
+    def lift(x):
+        return x if isinstance(x, Frac) else Frac(x)
 
     def _reduce(self):
         """Cancel denominator factors that divide the numerator exactly."""
@@ -320,6 +590,7 @@ class Frac:
         return Frac(num, kept)
 
     def __add__(self, other):
+        other = Frac.lift(other)
         if not other.num:
             return self
         if not self.num:
@@ -336,14 +607,19 @@ class Frac:
             n2 = n2 * f
         return Frac(n1 + n2, tuple(lcm.elements()))._reduce()
 
+    __radd__ = __add__
+
     def __neg__(self):
         return Frac(-self.num, self.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self + (-Frac.lift(other))
+
+    def __rsub__(self, other):
+        return Frac.lift(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, type(self.num)):
+        if type(other) is type(self.num):
             other = Frac(other)
         elif not isinstance(other, Frac):
             # a coefficient scalar
@@ -355,15 +631,16 @@ class Frac:
     def inverse(self):
         if not self.num:
             raise ZeroDivisionError
-        den = self.num.const(1, len(next(iter(self.num.c))))
+        den = self.num.const(1, self.num.rank())
         for f in self.den:
             den = den * f
         return Frac(den, (self.num,))._reduce()
 
     def __truediv__(self, other):
-        if isinstance(other, type(self.num)):
-            other = Frac(other)
-        return self * other.inverse()
+        return self * Frac.lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return Frac.lift(other) / self
 
     def __bool__(self):
         return bool(self.num)
@@ -371,8 +648,6 @@ class Frac:
     def __eq__(self, other):
         if isinstance(other, int) and other == 0:
             return not self.num
-        if isinstance(other, type(self.num)):
-            other = Frac(other)
         return not (self - other).num
 
     def __hash__(self):

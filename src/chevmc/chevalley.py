@@ -17,6 +17,8 @@ dominant weights live here as well.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .params import Scalar
 from .charring import GA
 from .alcove import chain_lex_height, descent_subsets
@@ -24,6 +26,16 @@ from .alcove import chain_lex_height, descent_subsets
 
 def _one_plus_y():
     return Scalar.int(1) + Scalar.y(1)
+
+
+@lru_cache(maxsize=1024)
+def _term_coeff(t, dl, odd, positive):
+    """(-(1+y))^t q^{dl/2} for +lambda, (1+y)^t q^{dl/2} for -lambda,
+    negated when an odd number of the chosen roots is negative.  Ring
+    elements are never changed in place, so callers share the result."""
+    base = -_one_plus_y() if positive else _one_plus_y()
+    coeff = base ** t * Scalar.q(dl // 2)
+    return -coeff if odd else coeff
 
 
 def chevalley_terms(chain, w, sign):
@@ -39,30 +51,39 @@ def chevalley_terms(chain, w, sign):
     rs = chain.rs
     W = rs.weyl()
     lam = chain.lam
-    one_plus_y = _one_plus_y()
-    if sign > 0:
-        walls, base, lam_sign = chain.walls, -one_plus_y, 1
-    else:
-        walls, base, lam_sign = chain.far_walls, one_plus_y, -1
+    positive = sign > 0
+    walls = chain.walls if positive else chain.far_walls
+    lam_sign = 1 if positive else -1
+    negative = [not b.positive for b in chain.betas]
     terms = []
-    for u, J, B in descent_subsets(chain, w, sign > 0, walls):
+    for u, J, B in descent_subsets(chain, w, positive, walls):
         t = len(J)
         dl = W.length[w] - W.length[u] - t
         assert dl % 2 == 0, "parity failure in the Chevalley formula"
         mu = tuple(lam_sign * a - b for a, b in zip(W.act(u, lam), B))
-        coeff = base ** t * Scalar.q(dl // 2)
-        if sum(1 for j in J if not chain.betas[j - 1].positive) % 2:
-            coeff = -coeff
-        terms.append((u, J, mu, coeff))
+        odd = sum(negative[j - 1] for j in J) % 2
+        terms.append((u, J, mu, _term_coeff(t, dl, odd, positive)))
     return terms
+
+
+def _sum_by_u(terms):
+    """{u: GA} summing (u, weight, coefficient) triples, one dict per u."""
+    by_u = {}
+    for u, mu, coeff in terms:
+        by_u.setdefault(u, []).append((mu, coeff))
+    out = {}
+    for u, pairs in by_u.items():
+        g = GA(pairs)
+        if g:
+            out[u] = g
+    return out
 
 
 def chevalley_chain(chain, w, sign):
     """C^w_{u, sign*lambda} as {u: GA} from a chain for +lambda."""
-    out = {}
-    for u, J, mu, coeff in chevalley_terms(chain, w, sign):
-        out[u] = out.get(u, GA()) + GA.term(mu, coeff)
-    return {u: g for u, g in out.items() if g}
+    return _sum_by_u(
+        (u, mu, coeff) for u, _J, mu, coeff in chevalley_terms(chain, w, sign)
+    )
 
 
 def chevalley_bridge(halg, w, lam_fund, sign):
@@ -74,12 +95,10 @@ def chevalley_bridge(halg, w, lam_fund, sign):
     """
     W = halg.W
     table = halg.transition_direct(w, tuple(sign * -c for c in lam_fund))
-    out = {}
-    for (u, mu), c in table.items():
-        dl = W.length[w] - W.length[u]
-        g = GA.term(tuple(-m for m in mu), c * Scalar.y(dl))
-        out[u] = out.get(u, GA()) + g
-    return {u: g for u, g in out.items() if g}
+    return _sum_by_u(
+        (u, tuple(-m for m in mu), c * Scalar.y(W.length[w] - W.length[u]))
+        for (u, mu), c in table.items()
+    )
 
 
 def chevalley_operator(chain, w):
@@ -185,12 +204,12 @@ def chevalley_parabolic(rs, lam_fund, w, parabolic, method="chain"):
 def _iota(rs, g):
     """iota = w0 o *: e^mu -> e^{-w0 mu}, parameters fixed."""
     W = rs.weyl()
-    return g.map_weights(lambda k: tuple(-c for c in W.act(W.w0, k)))
+    return g.transform([[-x for x in row] for row in W.mats[W.w0]])
 
 
 def _w0_act(rs, g):
     W = rs.weyl()
-    return g.map_weights(lambda k: W.act(W.w0, k))
+    return g.transform(W.mats[W.w0])
 
 
 def duality_check(rs, lam_fund, w, u, kind, table_fn):
@@ -209,7 +228,7 @@ def duality_check(rs, lam_fund, w, u, kind, table_fn):
         rhs = _w0_act(rs, t.dual_vee()) * Scalar.q(dl)
     elif kind == "star":
         t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
-        rhs = _iota(rs, t) * ((-1) ** dl)
+        rhs = _iota(rs, t) * (-1 if dl % 2 else 1)
     elif kind == "dynkin":
         nlam = rs.weight_user(
             tuple(-c for c in W.act(w0, rs.weight(lam_fund)))
@@ -221,7 +240,7 @@ def duality_check(rs, lam_fund, w, u, kind, table_fn):
     elif kind == "star_dynkin":
         w0lam = rs.weight_user(W.act(w0, rs.weight(lam_fund)))
         t = table_fn(W.mul(u, w0), w0lam, 1).get(W.mul(w, w0), GA())
-        rhs = t * ((-1) ** dl)
+        rhs = t * (-1 if dl % 2 else 1)
     elif kind == "palindromic":
         rhs = lhs.y_inverse() * Scalar.y(dl)
     else:

@@ -162,8 +162,7 @@ def _latex_weight(rs, fine):
 
 def _latex_ga(rs, g, var):
     terms = []
-    for k in sorted(g.c, reverse=True):
-        x = g.c[k]
+    for k, x in reversed(g.terms()):
         mono = "e^{%s}" % _latex_weight(rs, k) if any(k) else "1"
         terms.append((_latex_scalar(x, var), len(x.c) == 1, mono))
     return render_terms(terms, sep=" ")
@@ -191,14 +190,13 @@ def _epsilon_render(rs, table):
     for u in sorted(table):
         terms = []
         g = table[u]
-        for k in sorted(g.c, reverse=True):
+        for k, x in reversed(g.terms()):
             fund = [c / rs.h for c in k]
             partial = [sum(fund[j:]) for j in range(rs.rank)] + [0.0]
             eps = ",".join(
                 str(int(c)) if float(c).is_integer() else str(c)
                 for c in partial
             )
-            x = g.c[k]
             terms.append((x.render(), len(x.c) == 1, "x^(%s)" % eps))
         lines.append("C[u=%s] = %s" % (W.word_str(u), render_terms(terms)))
     return "\n".join(lines)
@@ -377,8 +375,8 @@ def _cmd_csm(args, out):
         {
             "u": W.word_str(u),
             "value": [
-                {"exponents": list(k), "coeff": str(table[u].c[k])}
-                for k in sorted(table[u].c)
+                {"exponents": list(k), "coeff": str(x)}
+                for k, x in table[u].terms()
             ],
         }
         for u in sorted(table)
@@ -440,7 +438,7 @@ def _cmd_search_positivity(args, out):
         for w in range(W.n):
             table = chevalley_table(rs, lam, w, sign=1, chain=chain)
             for u, g in table.items():
-                for k, x in g.c.items():
+                for k, x in g.terms():
                     checked += 1
                     coeffs = x.y_coeffs()
                     if any(c < 0 for c in coeffs.values()) and any(

@@ -2,7 +2,7 @@
 
 CohPoly, the polynomial ring on the fundamental-weight linear forms,
 is a subclass of the character ring charring.GA: it inherits all of
-GA's arithmetic and exact division and supplies only its Fraction
+GA's arithmetic and exact division and supplies only its rational
 coefficients, the polynomial (not Laurent) exponent range, linear
 forms, the Weyl action and its monomial format.  On it sit a
 localization model of H_T*(G/B) (the shared core of localization.py
@@ -19,36 +19,56 @@ Schubert cells, and the first-Chern-class Chevalley formula
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import truediv
 
-from .charring import GA, Frac, render_terms
+from .charring import GA, _HALF, _weight, render_terms
 from .localization import Localization
+
+
+def _rational(x):
+    """x as an int when it is integral, otherwise as a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _qdiv(a, b):
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _rational(Fraction(a) / b)
 
 
 class CohPoly(GA):
     """Polynomial in the fundamental weights with rational coefficients.
 
-    `c` maps an exponent tuple (one slot per fundamental weight) to a
-    nonzero Fraction.  Arithmetic and exact division are GA's.
+    `c` maps a packed key of GA (with its v field 0) to a nonzero
+    rational: an int where a constructor or a quotient is integral, so
+    that the integral classes of the oracle stay in int arithmetic, a
+    Fraction otherwise.  Arithmetic and exact division are GA's.
     """
 
     __slots__ = ()
 
     laurent = False  # exponents >= 0; only nonzero constants are units
-    _czero = Fraction(0)
-    _coerce = Fraction
-    _cdiv = staticmethod(truediv)
-    _cinv = staticmethod(lambda x: 1 / x)
+    _scalars = (int, Fraction)
+    _cdiv = staticmethod(_qdiv)
+    _cinv = staticmethod(lambda x: _qdiv(1, x))
+
+    @staticmethod
+    def _split(coeff):
+        return ((_HALF, _rational(coeff)),)
+
+    def terms(self):
+        """(exponent tuple, rational) pairs, exponents ascending."""
+        r = self.rank()
+        return [(_weight(k, r), self.c[k]) for k in sorted(self.c)]
 
     @staticmethod
     def linear(fund_coords):
         """The linear form sum c_i varpi_i."""
         r = len(fund_coords)
-        c = {}
-        for i, a in enumerate(fund_coords):
-            if a:
-                c[tuple(1 if j == i else 0 for j in range(r))] = Fraction(a)
-        return CohPoly(c)
+        return CohPoly(
+            (tuple(1 if j == i else 0 for j in range(r)), a)
+            for i, a in enumerate(fund_coords)
+        )
 
     def act(self, W, w):
         """The Weyl action through the fundamental-coordinate matrices."""
@@ -59,7 +79,7 @@ class CohPoly(GA):
             for j in range(r)
         ]
         out = CohPoly()
-        for k, x in self.c.items():
+        for k, x in self.terms():
             term = CohPoly.const(x, r)
             for j, e in enumerate(k):
                 for _ in range(e):
@@ -69,13 +89,13 @@ class CohPoly(GA):
 
     def render(self):
         terms = []
-        for k in sorted(self.c, reverse=True):
+        for k, x in reversed(self.terms()):
             mono = "*".join(
                 ("w%d" % (i + 1)) if e == 1 else "w%d^%d" % (i + 1, e)
                 for i, e in enumerate(k)
                 if e
             )
-            terms.append((str(self.c[k]), True, mono or "1"))
+            terms.append((str(x), True, mono or "1"))
         return render_terms(terms)
 
 
@@ -153,9 +173,9 @@ class CohOracle(Localization):
         return p.act(self.W, w)
 
     def _dl_coeffs(self, i):
-        """T_i = ((alpha_i + 1)/alpha_i) s_i^L - 1/alpha_i."""
+        """T_i = ((alpha_i + 1) s_i^L - 1) / alpha_i."""
         ai = _simple_root(self.rs, i)
-        return Frac(ai + self._one(), (ai,)), Frac(self._one(), (ai,))
+        return ai + self._one(), 1, ai
 
     csm = Localization.cell_class  # c_SM(X(w)^o)
     sm_y = Localization.dual_class  # s_M(Y(u)^o), dual to the CSM classes
@@ -168,7 +188,7 @@ class CohOracle(Localization):
         for v in range(W.n):
             p = lam.act(W, v)
             if p:
-                out[v] = Frac(p)
+                out[v] = p
         return out
 
     def expand_chern_product(self, lam_fund, w):

@@ -1,13 +1,21 @@
 """Fixed-point localization on G/B, shared by K-theory and cohomology.
 
-A class is stored by its restrictions to the torus fixed points e_w,
-each restriction a Frac over the theory's ring.  The two theories differ
-only in that ring, in the Euler factor of a tangent weight, in the two
-coefficients of the left Demazure-Lusztig operator and in how the Weyl
-group acts on ring elements; a subclass supplies those, and this class
-does the rest: the operator recursion for the classes of Schubert
-cells, the Atiyah-Bott sum, the dual basis by triangular inversion and
-the expansion of a class in the cell basis.
+A class is stored by its restrictions to the torus fixed points e_w, as
+a dict {w: ring element}; the ring is charring.GA (packed keys, int
+coefficients) in K-theory and csm.CohPoly in cohomology.  The two
+theories differ only in that ring, in the Euler factor of a tangent
+weight, in the three ring elements of the left Demazure-Lusztig
+operator and in how the Weyl group acts on ring elements; a subclass
+supplies those, and this class does the rest: the operator recursion
+for the classes of Schubert cells, the Atiyah-Bott sum, the dual basis
+by triangular inversion and the expansion of a class in the cell basis.
+
+The operator recursion and the expansion in the cell basis stay in the
+ring: each step is one exact division, polynomial by theory and
+asserted so.  Frac appears only where a value is a genuine quotient:
+the Atiyah-Bott sum (`integral`, `pair`) and the dual basis; a
+Frac-valued class (Segre classes, pushforwards) mixes freely with
+ring-valued ones in `add`, `mul` and `classes_equal`.
 """
 
 from __future__ import annotations
@@ -37,9 +45,6 @@ class Localization:
         self._cells = {}
         self._dual = None
 
-    def _zero(self):
-        return Frac(self.ring())
-
     def _one(self):
         return self.ring.const(1, self.rank)
 
@@ -49,7 +54,7 @@ class Localization:
         g = self._one()
         for f in self._eul[0]:
             g = g * f
-        return {0: Frac(g)}
+        return {0: g}
 
     def mul(self, F, G):
         out = {}
@@ -63,36 +68,39 @@ class Localization:
     def add(self, F, G):
         out = dict(F)
         for w, g in G.items():
-            s = out.get(w, self._zero()) + g
+            s = out[w] + g if w in out else g
             if s:
                 out[w] = s
-            elif w in out:
-                del out[w]
+            else:
+                out.pop(w, None)
         return out
 
     def classes_equal(self, F, G):
-        z = self._zero()
+        z = self.ring()
         return all(F.get(v, z) == G.get(v, z) for v in set(F) | set(G))
 
     # -- Demazure-Lusztig ----------------------------------------------
     def dl_left(self, i, F):
-        """The left Demazure-Lusztig operator T_i = c1 s_i^L - c2:
+        """The left Demazure-Lusztig operator T_i = (a s_i^L - b) / d on
+        a ring-valued class, with (a, b, d) = `_dl_coeffs(i)`:
 
-            (T_i F)|_w = c1 s_i(F|_{s_i w}) - c2 F|_w
+            (T_i F)|_w = (a s_i(F|_{s_i w}) - b F|_w) / d,
+
+        an exact division for every class of the theory.
         """
         W = self.W
-        c1, c2 = self._dl_coeffs(i)
+        a, b, d = self._dl_coeffs(i)
         si = W.from_word((i,))
         out = {}
         for w in range(W.n):
             sw = W.mul(si, w)
-            acc = self._zero()
-            if sw in F:
-                acc = acc + c1 * F[sw].map(lambda g: self._act(si, g))
+            acc = a * self._act(si, F[sw]) if sw in F else self.ring()
             if w in F:
-                acc = acc - c2 * F[w]
+                acc = acc - b * F[w]
             if acc:
-                out[w] = acc
+                g = acc.exact_div(d)
+                assert g is not None, "Demazure-Lusztig step is not polynomial"
+                out[w] = g
         return out
 
     def cell_class(self, w):
@@ -111,8 +119,9 @@ class Localization:
     # -- Atiyah-Bott sum and the dual basis ----------------------------
     def _integrate(self, F, eul):
         """sum_w F|_w / prod(eul[w]), which must be a polynomial."""
-        acc = self._zero()
+        acc = Frac(self.ring())
         for w, f in F.items():
+            f = Frac.lift(f)
             acc = acc + Frac(f.num, f.den + eul[w])
         g = acc.as_poly()
         assert g is not None, "localization sum is not polynomial"
@@ -172,22 +181,22 @@ class Localization:
             return self._expand_by_pairing(F, points, dual, self._eul)
         if method != "solve":
             raise ValueError("unknown method %r" % method)
-        # triangular solve against the cell basis, top length first
+        # triangular solve against the cell basis, top length first:
+        # the coefficient at v is rem|_v over the diagonal cell(v)|_v
         rem = dict(F)
         out = {}
         for v in reversed(range(W.n)):
             if v not in rem:
                 continue
             cv = self.cell_class(v)
-            coeff = rem[v] / cv[v]
-            g = coeff.as_poly()
+            g = rem[v].exact_div(cv[v])
             assert g is not None, "non-polynomial Chevalley coefficient"
             out[v] = g
             for x, f in cv.items():
-                s = rem.get(x, self._zero()) - f * coeff
+                s = rem[x] - f * g if x in rem else -(f * g)
                 if s:
                     rem[x] = s
-                elif x in rem:
+                else:
                     del rem[x]
         assert not rem, "expansion left a remainder"
         return out

@@ -9,6 +9,13 @@ expansion of a line bundle times a motivic class in the motivic basis.
 Everything here is independent of the lambda-chain combinatorics, so
 agreement with the chain formulas is a genuine cross-check.
 
+Line bundles, MC classes and the expansion are polynomial: their
+restrictions are GA elements (packed keys, see charring.py), and the
+Demazure-Lusztig step and the triangular solve are exact divisions.
+Frac wraps them only where a value is a genuine quotient: Segre
+classes (`smc`, `smc_def`), `mc_prime`, `pushforward` and the affine
+Hecke operator `StableBasis.hecke_T`.
+
 The stable-basis layer of the cotangent bundle lives at the end of the
 file; it is the only place where half powers of q (odd powers of v)
 occur.
@@ -39,34 +46,29 @@ class KOracle(Localization):
         return self._one() - GA.term(self.W.act(w, self._root_fine(a)))
 
     def _act(self, w, g):
-        act = self.W.act
-        return g.map_weights(lambda k: act(w, k))
+        return g.transform(self.W.mats[w])
 
     def _alpha_fine(self, i):
         rs = self.rs
         return rs.weight(tuple(rs.cartan[k][i] for k in range(rs.rank)))
 
     def _dl_coeffs(self, i):
-        """T_i = c1 s_i - c2 with c1 = (1 + y e^{-a_i})/(1 - e^{-a_i})
-        and c2 = (1 + y)/(1 - e^{-a_i})."""
+        """T_i = (a s_i - b) / d with a = 1 + y e^{-a_i}, b = 1 + y and
+        d = 1 - e^{-a_i}."""
         one = self._one()
         nai = _wneg(self._alpha_fine(i))
-        den = (one - GA.term(nai),)
-        y = Scalar.y(1)
-        return (Frac(one + GA.term(nai, y), den),
-                Frac(one + GA.const(y, self.rank), den))
+        return (one + GA.term(nai, Scalar.y(1)), Scalar.one() + Scalar.y(1),
+                one - GA.term(nai))
 
     # -- basic classes -------------------------------------------------
     def line_bundle(self, lam_fund):
         """L_lambda with restriction e^{w(lambda)} at e_w."""
         lam = self.rs.weight(lam_fund)
-        return {
-            w: Frac(GA.term(self.W.act(w, lam))) for w in range(self.W.n)
-        }
+        return {w: GA.term(self.W.act(w, lam)) for w in range(self.W.n)}
 
     def constant(self, ga):
         """A class pulled back from the point."""
-        return {w: Frac(ga) for w in range(self.W.n)}
+        return {w: ga for w in range(self.W.n)}
 
     def scale(self, F, c):
         return {w: f * c for w, f in F.items()}
@@ -87,7 +89,7 @@ class KOracle(Localization):
         for v in range(W.n):
             src = W.mul(W.w0, v)
             if src in F:
-                out[v] = F[src].map(lambda g: self._act(W.w0, g))
+                out[v] = self._act(W.w0, F[src])
         return out
 
     # -- motivic classes -----------------------------------------------
@@ -109,11 +111,9 @@ class KOracle(Localization):
         rho2 = tuple(2 * c for c in self.rs.rho())
         out = {}
         for w, f in F.items():
-            g = f.map(lambda x: x.dual_vee())
-            g = g * GA.term(W.act(w, rho2), pref)
-            g = g / Frac(self.lambda_y_cotangent(w))
+            g = f.dual_vee() * GA.term(W.act(w, rho2), pref)
             if g:
-                out[w] = g
+                out[w] = Frac(g) / self.lambda_y_cotangent(w)
         return out
 
     def smc_def(self, u):
@@ -127,9 +127,7 @@ class KOracle(Localization):
         lam_id = self.lambda_y_cotangent(0)
         out = {}
         for v, f in self.mc(w).items():
-            g = f * lam_id / Frac(self.lambda_y_cotangent(v))
-            if g:
-                out[v] = g
+            out[v] = Frac(f * lam_id) / self.lambda_y_cotangent(v)
         return out
 
     # -- characters ----------------------------------------------------
@@ -181,12 +179,12 @@ class KOracle(Localization):
         wp = W.parabolic_elements(parabolic)
         out = {}
         for v in self.parabolic_points(parabolic):
-            acc = self._zero()
+            acc = Frac(GA())
             for p in wp:
                 x = W.mul(v, p)
                 if x in F:
                     den = tuple(self._euler_factor(x, a) for a in vert_roots)
-                    acc = acc + Frac(F[x].num, F[x].den + den)
+                    acc = acc + Frac(F[x], den)
             if acc:
                 out[v] = acc
         return out
@@ -260,7 +258,7 @@ class StableBasis:
             rho2 = tuple(2 * c for c in rs.rho())
             out = {}
             for v, f in o.mc_y(w).items():
-                g = f.map(lambda x: x.y_inverse())  # y -> -q^{-1} is v -> 1/v
+                g = f.y_inverse()  # y -> -q^{-1} is v -> 1/v
                 g = g * GA.term(_wneg(W.act(v, rho2)), pref)
                 if g:
                     out[v] = g

@@ -47,7 +47,7 @@ class ScalarDL:
         c1 = Frac(one + GA.term(top, Scalar.y(1)), den)
         c2 = Frac(one + GA.const(Scalar.y(1), rank), den)
         si = W.from_word((i,))
-        moved = f.map(lambda g: g.map_weights(lambda k: W.act(si, k)))
+        moved = f.map(lambda g: g.transform(W.mats[si]))
         return c1 * moved - c2 * f
 
     def apply(self, w, f, variant="tilde"):
@@ -159,12 +159,11 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
         for p in W.parabolic_elements(parabolic):
             lp = W.length[p]
             den = den + Scalar.q(lp)
-        out = {}
-        for k, x in r.c.items():
-            d = x.divide(den)
+        out = []
+        for k, x in r.terms():
+            d = x.exact_div(den)
             assert d is not None, "R_lambda is not divisible by the W_P sum"
-            if d:
-                out[k] = d
+            out.append((k, d))
         return GA(out)
     raise ValueError("unknown method %r" % method)
 
@@ -256,7 +255,7 @@ def gl_exponents(rs, mu_fund, degree):
 def render_x(rs, g, degree, var="t"):
     """Render a GA element in GL_n x-monomials (type A)."""
     parts = []
-    for k in sorted(g.c, reverse=True):
+    for k, x in reversed(g.terms()):
         mu = rs.weight_user(k)
         exps = gl_exponents(rs, mu, degree)
         mono = "*".join(
@@ -264,7 +263,7 @@ def render_x(rs, g, degree, var="t"):
             for i, e in enumerate(exps)
             if e
         ) or "1"
-        cs = g.c[k].render(var=var)
+        cs = x.render(var=var)
         parts.append(mono if cs == "1" else "(%s)*%s" % (cs, mono))
     return " + ".join(parts) if parts else "0"
 
@@ -286,12 +285,13 @@ def schur_expansion(rs, g):
     out = {}
     rem = g
     while rem:
-        doms = [k for k in rem.c if all(c >= 0 for c in k)]
+        coeffs = dict(rem.terms())
+        doms = [k for k in coeffs if all(c >= 0 for c in k)]
         if not doms:
             raise ValueError("element is not a character combination")
         lead = max(doms, key=key)
         mu = rs.weight_user(lead)
-        coeff = rem.c[lead]
+        coeff = coeffs[lead]
         out[mu] = coeff
         rem = rem - o.weyl_character(mu) * coeff
     return out

@@ -24,8 +24,20 @@ from .oracle import KOracle, StableBasis
 
 
 def _table_fn(rs):
+    """chevalley_table(rs, lam_fund, w, sign) memoised on its arguments,
+    with one chain per weight."""
+    chains = {}
+    tables = {}
+
     def fn(w, lam_fund, sign):
-        return chevalley_table(rs, lam_fund, w, sign=sign)
+        key = (w, lam_fund, sign)
+        if key not in tables:
+            if lam_fund not in chains:
+                chains[lam_fund] = (chain_lex_height(rs, lam_fund)
+                                    if any(lam_fund) else None)
+            tables[key] = chevalley_table(rs, lam_fund, w, sign=sign,
+                                          chain=chains[lam_fund])
+        return tables[key]
     return fn
 
 

@@ -62,7 +62,7 @@ def hl_terms_as_tuples(rs, lam, formula, degree):
     W = rs.weyl()
     out = set()
     for w, J, u, mono in hl_terms(rs, lam, formula):
-        (k, coeff), = mono.c.items()
+        (k, coeff), = mono.terms()
         exps = gl_exponents(rs, rs.weight_user(k), degree)
         a = min(coeff.t_coeffs())
         b = 0

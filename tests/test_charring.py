@@ -1,13 +1,15 @@
 """Group-algebra elements and factored fractions."""
 
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevmc.params import Scalar
-from chevmc.charring import GA, Frac
+from chevmc.charring import GA, Frac, LIMIT
 from chevmc.csm import CohPoly
+from chevmc.rootsystem import RootSystem
 
 
 weights = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -26,10 +28,10 @@ rings = pytest.mark.parametrize("elems", [gas, cohpolys], ids=["GA", "CohPoly"])
 
 def test_basics():
     g = GA.term((1, 0)) + GA.term((0, 1), Scalar.y(1))
-    assert g.c[(1, 0)] == Scalar.one()
+    assert dict(g.terms())[(1, 0)] == Scalar.one()
     assert bool(g)
     assert g - g == GA()
-    assert GA.const(3, 2).c == {(0, 0): Scalar.int(3)}
+    assert GA.const(3, 2).terms() == [((0, 0), Scalar.int(3))]
 
 
 @rings
@@ -130,3 +132,93 @@ def test_monomial_unit_absorbed():
 @given(gas)
 def test_json_round_trip(g):
     assert GA.from_json(g.to_json()) == g
+
+
+# -- the packed layout --------------------------------------------------
+
+weights3 = st.tuples(*[st.integers(-60, 60)] * 3)
+vscalars = st.dictionaries(
+    st.integers(-9, 9), st.integers(-5, 5), max_size=3
+).map(Scalar)
+gas3 = st.lists(st.tuples(weights3, vscalars), max_size=5).map(GA)
+
+
+def _model(g):
+    """{(weight, v exponent): coefficient} read back through `terms`."""
+    return {
+        (w, int(n)): x
+        for w, s in g.terms() for n, x in s.to_json().items()
+    }
+
+
+def _model_mul(a, b):
+    out = {}
+    for (wa, va), xa in _model(a).items():
+        for (wb, vb), xb in _model(b).items():
+            k = (tuple(p + q for p, q in zip(wa, wb)), va + vb)
+            out[k] = out.get(k, 0) + xa * xb
+    return {k: x for k, x in out.items() if x}
+
+
+@given(gas3, gas3, gas3)
+@settings(max_examples=60)
+def test_packed_ring_laws(a, b, c):
+    """Rank 3 with negative exponents and odd powers of v: the ring laws,
+    and products agree with exponent-tuple arithmetic."""
+    one = GA.const(1, 3)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * one == a and a - a == GA()
+    assert _model(a * b) == _model_mul(a, b)
+    assert _model(a * Scalar.v(3)) == _model_mul(a, GA.const(Scalar.v(3), 3))
+
+
+@given(gas3)
+@settings(max_examples=30)
+def test_transform_is_the_weyl_action(g):
+    W = RootSystem("B", 3).weyl()
+    for w in (1, 7, W.w0):
+        want = GA((W.act(w, k), x) for k, x in g.terms())
+        assert g.transform(W.mats[w]) == want
+
+
+def test_exponent_out_of_range_raises():
+    for weight in ((LIMIT, 0), (0, -LIMIT - 1)):
+        with pytest.raises(ValueError):
+            GA.term(weight)
+    with pytest.raises(ValueError):
+        Scalar.v(LIMIT)
+    top = GA.term((LIMIT - 1, -LIMIT))
+    assert top * GA.const(1, 2) == top
+    # a product that leaves a field raises instead of carrying
+    with pytest.raises(ValueError):
+        top * GA.term((1, 0))
+    with pytest.raises(ValueError):
+        top * GA.term((0, -1))
+    with pytest.raises(ValueError):
+        GA.term((0, 0), Scalar.v(LIMIT - 1)) * Scalar.v(1)
+    with pytest.raises(ValueError):
+        top.dual_vee()
+
+
+def test_exact_div_fails_promptly():
+    """A non-divisible input returns None; the alarm turns a division
+    that never stops into a failure instead of a hang."""
+    def stop(signum, frame):
+        raise AssertionError("exact_div did not return")
+
+    one = GA.const(1, 3)
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        for alpha in ((2, -1, 0), (0, -2, 4), (6, 0, -2)):
+            a = GA.term(alpha)
+            far = GA.term(tuple(40 * c for c in alpha))
+            assert (one + a).exact_div(one - a) is None
+            assert (one + far).exact_div(one - a) is None
+            assert (one + far).exact_div(one - a * Scalar.y(1)) is None
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

@@ -109,7 +109,7 @@ def test_parabolic_diagonal():
     lam = (2, 0)
     for w in W.min_coset_reps((1,)):
         t = chevalley_parabolic(RS, lam, w, (1,))
-        assert t[w].c.get(W.act(w, RS.weight(lam))) is not None
+        assert dict(t[w].terms()).get(W.act(w, RS.weight(lam))) is not None
 
 
 def test_positivity_structure():

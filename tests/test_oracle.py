@@ -196,3 +196,34 @@ def test_wall_crossing_inverts_shift(stable):
                 if z in S[x]:
                     acc = acc + c * S[x][z]
             assert acc == GA.const(1 if w == z else 0, 2), (w, z)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_mc_diagonal_is_a_product_of_factors(label):
+    """MC(X(v)^o)|_v = prod over alpha > 0 of 1 + y e^{v alpha} when
+    v s_alpha < v and 1 - e^{v alpha} otherwise."""
+    rs = RootSystem(label[0], int(label[1]))
+    Wl = rs.weyl()
+    o = KOracle(rs)
+    one = GA.const(1, rs.rank)
+    for v in range(Wl.n):
+        want = one
+        for a in rs.positive_roots:
+            e = GA.term(Wl.act(v, rs.weight(a.fund)))
+            down = Wl.length[Wl.mul(v, Wl.reflection(a))] < Wl.length[v]
+            want = want * (one + e * Scalar.y(1) if down else one - e)
+        assert o.mc(v)[v] == want, (label, Wl.word_str(v))
+
+
+@pytest.mark.parametrize("label,lams", [
+    ("A2", [(1, 0), (-1, 1), (1, 1)]),
+    ("B2", [(1, 0), (0, -1), (1, 1)]),
+])
+def test_expand_solve_equals_pairing(label, lams):
+    rs = RootSystem(label[0], int(label[1]))
+    o = KOracle(rs)
+    for lam in lams:
+        for w in range(rs.weyl().n):
+            a = o.expand_product(lam, w, method="solve")
+            b = o.expand_product(lam, w, method="pairing")
+            assert a == b, (label, lam, w)

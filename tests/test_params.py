@@ -56,12 +56,12 @@ def test_inverse_units():
 def test_divide_exact(a, b):
     if not b:
         return
-    q = (a * b).divide(b)
+    q = (a * b).exact_div(b)
     assert q is not None and q == a
 
 
 def test_divide_inexact():
-    assert (Scalar.one() + Scalar.v(1)).divide(Scalar.v(1) - Scalar.one()) is None
+    assert (Scalar.one() + Scalar.v(1)).exact_div(Scalar.v(1) - Scalar.one()) is None
 
 
 def test_coeff_views():

@@ -153,7 +153,7 @@ def test_hl_methods_and_bridges(lam):
 @pytest.mark.parametrize("lam", [(1, 0), (1, 1), (2, 1), (0, 2)])
 def test_hl_at_t_zero_is_schur(oracle, lam):
     hl = hall_littlewood(RS, lam, "closed")
-    at0 = GA({k: Scalar.int(x.q_coeffs().get(0, 0)) for k, x in hl.c.items()})
+    at0 = GA((k, Scalar.int(x.q_coeffs().get(0, 0))) for k, x in hl.terms())
     assert at0 == oracle.weyl_character(lam)
 
 
