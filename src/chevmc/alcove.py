@@ -11,10 +11,13 @@ of roots beta_1..beta_l with separating hyperplanes H_{-beta_j, d_j};
 the chains drive every transition and Chevalley formula downstream.
 
 Those formulas sum over subsets J of chain positions.  descent_subsets
-finds them in one depth-first pass that carries, next to the Weyl
-element reached, the translation part of the composed affine
-reflections, so each subset's weight is read off without replaying the
-reflections (the incremental alcove walk of Lenart-Postnikov).
+finds them in one iterative depth-first pass (an explicit stack, so a
+chain of any length fits) that carries, next to the Weyl element
+reached, the translation part of the composed affine reflections as a
+packed key offset (see charring), so each subset's weight key is read
+off without replaying the reflections (the incremental alcove walk of
+Lenart-Postnikov).  chain_lex_height builds each chain once per root
+system and weight; chains are immutable and shared.
 
 Alcoves are tracked by one interior point of A, (1 - 1/(2h^2)) rho/h,
 which never lies on a wall.  Points are integer tuples on the fine
@@ -119,19 +122,19 @@ class LambdaChain:
         self.rs = rs
         self.lam_fund = tuple(lam_fund)
         self.lam = rs.weight(lam_fund)
-        self.betas = list(betas)       # Root objects, signs allowed
-        self.levels = list(levels)     # d_j with hyperplane H_{-beta_j, d_j}
+        self.betas = tuple(betas)      # Root objects, signs allowed
+        self.levels = tuple(levels)    # d_j with hyperplane H_{-beta_j, d_j}
         self.word = tuple(word)
         self.reduced = reduced
         # H_{-beta_j, d_j} = H_{beta_j, -d_j}, and beta_j's wall seen from
         # A - lambda: H_{beta_j, <lambda, beta_j^vee> - d_j}
-        self.walls = [Hyperplane(rs, b, -d) for b, d in zip(betas, levels)]
-        self.far_levels = [
+        self.walls = tuple(Hyperplane(rs, b, -d) for b, d in zip(betas, levels))
+        self.far_levels = tuple(
             rs.pairing(lam_fund, b) - d for b, d in zip(betas, levels)
-        ]
-        self.far_walls = [
+        )
+        self.far_walls = tuple(
             Hyperplane(rs, b, k) for b, k in zip(betas, self.far_levels)
-        ]
+        )
 
     def __len__(self):
         return len(self.betas)
@@ -232,8 +235,17 @@ def chain_lex_height(rs: RootSystem, lam_fund):
 
     The multiset of hyperplanes is forced (those separating A from
     A - lambda); the order sorts h(s_{alpha,k}) lexicographically with
-    the natural Dynkin-node order.
+    the natural Dynkin-node order.  Built once per (rs, lambda) and kept
+    in rs.lex_chains, as rs.weyl() keeps its group.
     """
+    lam_fund = tuple(lam_fund)
+    chain = rs.lex_chains.get(lam_fund)
+    if chain is None:
+        chain = rs.lex_chains[lam_fund] = _lex_chain(rs, lam_fund)
+    return chain
+
+
+def _lex_chain(rs, lam_fund):
     entries = []  # (height tuple, beta_j, level d_j of H_{-beta_j, d_j})
     for rt in rs.positive_roots:
         m = rs.pairing(lam_fund, rt)
@@ -279,35 +291,42 @@ def descent_subsets(chain: LambdaChain, w, ascending, walls):
     position j in J right-multiplies by r_{h_j} and lowers the length;
     u is the element reached.
 
-    B is the translation the walk picks up on the fine lattice.  With
-    H_{alpha,k} the j-th entry of `walls` (chain.walls or
-    chain.far_walls), choosing j adds cur(k alpha), cur being the element
-    reached just before j.  So if j(1), ..., j(t) are the positions of J
-    in scan order and r_j is the affine reflection in walls[j-1],
+    B is the translation the walk picks up, as a packed key offset
+    (WeylGroup.act_key).  With H_{alpha,k} the j-th entry of `walls`
+    (chain.walls or chain.far_walls), choosing j adds cur(k alpha), cur
+    being the element reached just before j.  So if j(1), ..., j(t) are
+    the positions of J in scan order and r_j is the affine reflection in
+    walls[j-1],
 
         w r_{j(1)} ... r_{j(t)} (x) = u(x) + B.
+
+    The depth-first search keeps its open branches on a stack, not the
+    call stack, and lists the subsets in the order of the recursion
+    that skips a position before taking it.
     """
     rs = chain.rs
     W = rs.weyl()
-    l = len(chain)
-    refl = [None] + [W.reflection(h.root) for h in chain.walls]
-    shift = [None] + [
-        tuple(h.level * rs.h * c for c in h.root.fund) for h in walls
+    n = len(chain)
+    order = range(n) if ascending else range(n - 1, -1, -1)
+    # l(cur r_beta) < l(cur) iff cur(beta) < 0, for beta > 0: bit
+    # beta.index of W.inversions(cur)
+    bits = [1 << walls[j].root.index for j in order]
+    steps = [
+        (j + 1, W.reflection(walls[j].root),
+         tuple(walls[j].level * rs.h * c for c in walls[j].root.fund)
+         if walls[j].level else None)
+        for j in order
     ]
-    positions = list(range(1, l + 1)) if ascending else list(range(l, 0, -1))
+    inversions, mul, act_key = W.inversions, W.mul, W.act_key
     out = []
-
-    def dfs(pos_idx, cur, J, B):
-        if pos_idx == len(positions):
-            out.append((cur, tuple(sorted(J)), B))
-            return
-        dfs(pos_idx + 1, cur, J, B)
-        j = positions[pos_idx]
-        nxt = W.mul(cur, refl[j])
-        if W.length[nxt] < W.length[cur]:
-            step = W.act(cur, shift[j])
-            dfs(pos_idx + 1, nxt, J + [j],
-                tuple(a + b for a, b in zip(B, step)))
-
-    dfs(0, w, [], (0,) * rs.rank)
+    stack = [(0, w, (), 0)]
+    while stack:
+        i, cur, J, B = stack.pop()
+        desc = inversions(cur)
+        for pos in range(i, n):
+            if desc & bits[pos]:
+                j, refl, shift = steps[pos]
+                stack.append((pos + 1, mul(cur, refl), J + (j,),
+                              B + act_key(cur, shift) if shift else B))
+        out.append((cur, J if ascending else J[::-1], B))
     return out

@@ -75,7 +75,8 @@ def cache_put(directory, key, value):
     if not directory:
         return
     os.makedirs(directory, exist_ok=True)
-    blob = json.dumps(value, sort_keys=True, indent=1)
+    # without indent, json uses its C encoder
+    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

@@ -95,6 +95,34 @@ def _weight(k, rank):
     return tuple(reversed(out))
 
 
+def _add_products(acc, a, b):
+    """acc += a * b on packed keys: a and b are (key, int) pairs and
+    each field's bias is carried by exactly one side, so a monomial
+    product is a key sum.  `b` is iterated once per pair of `a`."""
+    get = acc.get
+    for k1, x1 in a:
+        for k2, x2 in b:
+            k = k1 + k2
+            s = get(k, 0) + x1 * x2
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+
+
+def pack_columns(mat):
+    """The packed columns of an integer matrix acting on weights: entry
+    (i, j) sits in the weight field i of column j, so a key moves to the
+    key of mat(mu) by adding sum_j mu_j * column j.  Row sums below
+    _HALF / LIMIT keep every image of an in-range weight inside its
+    field."""
+    r = len(mat)
+    if max(sum(map(abs, row)) for row in mat) * LIMIT >= _HALF:
+        raise ValueError("matrix too large for the packed fields")
+    return tuple(sum(mat[i][j] << (FIELD * (r - i)) for i in range(r))
+                 for j in range(r))
+
+
 def _wneg(a):
     return tuple(-x for x in a)
 
@@ -224,16 +252,7 @@ class GA:
             if len(a) > len(b):  # the longer loop inside
                 a, b = b, a
             c = {}
-            get = c.get
-            for k1, x1 in a.items():
-                k1 -= bias
-                for k2, x2 in b.items():
-                    k = k1 + k2
-                    s = get(k, 0) + x1 * x2
-                    if s:
-                        c[k] = s
-                    else:
-                        del c[k]
+            _add_products(c, [(k - bias, x) for k, x in a.items()], b.items())
             _check(c, max(ra, rb))
             return cls._new(c)
         if isinstance(other, self._scalars):
@@ -302,10 +321,7 @@ class GA:
         """e^mu -> e^{mat mu} for an integer matrix: each key moves by
         mu_j times the packed column j of `mat`."""
         r = self.rank()
-        if max(sum(map(abs, row)) for row in mat) * LIMIT >= _HALF:
-            raise ValueError("matrix too large for the packed fields")
-        cols = [sum(mat[i][j] << (FIELD * (r - i)) for i in range(r))
-                for j in reversed(range(r))]
+        cols = pack_columns(mat)[::-1]
         base = _BIAS[r] - _HALF
         c = {}
         for k, x in self.c.items():

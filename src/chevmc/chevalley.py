@@ -17,15 +17,12 @@ dominant weights live here as well.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .params import Scalar
-from .charring import GA
+from .charring import GA, _BIAS, _HALF, _add_products, _check, _pack, _weight
 from .alcove import chain_lex_height, descent_subsets
-
-
-def _one_plus_y():
-    return Scalar.int(1) + Scalar.y(1)
 
 
 @lru_cache(maxsize=1024)
@@ -33,9 +30,36 @@ def _term_coeff(t, dl, odd, positive):
     """(-(1+y))^t q^{dl/2} for +lambda, (1+y)^t q^{dl/2} for -lambda,
     negated when an odd number of the chosen roots is negative.  Ring
     elements are never changed in place, so callers share the result."""
-    base = -_one_plus_y() if positive else _one_plus_y()
-    coeff = base ** t * Scalar.q(dl // 2)
+    base = Scalar.int(1) + Scalar.y(1)
+    coeff = (-base if positive else base) ** t * Scalar.q(dl // 2)
     return -coeff if odd else coeff
+
+
+def _leaves(chain, w, sign):
+    """(u, J, key, coeff) for every term of the chain formula, key the
+    packed key of e^mu (v exponent 0): +-key(u(lambda)) - B over the
+    translation B of the walk.  The weights mu lie in the convex hull of
+    W lambda, so with lambda in range (and Weyl row sums below 64, see
+    charring.pack_columns) every field of mu stays inside its packed
+    field and a range check of the keys is exact."""
+    rs = chain.rs
+    W = rs.weyl()
+    lam = chain.lam
+    _pack(lam)  # raises on a weight outside the packed range
+    positive = sign > 0
+    walls = chain.walls if positive else chain.far_walls
+    bias = _BIAS[rs.rank]
+    length, act_key = W.length, W.act_key
+    lw = length[w]
+    negative = {j for j, b in enumerate(chain.betas, 1) if not b.positive}
+    for u, J, B in descent_subsets(chain, w, positive, walls):
+        t = len(J)
+        dl = lw - length[u] - t
+        assert dl % 2 == 0, "parity failure in the Chevalley formula"
+        lk = act_key(u, lam)
+        key = (bias + lk if positive else bias - lk) - B
+        odd = len(negative.intersection(J)) % 2
+        yield u, J, key, _term_coeff(t, dl, odd, positive)
 
 
 def chevalley_terms(chain, w, sign):
@@ -48,22 +72,9 @@ def chevalley_terms(chain, w, sign):
     w with j descending, and mu = -u(lambda) - B over the walls h'_j of
     the reversed chain.
     """
-    rs = chain.rs
-    W = rs.weyl()
-    lam = chain.lam
-    positive = sign > 0
-    walls = chain.walls if positive else chain.far_walls
-    lam_sign = 1 if positive else -1
-    negative = [not b.positive for b in chain.betas]
-    terms = []
-    for u, J, B in descent_subsets(chain, w, positive, walls):
-        t = len(J)
-        dl = W.length[w] - W.length[u] - t
-        assert dl % 2 == 0, "parity failure in the Chevalley formula"
-        mu = tuple(lam_sign * a - b for a, b in zip(W.act(u, lam), B))
-        odd = sum(negative[j - 1] for j in J) % 2
-        terms.append((u, J, mu, _term_coeff(t, dl, odd, positive)))
-    return terms
+    r = chain.rs.rank
+    return [(u, J, _weight(key, r), coeff)
+            for u, J, key, coeff in _leaves(chain, w, sign)]
 
 
 def _sum_by_u(terms):
@@ -79,11 +90,22 @@ def _sum_by_u(terms):
     return out
 
 
+def _checked(by_u, rank):
+    """The nonzero entries of {u: key dict}, all keys range-checked."""
+    out = {u: c for u, c in by_u.items() if c}
+    _check(itertools.chain.from_iterable(out.values()), rank)
+    return out
+
+
 def chevalley_chain(chain, w, sign):
-    """C^w_{u, sign*lambda} as {u: GA} from a chain for +lambda."""
-    return _sum_by_u(
-        (u, mu, coeff) for u, _J, mu, coeff in chevalley_terms(chain, w, sign)
-    )
+    """C^w_{u, sign*lambda} as {u: GA} from a chain for +lambda: each
+    term's keys are summed straight into its u's dict."""
+    by_u = {}
+    for u, _J, key, coeff in _leaves(chain, w, sign):
+        # the coefficient's keys carry the v field's bias
+        _add_products(by_u.setdefault(u, {}), ((key - _HALF, 1),),
+                      coeff.c.items())
+    return {u: GA._new(c) for u, c in _checked(by_u, chain.rs.rank).items()}
 
 
 def chevalley_bridge(halg, w, lam_fund, sign):
@@ -105,53 +127,54 @@ def chevalley_operator(chain, w):
     """C^w_{u,lambda} via the operator formula R^[lambda] applied to the
     basis vector at w.
 
-    States are {u: GA} with GA exponents on the fine lattice, which holds
-    the (1/h) X^*(T) exponents produced by the E-operators.
+    States are {u: key dict} with exponents on the fine lattice, which
+    holds the (1/h) X^*(T) exponents produced by the E-operators.
     """
     rs = chain.rs
     W = rs.weyl()
     h = rs.h
+    r = rs.rank
 
-    def e_step(state, mu_fine):
-        out = {}
-        for u, g in state.items():
-            v = W.act(u, mu_fine)
-            assert all(c % h == 0 for c in v)
-            exp = tuple(c // h for c in v)
-            out[u] = g * GA.term(exp)
-        return out
+    def e_step(state, mu_fine, out):
+        """Add e^{u(mu)/h} times the entry at u to out[u]: a shift of its
+        keys by the key offset of u(mu)/h."""
+        assert all(c % h == 0 for c in mu_fine)
+        mu = tuple(c // h for c in mu_fine)
+        for u, c in state.items():
+            _add_products(out.setdefault(u, {}), ((W.act_key(u, mu), 1),),
+                          c.items())
 
     def b_step(state, root, positive):
+        """Move the entry at u to u s_beta when that is shorter, times
+        -(1+y) q^{k/2} with k = l(u) - l(u s_beta) - 1, negated for a
+        negative root."""
         out = {}
         sref = W.reflection(root)
-        sgn = 1 if positive else -1
-        for u, g in state.items():
-            us = W.mul(u, sref)
-            if W.length[us] < W.length[u]:
-                k = (W.length[u] - W.length[us] - 1)
+        bit = 1 << root.index
+        for u, c in state.items():
+            if W.inversions(u) & bit:
+                us = W.mul(u, sref)
+                k = W.length[u] - W.length[us] - 1
                 assert k % 2 == 0
-                coeff = (-_one_plus_y()) * Scalar.q(k // 2)
-                if sgn < 0:
-                    coeff = -coeff
-                add = g * coeff
-                out[us] = out.get(us, GA()) + add
-        return {u: g for u, g in out.items() if g}
+                coeff = _term_coeff(1, k, not positive, True)
+                _add_products(out.setdefault(us, {}),
+                              [(vk - _HALF, y) for vk, y in coeff.c.items()],
+                              c.items())
+        return out
 
-    state = {w: GA.const(1, rs.rank)}
+    state = {w: {_BIAS[r]: 1}}
     for b in chain.betas:
         pos = b.positive
         broot = b if pos else rs.root_by_simple(tuple(-c for c in b.simple))
         beta_fine = tuple(rs.h * c for c in b.fund)
         coheight = sum(b.coroot)  # <rho, beta^vee>
         # R_beta = E^beta + E^{<rho,beta^vee> beta} B_beta
-        part1 = e_step(state, beta_fine)
-        part2 = b_step(state, broot, pos)
-        part2 = e_step(part2, tuple(coheight * c for c in beta_fine))
-        state = part1
-        for u, g in part2.items():
-            state[u] = state.get(u, GA()) + g
-        state = {u: g for u, g in state.items() if g}
-    return state
+        nxt = {}
+        e_step(state, beta_fine, nxt)
+        e_step(b_step(state, broot, pos),
+               tuple(coheight * c for c in beta_fine), nxt)
+        state = _checked(nxt, r)
+    return {u: GA._new(c) for u, c in state.items()}
 
 
 def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None):

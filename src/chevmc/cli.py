@@ -182,8 +182,6 @@ def _latex_table(rs, table, var="y"):
 
 def _epsilon_render(rs, table):
     """Type-A display in epsilon coordinates of GL_{r+1}."""
-    if rs.family != "A":
-        raise CliError("epsilon coordinates exist only in type A")
     W = rs.weyl()
     n = rs.rank + 1
     lines = []
@@ -211,6 +209,9 @@ def _cmd_chevalley(args, out):
     w = _parse_w(W, args.w)
     sign = _parse_sign(args.sign)
     ws = range(W.n) if w is None else [w]
+    # --epsilon is refused outside type A, except by LaTeX, which ignores it
+    if args.epsilon and args.format != "latex" and rs.family != "A":
+        raise CliError("epsilon coordinates exist only in type A")
     chain = None
     if args.word:
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
@@ -223,16 +224,20 @@ def _cmd_chevalley(args, out):
             "chevalley", rs.family, rs.rank, lam, W.word_str(wv),
             args.method, extra={"sign": sign, "word": args.word},
         )
+        entries = None
         table = _cached_table(W, cache_get(cache_dir, key))
         if table is None:
-            if chain is None:
-                chain = chain_lex_height(rs, lam)
             table = chevalley_table(
                 rs, lam, wv, sign=sign, method=args.method, chain=chain
             )
-            cache_put(cache_dir, key, _table_json(rs, table))
-        docs.append({"w": W.word_str(wv), "entries": _table_json(rs, table)})
-        if args.format == "latex":
+            if cache_dir:
+                entries = _table_json(rs, table)
+                cache_put(cache_dir, key, entries)
+        if args.format == "json":
+            if entries is None:
+                entries = _table_json(rs, table)
+            docs.append({"w": W.word_str(wv), "entries": entries})
+        elif args.format == "latex":
             blocks.append("%% w = %s\n%s" % (W.word_str(wv),
                                              _latex_table(rs, table)))
         elif args.epsilon:
@@ -434,9 +439,8 @@ def _cmd_search_positivity(args, out):
     findings = []
     checked = 0
     for lam in _minuscule_weights(rs):
-        chain = chain_lex_height(rs, lam)
         for w in range(W.n):
-            table = chevalley_table(rs, lam, w, sign=1, chain=chain)
+            table = chevalley_table(rs, lam, w, sign=1)
             for u, g in table.items():
                 for k, x in g.terms():
                     checked += 1

@@ -320,10 +320,9 @@ class StableBasis:
         from .chevalley import chevalley_table
 
         W = self.W
-        chain = chain_lex_height(self.rs, lam_fund)
         out = {}
         for w in range(W.n):
-            table = chevalley_table(self.rs, lam_fund, w, sign=-1, chain=chain)
+            table = chevalley_table(self.rs, lam_fund, w, sign=-1)
             for u, g in table.items():
                 out[(u, w)] = g.star() * Scalar.v(W.length[u] - W.length[w])
         return out

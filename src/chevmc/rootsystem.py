@@ -13,6 +13,10 @@ word, and element 0 is the identity.
 
 from __future__ import annotations
 
+from operator import mul
+
+from .charring import pack_columns
+
 
 _WEYL_ORDER = {
     "A": lambda n: _fact(n + 1),
@@ -127,6 +131,8 @@ class RootSystem:
         # Coxeter number: <rho, theta^vee> + 1 with theta^vee the highest coroot
         self.h = 1 + max(t.coheight() for t in self.positive_roots)
         self._weyl = None
+        # reduced lambda-chains by weight, kept by alcove.chain_lex_height
+        self.lex_chains = {}
 
     # -- roots --------------------------------------------------------
     def _build_roots(self):
@@ -298,6 +304,11 @@ class WeylGroup:
         self.inv = [self.from_word(reversed(word)) for word in words]
         self._leq_mask = None
         self._refl_cache = {}
+        self._cols = [None] * self.n
+        self._inversions = [None] * self.n
+        # key offsets of the negative roots, read by inversions()
+        self._negative = {self.act_key(0, a.fund)
+                          for a in rs.roots if not a.positive}
 
     # -- basic operations ---------------------------------------------
     def word(self, w):
@@ -306,6 +317,32 @@ class WeylGroup:
     def act(self, w, fine):
         """w(mu) on fine-lattice coordinates."""
         return _mat_vec(self.mats[w], fine)
+
+    def columns(self, w):
+        """The packed columns of w's matrix (charring.pack_columns),
+        built on first use."""
+        cols = self._cols[w]
+        if cols is None:
+            cols = self._cols[w] = pack_columns(self.mats[w])
+        return cols
+
+    def act_key(self, w, fine):
+        """The packed key offset of w(mu): sum_j mu_j * column j of w, r
+        integer multiply-adds.  Adding charring's bias for the rank gives
+        the key of e^{w(mu)}."""
+        return sum(map(mul, fine, self._cols[w] or self.columns(w)))
+
+    def inversions(self, w):
+        """Bitmask of the positive roots beta (bit beta.index) that w
+        sends negative, i.e. with l(w s_beta) < l(w); built on first use
+        from the packed action."""
+        mask = self._inversions[w]
+        if mask is None:
+            mask = self._inversions[w] = sum(
+                1 << a.index for a in self.rs.positive_roots
+                if self.act_key(w, a.fund) in self._negative
+            )
+        return mask
 
     def mul(self, a, b):
         out = a

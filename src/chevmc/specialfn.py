@@ -11,7 +11,7 @@ parameter t is the Hecke parameter q of the shared coefficient ring
 from __future__ import annotations
 
 from .params import Scalar
-from .charring import GA, Frac, _wneg, render_terms
+from .charring import GA, Frac, _BIAS, _pack, _wneg, _weight, render_terms
 from .alcove import chain_lex_height, descent_subsets
 from .chevalley import chevalley_table
 
@@ -146,9 +146,8 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
     if method == "chevalley":
         # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
         acc = GA()
-        chain = chain_lex_height(rs, lam_fund)
         for w in W.min_coset_reps(parabolic):
-            table = chevalley_table(rs, lam_fund, w, sign=1, chain=chain)
+            table = chevalley_table(rs, lam_fund, w, sign=1)
             for u, g in table.items():
                 lu = W.length[u]
                 acc = acc + g * Scalar.q(lu)
@@ -216,22 +215,24 @@ def hl_terms(rs, lam_fund, formula, chain=None):
     if tuple(chain.lam_fund) != _wneg(tuple(lam_fund)):
         raise ValueError("chain must be a (-lambda)-chain")
     lam = rs.weight(lam_fund)
+    _pack(lam)  # in range, so each key below decodes exactly
     horiz = len(rs.horizontal_roots(parabolic))
     t = Scalar.q(1)
     one_minus_t = Scalar.one() - t
+    bias = _BIAS[rs.rank]
     out = []
     for w in W.min_coset_reps(parabolic):
         for u, J, B in descent_subsets(chain, w, formula == 1, chain.walls):
             nj = len(J)
             if formula == 1:
                 power2 = W.length[w] + W.length[u] - nj
-                mu = tuple(a + b for a, b in zip(W.act(u, lam), B))
+                key = bias + W.act_key(u, lam) + B
             else:
                 power2 = 2 * horiz - W.length[w] - W.length[u] - nj
-                mu = tuple(a - b for a, b in zip(W.act(w, lam), B))
+                key = bias + W.act_key(w, lam) - B
             assert power2 % 2 == 0 and power2 >= 0
             coeff = Scalar.q(power2 // 2) * one_minus_t ** nj
-            out.append((w, tuple(J), u, GA.term(mu, coeff)))
+            out.append((w, J, u, GA.term(_weight(key, rs.rank), coeff)))
     return out
 
 

@@ -24,19 +24,13 @@ from .oracle import KOracle, StableBasis
 
 
 def _table_fn(rs):
-    """chevalley_table(rs, lam_fund, w, sign) memoised on its arguments,
-    with one chain per weight."""
-    chains = {}
+    """chevalley_table(rs, lam_fund, w, sign) memoised on its arguments."""
     tables = {}
 
     def fn(w, lam_fund, sign):
         key = (w, lam_fund, sign)
         if key not in tables:
-            if lam_fund not in chains:
-                chains[lam_fund] = (chain_lex_height(rs, lam_fund)
-                                    if any(lam_fund) else None)
-            tables[key] = chevalley_table(rs, lam_fund, w, sign=sign,
-                                          chain=chains[lam_fund])
+            tables[key] = chevalley_table(rs, lam_fund, w, sign=sign)
         return tables[key]
     return fn
 
@@ -72,9 +66,8 @@ def case_oracle_equivalence(family, rank, lam):
     rs = RootSystem(family, rank)
     W = rs.weyl()
     o = KOracle(rs)
-    chain = chain_lex_height(rs, tuple(lam))
     for w in range(W.n):
-        a = chevalley_table(rs, tuple(lam), w, sign=1, chain=chain)
+        a = chevalley_table(rs, tuple(lam), w, sign=1)
         b = o.expand_product(tuple(lam), w)
         for u in set(a) | set(b):
             if a.get(u, GA()) != b.get(u, GA()):
@@ -87,13 +80,10 @@ def case_oracle_equivalence(family, rank, lam):
 def case_methods_agree(family, rank, lam):
     rs = RootSystem(family, rank)
     W = rs.weyl()
-    chain = chain_lex_height(rs, tuple(lam))
     for w in range(W.n):
-        a = chevalley_table(rs, tuple(lam), w, sign=1, method="chain",
-                            chain=chain)
+        a = chevalley_table(rs, tuple(lam), w, sign=1, method="chain")
         b = chevalley_table(rs, tuple(lam), w, sign=1, method="bridge")
-        c = chevalley_table(rs, tuple(lam), w, sign=1, method="operator",
-                            chain=chain)
+        c = chevalley_table(rs, tuple(lam), w, sign=1, method="operator")
         for u in set(a) | set(b) | set(c):
             ga, gb, gc = (t.get(u, GA()) for t in (a, b, c))
             if not (ga == gb == gc):

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from chevmc.charring import _BIAS, _weight
 from chevmc.rootsystem import RootSystem
 from chevmc.chevalley import chevalley_table
 from chevmc.alcove import (
@@ -41,7 +42,7 @@ def test_appendix_chain_from_word():
     assert chain.reduced
     betas = [b.simple for b in chain.betas]
     assert betas == [(0, 1), (1, 1), (1, 0), (1, 1), (1, 0), (1, 1)]
-    assert chain.levels == [0, 0, 0, 1, 1, 2]
+    assert chain.levels == (0, 0, 0, 1, 1, 2)
     # separating hyperplanes are H_{-beta_j, d_j}
     h4 = chain.hyperplane(4)
     assert h4.root.simple == (1, 1) and h4.level == -1
@@ -103,6 +104,13 @@ def _add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
+def _leaves(chain, w, ascending, walls):
+    """descent_subsets with each translation B read back as a weight."""
+    r = chain.rs.rank
+    return [(u, J, _weight(_BIAS[r] + B, r))
+            for u, J, B in descent_subsets(chain, w, ascending, walls)]
+
+
 @pytest.mark.parametrize("family", ["A", "B", "G"])
 def test_descent_translation_matches_affine_reflections(family):
     # every leaf weight read off the DFS translation B equals the explicit
@@ -116,7 +124,7 @@ def test_descent_translation_matches_affine_reflections(family):
         lam = chain.lam
         walls, far = chain.walls, chain.far_walls
         for w in range(W.n):
-            for u, J, B in descent_subsets(chain, w, True, walls):
+            for u, J, B in _leaves(chain, w, True, walls):
                 rhat = _compose(rs, walls, J, _neg(lam))
                 # Chevalley +lambda: mu = u(lambda) - B = -w r^_{J<}(-lambda)
                 assert _add(W.act(u, lam), _neg(B)) == _neg(W.act(w, rhat))
@@ -124,14 +132,14 @@ def test_descent_translation_matches_affine_reflections(family):
                 # mu = u(lambda') + B = w r^_{J<}(lambda')
                 assert _add(W.act(u, _neg(lam)), B) == W.act(w, rhat)
                 translated += any(B)
-            for u, J, B in descent_subsets(chain, w, False, far):
+            for u, J, B in _leaves(chain, w, False, far):
                 rtilde = _compose(rs, far, J[::-1], lam)
                 # Chevalley -lambda: mu = -u(lambda) - B = -w r~_{J>}(lambda)
                 assert _add(_neg(W.act(u, lam)), _neg(B)) == _neg(
                     W.act(w, rtilde)
                 )
                 translated += any(B)
-            for u, J, B in descent_subsets(chain, w, False, walls):
+            for u, J, B in _leaves(chain, w, False, walls):
                 rhat = _compose(rs, walls, J, _neg(lam))
                 # HL formula 2: mu = w(lambda') - B = u r^_{J<}(lambda')
                 assert _add(W.act(w, _neg(lam)), _neg(B)) == W.act(u, rhat)

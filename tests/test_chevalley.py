@@ -1,11 +1,14 @@
 """Chevalley coefficient formulas: chain, bridge, operator, dualities."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevmc.params import Scalar
 from chevmc.charring import GA
 from chevmc.rootsystem import RootSystem
+from chevmc import alcove
 from chevmc.alcove import chain_from_word, chain_lex_height
 from chevmc.oracle import KOracle
 from chevmc.chevalley import (
@@ -19,6 +22,55 @@ from chevmc.chevalley import (
 
 RS = RootSystem("A", 2)
 W = RS.weyl()
+
+# (type, rank, lambda, stride through the elements): every w up to rank 3,
+# sampled w of D4 and F4; weights with negative and off-origin walls
+_GOLDEN_CASES = [
+    ("A", 1, (3,), 1), ("A", 2, (2, -1), 1), ("B", 2, (1, 1), 1),
+    ("C", 2, (-1, 2), 1), ("G", 2, (1, -1), 1), ("A", 3, (1, -1, 1), 1),
+    ("B", 3, (1, 0, 1), 1), ("C", 3, (0, 1, -1), 1),
+    ("D", 4, (1, 0, 0, -1), 17), ("F", 4, (1, 0, 0, 0), 97),
+]
+# SHA-256 of the rendered chain +lambda, chain -lambda and operator tables
+# in that order, taken from the tuple-weight chain and operator routes
+# that the packed-key walk replaced
+_GOLDEN_SHA256 = (
+    "a297772aea3ddd554856822ec86239f267b39678d230a11a046f27a84c8ac479"
+)
+
+
+def test_tables_golden_digest():
+    h = hashlib.sha256()
+    for family, rank, lam, stride in _GOLDEN_CASES:
+        rs = RootSystem(family, rank)
+        for w in range(0, rs.weyl().n, stride):
+            for sign, method in ((1, "chain"), (-1, "chain"), (1, "operator")):
+                table = chevalley_table(rs, lam, w, sign=sign, method=method)
+                h.update(render_table(rs, table).encode())
+    assert h.hexdigest() == _GOLDEN_SHA256
+
+
+def test_one_chain_per_root_system_and_weight(monkeypatch):
+    built = []
+    init = alcove.LambdaChain.__init__
+
+    def counting_init(self, *args):
+        built.append(args[1])
+        init(self, *args)
+
+    monkeypatch.setattr(alcove.LambdaChain, "__init__", counting_init)
+    rs = RootSystem("B", 3)
+    chevalley_table(rs, (1, -1, 1), 5, sign=1)
+    chevalley_table(rs, (1, -1, 1), 7, sign=-1)
+    chevalley_table(rs, (1, -1, 1), 7, method="operator")
+    assert built == [(1, -1, 1)]
+    chain = chain_lex_height(rs, (1, -1, 1))
+    for seq in (chain.betas, chain.levels, chain.walls, chain.far_levels,
+                chain.far_walls):
+        assert type(seq) is tuple
+    # the memo belongs to the root system
+    chevalley_table(RootSystem("B", 3), (1, -1, 1), 5)
+    assert len(built) == 2
 
 
 def _tables_equal(a, b):

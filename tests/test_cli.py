@@ -224,6 +224,27 @@ def test_chain_word_matches_default_table():
     assert "C[u=e] = (y +1)*e^{w1-1*w2}" in default.splitlines()
 
 
+def test_long_chain_is_no_recursion(capsys):
+    # a 1000-step lambda-chain: the subset search keeps its open branches
+    # on its own stack, so the chain route runs and agrees with the
+    # operator route, and the Hall-Littlewood chain formula with the
+    # closed one
+    argv = ["chevalley", "--type", "A1", "--lambda", "1000", "--w", "s1"]
+    code, text = _run(argv)
+    assert code == 0
+    assert _run(argv + ["--method", "operator"]) == (0, text)
+    hl = ["hl", "--type", "A1", "--lambda", "1000", "--method"]
+    code, text = _run(hl + ["closed"])
+    assert code == 0
+    assert _run(hl + ["chain_restricted"]) == (0, text)
+    # fine exponent 2 * 5000 lies outside the packed range [-8192, 8192)
+    capsys.readouterr()
+    assert _run(["chevalley", "--type", "A1", "--lambda", "5000",
+                 "--w", "s1"])[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cache_round_trip(tmp_path):
     argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1",
             "--format", "json", "--cache-dir", str(tmp_path)]

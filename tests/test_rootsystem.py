@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from chevmc.rootsystem import RootSystem, cartan_matrix
+from chevmc.charring import _BIAS, _weight
+from chevmc.rootsystem import RootSystem, _mat_vec, cartan_matrix
 
 
 @pytest.mark.parametrize(
@@ -167,3 +168,33 @@ def test_weyl_invariants(family, rank):
     if (family, rank) in _WORDS_SHA256:
         digest = hashlib.sha256(repr(W.words).encode()).hexdigest()
         assert digest == _WORDS_SHA256[family, rank]
+
+
+# (family, rank, stride through the elements)
+_PACKED_CASES = (
+    [("A", n, 1) for n in range(1, 5)] + [("B", n, 1) for n in range(2, 5)]
+    + [("C", 3, 1), ("D", 4, 1), ("G", 2, 1), ("F", 4, 1), ("E", 6, 97)]
+)
+
+
+@pytest.mark.parametrize(
+    "family,rank,stride", _PACKED_CASES,
+    ids=["%s%d" % c[:2] for c in _PACKED_CASES],
+)
+def test_packed_action_matches_matrices(family, rank, stride):
+    # the packed columns give the matrix action on the fundamental
+    # weights and on every root, and the inversion masks read off them
+    # are the right descents l(w s_beta) < l(w)
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    vectors = [rs.weight(tuple(int(i == j) for j in range(rank)))
+               for i in range(rank)]
+    vectors += [rs.weight(a.fund) for a in rs.roots]
+    refls = [(a.index, W.reflection(a)) for a in rs.positive_roots]
+    for w in range(0, W.n, stride):
+        for v in vectors:
+            key = _BIAS[rank] + W.act_key(w, v)
+            assert _weight(key, rank) == _mat_vec(W.mats[w], v)
+        mask = W.inversions(w)
+        for i, s in refls:
+            assert bool(mask >> i & 1) == (W.length[W.mul(w, s)] < W.length[w])

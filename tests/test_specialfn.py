@@ -175,7 +175,7 @@ def test_hl_chain_for_golden_examples():
     assert [b.simple for b in ch2.betas] == [
         (-1, -1), (0, -1), (-1, -1), (0, -1)
     ]
-    assert ch2.levels == [1, 1, 2, 2]
+    assert ch2.levels == (1, 1, 2, 2)
 
 
 def test_hl_golden_table_w1():
