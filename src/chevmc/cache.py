@@ -57,7 +57,8 @@ def default_cache_dir():
 
 
 def cache_get(directory, key):
-    """The stored document, or None on miss or corruption."""
+    """The stored document, or None on a miss or an entry that cannot be
+    read or parsed."""
     if not directory:
         return None
     path = os.path.join(directory, key + ".json")
@@ -66,7 +67,7 @@ def cache_get(directory, key):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError):
+    except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
         return None
 
 

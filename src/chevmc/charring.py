@@ -452,13 +452,50 @@ class GA:
         return "%s(%s)" % (type(self).__name__, self.render())
 
     def to_json(self):
-        return [{"weight": list(k), "coeff": x.to_json()}
-                for k, x in self.terms()]
+        """[{"weight": [...], "coeff": {"<v exponent>": int}}], weights
+        ascending: the sorted keys grouped by their weight fields."""
+        r = self.rank()
+        c = self.c
+        out = []
+        last = None
+        for k in sorted(c):
+            if k >> FIELD != last:
+                last = k >> FIELD
+                coeff = {}
+                out.append({"weight": list(_weight(k, r)), "coeff": coeff})
+            coeff[str((k & MASK) - _HALF)] = c[k]
+        return out
 
     @staticmethod
     def from_json(items):
-        return GA((tuple(d["weight"]), Scalar.from_json(d["coeff"]))
-                  for d in items)
+        """The element that `to_json` wrote as `items`, so that it encodes
+        back to `items`.  Anything else raises ValueError, or KeyError,
+        TypeError or AttributeError on a wrong shape: extra keys, weights
+        of two lengths or not ascending, a v exponent not written as
+        str(int), a zero or non-int coefficient, an exponent out of
+        range."""
+        c = {}
+        last = -1
+        rank = None
+        for d in items:
+            weight, coeff = d["weight"], d["coeff"]
+            if rank is None:
+                rank = len(weight)
+            if (len(d) != 2 or type(weight) is not list or not coeff
+                    or len(weight) != rank
+                    or not all(type(e) is int for e in weight)):
+                raise ValueError("not a GA term: %r" % (d,))
+            wk = _pack(weight) << FIELD
+            if wk <= last:
+                raise ValueError("weights not ascending at %r" % weight)
+            last = wk
+            for n, x in coeff.items():
+                e = int(n)
+                if (type(x) is not int or not x or str(e) != n
+                        or not -LIMIT <= e < LIMIT):
+                    raise ValueError("bad coefficient %r: %r" % (n, x))
+                c[wk + e + _HALF] = x
+        return GA._new(c)
 
 
 class Scalar(GA):

@@ -108,15 +108,24 @@ def _table_json(rs, table):
 
 
 def _cached_table(W, doc):
-    """The table stored by `_table_json`, or None for a miss or an entry
-    of another shape."""
+    """The table stored by `_table_json`, or None for a miss or for
+    anything `_table_json` would not have written (another shape, extra
+    keys, a word not in normal form, elements not ascending, a value
+    `GA.from_json` rejects), so that a hit may print `doc` itself."""
     if not isinstance(doc, list):
         return None
+    table = {}
+    last = -1
     try:
-        return {W.from_word_str(d["u"]): GA.from_json(d["value"])
-                for d in doc}
+        for d in doc:
+            u = W.from_word_str(d["u"])
+            if len(d) != 2 or u <= last or W.word_str(u) != d["u"]:
+                return None
+            table[u] = GA.from_json(d["value"])
+            last = u
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
+    return table
 
 
 def _doc(command, rs, **fields):
@@ -131,9 +140,43 @@ def _doc(command, rs, **fields):
     return doc
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(v, pad="\n"):
+    """json.dumps(v, sort_keys=True, indent=1), byte for byte, with one
+    join per container and the C string encoder (on Python < 3.13,
+    `indent` turns off json's C encoder).  `pad` is the newline and
+    indent of v's own line; a value not special-cased here goes through
+    json.dumps and has its lines indented to `pad`, which is exact since
+    a JSON string never holds a raw newline."""
+    t = type(v)
+    if t is str:
+        return _encode_str(v)
+    if t is int:
+        return int.__repr__(v)
+    # int members, most of a table's leaves, are written inline
+    if t is list or t is tuple:
+        if not v:
+            return "[]"
+        inner = pad + " "
+        return "[%s%s%s]" % (inner, ("," + inner).join(
+            [int.__repr__(x) if type(x) is int else _dumps(x, inner)
+             for x in v]), pad)
+    if t is dict and all(type(k) is str for k in v):
+        if not v:
+            return "{}"
+        inner = pad + " "
+        return "{%s%s%s}" % (inner, ("," + inner).join(
+            [_encode_str(k) + ": "
+             + (int.__repr__(x) if type(x) is int else _dumps(x, inner))
+             for k, x in sorted(v.items())]), pad)
+    return json.dumps(v, sort_keys=True, indent=1).replace("\n", pad)
+
+
 def _emit(doc, text, fmt, out):
     if fmt == "json":
-        out.write(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        out.write(_dumps(doc) + "\n")
     else:
         out.write(text + "\n")
 
@@ -224,15 +267,20 @@ def _cmd_chevalley(args, out):
             "chevalley", rs.family, rs.rank, lam, W.word_str(wv),
             args.method, extra={"sign": sign, "word": args.word},
         )
-        entries = None
-        table = _cached_table(W, cache_get(cache_dir, key))
+        # a hit's stored entries are exactly what _table_json would print
+        entries = cache_get(cache_dir, key)
+        table = _cached_table(W, entries)
         if table is None:
             table = chevalley_table(
                 rs, lam, wv, sign=sign, method=args.method, chain=chain
             )
+            entries = None
             if cache_dir:
                 entries = _table_json(rs, table)
-                cache_put(cache_dir, key, entries)
+                try:
+                    cache_put(cache_dir, key, entries)
+                except OSError as exc:
+                    raise CliError("cannot write the cache: %s" % exc)
         if args.format == "json":
             if entries is None:
                 entries = _table_json(rs, table)

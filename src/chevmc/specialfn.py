@@ -302,7 +302,8 @@ def render_schur(rs, expansion, degree, var="t"):
     """Type-A rendering like 's22 - t*s211' with partition subscripts.
 
     `degree` is the GL partition size; each dominant weight is lifted to
-    the partition of that size in rank+1 parts."""
+    the partition of that size in rank+1 parts.  A partition with a part
+    of 10 or more is written with commas, like 's(11,1)'."""
 
     def pkey(mu):
         return tuple(sum(mu[k:]) for k in range(len(mu)))
@@ -312,7 +313,12 @@ def render_schur(rs, expansion, degree, var="t"):
         partition = list(gl_exponents(rs, mu, degree))
         while partition and not partition[-1]:
             partition.pop()
-        label = "s" + "".join(str(p) for p in partition) if partition else "1"
+        if not partition:
+            label = "1"
+        elif max(partition) >= 10:
+            label = "s(%s)" % ",".join(map(str, partition))
+        else:
+            label = "s" + "".join(map(str, partition))
         x = expansion[mu]
         terms.append((x.render(var=var), len(x.c) == 1, label))
     return render_terms(terms)

@@ -132,6 +132,33 @@ def test_monomial_unit_absorbed():
 @given(gas)
 def test_json_round_trip(g):
     assert GA.from_json(g.to_json()) == g
+    # the packed-key codec writes what `terms` reads back
+    assert g.to_json() == [{"weight": list(w), "coeff": x.to_json()}
+                           for w, x in g.terms()]
+
+
+def _term(weight, coeff):
+    return {"weight": weight, "coeff": coeff}
+
+
+@pytest.mark.parametrize("items", [
+    [_term([0, 1], {"0": 1, "2": 0})],  # a zero coefficient
+    [_term([0, 1], {})],  # no coefficient
+    [_term([1, 0], {"0": 1}), _term([0, 1], {"0": 1})],  # not ascending
+    [_term([0, 1], {"0": 1}), _term([0, 1], {"2": 1})],  # twice
+    [_term([0], {"0": 1}), _term([0, 1], {"0": 1})],  # two lengths
+    [dict(_term([0, 1], {"0": 1}), extra=1)],  # an extra key
+    [_term([0, 1], {"+1": 1})],  # an exponent not written as str(int)
+    [_term([0, 1], {"0": 1.0})],
+    [_term([0, 1], {"0": True})],
+    [_term([0, 1.0], {"0": 1})],
+    [_term([0, LIMIT], {"0": 1})],  # out of range
+    [_term([0, 1], {str(LIMIT): 1})],
+    [{"weight": [0, 1]}],
+])
+def test_json_rejects_what_to_json_never_writes(items):
+    with pytest.raises((ValueError, KeyError, TypeError, AttributeError)):
+        GA.from_json(items)
 
 
 # -- the packed layout --------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevmc import __version__
-from chevmc.cli import run
+from chevmc.cli import _dumps, run
 from chevmc.cache import cache_key, cache_get, cache_put
 import chevmc
 
@@ -294,6 +294,131 @@ def test_cache_misshaped_entry_recomputed(tmp_path, entry):
     # the recomputed table replaced the bad entry
     code, c = _run(argv)
     assert code == 0 and a == c
+
+
+def _set_zero_coeff(doc):
+    doc[0]["value"][0]["coeff"]["7"] = 0
+
+
+def _swap_entries(doc):
+    doc[0], doc[1] = doc[1], doc[0]
+
+
+def _extra_entry_key(doc):
+    doc[0]["extra"] = 1
+
+
+def _extra_term_key(doc):
+    doc[0]["value"][0]["extra"] = 1
+
+
+def _duplicate_entry(doc):
+    doc.append(doc[-1])
+
+
+def _swap_terms(doc):
+    value = doc[0]["value"]
+    value[0], value[1] = value[1], value[0]
+
+
+def _padded_exponent(doc):
+    coeff = doc[0]["value"][0]["coeff"]
+    coeff["00"] = coeff.pop("0")
+
+
+def _word_not_normal(doc):
+    doc[-1]["u"] += "s1s1"  # the same element, not in normal form
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_zero_coeff, _swap_entries, _extra_entry_key, _extra_term_key,
+    _duplicate_entry, _swap_terms, _padded_exponent, _word_not_normal,
+])
+def test_cache_non_canonical_entry_recomputed(tmp_path, mutate):
+    # a hit prints the stored entries as they are, so an entry that
+    # decodes but is not what the table would write must be a miss
+    argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1",
+            "--format", "json", "--cache-dir", str(tmp_path)]
+    code, a = _run(argv)
+    assert code == 0
+    path, = tmp_path.iterdir()
+    stored = path.read_text()
+    doc = json.loads(stored)
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    code, b = _run(argv)
+    assert code == 0 and a == b
+    assert path.read_text() == stored
+
+
+# the all-w tables that dominate the cli benchmark, run twice with one
+# cache: a miss that writes the entry, then a hit that prints it
+_BIG_ARGVS = [
+    "chevalley --type B3 --lambda=1,1,1 --w all --sign + --format json",
+    "chevalley --type C3 --lambda=-1,-1,-1 --w all --sign - --format json",
+]
+
+
+@pytest.fixture(scope="module", params=_BIG_ARGVS)
+def big_runs(request, tmp_path_factory):
+    argv = request.param.split() + [
+        "--cache-dir", str(tmp_path_factory.mktemp("cache"))]
+    return [_run(argv) for _ in range(2)]
+
+
+def test_cache_hit_prints_miss_bytes(big_runs):
+    (code1, miss), (code2, hit) = big_runs
+    assert code1 == code2 == 0
+    assert miss == hit
+
+
+def test_writer_on_big_tables(big_runs):
+    text = big_runs[0][1]
+    doc = json.loads(text)
+    assert _dumps(doc) + "\n" == text
+    assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.text(alphabet=st.sampled_from('"\\\n\t\x00\x1f/é€😀')),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_json_values)
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+def test_cache_not_writable_exits_2(tmp_path, capsys):
+    argv = ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1"]
+    # a regular file where the cache directory should be
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert _run(argv + ["--cache-dir", str(blocker)])[0] == 2
+    # a directory where the entry should be: unreadable, then unwritable
+    cache = tmp_path / "cache"
+    assert _run(argv + ["--cache-dir", str(cache)])[0] == 0
+    entry, = cache.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    assert _run(argv + ["--cache-dir", str(cache)])[0] == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(e.startswith("error: cannot write the cache") for e in err)
 
 
 def test_cache_key_includes_source(monkeypatch):

@@ -203,3 +203,14 @@ def test_schur_expansion_w1():
     exp = schur_expansion(RS, g)
     assert exp == {(1, 0): Scalar.one()}
     assert render_schur(RS, exp, 1) == "s1"
+
+
+def test_schur_labels_with_two_digit_parts():
+    # with a part of 10 or more the parts are comma-separated, so that
+    # s_{11,1} does not read as s_{111}; smaller labels keep no commas
+    a1 = RootSystem("A", 1)
+    exp = schur_expansion(a1, hall_littlewood(a1, (12,), "closed"))
+    assert render_schur(a1, exp, 12) == "s(12) - t*s(11,1)"
+    exp = schur_expansion(RS, hall_littlewood(RS, (10, 1), "closed"))
+    assert render_schur(RS, exp, 12) == (
+        "s(11,1) - t*s(10,2) - t*s(10,1,1) + t^2*s921")
