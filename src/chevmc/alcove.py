@@ -73,12 +73,8 @@ def _walls(rs):
     """The walls of A as (root, level), indexed by affine letter:
     H_{alpha_i,0} at i = 0..r-1 and H_{theta~,1} at r, which index -1
     also reaches."""
-    simple = [
-        rs.root_by_simple(tuple(int(j == i) for j in range(rs.rank)))
-        for i in range(rs.rank)
-    ]
     theta = max(rs.positive_roots, key=lambda rt: rt.coheight())
-    return [(a, 0) for a in simple] + [(theta, 1)]
+    return [(a, 0) for a in rs.simple_roots] + [(theta, 1)]
 
 
 def _scale(rs):

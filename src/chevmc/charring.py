@@ -27,12 +27,13 @@ rational coefficients on the same keys (v field 0).  `render_terms`
 joins the rendered terms of any of them.
 
 Frac is num / prod(den) over GA or CohPoly, kept only where a value is
-a genuine quotient (the Atiyah-Bott sum, dual bases, Segre classes and
-the specialfn operators).  Each operation cancels the denominator
-factors that divide exactly, which they do for the factor families
-that occur (1 - e^beta, 1 + y e^beta and monomials); equality falls
-back to cross-multiplication, so an unreduced fraction is never wrong,
-only slower.
+a genuine quotient: the Atiyah-Bott sum, dual bases, Segre classes,
+mc_prime and pushforwards.  Every Demazure-Lusztig step stays in the
+ring (localization.dl_step).  Each Frac operation cancels the
+denominator factors that divide exactly, which they do for the factor
+families that occur (1 - e^beta, 1 + y e^beta and monomials); equality
+falls back to cross-multiplication, so an unreduced fraction is never
+wrong, only slower.
 """
 
 from __future__ import annotations
@@ -609,8 +610,9 @@ class Scalar(GA):
 class Frac:
     """num / prod(den) over a polynomial ring: GA in K-theory, CohPoly in
     cohomology.  The ring supplies `exact_div`, `unit_inverse` and
-    `const`; everything else here is ring-independent.  Arithmetic with
-    a plain ring element on either side treats it as a fraction."""
+    `const`; everything else here is ring-independent.  A plain ring
+    element is read as a fraction on either side of `*`, `/` and `==`,
+    and on the right of `+` and `-`."""
 
     __slots__ = ("num", "den")
 
@@ -660,16 +662,11 @@ class Frac:
             n2 = n2 * f
         return Frac(n1 + n2, tuple(lcm.elements()))._reduce()
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Frac(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-Frac.lift(other))
-
-    def __rsub__(self, other):
-        return Frac.lift(other) + (-self)
 
     def __mul__(self, other):
         if type(other) is type(self.num):
@@ -703,9 +700,6 @@ class Frac:
             return not self.num
         return not (self - other).num
 
-    def __hash__(self):
-        raise TypeError("fractions are not hashable")
-
     def as_poly(self):
         """Return the reduced numerator if the fraction is polynomial."""
         r = self._reduce()
@@ -720,14 +714,5 @@ class Frac:
         """Apply a ring map to numerator and factors."""
         return Frac(ring_map(self.num), tuple(ring_map(f) for f in self.den))
 
-    def render(self, **kw):
-        g = self.as_poly()
-        if g is not None:
-            return g.render(**kw)
-        s = "(%s)" % self.num.render(**kw)
-        for f in self.den:
-            s += " / (%s)" % f.render(**kw)
-        return s
-
     def __repr__(self):
-        return "Frac(%s)" % self.render()
+        return "Frac(%r, %r)" % (self.num, self.den)

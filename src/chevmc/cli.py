@@ -21,7 +21,7 @@ from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
 from .chevalley import chevalley_table, render_table
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 SCHEMA_FILE = os.path.join(os.path.dirname(__file__), "schema.json")
 
@@ -591,9 +591,7 @@ def build_parser():
     sp.set_defaults(func=_cmd_csm)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", required=True,
-                    choices=("dualities", "oracle", "methods", "stable",
-                             "hl", "whittaker", "csm", "positivity", "all"))
+    sp.add_argument("--suite", required=True, choices=SUITES)
     sp.add_argument("--type", required=True)
     sp.add_argument("--max-weight", type=int, default=2)
     sp.add_argument("--jobs", type=int, default=1)

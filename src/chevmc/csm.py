@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .charring import GA, _HALF, _weight, render_terms
-from .localization import Localization
+from .localization import Localization, dl_step
 
 
 def _rational(x):
@@ -99,11 +99,6 @@ class CohPoly(GA):
         return render_terms(terms)
 
 
-def _simple_root(rs, i):
-    """alpha_i as a linear form in the fundamental weights."""
-    return CohPoly.linear(tuple(rs.cartan[k][i] for k in range(rs.rank)))
-
-
 # -- degenerate affine Hecke algebra -----------------------------------
 
 class DegenerateHecke:
@@ -117,10 +112,8 @@ class DegenerateHecke:
     def demazure(self, i, p):
         """partial_i(p) = (p - s_i p) / alpha_i, always polynomial."""
         si = self.W.from_word((i,))
-        diff = p - p.act(self.W, si)
-        q = diff.exact_div(_simple_root(self.rs, i))
-        assert q is not None, "Demazure difference not divisible"
-        return q
+        ai = CohPoly.linear(self.rs.simple_roots[i].fund)
+        return dl_step(-1, p.act(self.W, si), -1, p, ai)
 
     def t_left(self, i, elem):
         """T_i . (sum p_w T_w) with T_i x_lam = x_{s_i lam} T_i - <lam, a_i^vee>."""
@@ -172,10 +165,11 @@ class CohOracle(Localization):
     def _act(self, w, p):
         return p.act(self.W, w)
 
-    def _dl_coeffs(self, i):
+    @staticmethod
+    def dl_coeffs(rs, i):
         """T_i = ((alpha_i + 1) s_i^L - 1) / alpha_i."""
-        ai = _simple_root(self.rs, i)
-        return ai + self._one(), 1, ai
+        ai = CohPoly.linear(rs.simple_roots[i].fund)
+        return ai + CohPoly.const(1, rs.rank), 1, ai
 
     csm = Localization.cell_class  # c_SM(X(w)^o)
     sm_y = Localization.dual_class  # s_M(Y(u)^o), dual to the CSM classes

@@ -103,11 +103,12 @@ class HeckeAlgebra:
         """
         rs = self.rs
         si = self.W.from_word((i,))
-        alpha_i = rs.weight(tuple(rs.cartan[k][i] for k in range(rs.rank)))
+        root = rs.simple_roots[i]
+        alpha_i = rs.weight(root.fund)
         if mu[i] % rs.h:
             raise ValueError("Hecke weights must be integral")
         m = mu[i] // rs.h  # <mu, alpha_i^vee>
-        smu = rs.reflect(mu, self._simple_root(i))
+        smu = rs.reflect(mu, root)
         out = {(si, smu): Scalar.one()}
         one_minus_q = Scalar.int(1) - Scalar.q(1)
         if m > 0:
@@ -121,12 +122,6 @@ class HeckeAlgebra:
                 w = tuple(c + k * a for c, a in zip(mu, alpha_i))
                 out[(0, w)] = out.get((0, w), Scalar.zero()) + one_minus_q
         return {k: x for k, x in out.items() if x}
-
-    def _simple_root(self, i):
-        for rt in self.rs.positive_roots:
-            if rt.height() == 1 and rt.simple[i] == 1:
-                return rt
-        raise AssertionError
 
     def _tw_x(self, w, mu):
         """T_w X^mu in normal form (memoized)."""

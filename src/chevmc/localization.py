@@ -10,12 +10,14 @@ supplies those, and this class does the rest: the operator recursion
 for the classes of Schubert cells, the Atiyah-Bott sum, the dual basis
 by triangular inversion and the expansion of a class in the cell basis.
 
-The operator recursion and the expansion in the cell basis stay in the
-ring: each step is one exact division, polynomial by theory and
-asserted so.  Frac appears only where a value is a genuine quotient:
-the Atiyah-Bott sum (`integral`, `pair`) and the dual basis; a
-Frac-valued class (Segre classes, pushforwards) mixes freely with
-ring-valued ones in `add`, `mul` and `classes_equal`.
+Every Demazure-Lusztig step of the package, here and in specialfn,
+oracle.StableBasis and csm.DegenerateHecke, is `dl_step`: one exact
+division, polynomial by theory and asserted so; the expansion in the
+cell basis is a triangular solve of exact divisions as well.  Frac
+appears only where a value is a genuine quotient: the Atiyah-Bott sum
+(`atiyah_bott`, shared with specialfn) and the dual basis.  A
+Frac-valued class (Segre classes, pushforwards) mixes with ring-valued
+ones in `mul` and `classes_equal`.
 """
 
 from __future__ import annotations
@@ -23,11 +25,21 @@ from __future__ import annotations
 from .charring import Frac
 
 
+def dl_step(a, x, b, f, d):
+    """(a x - b f) / d: one step of a Demazure-Lusztig or Demazure
+    operator at a point, with x the value brought along the s_i edge and
+    f the value at the point.  An exact division, polynomial for every
+    class the operators act on."""
+    g = (a * x - b * f).exact_div(d)
+    assert g is not None, "Demazure-Lusztig step is not polynomial"
+    return g
+
+
 class Localization:
     """Localization model for one root system; caches are write-once.
 
-    Subclasses set `ring` and define `_euler_factor(w, root)`,
-    `_dl_coeffs(i)` and `_act(w, g)`.
+    Subclasses set `ring` and define `_euler_factor(w, root)`, the
+    static `dl_coeffs(rs, i)` and `_act(w, g)`.
     """
 
     ring = None
@@ -82,25 +94,22 @@ class Localization:
     # -- Demazure-Lusztig ----------------------------------------------
     def dl_left(self, i, F):
         """The left Demazure-Lusztig operator T_i = (a s_i^L - b) / d on
-        a ring-valued class, with (a, b, d) = `_dl_coeffs(i)`:
+        a ring-valued class, with (a, b, d) = `dl_coeffs(rs, i)`:
 
-            (T_i F)|_w = (a s_i(F|_{s_i w}) - b F|_w) / d,
-
-        an exact division for every class of the theory.
+            (T_i F)|_w = (a s_i(F|_{s_i w}) - b F|_w) / d.
         """
         W = self.W
-        a, b, d = self._dl_coeffs(i)
+        a, b, d = self.dl_coeffs(self.rs, i)
         si = W.from_word((i,))
+        zero = self.ring()
         out = {}
         for w in range(W.n):
             sw = W.mul(si, w)
-            acc = a * self._act(si, F[sw]) if sw in F else self.ring()
-            if w in F:
-                acc = acc - b * F[w]
-            if acc:
-                g = acc.exact_div(d)
-                assert g is not None, "Demazure-Lusztig step is not polynomial"
-                out[w] = g
+            if sw in F or w in F:
+                x = self._act(si, F[sw]) if sw in F else zero
+                g = dl_step(a, x, b, F.get(w, zero), d)
+                if g:
+                    out[w] = g
         return out
 
     def cell_class(self, w):
@@ -117,9 +126,11 @@ class Localization:
         return cache[w]
 
     # -- Atiyah-Bott sum and the dual basis ----------------------------
-    def _integrate(self, F, eul):
-        """sum_w F|_w / prod(eul[w]), which must be a polynomial."""
-        acc = Frac(self.ring())
+    @classmethod
+    def atiyah_bott(cls, F, eul):
+        """sum_w F|_w / prod(eul[w]) for {w: ring element or Frac} and
+        {w: tuple of Euler factors}, which must be a polynomial."""
+        acc = Frac(cls.ring())
         for w, f in F.items():
             f = Frac.lift(f)
             acc = acc + Frac(f.num, f.den + eul[w])
@@ -129,7 +140,7 @@ class Localization:
 
     def integral(self, F):
         """Atiyah-Bott: the pushforward of F to a point."""
-        return self._integrate(F, self._eul)
+        return self.atiyah_bott(F, self._eul)
 
     def pair(self, F, G):
         return self.integral(self.mul(F, G))
@@ -166,7 +177,7 @@ class Localization:
         """{u: nonzero sum_w (F dual[u])|_w / prod(eul[w])} over `points`."""
         out = {}
         for u in points:
-            g = self._integrate(self.mul(F, dual[u]), eul)
+            g = self.atiyah_bott(self.mul(F, dual[u]), eul)
             if g:
                 out[u] = g
         return out

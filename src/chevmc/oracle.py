@@ -9,12 +9,13 @@ expansion of a line bundle times a motivic class in the motivic basis.
 Everything here is independent of the lambda-chain combinatorics, so
 agreement with the chain formulas is a genuine cross-check.
 
-Line bundles, MC classes and the expansion are polynomial: their
-restrictions are GA elements (packed keys, see charring.py), and the
-Demazure-Lusztig step and the triangular solve are exact divisions.
-Frac wraps them only where a value is a genuine quotient: Segre
-classes (`smc`, `smc_def`), `mc_prime`, `pushforward` and the affine
-Hecke operator `StableBasis.hecke_T`.
+Line bundles, MC classes, stable envelopes and the expansion are
+polynomial: their restrictions are GA elements (packed keys, see
+charring.py), and the Demazure-Lusztig steps (left on MC classes,
+right in the affine Hecke action `StableBasis.hecke_T`) and the
+triangular solve are exact divisions.  Frac wraps them only where a
+value is a genuine quotient: Segre classes (`smc`, `smc_def`),
+`mc_prime`, `pushforward` and `star_identity_sides`.
 
 The stable-basis layer of the cotangent bundle lives at the end of the
 file; it is the only place where half powers of q (odd powers of v)
@@ -26,7 +27,7 @@ from __future__ import annotations
 from .params import Scalar
 from .charring import GA, Frac, _wneg
 from .alcove import chain_lex_height
-from .localization import Localization
+from .localization import Localization, dl_step
 
 
 class KOracle(Localization):
@@ -48,15 +49,12 @@ class KOracle(Localization):
     def _act(self, w, g):
         return g.transform(self.W.mats[w])
 
-    def _alpha_fine(self, i):
-        rs = self.rs
-        return rs.weight(tuple(rs.cartan[k][i] for k in range(rs.rank)))
-
-    def _dl_coeffs(self, i):
+    @staticmethod
+    def dl_coeffs(rs, i):
         """T_i = (a s_i - b) / d with a = 1 + y e^{-a_i}, b = 1 + y and
-        d = 1 - e^{-a_i}."""
-        one = self._one()
-        nai = _wneg(self._alpha_fine(i))
+        d = 1 - e^{-a_i}, which is also specialfn's T~vee_i."""
+        one = GA.const(1, rs.rank)
+        nai = _wneg(rs.weight(rs.simple_roots[i].fund))
         return (one + GA.term(nai, Scalar.y(1)), Scalar.one() + Scalar.y(1),
                 one - GA.term(nai))
 
@@ -266,32 +264,29 @@ class StableBasis:
         return self._stab[w]
 
     def hecke_T(self, i, F):
-        """The affine Hecke operator T_i on the localization model:
+        """The affine Hecke operator T_i on the localization model, a right
+        Demazure-Lusztig step:
 
-            (T_i F)|_w = (q - 1)/(1 - e^{w a_i}) F|_w
-                         + (e^{w a_i} - q) e^{-w a_i}/(1 - e^{w a_i}) F|_{w s_i}
+            (T_i F)|_w = ((1 - q e^{-w a_i}) F|_{w s_i} - (1 - q) F|_w)
+                         / (1 - e^{w a_i}).
         """
-        o = self.o
         W = self.W
-        rank = self.rs.rank
-        ai = o._alpha_fine(i)
+        rs = self.rs
+        one = GA.const(1, rs.rank)
         q = Scalar.q(1)
+        ai = rs.weight(rs.simple_roots[i].fund)
+        si = W.from_word((i,))
+        zero = GA()
         out = {}
         for w in range(W.n):
-            wa = W.act(w, ai)
-            e_wa = GA.term(wa)
-            den = (GA.const(1, rank) - e_wa,)
-            acc = Frac(GA())
-            if w in F:
-                acc = acc + Frac(
-                    GA.const(q, rank) - GA.const(1, rank), den
-                ) * F[w]
-            ws = W.mul(w, W.from_word((i,)))
-            if ws in F:
-                num = (e_wa - GA.const(q, rank)) * GA.term(_wneg(wa))
-                acc = acc + Frac(num, den) * F[ws]
-            if acc:
-                out[w] = acc
+            ws = W.mul(w, si)
+            if w in F or ws in F:
+                wa = W.act(w, ai)
+                g = dl_step(one - GA.term(_wneg(wa), q), F.get(ws, zero),
+                            Scalar.one() - q, F.get(w, zero),
+                            one - GA.term(wa))
+                if g:
+                    out[w] = g
         return out
 
     def hecke_T_on_stab(self, i, w):

@@ -147,6 +147,9 @@ class RootSystem:
             rt = Root(simple, coroot, fund)
             seen[simple] = rt
             todo.append(rt)
+        # alpha_1..alpha_r in index order (positive_roots lists the
+        # height-1 roots by their simple coordinates, so reversed)
+        self.simple_roots = tuple(todo)
         while todo:
             rt = todo.pop()
             for i in range(r):

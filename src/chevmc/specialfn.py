@@ -6,14 +6,20 @@ H_lambda, and Hall-Littlewood polynomials by a closed localization
 formula and by two lambda-chain formulas.  The Hall-Littlewood
 parameter t is the Hecke parameter q of the shared coefficient ring
 (t = -y), so no new generator is introduced.
+
+Everything here stays in the character ring GA: each operator step is
+one exact division (localization.dl_step), and the localization
+formulas go through the oracle's Atiyah-Bott sum.
 """
 
 from __future__ import annotations
 
 from .params import Scalar
-from .charring import GA, Frac, _BIAS, _pack, _wneg, _weight, render_terms
+from .charring import GA, _BIAS, _pack, _wneg, _weight, render_terms
 from .alcove import chain_lex_height, descent_subsets
 from .chevalley import chevalley_table
+from .localization import dl_step
+from .oracle import KOracle
 
 
 class ScalarDL:
@@ -22,33 +28,24 @@ class ScalarDL:
         T~_i     = (1 + y e^{a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i})
         T~vee_i  = (1 + y e^{-a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i})
 
-    Both satisfy the braid relations and the common quadratic relation,
-    so T~_w is defined along any reduced word.
+    T~vee_i is the oracle's left operator (KOracle.dl_coeffs), and T~_i
+    differs from it only in the sign of a_i in the first numerator.  Both
+    satisfy the braid relations and the common quadratic relation, so
+    T~_w is defined along any reduced word.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.W = rs.weyl()
 
-    def _alpha(self, i):
-        rs = self.rs
-        return rs.weight(tuple(rs.cartan[k][i] for k in range(rs.rank)))
-
     def apply_simple(self, i, f, variant="tilde"):
-        rs = self.rs
-        W = self.W
-        rank = rs.rank
-        ai = self._alpha(i)
-        one = GA.const(1, rank)
-        den = (one - GA.term(_wneg(ai)),)
-        top = ai if variant == "tilde" else _wneg(ai)
         if variant not in ("tilde", "tilde_vee"):
             raise ValueError("unknown variant %r" % variant)
-        c1 = Frac(one + GA.term(top, Scalar.y(1)), den)
-        c2 = Frac(one + GA.const(Scalar.y(1), rank), den)
-        si = W.from_word((i,))
-        moved = f.map(lambda g: g.transform(W.mats[si]))
-        return c1 * moved - c2 * f
+        a, b, d = KOracle.dl_coeffs(self.rs, i)
+        if variant == "tilde":
+            a = a.star()
+        W = self.W
+        return dl_step(a, f.transform(W.mats[W.from_word((i,))]), b, f, d)
 
     def apply(self, w, f, variant="tilde"):
         for i in reversed(self.W.word(w)):
@@ -61,10 +58,7 @@ def whittaker(rs, lam_fund, w):
     anti-dominant lambda."""
     if not all(c <= 0 for c in lam_fund):
         raise ValueError("weight must be anti-dominant")
-    dl = ScalarDL(rs)
-    g = dl.apply(w, Frac(GA.term(rs.weight(lam_fund)))).as_poly()
-    assert g is not None, "Whittaker function did not reduce to a polynomial"
-    return g
+    return ScalarDL(rs).apply(w, GA.term(rs.weight(lam_fund)))
 
 
 def whittaker_chevalley(rs, lam_fund, w):
@@ -85,23 +79,15 @@ def whittaker_chevalley(rs, lam_fund, w):
 
 def big_r(rs, lam_fund, method="localization"):
     """R_lambda(y) = chi_T(G/B, lambda_y(T*) (x) L_lambda)."""
-    W = rs.weyl()
-    if method == "localization":
-        return _fixed_point_sum(
-            rs, rs.weight(lam_fund), range(W.n),
-            [rs.weight(a.fund) for a in rs.positive_roots], Scalar.y(1),
-        )
     if method == "operators":
         dl = ScalarDL(rs)
-        e_lam = Frac(GA.term(rs.weight(lam_fund)))
-        acc = Frac(GA())
-        for w in range(W.n):
+        e_lam = GA.term(rs.weight(lam_fund))
+        acc = GA()
+        for w in range(rs.weyl().n):
             acc = acc + dl.apply(w, e_lam, variant="tilde_vee")
-        g = acc.as_poly()
-        assert g is not None
-        return g
-    if method == "chevalley":
-        return big_h(rs, lam_fund, method="chevalley", parabolic=())
+        return acc
+    if method in ("localization", "chevalley"):
+        return big_h(rs, lam_fund, method=method, parabolic=())
     raise ValueError("unknown method %r" % method)
 
 
@@ -109,25 +95,23 @@ def _lambda_parabolic(rs, lam_fund):
     return tuple(i for i in range(rs.rank) if lam_fund[i] == 0)
 
 
-def _fixed_point_sum(rs, lam, reps, roots, c):
-    """sum_{w in reps} e^{w lam} prod_{a in roots} (1 + c e^{wa})/(1 - e^{wa})
+def _orbit_sum(rs, lam_fund, parabolic, roots):
+    """sum_{w in W^P} e^{w lam} prod_{a in roots} (1 + y e^{wa})/(1 - e^{wa})
 
-    for a fine weight lam and fine-lattice roots; the localization
-    formulas below are all of this shape and sum to a polynomial."""
+    for fine-lattice roots: the numerators and Euler factors at the
+    fixed points of G/P, summed by KOracle.atiyah_bott."""
     W = rs.weyl()
+    lam = rs.weight(lam_fund)
     one = GA.const(1, rs.rank)
-    acc = Frac(GA())
-    for w in reps:
+    nums, eul = {}, {}
+    for w in W.min_coset_reps(parabolic):
+        wroots = [W.act(w, a) for a in roots]
         num = GA.term(W.act(w, lam))
-        den = []
-        for a in roots:
-            wa = W.act(w, a)
-            num = num * (one + GA.term(wa, c))
-            den.append(one - GA.term(wa))
-        acc = acc + Frac(num, tuple(den))
-    g = acc.as_poly()
-    assert g is not None, "localization sum is not polynomial"
-    return g
+        for wa in wroots:
+            num = num * (one + GA.term(wa, Scalar.y(1)))
+        nums[w] = num
+        eul[w] = tuple(one - GA.term(wa) for wa in wroots)
+    return KOracle.atiyah_bott(nums, eul)
 
 
 def big_h(rs, lam_fund, method="localization", parabolic=None):
@@ -138,10 +122,9 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
             raise ValueError("lambda or -lambda must be dominant")
         parabolic = _lambda_parabolic(rs, lam_fund)
     if method == "localization":
-        return _fixed_point_sum(
-            rs, rs.weight(lam_fund), W.min_coset_reps(parabolic),
+        return _orbit_sum(
+            rs, lam_fund, parabolic,
             [rs.weight(a.fund) for a in rs.horizontal_roots(parabolic)],
-            Scalar.y(1),
         )
     if method == "chevalley":
         # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
@@ -175,14 +158,12 @@ def hall_littlewood(rs, lam_fund, method="closed", chain=None):
     x (e^mu stands for x^mu)."""
     if not all(c >= 0 for c in lam_fund):
         raise ValueError("lambda must be dominant")
-    W = rs.weyl()
     parabolic = _lambda_parabolic(rs, lam_fund)
     if method == "closed":
         # (1 - t e^{-wa})/(1 - e^{-wa}) over the negated horizontal roots
-        return _fixed_point_sum(
-            rs, rs.weight(lam_fund), W.min_coset_reps(parabolic),
+        return _orbit_sum(
+            rs, lam_fund, parabolic,
             [_wneg(rs.weight(a.fund)) for a in rs.horizontal_roots(parabolic)],
-            -Scalar.q(1),
         )
     if method in ("chain_restricted", "chain_opposite"):
         formula = 1 if method == "chain_restricted" else 2
@@ -275,8 +256,6 @@ def schur_expansion(rs, g):
     Returns {dominant weight (fund coords): Scalar}; peels the leading
     dominant term repeatedly, so it terminates exactly when g lies in
     the character ring."""
-    from .oracle import KOracle
-
     o = KOracle(rs)
 
     def key(fine):
@@ -328,8 +307,6 @@ def render_schur(rs, expansion, degree, var="t"):
 
 def casselman_shalika_sides(rs, lam_fund):
     """(sum_w W_{lambda,w},  prod(1+y e^alpha) chi_{w0 lambda})."""
-    from .oracle import KOracle
-
     W = rs.weyl()
     acc = GA()
     for w in range(W.n):

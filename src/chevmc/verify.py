@@ -12,6 +12,7 @@ import itertools
 import os
 from multiprocessing import Pool
 
+from .params import Scalar
 from .charring import GA
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height
@@ -43,7 +44,7 @@ def _lams_pm_fund_rho(rank):
         out.append(tuple(-c for c in e))
     out.append((1,) * rank)
     out.append((-1,) * rank)
-    return out
+    return list(dict.fromkeys(out))  # in rank 1, rho is varpi_1
 
 
 # -- case functions ----------------------------------------------------
@@ -185,13 +186,28 @@ def case_csm(family, rank, lam):
 
 
 def case_positivity(family, rank, lam):
+    """Each +lambda term is e^mu q^a (q-1)^b with a, b >= 0 and b of the
+    parity of l(w) - l(u), and the terms sum to the Chevalley table."""
     rs = RootSystem(family, rank)
     W = rs.weyl()
     if not all(c >= 0 for c in lam):
         return "lambda %s is not dominant" % (lam,)
-    chain = chain_lex_height(rs, tuple(lam))
+    lam = tuple(lam)
+    chain = chain_lex_height(rs, lam)
+    qm1 = Scalar.q(1) - Scalar.one()
     for w in range(W.n):
-        positivity_terms(chain, w)
+        acc = {}
+        for u, mu, a, b in positivity_terms(chain, w):
+            if a < 0 or b < 0 or (W.length[w] - W.length[u] - b) % 2:
+                return "term q^%d (q-1)^%d out of shape at u=%s w=%s" % (
+                    a, b, W.word_str(u), W.word_str(w),
+                )
+            acc[u] = acc.get(u, GA()) + GA.term(mu, Scalar.q(a) * qm1 ** b)
+        table = chevalley_table(rs, lam, w, sign=1, chain=chain)
+        if {u: g for u, g in acc.items() if g} != table:
+            return "positivity terms miss the table at w=%s lambda=%s" % (
+                W.word_str(w), lam,
+            )
     return None
 
 
@@ -225,8 +241,14 @@ def _dominant_lams(rank, max_weight):
     ]
 
 
+SUITES = ("dualities", "oracle", "methods", "stable", "hl", "whittaker",
+          "csm", "positivity", "all")
+
+
 def suite_cases(suite, family, rank, max_weight=2):
     """List of (case_id, func_name, args) for a named suite."""
+    if suite not in SUITES:
+        raise ValueError("unknown suite %r" % suite)
     cases = []
 
     def add(func, *args):
@@ -260,7 +282,8 @@ def suite_cases(suite, family, rank, max_weight=2):
         for lam in _dominant_lams(rank, max_weight):
             add("positivity", family, rank, lam)
     if not cases:
-        raise ValueError("unknown suite %r" % suite)
+        raise ValueError("suite %r has no cases for %s%d at --max-weight %d"
+                         % (suite, family, rank, max_weight))
     return cases
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from chevmc import __version__
 from chevmc.cli import _dumps, run
 from chevmc.cache import cache_key, cache_get, cache_put
+from chevmc.verify import suite_cases
 import chevmc
 
 
@@ -165,6 +166,38 @@ def test_verify_pass_and_json():
     assert code == 0
     doc = json.loads(text)
     assert doc["results"] and all(r["ok"] for r in doc["results"])
+
+
+def test_verify_empty_suite_names_max_weight(capsys):
+    # a known suite whose weights all fall outside --max-weight has no
+    # cases: that is bad input (exit 2), not an unknown suite
+    for suite in ("oracle", "stable", "positivity", "hl"):
+        for mw in ("0", "-1"):
+            capsys.readouterr()
+            code, text = _run(["verify", "--suite", suite, "--type", "A2",
+                               "--max-weight", mw])
+            err = capsys.readouterr().err
+            assert code == 2 and not text, (suite, mw)
+            assert "--max-weight %s" % mw in err, (suite, mw, err)
+            assert "unknown suite" not in err, (suite, mw, err)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        suite_cases("nope", "A", 2, 0)
+
+
+def test_verify_case_ids_unique():
+    # in rank 1, rho = varpi_1, so the +-varpi_i, +-rho weight list
+    # repeats itself unless deduplicated; A2 keeps its order
+    cases = suite_cases("all", "A", 1, 1)
+    ids = [cid for cid, _, _ in cases]
+    assert len(ids) == len(set(ids)) == 19
+    assert [c[0] for c in suite_cases("methods", "A", 2)] == [
+        "methods(A,2,%s)" % (lam,) for lam in
+        [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+    ]
+    for label in ("A1", "B2"):
+        ids = [cid for cid, _, _ in suite_cases("all", label[0],
+                                                int(label[1]))]
+        assert len(ids) == len(set(ids)), label
 
 
 def test_search_positivity_small_types_clean():

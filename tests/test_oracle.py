@@ -7,6 +7,7 @@ from chevmc.charring import GA, Frac
 from chevmc.rootsystem import RootSystem
 from chevmc.oracle import KOracle, StableBasis
 from chevmc.chevalley import chevalley_table, chevalley_parabolic
+from chevmc.verify import case_stable
 
 RS = RootSystem("A", 2)
 W = RS.weyl()
@@ -157,6 +158,13 @@ def test_hecke_action_on_stab(stable):
         for w in range(W.n):
             lhs, rhs = stable.hecke_T_on_stab(i, w)
             assert o.classes_equal(lhs, rhs), (i, w)
+
+
+@pytest.mark.parametrize("family", ["B", "G"])
+def test_stable_layer_off_type_a(family):
+    # stab support, the right Hecke step and wall crossing where the
+    # roots have two lengths
+    assert case_stable(family, 2, (1, 1)) is None
 
 
 def test_shift_matrix_worked_examples(stable):
