@@ -26,20 +26,16 @@ csm.CohPoly, the polynomial ring on the fundamental weights, keeps
 rational coefficients on the same keys (v field 0).  `render_terms`
 joins the rendered terms of any of them.
 
-Frac is num / prod(den) over GA or CohPoly, kept only where a value is
-a genuine quotient: the Atiyah-Bott sum, dual bases, Segre classes,
-mc_prime and pushforwards.  Every Demazure-Lusztig step stays in the
-ring (localization.dl_step).  Each Frac operation cancels the
-denominator factors that divide exactly, which they do for the factor
-families that occur (1 - e^beta, 1 + y e^beta and monomials); equality
-falls back to cross-multiplication, so an unreduced fraction is never
-wrong, only slower.
+There is no fraction type.  Every Demazure-Lusztig step is one exact
+division in the ring (localization.dl_step), and every localization
+quotient is one exact division over a W-fixed denominator
+(localization.Localization.root_quotient): a product of root factors,
+or a W-invariant constant under a Segre-type class.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
 
 FIELD = 20
 MASK = (1 << FIELD) - 1
@@ -606,113 +602,3 @@ class Scalar(GA):
     def from_json(d):
         return Scalar({int(k): x for k, x in d.items()})
 
-
-class Frac:
-    """num / prod(den) over a polynomial ring: GA in K-theory, CohPoly in
-    cohomology.  The ring supplies `exact_div`, `unit_inverse` and
-    `const`; everything else here is ring-independent.  A plain ring
-    element is read as a fraction on either side of `*`, `/` and `==`,
-    and on the right of `+` and `-`."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=()):
-        if not num:
-            den = ()
-        self.num = num
-        self.den = tuple(den)
-
-    @staticmethod
-    def lift(x):
-        return x if isinstance(x, Frac) else Frac(x)
-
-    def _reduce(self):
-        """Cancel denominator factors that divide the numerator exactly."""
-        num = self.num
-        if not num:
-            return self
-        kept = []
-        for f in self.den:
-            inv = f.unit_inverse()
-            if inv is not None:
-                num = num * inv
-                continue
-            q = num.exact_div(f)
-            if q is not None:
-                num = q
-            else:
-                kept.append(f)
-        return Frac(num, kept)
-
-    def __add__(self, other):
-        other = Frac.lift(other)
-        if not other.num:
-            return self
-        if not self.num:
-            return other
-        # common denominator via multiset lcm of factors
-        c1 = Counter(self.den)
-        c2 = Counter(other.den)
-        lcm = c1 | c2
-        n1 = self.num
-        for f in (lcm - c1).elements():
-            n1 = n1 * f
-        n2 = other.num
-        for f in (lcm - c2).elements():
-            n2 = n2 * f
-        return Frac(n1 + n2, tuple(lcm.elements()))._reduce()
-
-    def __neg__(self):
-        return Frac(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-Frac.lift(other))
-
-    def __mul__(self, other):
-        if type(other) is type(self.num):
-            other = Frac(other)
-        elif not isinstance(other, Frac):
-            # a coefficient scalar
-            return Frac(self.num * other, self.den)
-        return Frac(self.num * other.num, self.den + other.den)._reduce()
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.num:
-            raise ZeroDivisionError
-        den = self.num.const(1, self.num.rank())
-        for f in self.den:
-            den = den * f
-        return Frac(den, (self.num,))._reduce()
-
-    def __truediv__(self, other):
-        return self * Frac.lift(other).inverse()
-
-    def __rtruediv__(self, other):
-        return Frac.lift(other) / self
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def __eq__(self, other):
-        if isinstance(other, int) and other == 0:
-            return not self.num
-        return not (self - other).num
-
-    def as_poly(self):
-        """Return the reduced numerator if the fraction is polynomial."""
-        r = self._reduce()
-        num = r.num
-        for f in r.den:
-            num = num.exact_div(f)
-            if num is None:
-                return None
-        return num
-
-    def map(self, ring_map):
-        """Apply a ring map to numerator and factors."""
-        return Frac(ring_map(self.num), tuple(ring_map(f) for f in self.den))
-
-    def __repr__(self):
-        return "Frac(%r, %r)" % (self.num, self.den)

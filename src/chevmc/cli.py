@@ -343,9 +343,9 @@ def _cmd_oracle(args, out):
     lam = _parse_lambda(args.lam, rs.rank)
     w = _parse_one_w(W, args.w, "oracle")
     o = KOracle(rs)
-    table = o.expand_product(lam, w, method=args.method)
+    table = o.expand_product(lam, w)
     doc = _doc("oracle", rs, lam=list(lam), w=W.word_str(w),
-               method=args.method, entries=_table_json(rs, table))
+               method="solve", entries=_table_json(rs, table))
     _emit(doc, render_table(rs, table), args.format, out)
     return 0
 
@@ -565,7 +565,6 @@ def build_parser():
 
     sp = sub.add_parser("oracle", help="localization-oracle expansion")
     common(sp, w="one")
-    sp.add_argument("--method", choices=("solve", "pairing"), default="solve")
     sp.set_defaults(func=_cmd_oracle)
 
     sp = sub.add_parser("stab", help="stable-basis shift matrix")

@@ -158,9 +158,9 @@ class CohOracle(Localization):
 
     ring = CohPoly
 
-    def _euler_factor(self, w, a):
-        """-w(alpha)."""
-        return -CohPoly.linear(self.W.act(w, a.fund))
+    def _euler(self, mu):
+        """-mu."""
+        return -CohPoly.linear(mu)
 
     def _act(self, w, p):
         return p.act(self.W, w)
@@ -172,7 +172,23 @@ class CohOracle(Localization):
         return ai + CohPoly.const(1, rs.rank), 1, ai
 
     csm = Localization.cell_class  # c_SM(X(w)^o)
-    sm_y = Localization.dual_class  # s_M(Y(u)^o), dual to the CSM classes
+
+    def sm_y(self, u):
+        """s_M(Y(u)^o) = c_SM(Y(u)^o) / c(T), the basis dual to the CSM
+        classes, as (numerator class, C): c(T)|_w = prod_{alpha>0}
+        (1 - w(alpha)) times prod_{alpha>0} (1 + w(alpha)) is
+        C = prod over all roots beta of (1 + beta), which W fixes."""
+        W = self.W
+        one = self._one()
+        out = {}
+        for w, f in self.opposite_cell_class(u).items():
+            for b in self.pos_roots:
+                f = f * (one + CohPoly.linear(W.act(w, b)))
+            out[w] = f
+        c = one
+        for b in self.pos_roots:
+            c = c * (one - CohPoly.linear(b) ** 2)
+        return out, c
 
     def first_chern(self, lam_fund):
         """c1(L_lambda)|_v = v(lambda)."""
@@ -188,8 +204,7 @@ class CohOracle(Localization):
     def expand_chern_product(self, lam_fund, w):
         """{u: coefficient} of c1(L_lambda) . csm(X(w)^o) in the CSM
         basis."""
-        F = self.mul(self.first_chern(lam_fund), self.csm(w))
-        return self._expand(F, w)
+        return self._expand(self.mul(self.first_chern(lam_fund), self.csm(w)))
 
 
 # -- closed Chevalley formulas -----------------------------------------

@@ -3,26 +3,30 @@
 A class is stored by its restrictions to the torus fixed points e_w, as
 a dict {w: ring element}; the ring is charring.GA (packed keys, int
 coefficients) in K-theory and csm.CohPoly in cohomology.  The two
-theories differ only in that ring, in the Euler factor of a tangent
-weight, in the three ring elements of the left Demazure-Lusztig
-operator and in how the Weyl group acts on ring elements; a subclass
-supplies those, and this class does the rest: the operator recursion
-for the classes of Schubert cells, the Atiyah-Bott sum, the dual basis
-by triangular inversion and the expansion of a class in the cell basis.
+theories differ only in that ring, in the Euler factor eul(mu) of a
+cotangent weight mu, in the three ring elements of the left
+Demazure-Lusztig operator and in how the Weyl group acts on ring
+elements; a subclass supplies those, and this class does the rest: the
+operator recursion for the classes of Schubert cells, the Atiyah-Bott
+sum and the expansion of a class in the cell basis.
 
-Every Demazure-Lusztig step of the package, here and in specialfn,
-oracle.StableBasis and csm.DegenerateHecke, is `dl_step`: one exact
-division, polynomial by theory and asserted so; the expansion in the
-cell basis is a triangular solve of exact divisions as well.  Frac
-appears only where a value is a genuine quotient: the Atiyah-Bott sum
-(`atiyah_bott`, shared with specialfn) and the dual basis.  A
-Frac-valued class (Segre classes, pushforwards) mixes with ring-valued
-ones in `mul` and `classes_equal`.
+Every value is a ring element.  Every Demazure-Lusztig step of the
+package, here and in specialfn, oracle.StableBasis and
+csm.DegenerateHecke, is `dl_step`, and the expansion in the cell basis
+is a triangular solve: both are exact divisions, polynomial by theory
+and asserted so.  Each genuine quotient is one exact division over a
+W-fixed denominator.  For a positive root b, eul(b) is a unit times
+eul(-b), so a sum of numerators over Euler factors of weights +-b is a
+ring sum over the product of the eul(-b) (`cofactor`,
+`root_quotient`): the Atiyah-Bott sum over the Weyl denominator, the
+G/P pushforward coset by coset and specialfn's orbit sums.  A
+Segre-type class is a ring-valued numerator class over one W-invariant
+constant, so its pairing is one more exact division by that constant.
 """
 
 from __future__ import annotations
 
-from .charring import Frac
+from .charring import _wneg
 
 
 def dl_step(a, x, b, f, d):
@@ -38,8 +42,8 @@ def dl_step(a, x, b, f, d):
 class Localization:
     """Localization model for one root system; caches are write-once.
 
-    Subclasses set `ring` and define `_euler_factor(w, root)`, the
-    static `dl_coeffs(rs, i)` and `_act(w, g)`.
+    Subclasses set `ring` and define `_euler(mu)` for mu in fundamental
+    coordinates, the static `dl_coeffs(rs, i)` and `_act(w, g)`.
     """
 
     ring = None
@@ -49,13 +53,16 @@ class Localization:
         self.W = rs.weyl()
         self.rank = rs.rank
         self.N = rs.n_positive()
-        W = self.W
-        self._eul = [
-            tuple(self._euler_factor(w, a) for a in rs.positive_roots)
-            for w in range(W.n)
-        ]
+        self.pos_roots = [a.fund for a in rs.positive_roots]
+        # per positive root b: the factor eul(-b) of the Weyl denominator
+        # and the unit eul(-b) / eul(b)
+        self._den = {b: self._euler(_wneg(b)) for b in self.pos_roots}
+        self._unit = {
+            b: self._den[b].exact_div(self._euler(b)) for b in self.pos_roots
+        }
         self._cells = {}
-        self._dual = None
+        self._opposite = {}
+        self._ab = None
 
     def _one(self):
         return self.ring.const(1, self.rank)
@@ -64,8 +71,8 @@ class Localization:
     def point_class(self):
         """The class of the point e_id: the product of its Euler factors."""
         g = self._one()
-        for f in self._eul[0]:
-            g = g * f
+        for b in self.pos_roots:
+            g = g * self._euler(b)
         return {0: g}
 
     def mul(self, F, G):
@@ -90,6 +97,16 @@ class Localization:
     def classes_equal(self, F, G):
         z = self.ring()
         return all(F.get(v, z) == G.get(v, z) for v in set(F) | set(G))
+
+    def w0_left(self, F):
+        """The left w0 action: (w0 F)|_v = w0(F|_{w0 v})."""
+        W = self.W
+        out = {}
+        for v in range(W.n):
+            src = W.mul(W.w0, v)
+            if src in F:
+                out[v] = self._act(W.w0, F[src])
+        return out
 
     # -- Demazure-Lusztig ----------------------------------------------
     def dl_left(self, i, F):
@@ -125,81 +142,76 @@ class Localization:
                 cache[w] = self.dl_left(word[0], self.cell_class(rest))
         return cache[w]
 
-    # -- Atiyah-Bott sum and the dual basis ----------------------------
-    @classmethod
-    def atiyah_bott(cls, F, eul):
-        """sum_w F|_w / prod(eul[w]) for {w: ring element or Frac} and
-        {w: tuple of Euler factors}, which must be a polynomial."""
-        acc = Frac(cls.ring())
-        for w, f in F.items():
-            f = Frac.lift(f)
-            acc = acc + Frac(f.num, f.den + eul[w])
-        g = acc.as_poly()
+    def opposite_cell_class(self, w):
+        """The class of the opposite cell Y(w)^o = w0 X(w0 w)^o."""
+        if w not in self._opposite:
+            W = self.W
+            self._opposite[w] = self.w0_left(self.cell_class(W.mul(W.w0, w)))
+        return self._opposite[w]
+
+    # -- quotients over root factors -----------------------------------
+    def cofactor(self, weights, roots=None):
+        """m with 1 / prod_{mu in weights} eul(mu) = m / prod_{b} eul(-b)
+        over the positive roots b in `roots` (default all), for weights
+        that are +-b for distinct b: eul(b) is eul(-b) over a unit."""
+        roots = self.pos_roots if roots is None else roots
+        m = self._one()
+        rest = set(roots)
+        for mu in weights:
+            if mu in rest:
+                m = m * self._unit[mu]
+                rest.remove(mu)
+            else:
+                rest.remove(_wneg(mu))
+        for b in rest:
+            m = m * self._den[b]
+        return m
+
+    def root_quotient(self, num, roots=None):
+        """num / prod_{b in roots} eul(-b), which must be a polynomial;
+        `roots` defaults to all positive roots."""
+        d = self._one()
+        for b in self.pos_roots if roots is None else roots:
+            d = d * self._den[b]
+        g = num.exact_div(d)
         assert g is not None, "localization sum is not polynomial"
         return g
 
     def integral(self, F):
-        """Atiyah-Bott: the pushforward of F to a point."""
-        return self.atiyah_bott(F, self._eul)
+        """Atiyah-Bott: the pushforward of F to a point,
+        sum_w F|_w / prod_{alpha>0} eul(w alpha)."""
+        if self._ab is None:
+            W = self.W
+            self._ab = [
+                self.cofactor([W.act(w, b) for b in self.pos_roots])
+                for w in range(W.n)
+            ]
+        num = self.ring()
+        for w, f in F.items():
+            num = num + f * self._ab[w]
+        return self.root_quotient(num)
 
     def pair(self, F, G):
         return self.integral(self.mul(F, G))
 
-    def _dual_basis(self, order, cells, eul):
-        """{u: D_u} with sum_w (cells[x] D_u)|_w / prod(eul[w]) = [u == x],
-        by triangular inversion: cells[x] is supported on points that
-        come no later than x in `order`."""
-        one = self._one()
-        inv_eul = {w: Frac(one, eul[w]) for w in order}
-        dual = {u: {} for u in order}
-        for x in order:
-            cx = cells[x]
-            diag = (cx[x] * inv_eul[x]).inverse()
-            for u in order:
-                acc = Frac(one if u == x else self.ring())
-                for v, f in cx.items():
-                    if v != x and v in dual[u]:
-                        acc = acc - f * dual[u][v] * inv_eul[v]
-                val = acc * diag
-                if val:
-                    dual[u][x] = val
-        return dual
-
-    def dual_class(self, u):
-        """The basis dual to the cell classes under the pairing."""
-        if self._dual is None:
-            cells = {w: self.cell_class(w) for w in range(self.W.n)}
-            self._dual = self._dual_basis(range(self.W.n), cells, self._eul)
-        return self._dual[u]
-
     # -- expansion in the cell basis -----------------------------------
-    def _expand_by_pairing(self, F, points, dual, eul):
-        """{u: nonzero sum_w (F dual[u])|_w / prod(eul[w])} over `points`."""
-        out = {}
-        for u in points:
-            g = self.atiyah_bott(self.mul(F, dual[u]), eul)
-            if g:
-                out[u] = g
-        return out
-
-    def _expand(self, F, w, method="solve"):
-        """{u: coefficient} of F in the cell basis, for F supported on
-        the Bruhat interval below w."""
-        W = self.W
-        if method == "pairing":
-            points = [u for u in range(W.n) if W.leq(u, w)]
-            dual = {u: self.dual_class(u) for u in points}
-            return self._expand_by_pairing(F, points, dual, self._eul)
-        if method != "solve":
-            raise ValueError("unknown method %r" % method)
-        # triangular solve against the cell basis, top length first:
-        # the coefficient at v is rem|_v over the diagonal cell(v)|_v
+    def _expand(self, F, cells=None):
+        """{u: coefficient} of F in the cell basis by a triangular solve
+        from the top: once the cells above v are subtracted, the
+        coefficient at v is F|_v over the diagonal cell(v)|_v.  `cells`
+        maps the fixed points in Bruhat-compatible order to their cell
+        classes (on G/P, the pushed-forward ones); the default is the
+        cells of G/B."""
+        if cells is None:
+            points, cell = range(self.W.n), self.cell_class
+        else:
+            points, cell = list(cells), cells.__getitem__
         rem = dict(F)
         out = {}
-        for v in reversed(range(W.n)):
+        for v in reversed(points):
             if v not in rem:
                 continue
-            cv = self.cell_class(v)
+            cv = cell(v)
             g = rem[v].exact_div(cv[v])
             assert g is not None, "non-polynomial Chevalley coefficient"
             out[v] = g

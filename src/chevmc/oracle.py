@@ -3,19 +3,22 @@
 On the shared localization core (localization.py) with the character
 ring as coefficients, the module provides line bundles, motivic Chern
 classes of Schubert cells (by the left Demazure-Lusztig recursion),
-Segre motivic classes (by inverting the triangular Poincare pairing),
-Euler characteristics by the Atiyah-Bott fixed-point sum, and the
-expansion of a line bundle times a motivic class in the motivic basis.
-Everything here is independent of the lambda-chain combinatorics, so
-agreement with the chain formulas is a genuine cross-check.
+Segre motivic classes (by their defining formula), Euler
+characteristics by the Atiyah-Bott fixed-point sum, and the expansion
+of a line bundle times a motivic class in the motivic basis, on G/B
+and on G/P.  Everything here is independent of the lambda-chain
+combinatorics, so agreement with the chain formulas is a genuine
+cross-check.
 
-Line bundles, MC classes, stable envelopes and the expansion are
-polynomial: their restrictions are GA elements (packed keys, see
-charring.py), and the Demazure-Lusztig steps (left on MC classes,
-right in the affine Hecke action `StableBasis.hecke_T`) and the
-triangular solve are exact divisions.  Frac wraps them only where a
-value is a genuine quotient: Segre classes (`smc`, `smc_def`),
-`mc_prime`, `pushforward` and `star_identity_sides`.
+Every value is a GA element (packed keys, see charring.py).  The
+Demazure-Lusztig steps (left on MC classes, right in the affine Hecke
+action `StableBasis.hecke_T`) and the triangular solve are exact
+divisions, and so is each genuine quotient, over a W-fixed
+denominator: the Atiyah-Bott sum and each coset of `pushforward` over
+root factors, and the Segre-type classes (`smc`, `mc_prime`) are a
+numerator class over Lambda = prod over all roots beta of
+(1 + y e^beta), so that pairing with one is one more division by
+Lambda.
 
 The stable-basis layer of the cotangent bundle lives at the end of the
 file; it is the only place where half powers of q (odd powers of v)
@@ -25,7 +28,7 @@ occur.
 from __future__ import annotations
 
 from .params import Scalar
-from .charring import GA, Frac, _wneg
+from .charring import GA, _wneg
 from .alcove import chain_lex_height
 from .localization import Localization, dl_step
 
@@ -35,16 +38,9 @@ class KOracle(Localization):
 
     ring = GA
 
-    def __init__(self, rs):
-        super().__init__(rs)
-        self._mc_y = {}
-
-    def _root_fine(self, a):
-        return tuple(self.rs.h * c for c in a.fund)
-
-    def _euler_factor(self, w, a):
-        """1 - e^{w(alpha)}."""
-        return self._one() - GA.term(self.W.act(w, self._root_fine(a)))
+    def _euler(self, mu):
+        """1 - e^{mu}."""
+        return self._one() - GA.term(self.rs.weight(mu))
 
     def _act(self, w, g):
         return g.transform(self.W.mats[w])
@@ -71,62 +67,50 @@ class KOracle(Localization):
     def scale(self, F, c):
         return {w: f * c for w, f in F.items()}
 
-    def lambda_y_cotangent(self, w):
-        """lambda_y(T*)|_w = prod_{alpha>0} (1 + y e^{w(alpha)})."""
+    def lambda_y_cotangent(self, w, sign=1):
+        """lambda_y(T*)|_w = prod_{alpha>0} (1 + y e^{w(alpha)}); with
+        sign=-1 the product over the -w(alpha), so that the two signs
+        multiply to Lambda = prod over all roots beta of (1 + y e^beta),
+        which W fixes."""
         y = Scalar.y(1)
         g = self._one()
-        for a in self.rs.positive_roots:
-            wa = self.W.act(w, self._root_fine(a))
-            g = g * (self._one() + GA.term(wa, y))
+        for b in self.pos_roots:
+            wb = self.rs.weight(self.W.act(w, b))
+            g = g * (self._one() + GA.term(tuple(sign * c for c in wb), y))
         return g
-
-    def w0_left(self, F):
-        """The left w0 action: (w0 F)|_v = w0(F|_{w0 v})."""
-        W = self.W
-        out = {}
-        for v in range(W.n):
-            src = W.mul(W.w0, v)
-            if src in F:
-                out[v] = self._act(W.w0, F[src])
-        return out
 
     # -- motivic classes -----------------------------------------------
     mc = Localization.cell_class  # MC_y(X(w)^o)
-    smc = Localization.dual_class  # SMC_y(Y(u)^o), dual to MC
+    mc_y = Localization.opposite_cell_class  # MC_y(Y(w)^o)
     euler_char = Localization.integral
 
-    def mc_y(self, w):
-        """MC_y(Y(w)^o) = w0 . MC_y(X(w0 w)^o)."""
-        if w not in self._mc_y:
-            self._mc_y[w] = self.w0_left(self.mc(self.W.mul(self.W.w0, w)))
-        return self._mc_y[w]
+    def _over_lambda_y(self, F):
+        """F / lambda_y(T*) as (numerator class, Lambda)."""
+        num = {w: f * self.lambda_y_cotangent(w, -1) for w, f in F.items()}
+        return num, self.lambda_y_cotangent(0) * self.lambda_y_cotangent(0, -1)
 
     def _segre(self, F, d):
-        """(-y)^d D(F) / lambda_y(T*) with the duality
-        D(F)|_w = (-1)^{dim G/B} e^{2 w rho} (F|_w)^vee."""
+        """(-y)^d D(F) / lambda_y(T*) as (numerator class, Lambda), with
+        the duality D(F)|_w = (-1)^{dim G/B} e^{2 w rho} (F|_w)^vee."""
         W = self.W
         pref = Scalar.q(d) * ((-1) ** self.N)
         rho2 = tuple(2 * c for c in self.rs.rho())
-        out = {}
-        for w, f in F.items():
-            g = f.dual_vee() * GA.term(W.act(w, rho2), pref)
-            if g:
-                out[w] = Frac(g) / self.lambda_y_cotangent(w)
-        return out
+        return self._over_lambda_y({
+            w: f.dual_vee() * GA.term(W.act(w, rho2), pref)
+            for w, f in F.items()
+        })
 
-    def smc_def(self, u):
-        """SMC_y(Y(u)^o) from the defining formula (-y)^{dim Y(u)}
-        D(MC_y(Y(u)^o)) / lambda_y(T*), used as a validator for the
-        dual-basis construction."""
+    def smc(self, u):
+        """SMC_y(Y(u)^o) = (-y)^{dim Y(u)} D(MC_y(Y(u)^o)) / lambda_y(T*),
+        the basis dual to the MC classes, as (numerator class, Lambda)."""
         return self._segre(self.mc_y(u), self.N - self.W.length[u])
 
     def mc_prime(self, w):
-        """MC'_y(X(w)^o) = lambda_y(id) MC_y(X(w)^o) / lambda_y(T*)."""
-        lam_id = self.lambda_y_cotangent(0)
-        out = {}
-        for v, f in self.mc(w).items():
-            out[v] = Frac(f * lam_id) / self.lambda_y_cotangent(v)
-        return out
+        """MC'_y(X(w)^o) = lambda_y(id) MC_y(X(w)^o) / lambda_y(T*) as
+        (numerator class, Lambda)."""
+        return self._over_lambda_y(
+            self.scale(self.mc(w), self.lambda_y_cotangent(0))
+        )
 
     # -- characters ----------------------------------------------------
     def weyl_character(self, mu_fund):
@@ -148,7 +132,7 @@ class KOracle(Localization):
         return out
 
     # -- Chevalley expansion -------------------------------------------
-    def expand_product(self, lam_fund, w, method="solve", character=None):
+    def expand_product(self, lam_fund, w, character=None):
         """{u: C^w_{u,lambda}} by expanding L_lambda (x) MC(X(w)^o).
 
         With `character` = {weight fund tuple: int}, expands the product
@@ -162,70 +146,63 @@ class KOracle(Localization):
                 bundle = self.add(
                     bundle, self.scale(self.line_bundle(lamc), a)
                 )
-        return self._expand(self.mul(bundle, self.mc(w)), w, method)
+        return self._expand(self.mul(bundle, self.mc(w)))
 
     # -- parabolic model -----------------------------------------------
     def parabolic_points(self, parabolic):
         return self.W.min_coset_reps(parabolic)
 
     def pushforward(self, F, parabolic):
-        """pi_*: sum each coset against the vertical Euler classes."""
+        """pi_*: inside a coset v W_P the vertical Euler factors are units
+        times prod_{gamma in Phi_P^+} (1 - e^{-v gamma}), so each coset
+        is one exact division."""
         rs = self.rs
         W = self.W
         horiz = rs.horizontal_roots(parabolic)
-        vert_roots = [a for a in rs.positive_roots if a not in horiz]
+        levi = [a.fund for a in rs.positive_roots if a not in horiz]
         wp = W.parabolic_elements(parabolic)
         out = {}
         for v in self.parabolic_points(parabolic):
-            acc = Frac(GA())
+            roots = [W.act(v, g) for g in levi]
+            num = GA()
             for p in wp:
                 x = W.mul(v, p)
                 if x in F:
-                    den = tuple(self._euler_factor(x, a) for a in vert_roots)
-                    acc = acc + Frac(F[x], den)
-            if acc:
-                out[v] = acc
+                    m = self.cofactor([W.act(x, g) for g in levi], roots)
+                    num = num + F[x] * m
+            g = self.root_quotient(num, roots)
+            if g:
+                out[v] = g
         return out
 
     def expand_product_parabolic(self, lam_fund, w, parabolic):
         """{u in W^P: C^{w,P}_{u,lambda}} in the G/P localization model,
-        by pairing with the dual basis of the pushed-forward classes."""
+        by the triangular solve against the pushed-forward cell classes."""
         points = self.parabolic_points(parabolic)
         if w not in points:
             raise ValueError("w must be a minimal coset representative")
-        horiz = self.rs.horizontal_roots(parabolic)
-        eul_p = {
-            v: tuple(self._euler_factor(v, a) for a in horiz) for v in points
-        }
-        mc_p = {x: self.pushforward(self.mc(x), parabolic) for x in points}
-        smc_p = self._dual_basis(points, mc_p, eul_p)
-        F = self.mul(self.line_bundle(lam_fund), mc_p[w])
-        return self._expand_by_pairing(F, points, smc_p, eul_p)
+        cells = {x: self.pushforward(self.mc(x), parabolic) for x in points}
+        return self._expand(
+            self.mul(self.line_bundle(lam_fund), cells[w]), cells
+        )
 
     # -- star-duality input identity -----------------------------------
     def star_identity_sides(self, w):
-        """Both sides of the identity
+        """Both sides, times Lambda, of the identity
 
         C_{-rho} (x) L_{-rho} (x) MC(X(w)^o)
             = (-1)^{dim-l(w)} prod(1 + y e^{-alpha}) * (SMC(X(w)^o)),
 
-        with * negating the weights pointwise and fixing y."""
+        with * negating the weights pointwise and fixing y, so that *
+        fixes Lambda."""
         rs = self.rs
         W = self.W
-        nrho = _wneg(rs.rho())
-        lhs = self.mul(self.line_bundle((-1,) * rs.rank), self.mc(w))
-        lhs = {v: f * GA.term(nrho) for v, f in lhs.items()}
         # SMC(X(w)^o) from the defining formula with dim X(w) = l(w)
-        smcx = self._segre(self.mc(w), W.length[w])
-        const = self._one()
-        for a in rs.positive_roots:
-            af = _wneg(self._root_fine(a))
-            const = const * (self._one() + GA.term(af, Scalar.y(1)))
-        sgn = (-1) ** (self.N - W.length[w])
-        rhs = {
-            v: f.map(lambda x: x.star()) * const * sgn
-            for v, f in smcx.items()
-        }
+        smcx, lam = self._segre(self.mc(w), W.length[w])
+        lhs = self.mul(self.line_bundle((-1,) * rs.rank), self.mc(w))
+        lhs = self.scale(lhs, GA.term(_wneg(rs.rho())) * lam)
+        const = self.lambda_y_cotangent(0, -1) * (-1) ** (self.N - W.length[w])
+        rhs = {v: f.star() * const for v, f in smcx.items()}
         return lhs, rhs
 
 

@@ -8,8 +8,8 @@ parameter t is the Hecke parameter q of the shared coefficient ring
 (t = -y), so no new generator is introduced.
 
 Everything here stays in the character ring GA: each operator step is
-one exact division (localization.dl_step), and the localization
-formulas go through the oracle's Atiyah-Bott sum.
+one exact division (localization.dl_step), and each localization
+formula is one exact division by the Weyl denominator.
 """
 
 from __future__ import annotations
@@ -98,20 +98,21 @@ def _lambda_parabolic(rs, lam_fund):
 def _orbit_sum(rs, lam_fund, parabolic, roots):
     """sum_{w in W^P} e^{w lam} prod_{a in roots} (1 + y e^{wa})/(1 - e^{wa})
 
-    for fine-lattice roots: the numerators and Euler factors at the
-    fixed points of G/P, summed by KOracle.atiyah_bott."""
-    W = rs.weyl()
+    for roots in fundamental coordinates, each +-a positive root: the
+    denominators are Euler factors of the K-theory oracle, so the sum is
+    one exact division by the Weyl denominator (Localization.cofactor)."""
+    o = KOracle(rs)
+    W = o.W
     lam = rs.weight(lam_fund)
     one = GA.const(1, rs.rank)
-    nums, eul = {}, {}
+    num = GA()
     for w in W.min_coset_reps(parabolic):
         wroots = [W.act(w, a) for a in roots]
-        num = GA.term(W.act(w, lam))
+        g = GA.term(W.act(w, lam))
         for wa in wroots:
-            num = num * (one + GA.term(wa, Scalar.y(1)))
-        nums[w] = num
-        eul[w] = tuple(one - GA.term(wa) for wa in wroots)
-    return KOracle.atiyah_bott(nums, eul)
+            g = g * (one + GA.term(rs.weight(wa), Scalar.y(1)))
+        num = num + g * o.cofactor(wroots)
+    return o.root_quotient(num)
 
 
 def big_h(rs, lam_fund, method="localization", parabolic=None):
@@ -124,7 +125,7 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
     if method == "localization":
         return _orbit_sum(
             rs, lam_fund, parabolic,
-            [rs.weight(a.fund) for a in rs.horizontal_roots(parabolic)],
+            [a.fund for a in rs.horizontal_roots(parabolic)],
         )
     if method == "chevalley":
         # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
@@ -163,7 +164,7 @@ def hall_littlewood(rs, lam_fund, method="closed", chain=None):
         # (1 - t e^{-wa})/(1 - e^{-wa}) over the negated horizontal roots
         return _orbit_sum(
             rs, lam_fund, parabolic,
-            [_wneg(rs.weight(a.fund)) for a in rs.horizontal_roots(parabolic)],
+            [_wneg(a.fund) for a in rs.horizontal_roots(parabolic)],
         )
     if method in ("chain_restricted", "chain_opposite"):
         formula = 1 if method == "chain_restricted" else 2

@@ -22,12 +22,14 @@ from chevmc.specialfn import (
     hall_littlewood,
     schur_expansion,
     render_schur,
-    whittaker,
-    whittaker_chevalley,
-    casselman_shalika_sides,
-    whittaker_r_sides,
 )
-from chevmc.verify import case_duality, case_positivity, case_stable
+from chevmc.verify import (
+    case_duality,
+    case_oracle_equivalence,
+    case_positivity,
+    case_stable,
+    case_whittaker,
+)
 from conftest import (
     GOLD_W1_F1,
     GOLD_W1_F2,
@@ -174,12 +176,9 @@ def test_criterion_05_oracle_equivalence():
     """Chain formula vs localization oracle: exhaustive in rank 2 then
     randomized samples in A3, B2, G2."""
     budget = Budget(600.0)
-    oracle = KOracle(A2)
     for lam in itertools.product(range(-2, 3), repeat=2):
-        for w in range(W2.n):
-            a = chevalley_table(A2, lam, w, sign=1)
-            b = oracle.expand_product(lam, w)
-            assert _tables_equal(a, b), (lam, w)
+        detail = case_oracle_equivalence("A", 2, lam)
+        assert detail is None, (lam, detail)
     rng = random.Random(20260824)
     for family, rank in [("A", 3), ("B", 2), ("G", 2)]:
         rs = RootSystem(family, rank)
@@ -288,15 +287,12 @@ def test_criterion_09_whittaker():
     oracle = KOracle(A2)
     L = oracle.line_bundle((1, 1))
     for w in range(W2.n):
-        val = oracle.euler_char(oracle.mul(L, oracle.mc_prime(w)))
+        num, den = oracle.mc_prime(w)
+        val = oracle.euler_char(oracle.mul(L, num)).exact_div(den)
         assert val == GA.term(A2.rho(), (-1) ** W2.length[w]), w
     for lam in [(-1, 0), (0, -1), (-1, -1), (-2, -1)]:
-        for w in range(W2.n):
-            assert whittaker(A2, lam, w) == whittaker_chevalley(A2, lam, w)
-        a, b = casselman_shalika_sides(A2, lam)
-        assert a == b, lam
-        a, b = whittaker_r_sides(A2, lam)
-        assert a == b, lam
+        detail = case_whittaker("A", 2, lam)
+        assert detail is None, (lam, detail)
     budget.done("criterion 9: Whittaker twist, Casselman-Shalika, and "
                 "R-function identities")
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevmc.params import Scalar
-from chevmc.charring import GA, Frac, LIMIT
+from chevmc.charring import GA, LIMIT
 from chevmc.csm import CohPoly
 from chevmc.rootsystem import RootSystem
 
@@ -94,39 +94,11 @@ def test_cohpoly_is_a_polynomial_ring():
     assert CohPoly().render() == "0"
 
 
-def test_frac_reduction():
-    one = GA.const(1, 2)
-    a = GA.term((2, -1))
-    f = Frac(one - a * a, (one - a,))
-    g = f.as_poly()
-    assert g == one + a
-
-
-@given(gas, gas)
-@settings(max_examples=40)
-def test_frac_field_ops(a, b):
-    one = GA.const(1, 2)
-    den = one - GA.term((2, -1))
-    fa = Frac(a, (den,))
-    fb = Frac(b, (den, den))
-    s = fa + fb
-    # (a*den + b) / den^2
-    assert s * Frac(den) * Frac(den) == Frac(a * den + b)
-    assert fa - fa == Frac(GA())
-
-
-def test_frac_inverse():
-    one = GA.const(1, 2)
-    den = one - GA.term((2, -1))
-    f = Frac(one + GA.term((0, 1)), (den,))
-    assert f * f.inverse() == Frac(one)
-
-
 def test_monomial_unit_absorbed():
-    one = GA.const(1, 2)
-    f = Frac(GA.term((2, 2)), (GA.term((2, 0), Scalar.v(3)),))
-    g = f.as_poly()
-    assert g == GA.term((0, 2), Scalar.v(-3))
+    unit = GA.term((2, 0), Scalar.v(3))
+    want = GA.term((0, 2), Scalar.v(-3))
+    assert GA.term((2, 2)) * unit.unit_inverse() == want
+    assert GA.term((2, 2)).exact_div(unit) == want
 
 
 @given(gas)

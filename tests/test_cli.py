@@ -525,8 +525,8 @@ _GOLDEN = [
      "d07cf6cd0c86f821e1455b7f780674c8e6523a752c06a0ad8244ea31889df402"),
     ("oracle --type A3 --lambda 1,1,0 --w s2s1",
      "1ce97297dcfaef5acab82fbac3cec9b75ae42b620e62d7a14c693c6463e946f9"),
-    ("oracle --type B2 --lambda 1,0 --w s2 --method pairing --format json",
-     "b89eebcc12b3169036ab107a46e5891fa5f06bd4a75350e2492d2b31d149d5be"),
+    ("oracle --type B2 --lambda 1,0 --w s2 --format json",
+     "50e1bbd87d7c086b8774847d95ccbe5c6cc26768403ebcebbebf87a8a7abb15b"),
     ("stab --type A2 --lambda 1,0 --w s1",
      "42adfddac56691bb39733c4945ef2e9f0a33181b597274b5f9c9ebd4dbb3607b"),
     ("stab --type A2 --lambda 1,1 --format json",
@@ -575,7 +575,7 @@ _FUZZ_COMMANDS = {
                   "--epsilon"),
     "hecke-coeffs": ("--w", "--format"),
     "chain": ("--format", "--word"),
-    "oracle": ("--w", "--format", "--method"),
+    "oracle": ("--w", "--format"),
     "stab": ("--w", "--format"),
     "whittaker": ("--w", "--format"),
     "hl": ("--format", "--method", "--basis"),

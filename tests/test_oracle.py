@@ -3,7 +3,7 @@
 import pytest
 
 from chevmc.params import Scalar
-from chevmc.charring import GA, Frac
+from chevmc.charring import GA
 from chevmc.rootsystem import RootSystem
 from chevmc.oracle import KOracle, StableBasis
 from chevmc.chevalley import chevalley_table, chevalley_parabolic
@@ -51,18 +51,16 @@ def test_euler_characteristics(oracle):
         assert o.euler_char(o.mc(w)) == GA.const(Scalar.y(l, (-1) ** l), 2), w
 
 
-def test_pairing_identity(oracle):
-    o = oracle
-    for w in range(W.n):
-        for u in range(W.n):
-            g = o.pair(o.mc(w), o.smc(u))
-            assert g == GA.const(1 if u == w else 0, 2), (w, u)
-
-
-def test_smc_definition_formula(oracle):
-    o = oracle
-    for u in range(W.n):
-        assert o.classes_equal(o.smc(u), o.smc_def(u)), u
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_pairing_identity(label):
+    # SMC as a numerator over Lambda, from its defining formula
+    o = KOracle(RootSystem(label[0], int(label[1])))
+    n = o.W.n
+    for u in range(n):
+        num, den = o.smc(u)
+        for w in range(n):
+            g = o.pair(o.mc(w), num).exact_div(den)
+            assert g == GA.const(1 if u == w else 0, o.rank), (label, w, u)
 
 
 def test_motivic_additivity(oracle):
@@ -70,21 +68,22 @@ def test_motivic_additivity(oracle):
     o = oracle
     tot = {}
     for w in range(W.n):
-        tot = o.add(tot, o.mc_prime(w))
+        num, den = o.mc_prime(w)
+        tot = o.add(tot, num)
     lam_id = GA.const(1, 2)
     for a in RS.positive_roots:
         lam_id = lam_id * (
             GA.const(1, 2)
             + GA.term(tuple(RS.h * c for c in a.fund), Scalar.y(1))
         )
-    assert o.classes_equal(tot, o.constant(lam_id))
+    assert o.classes_equal(tot, o.constant(lam_id * den))
     plain = {}
     for w in range(W.n):
         plain = o.add(
             plain,
-            {v: f / Frac(o.lambda_y_cotangent(v)) for v, f in o.mc(w).items()},
+            {v: f * o.lambda_y_cotangent(v, -1) for v, f in o.mc(w).items()},
         )
-    assert o.classes_equal(plain, o.constant(GA.const(1, 2)))
+    assert o.classes_equal(plain, o.constant(den))
 
 
 def test_weyl_character_localization(oracle):
@@ -100,16 +99,30 @@ def test_expand_product_vs_chain(oracle, lam):
     o = oracle
     for w in range(W.n):
         chain = chevalley_table(RS, lam, w, sign=1)
-        a = o.expand_product(lam, w, method="solve")
+        a = o.expand_product(lam, w)
         assert set(a) == set(chain), (lam, w)
         for u in a:
             assert a[u] == chain[u], (lam, w, u)
 
 
+def _expand_by_pairing(o, lam, w):
+    """{u: <L_lambda MC(X(w)^o), SMC(Y(u)^o)>}, the expansion by the
+    pairing with the dual basis."""
+    F = o.mul(o.line_bundle(lam), o.mc(w))
+    out = {}
+    for u in range(o.W.n):
+        num, den = o.smc(u)
+        g = o.pair(F, num).exact_div(den)
+        assert g is not None, u
+        if g:
+            out[u] = g
+    return out
+
+
 def test_expand_product_pairing_method(oracle):
     o = oracle
     lam = (1, 1)
-    b = o.expand_product(lam, W.w0, method="pairing")
+    b = _expand_by_pairing(o, lam, W.w0)
     cb = chevalley_table(RS, lam, W.w0, sign=1)
     for u in set(b) | set(cb):
         assert b.get(u, GA()) == cb.get(u, GA()), u
@@ -129,12 +142,14 @@ def test_character_bundle_expansion(oracle):
 
 @pytest.mark.parametrize("parab,lam", [((1,), (2, 0)), ((0,), (0, 1))])
 def test_parabolic_pushforward(oracle, parab, lam):
-    o = oracle
-    for w in o.parabolic_points(parab):
-        a = o.expand_product_parabolic(lam, w, parab)
-        b = chevalley_parabolic(RS, lam, w, parab)
-        for u in set(a) | set(b):
-            assert a.get(u, GA()) == b.get(u, GA()), (parab, lam, w, u)
+    # the two maximal parabolics of A2, B2 and G2
+    for o in (oracle, KOracle(RootSystem("B", 2)),
+              KOracle(RootSystem("G", 2))):
+        for w in o.parabolic_points(parab):
+            a = o.expand_product_parabolic(lam, w, parab)
+            b = chevalley_parabolic(o.rs, lam, w, parab)
+            for u in set(a) | set(b):
+                assert a.get(u, GA()) == b.get(u, GA()), (o.rs, parab, w, u)
 
 
 def test_star_identity(oracle):
@@ -232,6 +247,6 @@ def test_expand_solve_equals_pairing(label, lams):
     o = KOracle(rs)
     for lam in lams:
         for w in range(rs.weyl().n):
-            a = o.expand_product(lam, w, method="solve")
-            b = o.expand_product(lam, w, method="pairing")
+            a = o.expand_product(lam, w)
+            b = _expand_by_pairing(o, lam, w)
             assert a == b, (label, lam, w)
