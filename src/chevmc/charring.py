@@ -31,6 +31,21 @@ division in the ring (localization.dl_step), and every localization
 quotient is one exact division over a W-fixed denominator
 (localization.Localization.root_quotient): a product of root factors,
 or a W-invariant constant under a Segre-type class.
+
+One kernel, `_add_products`, adds monomial products into a coefficient
+dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a
+sum s_1 t_1 + ... + s_n t_n into one accumulator, so that a
+Demazure-Lusztig numerator a x - b f or an Atiyah-Bott sum builds no
+intermediate product or sum; the cell solve runs it, negated, into its
+remainders in place (`_mul_into`).  What `*` and `dot` return passes
+`_check` once, on the finished sum.  `exact_div` by a two-term divisor,
+the shape of every Demazure-Lusztig denominator 1 - e^{-alpha_i} and of
+a linear form, divides chain by chain (`_chain_div`): a step leaves its
+one carry a fixed key gap below, so the keys of each residue class
+modulo that gap divide alone, from the top, with the carry in a local
+and no ordered remainder.  Longer divisors, such as the solve's
+diagonals, take the long division (`_long_div`).  Both keep the exact
+coefficient quotient, the box test and the final `_check`.
 """
 
 from __future__ import annotations
@@ -105,6 +120,96 @@ def _add_products(acc, a, b):
                 acc[k] = s
             else:
                 del acc[k]
+
+
+def _mul_into(acc, a, b, sign=1):
+    """acc += sign * a * b for nonempty coefficient dicts a and b, the
+    shorter one in the outer loop; returns the rank of the product, for
+    the caller's `_check` of the accumulator."""
+    ra, rb = _rank(next(iter(a))), _rank(next(iter(b)))
+    bias = _BIAS[min(ra, rb)]
+    if len(a) > len(b):
+        a, b = b, a
+    _add_products(acc, [(k - bias, sign * x) for k, x in a.items()], b.items())
+    return max(ra, rb)
+
+
+def _long_div(a, d, bias, box, cdiv):
+    """The coefficient dict of a / d by long division from the leading
+    key (see GA.exact_div), or None: a remainder kept in key order, each
+    step one exact coefficient quotient `cdiv` inside the box (lok, hik,
+    test) and one subtraction of the divisor's other terms."""
+    lok, hik, test = box
+    rem = dict(a)
+    order = sorted(rem)
+    dk = max(d)
+    dc = d[dk]
+    shift = bias - dk
+    rest = [(k - bias, x) for k, x in d.items() if k != dk]
+    quot = {}
+    while rem:
+        rk = order.pop()
+        x = rem.pop(rk, None)
+        if x is None:
+            continue
+        qc = cdiv(x, dc)
+        if qc is None:
+            return None
+        qk = rk + shift
+        if ((qk - lok) | (hik - qk)) & test:
+            return None
+        quot[qk] = qc
+        for k, dx in rest:
+            kk = k + qk
+            s = rem.get(kk, 0) - qc * dx
+            if s:
+                if kk not in rem:
+                    insort(order, kk)
+                rem[kk] = s
+            else:
+                del rem[kk]
+    return quot
+
+
+def _chain_div(a, d, bias, box, cdiv):
+    """`_long_div` for a two-term divisor c1 e^k1 + c2 e^k2, k1 > k2.
+
+    A step at key k leaves its one carry at k - gap, gap = k1 - k2, so
+    the keys congruent modulo gap form one chain that divides alone:
+    from its top, each step takes the dividend's coefficient plus the
+    carry, until the two cancel.  So no order of the remainder is kept:
+    each round walks down from the top of every chain that has keys
+    left, the keys below the end of a walk wait for the next round, and
+    the box test bounds every walk."""
+    lok, hik, test = box
+    k1, k2 = max(d), min(d)
+    c1, c2 = d[k1], d[k2]
+    unit = type(c1) is int and (c1 == 1 or c1 == -1)  # x / c1 = x * c1
+    gap = k1 - k2
+    shift = bias - k1
+    rem = dict(a)
+    pop = rem.pop
+    quot = {}
+    while rem:
+        tops = {}
+        top = tops.get
+        for k in rem:
+            r = k % gap
+            if k > top(r, 0):
+                tops[r] = k
+        for k in tops.values():
+            x = pop(k)
+            while x:
+                qc = x * c1 if unit else cdiv(x, c1)
+                if qc is None:
+                    return None
+                qk = k + shift
+                if ((qk - lok) | (hik - qk)) & test:
+                    return None
+                quot[qk] = qc
+                k -= gap
+                x = pop(k, 0) - qc * c2
+    return quot
 
 
 def pack_columns(mat):
@@ -242,15 +347,9 @@ class GA:
             # a Scalar is the rank-0 case: the product has the other type
             cls = type(other) if type(self) is Scalar else type(self)
             a, b = self.c, other.c
-            if not a or not b:
-                return cls._new({})
-            ra, rb = _rank(next(iter(a))), _rank(next(iter(b)))
-            bias = _BIAS[min(ra, rb)]
-            if len(a) > len(b):  # the longer loop inside
-                a, b = b, a
             c = {}
-            _add_products(c, [(k - bias, x) for k, x in a.items()], b.items())
-            _check(c, max(ra, rb))
+            if a and b:
+                _check(c, _mul_into(c, a, b))
             return cls._new(c)
         if isinstance(other, self._scalars):
             if not other:
@@ -259,6 +358,27 @@ class GA:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    @classmethod
+    def dot(cls, pairs):
+        """sum s * t over (s, t) pairs in one accumulator, with no
+        intermediate product or sum: s and t are elements (a Scalar is
+        the rank-0 case) or one of them a scalar of `_scalars`."""
+        acc = {}
+        rank = 0
+        for s, t in pairs:
+            if not isinstance(s, GA):
+                s, t = t, s
+            a = s.c
+            if not a or not t:
+                continue
+            if isinstance(t, GA):
+                rank = max(rank, _mul_into(acc, a, t.c))
+            else:
+                _add_products(acc, ((0, t),), a.items())
+                rank = max(rank, _rank(next(iter(a))))
+        _check(acc, rank)
+        return cls._new(acc)
 
     def __pow__(self, n):
         if n < 0:
@@ -372,7 +492,9 @@ class GA:
         steps inside it are finitely many since the leading key strictly
         decreases.  The box test is two packed subtractions: every field
         difference is far below the bias in size, so a negative one
-        borrows and sets the top bit of its field.
+        borrows and sets the top bit of its field.  A two-term divisor
+        divides chain by chain (`_chain_div`), a longer one by the long
+        division (`_long_div`).
         """
         if not other:
             raise ZeroDivisionError
@@ -382,47 +504,28 @@ class GA:
         r = _rank(next(iter(a)))
         bias = _BIAS[r]
         lok = hik = 0
-        for s in range(0, FIELD * (r + 1), FIELD):
-            fa = [(k >> s) & MASK for k in a]
-            fd = [(k >> s) & MASK for k in d]
-            lo = min(fa) - min(fd)
-            hi = max(fa) - max(fd)
+        top = FIELD * r
+        for s in range(0, top + 1, FIELD):
+            if s == top:  # the top field orders the keys
+                amin, amax, dmin, dmax = (
+                    min(a) >> s, max(a) >> s, min(d) >> s, max(d) >> s)
+            else:
+                fa = [k >> s & MASK for k in a]
+                fd = [k >> s & MASK for k in d]
+                amin, amax, dmin, dmax = min(fa), max(fa), min(fd), max(fd)
+            lo = amin - dmin
+            hi = amax - dmax
             if not self.laurent:
                 lo = max(lo, 0)
             if lo > hi:
                 return None
             lok += (lo + _HALF) << s
             hik += (hi + _HALF) << s
-        test = bias | (1 << (FIELD * (r + 1)))
-        rem = dict(a)
-        order = sorted(rem)
-        dk = max(d)
-        dc = d[dk]
-        shift = bias - dk
-        rest = [(k - bias, x) for k, x in d.items() if k != dk]
-        div = self._cdiv
-        quot = {}
-        while rem:
-            rk = order.pop()
-            x = rem.pop(rk, None)
-            if x is None:
-                continue
-            qc = div(x, dc)
-            if qc is None:
-                return None
-            qk = rk + shift
-            if ((qk - lok) | (hik - qk)) & test:
-                return None
-            quot[qk] = qc
-            for k, dx in rest:
-                kk = k + qk
-                s = rem.get(kk, 0) - qc * dx
-                if s:
-                    if kk not in rem:
-                        insort(order, kk)
-                    rem[kk] = s
-                else:
-                    del rem[kk]
+        box = (lok, hik, bias | (1 << (FIELD * (r + 1))))
+        div = _chain_div if len(d) == 2 else _long_div
+        quot = div(a, d, bias, box, self._cdiv)
+        if quot is None:
+            return None
         _check(quot, r)
         return type(self)._new(quot)
 

@@ -211,12 +211,11 @@ def chevalley_parabolic(rs, lam_fund, w, parabolic, method="chain"):
     wp = W.parabolic_elements(parabolic)
     out = {}
     for u in W.min_coset_reps(parabolic):
-        acc = GA()
-        for p in wp:
-            v = W.mul(u, p)
-            if v in full:
-                dl = W.length[v] - W.length[u]
-                acc = acc + full[v] * Scalar.q(dl)
+        coset = [W.mul(u, p) for p in wp]
+        acc = GA.dot(
+            (full[v], Scalar.q(W.length[v] - W.length[u]))
+            for v in coset if v in full
+        )
         if acc:
             out[u] = acc
     return out

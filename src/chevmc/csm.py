@@ -78,14 +78,15 @@ class CohPoly(GA):
             CohPoly.linear(tuple(mat[i][j] for i in range(r)))
             for j in range(r)
         ]
-        out = CohPoly()
+        one = CohPoly.const(1, r)
+        pairs = []
         for k, x in self.terms():
-            term = CohPoly.const(x, r)
+            mono = one
             for j, e in enumerate(k):
                 for _ in range(e):
-                    term = term * gens[j]
-            out = out + term
-        return out
+                    mono = mono * gens[j]
+            pairs.append((x, mono))
+        return CohPoly.dot(pairs)
 
     def render(self):
         terms = []

@@ -22,11 +22,20 @@ ring sum over the product of the eul(-b) (`cofactor`,
 G/P pushforward coset by coset and specialfn's orbit sums.  A
 Segre-type class is a ring-valued numerator class over one W-invariant
 constant, so its pairing is one more exact division by that constant.
+
+The ring arithmetic is fused (charring.GA.dot): `dl_step` forms a x -
+b f in one accumulator, and `integral` its whole Atiyah-Bott sum.  The
+triangular solve keeps its remainder as raw coefficient dicts, each
+copied from F on its first write, so neither F nor the cached cell
+classes change; it subtracts g cell(v)|_x into them in place, with no
+product or difference built, and passes each written remainder through
+`_check` just before dividing it, so an exponent that left the range
+raises ValueError there rather than reaching a quotient.
 """
 
 from __future__ import annotations
 
-from .charring import _wneg
+from .charring import _check, _mul_into, _wneg
 
 
 def dl_step(a, x, b, f, d):
@@ -34,7 +43,7 @@ def dl_step(a, x, b, f, d):
     operator at a point, with x the value brought along the s_i edge and
     f the value at the point.  An exact division, polynomial for every
     class the operators act on."""
-    g = (a * x - b * f).exact_div(d)
+    g = type(d).dot(((a, x), (-b, f))).exact_div(d)
     assert g is not None, "Demazure-Lusztig step is not polynomial"
     return g
 
@@ -186,10 +195,10 @@ class Localization:
                 self.cofactor([W.act(w, b) for b in self.pos_roots])
                 for w in range(W.n)
             ]
-        num = self.ring()
-        for w, f in F.items():
-            num = num + f * self._ab[w]
-        return self.root_quotient(num)
+        ab = self._ab
+        return self.root_quotient(
+            self.ring.dot((f, ab[w]) for w, f in F.items())
+        )
 
     def pair(self, F, G):
         return self.integral(self.mul(F, G))
@@ -201,25 +210,36 @@ class Localization:
         coefficient at v is F|_v over the diagonal cell(v)|_v.  `cells`
         maps the fixed points in Bruhat-compatible order to their cell
         classes (on G/P, the pushed-forward ones); the default is the
-        cells of G/B."""
+        cells of G/B.
+
+        The remainder is written in place (see the module docstring),
+        except at x = v: the exact division has shown that rem[v] is
+        g cell(v)|_v."""
         if cells is None:
             points, cell = range(self.W.n), self.cell_class
         else:
             points, cell = list(cells), cells.__getitem__
-        rem = dict(F)
+        ring = self.ring
+        rank = self.rank
+        rem = {x: f.c for x, f in F.items()}
+        own = set()  # the points whose remainder dict is a private copy
         out = {}
         for v in reversed(points):
-            if v not in rem:
+            c = rem.pop(v, None)
+            if not c:
                 continue
+            if v in own:
+                _check(c, rank)
             cv = cell(v)
-            g = rem[v].exact_div(cv[v])
+            g = ring._new(c).exact_div(cv[v])
             assert g is not None, "non-polynomial Chevalley coefficient"
             out[v] = g
             for x, f in cv.items():
-                s = rem[x] - f * g if x in rem else -(f * g)
-                if s:
-                    rem[x] = s
-                else:
-                    del rem[x]
-        assert not rem, "expansion left a remainder"
+                if x == v:
+                    continue
+                if x not in own:
+                    own.add(x)
+                    rem[x] = dict(rem.get(x, ()))
+                _mul_into(rem[x], g.c, f.c, -1)
+        assert not any(rem.values()), "expansion left a remainder"
         return out

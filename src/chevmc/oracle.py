@@ -164,12 +164,11 @@ class KOracle(Localization):
         out = {}
         for v in self.parabolic_points(parabolic):
             roots = [W.act(v, g) for g in levi]
-            num = GA()
-            for p in wp:
-                x = W.mul(v, p)
-                if x in F:
-                    m = self.cofactor([W.act(x, g) for g in levi], roots)
-                    num = num + F[x] * m
+            coset = [W.mul(v, p) for p in wp]
+            num = GA.dot(
+                (F[x], self.cofactor([W.act(x, g) for g in levi], roots))
+                for x in coset if x in F
+            )
             g = self.root_quotient(num, roots)
             if g:
                 out[v] = g
@@ -342,14 +341,11 @@ class StableBasis:
         for h in reversed(walls):
             nxt = {}
             for w in range(W.n):
-                acc = {}
+                pairs = {}
                 for x, c in self.wall_cross(h.root, h.level, w).items():
                     for z, d in m[x].items():
-                        s = acc.get(z, GA()) + c * d
-                        if s:
-                            acc[z] = s
-                        elif z in acc:
-                            del acc[z]
-                nxt[w] = acc
+                        pairs.setdefault(z, []).append((c, d))
+                sums = ((z, GA.dot(ps)) for z, ps in pairs.items())
+                nxt[w] = {z: s for z, s in sums if s}
             m = nxt
         return m

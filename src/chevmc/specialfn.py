@@ -69,11 +69,11 @@ def whittaker_chevalley(rs, lam_fund, w):
     W = rs.weyl()
     shifted = tuple(c - 1 for c in lam_fund)
     table = chevalley_table(rs, shifted, w, sign=1)
-    acc = GA()
     lw = W.length[w]
-    for u, g in table.items():
-        s = Scalar.y(lw - W.length[u], (-1) ** W.length[u])
-        acc = acc + g.y_inverse() * s
+    acc = GA.dot(
+        (g.y_inverse(), Scalar.y(lw - W.length[u], (-1) ** W.length[u]))
+        for u, g in table.items()
+    )
     return GA.term(rs.rho()) * acc
 
 
@@ -105,14 +105,14 @@ def _orbit_sum(rs, lam_fund, parabolic, roots):
     W = o.W
     lam = rs.weight(lam_fund)
     one = GA.const(1, rs.rank)
-    num = GA()
+    pairs = []
     for w in W.min_coset_reps(parabolic):
         wroots = [W.act(w, a) for a in roots]
         g = GA.term(W.act(w, lam))
         for wa in wroots:
             g = g * (one + GA.term(rs.weight(wa), Scalar.y(1)))
-        num = num + g * o.cofactor(wroots)
-    return o.root_quotient(num)
+        pairs.append((g, o.cofactor(wroots)))
+    return o.root_quotient(GA.dot(pairs))
 
 
 def big_h(rs, lam_fund, method="localization", parabolic=None):
@@ -129,13 +129,11 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
         )
     if method == "chevalley":
         # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
-        acc = GA()
-        for w in W.min_coset_reps(parabolic):
-            table = chevalley_table(rs, lam_fund, w, sign=1)
-            for u, g in table.items():
-                lu = W.length[u]
-                acc = acc + g * Scalar.q(lu)
-        return acc
+        return GA.dot(
+            (g, Scalar.q(W.length[u]))
+            for w in W.min_coset_reps(parabolic)
+            for u, g in chevalley_table(rs, lam_fund, w, sign=1).items()
+        )
     if method == "quotient":
         r = big_r(rs, lam_fund)
         den = Scalar.zero()
@@ -324,10 +322,10 @@ def casselman_shalika_sides(rs, lam_fund):
 def whittaker_r_sides(rs, lam_fund):
     """(sum_w y^{-l(w)} W_{lambda,w},  e^rho R_{lambda-rho}(1/y))."""
     W = rs.weyl()
-    acc = GA()
-    for w in range(W.n):
-        lw = W.length[w]
-        acc = acc + whittaker(rs, lam_fund, w) * Scalar.y(-lw)
+    acc = GA.dot(
+        (whittaker(rs, lam_fund, w), Scalar.y(-W.length[w]))
+        for w in range(W.n)
+    )
     shifted = tuple(c - 1 for c in lam_fund)
     rhs = GA.term(rs.rho()) * big_r(rs, shifted).y_inverse()
     return acc, rhs

@@ -82,6 +82,56 @@ def test_exact_div_laurent_box():
     assert q == one + GA.term((-2, 1))
 
 
+# the two-term divisors of the package: 1 - e^mu and 1 + y e^mu (the
+# Demazure-Lusztig denominators and numerators), 2 - e^mu with a
+# non-unit leading coefficient, and linear forms of CohPoly
+nonzero_weights = weights.filter(any)
+ga_two_terms = st.builds(
+    lambda c, mu, s: GA.const(c, 2) + GA.term(mu, s),
+    st.sampled_from([1, 2]), nonzero_weights,
+    st.sampled_from([Scalar.int(-1), Scalar.y(1)]),
+)
+coh_two_terms = st.one_of(
+    # sum a_i varpi_i with both a_i nonzero, e.g. 2 varpi_1 - varpi_2
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    .filter(all).map(CohPoly.linear),
+    # varpi_i + c
+    st.builds(lambda i, c: CohPoly.linear((1 - i, i)) + CohPoly.const(c, 2),
+              st.integers(0, 1), st.integers(-3, 3).filter(bool)),
+)
+ga_monomials = st.builds(lambda w, n, c: GA.term(w, Scalar.v(n, c)), weights,
+                         st.integers(-4, 4), st.integers(-5, 5).filter(bool))
+coh_monomials = st.builds(
+    lambda e, c: CohPoly.term(e, c),
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+)
+
+
+@pytest.mark.parametrize(
+    "elems, divisors, monomials",
+    [(gas, ga_two_terms, ga_monomials),
+     (cohpolys, coh_two_terms, coh_monomials)],
+    ids=["GA", "CohPoly"],
+)
+@given(data=st.data())
+@settings(max_examples=80)
+def test_exact_div_two_terms(elems, divisors, monomials, data):
+    """The chain-by-chain division by a two-term divisor: a returned
+    quotient is exact, a product divides back, a product plus a stray
+    term does not, and it agrees with the long division by d*m."""
+    n, p, m = data.draw(elems), data.draw(elems), data.draw(elems)
+    d = data.draw(divisors)
+    assert len(d.c) == 2
+    q = n.exact_div(d)
+    if q is not None:
+        assert q * d == n
+    assert (p * d).exact_div(d) == p
+    assert (p * d + data.draw(monomials)).exact_div(d) is None
+    if m:  # d*m is divided by the long division unless it has two terms
+        assert (n * m).exact_div(d * m) == q
+
+
 def test_cohpoly_is_a_polynomial_ring():
     w1 = CohPoly.linear((1, 0))
     two = CohPoly.const(2, 2)

@@ -1,9 +1,11 @@
 """Equivariant-localization oracle and the stable basis layer."""
 
+import copy
+
 import pytest
 
 from chevmc.params import Scalar
-from chevmc.charring import GA
+from chevmc.charring import GA, LIMIT
 from chevmc.rootsystem import RootSystem
 from chevmc.oracle import KOracle, StableBasis
 from chevmc.chevalley import chevalley_table, chevalley_parabolic
@@ -138,6 +140,49 @@ def test_character_bundle_expansion(oracle):
             acc[u] = acc.get(u, GA()) + g * a
     acc = {u: g for u, g in acc.items() if g}
     assert set(acc) == set(t) and all(t[u] == acc[u] for u in t)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2"])
+def test_expand_leaves_its_inputs(label):
+    """The solve subtracts in place into remainders copied on first
+    write: the input class and every cached cell class stay as they
+    were, also when the input is a cached cell class itself."""
+    o = KOracle(RootSystem(label[0], int(label[1])))
+    cells = [o.mc(w) for w in range(o.W.n)]
+    before = copy.deepcopy(cells)
+    for w in range(o.W.n):
+        for lam in ((1, 1), (-1, 0)):
+            F = o.mul(o.line_bundle(lam), o.mc(w))
+            F0 = copy.deepcopy(F)
+            assert o.expand_product(lam, w) == o._expand(F)
+            assert F == F0
+        assert o._expand(o.mc(w)) == {w: GA.const(1, 2)}
+    assert cells == before
+    assert all(o.mc(w) is cells[w] for w in range(o.W.n))
+
+
+def test_expand_raises_on_out_of_range_remainder():
+    """F = e^mu cell(v) where that product stays in range: the solve
+    takes g = e^mu at v, and the remainder -e^mu cell(v)|_x at a point
+    x where the product leaves [-LIMIT, LIMIT) raises ValueError at its
+    check instead of being divided."""
+    o = KOracle(RootSystem("B", 2))
+
+    def top(g):
+        return max(w[0] for w, _ in g.terms())
+
+    v, x = next((v, x) for v in range(o.W.n)
+                for x, f in o.mc(v).items() if top(f) > top(o.mc(v)[v]))
+    mu = GA.term((LIMIT - 1 - top(o.mc(v)[v]), 0))
+    F = {}
+    for y, f in o.mc(v).items():
+        try:
+            F[y] = f * mu
+        except ValueError:
+            pass
+    assert v in F and x not in F
+    with pytest.raises(ValueError):
+        o._expand(F)
 
 
 @pytest.mark.parametrize("parab,lam", [((1,), (2, 0)), ((0,), (0, 1))])
