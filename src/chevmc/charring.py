@@ -2,7 +2,7 @@
 
 Elements of the equivariant K-group of a point are Laurent polynomials
 e^mu with mu in the weight lattice and coefficients in Z[v, v^-1]
-(see params.py).  Weights are stored in the "fine" lattice: coordinates
+(see Scalar).  Weights are stored in the "fine" lattice: coordinates
 are h times the fundamental-weight coordinates, where h is the scaling
 constant of the ambient root system.  This keeps exponentials of mu/h
 integral for the operator formula while ordinary weights occupy the
@@ -601,7 +601,14 @@ class GA:
 class Scalar(GA):
     """A Laurent polynomial in v with integer coefficients: the rank-0
     case of GA, whose keys hold only the v field.  The constructor takes
-    {v exponent: integer coefficient}."""
+    {v exponent: integer coefficient}.
+
+    All Hecke-algebra and K-theory computations share this one formal
+    parameter v.  The Hecke parameter is q = v^2 and the motivic
+    parameter is y = -v^2, so the substitution q = -y is an identity of
+    the ring rather than an operation that can be applied
+    inconsistently.  Half-integral powers of q (needed for the stable
+    basis) are plain odd powers of v."""
 
     __slots__ = ()
 

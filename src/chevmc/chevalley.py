@@ -20,8 +20,9 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .params import Scalar
-from .charring import GA, _BIAS, _HALF, _add_products, _check, _pack, _weight
+from .charring import (
+    GA, Scalar, _BIAS, _HALF, _add_products, _check, _pack, _weight,
+)
 from .alcove import chain_lex_height, descent_subsets
 
 

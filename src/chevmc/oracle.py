@@ -27,8 +27,7 @@ occur.
 
 from __future__ import annotations
 
-from .params import Scalar
-from .charring import GA, _wneg
+from .charring import GA, Scalar, _wneg
 from .alcove import chain_lex_height
 from .localization import Localization, dl_step
 

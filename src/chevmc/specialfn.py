@@ -14,8 +14,9 @@ formula is one exact division by the Weyl denominator.
 
 from __future__ import annotations
 
-from .params import Scalar
-from .charring import GA, _BIAS, _pack, _wneg, _weight, render_terms
+from .charring import (
+    GA, Scalar, _BIAS, _pack, _wneg, _weight, render_terms,
+)
 from .alcove import chain_lex_height, descent_subsets
 from .chevalley import chevalley_table
 from .localization import dl_step

@@ -12,8 +12,7 @@ import itertools
 import os
 from multiprocessing import Pool
 
-from .params import Scalar
-from .charring import GA
+from .charring import GA, Scalar
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height
 from .chevalley import (

@@ -56,7 +56,7 @@ GOLD_2W2_F2 = {
 
 def hl_terms_as_tuples(rs, lam, formula, degree):
     """Normalize hl_terms output to the frozen golden-table format."""
-    from chevmc.params import Scalar
+    from chevmc.charring import Scalar
     from chevmc.specialfn import hl_terms, gl_exponents
 
     W = rs.weyl()

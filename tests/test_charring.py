@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevmc.params import Scalar
-from chevmc.charring import GA, LIMIT
+from chevmc.charring import GA, LIMIT, Scalar
 from chevmc.csm import CohPoly
 from chevmc.rootsystem import RootSystem
 

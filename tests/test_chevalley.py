@@ -5,8 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevmc.params import Scalar
-from chevmc.charring import GA
+from chevmc.charring import GA, Scalar
 from chevmc.rootsystem import RootSystem
 from chevmc import alcove
 from chevmc.alcove import chain_from_word, chain_lex_height

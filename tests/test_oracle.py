@@ -4,8 +4,7 @@ import copy
 
 import pytest
 
-from chevmc.params import Scalar
-from chevmc.charring import GA, LIMIT
+from chevmc.charring import GA, LIMIT, Scalar
 from chevmc.rootsystem import RootSystem
 from chevmc.oracle import KOracle, StableBasis
 from chevmc.chevalley import chevalley_table, chevalley_parabolic

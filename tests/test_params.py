@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from chevmc.params import Scalar
+from chevmc.charring import Scalar
 
 
 scalars = st.dictionaries(

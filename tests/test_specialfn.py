@@ -2,8 +2,7 @@
 
 import pytest
 
-from chevmc.params import Scalar
-from chevmc.charring import GA
+from chevmc.charring import GA, Scalar
 from chevmc.rootsystem import RootSystem
 from chevmc.alcove import chain_lex_height
 from chevmc.oracle import KOracle
