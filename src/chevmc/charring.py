@@ -26,8 +26,8 @@ csm.CohPoly, the polynomial ring on the fundamental weights, keeps
 rational coefficients on the same keys (v field 0).  `render_terms`
 joins the rendered terms of any of them.
 
-There is no fraction type.  Every Demazure-Lusztig step is one exact
-division in the ring (localization.dl_step), and every localization
+There is no fraction type.  Every Demazure-Lusztig step is at most one
+exact division in the ring (localization.dl_step), and every localization
 quotient is one exact division over a W-fixed denominator
 (localization.Localization.root_quotient): a product of root factors,
 or a W-invariant constant under a Segre-type class.
@@ -35,7 +35,7 @@ or a W-invariant constant under a Segre-type class.
 One kernel, `_add_products`, adds monomial products into a coefficient
 dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a
 sum s_1 t_1 + ... + s_n t_n into one accumulator, so that a
-Demazure-Lusztig numerator a x - b f or an Atiyah-Bott sum builds no
+Demazure-Lusztig step b Delta + e x or an Atiyah-Bott sum builds no
 intermediate product or sum; the cell solve runs it, negated, into its
 remainders in place (`_mul_into`).  What `*` and `dot` return passes
 `_check` once, on the finished sum.  `exact_div` by a two-term divisor,
@@ -45,7 +45,10 @@ one carry a fixed key gap below, so the keys of each residue class
 modulo that gap divide alone, from the top, with the carry in a local
 and no ordered remainder.  Longer divisors, such as the solve's
 diagonals, take the long division (`_long_div`).  Both keep the exact
-coefficient quotient, the box test and the final `_check`.
+coefficient quotient and the box test; the final `_check` runs unless
+the box already lies in range.  A Weyl move (`GA.transform`) adds to
+each key only the packed columns of mat - 1 that are nonzero: one for a
+simple reflection.
 """
 
 from __future__ import annotations
@@ -223,6 +226,25 @@ def pack_columns(mat):
         raise ValueError("matrix too large for the packed fields")
     return tuple(sum(mat[i][j] << (FIELD * (r - i)) for i in range(r))
                  for j in range(r))
+
+
+_MOVES = {}
+
+
+def _moves(mat):
+    """The (shift, packed column) pairs of the nonzero columns j of
+    mat - 1, with the weight field j of a key at that shift: e^mu moves
+    to e^{mat mu} by adding mu_j times each such column.  Built once per
+    matrix; pack_columns checks the row sums of mat."""
+    moves = _MOVES.get(mat)
+    if moves is None:
+        r = len(mat)
+        moves = _MOVES[mat] = tuple(
+            (FIELD * (r - j), col - (1 << FIELD * (r - j)))
+            for j, col in enumerate(pack_columns(mat))
+            if col != 1 << FIELD * (r - j)
+        )
+    return moves
 
 
 def _wneg(a):
@@ -435,22 +457,26 @@ class GA:
 
     # -- lattice / Weyl operations ------------------------------------
     def transform(self, mat):
-        """e^mu -> e^{mat mu} for an integer matrix: each key moves by
-        mu_j times the packed column j of `mat`."""
-        r = self.rank()
-        cols = pack_columns(mat)[::-1]
-        base = _BIAS[r] - _HALF
-        c = {}
-        for k, x in self.c.items():
-            kk = base + (k & MASK)
-            for col in cols:
-                k >>= FIELD
-                kk += ((k & MASK) - _HALF) * col
-            s = c.get(kk, 0) + x
-            if s:
-                c[kk] = s
-            else:
-                del c[kk]
+        """e^mu -> e^{mat mu} for an invertible integer matrix, such as a
+        Weyl matrix, given as a tuple of row tuples: each key moves by mu_j times the packed column j of
+        mat - 1, over the columns where that is nonzero (`_moves`), one
+        for a simple reflection.  The layout comes from len(mat), so the
+        zero element transforms too."""
+        r = len(mat)
+        moves = _moves(mat)
+        if len(moves) == 1:
+            (s, col), = moves
+            c = {k + ((k >> s & MASK) - _HALF) * col: x
+                 for k, x in self.c.items()}
+        else:
+            c = {}
+            for k, x in self.c.items():
+                kk = k
+                for s, col in moves:
+                    kk += ((k >> s & MASK) - _HALF) * col
+                c[kk] = x
+        if len(c) != len(self.c):
+            raise ValueError("matrix is not invertible on the keys")
         _check(c, r)
         return type(self)._new(c)
 
@@ -494,7 +520,11 @@ class GA:
         difference is far below the bias in size, so a negative one
         borrows and sets the top bit of its field.  A two-term divisor
         divides chain by chain (`_chain_div`), a longer one by the long
-        division (`_long_div`).
+        division (`_long_div`).  The box fields are read through C-level
+        maps.  Every quotient key passes the box test, so when the box
+        lies inside [-LIMIT, LIMIT) in every field the quotient is in
+        range and the final `_check` is skipped; otherwise it runs, and
+        an exponent out of range raises ValueError.
         """
         if not other:
             raise ZeroDivisionError
@@ -504,14 +534,15 @@ class GA:
         r = _rank(next(iter(a)))
         bias = _BIAS[r]
         lok = hik = 0
+        inside = True  # the box lies in [-LIMIT, LIMIT) in every field
         top = FIELD * r
         for s in range(0, top + 1, FIELD):
             if s == top:  # the top field orders the keys
                 amin, amax, dmin, dmax = (
                     min(a) >> s, max(a) >> s, min(d) >> s, max(d) >> s)
             else:
-                fa = [k >> s & MASK for k in a]
-                fd = [k >> s & MASK for k in d]
+                fa = list(map(MASK.__and__, map(s.__rrshift__, a)))
+                fd = list(map(MASK.__and__, map(s.__rrshift__, d)))
                 amin, amax, dmin, dmax = min(fa), max(fa), min(fd), max(fd)
             lo = amin - dmin
             hi = amax - dmax
@@ -519,6 +550,7 @@ class GA:
                 lo = max(lo, 0)
             if lo > hi:
                 return None
+            inside = inside and -LIMIT <= lo and hi < LIMIT
             lok += (lo + _HALF) << s
             hik += (hi + _HALF) << s
         box = (lok, hik, bias | (1 << (FIELD * (r + 1))))
@@ -526,7 +558,8 @@ class GA:
         quot = div(a, d, bias, box, self._cdiv)
         if quot is None:
             return None
-        _check(quot, r)
+        if not inside:
+            _check(quot, r)
         return type(self)._new(quot)
 
     # -- display ------------------------------------------------------

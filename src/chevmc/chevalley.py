@@ -227,7 +227,7 @@ def chevalley_parabolic(rs, lam_fund, w, parabolic, method="chain"):
 def _iota(rs, g):
     """iota = w0 o *: e^mu -> e^{-w0 mu}, parameters fixed."""
     W = rs.weyl()
-    return g.transform([[-x for x in row] for row in W.mats[W.w0]])
+    return g.transform(tuple(tuple(-x for x in row) for row in W.mats[W.w0]))
 
 
 def _w0_act(rs, g):

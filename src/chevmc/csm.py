@@ -20,7 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .charring import GA, _HALF, _weight, render_terms
+from .charring import (
+    FIELD, GA, MASK, _BIAS, _HALF, _add_products, _check, _weight,
+    render_terms,
+)
 from .localization import Localization, dl_step
 
 
@@ -34,6 +37,24 @@ def _qdiv(a, b):
     if type(a) is int and type(b) is int and not a % b:
         return a // b
     return _rational(Fraction(a) / b)
+
+
+_POWERS = {}
+
+
+def _powers(mat):
+    """(shift, powers) for each weight field j that mat moves, with
+    powers[n] the n-th power of the image of varpi_j, extended on use;
+    one list per matrix."""
+    moves = _POWERS.get(mat)
+    if moves is None:
+        r = len(mat)
+        moves = _POWERS[mat] = [
+            (FIELD * (r - j), [CohPoly.const(1, r), CohPoly.linear(col)])
+            for j, col in enumerate(zip(*mat))
+            if any(c != (i == j) for i, c in enumerate(col))
+        ]
+    return moves
 
 
 class CohPoly(GA):
@@ -71,22 +92,35 @@ class CohPoly(GA):
         )
 
     def act(self, W, w):
-        """The Weyl action through the fundamental-coordinate matrices."""
+        """The Weyl action through the fundamental-coordinate matrices:
+        varpi_j goes to the linear form of column j.  Only the generators
+        that w moves are expanded: the terms are grouped by their
+        exponents of those, and each group is one product with the
+        images' powers, built once per matrix (`_powers`)."""
         mat = W.mats[w]
         r = len(mat)
-        gens = [
-            CohPoly.linear(tuple(mat[i][j] for i in range(r)))
-            for j in range(r)
-        ]
-        one = CohPoly.const(1, r)
-        pairs = []
-        for k, x in self.terms():
-            mono = one
-            for j, e in enumerate(k):
-                for _ in range(e):
-                    mono = mono * gens[j]
-            pairs.append((x, mono))
-        return CohPoly.dot(pairs)
+        moves = _powers(mat)
+        bias = _BIAS[r]
+        groups = {}
+        for k, x in self.c.items():
+            exps = ()
+            for s, _ in moves:
+                e = (k >> s & MASK) - _HALF
+                k -= e << s
+                exps += (e,)
+            groups.setdefault(exps, []).append((k - bias, x))
+        acc = {}
+        for exps, pairs in groups.items():
+            image = None
+            for (_, pw), e in zip(moves, exps):
+                while len(pw) <= e:
+                    pw.append(pw[-1] * pw[1])
+                image = pw[e] if image is None else image * pw[e]
+            if image is None:
+                image = CohPoly.const(1, r)
+            _add_products(acc, pairs, image.c.items())
+        _check(acc, r)
+        return CohPoly._new(acc)
 
     def render(self):
         terms = []
@@ -114,7 +148,7 @@ class DegenerateHecke:
         """partial_i(p) = (p - s_i p) / alpha_i, always polynomial."""
         si = self.W.from_word((i,))
         ai = CohPoly.linear(self.rs.simple_roots[i].fund)
-        return dl_step(-1, p.act(self.W, si), -1, p, ai)
+        return dl_step(-1, 0, p.act(self.W, si), p, ai)
 
     def t_left(self, i, elem):
         """T_i . (sum p_w T_w) with T_i x_lam = x_{s_i lam} T_i - <lam, a_i^vee>."""
@@ -168,9 +202,9 @@ class CohOracle(Localization):
 
     @staticmethod
     def dl_coeffs(rs, i):
-        """T_i = ((alpha_i + 1) s_i^L - 1) / alpha_i."""
-        ai = CohPoly.linear(rs.simple_roots[i].fund)
-        return ai + CohPoly.const(1, rs.rank), 1, ai
+        """(b, e, d) of T_i = ((alpha_i + 1) s_i^L - 1) / alpha_i: b = 1,
+        d = alpha_i and e = (alpha_i + 1 - b) / d = 1."""
+        return 1, 1, CohPoly.linear(rs.simple_roots[i].fund)
 
     csm = Localization.cell_class  # c_SM(X(w)^o)
 

@@ -4,17 +4,19 @@ A class is stored by its restrictions to the torus fixed points e_w, as
 a dict {w: ring element}; the ring is charring.GA (packed keys, int
 coefficients) in K-theory and csm.CohPoly in cohomology.  The two
 theories differ only in that ring, in the Euler factor eul(mu) of a
-cotangent weight mu, in the three ring elements of the left
+cotangent weight mu, in the coefficients (b, e, d) of the left
 Demazure-Lusztig operator and in how the Weyl group acts on ring
 elements; a subclass supplies those, and this class does the rest: the
 operator recursion for the classes of Schubert cells, the Atiyah-Bott
 sum and the expansion of a class in the cell basis.
 
 Every value is a ring element.  Every Demazure-Lusztig step of the
-package, here and in specialfn, oracle.StableBasis and
-csm.DegenerateHecke, is `dl_step`, and the expansion in the cell basis
-is a triangular solve: both are exact divisions, polynomial by theory
-and asserted so.  Each genuine quotient is one exact division over a
+package is (a x - b f)/d with a = b + e d, computed as b D + e x over
+the one exact division D = (x - f)/d, polynomial by theory and asserted
+so: `dl_step` in specialfn, oracle.StableBasis and csm.DegenerateHecke,
+and `Localization.dl_left`, which divides once per pair {w, s_i w}
+since D(s_i w) = u_i s_i(D(w)).  The expansion in the cell basis is a
+triangular solve of exact divisions.  Each genuine quotient is one exact division over a
 W-fixed denominator.  For a positive root b, eul(b) is a unit times
 eul(-b), so a sum of numerators over Euler factors of weights +-b is a
 ring sum over the product of the eul(-b) (`cofactor`,
@@ -23,8 +25,8 @@ G/P pushforward coset by coset and specialfn's orbit sums.  A
 Segre-type class is a ring-valued numerator class over one W-invariant
 constant, so its pairing is one more exact division by that constant.
 
-The ring arithmetic is fused (charring.GA.dot): `dl_step` forms a x -
-b f in one accumulator, and `integral` its whole Atiyah-Bott sum.  The
+The ring arithmetic is fused (charring.GA.dot): a step forms b D + e x
+in one accumulator, and `integral` its whole Atiyah-Bott sum.  The
 triangular solve keeps its remainder as raw coefficient dicts, each
 copied from F on its first write, so neither F nor the cached cell
 classes change; it subtracts g cell(v)|_x into them in place, with no
@@ -38,14 +40,21 @@ from __future__ import annotations
 from .charring import _check, _mul_into, _wneg
 
 
-def dl_step(a, x, b, f, d):
-    """(a x - b f) / d: one step of a Demazure-Lusztig or Demazure
-    operator at a point, with x the value brought along the s_i edge and
-    f the value at the point.  An exact division, polynomial for every
-    class the operators act on."""
-    g = type(d).dot(((a, x), (-b, f))).exact_div(d)
+def _delta(x, f, d):
+    """(x - f) / d, asserted exact: the one division of a step."""
+    g = (x - f).exact_div(d)
     assert g is not None, "Demazure-Lusztig step is not polynomial"
     return g
+
+
+def dl_step(b, e, x, f, d):
+    """b (x - f)/d + e x: one step of a Demazure-Lusztig or Demazure
+    operator at a point, with x the value brought along the s_i edge and
+    f the value at the point.  It is (a x - b f)/d for a = b + e d, the
+    operator's first numerator, which is b modulo d for every operator
+    of the package.  The quotient is exact, polynomial for every class
+    the operators act on."""
+    return type(d).dot(((b, _delta(x, f, d)), (e, x)))
 
 
 class Localization:
@@ -71,6 +80,7 @@ class Localization:
         }
         self._cells = {}
         self._opposite = {}
+        self._dl_data = {}
         self._ab = None
 
     def _one(self):
@@ -118,24 +128,55 @@ class Localization:
         return out
 
     # -- Demazure-Lusztig ----------------------------------------------
-    def dl_left(self, i, F):
-        """The left Demazure-Lusztig operator T_i = (a s_i^L - b) / d on
-        a ring-valued class, with (a, b, d) = `dl_coeffs(rs, i)`:
+    def _dl(self, i):
+        """The data of `dl_left` for s_i, built once: (b, e, d) =
+        `dl_coeffs(rs, i)`, the coefficients b' = s_i(b u_i) and e' =
+        s_i(e) of the step at s_i w, with u_i = -s_i(d)/d by an
+        asserted exact division, s_i and the map w -> s_i w."""
+        data = self._dl_data.get(i)
+        if data is None:
+            W = self.W
+            b, e, d = self.dl_coeffs(self.rs, i)
+            si = W.from_word((i,))
+            u = (-self._act(si, d)).exact_div(d)
+            assert u is not None, "s_i(d) / d is not polynomial"
+            one = self._one()
+            data = self._dl_data[i] = (
+                b, e, d, self._act(si, one * b * u), self._act(si, one * e),
+                si, [W.inv[W.right[W.inv[w]][i]] for w in range(W.n)],
+            )
+        return data
 
-            (T_i F)|_w = (a s_i(F|_{s_i w}) - b F|_w) / d.
+    def dl_left(self, i, F):
+        """The left Demazure-Lusztig operator T_i on a ring-valued class,
+        with (b, e, d) = `dl_coeffs(rs, i)`:
+
+            (T_i F)|_w = b D(w) + e x(w),  x(w) = s_i(F|_{s_i w}),
+            D(w) = (x(w) - F|_w) / d,
+
+        which is (a x(w) - b F|_w) / d with a = b + e d.  The points w
+        and s_i w share one division: D(s_i w) = u_i s_i(D(w)) with
+        u_i = -s_i(d)/d (e^{alpha_i} in K-theory, 1 in cohomology), so
+
+            (T_i F)|_{s_i w} = s_i(s_i(b u_i) D(w) + s_i(e) F|_w).
         """
-        W = self.W
-        a, b, d = self.dl_coeffs(self.rs, i)
-        si = W.from_word((i,))
+        b, e, d, bs, es, si, left = self._dl(i)
+        dot = self.ring.dot
+        act = self._act
         zero = self.ring()
         out = {}
-        for w in range(W.n):
-            sw = W.mul(si, w)
-            if sw in F or w in F:
-                x = self._act(si, F[sw]) if sw in F else zero
-                g = dl_step(a, x, b, F.get(w, zero), d)
-                if g:
-                    out[w] = g
+        for w, sw in enumerate(left):
+            if sw < w or (w not in F and sw not in F):
+                continue  # each pair {w, s_i w} once, from its lower point
+            f = F.get(w, zero)
+            x = act(si, F[sw]) if sw in F else zero
+            D = _delta(x, f, d)
+            g = dot(((b, D), (e, x)))
+            if g:
+                out[w] = g
+            g = act(si, dot(((bs, D), (es, f))))
+            if g:
+                out[sw] = g
         return out
 
     def cell_class(self, w):

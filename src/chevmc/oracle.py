@@ -46,12 +46,12 @@ class KOracle(Localization):
 
     @staticmethod
     def dl_coeffs(rs, i):
-        """T_i = (a s_i - b) / d with a = 1 + y e^{-a_i}, b = 1 + y and
-        d = 1 - e^{-a_i}, which is also specialfn's T~vee_i."""
-        one = GA.const(1, rs.rank)
+        """(b, e, d) of T_i = (a s_i - b) / d with a = 1 + y e^{-a_i},
+        b = 1 + y and d = 1 - e^{-a_i}, which is also specialfn's
+        T~vee_i: e = (a - b) / d = -y."""
         nai = _wneg(rs.weight(rs.simple_roots[i].fund))
-        return (one + GA.term(nai, Scalar.y(1)), Scalar.one() + Scalar.y(1),
-                one - GA.term(nai))
+        return (Scalar.one() + Scalar.y(1), Scalar.y(1, -1),
+                GA.const(1, rs.rank) - GA.term(nai))
 
     # -- basic classes -------------------------------------------------
     def line_bundle(self, lam_fund):
@@ -238,28 +238,32 @@ class StableBasis:
             self._stab[w] = out
         return self._stab[w]
 
+    def hecke_coeffs(self, i, w):
+        """(b, e, d) of the affine Hecke operator T_i at the point w:
+        b = 1 - q, d = 1 - e^{w a_i} and e = (a - b) / d = -q e^{-w a_i}
+        for the first numerator a = 1 - q e^{-w a_i}."""
+        rs = self.rs
+        q = Scalar.q(1)
+        wa = self.W.act(w, rs.weight(rs.simple_roots[i].fund))
+        return (Scalar.one() - q, GA.term(_wneg(wa), -q),
+                GA.const(1, rs.rank) - GA.term(wa))
+
     def hecke_T(self, i, F):
         """The affine Hecke operator T_i on the localization model, a right
-        Demazure-Lusztig step:
+        Demazure-Lusztig step with (b, e, d) = `hecke_coeffs(i, w)`:
 
             (T_i F)|_w = ((1 - q e^{-w a_i}) F|_{w s_i} - (1 - q) F|_w)
                          / (1 - e^{w a_i}).
         """
         W = self.W
-        rs = self.rs
-        one = GA.const(1, rs.rank)
-        q = Scalar.q(1)
-        ai = rs.weight(rs.simple_roots[i].fund)
         si = W.from_word((i,))
         zero = GA()
         out = {}
         for w in range(W.n):
             ws = W.mul(w, si)
             if w in F or ws in F:
-                wa = W.act(w, ai)
-                g = dl_step(one - GA.term(_wneg(wa), q), F.get(ws, zero),
-                            Scalar.one() - q, F.get(w, zero),
-                            one - GA.term(wa))
+                b, e, d = self.hecke_coeffs(i, w)
+                g = dl_step(b, e, F.get(ws, zero), F.get(w, zero), d)
                 if g:
                     out[w] = g
         return out

@@ -32,21 +32,29 @@ class ScalarDL:
     T~vee_i is the oracle's left operator (KOracle.dl_coeffs), and T~_i
     differs from it only in the sign of a_i in the first numerator.  Both
     satisfy the braid relations and the common quadratic relation, so
-    T~_w is defined along any reduced word.
+    T~_w is defined along any reduced word.  Each is one step
+    (localization.dl_step) with b = 1 + y, d = 1 - e^{-a_i} and e the
+    first numerator minus b over d: -y for T~vee_i, y e^{a_i} for T~_i.
     """
 
     def __init__(self, rs):
         self.rs = rs
         self.W = rs.weyl()
 
-    def apply_simple(self, i, f, variant="tilde"):
+    def dl_coeffs(self, i, variant="tilde"):
+        """(b, e, d) of T~_i (variant "tilde") or T~vee_i ("tilde_vee")."""
         if variant not in ("tilde", "tilde_vee"):
             raise ValueError("unknown variant %r" % variant)
-        a, b, d = KOracle.dl_coeffs(self.rs, i)
+        b, e, d = KOracle.dl_coeffs(self.rs, i)
         if variant == "tilde":
-            a = a.star()
+            rs = self.rs
+            e = GA.term(rs.weight(rs.simple_roots[i].fund), Scalar.y(1))
+        return b, e, d
+
+    def apply_simple(self, i, f, variant="tilde"):
+        b, e, d = self.dl_coeffs(i, variant)
         W = self.W
-        return dl_step(a, f.transform(W.mats[W.from_word((i,))]), b, f, d)
+        return dl_step(b, e, f.transform(W.mats[W.from_word((i,))]), f, d)
 
     def apply(self, w, f, variant="tilde"):
         for i in reversed(self.W.word(w)):

@@ -223,13 +223,53 @@ def test_packed_ring_laws(a, b, c):
     assert _model(a * Scalar.v(3)) == _model_mul(a, GA.const(Scalar.v(3), 3))
 
 
-@given(gas3)
-@settings(max_examples=30)
-def test_transform_is_the_weyl_action(g):
-    W = RootSystem("B", 3).weyl()
-    for w in (1, 7, W.w0):
-        want = GA((W.act(w, k), x) for k, x in g.terms())
-        assert g.transform(W.mats[w]) == want
+WEYL = {label: RootSystem(label[0], int(label[1])).weyl()
+        for label in ("A3", "B3", "G2", "B2")}
+gas2 = st.lists(st.tuples(st.tuples(*[st.integers(-60, 60)] * 2), vscalars),
+                max_size=5).map(GA)
+
+
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_transform_is_the_weyl_action(data):
+    """Over every element of A3, B3 and G2, the identity included, and
+    on the zero element, whose layout comes from the matrix alone."""
+    for label, elems in (("A3", gas3), ("B3", gas3), ("G2", gas2)):
+        W = WEYL[label]
+        g = data.draw(elems)
+        for w in range(W.n):
+            want = GA((W.act(w, k), x) for k, x in g.terms())
+            assert g.transform(W.mats[w]) == want, (label, w)
+            assert GA().transform(W.mats[w]) == GA()
+
+
+def _cohpolys(rank):
+    exps = st.tuples(*[st.integers(0, 3)] * rank)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.dictionaries(exps, coeffs, max_size=4).map(CohPoly)
+
+
+@pytest.mark.parametrize("label", ["A3", "B2", "G2"])
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_cohpoly_act_is_the_substitution(label, data):
+    """CohPoly.act against the product of linear forms: varpi_j goes to
+    the form of column j of w's matrix, in every monomial."""
+    W = WEYL[label]
+    r = len(W.mats[0])
+    p = data.draw(_cohpolys(r))
+    for w in range(W.n):
+        mat = W.mats[w]
+        forms = [CohPoly.linear(col) for col in zip(*mat)]
+        want = CohPoly()
+        for k, x in p.terms():
+            mono = CohPoly.const(x, r)
+            for form, e in zip(forms, k):
+                for _ in range(e):
+                    mono = mono * form
+            want = want + mono
+        assert p.act(W, w) == want, w
+        assert CohPoly().act(W, w) == CohPoly()
 
 
 def test_exponent_out_of_range_raises():
@@ -267,6 +307,39 @@ def test_exact_div_fails_promptly():
             assert (one + a).exact_div(one - a) is None
             assert (one + far).exact_div(one - a) is None
             assert (one + far).exact_div(one - a * Scalar.y(1)) is None
+        # the polynomial subclass: linear forms and a longer divisor
+        cone = CohPoly.const(1, 3)
+        for form in ((2, -1, 0), (1, 1, 1), (0, 3, -2)):
+            lin = CohPoly.linear(form)
+            far = cone + lin ** 12
+            assert (cone + lin).exact_div(lin) is None
+            assert cone.exact_div(lin - 2 * cone) is None
+            assert far.exact_div(lin - 2 * cone) is None
+            assert far.exact_div(lin * lin + cone) is None
+            assert (lin ** 3 + cone).exact_div(lin ** 2) is None
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_exact_div_quotient_out_of_range_raises():
+    """Divisible inputs whose quotient box straddles the range, so the
+    final `_check` is not skipped: the quotient leaves the range and
+    raises, in a weight field and in the v field, by the chain-by-chain
+    and by the long division."""
+    d = GA.term((-1, 0)) - GA.term((-2, 0))
+    n = d + GA.term((LIMIT - 1, 0)) - GA.term((LIMIT - 2, 0))  # d (1 + e^LIMIT)
+    with pytest.raises(ValueError):
+        n.exact_div(d)
+    d = GA.term((0, 0), Scalar.v(-1)) - GA.term((1, 0), Scalar.v(-1))
+    n = d + GA.term((0, 0), Scalar.v(LIMIT - 1)) - GA.term(
+        (1, 0), Scalar.v(LIMIT - 1))  # d (1 + v^LIMIT)
+    with pytest.raises(ValueError):
+        n.exact_div(d)
+    d = GA.term((0, -1)) + GA.term((0, -2)) + GA.term((1, -2))
+    top = GA.term((0, LIMIT - 1)) + GA.term((0, LIMIT - 2)) + GA.term(
+        (1, LIMIT - 2))  # d e^{(0, LIMIT)}
+    with pytest.raises(ValueError):
+        (d + top).exact_div(d)
+    # inside the range the same shapes divide
+    assert (d * GA.term((0, 5)) + d).exact_div(d) == GA.term((0, 5)) + GA.const(1, 2)
