@@ -464,17 +464,12 @@ class GA:
         zero element transforms too."""
         r = len(mat)
         moves = _moves(mat)
-        if len(moves) == 1:
-            (s, col), = moves
-            c = {k + ((k >> s & MASK) - _HALF) * col: x
-                 for k, x in self.c.items()}
-        else:
-            c = {}
-            for k, x in self.c.items():
-                kk = k
-                for s, col in moves:
-                    kk += ((k >> s & MASK) - _HALF) * col
-                c[kk] = x
+        c = {}
+        for k, x in self.c.items():
+            kk = k
+            for s, col in moves:
+                kk += ((k >> s & MASK) - _HALF) * col
+            c[kk] = x
         if len(c) != len(self.c):
             raise ValueError("matrix is not invertible on the keys")
         _check(c, r)
