@@ -26,11 +26,12 @@ csm.CohPoly, the polynomial ring on the fundamental weights, keeps
 rational coefficients on the same keys (v field 0).  `render_terms`
 joins the rendered terms of any of them.
 
-There is no fraction type.  Every Demazure-Lusztig step is at most one
-exact division in the ring (localization.dl_step), and every localization
-quotient is one exact division over a W-fixed denominator
-(localization.Localization.root_quotient): a product of root factors,
-or a W-invariant constant under a Segre-type class.
+There is no fraction type.  A Demazure-Lusztig step divides once in the
+ring (localization.dl_step; `Localization.dl_left` once per pair of
+points), and every localization quotient is one exact division over a
+W-fixed denominator (localization.Localization.root_quotient): a
+product of root factors, or a W-invariant constant under a Segre-type
+class.
 
 One kernel, `_add_products`, adds monomial products into a coefficient
 dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a
@@ -458,10 +459,10 @@ class GA:
     # -- lattice / Weyl operations ------------------------------------
     def transform(self, mat):
         """e^mu -> e^{mat mu} for an invertible integer matrix, such as a
-        Weyl matrix, given as a tuple of row tuples: each key moves by mu_j times the packed column j of
-        mat - 1, over the columns where that is nonzero (`_moves`), one
-        for a simple reflection.  The layout comes from len(mat), so the
-        zero element transforms too."""
+        Weyl matrix, given as a tuple of row tuples: each key moves by
+        mu_j times the packed column j of mat - 1, over the columns where
+        that is nonzero (`_moves`), one for a simple reflection.  The
+        layout comes from len(mat), so the zero element transforms too."""
         r = len(mat)
         moves = _moves(mat)
         c = {}

@@ -16,13 +16,13 @@ the one exact division D = (x - f)/d, polynomial by theory and asserted
 so: `dl_step` in specialfn, oracle.StableBasis and csm.DegenerateHecke,
 and `Localization.dl_left`, which divides once per pair {w, s_i w}
 since D(s_i w) = u_i s_i(D(w)).  The expansion in the cell basis is a
-triangular solve of exact divisions.  Each genuine quotient is one exact division over a
-W-fixed denominator.  For a positive root b, eul(b) is a unit times
-eul(-b), so a sum of numerators over Euler factors of weights +-b is a
-ring sum over the product of the eul(-b) (`cofactor`,
-`root_quotient`): the Atiyah-Bott sum over the Weyl denominator, the
-G/P pushforward coset by coset and specialfn's orbit sums.  A
-Segre-type class is a ring-valued numerator class over one W-invariant
+triangular solve of exact divisions.  Each genuine quotient is one
+exact division over a W-fixed denominator.  For a positive root b,
+eul(b) is a unit times eul(-b), so a sum of numerators over Euler
+factors of weights +-b is a ring sum over the product of the eul(-b)
+(`cofactor`, `root_quotient`): the Atiyah-Bott sum over the Weyl
+denominator, the G/P pushforward coset by coset and specialfn's orbit
+sums.  A Segre-type class is a ring-valued numerator class over one W-invariant
 constant, so its pairing is one more exact division by that constant.
 
 The ring arithmetic is fused (charring.GA.dot): a step forms b D + e x

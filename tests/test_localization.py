@@ -82,7 +82,8 @@ def test_step_is_the_direct_quotient(label, data):
     with a = b + e d, for every coefficient set."""
     rank = TYPES[label].rank
     draws = {ring: (data.draw(_elements(rank, ring)),
-                    data.draw(_elements(rank, ring))) for ring in (GA, CohPoly)}
+                    data.draw(_elements(rank, ring)))
+             for ring in (GA, CohPoly)}
     for name, ring, (b, e, d), _ in _coefficient_sets(label):
         h, k = draws[ring]
         x = h + d * k
