@@ -22,9 +22,11 @@ ValueError on an exponent that leaves the range.
 
 Scalar, the coefficient ring Z[v, v^-1], is the rank-0 case, with keys
 of the v field only, so a Scalar times a GA is the same key sum.
-csm.CohPoly, the polynomial ring on the fundamental weights, keeps
-rational coefficients on the same keys (v field 0).  `render_terms`
-joins the rendered terms of any of them.
+csm.CohPoly, the polynomial ring Z[varpi_1..varpi_r] on the fundamental
+weights, uses the same keys with v field 0 and the same int
+coefficients.  `GA.render` turns an element of either into text, with
+the monomial text a caller passes (`exp_mono`, `power_mono`), and
+`render_terms` joins the terms.
 
 There is no fraction type.  A Demazure-Lusztig step divides once in the
 ring (localization.dl_step; `Localization.dl_left` once per pair of
@@ -138,11 +140,11 @@ def _mul_into(acc, a, b, sign=1):
     return max(ra, rb)
 
 
-def _long_div(a, d, bias, box, cdiv):
+def _long_div(a, d, bias, box):
     """The coefficient dict of a / d by long division from the leading
     key (see GA.exact_div), or None: a remainder kept in key order, each
-    step one exact coefficient quotient `cdiv` inside the box (lok, hik,
-    test) and one subtraction of the divisor's other terms."""
+    step one exact integer quotient inside the box (lok, hik, test) and
+    one subtraction of the divisor's other terms."""
     lok, hik, test = box
     rem = dict(a)
     order = sorted(rem)
@@ -156,8 +158,8 @@ def _long_div(a, d, bias, box, cdiv):
         x = rem.pop(rk, None)
         if x is None:
             continue
-        qc = cdiv(x, dc)
-        if qc is None:
+        qc, r = divmod(x, dc)
+        if r:
             return None
         qk = rk + shift
         if ((qk - lok) | (hik - qk)) & test:
@@ -175,7 +177,7 @@ def _long_div(a, d, bias, box, cdiv):
     return quot
 
 
-def _chain_div(a, d, bias, box, cdiv):
+def _chain_div(a, d, bias, box):
     """`_long_div` for a two-term divisor c1 e^k1 + c2 e^k2, k1 > k2.
 
     A step at key k leaves its one carry at k - gap, gap = k1 - k2, so
@@ -188,7 +190,6 @@ def _chain_div(a, d, bias, box, cdiv):
     lok, hik, test = box
     k1, k2 = max(d), min(d)
     c1, c2 = d[k1], d[k2]
-    unit = type(c1) is int and (c1 == 1 or c1 == -1)  # x / c1 = x * c1
     gap = k1 - k2
     shift = bias - k1
     rem = dict(a)
@@ -204,8 +205,8 @@ def _chain_div(a, d, bias, box, cdiv):
         for k in tops.values():
             x = pop(k)
             while x:
-                qc = x * c1 if unit else cdiv(x, c1)
-                if qc is None:
+                qc, r = divmod(x, c1)
+                if r:
                     return None
                 qk = k + shift
                 if ((qk - lok) | (hik - qk)) & test:
@@ -252,12 +253,7 @@ def _wneg(a):
     return tuple(-x for x in a)
 
 
-def _int_div(a, b):
-    q, r = divmod(a, b)
-    return None if r else q
-
-
-def render_terms(terms, sep="*"):
+def render_terms(terms):
     """Join (coefficient text, coefficient is a single term, monomial
     text) triples, leading term first: a unit coefficient is dropped, a
     longer one is parenthesised, the monomial "1" (the constant) is
@@ -271,7 +267,7 @@ def render_terms(terms, sep="*"):
         else:
             if not single:
                 cs = "(%s)" % cs
-            parts.append(cs if mono == "1" else cs + sep + mono)
+            parts.append(cs if mono == "1" else cs + "*" + mono)
     if not parts:
         return "0"
     out = parts[0]
@@ -280,22 +276,44 @@ def render_terms(terms, sep="*"):
     return out
 
 
+def exp_mono(h):
+    """The `GA.render` monomial of a fine weight: e^{a*w1+b*w2...} in
+    the fundamental weights, each coordinate divided by h (written e/h
+    where that is not integral); "1" for the weight 0."""
+    def mono(k):
+        exps = []
+        for i, e in enumerate(k):
+            if e:
+                es = str(e // h) if e % h == 0 else "%d/%d" % (e, h)
+                exps.append("w%d" % (i + 1) if es == "1"
+                            else "%s*w%d" % (es, i + 1))
+        return "e^{%s}" % "+".join(exps).replace("+-", "-") if exps else "1"
+    return mono
+
+
+def power_mono(var):
+    """The `GA.render` monomial of an exponent tuple: var1^e1*var2^e2...
+    with a first power bare; "1" for the exponents 0."""
+    def mono(k):
+        return "*".join(
+            "%s%d" % (var, i + 1) if e == 1 else "%s%d^%d" % (var, i + 1, e)
+            for i, e in enumerate(k) if e
+        ) or "1"
+    return mono
+
+
 class GA:
     """An element of the group algebra Z[v,v^-1][weight lattice].
 
     `c` maps a packed key (see the module docstring) to a nonzero
     integer.  The constructor takes {weight: coefficient} or (weight,
     coefficient) pairs, coefficients ints or Scalars; `terms` reads them
-    back.  A subclass with other coefficients overrides the class
-    constants and `_split`.
+    back.
     """
 
     __slots__ = ("c",)
 
     laurent = True  # negative exponents allowed; units are monomials
-    _scalars = (int,)  # what `*` scales the coefficients by
-    _cdiv = staticmethod(_int_div)  # exact coefficient quotient or None
-    _cinv = staticmethod(lambda x: x if x in (1, -1) else None)
 
     @staticmethod
     def _split(coeff):
@@ -374,7 +392,7 @@ class GA:
             if a and b:
                 _check(c, _mul_into(c, a, b))
             return cls._new(c)
-        if isinstance(other, self._scalars):
+        if isinstance(other, int):
             if not other:
                 return type(self)._new({})
             return type(self)._new({k: x * other for k, x in self.c.items()})
@@ -386,7 +404,7 @@ class GA:
     def dot(cls, pairs):
         """sum s * t over (s, t) pairs in one accumulator, with no
         intermediate product or sum: s and t are elements (a Scalar is
-        the rank-0 case) or one of them a scalar of `_scalars`."""
+        the rank-0 case) or one of them an int."""
         acc = {}
         rank = 0
         for s, t in pairs:
@@ -432,18 +450,15 @@ class GA:
         return bool(self.c)
 
     def unit_inverse(self):
-        """The inverse of a unit, otherwise None: a monomial with a unit
-        coefficient in a Laurent ring, a nonzero constant otherwise."""
+        """The inverse of a unit, otherwise None: a monomial with
+        coefficient +-1 in a Laurent ring, the constant +-1 otherwise."""
         if len(self.c) != 1:
             return None
         (k, x), = self.c.items()
         r = _rank(k)
-        if not self.laurent and k != _BIAS[r]:
+        if x not in (1, -1) or not self.laurent and k != _BIAS[r]:
             return None
-        inv = self._cinv(x)
-        if inv is None:
-            return None
-        c = {2 * _BIAS[r] - k: inv}
+        c = {2 * _BIAS[r] - k: x}
         _check(c, r)
         return type(self)._new(c)
 
@@ -500,6 +515,8 @@ class GA:
         return self._negate(True, False)
 
     def y_inverse(self):
+        """v -> v^-1, weights fixed: y -> y^-1 and q -> q^-1 on the even
+        part of a Scalar."""
         return self._negate(False, True)
 
     # -- division -----------------------------------------------------
@@ -551,7 +568,7 @@ class GA:
             hik += (hi + _HALF) << s
         box = (lok, hik, bias | (1 << (FIELD * (r + 1))))
         div = _chain_div if len(d) == 2 else _long_div
-        quot = div(a, d, bias, box, self._cdiv)
+        quot = div(a, d, bias, box)
         if quot is None:
             return None
         if not inside:
@@ -559,26 +576,17 @@ class GA:
         return type(self)._new(quot)
 
     # -- display ------------------------------------------------------
-    def render(self, names=None, scale=1, var=None):
-        """Render with weights divided by `scale` (the lattice constant h)."""
-        terms = []
-        for k, x in reversed(self.terms()):
-            exps = []
-            for i, e in enumerate(k):
-                if not e:
-                    continue
-                if e % scale == 0:
-                    es = str(e // scale)
-                else:
-                    es = "%d/%d" % (e, scale)
-                nm = names[i] if names else "w%d" % (i + 1)
-                exps.append("%s*%s" % (es, nm) if es != "1" else nm)
-            mono = "e^{%s}" % "+".join(exps).replace("+-", "-") if exps else "1"
-            terms.append((x.render(var=var), len(x.c) == 1, mono))
-        return render_terms(terms)
+    def render(self, mono, var=None):
+        """The text of the element, leading term first: `mono` maps a
+        weight tuple to its monomial text ("1" for the weight 0), each
+        coefficient is rendered by Scalar.render(var), and
+        `render_terms` joins the terms.  GA.terms, not an override,
+        gives the Scalar coefficients, so a CohPoly renders too."""
+        return render_terms([(x.render(var=var), len(x.c) == 1, mono(k))
+                             for k, x in reversed(GA.terms(self))])
 
     def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, self.render())
+        return "GA(%s)" % self.render(exp_mono(1))
 
     def to_json(self):
         """[{"weight": [...], "coeff": {"<v exponent>": int}}], weights
@@ -671,19 +679,11 @@ class Scalar(GA):
         """coeff * y^n  (y = -v^2)."""
         return Scalar({2 * n: -coeff if n % 2 else coeff})
 
-    inverse = GA.unit_inverse
-
     def _exps(self):
         """{v exponent: coefficient}."""
         return {k - _HALF: x for k, x in self.c.items()}
 
     # -- substitutions ------------------------------------------------
-    def v_inverse(self):
-        """v -> v^-1.  Restricts to y -> y^-1, q -> q^-1, y -> -q^-1
-        on the even part, which is how all of those substitutions are
-        realized."""
-        return self.y_inverse()
-
     def is_even(self):
         """True when every power of v is even, i.e. the scalar lies in
         the subring Z[y, y^-1] = Z[q, q^-1]."""
@@ -699,19 +699,15 @@ class Scalar(GA):
             raise ValueError("scalar has odd v-powers: %s" % self)
         return {k // 2: x for k, x in self._exps().items()}
 
-    def t_coeffs(self):
-        """Return {t-exponent: coefficient} under t = -y = q."""
-        return self.q_coeffs()
-
     # -- display ------------------------------------------------------
     def render(self, var=None):
-        """Render in terms of y (default when even), q, t or raw v."""
+        """Render in terms of y (default when even), q, t = q or raw v."""
         if not self.c:
             return "0"
         if var is None:
             var = "y" if self.is_even() else "v"
         if var in ("y", "q", "t") and self.is_even():
-            coeffs = {"y": self.y_coeffs, "q": self.q_coeffs, "t": self.t_coeffs}[var]()
+            coeffs = self.y_coeffs() if var == "y" else self.q_coeffs()
         else:
             var = "v"
             coeffs = self._exps()

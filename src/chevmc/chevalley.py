@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from .charring import (
     GA, Scalar, _BIAS, _HALF, _add_products, _check, _pack, _weight,
+    exp_mono,
 )
 from .alcove import chain_lex_height, descent_subsets
 
@@ -301,11 +302,8 @@ def positivity_terms(chain, w):
 
 def render_table(rs, table, var="y"):
     W = rs.weyl()
-    names = ["w%d" % (i + 1) for i in range(rs.rank)]
-    lines = []
-    for u in sorted(table):
-        lines.append(
-            "C[u=%s] = %s"
-            % (W.word_str(u), table[u].render(names=names, scale=rs.h, var=var))
-        )
-    return "\n".join(lines)
+    mono = exp_mono(rs.h)
+    return "\n".join(
+        "C[u=%s] = %s" % (W.word_str(u), table[u].render(mono, var))
+        for u in sorted(table)
+    )

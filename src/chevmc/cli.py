@@ -14,9 +14,10 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from . import __version__
-from .charring import GA, render_terms
+from .charring import GA, exp_mono
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
 from .chevalley import chevalley_table, render_table
@@ -181,44 +182,36 @@ def _emit(doc, text, fmt, out):
         out.write(text + "\n")
 
 
-def _latex_scalar(x, var):
-    return x.render(var=var).replace("*", " ")
-
-
-def _latex_weight(rs, fine):
+def _latex_weight(h, fine):
+    """The LaTeX monomial e^{a\\varpi_1+...} of a fine weight, each
+    coordinate divided by h; "1" for the weight 0."""
     parts = []
     for i, c in enumerate(fine):
         if not c:
             continue
-        if c % rs.h == 0:
-            cs = c // rs.h
+        if c % h == 0:
+            cs = c // h
         else:
-            cs = "%d/%d" % (c, rs.h)
+            cs = "%d/%d" % (c, h)
         if cs == 1:
             parts.append("\\varpi_%d" % (i + 1))
         elif cs == -1:
             parts.append("-\\varpi_%d" % (i + 1))
         else:
             parts.append("%s\\varpi_%d" % (cs, i + 1))
-    return "+".join(parts).replace("+-", "-") or "0"
-
-
-def _latex_ga(rs, g, var):
-    terms = []
-    for k, x in reversed(g.terms()):
-        mono = "e^{%s}" % _latex_weight(rs, k) if any(k) else "1"
-        terms.append((_latex_scalar(x, var), len(x.c) == 1, mono))
-    return render_terms(terms, sep=" ")
+    return "e^{%s}" % "+".join(parts).replace("+-", "-") if parts else "1"
 
 
 def _latex_table(rs, table, var="y"):
+    """The table as LaTeX: the `*` rendering with each `*` a space, as
+    the LaTeX monomials contain none."""
     W = rs.weyl()
+    mono = partial(_latex_weight, rs.h)
     lines = ["\\begin{aligned}"]
     for u in sorted(table):
         word = W.word_str(u).replace("s", "s_") if u else "e"
-        lines.append(
-            "C_{%s} &= %s \\\\" % (word, _latex_ga(rs, table[u], var))
-        )
+        text = table[u].render(mono, var).replace("*", " ")
+        lines.append("C_{%s} &= %s \\\\" % (word, text))
     lines.append("\\end{aligned}")
     return "\n".join(lines)
 
@@ -226,21 +219,16 @@ def _latex_table(rs, table, var="y"):
 def _epsilon_render(rs, table):
     """Type-A display in epsilon coordinates of GL_{r+1}."""
     W = rs.weyl()
-    n = rs.rank + 1
-    lines = []
-    for u in sorted(table):
-        terms = []
-        g = table[u]
-        for k, x in reversed(g.terms()):
-            fund = [c / rs.h for c in k]
-            partial = [sum(fund[j:]) for j in range(rs.rank)] + [0.0]
-            eps = ",".join(
-                str(int(c)) if float(c).is_integer() else str(c)
-                for c in partial
-            )
-            terms.append((x.render(), len(x.c) == 1, "x^(%s)" % eps))
-        lines.append("C[u=%s] = %s" % (W.word_str(u), render_terms(terms)))
-    return "\n".join(lines)
+
+    def mono(k):
+        fund = [c / rs.h for c in k]
+        sums = [sum(fund[j:]) for j in range(rs.rank)] + [0.0]
+        return "x^(%s)" % ",".join(
+            str(int(c)) if float(c).is_integer() else str(c) for c in sums
+        )
+
+    return "\n".join("C[u=%s] = %s" % (W.word_str(u), table[u].render(mono))
+                     for u in sorted(table))
 
 
 # -- subcommand bodies -------------------------------------------------
@@ -379,15 +367,12 @@ def _cmd_whittaker(args, out):
     lam = _parse_lambda(args.lam, rs.rank)
     w = _parse_w(W, args.w)
     ws = range(W.n) if w is None else [w]
-    names = ["w%d" % (i + 1) for i in range(rs.rank)]
     lines = []
     docs = []
     for wv in ws:
         g = whittaker(rs, lam, wv)
         docs.append({"w": W.word_str(wv), "value": g.to_json()})
-        lines.append("W[%s] = %s"
-                     % (W.word_str(wv),
-                        g.render(names=names, scale=rs.h)))
+        lines.append("W[%s] = %s" % (W.word_str(wv), g.render(exp_mono(rs.h))))
     doc = _doc("whittaker", rs, lam=list(lam), values=docs)
     _emit(doc, "\n".join(lines), args.format, out)
     return 0
@@ -409,8 +394,7 @@ def _cmd_hl(args, out):
     elif rs.family == "A":
         text = render_x(rs, g, degree)
     else:
-        names = ["w%d" % (i + 1) for i in range(rs.rank)]
-        text = g.render(names=names, scale=rs.h, var="t")
+        text = g.render(exp_mono(rs.h), var="t")
     doc = _doc("hl", rs, lam=list(lam), method=args.method,
                value=g.to_json())
     _emit(doc, text, args.format, out)

@@ -1,14 +1,14 @@
 """Chern-Schwartz-MacPherson classes in equivariant cohomology.
 
-CohPoly, the polynomial ring on the fundamental-weight linear forms,
-is a subclass of the character ring charring.GA: it inherits all of
-GA's arithmetic and exact division and supplies only its rational
-coefficients, the polynomial (not Laurent) exponent range, linear
-forms, the Weyl action and its monomial format.  On it sit a
-localization model of H_T*(G/B) (the shared core of localization.py
-with the cohomological Demazure-Lusztig operator), the degenerate
-affine Hecke algebra with its commutation lemma, CSM/SM classes of
-Schubert cells, and the first-Chern-class Chevalley formula
+CohPoly, the integer polynomial ring on the fundamental-weight linear
+forms, is a subclass of the character ring charring.GA: it inherits
+all of GA's arithmetic, exact division and rendering and supplies only
+the polynomial (not Laurent) exponent range, linear forms, the Weyl
+action and its monomial format.  On it sit a localization model of
+H_T*(G/B) (the shared core of localization.py with the cohomological
+Demazure-Lusztig operator), the degenerate affine Hecke algebra with
+its commutation lemma, CSM/SM classes of Schubert cells, and the
+first-Chern-class Chevalley formula
 
     c1(L_lambda) . csm(X(w W_P)^o)
         = w(lambda) csm(X(w W_P)^o)
@@ -18,25 +18,11 @@ Schubert cells, and the first-Chern-class Chevalley formula
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .charring import (
     FIELD, GA, MASK, _BIAS, _HALF, _add_products, _check, _weight,
-    render_terms,
+    power_mono,
 )
 from .localization import Localization, dl_step
-
-
-def _rational(x):
-    """x as an int when it is integral, otherwise as a Fraction."""
-    x = Fraction(x)
-    return x.numerator if x.denominator == 1 else x
-
-
-def _qdiv(a, b):
-    if type(a) is int and type(b) is int and not a % b:
-        return a // b
-    return _rational(Fraction(a) / b)
 
 
 _POWERS = {}
@@ -58,27 +44,19 @@ def _powers(mat):
 
 
 class CohPoly(GA):
-    """Polynomial in the fundamental weights with rational coefficients.
+    """Polynomial in the fundamental weights with integer coefficients:
+    an element of H_T*(pt) = Z[varpi_1..varpi_r].
 
-    `c` maps a packed key of GA (with its v field 0) to a nonzero
-    rational: an int where a constructor or a quotient is integral, so
-    that the integral classes of the oracle stay in int arithmetic, a
-    Fraction otherwise.  Arithmetic and exact division are GA's.
+    `c` maps a packed key of GA (with its v field 0) to a nonzero int.
+    Arithmetic, exact division and rendering are GA's.
     """
 
     __slots__ = ()
 
-    laurent = False  # exponents >= 0; only nonzero constants are units
-    _scalars = (int, Fraction)
-    _cdiv = staticmethod(_qdiv)
-    _cinv = staticmethod(lambda x: _qdiv(1, x))
-
-    @staticmethod
-    def _split(coeff):
-        return ((_HALF, _rational(coeff)),)
+    laurent = False  # exponents >= 0; only the constants +-1 are units
 
     def terms(self):
-        """(exponent tuple, rational) pairs, exponents ascending."""
+        """(exponent tuple, int) pairs, exponents ascending."""
         r = self.rank()
         return [(_weight(k, r), self.c[k]) for k in sorted(self.c)]
 
@@ -123,15 +101,11 @@ class CohPoly(GA):
         return CohPoly._new(acc)
 
     def render(self):
-        terms = []
-        for k, x in reversed(self.terms()):
-            mono = "*".join(
-                ("w%d" % (i + 1)) if e == 1 else "w%d^%d" % (i + 1, e)
-                for i, e in enumerate(k)
-                if e
-            )
-            terms.append((str(x), True, mono or "1"))
-        return render_terms(terms)
+        """Like w1^2*w2 - 3*w2 + 1."""
+        return GA.render(self, power_mono("w"))
+
+    def __repr__(self):
+        return "CohPoly(%s)" % self.render()
 
 
 # -- degenerate affine Hecke algebra -----------------------------------
@@ -151,9 +125,13 @@ class DegenerateHecke:
         return dl_step(-1, 0, p.act(self.W, si), p, ai)
 
     def t_left(self, i, elem):
-        """T_i . (sum p_w T_w) with T_i x_lam = x_{s_i lam} T_i - <lam, a_i^vee>."""
+        """T_i . (sum p_w T_w) with T_i x_lam = x_{s_i lam} T_i
+        - <lam, a_i^vee>, that is T_i p T_w = s_i(p) T_{s_i w}
+        - partial_i(p) T_w: s_i acts once per term, and -partial_i(p) =
+        (s_i p - p) / alpha_i."""
         W = self.W
         si = W.from_word((i,))
+        ai = CohPoly.linear(self.rs.simple_roots[i].fund)
         out = {}
 
         def put(w, p):
@@ -164,8 +142,9 @@ class DegenerateHecke:
                 del out[w]
 
         for w, p in elem.items():
-            put(W.mul(si, w), p.act(W, si))
-            put(w, -self.demazure(i, p))
+            sp = p.act(W, si)
+            put(W.inv[W.right[W.inv[w]][i]], sp)  # s_i w
+            put(w, dl_step(1, 0, sp, p, ai))
         return out
 
     def t_w_times_x(self, w, lam_fund):

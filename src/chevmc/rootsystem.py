@@ -376,9 +376,6 @@ class WeylGroup:
             self._refl_cache[key] = self.index[mat]
         return self._refl_cache[key]
 
-    def descends_right(self, w, i):
-        return self.length[self.right[w][i]] < self.length[w]
-
     # -- Bruhat order -------------------------------------------------
     def leq_masks(self):
         """leq_masks()[w] is a bitmask of {u : u <= w}."""
@@ -407,7 +404,7 @@ class WeylGroup:
         while changed:
             changed = False
             for i in parabolic:
-                if self.descends_right(w, i):
+                if self.length[self.right[w][i]] < self.length[w]:
                     w = self.right[w][i]
                     changed = True
         return w

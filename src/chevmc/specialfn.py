@@ -15,7 +15,7 @@ formula is one exact division by the Weyl denominator.
 from __future__ import annotations
 
 from .charring import (
-    GA, Scalar, _BIAS, _pack, _wneg, _weight, render_terms,
+    GA, Scalar, _BIAS, _pack, _wneg, _weight, power_mono, render_terms,
 )
 from .alcove import chain_lex_height, descent_subsets
 from .chevalley import chevalley_table
@@ -244,15 +244,10 @@ def gl_exponents(rs, mu_fund, degree):
 
 def render_x(rs, g, degree, var="t"):
     """Render a GA element in GL_n x-monomials (type A)."""
+    xmono = power_mono("x")
     parts = []
     for k, x in reversed(g.terms()):
-        mu = rs.weight_user(k)
-        exps = gl_exponents(rs, mu, degree)
-        mono = "*".join(
-            ("x%d" % (i + 1)) if e == 1 else "x%d^%d" % (i + 1, e)
-            for i, e in enumerate(exps)
-            if e
-        ) or "1"
+        mono = xmono(gl_exponents(rs, rs.weight_user(k), degree))
         cs = x.render(var=var)
         parts.append(mono if cs == "1" else "(%s)*%s" % (cs, mono))
     return " + ".join(parts) if parts else "0"

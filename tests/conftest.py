@@ -64,7 +64,7 @@ def hl_terms_as_tuples(rs, lam, formula, degree):
     for w, J, u, mono in hl_terms(rs, lam, formula):
         (k, coeff), = mono.terms()
         exps = gl_exponents(rs, rs.weight_user(k), degree)
-        a = min(coeff.t_coeffs())
+        a = min(coeff.q_coeffs())
         b = 0
         one_minus_t = Scalar.one() - Scalar.q(1)
         while True:

@@ -332,16 +332,19 @@ def test_criterion_10_stable_layer():
 
 
 def test_criterion_11_csm_layer():
-    """Cohomological Chevalley table vs localization; commutation lemma."""
+    """Cohomological Chevalley table vs localization; commutation lemma.
+    B2, C2 and G2 have simple roots with fundamental coordinates of
+    content 2 or 3, so the integer division meets leading coefficients
+    other than +-1."""
     budget = Budget(120.0)
-    for family, rank in [("A", 2), ("A", 3)]:
+    for family, rank in [("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3)]:
         w1 = tuple(1 if j == 0 else 0 for j in range(rank))
         w2 = tuple(1 if j == 1 else 0 for j in range(rank))
         for lam in (w1, w2, (1,) * rank):
             detail = case_csm(family, rank, lam)
             assert detail is None, (family, rank, lam, detail)
     budget.done("criterion 11: cohomological tables vs localization and "
-                "the commutation lemma in A3")
+                "the commutation lemma in A2, B2, C2, G2 and A3")
 
 
 def _reduced_words_for_chain(lam, count):
