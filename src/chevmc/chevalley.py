@@ -79,19 +79,6 @@ def chevalley_terms(chain, w, sign):
             for u, J, key, coeff in _leaves(chain, w, sign)]
 
 
-def _sum_by_u(terms):
-    """{u: GA} summing (u, weight, coefficient) triples, one dict per u."""
-    by_u = {}
-    for u, mu, coeff in terms:
-        by_u.setdefault(u, []).append((mu, coeff))
-    out = {}
-    for u, pairs in by_u.items():
-        g = GA(pairs)
-        if g:
-            out[u] = g
-    return out
-
-
 def _checked(by_u, rank):
     """The nonzero entries of {u: key dict}, all keys range-checked."""
     out = {u: c for u, c in by_u.items() if c}
@@ -115,14 +102,12 @@ def chevalley_bridge(halg, w, lam_fund, sign):
 
         C_{u,-lambda}^w = sum_mu y^{l(w)-l(u)} e^{-mu} c_{u,mu}^{w,lambda}
 
-    with q = -y built into the shared ring.
+    with q = -y built into the shared ring, one entry at a time.
     """
     W = halg.W
     table = halg.transition_direct(w, tuple(sign * -c for c in lam_fund))
-    return _sum_by_u(
-        (u, tuple(-m for m in mu), c * Scalar.y(W.length[w] - W.length[u]))
-        for (u, mu), c in table.items()
-    )
+    return {u: g.star() * Scalar.y(W.length[w] - W.length[u])
+            for u, g in table.items()}
 
 
 def chevalley_operator(chain, w):

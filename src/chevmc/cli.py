@@ -108,11 +108,14 @@ def _table_json(rs, table):
     ]
 
 
-def _cached_table(W, doc):
-    """The table stored by `_table_json`, or None for a miss or for
+def _cached_table(W, doc, w):
+    """The table of w stored by `_table_json`, or None for a miss or for
     anything `_table_json` would not have written (another shape, extra
     keys, a word not in normal form, elements not ascending, a value
-    `GA.from_json` rejects), so that a hit may print `doc` itself."""
+    `GA.from_json` rejects, a last entry other than w), so that a hit
+    may print `doc` itself.  The last entry of a table is always w:
+    C^w_{w,lambda} is a monomial, and every other u is shorter than w,
+    so it comes earlier in the (length, word) order of the elements."""
     if not isinstance(doc, list):
         return None
     table = {}
@@ -126,7 +129,7 @@ def _cached_table(W, doc):
             last = u
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
-    return table
+    return table if last == w else None
 
 
 def _doc(command, rs, **fields):
@@ -257,7 +260,7 @@ def _cmd_chevalley(args, out):
         )
         # a hit's stored entries are exactly what _table_json would print
         entries = cache_get(cache_dir, key)
-        table = _cached_table(W, entries)
+        table = _cached_table(W, entries, wv)
         if table is None:
             table = chevalley_table(
                 rs, lam, wv, sign=sign, method=args.method, chain=chain
@@ -302,7 +305,7 @@ def _cmd_hecke(args, out):
             "mu": list(rs.weight_user(mu)),
             "coeff": c.to_json(),
         }
-        for (u, mu), c in sorted(table.items())
+        for u in sorted(table) for mu, c in table[u].terms()
     ]
     doc = _doc("hecke-coeffs", rs, lam=list(lam), w=W.word_str(w),
                entries=entries)

@@ -118,12 +118,6 @@ class DegenerateHecke:
         self.rs = rs
         self.W = rs.weyl()
 
-    def demazure(self, i, p):
-        """partial_i(p) = (p - s_i p) / alpha_i, always polynomial."""
-        si = self.W.from_word((i,))
-        ai = CohPoly.linear(self.rs.simple_roots[i].fund)
-        return dl_step(-1, 0, p.act(self.W, si), p, ai)
-
     def t_left(self, i, elem):
         """T_i . (sum p_w T_w) with T_i x_lam = x_{s_i lam} T_i
         - <lam, a_i^vee>, that is T_i p T_w = s_i(p) T_{s_i w}

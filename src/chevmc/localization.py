@@ -13,9 +13,10 @@ sum and the expansion of a class in the cell basis.
 Every value is a ring element.  Every Demazure-Lusztig step of the
 package is (a x - b f)/d with a = b + e d, computed as b D + e x over
 the one exact division D = (x - f)/d, polynomial by theory and asserted
-so: `dl_step` in specialfn, oracle.StableBasis and csm.DegenerateHecke,
-and `Localization.dl_left`, which divides once per pair {w, s_i w}
-since D(s_i w) = u_i s_i(D(w)).  The expansion in the cell basis is a
+so: `dl_step` in specialfn (ScalarDL) and csm.DegenerateHecke.t_left;
+`Localization.dl_left`, which divides once per pair {w, s_i w} since
+D(s_i w) = u_i s_i(D(w)); and oracle.StableBasis.hecke_T, which divides
+once per pair {w, w s_i} since D(w s_i) = e^{w a_i} D(w).  The expansion in the cell basis is a
 triangular solve of exact divisions.  Each genuine quotient is one
 exact division over a W-fixed denominator.  For a positive root b,
 eul(b) is a unit times eul(-b), so a sum of numerators over Euler

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from .charring import GA, Scalar, _wneg
 from .alcove import chain_lex_height
-from .localization import Localization, dl_step
+from .localization import Localization, _delta
 
 
 class KOracle(Localization):
@@ -253,19 +253,33 @@ class StableBasis:
         Demazure-Lusztig step with (b, e, d) = `hecke_coeffs(i, w)`:
 
             (T_i F)|_w = ((1 - q e^{-w a_i}) F|_{w s_i} - (1 - q) F|_w)
-                         / (1 - e^{w a_i}).
+                         / (1 - e^{w a_i}),
+
+        that is b D(w) + e F|_{w s_i} with D(w) = (F|_{w s_i} - F|_w) / d.
+        The points w and w s_i share one division: with z = 1 - d =
+        e^{w a_i}, D(w s_i) = z D(w), so
+
+            (T_i F)|_{w s_i} = z (b D(w) - q F|_w).
         """
         W = self.W
-        si = W.from_word((i,))
+        mq = Scalar.q(1, -1)
+        one = GA.const(1, self.rs.rank)
         zero = GA()
         out = {}
         for w in range(W.n):
-            ws = W.mul(w, si)
-            if w in F or ws in F:
-                b, e, d = self.hecke_coeffs(i, w)
-                g = dl_step(b, e, F.get(ws, zero), F.get(w, zero), d)
-                if g:
-                    out[w] = g
+            ws = W.right[w][i]
+            if ws < w or (w not in F and ws not in F):
+                continue  # each pair {w, w s_i} once, from its lower point
+            b, e, d = self.hecke_coeffs(i, w)
+            f = F.get(w, zero)
+            x = F.get(ws, zero)
+            D = _delta(x, f, d)
+            g = GA.dot(((b, D), (e, x)))
+            if g:
+                out[w] = g
+            g = (one - d) * GA.dot(((b, D), (mq, f)))
+            if g:
+                out[ws] = g
         return out
 
     def hecke_T_on_stab(self, i, w):

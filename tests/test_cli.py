@@ -278,6 +278,21 @@ def test_long_chain_is_no_recursion(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_hecke_coeffs_exponent_range(capsys):
+    # on A1 the fine exponents of lambda = 4095 reach 8190, inside the
+    # packed range [-8192, 8192); those of lambda = 4096 reach 8192
+    argv = ["--type", "A1", "--w", "s1", "--lambda"]
+    code, text = _run(["hecke-coeffs"] + argv + ["4095"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "be6210366908b52a0c406e22bf188c132a369597f218b496fd3a0faf3504d365")
+    for command in (["hecke-coeffs"], ["chevalley", "--method", "bridge"]):
+        capsys.readouterr()
+        assert _run(command + argv + ["4096"])[0] == 2, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cache_round_trip(tmp_path):
     argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1",
             "--format", "json", "--cache-dir", str(tmp_path)]
@@ -382,6 +397,21 @@ def test_cache_non_canonical_entry_recomputed(tmp_path, mutate):
     code, b = _run(argv)
     assert code == 0 and a == b
     assert path.read_text() == stored
+
+
+@pytest.mark.parametrize("cut", [0, -1])
+def test_cache_truncated_entry_recomputed(tmp_path, cut):
+    # a table's last entry is always w, so a stored list that is empty
+    # (cut 0) or lost its last entry (cut -1) is a miss in either format
+    argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1"]
+    for fmt in ("text", "json"):
+        cache = tmp_path / fmt
+        run = argv + ["--format", fmt, "--cache-dir", str(cache)]
+        code, miss = _run(run)
+        assert code == 0
+        path, = cache.iterdir()
+        path.write_text(json.dumps(json.loads(path.read_text())[:cut]))
+        assert _run(run) == (0, miss), fmt
 
 
 # the all-w tables that dominate the cli benchmark, run twice with one

@@ -67,7 +67,8 @@ def test_braid_relation(lf, variant):
 def test_bernstein_divisibility(lf, variant, i, lam):
     """(T_i(e^mu f) - e^{s_i mu} T_i f)(1 - e^-alpha_i) = (1-q)(e^{s_i mu} - e^mu) f,
 
-    the relation whose geometric-sum quotient HeckeAlgebra._ts_x expands."""
+    the relation whose quotient HeckeAlgebra.transition_direct takes as
+    one exact division per character."""
     label, f = lf
     rs = TYPES[label]
     root = rs.simple_roots[i]
@@ -97,4 +98,4 @@ def test_transition_direct_vs_chain(label):
 
 def test_transition_identity_weight_zero():
     t = ALG.transition_direct(W.from_word_str("s1s2"), (0, 0))
-    assert t == {(W.from_word_str("s1s2"), (0, 0)): Scalar.one()}
+    assert t == {W.from_word_str("s1s2"): GA.term((0, 0))}

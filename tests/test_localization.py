@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevmc.charring import GA, Scalar
-from chevmc.csm import CohOracle, CohPoly, DegenerateHecke
+from chevmc.csm import CohOracle, CohPoly
 from chevmc.localization import dl_step
 from chevmc.oracle import KOracle, StableBasis
 from chevmc.rootsystem import RootSystem
@@ -46,9 +46,9 @@ def _coefficient_sets(label):
         lin = CohPoly.linear(rs.simple_roots[i].fund)
         out.append(("CSM", CohPoly, CohOracle.dl_coeffs(rs, i),
                     lin + CohPoly.const(1, rs.rank)))
-        # DegenerateHecke.demazure: (p - s_i p) / alpha_i
-        out.append(("Demazure", CohPoly, (-1, 0, lin),
-                    CohPoly.const(-1, rs.rank)))
+        # DegenerateHecke.t_left: (s_i p - p) / alpha_i
+        out.append(("degenerate T_i", CohPoly, (1, 0, lin),
+                    CohPoly.const(1, rs.rank)))
     return out
 
 
@@ -94,20 +94,6 @@ def test_step_is_the_direct_quotient(label, data):
 
 
 @pytest.mark.parametrize("label", LABELS[:3])
-@given(data=st.data())
-@settings(max_examples=15, deadline=None)
-def test_demazure_is_the_divided_difference(label, data):
-    rs = TYPES[label]
-    dh = DegenerateHecke(rs)
-    p = data.draw(_elements(rs.rank, CohPoly))
-    for i in range(rs.rank):
-        si = dh.W.from_word((i,))
-        want = (p - p.act(dh.W, si)).exact_div(
-            CohPoly.linear(rs.simple_roots[i].fund))
-        assert dh.demazure(i, p) == want
-
-
-@pytest.mark.parametrize("label", LABELS[:3])
 @pytest.mark.parametrize("oracle", [KOracle, CohOracle])
 def test_dl_left_is_the_pointwise_formula(label, oracle):
     """dl_left(i, cell(w)) at every point v equals (a s_i(F|_{s_i v}) -
@@ -133,5 +119,28 @@ def test_dl_left_is_the_pointwise_formula(label, oracle):
             G = o.dl_left(i, F)
             for v in range(W.n):
                 x = act(F.get(W.mul(si, v), zero))
+                want = (a * x - b * F.get(v, zero)).exact_div(d)
+                assert G.get(v, zero) == want, (i, w, v)
+
+
+@pytest.mark.parametrize("label", LABELS[:3])
+def test_hecke_T_is_the_pointwise_formula(label):
+    """hecke_T(i, stab(w)) at every point v equals (a F|_{v s_i} - b F|_v)
+    / d with (b, e, d) = hecke_coeffs(i, v) and a = b + e d, the formula
+    without the pairing of v with v s_i."""
+    rs = TYPES[label]
+    sb = STABLE[label]
+    W = sb.W
+    zero = GA()
+    for i in range(rs.rank):
+        si = W.from_word((i,))
+        for w in range(W.n):
+            F = sb.stab(w)
+            G = sb.hecke_T(i, F)
+            for v in range(W.n):
+                b, e, d = sb.hecke_coeffs(i, v)
+                b = _ring(GA, b, rs.rank)
+                a = b + _ring(GA, e, rs.rank) * d
+                x = F.get(W.mul(v, si), zero)
                 want = (a * x - b * F.get(v, zero)).exact_div(d)
                 assert G.get(v, zero) == want, (i, w, v)
