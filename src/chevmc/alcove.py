@@ -48,26 +48,6 @@ class Hyperplane:
         self.root = root
         self.level = level
 
-    def key(self):
-        return (self.root.index, self.level)
-
-    def __eq__(self, other):
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
-    def render(self):
-        alpha = "+".join(
-            ("a%d" % (i + 1)) if c == 1 else ("%d*a%d" % (c, i + 1))
-            for i, c in enumerate(self.root.simple)
-            if c
-        )
-        return "H_{%s,%d}" % (alpha, self.level)
-
-    def __repr__(self):
-        return self.render()
-
 
 def _walls(rs):
     """The walls of A as (root, level), indexed by affine letter:
@@ -85,28 +65,6 @@ def _in_alcove(rs, walls, p):
     """Whether the scaled point p lies in A."""
     top = _scale(rs) * rs.h
     return all(c > 0 for c in p) and rs.pair_coroot(p, walls[-1][0]) < top
-
-
-def v_minus_lambda(rs: RootSystem, lam_fund):
-    """A reduced word for v_{-lambda} (letters in -1, 0..r-1 with -1 = s_0).
-
-    Walks the interior point of A - lambda back into A through walls of
-    the fundamental alcove; each wall reflection shortens the gallery
-    distance by one, so the collected word is reduced.
-    """
-    S = _scale(rs)
-    walls = _walls(rs)
-    p = tuple(S - 1 - S * rs.h * c for c in lam_fund)
-    word = []
-    while not _in_alcove(rs, walls, p):
-        i = next((i for i in range(rs.rank) if p[i] < 0), -1)
-        root, level = walls[i]
-        p = rs.affine_reflect(p, root, level * S)
-        word.append(i)
-    # collected letters satisfy s_lk ... s_l1 (A - lambda) = A, so
-    # v_-lambda = s_l1 s_l2 ... s_lk with the rightmost letter acting
-    # first -- already the composition order chain_from_word expects
-    return tuple(word)
 
 
 class LambdaChain:
@@ -135,26 +93,9 @@ class LambdaChain:
     def __len__(self):
         return len(self.betas)
 
-    def hyperplane(self, j):
-        """Separating hyperplane h_j = H_{-beta_j, d_j} (1-based j)."""
-        return self.walls[j - 1]
-
     def reversed_hyperplane(self, j):
         """h'_j = H_{beta_{l+1-j}, <lambda, beta^vee_{l+1-j}> - d_{l+1-j}}."""
         return self.far_walls[len(self) - j]
-
-    def reverse(self):
-        """The (-lambda)-chain (-beta_l, ..., -beta_1), whose j-th
-        separating hyperplane is h'_j."""
-        rs = self.rs
-        betas = [
-            rs.root_by_simple(tuple(-c for c in b.simple))
-            for b in reversed(self.betas)
-        ]
-        neg_lam = tuple(-c for c in self.lam_fund)
-        return LambdaChain(
-            rs, neg_lam, betas, self.far_levels[::-1], (), self.reduced
-        )
 
     def render(self):
         out = []
@@ -178,10 +119,12 @@ def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
     """Build the lambda-chain of an affine word for v_{-lambda}.
 
     `word` uses letters 0..r-1 for s_1..s_r and -1 (or r) for s_0.
-    The path endpoint is verified against lambda; a word that does not
-    map A to A - lambda raises ValueError.
+    The path endpoint is verified against lambda; a letter outside
+    -1..r or a word that does not map A to A - lambda raises ValueError.
     """
     word = tuple(-1 if i == rs.rank else i for i in word)
+    if not all(-1 <= i < rs.rank for i in word):
+        raise ValueError("word letters must lie in -1..%d" % rs.rank)
     W = rs.weyl()
     h = rs.h
     walls = _walls(rs)

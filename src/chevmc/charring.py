@@ -451,19 +451,6 @@ class GA:
     def __bool__(self):
         return bool(self.c)
 
-    def unit_inverse(self):
-        """The inverse of a unit, otherwise None: a monomial with
-        coefficient +-1 in a Laurent ring, the constant +-1 otherwise."""
-        if len(self.c) != 1:
-            return None
-        (k, x), = self.c.items()
-        r = _rank(k)
-        if x not in (1, -1) or not self.laurent and k != _BIAS[r]:
-            return None
-        c = {2 * _BIAS[r] - k: x}
-        _check(c, r)
-        return type(self)._new(c)
-
     def terms(self):
         """(weight tuple, Scalar coefficient) pairs, weights ascending."""
         r = self.rank()
@@ -734,8 +721,3 @@ class Scalar(GA):
 
     def to_json(self):
         return {str(k): x for k, x in sorted(self._exps().items())}
-
-    @staticmethod
-    def from_json(d):
-        return Scalar({int(k): x for k, x in d.items()})
-

@@ -7,13 +7,17 @@ the polynomial (not Laurent) exponent range, linear forms, the Weyl
 action and its monomial format.  On it sit a localization model of
 H_T*(G/B) (the shared core of localization.py with the cohomological
 Demazure-Lusztig operator), the degenerate affine Hecke algebra with
-its commutation lemma, CSM/SM classes of Schubert cells, and the
+its commutation lemma, CSM classes of Schubert cells, and the
 first-Chern-class Chevalley formula
 
     c1(L_lambda) . csm(X(w W_P)^o)
         = w(lambda) csm(X(w W_P)^o)
           - sum_{alpha>0, w s_alpha < w} <lambda, alpha^vee>
                 csm(X(w s_alpha W_P)^o).
+
+csm_chevalley computes its right-hand side, which at P = B, with T_u
+for csm(X(u)^o), is also the right-hand side of the commutation lemma
+for T_w x_lambda in the degenerate affine Hecke algebra.
 """
 
 from __future__ import annotations
@@ -149,15 +153,6 @@ class DegenerateHecke:
             elem = self.t_left(i, elem)
         return elem
 
-    def commute_closed(self, w, lam_fund):
-        """The commutation lemma's right-hand side:
-
-            x_{w lambda} T_w - sum_{alpha>0, w s_alpha < w}
-                <lambda, alpha^vee> T_{w s_alpha},
-
-        which has the shape of the CSM Chevalley formula."""
-        return _c1_closed(self.rs, lam_fund, w, (), down=True)
-
 
 # -- cohomological localization oracle ---------------------------------
 
@@ -181,23 +176,6 @@ class CohOracle(Localization):
 
     csm = Localization.cell_class  # c_SM(X(w)^o)
 
-    def sm_y(self, u):
-        """s_M(Y(u)^o) = c_SM(Y(u)^o) / c(T), the basis dual to the CSM
-        classes, as (numerator class, C): c(T)|_w = prod_{alpha>0}
-        (1 - w(alpha)) times prod_{alpha>0} (1 + w(alpha)) is
-        C = prod over all roots beta of (1 + beta), which W fixes."""
-        W = self.W
-        one = self._one()
-        out = {}
-        for w, f in self.opposite_cell_class(u).items():
-            for b in self.pos_roots:
-                f = f * (one + CohPoly.linear(W.act(w, b)))
-            out[w] = f
-        c = one
-        for b in self.pos_roots:
-            c = c * (one - CohPoly.linear(b) ** 2)
-        return out, c
-
     def first_chern(self, lam_fund):
         """c1(L_lambda)|_v = v(lambda)."""
         W = self.W
@@ -217,10 +195,10 @@ class CohOracle(Localization):
 
 # -- closed Chevalley formulas -----------------------------------------
 
-def _c1_closed(rs, lam_fund, w, parabolic, down):
-    """w(lambda) at w minus <lambda, alpha^vee> at the minimal
-    representative of w s_alpha W_P, over alpha > 0 with w s_alpha below
-    w (down) or above it."""
+def csm_chevalley(rs, lam_fund, w, parabolic=()):
+    """{u in W^P: CohPoly} for c1(L_lambda) . csm(X(w W_P)^o): w(lambda)
+    at w minus <lambda, alpha^vee> at the minimal representative of
+    w s_alpha W_P, over alpha > 0 with w s_alpha < w."""
     W = rs.weyl()
     if any(lam_fund[i] for i in parabolic):
         raise ValueError("lambda must pair to zero with the parabolic roots")
@@ -232,7 +210,7 @@ def _c1_closed(rs, lam_fund, w, parabolic, down):
         out[w] = diag
     for a in rs.positive_roots:
         ws = W.mul(w, W.reflection(a))
-        if (W.length[ws] < W.length[w]) == down:
+        if W.length[ws] < W.length[w]:
             pairing = rs.pairing(lam_fund, a)
             if pairing:
                 u = W.min_coset_rep(ws, parabolic)
@@ -242,14 +220,3 @@ def _c1_closed(rs, lam_fund, w, parabolic, down):
                 elif u in out:
                     del out[u]
     return out
-
-
-def csm_chevalley(rs, lam_fund, w, parabolic=()):
-    """{u in W^P: CohPoly} for c1(L_lambda) . csm(X(w W_P)^o)."""
-    return _c1_closed(rs, lam_fund, w, parabolic, down=True)
-
-
-def sm_chevalley(rs, lam_fund, w, parabolic=()):
-    """{u in W^P: CohPoly} for c1(L_lambda) . s_M(Y(w W_P)^o), where the
-    correction runs over alpha > 0 with w s_alpha > w."""
-    return _c1_closed(rs, lam_fund, w, parabolic, down=False)

@@ -131,21 +131,9 @@ class KOracle(Localization):
         return out
 
     # -- Chevalley expansion -------------------------------------------
-    def expand_product(self, lam_fund, w, character=None):
-        """{u: C^w_{u,lambda}} by expanding L_lambda (x) MC(X(w)^o).
-
-        With `character` = {weight fund tuple: int}, expands the product
-        with the homogeneous bundle of that character instead.
-        """
-        if character is None:
-            bundle = self.line_bundle(lam_fund)
-        else:
-            bundle = {}
-            for lamc, a in character.items():
-                bundle = self.add(
-                    bundle, self.scale(self.line_bundle(lamc), a)
-                )
-        return self._expand(self.mul(bundle, self.mc(w)))
+    def expand_product(self, lam_fund, w):
+        """{u: C^w_{u,lambda}} by expanding L_lambda (x) MC(X(w)^o)."""
+        return self._expand(self.mul(self.line_bundle(lam_fund), self.mc(w)))
 
     # -- parabolic model -----------------------------------------------
     def parabolic_points(self, parabolic):
@@ -183,25 +171,6 @@ class KOracle(Localization):
         return self._expand(
             self.mul(self.line_bundle(lam_fund), cells[w]), cells
         )
-
-    # -- star-duality input identity -----------------------------------
-    def star_identity_sides(self, w):
-        """Both sides, times Lambda, of the identity
-
-        C_{-rho} (x) L_{-rho} (x) MC(X(w)^o)
-            = (-1)^{dim-l(w)} prod(1 + y e^{-alpha}) * (SMC(X(w)^o)),
-
-        with * negating the weights pointwise and fixing y, so that *
-        fixes Lambda."""
-        rs = self.rs
-        W = self.W
-        # SMC(X(w)^o) from the defining formula with dim X(w) = l(w)
-        smcx, lam = self._segre(self.mc(w), W.length[w])
-        lhs = self.mul(self.line_bundle((-1,) * rs.rank), self.mc(w))
-        lhs = self.scale(lhs, GA.term(_wneg(rs.rho())) * lam)
-        const = self.lambda_y_cotangent(0, -1) * (-1) ** (self.N - W.length[w])
-        rhs = {v: f.star() * const for v, f in smcx.items()}
-        return lhs, rhs
 
 
 # -- stable-basis layer ------------------------------------------------
@@ -291,7 +260,7 @@ class StableBasis:
         o = self.o
         W = self.W
         lhs = self.hecke_T(i, self.stab(w))
-        ws = W.mul(w, W.from_word((i,)))
+        ws = W.right[w][i]
         rhs = o.scale(self.stab(ws), Scalar.v(1))
         if W.length[ws] < W.length[w]:
             rhs = o.add(rhs, o.scale(self.stab(w), Scalar.q(1) - Scalar.one()))

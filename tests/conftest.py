@@ -1,8 +1,10 @@
-"""Shared frozen golden data for the test suite.
+"""Shared frozen golden data and helpers for the test suite.
 
 The Hall-Littlewood term tables are stored as sets of
 (w_word, J, u_word, t_power, one_minus_t_power, x_exponents).
 """
+
+from chevmc.alcove import _in_alcove, _scale, _walls
 
 # lambda = first fundamental weight in A2, expansion degree 1
 GOLD_W1_F1 = {
@@ -75,3 +77,25 @@ def hl_terms_as_tuples(rs, lam, formula, degree):
             assert b <= 4, (coeff.render(var="t"), a)
         out.add((W.word_str(w), tuple(J), W.word_str(u), a, b, exps))
     return out
+
+
+def v_minus_lambda(rs, lam_fund):
+    """A reduced word for v_{-lambda} (letters in -1, 0..r-1 with -1 = s_0).
+
+    Walks the interior point of A - lambda back into A through walls of
+    the fundamental alcove; each wall reflection shortens the gallery
+    distance by one, so the collected word is reduced.
+    """
+    S = _scale(rs)
+    walls = _walls(rs)
+    p = tuple(S - 1 - S * rs.h * c for c in lam_fund)
+    word = []
+    while not _in_alcove(rs, walls, p):
+        i = next((i for i in range(rs.rank) if p[i] < 0), -1)
+        root, level = walls[i]
+        p = rs.affine_reflect(p, root, level * S)
+        word.append(i)
+    # collected letters satisfy s_lk ... s_l1 (A - lambda) = A, so
+    # v_-lambda = s_l1 s_l2 ... s_lk with the rightmost letter acting
+    # first -- already the composition order chain_from_word expects
+    return tuple(word)

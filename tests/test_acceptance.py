@@ -11,7 +11,7 @@ import time
 
 from chevmc.charring import GA, Scalar
 from chevmc.rootsystem import RootSystem
-from chevmc.alcove import chain_from_word, v_minus_lambda
+from chevmc.alcove import chain_from_word
 from chevmc.hecke import HeckeAlgebra
 from chevmc.chevalley import chevalley_table, chevalley_terms
 from chevmc.oracle import KOracle, StableBasis
@@ -37,6 +37,7 @@ from conftest import (
     GOLD_2W2_F1,
     GOLD_2W2_F2,
     hl_terms_as_tuples,
+    v_minus_lambda,
 )
 
 A2 = RootSystem("A", 2)

@@ -135,11 +135,8 @@ def test_cohpoly_is_a_polynomial_ring():
     two = CohPoly.const(2, 2)
     # no Laurent quotients and no monomial units
     assert CohPoly.const(1, 2).exact_div(w1) is None
-    assert w1.unit_inverse() is None
-    # 2 is not a unit of Z[varpi], nor does it divide w1 + 1
-    assert two.unit_inverse() is None
+    # 2 does not divide w1 + 1 in Z[varpi]
     assert (w1 + CohPoly.const(1, 2)).exact_div(two) is None
-    assert (-CohPoly.const(1, 2)).unit_inverse() == -CohPoly.const(1, 2)
     assert (w1 * w1 - two * two).exact_div(w1 + two) == w1 - two
     assert (w1 * w1 * -2 + w1 + CohPoly.const(3, 2)).render() == (
         "-2*w1^2 + w1 + 3")
@@ -149,7 +146,6 @@ def test_cohpoly_is_a_polynomial_ring():
 def test_monomial_unit_absorbed():
     unit = GA.term((2, 0), Scalar.v(3))
     want = GA.term((0, 2), Scalar.v(-3))
-    assert GA.term((2, 2)) * unit.unit_inverse() == want
     assert GA.term((2, 2)).exact_div(unit) == want
 
 

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from chevmc.charring import GA, LIMIT, Scalar
+from chevmc.charring import GA, LIMIT, Scalar, _wneg
 from chevmc.rootsystem import RootSystem
 from chevmc.oracle import KOracle, StableBasis
 from chevmc.chevalley import chevalley_table, chevalley_parabolic
@@ -129,18 +129,6 @@ def test_expand_product_pairing_method(oracle):
         assert b.get(u, GA()) == cb.get(u, GA()), u
 
 
-def test_character_bundle_expansion(oracle):
-    o = oracle
-    char = {(1, 0): 1, (0, 1): 2}
-    t = o.expand_product(None, 3, character=char)
-    acc = {}
-    for lamc, a in char.items():
-        for u, g in chevalley_table(RS, lamc, 3, sign=1).items():
-            acc[u] = acc.get(u, GA()) + g * a
-    acc = {u: g for u, g in acc.items() if g}
-    assert set(acc) == set(t) and all(t[u] == acc[u] for u in t)
-
-
 @pytest.mark.parametrize("label", ["B2", "G2"])
 def test_expand_leaves_its_inputs(label):
     """The solve subtracts in place into remainders copied on first
@@ -197,9 +185,21 @@ def test_parabolic_pushforward(oracle, parab, lam):
 
 
 def test_star_identity(oracle):
+    """Both sides, times Lambda, of the identity
+
+    C_{-rho} (x) L_{-rho} (x) MC(X(w)^o)
+        = (-1)^{dim-l(w)} prod(1 + y e^{-alpha}) * (SMC(X(w)^o)),
+
+    with * negating the weights pointwise and fixing y, so that *
+    fixes Lambda."""
     o = oracle
     for w in range(W.n):
-        lhs, rhs = o.star_identity_sides(w)
+        # SMC(X(w)^o) from the defining formula with dim X(w) = l(w)
+        smcx, lam = o._segre(o.mc(w), W.length[w])
+        lhs = o.mul(o.line_bundle((-1,) * RS.rank), o.mc(w))
+        lhs = o.scale(lhs, GA.term(_wneg(RS.rho())) * lam)
+        const = o.lambda_y_cotangent(0, -1) * (-1) ** (o.N - W.length[w])
+        rhs = {v: f.star() * const for v, f in smcx.items()}
         assert o.classes_equal(lhs, rhs), w
 
 

@@ -139,7 +139,7 @@ def test_hl_methods_and_bridges(lam):
         for a in RS.positive_roots
         if any(a.simple[i] for i in range(2) if i not in parab)
     )
-    pref = Scalar.y(d, (-1) ** d).unit_inverse()
+    pref = Scalar.y(-d, (-1) ** d)
     assert closed == (big_h(RS, lam) * pref).y_inverse()
 
 
