@@ -115,17 +115,20 @@ class LambdaChain:
         ]
 
 
-def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
+def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True,
+                    W=None):
     """Build the lambda-chain of an affine word for v_{-lambda}.
 
     `word` uses letters 0..r-1 for s_1..s_r and -1 (or r) for s_0.
     The path endpoint is verified against lambda; a letter outside
     -1..r or a word that does not map A to A - lambda raises ValueError.
+    W is the element store that walks the prefixes (rs.weyl() by
+    default); the chain does not depend on it.
     """
     word = tuple(-1 if i == rs.rank else i for i in word)
     if not all(-1 <= i < rs.rank for i in word):
         raise ValueError("word letters must lie in -1..%d" % rs.rank)
-    W = rs.weyl()
+    W = W or rs.weyl()
     h = rs.h
     walls = _walls(rs)
     # One pass over the prefixes v = s_{i1} ... s_{i_{j-1}}, each the map
@@ -224,7 +227,7 @@ def _validate_chain(chain):
         raise AssertionError("chain reflections do not reach A - lambda")
 
 
-def descent_subsets(chain: LambdaChain, w, ascending, walls):
+def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
     """All (u, J, B) with J a sorted tuple of chain positions along which w
     descends: scanning the positions in the given direction, each
     position j in J right-multiplies by r_{h_j} and lowers the length;
@@ -241,10 +244,11 @@ def descent_subsets(chain: LambdaChain, w, ascending, walls):
 
     The depth-first search keeps its open branches on a stack, not the
     call stack, and lists the subsets in the order of the recursion
-    that skips a position before taking it.
+    that skips a position before taking it.  W is the element store of
+    w (rs.weyl() by default).
     """
     rs = chain.rs
-    W = rs.weyl()
+    W = W or rs.weyl()
     n = len(chain)
     order = range(n) if ascending else range(n - 1, -1, -1)
     # l(cur r_beta) < l(cur) iff cur(beta) < 0, for beta > 0: bit

@@ -37,15 +37,16 @@ def _term_coeff(t, dl, odd, positive):
     return -coeff if odd else coeff
 
 
-def _leaves(chain, w, sign):
-    """(u, J, key, coeff) for every term of the chain formula, key the
+def _leaves(chain, w, sign, W=None):
+    """(u, J, key, coeff) for every term of the chain formula, w and u
+    elements of the store W (rs.weyl() by default), key the
     packed key of e^mu (v exponent 0): +-key(u(lambda)) - B over the
     translation B of the walk.  The weights mu lie in the convex hull of
     W lambda, so with lambda in range (and Weyl row sums below 64, see
     charring.pack_columns) every field of mu stays inside its packed
     field and a range check of the keys is exact."""
     rs = chain.rs
-    W = rs.weyl()
+    W = W or rs.weyl()
     lam = chain.lam
     _pack(lam)  # raises on a weight outside the packed range
     positive = sign > 0
@@ -54,7 +55,7 @@ def _leaves(chain, w, sign):
     length, act_key = W.length, W.act_key
     lw = length[w]
     negative = {j for j, b in enumerate(chain.betas, 1) if not b.positive}
-    for u, J, B in descent_subsets(chain, w, positive, walls):
+    for u, J, B in descent_subsets(chain, w, positive, walls, W):
         t = len(J)
         dl = lw - length[u] - t
         assert dl % 2 == 0, "parity failure in the Chevalley formula"
@@ -86,11 +87,12 @@ def _checked(by_u, rank):
     return out
 
 
-def chevalley_chain(chain, w, sign):
+def chevalley_chain(chain, w, sign, W=None):
     """C^w_{u, sign*lambda} as {u: GA} from a chain for +lambda: each
-    term's keys are summed straight into its u's dict."""
+    term's keys are summed straight into its u's dict.  W is the element
+    store of w (rs.weyl() by default)."""
     by_u = {}
-    for u, _J, key, coeff in _leaves(chain, w, sign):
+    for u, _J, key, coeff in _leaves(chain, w, sign, W):
         # the coefficient's keys carry the v field's bias
         _add_products(by_u.setdefault(u, {}), ((key - _HALF, 1),),
                       coeff.c.items())
@@ -110,15 +112,15 @@ def chevalley_bridge(halg, w, lam_fund, sign):
             for u, g in table.items()}
 
 
-def chevalley_operator(chain, w):
+def chevalley_operator(chain, w, W=None):
     """C^w_{u,lambda} via the operator formula R^[lambda] applied to the
-    basis vector at w.
+    basis vector at w, an element of the store W (rs.weyl() by default).
 
     States are {u: key dict} with exponents on the fine lattice, which
     holds the (1/h) X^*(T) exponents produced by the E-operators.
     """
     rs = chain.rs
-    W = rs.weyl()
+    W = W or rs.weyl()
     h = rs.h
     r = rs.rank
 
@@ -164,8 +166,11 @@ def chevalley_operator(chain, w):
     return {u: GA._new(c) for u, c in state.items()}
 
 
-def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None):
-    """Full Chevalley table {u: C^w_{u, sign*lambda}}."""
+def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None,
+                    W=None):
+    """Full Chevalley table {u: C^w_{u, sign*lambda}}.  The chain and
+    operator routes run on the element store W of w (rs.weyl() by
+    default); the bridge route needs the exhaustive group."""
     if method == "bridge":
         from .hecke import HeckeAlgebra
         return chevalley_bridge(HeckeAlgebra(rs), w, lam_fund, sign)
@@ -174,11 +179,11 @@ def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None):
             return {w: GA.const(1, rs.rank)}
         chain = chain_lex_height(rs, lam_fund)
     if method == "chain":
-        return chevalley_chain(chain, w, sign)
+        return chevalley_chain(chain, w, sign, W)
     if method == "operator":
         if sign < 0:
             raise ValueError("operator method computes the +lambda table")
-        return chevalley_operator(chain, w)
+        return chevalley_operator(chain, w, W)
     raise ValueError("unknown method %r" % method)
 
 
@@ -285,8 +290,10 @@ def positivity_terms(chain, w):
     return out
 
 
-def render_table(rs, table, var="y"):
-    W = rs.weyl()
+def render_table(rs, table, var="y", W=None):
+    """One line per u; W is the element store of the table (rs.weyl()
+    by default)."""
+    W = W or rs.weyl()
     mono = exp_mono(rs.h)
     return "\n".join(
         "C[u=%s] = %s" % (W.word_str(u), table[u].render(mono, var))

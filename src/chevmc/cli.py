@@ -57,13 +57,17 @@ def _parse_lambda(text, rank):
     return lam
 
 
+def _is_all(text):
+    return text.strip().lower() == "all"
+
+
 def _parse_w(W, text):
-    text = text.strip().replace("*", "")
-    if text.lower() == "all":
+    """The element of a word in the store W, or None for 'all'."""
+    if _is_all(text):
         return None
     try:
-        return W.from_word_str(text)
-    except (ValueError, KeyError):
+        return W.from_word_str(text.replace("*", ""))
+    except ValueError:
         raise CliError("bad Weyl word %r" % text)
 
 
@@ -97,8 +101,7 @@ def _parse_sign(text):
 
 # -- emitters ----------------------------------------------------------
 
-def _table_json(rs, table):
-    W = rs.weyl()
+def _table_json(W, table):
     return [
         {
             "u": W.word_str(u),
@@ -119,7 +122,7 @@ def _cached_table(W, doc, w):
     if not isinstance(doc, list):
         return None
     table = {}
-    last = -1
+    last = -1  # below every element: the identity is 0 in both stores
     try:
         for d in doc:
             u = W.from_word_str(d["u"])
@@ -205,23 +208,22 @@ def _latex_weight(h, fine):
     return "e^{%s}" % "+".join(parts).replace("+-", "-") if parts else "1"
 
 
-def _latex_table(rs, table, var="y"):
+def _latex_table(W, table, var="y"):
     """The table as LaTeX: the `*` rendering with each `*` a space, as
     the LaTeX monomials contain none."""
-    W = rs.weyl()
-    mono = partial(_latex_weight, rs.h)
+    mono = partial(_latex_weight, W.rs.h)
     lines = ["\\begin{aligned}"]
     for u in sorted(table):
-        word = W.word_str(u).replace("s", "s_") if u else "e"
+        word = W.word_str(u).replace("s", "s_")
         text = table[u].render(mono, var).replace("*", " ")
         lines.append("C_{%s} &= %s \\\\" % (word, text))
     lines.append("\\end{aligned}")
     return "\n".join(lines)
 
 
-def _epsilon_render(rs, table):
+def _epsilon_render(W, table):
     """Type-A display in epsilon coordinates of GL_{r+1}."""
-    W = rs.weyl()
+    rs = W.rs
 
     def mono(k):
         fund = [c / rs.h for c in k]
@@ -238,8 +240,13 @@ def _epsilon_render(rs, table):
 
 def _cmd_chevalley(args, out):
     rs = _parse_type(args.type)
-    W = rs.weyl()
     lam = _parse_lambda(args.lam, rs.rank)
+    # one word on the chain or operator route visits only the elements
+    # its walk reaches; 'all' and the bridge route need the whole group
+    if _is_all(args.w) or args.method == "bridge":
+        W = rs.weyl()
+    else:
+        W = rs.lazy_weyl()
     w = _parse_w(W, args.w)
     sign = _parse_sign(args.sign)
     ws = range(W.n) if w is None else [w]
@@ -249,7 +256,7 @@ def _cmd_chevalley(args, out):
     chain = None
     if args.word:
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
-                                require_reduced=False)
+                                require_reduced=False, W=W)
     cache_dir = args.cache_dir or default_cache_dir()
     blocks = []
     docs = []
@@ -263,28 +270,28 @@ def _cmd_chevalley(args, out):
         table = _cached_table(W, entries, wv)
         if table is None:
             table = chevalley_table(
-                rs, lam, wv, sign=sign, method=args.method, chain=chain
+                rs, lam, wv, sign=sign, method=args.method, chain=chain, W=W
             )
             entries = None
             if cache_dir:
-                entries = _table_json(rs, table)
+                entries = _table_json(W, table)
                 try:
                     cache_put(cache_dir, key, entries)
                 except OSError as exc:
                     raise CliError("cannot write the cache: %s" % exc)
         if args.format == "json":
             if entries is None:
-                entries = _table_json(rs, table)
+                entries = _table_json(W, table)
             docs.append({"w": W.word_str(wv), "entries": entries})
         elif args.format == "latex":
             blocks.append("%% w = %s\n%s" % (W.word_str(wv),
-                                             _latex_table(rs, table)))
+                                             _latex_table(W, table)))
         elif args.epsilon:
             blocks.append("w = %s\n%s" % (W.word_str(wv),
-                                          _epsilon_render(rs, table)))
+                                          _epsilon_render(W, table)))
         else:
             blocks.append("w = %s\n%s" % (W.word_str(wv),
-                                          render_table(rs, table)))
+                                          render_table(rs, table, W=W)))
     doc = _doc("chevalley", rs, lam=list(lam), sign=sign,
                method=args.method, tables=docs)
     _emit(doc, "\n\n".join(blocks), args.format, out)
@@ -318,7 +325,7 @@ def _cmd_chain(args, out):
     lam = _parse_lambda(args.lam, rs.rank)
     if args.word:
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
-                                require_reduced=False)
+                                require_reduced=False, W=rs.lazy_weyl())
     else:
         chain = chain_lex_height(rs, lam)
     doc = _doc("chain", rs, lam=list(lam), reduced=chain.reduced,
@@ -336,7 +343,7 @@ def _cmd_oracle(args, out):
     o = KOracle(rs)
     table = o.expand_product(lam, w)
     doc = _doc("oracle", rs, lam=list(lam), w=W.word_str(w),
-               method="solve", entries=_table_json(rs, table))
+               method="solve", entries=_table_json(W, table))
     _emit(doc, render_table(rs, table), args.format, out)
     return 0
 
@@ -354,7 +361,7 @@ def _cmd_stab(args, out):
     docs = []
     for wv in rows:
         table = S[wv]
-        docs.append({"w": W.word_str(wv), "entries": _table_json(rs, table)})
+        docs.append({"w": W.word_str(wv), "entries": _table_json(W, table)})
         blocks.append("stab-shift row w = %s\n%s"
                       % (W.word_str(wv),
                          render_table(rs, table)))

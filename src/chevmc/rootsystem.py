@@ -6,13 +6,20 @@ lattice, weights are stored scaled by h = <rho, theta^vee> + 1 (the
 "fine" lattice): the integral weight sum(c_i varpi_i) has fine
 coordinates (h*c_1, ..., h*c_r).
 
-Weyl-group elements are indexed integers inside a WeylGroup; the
-canonical word of an element is its lexicographically least reduced
-word, and element 0 is the identity.
+Weyl-group elements are integers held by one of two stores.  A
+WeylGroup builds every element up front and numbers them 0..N-1 in the
+order of (length, canonical word); the Bruhat order, cosets and every
+all-w computation need it, and it refuses groups above WEYL_CAP
+elements.  A LazyWeyl makes an element only when a computation reaches
+it, so a query about one w touches only the elements the route visits
+and works on E7 and E8 too.  In both, an element is a matrix on the
+fundamental lattice plus its canonical word, the lexicographically least
+reduced word, and element 0 is the identity.
 """
 
 from __future__ import annotations
 
+import re
 from operator import mul
 
 from .charring import pack_columns
@@ -27,6 +34,10 @@ _WEYL_ORDER = {
     "F": lambda n: 1152,
     "G": lambda n: 12,
 }
+
+
+# the largest group the exhaustive WeylGroup builds (E6 and F4 fit)
+WEYL_CAP = 100000
 
 
 def _fact(n):
@@ -119,11 +130,6 @@ class RootSystem:
         self.rank = rank
         self.cartan = cartan_matrix(family, rank)
         order = _WEYL_ORDER[family](rank)
-        if family in ("E", "F") and order > 100000:
-            raise ValueError(
-                "exhaustive mode for %s%d needs %d Weyl elements, above the "
-                "cap 100000" % (family, rank, order)
-            )
         if family in ("A", "B", "C", "D") and rank > 5:
             raise ValueError("rank %d above the supported bound 5" % rank)
         self.weyl_order = order
@@ -131,6 +137,7 @@ class RootSystem:
         # Coxeter number: <rho, theta^vee> + 1 with theta^vee the highest coroot
         self.h = 1 + max(t.coheight() for t in self.positive_roots)
         self._weyl = None
+        self._lazy = None
         # reduced lambda-chains by weight, kept by alcove.chain_lex_height
         self.lex_chains = {}
 
@@ -219,11 +226,6 @@ class RootSystem:
         """<mu, alpha^vee> for mu in fundamental coordinates."""
         return sum(d * c for d, c in zip(root.coroot, fund_coords))
 
-    def reflect(self, fine, root):
-        """s_alpha(mu) on the fine lattice."""
-        m = self.pair_coroot(fine, root)
-        return tuple(c - m * f for c, f in zip(fine, root.fund))
-
     def affine_reflect(self, fine, root, level):
         """s_{alpha,level}(mu) = s_alpha(mu) + level*alpha, fine coords."""
         m = self.pair_coroot(fine, root)
@@ -232,9 +234,24 @@ class RootSystem:
         )
 
     def weyl(self):
+        """The exhaustive group, built on first use."""
         if self._weyl is None:
             self._weyl = WeylGroup(self)
         return self._weyl
+
+    def lazy_weyl(self):
+        """The lazy element store, kept like weyl()."""
+        if self._lazy is None:
+            self._lazy = LazyWeyl(self)
+        return self._lazy
+
+    def check_exhaustive(self):
+        """Raise ValueError when the exhaustive group is above WEYL_CAP."""
+        if self.weyl_order > WEYL_CAP:
+            raise ValueError(
+                "exhaustive mode for %s%d needs %d Weyl elements, above the "
+                "cap %d" % (self.family, self.rank, self.weyl_order, WEYL_CAP)
+            )
 
     def __repr__(self):
         return "RootSystem(%s%d)" % (self.family, self.rank)
@@ -244,7 +261,113 @@ def _mat_vec(a, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
-class WeylGroup:
+def _mat_mul(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _identity(r):
+    return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+
+
+def _alpha_entries(rs):
+    """alpha_i in fundamental coordinates, for each i its nonzero
+    entries (j, <alpha_i, alpha_j^vee>)."""
+    r = rs.rank
+    return [[(j, rs.cartan[j][i]) for j in range(r) if rs.cartan[j][i]]
+            for i in range(r)]
+
+
+def _negative_keys(rs):
+    """The packed key offsets of the negative roots, read by inversions()."""
+    cols = pack_columns(_identity(rs.rank))
+    return {sum(map(mul, a.fund, cols)) for a in rs.roots if not a.positive}
+
+
+_WORD = re.compile(r"(?:s[0-9]+)+")
+
+
+def parse_word(text, rank):
+    """The 0-based generators of a word like 's1s2s1' over s1..s_rank,
+    spaces allowed; 'e', 'id', '1' and the empty word are the identity.
+    Anything else raises ValueError."""
+    s = text.strip().replace(" ", "")
+    if s in ("e", "id", "1", ""):
+        return ()
+    if not _WORD.fullmatch(s):
+        raise ValueError("bad Weyl word %r" % text)
+    word = tuple(int(k) - 1 for k in s[1:].split("s"))
+    if not all(0 <= i < rank for i in word):
+        raise ValueError("bad generator in %r" % text)
+    return word
+
+
+class _Elements:
+    """The action on weights, shared by both element stores.  A store
+    keeps, indexed by element, `mats` (the matrix on fundamental
+    coordinates), `words` (the canonical word), `length`, `right`
+    (w -> (w s_1, ..., w s_r)) and the caches `_cols` and `_inversions`,
+    and provides `_element` (the element of a matrix), `from_word` and
+    `mul`."""
+
+    def word(self, w):
+        return self.words[w]
+
+    def act(self, w, fine):
+        """w(mu) on fine-lattice coordinates."""
+        return _mat_vec(self.mats[w], fine)
+
+    def columns(self, w):
+        """The packed columns of w's matrix (charring.pack_columns),
+        built on first use."""
+        cols = self._cols[w]
+        if cols is None:
+            cols = self._cols[w] = pack_columns(self.mats[w])
+        return cols
+
+    def act_key(self, w, fine):
+        """The packed key offset of w(mu): sum_j mu_j * column j of w, r
+        integer multiply-adds.  Adding charring's bias for the rank gives
+        the key of e^{w(mu)}."""
+        return sum(map(mul, fine, self._cols[w] or self.columns(w)))
+
+    def inversions(self, w):
+        """Bitmask of the positive roots beta (bit beta.index) that w
+        sends negative, i.e. with l(w s_beta) < l(w); built on first use
+        from the packed action."""
+        mask = self._inversions[w]
+        if mask is None:
+            mask = self._inversions[w] = sum(
+                1 << a.index for a in self.rs.positive_roots
+                if self.act_key(w, a.fund) in self._negative
+            )
+        return mask
+
+    def reflection(self, root):
+        """The element s_alpha of a (positive) root."""
+        s = self._refl_cache.get(root.simple)
+        if s is None:
+            r = self.rs.rank
+            # the matrix of s_alpha on fundamental coordinates
+            s = self._refl_cache[root.simple] = self._element(tuple(
+                tuple(
+                    (1 if j == k else 0) - root.fund[j] * root.coroot[k]
+                    for k in range(r)
+                )
+                for j in range(r)
+            ))
+        return s
+
+    def word_str(self, w):
+        ww = self.words[w]
+        return "e" if not ww else "".join("s%d" % (i + 1) for i in ww)
+
+    def from_word_str(self, s):
+        """Parse words like 's1s2s1' or 'e' (1-based generators)."""
+        return self.from_word(parse_word(s, self.rs.rank))
+
+
+class WeylGroup(_Elements):
     """Exhaustive Weyl group with canonical (lex-least reduced) words.
 
     Elements are integers 0..N-1 in order of (length, canonical word);
@@ -252,15 +375,13 @@ class WeylGroup:
     """
 
     def __init__(self, rs: RootSystem):
+        rs.check_exhaustive()
         self.rs = rs
         r = rs.rank
         # (m s_i) differs from m only in column i:
         # (m s_i)[a][i] = m[a][i] - sum_j m[a][j] * cartan[j][i].
-        cols = [
-            [(j, rs.cartan[j][i]) for j in range(r) if rs.cartan[j][i]]
-            for i in range(r)
-        ]
-        ident = tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
+        cols = _alpha_entries(rs)
+        ident = _identity(r)
         mats = [ident]
         words = [()]
         index = {ident: 0}
@@ -309,43 +430,11 @@ class WeylGroup:
         self._refl_cache = {}
         self._cols = [None] * self.n
         self._inversions = [None] * self.n
-        # key offsets of the negative roots, read by inversions()
-        self._negative = {self.act_key(0, a.fund)
-                          for a in rs.roots if not a.positive}
+        self._negative = _negative_keys(rs)
 
     # -- basic operations ---------------------------------------------
-    def word(self, w):
-        return self.words[w]
-
-    def act(self, w, fine):
-        """w(mu) on fine-lattice coordinates."""
-        return _mat_vec(self.mats[w], fine)
-
-    def columns(self, w):
-        """The packed columns of w's matrix (charring.pack_columns),
-        built on first use."""
-        cols = self._cols[w]
-        if cols is None:
-            cols = self._cols[w] = pack_columns(self.mats[w])
-        return cols
-
-    def act_key(self, w, fine):
-        """The packed key offset of w(mu): sum_j mu_j * column j of w, r
-        integer multiply-adds.  Adding charring's bias for the rank gives
-        the key of e^{w(mu)}."""
-        return sum(map(mul, fine, self._cols[w] or self.columns(w)))
-
-    def inversions(self, w):
-        """Bitmask of the positive roots beta (bit beta.index) that w
-        sends negative, i.e. with l(w s_beta) < l(w); built on first use
-        from the packed action."""
-        mask = self._inversions[w]
-        if mask is None:
-            mask = self._inversions[w] = sum(
-                1 << a.index for a in self.rs.positive_roots
-                if self.act_key(w, a.fund) in self._negative
-            )
-        return mask
+    def _element(self, mat):
+        return self.index[mat]
 
     def mul(self, a, b):
         out = a
@@ -358,23 +447,6 @@ class WeylGroup:
         for i in word:
             out = self.right[out][i]
         return out
-
-    def reflection(self, root):
-        """Index of s_alpha for a (positive) root."""
-        key = root.simple
-        if key not in self._refl_cache:
-            fine = tuple(self.rs.h * c for c in root.fund)
-            # build the matrix of s_alpha on fundamental coordinates
-            r = self.rs.rank
-            mat = tuple(
-                tuple(
-                    (1 if j == k else 0) - root.fund[j] * root.coroot[k]
-                    for k in range(r)
-                )
-                for j in range(r)
-            )
-            self._refl_cache[key] = self.index[mat]
-        return self._refl_cache[key]
 
     # -- Bruhat order -------------------------------------------------
     def leq_masks(self):
@@ -427,21 +499,89 @@ class WeylGroup:
             frontier = nxt
         return sorted(out)
 
-    def word_str(self, w):
-        ww = self.words[w]
-        return "e" if not ww else "".join("s%d" % (i + 1) for i in ww)
 
-    def from_word_str(self, s):
-        """Parse words like 's1s2s1' or 'e' (1-based generators)."""
-        s = s.strip()
-        if s in ("e", "id", "1", ""):
-            return 0
-        parts = s.replace(" ", "").split("s")
+class _Right(dict):
+    """w -> (w s_1, ..., w s_r) in a LazyWeyl, each row made on first
+    lookup."""
+
+    def __init__(self, W):
+        super().__init__()
+        self.W = W
+
+    def __missing__(self, w):
+        row = self[w] = tuple(self.W.mul(w, s) for s in self.W.simple)
+        return row
+
+
+class LazyWeyl(_Elements):
+    """Weyl-group elements made when a computation reaches them, with
+    the canonical words and the (length, word) order of WeylGroup but
+    without enumerating the group.
+
+    The regular weight w(rho) names w (Casselman, Machine calculations in
+    Weyl groups, 1994): the left descents of w are the negative
+    coordinates of w(rho), so reflecting away the first one, step by
+    step, spells the lex-least reduced word.  The element of length l
+    with that word is the integer l * r^l + (the letters as base-r
+    digits), so integers order elements as WeylGroup numbers them and
+    the identity is 0.
+    """
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        self._alphas = _alpha_entries(rs)
+        self.mats, self.words, self.length = {}, {}, {}
+        self._cols, self._inversions = {}, {}
+        self._by_rho = {}
+        self._refl_cache = {}
+        self._negative = _negative_keys(rs)
+        self._element(_identity(rs.rank))
+        self.simple = [self.reflection(a) for a in rs.simple_roots]
+        self.right = _Right(self)
+
+    def _element(self, mat, rho=None):
+        """The element of a matrix, made on first sight; rho is
+        mat(rho) when the caller has it."""
+        if rho is None:
+            rho = tuple(map(sum, mat))
+        w = self._by_rho.get(rho)
+        if w is None:
+            word = self._canonical(rho)
+            r = self.rs.rank
+            w = len(word)
+            for i in word:
+                w = w * r + i
+            self._by_rho[rho] = w
+            self.mats[w] = mat
+            self.words[w] = word
+            self.length[w] = len(word)
+            self._cols[w] = self._inversions[w] = None
+        return w
+
+    def _canonical(self, rho):
+        """The lex-least reduced word of the w with w(rho) = rho: its
+        first letter is the least left descent i of w, the first negative
+        coordinate, and the rest is the word of s_i w."""
+        mu = list(rho)
         word = []
-        for p in parts:
-            if not p:
-                continue
-            word.append(int(p) - 1)
-        if any(i < 0 or i >= self.rs.rank for i in word):
-            raise ValueError("bad generator in %r" % s)
-        return self.from_word(word)
+        while True:
+            i = next((i for i, c in enumerate(mu) if c < 0), None)
+            if i is None:
+                return tuple(word)
+            word.append(i)
+            c = mu[i]
+            for j, a in self._alphas[i]:
+                mu[j] -= c * a
+
+    def mul(self, a, b):
+        ma, mb = self.mats[a], self.mats[b]
+        # (ab)(rho) names the product before its matrix is needed
+        rho = _mat_vec(ma, tuple(map(sum, mb)))
+        w = self._by_rho.get(rho)
+        return self._element(_mat_mul(ma, mb), rho) if w is None else w
+
+    def from_word(self, word):
+        m = self.mats[0]
+        for i in word:
+            m = _mat_mul(m, self.mats[self.simple[i]])
+        return self._element(m)

@@ -248,6 +248,8 @@ def suite_cases(suite, family, rank, max_weight=2):
     """List of (case_id, func_name, args) for a named suite."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
+    # every suite runs on the exhaustive group
+    RootSystem(family, rank).check_exhaustive()
     cases = []
 
     def add(func, *args):

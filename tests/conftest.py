@@ -79,6 +79,12 @@ def hl_terms_as_tuples(rs, lam, formula, degree):
     return out
 
 
+def reflect(rs, fine, root):
+    """s_alpha(mu) on the fine lattice."""
+    m = rs.pair_coroot(fine, root)
+    return tuple(c - m * f for c, f in zip(fine, root.fund))
+
+
 def v_minus_lambda(rs, lam_fund):
     """A reduced word for v_{-lambda} (letters in -1, 0..r-1 with -1 = s_0).
 

@@ -37,6 +37,7 @@ from conftest import (
     GOLD_2W2_F1,
     GOLD_2W2_F2,
     hl_terms_as_tuples,
+    reflect,
     v_minus_lambda,
 )
 
@@ -251,7 +252,7 @@ def test_criterion_07_hecke_axioms_randomized():
                     # (1 - e^-alpha_i) = (1 - q)(e^{s_i mu} - e^mu) f
                     root = rs.simple_roots[i]
                     mu = rs.weight((rng.randint(-3, 3), rng.randint(-3, 3)))
-                    smu = rs.reflect(mu, root)
+                    smu = reflect(rs, mu, root)
                     alpha = rs.weight(root.fund)
                     comm = (dl.apply_simple(i, GA.term(mu) * f, variant)
                             - GA.term(smu) * tf)

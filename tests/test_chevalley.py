@@ -238,3 +238,80 @@ def test_routes_agree_fuzzed(case):
         if rs not in _FUZZ_ORACLES:
             _FUZZ_ORACLES[rs] = KOracle(rs)
         assert _tables_equal(chain, _FUZZ_ORACLES[rs].expand_product(lam, w))
+
+
+# the lazy element store against the exhaustive group: every capped type
+# the CLI accepts, each route the single-word path runs
+_LAZY_TYPES = (
+    [("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 6)]
+    + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 6)]
+    + [("G", 2), ("F", 4)]
+)
+_LAZY_RS = {}
+_ROUTES = ((1, "chain"), (-1, "chain"), (1, "operator"))
+
+
+def _lazy_rs(family, rank):
+    if (family, rank) not in _LAZY_RS:
+        _LAZY_RS[family, rank] = RootSystem(family, rank)
+    return _LAZY_RS[family, rank]
+
+
+def _listed(W, table):
+    """(canonical word, value) of every entry, in the table's order."""
+    return [(W.word_str(u), table[u]) for u in sorted(table)]
+
+
+def _assert_stores_agree(rs, lam, word):
+    W, L = rs.weyl(), rs.lazy_weyl()
+    w, x = W.from_word(word), L.from_word(word)
+    assert L.word_str(x) == W.word_str(w)
+    for sign, method in _ROUTES:
+        exhaustive = chevalley_table(rs, lam, w, sign=sign, method=method)
+        lazy = chevalley_table(rs, lam, x, sign=sign, method=method, W=L)
+        assert _listed(L, lazy) == _listed(W, exhaustive), (sign, method)
+
+
+@pytest.mark.parametrize("family,rank", _LAZY_TYPES,
+                         ids=["%s%d" % t for t in _LAZY_TYPES])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_lazy_tables_equal_exhaustive(family, rank, data):
+    rs = _lazy_rs(family, rank)
+    if rank <= 3:
+        lam = data.draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any))
+    else:
+        i = data.draw(st.integers(0, rank - 1))
+        c = data.draw(st.sampled_from((1, -1)))
+        lam = tuple(c * (j == i) for j in range(rank))
+    word = data.draw(st.lists(st.integers(0, rank - 1),
+                              max_size=rs.n_positive()))
+    _assert_stores_agree(rs, lam, word)
+
+
+@pytest.mark.parametrize("lam,word", [
+    ((1, 0, 0, 0, 0, 0), (5, 4, 3, 1, 2, 0)),
+    ((0, 0, 0, 0, 0, -1), (0, 2, 3, 1, 4, 3, 2, 0)),
+    ((0, 1, 0, 0, 0, 0), (1, 3, 2, 4, 3, 1, 5)),
+])
+def test_lazy_tables_equal_exhaustive_e6(lam, word):
+    _assert_stores_agree(_lazy_rs("E", 6), lam, word)
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_chain_and_operator_agree_e7_e8(rank):
+    rs = RootSystem("E", rank)
+    L = rs.lazy_weyl()
+    top = tuple(int(j == rank - 1) for j in range(rank))
+    down = tuple(range(rank - 1, -1, -1))
+    # the cube of the Coxeter element s1...sr is reduced (3 < h/2)
+    for lam, word, entries in [
+        (top, down, 2),
+        (top, tuple(range(rank)) * 3, {7: 112, 8: 116}[rank]),
+        (tuple(-int(j == 0) for j in range(rank)), down * 2 + (0,),
+         {7: 34, 8: 66}[rank]),
+    ]:
+        x = L.from_word(word)
+        chain = chevalley_table(rs, lam, x, method="chain", W=L)
+        assert x in chain and len(chain) == entries
+        assert chain == chevalley_table(rs, lam, x, method="operator", W=L)

@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 from chevmc import __version__
 from chevmc.cli import _dumps, run
 from chevmc.cache import cache_key, cache_get, cache_put
+from chevmc.rootsystem import RootSystem, WeylGroup
 from chevmc.verify import suite_cases
 import chevmc
+from conftest import v_minus_lambda
 
 
 def _run(argv):
@@ -241,11 +243,62 @@ def test_bad_args_exit_2(capsys):
         # s0 reflects in H_{theta~,1}; this one-letter word misses A - lambda
         ["chevalley", "--type", "C2", "--lambda=-1,0", "--w", "s1",
          "--word", "s0"],
+        # malformed Weyl words
+        *(["chevalley", "--type", "A2", "--lambda=1,0", "--w", bad]
+          for bad in ("s", "1s2", "ss1", "s1s", "s3", "s0")),
+        # E7 where the whole group is needed: above the element cap
+        *([command, "--type", "E7", "--lambda=0,0,0,0,0,0,1"] + rest
+          for command, rest in (
+              ("chevalley", ["--w", "all"]),
+              ("chevalley", ["--w", "s1", "--method", "bridge"]),
+              ("oracle", ["--w", "s1"]), ("csm", ["--w", "s1"]),
+              ("stab", []), ("hecke-coeffs", ["--w", "s1"]))),
+        ["verify", "--suite", "all", "--type", "E7"],
     ):
         capsys.readouterr()
         assert _run(argv)[0] == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+        if "E7" in argv:
+            assert "above the cap 100000" in err, argv
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("not expected on this path")
+
+
+def test_single_word_builds_no_weyl_group(monkeypatch):
+    # one word on the chain or operator route runs on the lazy element
+    # store: with the exhaustive build made to fail, both signs, an
+    # explicit affine word and every format still exit 0
+    lam = (0, 0, 0, 1, 0)
+    word = "".join("s%d" % (i + 1)  # letter -1 is s0
+                   for i in v_minus_lambda(RootSystem("D", 5), lam))
+    base = ["chevalley", "--type", "D5", "--lambda=0,0,0,1,0",
+            "--w", "s2s3s4s5"]
+    monkeypatch.setattr(WeylGroup, "__init__", _refuse)
+    for extra in ([], ["--method", "operator"], ["--sign", "-"],
+                  ["--word", word], ["--word", word, "--sign", "-"]):
+        for fmt in ("text", "json", "latex"):
+            code, text = _run(base + extra + ["--format", fmt])
+            assert code == 0 and "s2s3s4s5" in text, (extra, fmt)
+    assert _run(base + ["--word", word]) == _run(base)
+
+
+def test_e8_single_word():
+    # E8 is out of the exhaustive group's reach; one word runs, and the
+    # chain and operator routes print the same tables
+    base = ["chevalley", "--type", "E8", "--lambda=0,0,0,0,0,0,0,1",
+            "--w", "s8s7s6s5s4s3s2s1", "--format", "json"]
+    tables = []
+    for method in ("chain", "operator"):
+        code, text = _run(base + ["--method", method])
+        assert code == 0, method
+        tables.append(json.loads(text)["tables"])
+    assert tables[0] == tables[1]
+    assert tables[0][0]["w"] == "s8s7s6s5s4s2s3s1"  # canonical: s2 < s3
+    assert _run(["chain", "--type", "E8",
+                 "--lambda=0,0,0,0,0,0,0,1"])[0] == 0
 
 
 def test_chain_word_matches_default_table():
@@ -412,6 +465,24 @@ def test_cache_truncated_entry_recomputed(tmp_path, cut):
         path, = cache.iterdir()
         path.write_text(json.dumps(json.loads(path.read_text())[:cut]))
         assert _run(run) == (0, miss), fmt
+
+
+def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
+    # `--w all` on the exhaustive group writes one entry per w; a later
+    # one-word run on the lazy store reads its entry and prints the bytes
+    # that a miss prints
+    base = ["chevalley", "--type", "A3", "--lambda=1,0,1", "--sign", "-"]
+    for fmt in ("text", "json"):
+        cache = str(tmp_path / fmt)
+        code, _ = _run(base + ["--w", "all", "--format", fmt,
+                               "--cache-dir", cache])
+        assert code == 0
+        one = base + ["--w", "s2s1s3", "--format", fmt, "--cache-dir"]
+        miss = _run(one + [str(tmp_path / (fmt + "-miss"))])
+        assert miss[0] == 0
+        with monkeypatch.context() as m:
+            m.setattr("chevmc.cli.chevalley_table", _refuse)
+            assert _run(one + [cache]) == miss, fmt
 
 
 # the all-w tables that dominate the cli benchmark, run twice with one

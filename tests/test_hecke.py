@@ -10,6 +10,7 @@ from chevmc.alcove import chain_lex_height
 from chevmc.chevalley import chevalley_table
 from chevmc.hecke import HeckeAlgebra
 from chevmc.specialfn import ScalarDL
+from conftest import reflect
 
 TYPES = {label: RootSystem(label[0], 2) for label in ("A2", "B2", "G2")}
 DL = {label: ScalarDL(rs) for label, rs in TYPES.items()}
@@ -73,7 +74,7 @@ def test_bernstein_divisibility(lf, variant, i, lam):
     rs = TYPES[label]
     root = rs.simple_roots[i]
     mu = rs.weight(lam)
-    smu = rs.reflect(mu, root)
+    smu = reflect(rs, mu, root)
     alpha = rs.weight(root.fund)
     comm = (DL[label].apply_simple(i, GA.term(mu) * f, variant)
             - GA.term(smu) * DL[label].apply_simple(i, f, variant))

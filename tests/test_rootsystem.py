@@ -6,6 +6,7 @@ import pytest
 
 from chevmc.charring import _BIAS, _weight
 from chevmc.rootsystem import RootSystem, _mat_vec, cartan_matrix
+from conftest import reflect
 
 
 @pytest.mark.parametrize(
@@ -58,7 +59,7 @@ def test_pairing_and_reflect():
     rho = rs.rho()
     for a in rs.positive_roots:
         # s_alpha is an involution
-        assert rs.reflect(rs.reflect(rho, a), a) == rho
+        assert reflect(rs, reflect(rs, rho, a), a) == rho
         # <rho, alpha^vee> = coheight
         assert rs.pair_coroot(rho, a) == rs.h * sum(a.coroot)
 
@@ -198,3 +199,64 @@ def test_packed_action_matches_matrices(family, rank, stride):
         mask = W.inversions(w)
         for i, s in refls:
             assert bool(mask >> i & 1) == (W.length[W.mul(w, s)] < W.length[w])
+
+
+def _lazy_elements(rs):
+    """Every element of the lazy store, reached through right
+    multiplication by simple reflections and listed in integer order."""
+    L = rs.lazy_weyl()
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        frontier = {v for w in frontier for v in L.right[w]} - seen
+        seen |= frontier
+    return L, sorted(seen)
+
+
+@pytest.mark.parametrize("family,rank", sorted(_WORDS_SHA256))
+def test_lazy_words_match_pinned(family, rank):
+    # the lazy store spells each element's canonical word from w(rho)
+    # alone, and its integers order the elements as WeylGroup numbers them
+    rs = RootSystem(family, rank)
+    L, elements = _lazy_elements(rs)
+    assert len(elements) == rs.weyl_order
+    words = [L.words[w] for w in elements]
+    assert words == sorted(words, key=lambda ww: (len(ww), ww))
+    digest = hashlib.sha256(repr(words).encode()).hexdigest()
+    assert digest == _WORDS_SHA256[family, rank]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+def test_lazy_store_matches_exhaustive(family, rank):
+    rs = RootSystem(family, rank)
+    W, L = rs.weyl(), rs.lazy_weyl()
+    lazy = [L.from_word(word) for word in W.words]
+    assert [L.words[x] for x in lazy] == W.words
+    assert lazy == sorted(lazy) and lazy[0] == 0
+    vectors = [rs.weight(a.fund) for a in rs.roots] + [rs.rho()]
+    for w, x in enumerate(lazy):
+        assert L.length[x] == W.length[w]
+        assert L.inversions(x) == W.inversions(w)
+        assert L.right[x] == tuple(lazy[v] for v in W.right[w])
+        assert L.from_word_str(W.word_str(w)) == x
+        for v in vectors:
+            assert L.act(x, v) == W.act(w, v)
+            assert L.act_key(x, v) == W.act_key(w, v)
+        assert L.mul(x, lazy[W.inv[w]]) == 0
+    for a in rs.positive_roots:
+        assert L.reflection(a) == lazy[W.reflection(a)]
+
+
+@pytest.mark.parametrize("rank,n_pos,h", [(7, 63, 18), (8, 120, 30)])
+def test_e7_e8_lazy_only(rank, n_pos, h):
+    # E7 and E8 construct; their elements come from the lazy store, and
+    # the exhaustive group refuses them with the cap message
+    rs = RootSystem("E", rank)
+    assert rs.n_positive() == n_pos and rs.h == h
+    L = rs.lazy_weyl()
+    word = tuple(range(rank - 1, -1, -1))
+    w = L.from_word(word)
+    assert L.length[w] == rank
+    assert L.words[w] == word[:rank - 3] + (1, 2, 0)  # s4 s2 s3 s1 in E
+    with pytest.raises(ValueError, match="above the cap 100000"):
+        rs.weyl()
