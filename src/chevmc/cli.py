@@ -14,7 +14,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 
 from . import __version__
 from .charring import GA, exp_mono
@@ -111,14 +111,15 @@ def _table_json(W, table):
     ]
 
 
-def _cached_table(W, doc, w):
-    """The table of w stored by `_table_json`, or None for a miss or for
-    anything `_table_json` would not have written (another shape, extra
-    keys, a word not in normal form, elements not ascending, a value
-    `GA.from_json` rejects, a last entry other than w), so that a hit
-    may print `doc` itself.  The last entry of a table is always w:
-    C^w_{w,lambda} is a monomial, and every other u is shorter than w,
-    so it comes earlier in the (length, word) order of the elements."""
+def _cached_table(W, doc, w, read):
+    """{u: read(value)} for the table of w stored by `_table_json`, or
+    None for a miss or for anything `_table_json` would not have written
+    (another shape, extra keys, a word not in normal form, elements not
+    ascending, a value `read` rejects, a last entry other than w), so
+    that a hit may print `doc` itself; `read` is `GA.from_json`, or
+    `GA.check_json` to check the values without building them.  The last entry of a table is always
+    w: C^w_{w,lambda} is a monomial, and every other u is shorter than
+    w, so it comes earlier in the (length, word) order of the elements."""
     if not isinstance(doc, list):
         return None
     table = {}
@@ -128,7 +129,7 @@ def _cached_table(W, doc, w):
             u = W.from_word_str(d["u"])
             if len(d) != 2 or u <= last or W.word_str(u) != d["u"]:
                 return None
-            table[u] = GA.from_json(d["value"])
+            table[u] = read(d["value"])
             last = u
     except (KeyError, TypeError, ValueError, AttributeError):
         return None
@@ -265,9 +266,11 @@ def _cmd_chevalley(args, out):
             "chevalley", rs.family, rs.rank, lam, W.word_str(wv),
             args.method, extra={"sign": sign, "word": args.word},
         )
-        # a hit's stored entries are exactly what _table_json would print
+        # a hit's stored entries are exactly what _table_json would print,
+        # so a JSON hit only checks them
         entries = cache_get(cache_dir, key)
-        table = _cached_table(W, entries, wv)
+        table = _cached_table(W, entries, wv, GA.check_json
+                              if args.format == "json" else GA.from_json)
         if table is None:
             table = chevalley_table(
                 rs, lam, wv, sign=sign, method=args.method, chain=chain, W=W
@@ -512,7 +515,10 @@ def _cmd_search_positivity(args, out):
 
 # -- parser ------------------------------------------------------------
 
+@cache
 def build_parser():
+    """The parser, built once per process: it depends on no input, and
+    parse_args keeps no state in it between calls."""
     p = argparse.ArgumentParser(
         prog="chevmc",
         description="Exact Chevalley coefficients for motivic Chern "
@@ -602,9 +608,8 @@ def build_parser():
 
 def run(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:

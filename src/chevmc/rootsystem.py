@@ -172,8 +172,10 @@ class RootSystem:
                 coroot = tuple(
                     d - mi * (j == i) for j, d in enumerate(rt.coroot)
                 )
+                # fund(s_i alpha) = fund(alpha) - <alpha, alpha_i^vee> fund(alpha_i)
                 fund = tuple(
-                    sum(A[j][k] * simple[k] for k in range(r)) for j in range(r)
+                    f - m * g
+                    for f, g in zip(rt.fund, self.simple_roots[i].fund)
                 )
                 new = Root(simple, coroot, fund)
                 seen[simple] = new

@@ -4,6 +4,12 @@ Each suite expands to a list of independent cases; a case is a
 top-level function plus JSON-simple arguments so suites can fan out
 across a process pool.  Cases return None on success and a short
 failure description otherwise.
+
+Within one `run_suite` call, the cases of one (family, rank) share one
+RootSystem (and so one Weyl group), one KOracle, one CohOracle and one
+memo of chain tables (`_shared`).  The sharing ends when the call
+returns; in a pool it lasts as long as each worker.  A case called on
+its own builds everything itself.
 """
 
 from __future__ import annotations
@@ -22,9 +28,36 @@ from .chevalley import (
 )
 from .oracle import KOracle, StableBasis
 
+# what the cases of the running suite share, by key; None outside
+# run_suite and before a pool worker's first case
+_shared = None
+
+
+def _share(key, build):
+    """build(), or what it built for `key` earlier in this suite run."""
+    if _shared is None:
+        return build()
+    if key not in _shared:
+        _shared[key] = build()
+    return _shared[key]
+
+
+def _root_system(family, rank):
+    return _share(("rs", family, rank), lambda: RootSystem(family, rank))
+
+
+def _k_oracle(rs):
+    return _share(("k", rs.family, rs.rank), lambda: KOracle(rs))
+
+
+def _tables(rs):
+    """The memo of chain tables of rs, shared by the suite's cases."""
+    return _share(("tables", rs.family, rs.rank), lambda: _table_fn(rs))
+
 
 def _table_fn(rs):
-    """chevalley_table(rs, lam_fund, w, sign) memoised on its arguments."""
+    """chevalley_table(rs, lam_fund, w, sign) by the chain route,
+    memoised on its arguments.  Callers only read the tables."""
     tables = {}
 
     def fn(w, lam_fund, sign):
@@ -49,9 +82,9 @@ def _lams_pm_fund_rho(rank):
 # -- case functions ----------------------------------------------------
 
 def case_duality(family, rank, kind, lam):
-    rs = RootSystem(family, rank)
+    rs = _root_system(family, rank)
     W = rs.weyl()
-    fn = _table_fn(rs)
+    fn = _tables(rs)
     for w in range(W.n):
         for u in range(W.n):
             lhs, rhs = duality_check(rs, tuple(lam), w, u, kind, fn)
@@ -63,11 +96,12 @@ def case_duality(family, rank, kind, lam):
 
 
 def case_oracle_equivalence(family, rank, lam):
-    rs = RootSystem(family, rank)
+    rs = _root_system(family, rank)
     W = rs.weyl()
-    o = KOracle(rs)
+    o = _k_oracle(rs)
+    fn = _tables(rs)
     for w in range(W.n):
-        a = chevalley_table(rs, tuple(lam), w, sign=1)
+        a = fn(w, tuple(lam), 1)
         b = o.expand_product(tuple(lam), w)
         for u in set(a) | set(b):
             if a.get(u, GA()) != b.get(u, GA()):
@@ -78,10 +112,11 @@ def case_oracle_equivalence(family, rank, lam):
 
 
 def case_methods_agree(family, rank, lam):
-    rs = RootSystem(family, rank)
+    rs = _root_system(family, rank)
     W = rs.weyl()
+    fn = _tables(rs)
     for w in range(W.n):
-        a = chevalley_table(rs, tuple(lam), w, sign=1, method="chain")
+        a = fn(w, tuple(lam), 1)
         b = chevalley_table(rs, tuple(lam), w, sign=1, method="bridge")
         c = chevalley_table(rs, tuple(lam), w, sign=1, method="operator")
         for u in set(a) | set(b) | set(c):
@@ -94,9 +129,9 @@ def case_methods_agree(family, rank, lam):
 
 
 def case_stable(family, rank, lam):
-    rs = RootSystem(family, rank)
+    rs = _root_system(family, rank)
     W = rs.weyl()
-    o = KOracle(rs)
+    o = _k_oracle(rs)
     sb = StableBasis(o)
     for w in range(W.n):
         for v in sb.stab(w):
@@ -127,7 +162,7 @@ def case_stable(family, rank, lam):
 
 def case_hl(family, rank, lam):
     from .specialfn import hall_littlewood, big_h
-    rs = RootSystem(family, rank)
+    rs = _root_system(family, rank)
     closed = hall_littlewood(rs, tuple(lam), "closed")
     for method in ("chain_restricted", "chain_opposite"):
         if closed != hall_littlewood(rs, tuple(lam), method):
@@ -142,7 +177,7 @@ def case_whittaker(family, rank, lam):
         whittaker, whittaker_chevalley,
         casselman_shalika_sides, whittaker_r_sides,
     )
-    rs = RootSystem(family, rank)
+    rs = _root_system(family, rank)
     W = rs.weyl()
     for w in range(W.n):
         if whittaker(rs, tuple(lam), w) != whittaker_chevalley(
@@ -164,9 +199,9 @@ def case_csm(family, rank, lam):
     """csm_chevalley against the localization expansion and, as the
     commutation lemma's right-hand side, against T_w x_lambda."""
     from .csm import CohOracle, CohPoly, DegenerateHecke, csm_chevalley
-    rs = RootSystem(family, rank)
+    rs = _root_system(family, rank)
     W = rs.weyl()
-    o = CohOracle(rs)
+    o = _share(("coh", family, rank), lambda: CohOracle(rs))
     dh = DegenerateHecke(rs)
     lam = tuple(lam)
     for w in range(W.n):
@@ -187,12 +222,13 @@ def case_csm(family, rank, lam):
 def case_positivity(family, rank, lam):
     """Each +lambda term is e^mu q^a (q-1)^b with a, b >= 0 and b of the
     parity of l(w) - l(u), and the terms sum to the Chevalley table."""
-    rs = RootSystem(family, rank)
+    rs = _root_system(family, rank)
     W = rs.weyl()
     if not all(c >= 0 for c in lam):
         return "lambda %s is not dominant" % (lam,)
     lam = tuple(lam)
     chain = chain_lex_height(rs, lam)
+    fn = _tables(rs)
     qm1 = Scalar.q(1) - Scalar.one()
     for w in range(W.n):
         acc = {}
@@ -202,7 +238,7 @@ def case_positivity(family, rank, lam):
                     a, b, W.word_str(u), W.word_str(w),
                 )
             acc[u] = acc.get(u, GA()) + GA.term(mu, Scalar.q(a) * qm1 ** b)
-        table = chevalley_table(rs, lam, w, sign=1, chain=chain)
+        table = fn(w, lam, 1)  # the table of the same chain
         if {u: g for u, g in acc.items() if g} != table:
             return "positivity terms miss the table at w=%s lambda=%s" % (
                 W.word_str(w), lam,
@@ -249,7 +285,7 @@ def suite_cases(suite, family, rank, max_weight=2):
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
     # every suite runs on the exhaustive group
-    RootSystem(family, rank).check_exhaustive()
+    _root_system(family, rank).check_exhaustive()
     cases = []
 
     def add(func, *args):
@@ -297,6 +333,16 @@ def _run_one(item):
     return case_id, detail
 
 
+def _run_in_worker(item):
+    """_run_one in a pool worker, which shares state between its cases
+    for as long as it lives: a forked worker starts from a copy of the
+    parent's memo, any other from an empty one."""
+    global _shared
+    if _shared is None:
+        _shared = {}
+    return _run_one(item)
+
+
 def pool_size(jobs):
     """Worker processes for `jobs`, at most one per CPU."""
     return min(jobs, os.cpu_count() or 1)
@@ -304,9 +350,14 @@ def pool_size(jobs):
 
 def run_suite(suite, family, rank, max_weight=2, jobs=1):
     """Run a suite; returns a list of (case_id, failure_or_None)."""
-    cases = suite_cases(suite, family, rank, max_weight)
-    jobs = pool_size(jobs)
-    if jobs > 1:
-        with Pool(jobs) as pool:
-            return pool.map(_run_one, cases)
-    return [_run_one(c) for c in cases]
+    global _shared
+    _shared = {}
+    try:
+        cases = suite_cases(suite, family, rank, max_weight)
+        jobs = pool_size(jobs)
+        if jobs > 1:
+            with Pool(jobs) as pool:
+                return pool.map(_run_in_worker, cases)
+        return [_run_one(c) for c in cases]
+    finally:
+        _shared = None

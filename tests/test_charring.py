@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chevmc.charring import GA, LIMIT, Scalar
 from chevmc.csm import CohPoly
 from chevmc.rootsystem import RootSystem
+from conftest import BAD_GA_JSON
 
 
 weights = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -157,28 +158,18 @@ def test_json_round_trip(g):
                            for w, x in g.terms()]
 
 
-def _term(weight, coeff):
-    return {"weight": weight, "coeff": coeff}
-
-
-@pytest.mark.parametrize("items", [
-    [_term([0, 1], {"0": 1, "2": 0})],  # a zero coefficient
-    [_term([0, 1], {})],  # no coefficient
-    [_term([1, 0], {"0": 1}), _term([0, 1], {"0": 1})],  # not ascending
-    [_term([0, 1], {"0": 1}), _term([0, 1], {"2": 1})],  # twice
-    [_term([0], {"0": 1}), _term([0, 1], {"0": 1})],  # two lengths
-    [dict(_term([0, 1], {"0": 1}), extra=1)],  # an extra key
-    [_term([0, 1], {"+1": 1})],  # an exponent not written as str(int)
-    [_term([0, 1], {"0": 1.0})],
-    [_term([0, 1], {"0": True})],
-    [_term([0, 1.0], {"0": 1})],
-    [_term([0, LIMIT], {"0": 1})],  # out of range
-    [_term([0, 1], {str(LIMIT): 1})],
-    [{"weight": [0, 1]}],
-])
+@pytest.mark.parametrize("items", BAD_GA_JSON)
 def test_json_rejects_what_to_json_never_writes(items):
+    # the build and the check-only pass apply the same rules
     with pytest.raises((ValueError, KeyError, TypeError, AttributeError)):
         GA.from_json(items)
+    with pytest.raises((ValueError, KeyError, TypeError, AttributeError)):
+        GA.check_json(items)
+
+
+@given(gas)
+def test_check_json_accepts_what_to_json_writes(g):
+    assert GA.check_json(g.to_json()) is None
 
 
 # -- the packed layout --------------------------------------------------

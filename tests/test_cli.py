@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, output formats, schema, caching."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
+import weakref
 from unittest import mock
 
 import jsonschema
@@ -12,12 +14,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevmc import __version__
-from chevmc.cli import _dumps, run
+from chevmc.cli import _dumps, build_parser, run
 from chevmc.cache import cache_key, cache_get, cache_put
+from chevmc.charring import GA
 from chevmc.rootsystem import RootSystem, WeylGroup
 from chevmc.verify import suite_cases
 import chevmc
-from conftest import v_minus_lambda
+from conftest import BAD_GA_JSON, v_minus_lambda
 
 
 def _run(argv):
@@ -452,6 +455,25 @@ def test_cache_non_canonical_entry_recomputed(tmp_path, mutate):
     assert path.read_text() == stored
 
 
+@pytest.mark.parametrize("items", BAD_GA_JSON)
+def test_cache_bad_value_recomputed(tmp_path, items):
+    # a JSON hit checks each stored value without building it, a text
+    # hit builds it; both reject every value `GA.from_json` rejects
+    argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1"]
+    for fmt in ("json", "text"):
+        cache = tmp_path / fmt
+        run = argv + ["--format", fmt, "--cache-dir", str(cache)]
+        code, miss = _run(run)
+        assert code == 0
+        path, = cache.iterdir()
+        stored = path.read_text()
+        doc = json.loads(stored)
+        doc[-1]["value"] = items
+        path.write_text(json.dumps(doc))
+        assert _run(run) == (0, miss), fmt
+        assert path.read_text() == stored
+
+
 @pytest.mark.parametrize("cut", [0, -1])
 def test_cache_truncated_entry_recomputed(tmp_path, cut):
     # a table's last entry is always w, so a stored list that is empty
@@ -590,6 +612,76 @@ def test_verify_jobs_clamped_to_cpu_count(monkeypatch):
                                    jobs=10 ** 6)
     assert sizes == [2]
     assert results and all(d is None for _, d in results)
+
+
+def test_verify_pool_matches_serial():
+    import chevmc.verify as verify_mod
+
+    serial = verify_mod.run_suite("all", "A", 2, max_weight=1)
+    assert serial and all(d is None for _, d in serial)
+    assert verify_mod.run_suite("all", "A", 2, max_weight=1,
+                                jobs=2) == serial
+
+
+def _perturbed(real):
+    def table(rs, lam_fund, w, **kwargs):
+        out = dict(real(rs, lam_fund, w, **kwargs))
+        out[w] = out[w] + GA.const(1, rs.rank)
+        return out
+    return table
+
+
+def test_verify_tables_do_not_outlive_the_suite(monkeypatch):
+    # tables memoised by a clean run must not answer for a later run
+    import chevmc.verify as verify_mod
+
+    results = verify_mod.run_suite("oracle", "A", 2, max_weight=1)
+    assert results and all(d is None for _, d in results)
+    monkeypatch.setattr(verify_mod, "chevalley_table",
+                        _perturbed(verify_mod.chevalley_table))
+    results = verify_mod.run_suite("oracle", "A", 2, max_weight=1)
+    assert any(d is not None for _, d in results)
+
+
+def test_verify_holds_nothing_after_return(monkeypatch):
+    import chevmc.verify as verify_mod
+
+    built = []
+    real = verify_mod.RootSystem
+
+    def root_system(family, rank):
+        rs = real(family, rank)
+        built.append((weakref.ref(rs), weakref.ref(rs.weyl())))
+        return rs
+
+    monkeypatch.setattr(verify_mod, "RootSystem", root_system)
+    results = verify_mod.run_suite("all", "A", 2, max_weight=1)
+    assert results and all(d is None for _, d in results)
+    # one root system for the whole suite, and none kept once it returns
+    assert len(built) == 1
+    assert verify_mod._shared is None
+    gc.collect()
+    assert all(r() is None for pair in built for r in pair)
+    # a case called on its own shares nothing either
+    assert verify_mod.case_duality("A", 2, "serre", (1, 0)) is None
+    assert len(built) == 2 and verify_mod._shared is None
+
+
+def test_parser_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_one_parser_serves_every_call(capsys):
+    # a failed parse and --version leave the shared parser as it was
+    argv, digest = _GOLDEN[0]
+    assert _run(["chevalley", "--type", "A2", "--bogus"])[0] == 2
+    assert _run(["--version"])[0] == 0
+    assert capsys.readouterr().out.strip() == __version__
+    with mock.patch.dict(os.environ):
+        os.environ.pop("CHEVMC_CACHE_DIR", None)
+        code, text = _run(argv.split())
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # SHA-256 of stdout for cheap argvs over every subcommand, text and JSON;

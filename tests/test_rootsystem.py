@@ -1,6 +1,7 @@
 """Root systems, Weyl groups, Bruhat order."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -260,3 +261,41 @@ def test_e7_e8_lazy_only(rank, n_pos, h):
     assert L.words[w] == word[:rank - 3] + (1, 2, 0)  # s4 s2 s3 s1 in E
     with pytest.raises(ValueError, match="above the cap 100000"):
         rs.weyl()
+
+
+def _root_lengths(A):
+    """(alpha_k, alpha_k) up to one common factor, from the Cartan matrix
+    with A[j][k] = <alpha_k, alpha_j^vee>: d_j A[j][k] = d_k A[k][j]."""
+    r = len(A)
+    d = [None] * r
+    d[0] = Fraction(1)
+    todo = [0]
+    while todo:
+        j = todo.pop()
+        for k in range(r):
+            if A[j][k] and d[k] is None:
+                d[k] = d[j] * A[j][k] / A[k][j]
+                todo.append(k)
+    return d
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", r) for r in range(1, 6)] + [("B", r) for r in range(2, 6)]
+    + [("C", r) for r in range(2, 6)] + [("D", 4), ("D", 5)]
+    + [("E", r) for r in (6, 7, 8)] + [("F", 4), ("G", 2)])
+def test_root_coordinates_match_cartan(family, rank):
+    # the root walk updates fundamental coordinates one reflection at a
+    # time; each must equal the Cartan matrix applied to the simple
+    # coordinates, and each coroot 2 alpha / (alpha, alpha)
+    rs = RootSystem(family, rank)
+    A = rs.cartan
+    d = _root_lengths(A)
+    assert len(rs.roots) == 2 * rs.n_positive()
+    assert len({t.simple for t in rs.roots}) == len(rs.roots)
+    for t in rs.roots:
+        s = t.simple
+        assert t.fund == tuple(
+            sum(A[j][k] * s[k] for k in range(rank)) for j in range(rank))
+        norm = sum(s[k] * t.fund[k] * d[k] for k in range(rank)) / 2
+        assert t.coroot == tuple(s[k] * d[k] / norm for k in range(rank))
+        assert sum(c * f for c, f in zip(t.coroot, t.fund)) == 2
