@@ -115,20 +115,19 @@ class LambdaChain:
         ]
 
 
-def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True,
-                    W=None):
+def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
     """Build the lambda-chain of an affine word for v_{-lambda}.
 
     `word` uses letters 0..r-1 for s_1..s_r and -1 (or r) for s_0.
     The path endpoint is verified against lambda; a letter outside
     -1..r or a word that does not map A to A - lambda raises ValueError.
-    W is the element store that walks the prefixes (rs.weyl() by
-    default); the chain does not depend on it.
+    The prefixes are walked on the lazy element store, so any rank the
+    root system accepts works.
     """
     word = tuple(-1 if i == rs.rank else i for i in word)
     if not all(-1 <= i < rs.rank for i in word):
         raise ValueError("word letters must lie in -1..%d" % rs.rank)
-    W = W or rs.weyl()
+    W = rs.lazy_weyl()
     h = rs.h
     walls = _walls(rs)
     # One pass over the prefixes v = s_{i1} ... s_{i_{j-1}}, each the map

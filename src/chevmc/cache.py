@@ -1,10 +1,14 @@
-"""Content-addressed on-disk cache for computed tables.
+"""Content-addressed on-disk cache for printed tables.
 
-Entries are JSON files named by the SHA-256 of their canonical key,
-which includes the package version and a digest of the package sources
-so results from stale code are never reused.  Corrupted entries are
-treated as misses and recomputed; write uses a temp-file rename so
-concurrent writers of the same key converge on identical content.
+An entry holds a block of text exactly as it is printed, next to the
+SHA-256 of that text: a JSON file {"sha256": <hex>, "text": <block>}
+named by the SHA-256 of its canonical key.  The key includes the
+package version and a digest of the package sources, so results from
+stale code are never reused.  An entry that cannot be read, or whose
+text does not match its digest, is a miss: one changed byte is caught,
+but an entry whose digest was rewritten with it is trusted.  Writes use
+a temp-file rename so concurrent writers of the same key converge on
+identical content.
 """
 
 from __future__ import annotations
@@ -57,27 +61,32 @@ def default_cache_dir():
 
 
 def cache_get(directory, key):
-    """The stored document, or None on a miss or an entry that cannot be
-    read or parsed."""
+    """The stored text, or None on a miss or an entry that cannot be
+    read or does not match its digest."""
     if not directory:
         return None
     path = os.path.join(directory, key + ".json")
     if not os.path.exists(path):
         return None
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
-        return None
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+        text = entry["text"]
+        if hashlib.sha256(text.encode()).hexdigest() == entry["sha256"]:
+            return text
+    # unreadable, not UTF-8 or JSON, another shape, or text not a str
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        pass
+    return None
 
 
-def cache_put(directory, key, value):
-    """Store a JSON document atomically; IO errors propagate."""
+def cache_put(directory, key, text):
+    """Store a text and its digest atomically; IO errors propagate."""
     if not directory:
         return
     os.makedirs(directory, exist_ok=True)
-    # without indent, json uses its C encoder
-    blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps({"sha256": hashlib.sha256(text.encode()).hexdigest(),
+                       "text": text})
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:

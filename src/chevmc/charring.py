@@ -592,70 +592,6 @@ class GA:
             coeff[str((k & MASK) - _HALF)] = c[k]
         return out
 
-    @staticmethod
-    def from_json(items):
-        """The element that `to_json` wrote as `items`, so that it encodes
-        back to `items`.  Anything else raises as `check_json` does."""
-        c = {}
-        GA._read_json(items, c)
-        return GA._new(c)
-
-    @staticmethod
-    def check_json(items):
-        """Raise unless `items` is what `to_json` writes for some element:
-        ValueError, or KeyError, TypeError or AttributeError on a wrong
-        shape (extra keys, weights of two lengths or not ascending, a v
-        exponent not written as str(int), a zero or non-int coefficient,
-        an exponent out of range).  Builds nothing."""
-        GA._read_json(items, None)
-
-    @staticmethod
-    def _read_json(items, c):
-        """The one set of rules of `from_json` and `check_json`; with a
-        dict c, each term is stored in it by its packed key."""
-        last = -1
-        rank = None
-        fields = _V_FIELDS
-        for d in items:
-            weight, coeff = d["weight"], d["coeff"]
-            if rank is None:
-                rank = len(weight)
-                if rank > MAX_RANK:
-                    raise ValueError("rank %d exceeds %d" % (rank, MAX_RANK))
-            if (len(d) != 2 or type(weight) is not list or not coeff
-                    or len(weight) != rank):
-                raise ValueError("not a GA term: %r" % (d,))
-            wk = 0
-            for e in weight:
-                if type(e) is not int or not -LIMIT <= e < LIMIT:
-                    raise ValueError("bad weight %r" % (weight,))
-                wk = (wk << FIELD) + e + _HALF
-            wk <<= FIELD
-            if wk <= last:
-                raise ValueError("weights not ascending at %r" % weight)
-            last = wk
-            for n, x in coeff.items():
-                if type(x) is not int or not x:
-                    raise ValueError("bad coefficient %r: %r" % (n, x))
-                f = fields.get(n) or _v_field(n)
-                if c is not None:
-                    c[wk + f] = x
-
-
-# the v field (exponent plus bias, never 0) of each exponent text read so
-# far, filled by _v_field
-_V_FIELDS = {}
-
-
-def _v_field(n):
-    """The v field of the exponent that `to_json` writes as the text n;
-    ValueError for any other text."""
-    e = int(n)
-    if str(e) != n or not -LIMIT <= e < LIMIT:
-        raise ValueError("bad v exponent %r" % (n,))
-    _V_FIELDS[n] = e + _HALF
-    return e + _HALF
-
 
 class Scalar(GA):
     """A Laurent polynomial in v with integer coefficients: the rank-0

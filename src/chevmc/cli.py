@@ -17,7 +17,7 @@ import sys
 from functools import cache, partial
 
 from . import __version__
-from .charring import GA, exp_mono
+from .charring import exp_mono
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
 from .chevalley import chevalley_table, render_table
@@ -111,31 +111,6 @@ def _table_json(W, table):
     ]
 
 
-def _cached_table(W, doc, w, read):
-    """{u: read(value)} for the table of w stored by `_table_json`, or
-    None for a miss or for anything `_table_json` would not have written
-    (another shape, extra keys, a word not in normal form, elements not
-    ascending, a value `read` rejects, a last entry other than w), so
-    that a hit may print `doc` itself; `read` is `GA.from_json`, or
-    `GA.check_json` to check the values without building them.  The last entry of a table is always
-    w: C^w_{w,lambda} is a monomial, and every other u is shorter than
-    w, so it comes earlier in the (length, word) order of the elements."""
-    if not isinstance(doc, list):
-        return None
-    table = {}
-    last = -1  # below every element: the identity is 0 in both stores
-    try:
-        for d in doc:
-            u = W.from_word_str(d["u"])
-            if len(d) != 2 or u <= last or W.word_str(u) != d["u"]:
-                return None
-            table[u] = read(d["value"])
-            last = u
-    except (KeyError, TypeError, ValueError, AttributeError):
-        return None
-    return table if last == w else None
-
-
 def _doc(command, rs, **fields):
     doc = {
         "command": command,
@@ -151,13 +126,19 @@ def _doc(command, rs, **fields):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+class _Encoded(str):
+    """A value already written by `_dumps` at the pad it is placed at,
+    which `_dumps` copies as it is."""
+
+
 def _dumps(v, pad="\n"):
     """json.dumps(v, sort_keys=True, indent=1), byte for byte, with one
     join per container and the C string encoder (on Python < 3.13,
     `indent` turns off json's C encoder).  `pad` is the newline and
-    indent of v's own line; a value not special-cased here goes through
-    json.dumps and has its lines indented to `pad`, which is exact since
-    a JSON string never holds a raw newline."""
+    indent of v's own line; an `_Encoded` value is written as it is, and
+    a value not special-cased here goes through json.dumps and has its
+    lines indented to `pad`, which is exact since a JSON string never
+    holds a raw newline."""
     t = type(v)
     if t is str:
         return _encode_str(v)
@@ -179,6 +160,8 @@ def _dumps(v, pad="\n"):
             [_encode_str(k) + ": "
              + (int.__repr__(x) if type(x) is int else _dumps(x, inner))
              for k, x in sorted(v.items())]), pad)
+    if t is _Encoded:
+        return v
     return json.dumps(v, sort_keys=True, indent=1).replace("\n", pad)
 
 
@@ -239,6 +222,18 @@ def _epsilon_render(W, table):
 
 # -- subcommand bodies -------------------------------------------------
 
+def _chevalley_block(args, W, word, table):
+    """The printed block of the table of the element `word` in the
+    format of `args`; a JSON block is a `tables` element at its pad."""
+    if args.format == "json":
+        return _dumps({"w": word, "entries": _table_json(W, table)}, "\n  ")
+    if args.format == "latex":
+        return "%% w = %s\n%s" % (word, _latex_table(W, table))
+    if args.epsilon:
+        return "w = %s\n%s" % (word, _epsilon_render(W, table))
+    return "w = %s\n%s" % (word, render_table(W.rs, table, W=W))
+
+
 def _cmd_chevalley(args, out):
     rs = _parse_type(args.type)
     lam = _parse_lambda(args.lam, rs.rank)
@@ -257,47 +252,34 @@ def _cmd_chevalley(args, out):
     chain = None
     if args.word:
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
-                                require_reduced=False, W=W)
+                                require_reduced=False)
     cache_dir = args.cache_dir or default_cache_dir()
     blocks = []
-    docs = []
     for wv in ws:
+        word = W.word_str(wv)
         key = cache_key(
-            "chevalley", rs.family, rs.rank, lam, W.word_str(wv),
-            args.method, extra={"sign": sign, "word": args.word},
+            "chevalley", rs.family, rs.rank, lam, word, args.method,
+            extra={"sign": sign, "word": args.word, "format": args.format,
+                   "epsilon": args.epsilon},
         )
-        # a hit's stored entries are exactly what _table_json would print,
-        # so a JSON hit only checks them
-        entries = cache_get(cache_dir, key)
-        table = _cached_table(W, entries, wv, GA.check_json
-                              if args.format == "json" else GA.from_json)
-        if table is None:
+        # a hit is the block as the miss that wrote it printed it
+        block = cache_get(cache_dir, key)
+        if block is None:
             table = chevalley_table(
                 rs, lam, wv, sign=sign, method=args.method, chain=chain, W=W
             )
-            entries = None
-            if cache_dir:
-                entries = _table_json(W, table)
-                try:
-                    cache_put(cache_dir, key, entries)
-                except OSError as exc:
-                    raise CliError("cannot write the cache: %s" % exc)
-        if args.format == "json":
-            if entries is None:
-                entries = _table_json(W, table)
-            docs.append({"w": W.word_str(wv), "entries": entries})
-        elif args.format == "latex":
-            blocks.append("%% w = %s\n%s" % (W.word_str(wv),
-                                             _latex_table(W, table)))
-        elif args.epsilon:
-            blocks.append("w = %s\n%s" % (W.word_str(wv),
-                                          _epsilon_render(W, table)))
-        else:
-            blocks.append("w = %s\n%s" % (W.word_str(wv),
-                                          render_table(rs, table, W=W)))
-    doc = _doc("chevalley", rs, lam=list(lam), sign=sign,
-               method=args.method, tables=docs)
-    _emit(doc, "\n\n".join(blocks), args.format, out)
+            block = _chevalley_block(args, W, word, table)
+            try:
+                cache_put(cache_dir, key, block)
+            except OSError as exc:
+                raise CliError("cannot write the cache: %s" % exc)
+        blocks.append(block)
+    if args.format == "json":
+        doc = _doc("chevalley", rs, lam=list(lam), sign=sign,
+                   method=args.method, tables=[_Encoded(b) for b in blocks])
+        out.write(_dumps(doc) + "\n")
+    else:
+        out.write("\n\n".join(blocks) + "\n")
     return 0
 
 
@@ -328,7 +310,7 @@ def _cmd_chain(args, out):
     lam = _parse_lambda(args.lam, rs.rank)
     if args.word:
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
-                                require_reduced=False, W=rs.lazy_weyl())
+                                require_reduced=False)
     else:
         chain = chain_lex_height(rs, lam)
     doc = _doc("chain", rs, lam=list(lam), reduced=chain.reduced,

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from operator import mul
 
-from .charring import pack_columns
+from .charring import MAX_RANK, pack_columns
 
 
 _WEYL_ORDER = {
@@ -126,13 +126,14 @@ class RootSystem:
 
     def __init__(self, family, rank):
         family = family.upper()
+        # the packed ring holds weights of at most MAX_RANK coordinates
+        if rank > MAX_RANK:
+            raise ValueError("rank %d above the supported bound %d"
+                             % (rank, MAX_RANK))
         self.family = family
         self.rank = rank
         self.cartan = cartan_matrix(family, rank)
-        order = _WEYL_ORDER[family](rank)
-        if family in ("A", "B", "C", "D") and rank > 5:
-            raise ValueError("rank %d above the supported bound 5" % rank)
-        self.weyl_order = order
+        self.weyl_order = _WEYL_ORDER[family](rank)
         self._build_roots()
         # Coxeter number: <rho, theta^vee> + 1 with theta^vee the highest coroot
         self.h = 1 + max(t.coheight() for t in self.positive_roots)

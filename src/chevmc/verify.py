@@ -6,10 +6,11 @@ across a process pool.  Cases return None on success and a short
 failure description otherwise.
 
 Within one `run_suite` call, the cases of one (family, rank) share one
-RootSystem (and so one Weyl group), one KOracle, one CohOracle and one
-memo of chain tables (`_shared`).  The sharing ends when the call
-returns; in a pool it lasts as long as each worker.  A case called on
-its own builds everything itself.
+RootSystem (and so one Weyl group), one KOracle, one CohOracle, one
+memo of chain tables and the outcome of the lambda-independent stable
+checks (`_shared`).  The sharing ends when the call returns; in a pool
+it lasts as long as each worker.  A case called on its own builds
+everything itself.
 """
 
 from __future__ import annotations
@@ -128,8 +129,9 @@ def case_methods_agree(family, rank, lam):
     return None
 
 
-def case_stable(family, rank, lam):
-    rs = _root_system(family, rank)
+def _stab_checks(rs):
+    """The lambda-independent part of case_stable: stab support in
+    Bruhat order and T_i on every stab.  None or the failure."""
     W = rs.weyl()
     o = _k_oracle(rs)
     sb = StableBasis(o)
@@ -137,13 +139,23 @@ def case_stable(family, rank, lam):
         for v in sb.stab(w):
             if not W.leq(w, v):
                 return "stab support fails at w=%s" % W.word_str(w)
-    for i in range(rank):
+    for i in range(rs.rank):
         for w in range(W.n):
             lhs, rhs = sb.hecke_T_on_stab(i, w)
             if not o.classes_equal(lhs, rhs):
                 return "Hecke action on stab fails at i=%d w=%s" % (
                     i + 1, W.word_str(w),
                 )
+    return None
+
+
+def case_stable(family, rank, lam):
+    rs = _root_system(family, rank)
+    detail = _share(("stab", family, rank), lambda: _stab_checks(rs))
+    if detail:
+        return detail
+    W = rs.weyl()
+    sb = StableBasis(_k_oracle(rs))
     S = sb.shift_matrix(tuple(lam))
     M = sb.wall_cross_path(tuple(lam))
     for w in range(W.n):

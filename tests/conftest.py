@@ -5,7 +5,6 @@ The Hall-Littlewood term tables are stored as sets of
 """
 
 from chevmc.alcove import _in_alcove, _scale, _walls
-from chevmc.charring import LIMIT
 
 # lambda = first fundamental weight in A2, expansion degree 1
 GOLD_W1_F1 = {
@@ -106,25 +105,3 @@ def v_minus_lambda(rs, lam_fund):
     # v_-lambda = s_l1 s_l2 ... s_lk with the rightmost letter acting
     # first -- already the composition order chain_from_word expects
     return tuple(word)
-
-
-def _term(weight, coeff):
-    return {"weight": weight, "coeff": coeff}
-
-
-# rank-2 `GA.to_json` lists with one fault each; `to_json` writes none
-BAD_GA_JSON = [
-    [_term([0, 1], {"0": 1, "2": 0})],  # a zero coefficient
-    [_term([0, 1], {})],  # no coefficient
-    [_term([1, 0], {"0": 1}), _term([0, 1], {"0": 1})],  # not ascending
-    [_term([0, 1], {"0": 1}), _term([0, 1], {"2": 1})],  # twice
-    [_term([0], {"0": 1}), _term([0, 1], {"0": 1})],  # two lengths
-    [dict(_term([0, 1], {"0": 1}), extra=1)],  # an extra key
-    [_term([0, 1], {"+1": 1})],  # an exponent not written as str(int)
-    [_term([0, 1], {"0": 1.0})],
-    [_term([0, 1], {"0": True})],
-    [_term([0, 1.0], {"0": 1})],
-    [_term([0, LIMIT], {"0": 1})],  # out of range
-    [_term([0, 1], {str(LIMIT): 1})],
-    [{"weight": [0, 1]}],
-]

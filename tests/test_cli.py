@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 from chevmc import __version__
 from chevmc.cli import _dumps, build_parser, run
 from chevmc.cache import cache_key, cache_get, cache_put
-from chevmc.charring import GA
+from chevmc.charring import GA, LIMIT
+from chevmc.oracle import KOracle
 from chevmc.rootsystem import RootSystem, WeylGroup
-from chevmc.verify import suite_cases
+from chevmc.verify import run_suite, suite_cases
 import chevmc
-from conftest import BAD_GA_JSON, v_minus_lambda
+from conftest import v_minus_lambda
 
 
 def _run(argv):
@@ -304,6 +305,42 @@ def test_e8_single_word():
                  "--lambda=0,0,0,0,0,0,0,1"])[0] == 0
 
 
+def _fund(rank, i):
+    return "--lambda=" + ",".join("1" if j == i else "0"
+                                  for j in range(1, rank + 1))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--type", "A6", "--lambda=1,1,1,1,1,1", "--w", "s1s2s3"],
+    ["--type", "A7", _fund(7, 1), "--w", "s7s6s5s4s3s2s1"],
+    ["--type", "B7", _fund(7, 7), "--w", "s7s6s5s4"],
+    ["--type", "D8", _fund(8, 2), "--w", "s2s3s4s5s6s7s8"],
+    ["--type", "C10", _fund(10, 10), "--w", "s10s9s8s7"],
+    ["--type", "A15", _fund(15, 8), "--w", "s8s7s6s5s4s3s2s1"],
+], ids=lambda argv: argv[1])
+def test_ranks_above_5_agree_across_routes(argv):
+    # every family reaches rank 15 on the lazy store; the chain and
+    # operator routes print the same tables there
+    tables = []
+    for method in ("chain", "operator"):
+        code, text = _run(["chevalley"] + argv
+                          + ["--method", method, "--format", "json"])
+        assert code == 0, method
+        tables.append(json.loads(text)["tables"])
+    assert tables[0] and tables[0] == tables[1]
+
+
+def test_rank_above_15_exits_2(capsys):
+    # the packed ring holds at most 15 weight coordinates: every route
+    # refuses A16 with one error line, none crashes
+    for method in ("chain", "operator", "bridge"):
+        capsys.readouterr()
+        assert _run(["chevalley", "--type", "A16", _fund(16, 1), "--w", "s1",
+                     "--method", method])[0] == 2, method
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), method
+
+
 def test_chain_word_matches_default_table():
     # s0 s2 s0 is a reduced word for v_{-lambda} in C2 at lambda = -w1
     argv = ["chevalley", "--type", "C2", "--lambda=-1,0", "--w", "s1"]
@@ -362,7 +399,7 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_key_includes_version(tmp_path, monkeypatch):
     key = cache_key("chevalley", "A", 2, (2, 1), (1, 0), "chain", None)
-    payload = {"x": 1}
+    payload = "w = s1\nC[u=e] = (-y -1)*e^{w1}\n"
     cache_put(str(tmp_path), key, payload)
     assert cache_get(str(tmp_path), key) == payload
     import chevmc.cache as cache_mod
@@ -384,8 +421,11 @@ def test_cache_corrupted_entry_recomputed(tmp_path):
     assert code == 0 and a == b
 
 
-@pytest.mark.parametrize("entry", ["{}", '[{"x": 1}]', '[{"u": 3}]',
-                                   '[{"u": "s1", "value": "v"}]'])
+@pytest.mark.parametrize("entry", [
+    "{}", '[{"x": 1}]', '[{"u": 3}]', '[{"u": "s1", "value": "v"}]',
+    '"text"', '{"text": "w = s1"}', '{"sha256": "0", "text": 3}',
+    '{"sha256": "0", "text": "\\ud800"}',  # not encodable as UTF-8
+])
 def test_cache_misshaped_entry_recomputed(tmp_path, entry):
     argv = ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
             "--format", "json", "--cache-dir", str(tmp_path)]
@@ -398,6 +438,24 @@ def test_cache_misshaped_entry_recomputed(tmp_path, entry):
     # the recomputed table replaced the bad entry
     code, c = _run(argv)
     assert code == 0 and a == c
+
+
+def _edit_text(path, edit):
+    """Apply `edit` to the stored text of the cache entry at `path` and
+    leave the stored digest as it was."""
+    entry = json.loads(path.read_text())
+    entry["text"] = edit(entry["text"])
+    path.write_text(json.dumps(entry))
+
+
+def _edit_entries(mutate):
+    """A text edit that applies `mutate` to the entries of a stored JSON
+    block and writes the block back as `chevalley` would."""
+    def edit(text):
+        block = json.loads(text)
+        mutate(block["entries"])
+        return _dumps(block, "\n  ")
+    return edit
 
 
 def _set_zero_coeff(doc):
@@ -439,26 +497,57 @@ def _word_not_normal(doc):
     _duplicate_entry, _swap_terms, _padded_exponent, _word_not_normal,
 ])
 def test_cache_non_canonical_entry_recomputed(tmp_path, mutate):
-    # a hit prints the stored entries as they are, so an entry that
-    # decodes but is not what the table would write must be a miss
+    # a hit prints the stored text as it is, so a text that still parses
+    # but no longer matches its digest must be a miss
     argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1",
             "--format", "json", "--cache-dir", str(tmp_path)]
     code, a = _run(argv)
     assert code == 0
     path, = tmp_path.iterdir()
     stored = path.read_text()
-    doc = json.loads(stored)
-    mutate(doc)
-    path.write_text(json.dumps(doc))
+    _edit_text(path, _edit_entries(mutate))
+    assert path.read_text() != stored
     code, b = _run(argv)
     assert code == 0 and a == b
     assert path.read_text() == stored
 
 
+def _term(weight, coeff):
+    return {"weight": weight, "coeff": coeff}
+
+
+# rank-2 `GA.to_json` lists with one fault each; `to_json` writes none
+BAD_GA_JSON = [
+    [_term([0, 1], {"0": 1, "2": 0})],  # a zero coefficient
+    [_term([0, 1], {})],  # no coefficient
+    [_term([1, 0], {"0": 1}), _term([0, 1], {"0": 1})],  # not ascending
+    [_term([0, 1], {"0": 1}), _term([0, 1], {"2": 1})],  # twice
+    [_term([0], {"0": 1}), _term([0, 1], {"0": 1})],  # two lengths
+    [dict(_term([0, 1], {"0": 1}), extra=1)],  # an extra key
+    [_term([0, 1], {"+1": 1})],  # an exponent not written as str(int)
+    [_term([0, 1], {"0": 1.0})],
+    [_term([0, 1], {"0": True})],
+    [_term([0, 1.0], {"0": 1})],
+    [_term([0, LIMIT], {"0": 1})],  # out of range
+    [_term([0, 1], {str(LIMIT): 1})],
+    [{"weight": [0, 1]}],
+]
+
+
+def _set_last_value(items):
+    """A text edit that puts `items` in place of the last entry's value:
+    the JSON value in a JSON block, the text after the last " = " in a
+    text block."""
+    def edit(text):
+        if text.startswith("{"):
+            return _edit_entries(
+                lambda doc: doc[-1].update(value=items))(text)
+        return text.rsplit(" = ", 1)[0] + " = " + json.dumps(items)
+    return edit
+
+
 @pytest.mark.parametrize("items", BAD_GA_JSON)
 def test_cache_bad_value_recomputed(tmp_path, items):
-    # a JSON hit checks each stored value without building it, a text
-    # hit builds it; both reject every value `GA.from_json` rejects
     argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1"]
     for fmt in ("json", "text"):
         cache = tmp_path / fmt
@@ -467,17 +556,15 @@ def test_cache_bad_value_recomputed(tmp_path, items):
         assert code == 0
         path, = cache.iterdir()
         stored = path.read_text()
-        doc = json.loads(stored)
-        doc[-1]["value"] = items
-        path.write_text(json.dumps(doc))
+        _edit_text(path, _set_last_value(items))
         assert _run(run) == (0, miss), fmt
         assert path.read_text() == stored
 
 
 @pytest.mark.parametrize("cut", [0, -1])
 def test_cache_truncated_entry_recomputed(tmp_path, cut):
-    # a table's last entry is always w, so a stored list that is empty
-    # (cut 0) or lost its last entry (cut -1) is a miss in either format
+    # a stored text that is empty (cut 0) or lost its last line (cut -1)
+    # is a miss in either format
     argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1"]
     for fmt in ("text", "json"):
         cache = tmp_path / fmt
@@ -485,8 +572,29 @@ def test_cache_truncated_entry_recomputed(tmp_path, cut):
         code, miss = _run(run)
         assert code == 0
         path, = cache.iterdir()
-        path.write_text(json.dumps(json.loads(path.read_text())[:cut]))
+        stored = path.read_text()
+        _edit_text(path, lambda text: "\n".join(text.split("\n")[:cut]))
         assert _run(run) == (0, miss), fmt
+        assert path.read_text() == stored
+
+
+@pytest.mark.parametrize("fmt,old,new", [
+    ("json", '"0": 1', '"0": 7'),
+    ("text", "+1)", "+7)"),
+    ("latex", "+1)", "+7)"),
+], ids=["json", "text", "latex"])
+def test_cache_changed_coefficient_recomputed(tmp_path, fmt, old, new):
+    # one coefficient changed in a well-formed stored table is caught by
+    # the digest: the run prints the miss's bytes and rewrites the entry
+    argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1",
+            "--format", fmt, "--cache-dir", str(tmp_path)]
+    code, miss = _run(argv)
+    assert code == 0 and old in miss
+    path, = tmp_path.iterdir()
+    stored = path.read_text()
+    _edit_text(path, lambda text: text.replace(old, new, 1))
+    assert _run(argv) == (0, miss)
+    assert path.read_text() == stored
 
 
 def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
@@ -494,7 +602,7 @@ def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
     # one-word run on the lazy store reads its entry and prints the bytes
     # that a miss prints
     base = ["chevalley", "--type", "A3", "--lambda=1,0,1", "--sign", "-"]
-    for fmt in ("text", "json"):
+    for fmt in ("text", "json", "latex"):
         cache = str(tmp_path / fmt)
         code, _ = _run(base + ["--w", "all", "--format", fmt,
                                "--cache-dir", cache])
@@ -665,6 +773,22 @@ def test_verify_holds_nothing_after_return(monkeypatch):
     # a case called on its own shares nothing either
     assert verify_mod.case_duality("A", 2, "serre", (1, 0)) is None
     assert len(built) == 2 and verify_mod._shared is None
+
+
+def test_verify_stable_checks_once_per_suite(monkeypatch):
+    # stab support and T_i on every stab do not depend on lambda: they
+    # run once per suite, and when they fail every stable case fails
+    calls = []
+
+    def unequal(self, a, b):
+        calls.append(1)
+        return False
+
+    monkeypatch.setattr(KOracle, "classes_equal", unequal)
+    results = run_suite("stable", "A", 2)
+    assert [d for _, d in results] == [
+        "Hecke action on stab fails at i=1 w=e"] * 3
+    assert len(calls) == 1
 
 
 def test_parser_built_once():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from chevmc.charring import _BIAS, _weight
+from chevmc.charring import MAX_RANK, _BIAS, _weight
 from chevmc.rootsystem import RootSystem, _mat_vec, cartan_matrix
 from conftest import reflect
 
@@ -40,8 +40,11 @@ def test_cartan_g2_asymmetry():
 
 
 def test_rank_cap():
-    with pytest.raises(ValueError):
-        RootSystem("A", 6)
+    # one bound for every family: the packed ring's MAX_RANK
+    for family in "ABCD":
+        assert RootSystem(family, MAX_RANK).rank == MAX_RANK
+        with pytest.raises(ValueError):
+            RootSystem(family, MAX_RANK + 1)
 
 
 def test_weight_scaling():
@@ -127,8 +130,8 @@ def test_word_str_round_trip():
         assert W.from_word_str(W.word_str(w)) == w
 
 
-# every A-D type the CLI accepts (rank <= 5), G2 and F4; E6, with 51840
-# elements, is left out for time
+# the A-D types of rank <= 5, G2 and F4; E6, with 51840 elements, and the
+# larger groups are left out for time
 _CLI_TYPES = (
     [("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 6)]
     + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 6)]
