@@ -190,7 +190,7 @@ class CohOracle(Localization):
     def expand_chern_product(self, lam_fund, w):
         """{u: coefficient} of c1(L_lambda) . csm(X(w)^o) in the CSM
         basis."""
-        return self._expand(self.mul(self.first_chern(lam_fund), self.csm(w)))
+        return self.expand_cell_product(self.first_chern(lam_fund), w)
 
 
 # -- closed Chevalley formulas -----------------------------------------

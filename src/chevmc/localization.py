@@ -13,25 +13,41 @@ sum and the expansion of a class in the cell basis.
 Every value is a ring element.  Every Demazure-Lusztig step of the
 package is (a x - b f)/d with a = b + e d, computed as b D + e x over
 the one exact division D = (x - f)/d, polynomial by theory and asserted
-so: `dl_step` in specialfn (ScalarDL) and csm.DegenerateHecke.t_left;
-`Localization.dl_left`, which divides once per pair {w, s_i w} since
-D(s_i w) = u_i s_i(D(w)); and oracle.StableBasis.hecke_T, which divides
-once per pair {w, w s_i} since D(w s_i) = e^{w a_i} D(w).  The expansion in the cell basis is a
-triangular solve of exact divisions.  Each genuine quotient is one
-exact division over a W-fixed denominator.  For a positive root b,
-eul(b) is a unit times eul(-b), so a sum of numerators over Euler
-factors of weights +-b is a ring sum over the product of the eul(-b)
-(`cofactor`, `root_quotient`): the Atiyah-Bott sum over the Weyl
-denominator, the G/P pushforward coset by coset and specialfn's orbit
-sums.  A Segre-type class is a ring-valued numerator class over one W-invariant
-constant, so its pairing is one more exact division by that constant.
+so: `dl_step` in specialfn (ScalarDL) and csm.DegenerateHecke.t_left,
+and oracle.StableBasis.hecke_T, which divides once per pair {w, w s_i}
+since D(w s_i) = e^{w a_i} D(w).
 
-The ring arithmetic is fused (charring.GA.dot): a step forms b D + e x
+The cell classes are built on their slice parts.  The left operator
+T_i, (T_i F)|_w = (a s_i(F|_{s_i w}) - b F|_w) / d, takes cell(v) to
+cell(s_i v) when l(s_i v) > l(v), starting from the point class.  At
+every fixed point x, each cell(v)|_x is divisible by P_x, the product of
+the l(x) factors `cell_factor(x)`: P_id = 1 and P_{s_i w} = s_i(P_w) a_i
+when l(s_i w) > l(w).  `slice_class(v)` caches the slice parts Q_{v,x} =
+cell(v)|_x / P_x, and the recursion runs on them, with one exact
+division per pair {w, s_i w} (`_slice_step`).  `cell_class` multiplies
+the factors back for the users of full classes.  A slice part is a
+Minkowski summand of the full value, since P_x has the monomial 1, so it
+stays in the exponent range of that value.
+
+The expansion in the cell basis is a triangular solve of exact
+divisions.  The product G cell(w) expands on slice parts
+(`expand_cell_product`), on values a third the size and with the same
+quotients.  Each genuine
+quotient is one exact division over a W-fixed denominator.  For a
+positive root b, eul(b) is a unit times eul(-b), so a sum of numerators
+over Euler factors of weights +-b is a ring sum over the product of the
+eul(-b) (`cofactor`, `root_quotient`): the Atiyah-Bott sum over the
+Weyl denominator, the G/P pushforward coset by coset and specialfn's
+orbit sums.  A Segre-type class is a ring-valued numerator class over
+one W-invariant constant, so its pairing is one more exact division by
+that constant.
+
+The ring arithmetic is fused (charring.GA.dot): a step forms its sums
 in one accumulator, and `integral` its whole Atiyah-Bott sum.  The
 triangular solve keeps its remainder as raw coefficient dicts, each
-copied from F on its first write, so neither F nor the cached cell
-classes change; it subtracts g cell(v)|_x into them in place, with no
-product or difference built, and passes each written remainder through
+copied from F on its first write, so neither F nor the cached classes
+change; it subtracts g cell(v)|_x into them in place, with no product
+or difference built, and passes each written remainder through
 `_check` just before dividing it, so an exponent that left the range
 raises ValueError there rather than reaching a quotient.
 """
@@ -79,6 +95,8 @@ class Localization:
         self._unit = {
             b: self._den[b].exact_div(self._euler(b)) for b in self.pos_roots
         }
+        self._slices = {}
+        self._factors = {}
         self._cells = {}
         self._opposite = {}
         self._dl_data = {}
@@ -130,67 +148,95 @@ class Localization:
 
     # -- Demazure-Lusztig ----------------------------------------------
     def _dl(self, i):
-        """The data of `dl_left` for s_i, built once: (b, e, d) =
-        `dl_coeffs(rs, i)`, the coefficients b' = s_i(b u_i) and e' =
-        s_i(e) of the step at s_i w, with u_i = -s_i(d)/d by an
-        asserted exact division, s_i and the map w -> s_i w."""
+        """The data of the slice step for s_i, built once: with (b, e, d)
+        = `dl_coeffs(rs, i)`, the ring elements -b, d, b u and e d for
+        u = -d / s_i(d) (an asserted exact division: e^{-alpha_i} in
+        K-theory, 1 in cohomology), the factor a = b + e d, s_i and the
+        map w -> s_i w."""
         data = self._dl_data.get(i)
         if data is None:
             W = self.W
             b, e, d = self.dl_coeffs(self.rs, i)
             si = W.from_word((i,))
-            u = (-self._act(si, d)).exact_div(d)
-            assert u is not None, "s_i(d) / d is not polynomial"
+            u = (-d).exact_div(self._act(si, d))
+            assert u is not None, "d / s_i(d) is not polynomial"
             one = self._one()
+            ed = one * e * d
             data = self._dl_data[i] = (
-                b, e, d, self._act(si, one * b * u), self._act(si, one * e),
+                one * -b, d, one * b * u, ed, one * b + ed,
                 si, [W.inv[W.right[W.inv[w]][i]] for w in range(W.n)],
             )
         return data
 
-    def dl_left(self, i, F):
-        """The left Demazure-Lusztig operator T_i on a ring-valued class,
-        with (b, e, d) = `dl_coeffs(rs, i)`:
+    def _slice_step(self, i, Q):
+        """The slice parts of T_i F from those of F, for F = cell(v) and
+        l(s_i v) > l(v).  With P_{w'} = s_i(P_w) a on each pair w < w' =
+        s_i w, the operator (see the module docstring) becomes
 
-            (T_i F)|_w = b D(w) + e x(w),  x(w) = s_i(F|_{s_i w}),
-            D(w) = (x(w) - F|_w) / d,
+            Q'_{w'} = E = (s_i(Q_w) - b Q_{w'}) / d,
+            Q'_w = s_i(b u E + e d Q_{w'}),   u = -d / s_i(d),
 
-        which is (a x(w) - b F|_w) / d with a = b + e d.  The points w
-        and s_i w share one division: D(s_i w) = u_i s_i(D(w)) with
-        u_i = -s_i(d)/d (e^{alpha_i} in K-theory, 1 in cohomology), so
-
-            (T_i F)|_{s_i w} = s_i(s_i(b u_i) D(w) + s_i(e) F|_w).
-        """
-        b, e, d, bs, es, si, left = self._dl(i)
+        by a s_i(a) - b^2 = e d s_i(d): one exact division per pair."""
+        mb, d, bu, ed, _, si, left = self._dl(i)
         dot = self.ring.dot
         act = self._act
         zero = self.ring()
         out = {}
         for w, sw in enumerate(left):
-            if sw < w or (w not in F and sw not in F):
+            if sw < w or (w not in Q and sw not in Q):
                 continue  # each pair {w, s_i w} once, from its lower point
-            f = F.get(w, zero)
-            x = act(si, F[sw]) if sw in F else zero
-            D = _delta(x, f, d)
-            g = dot(((b, D), (e, x)))
+            q = Q.get(sw, zero)
+            E = dot(((1, act(si, Q.get(w, zero))), (mb, q))).exact_div(d)
+            assert E is not None, "Demazure-Lusztig step is not polynomial"
+            if E:
+                out[sw] = E
+            g = act(si, dot(((bu, E), (ed, q))))
             if g:
                 out[w] = g
-            g = act(si, dot(((bs, D), (es, f))))
-            if g:
-                out[sw] = g
         return out
 
-    def cell_class(self, w):
-        """The class of the Schubert cell X(w)^o by the Demazure-Lusztig
-        recursion from the point class."""
-        cache = self._cells
+    def slice_class(self, w):
+        """{x: Q} with cell(w)|_x = Q P_x, P_x the product of
+        `cell_factor(x)`: the slice parts of the class of X(w)^o, by the
+        Demazure-Lusztig recursion from the point class (P_id = 1)."""
+        cache = self._slices
         if w not in cache:
             if w == 0:
                 cache[0] = self.point_class()
             else:
                 word = self.W.word(w)
                 rest = self.W.from_word(word[1:])
-                cache[w] = self.dl_left(word[0], self.cell_class(rest))
+                cache[w] = self._slice_step(word[0], self.slice_class(rest))
+        return cache[w]
+
+    def cell_factor(self, x):
+        """The l(x) factors of P_x, read off a reduced word of x = s_i x'
+        by P_x = a_i s_i(P_{x'}), with a_i = b + e d the first numerator
+        of T_i: 1 + y e^{x beta} in K-theory and 1 - x(beta) in
+        cohomology over the beta > 0 with x beta < 0."""
+        cache = self._factors
+        if x not in cache:
+            if x == 0:
+                cache[0] = []
+            else:
+                word = self.W.word(x)
+                rest = self.W.from_word(word[1:])
+                _, _, _, _, a, si, _ = self._dl(word[0])
+                act = self._act
+                cache[x] = [a] + [act(si, f) for f in self.cell_factor(rest)]
+        return cache[x]
+
+    def cell_class(self, w):
+        """The class of the Schubert cell X(w)^o: its slice parts times
+        their factors, one factor at a time."""
+        cache = self._cells
+        if w not in cache:
+            out = {}
+            for x, q in self.slice_class(w).items():
+                for f in self.cell_factor(x):
+                    q = q * f
+                out[x] = q
+            cache[w] = out
         return cache[w]
 
     def opposite_cell_class(self, w):
@@ -246,21 +292,29 @@ class Localization:
         return self.integral(self.mul(F, G))
 
     # -- expansion in the cell basis -----------------------------------
-    def _expand(self, F, cells=None):
+    def expand_cell_product(self, G, w):
+        """{u: coefficient} of G cell(w) in the cell basis, solved on slice
+        parts: every remainder of the solve on G|_x Q_{w,x} against the
+        slice parts is the full solve's over P_x, so every quotient is
+        the same."""
+        return self._expand(self.mul(G, self.slice_class(w)), self.slice_class)
+
+    def _expand(self, F, cell=None, points=None):
         """{u: coefficient} of F in the cell basis by a triangular solve
         from the top: once the cells above v are subtracted, the
-        coefficient at v is F|_v over the diagonal cell(v)|_v.  `cells`
-        maps the fixed points in Bruhat-compatible order to their cell
-        classes (on G/P, the pushed-forward ones); the default is the
-        cells of G/B.
+        coefficient at v is F|_v over the diagonal cell(v)|_v.  `cell`
+        maps a fixed point to its cell class (on G/P, the pushed-forward
+        one; with F's slice parts, the slice parts), and `points` lists
+        the fixed points in Bruhat-compatible order; the defaults are the
+        cells of G/B and all of W.
 
         The remainder is written in place (see the module docstring),
         except at x = v: the exact division has shown that rem[v] is
         g cell(v)|_v."""
-        if cells is None:
-            points, cell = range(self.W.n), self.cell_class
-        else:
-            points, cell = list(cells), cells.__getitem__
+        if cell is None:
+            cell = self.cell_class
+        if points is None:
+            points = range(self.W.n)
         ring = self.ring
         rank = self.rank
         rem = {x: f.c for x, f in F.items()}

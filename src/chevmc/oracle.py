@@ -133,7 +133,7 @@ class KOracle(Localization):
     # -- Chevalley expansion -------------------------------------------
     def expand_product(self, lam_fund, w):
         """{u: C^w_{u,lambda}} by expanding L_lambda (x) MC(X(w)^o)."""
-        return self._expand(self.mul(self.line_bundle(lam_fund), self.mc(w)))
+        return self.expand_cell_product(self.line_bundle(lam_fund), w)
 
     # -- parabolic model -----------------------------------------------
     def parabolic_points(self, parabolic):
@@ -169,7 +169,8 @@ class KOracle(Localization):
             raise ValueError("w must be a minimal coset representative")
         cells = {x: self.pushforward(self.mc(x), parabolic) for x in points}
         return self._expand(
-            self.mul(self.line_bundle(lam_fund), cells[w]), cells
+            self.mul(self.line_bundle(lam_fund), cells[w]), cells.__getitem__,
+            points,
         )
 
 

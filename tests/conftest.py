@@ -5,6 +5,7 @@ The Hall-Littlewood term tables are stored as sets of
 """
 
 from chevmc.alcove import _in_alcove, _scale, _walls
+from chevmc.localization import _delta
 
 # lambda = first fundamental weight in A2, expansion degree 1
 GOLD_W1_F1 = {
@@ -105,3 +106,44 @@ def v_minus_lambda(rs, lam_fund):
     # v_-lambda = s_l1 s_l2 ... s_lk with the rightmost letter acting
     # first -- already the composition order chain_from_word expects
     return tuple(word)
+
+
+def dl_left(o, i, F):
+    """The left Demazure-Lusztig operator T_i of the localization oracle
+    `o` on a ring-valued class, with (b, e, d) = `o.dl_coeffs(rs, i)`:
+
+        (T_i F)|_w = b D(w) + e x(w),  x(w) = s_i(F|_{s_i w}),
+        D(w) = (x(w) - F|_w) / d,
+
+    which is (a x(w) - b F|_w) / d with a = b + e d.  The points w and
+    s_i w share one division: D(s_i w) = u_i s_i(D(w)) with u_i =
+    -s_i(d)/d (e^{alpha_i} in K-theory, 1 in cohomology), so
+
+        (T_i F)|_{s_i w} = s_i(s_i(b u_i) D(w) + s_i(e) F|_w).
+
+    The reference operator that the library's slice recursion
+    (`Localization.slice_class`) is checked against."""
+    W = o.W
+    b, e, d = o.dl_coeffs(o.rs, i)
+    si = W.from_word((i,))
+    u = (-o._act(si, d)).exact_div(d)
+    assert u is not None, "s_i(d) / d is not polynomial"
+    one = o._one()
+    bs, es = o._act(si, one * b * u), o._act(si, one * e)
+    dot = o.ring.dot
+    zero = o.ring()
+    out = {}
+    for w in range(W.n):
+        sw = W.inv[W.right[W.inv[w]][i]]
+        if sw < w or (w not in F and sw not in F):
+            continue  # each pair {w, s_i w} once, from its lower point
+        f = F.get(w, zero)
+        x = o._act(si, F[sw]) if sw in F else zero
+        D = _delta(x, f, d)
+        g = dot(((b, D), (e, x)))
+        if g:
+            out[w] = g
+        g = o._act(si, dot(((bs, D), (es, f))))
+        if g:
+            out[sw] = g
+    return out

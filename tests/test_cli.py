@@ -386,6 +386,26 @@ def test_hecke_coeffs_exponent_range(capsys):
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_oracle_exponent_range(capsys):
+    # on A1 the oracle's values and remainders stay in the packed range
+    # [-8192, 8192) at lambda = +-4093 and leave it at +-4094; the
+    # solve on slice parts prints the bytes of the full-class solve
+    argv = ["oracle", "--type", "A1", "--w", "s1"]
+    digests = {
+        4093: "bc71aa1527473fe6c5600f2af8d4fdd35161e6dc1c3510cf3be5222045ebccde",
+        -4093: "6623b26b1345e62f89bcff2f607503f6c8003993405eb4cf56a765b5cdad82c4",
+    }
+    for lam, digest in digests.items():
+        code, text = _run(argv + ["--lambda=%d" % lam])
+        assert code == 0, lam
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, lam
+    for lam in (4094, -4094):
+        capsys.readouterr()
+        assert _run(argv + ["--lambda=%d" % lam]) == (2, ""), lam
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), lam
+
+
 def test_cache_round_trip(tmp_path):
     argv = ["chevalley", "--type", "A2", "--lambda", "2,1", "--w", "s2s1",
             "--format", "json", "--cache-dir", str(tmp_path)]

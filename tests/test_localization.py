@@ -1,6 +1,8 @@
 """The split Demazure-Lusztig step b (x - f)/d + e x and the paired
 left operator of both localization oracles."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from chevmc.localization import dl_step
 from chevmc.oracle import KOracle, StableBasis
 from chevmc.rootsystem import RootSystem
 from chevmc.specialfn import ScalarDL
+from conftest import dl_left
 
 LABELS = ("A2", "B2", "G2", "A3")
 TYPES = {label: RootSystem(label[0], int(label[1])) for label in LABELS}
@@ -116,7 +119,7 @@ def test_dl_left_is_the_pointwise_formula(label, oracle):
         a = b + _ring(o.ring, e, rs.rank) * d
         for w in range(W.n):
             F = o.cell_class(w)
-            G = o.dl_left(i, F)
+            G = dl_left(o, i, F)
             for v in range(W.n):
                 x = act(F.get(W.mul(si, v), zero))
                 want = (a * x - b * F.get(v, zero)).exact_div(d)
@@ -144,3 +147,135 @@ def test_hecke_T_is_the_pointwise_formula(label):
                 x = F.get(W.mul(v, si), zero)
                 want = (a * x - b * F.get(v, zero)).exact_div(d)
                 assert G.get(v, zero) == want, (i, w, v)
+
+
+# -- slice parts ---------------------------------------------------------
+
+SLICE_LABELS = ("A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4")
+
+
+def _reference_cells(o):
+    """cell(w) for every w by the reference operator `dl_left`, from the
+    point class along the word of w."""
+    W = o.W
+    cells = {0: o.point_class()}
+    for w in range(1, W.n):
+        word = W.word(w)
+        cells[w] = dl_left(o, word[0], cells[W.from_word(word[1:])])
+    return cells
+
+
+@pytest.mark.parametrize("label", SLICE_LABELS)
+@pytest.mark.parametrize("oracle", [KOracle, CohOracle])
+def test_cell_class_is_the_dl_left_recursion(label, oracle):
+    """The slice parts times their factors are the classes of the left
+    Demazure-Lusztig recursion from the point class, at every w and
+    every point."""
+    o = oracle(RootSystem(label[0], int(label[1])))
+    ref = _reference_cells(o)
+    for w in range(o.W.n):
+        assert o.cell_class(w) == ref[w], (label, w)
+
+
+@pytest.mark.parametrize("label", LABELS)
+@pytest.mark.parametrize("oracle", [KOracle, CohOracle])
+def test_cell_factor_is_the_inversion_product(label, oracle):
+    """cell_factor(x) has l(x) factors, 1 + y e^{x beta} in K-theory and
+    1 - x(beta) in cohomology over the beta > 0 with x beta < 0, and
+    Q_{x,x} times them is cell(x)|_x."""
+    rs = TYPES[label]
+    o = oracle(rs)
+    W = o.W
+    ref = _reference_cells(o)
+    one = o._one()
+    for x in range(W.n):
+        want = []
+        for b in o.pos_roots:
+            xb = W.act(x, b)
+            if xb in o.pos_roots:
+                continue
+            if oracle is KOracle:
+                want.append(one + GA.term(rs.weight(xb), Scalar.y(1)))
+            else:
+                want.append(one - CohPoly.linear(xb))
+        factors = o.cell_factor(x)
+        assert len(factors) == W.length[x] == len(want), (label, x)
+        assert Counter(factors) == Counter(want), (label, x)
+        g = o.slice_class(x)[x]
+        for f in factors:
+            g = g * f
+        assert g == ref[x][x], (label, x)
+
+
+def _expand_product(o, lam, w):
+    """The oracle's expansion of L_lambda cell(w) (c1(L_lambda) cell(w)
+    in cohomology), which solves on slice parts."""
+    if isinstance(o, KOracle):
+        return o.expand_product(lam, w)
+    return o.expand_chern_product(lam, w)
+
+
+def _full_solve(o, lam, w):
+    """The same expansion by the solve on the full cell classes."""
+    G = o.line_bundle(lam) if isinstance(o, KOracle) else o.first_chern(lam)
+    return o._expand(o.mul(G, o.cell_class(w)), o.cell_class)
+
+
+def _weights(rank):
+    """varpi_1, -varpi_1 and rho."""
+    fund = tuple(int(j == 0) for j in range(rank))
+    return (fund, tuple(-c for c in fund), (1,) * rank)
+
+
+@pytest.mark.parametrize("label", ["B2", "G2", "A3"])
+@pytest.mark.parametrize("oracle", [KOracle, CohOracle])
+def test_slice_solve_is_the_full_solve(label, oracle):
+    """expand_product and expand_chern_product equal the solve on the
+    full cell classes at varpi_1, -varpi_1 and rho for every w."""
+    o = oracle(TYPES[label])
+    for lam in _weights(o.rank):
+        for w in range(o.W.n):
+            assert _expand_product(o, lam, w) == _full_solve(o, lam, w), (
+                label, lam, w)
+
+
+@pytest.mark.parametrize("oracle", [KOracle, CohOracle])
+def test_a_changed_slice_part_is_caught(oracle):
+    """One monomial added to one cached Q_{v,x}, x != v, makes some
+    expansion raise or differ from the closed formulas, for every such
+    (v, x) on B2."""
+    from chevmc.chevalley import chevalley_table
+    from chevmc.csm import csm_chevalley
+
+    rs = TYPES["B2"]
+    W = rs.weyl()
+    if oracle is KOracle:
+        mono = GA.term((1, 0))
+        closed = {(lam, w): chevalley_table(rs, lam, w, sign=1)
+                  for lam in _weights(2) for w in range(W.n)}
+    else:
+        mono = CohPoly.linear((1, 0))
+        closed = {(lam, w): csm_chevalley(rs, lam, w)
+                  for lam in _weights(2) for w in range(W.n)}
+
+    def caught(o):
+        for (lam, w), table in closed.items():
+            try:
+                if _expand_product(o, lam, w) != table:
+                    return True
+            except (AssertionError, ValueError):
+                return True
+        return False
+
+    o = oracle(rs)
+    assert not caught(o)
+    pairs = [(v, x) for v in range(W.n) for x in o.slice_class(v) if x != v]
+    assert pairs
+    for v, x in pairs:
+        o = oracle(rs)
+        for w in range(W.n):
+            o.slice_class(w)
+        Q = dict(o._slices[v])
+        Q[x] = Q[x] + mono if Q[x] + mono else Q[x] - mono
+        o._slices[v] = Q
+        assert caught(o), (v, x)

@@ -9,6 +9,7 @@ from chevmc.rootsystem import RootSystem
 from chevmc.oracle import KOracle, StableBasis
 from chevmc.chevalley import chevalley_table, chevalley_parabolic
 from chevmc.verify import case_stable
+from conftest import dl_left
 
 RS = RootSystem("A", 2)
 W = RS.weyl()
@@ -29,8 +30,8 @@ def test_quadratic_relation(oracle):
     y = Scalar.y(1)
     for i in range(2):
         for F in (o.line_bundle((1, 2)), o.mc(3), o.point_class()):
-            T1 = o.dl_left(i, F)
-            T2 = o.dl_left(i, T1)
+            T1 = dl_left(o, i, F)
+            T2 = dl_left(o, i, T1)
             expr = o.add(o.add(T2, o.scale(T1, Scalar.one() + y)), o.scale(F, y))
             assert all(not f for f in expr.values()), i
 
@@ -38,8 +39,8 @@ def test_quadratic_relation(oracle):
 def test_braid_relation(oracle):
     o = oracle
     F = o.line_bundle((1, -1))
-    a = o.dl_left(0, o.dl_left(1, o.dl_left(0, F)))
-    b = o.dl_left(1, o.dl_left(0, o.dl_left(1, F)))
+    a = dl_left(o, 0, dl_left(o, 1, dl_left(o, 0, F)))
+    b = dl_left(o, 1, dl_left(o, 0, dl_left(o, 1, F)))
     assert o.classes_equal(a, b)
 
 
