@@ -1,14 +1,15 @@
 """Content-addressed on-disk cache for printed tables.
 
-An entry holds a block of text exactly as it is printed, next to the
-SHA-256 of that text: a JSON file {"sha256": <hex>, "text": <block>}
-named by the SHA-256 of its canonical key.  The key includes the
-package version and a digest of the package sources, so results from
-stale code are never reused.  An entry that cannot be read, or whose
-text does not match its digest, is a miss: one changed byte is caught,
-but an entry whose digest was rewritten with it is trusted.  Writes use
-a temp-file rename so concurrent writers of the same key converge on
-identical content.
+An entry holds a block of text exactly as it is printed, after the
+SHA-256 of its bytes: the 64-character hex digest, a newline, then the
+UTF-8 bytes of the block, in a file named by the SHA-256 of its
+canonical key (with the suffix .json).  The key includes the package
+version and a digest of the package sources, so results from stale
+code are never reused.  An entry that cannot be read, has no digest
+line, or whose bytes do not match their digest or are not UTF-8, is a
+miss: one changed byte is caught, but an entry whose digest was
+rewritten with it is trusted.  Writes use a temp-file rename so
+concurrent writers of the same key converge on identical content.
 """
 
 from __future__ import annotations
@@ -62,35 +63,31 @@ def default_cache_dir():
 
 def cache_get(directory, key):
     """The stored text, or None on a miss or an entry that cannot be
-    read or does not match its digest."""
+    read, does not match its digest or is not UTF-8."""
     if not directory:
         return None
-    path = os.path.join(directory, key + ".json")
-    if not os.path.exists(path):
-        return None
     try:
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-        text = entry["text"]
-        if hashlib.sha256(text.encode()).hexdigest() == entry["sha256"]:
-            return text
-    # unreadable, not UTF-8 or JSON, another shape, or text not a str
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        with open(os.path.join(directory, key + ".json"), "rb") as fh:
+            digest, newline, body = fh.read().partition(b"\n")
+        if newline and hashlib.sha256(body).hexdigest().encode() == digest:
+            return body.decode("utf-8")
+    # no entry, one that cannot be read, or a body that is not UTF-8
+    except (OSError, UnicodeDecodeError):
         pass
     return None
 
 
 def cache_put(directory, key, text):
-    """Store a text and its digest atomically; IO errors propagate."""
+    """Store a text after its digest atomically; IO errors propagate."""
     if not directory:
         return
     os.makedirs(directory, exist_ok=True)
-    blob = json.dumps({"sha256": hashlib.sha256(text.encode()).hexdigest(),
-                       "text": text})
+    body = text.encode("utf-8")
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(blob)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n")
+            fh.write(body)
         os.replace(tmp, os.path.join(directory, key + ".json"))
     finally:
         if os.path.exists(tmp):

@@ -578,21 +578,6 @@ class GA:
     def __repr__(self):
         return "GA(%s)" % self.render(exp_mono(1))
 
-    def to_json(self):
-        """[{"weight": [...], "coeff": {"<v exponent>": int}}], weights
-        ascending: the sorted keys grouped by their weight fields."""
-        r = self.rank()
-        c = self.c
-        out = []
-        last = None
-        for k in sorted(c):
-            if k >> FIELD != last:
-                last = k >> FIELD
-                coeff = {}
-                out.append({"weight": list(_weight(k, r)), "coeff": coeff})
-            coeff[str((k & MASK) - _HALF)] = c[k]
-        return out
-
 
 class Scalar(GA):
     """A Laurent polynomial in v with integer coefficients: the rank-0

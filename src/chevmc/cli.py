@@ -15,9 +15,10 @@ import json
 import os
 import sys
 from functools import cache, partial
+from itertools import groupby
 
 from . import __version__
-from .charring import exp_mono
+from .charring import FIELD, GA, MASK, _HALF, _weight, exp_mono
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
 from .chevalley import chevalley_table, render_table
@@ -105,7 +106,7 @@ def _table_json(W, table):
     return [
         {
             "u": W.word_str(u),
-            "value": table[u].to_json(),
+            "value": table[u],
         }
         for u in sorted(table)
     ]
@@ -131,26 +132,33 @@ class _Encoded(str):
     which `_dumps` copies as it is."""
 
 
-def _dumps(v, pad="\n"):
+def _dumps(v, pad="\n", memo=None):
     """json.dumps(v, sort_keys=True, indent=1), byte for byte, with one
     join per container and the C string encoder (on Python < 3.13,
     `indent` turns off json's C encoder).  `pad` is the newline and
-    indent of v's own line; an `_Encoded` value is written as it is, and
-    a value not special-cased here goes through json.dumps and has its
-    lines indented to `pad`, which is exact since a JSON string never
-    holds a raw newline."""
+    indent of v's own line.  A `GA` is written as the list
+    [{"coeff": {"<v exponent>": int}, "weight": [...]}], weights
+    ascending, straight from its packed keys (`_ga_json`), with the
+    fragments of one weight or one coefficient at one pad kept in
+    `memo` (a fresh dict if None; a caller that writes several values
+    in one invocation passes one).  An `_Encoded` value is written as it
+    is, and a value not special-cased here goes through json.dumps and
+    has its lines indented to `pad`, which is exact since a JSON string
+    never holds a raw newline."""
     t = type(v)
     if t is str:
         return _encode_str(v)
     if t is int:
         return int.__repr__(v)
+    if memo is None:
+        memo = {}
     # int members, most of a table's leaves, are written inline
     if t is list or t is tuple:
         if not v:
             return "[]"
         inner = pad + " "
         return "[%s%s%s]" % (inner, ("," + inner).join(
-            [int.__repr__(x) if type(x) is int else _dumps(x, inner)
+            [int.__repr__(x) if type(x) is int else _dumps(x, inner, memo)
              for x in v]), pad)
     if t is dict and all(type(k) is str for k in v):
         if not v:
@@ -158,11 +166,52 @@ def _dumps(v, pad="\n"):
         inner = pad + " "
         return "{%s%s%s}" % (inner, ("," + inner).join(
             [_encode_str(k) + ": "
-             + (int.__repr__(x) if type(x) is int else _dumps(x, inner))
+             + (int.__repr__(x) if type(x) is int
+                else _dumps(x, inner, memo))
              for k, x in sorted(v.items())]), pad)
+    if t is GA:
+        return _ga_json(v, pad, memo)
     if t is _Encoded:
         return v
     return json.dumps(v, sort_keys=True, indent=1).replace("\n", pad)
+
+
+def _ga_json(g, pad, memo):
+    """The `_dumps` text of a GA at `pad`: its sorted keys grouped by
+    weight fields (k >> FIELD), one {"coeff", "weight"} object a group.
+    A group is two fragments, its comma, brace and "coeff" dict up to
+    the "weight" key, then its weight list and closing brace; each is
+    formatted once per pad and kept in `memo`, since a table repeats
+    few distinct coefficients and weights over many groups."""
+    c = g.c
+    if not c:
+        return "[]"
+    i1 = pad + " "
+    i2 = i1 + " "
+    i3 = i2 + " "
+    # at one pad, ints (k >> FIELD) key the weight fragments and tuples
+    # of (v field, int) pairs the coefficient fragments
+    frags = memo.setdefault(pad, {})
+    keys = sorted(c)
+    rank = g.rank()
+    parts = []
+    for wk, group in groupby(keys, FIELD.__rrshift__):
+        vc = tuple([(k & MASK, c[k]) for k in group])
+        text = frags.get(vc)
+        if text is None:
+            # the v exponents in the string order of sort_keys
+            items = sorted([(str(vk - _HALF), x) for vk, x in vc])
+            text = frags[vc] = ',%s{%s"coeff": {%s%s%s},%s"weight": ' % (
+                i1, i2, i3, ("," + i3).join(['"%s": %d' % kx for kx in items]),
+                i2, i2)
+        parts.append(text)
+        text = frags.get(wk)
+        if text is None:
+            text = frags[wk] = "%s%s}" % (
+                _dumps(list(_weight(wk << FIELD, rank)), i2), i1)
+        parts.append(text)
+    parts[0] = parts[0][1:]  # no comma before the first group
+    return "[%s%s]" % ("".join(parts), pad)
 
 
 def _emit(doc, text, fmt, out):
@@ -222,11 +271,13 @@ def _epsilon_render(W, table):
 
 # -- subcommand bodies -------------------------------------------------
 
-def _chevalley_block(args, W, word, table):
+def _chevalley_block(args, W, word, table, memo):
     """The printed block of the table of the element `word` in the
-    format of `args`; a JSON block is a `tables` element at its pad."""
+    format of `args`; a JSON block is a `tables` element at its pad,
+    written with the invocation's `_dumps` memo."""
     if args.format == "json":
-        return _dumps({"w": word, "entries": _table_json(W, table)}, "\n  ")
+        return _dumps({"w": word, "entries": _table_json(W, table)}, "\n  ",
+                      memo)
     if args.format == "latex":
         return "%% w = %s\n%s" % (word, _latex_table(W, table))
     if args.epsilon:
@@ -255,6 +306,7 @@ def _cmd_chevalley(args, out):
                                 require_reduced=False)
     cache_dir = args.cache_dir or default_cache_dir()
     blocks = []
+    memo = {}
     for wv in ws:
         word = W.word_str(wv)
         key = cache_key(
@@ -268,7 +320,7 @@ def _cmd_chevalley(args, out):
             table = chevalley_table(
                 rs, lam, wv, sign=sign, method=args.method, chain=chain, W=W
             )
-            block = _chevalley_block(args, W, word, table)
+            block = _chevalley_block(args, W, word, table, memo)
             try:
                 cache_put(cache_dir, key, block)
             except OSError as exc:
@@ -366,7 +418,7 @@ def _cmd_whittaker(args, out):
     docs = []
     for wv in ws:
         g = whittaker(rs, lam, wv)
-        docs.append({"w": W.word_str(wv), "value": g.to_json()})
+        docs.append({"w": W.word_str(wv), "value": g})
         lines.append("W[%s] = %s" % (W.word_str(wv), g.render(exp_mono(rs.h))))
     doc = _doc("whittaker", rs, lam=list(lam), values=docs)
     _emit(doc, "\n".join(lines), args.format, out)
@@ -390,8 +442,7 @@ def _cmd_hl(args, out):
         text = render_x(rs, g, degree)
     else:
         text = g.render(exp_mono(rs.h), var="t")
-    doc = _doc("hl", rs, lam=list(lam), method=args.method,
-               value=g.to_json())
+    doc = _doc("hl", rs, lam=list(lam), method=args.method, value=g)
     _emit(doc, text, args.format, out)
     return 0
 

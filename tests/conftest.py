@@ -5,6 +5,7 @@ The Hall-Littlewood term tables are stored as sets of
 """
 
 from chevmc.alcove import _in_alcove, _scale, _walls
+from chevmc.charring import FIELD, MASK, _HALF, _weight
 from chevmc.localization import _delta
 
 # lambda = first fundamental weight in A2, expansion degree 1
@@ -77,6 +78,24 @@ def hl_terms_as_tuples(rs, lam, formula, degree):
             b += 1
             assert b <= 4, (coeff.render(var="t"), a)
         out.add((W.word_str(w), tuple(J), W.word_str(u), a, b, exps))
+    return out
+
+
+def ref_to_json(g):
+    """[{"weight": [...], "coeff": {"<v exponent>": int}}], weights
+    ascending: the sorted keys of a GA grouped by their weight fields.
+    The reference encoder that `cli._dumps`, which writes a GA's text
+    straight from its keys, is checked against."""
+    r = g.rank()
+    c = g.c
+    out = []
+    last = None
+    for k in sorted(c):
+        if k >> FIELD != last:
+            last = k >> FIELD
+            coeff = {}
+            out.append({"weight": list(_weight(k, r)), "coeff": coeff})
+        coeff[str((k & MASK) - _HALF)] = c[k]
     return out
 
 

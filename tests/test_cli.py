@@ -16,12 +16,12 @@ from hypothesis import given, settings, strategies as st
 from chevmc import __version__
 from chevmc.cli import _dumps, build_parser, run
 from chevmc.cache import cache_key, cache_get, cache_put
-from chevmc.charring import GA, LIMIT
+from chevmc.charring import GA, LIMIT, Scalar
 from chevmc.oracle import KOracle
 from chevmc.rootsystem import RootSystem, WeylGroup
 from chevmc.verify import run_suite, suite_cases
 import chevmc
-from conftest import v_minus_lambda
+from conftest import ref_to_json, v_minus_lambda
 
 
 def _run(argv):
@@ -422,6 +422,11 @@ def test_cache_key_includes_version(tmp_path, monkeypatch):
     payload = "w = s1\nC[u=e] = (-y -1)*e^{w1}\n"
     cache_put(str(tmp_path), key, payload)
     assert cache_get(str(tmp_path), key) == payload
+    # the entry is the digest line, then the text's UTF-8 bytes
+    body = payload.encode()
+    entry, = tmp_path.iterdir()
+    assert entry.read_bytes() == (
+        hashlib.sha256(body).hexdigest().encode() + b"\n" + body)
     import chevmc.cache as cache_mod
 
     monkeypatch.setattr(cache_mod, "__version__", __version__ + ".dev0")
@@ -435,37 +440,61 @@ def test_cache_corrupted_entry_recomputed(tmp_path):
             "--format", "json", "--cache-dir", str(tmp_path)]
     code, a = _run(argv)
     assert code == 0
-    for f in tmp_path.iterdir():
-        f.write_text("{ not json")
+    path, = tmp_path.iterdir()
+    stored = path.read_bytes()
+    path.write_text("{ not json")
     code, b = _run(argv)
     assert code == 0 and a == b
+    assert path.read_bytes() == stored
+
+
+def _sha(body):
+    return hashlib.sha256(body).hexdigest().encode()
 
 
 @pytest.mark.parametrize("entry", [
     "{}", '[{"x": 1}]', '[{"u": 3}]', '[{"u": "s1", "value": "v"}]',
     '"text"', '{"text": "w = s1"}', '{"sha256": "0", "text": 3}',
     '{"sha256": "0", "text": "\\ud800"}',  # not encodable as UTF-8
+    # raw-layout entries built from the stored digest line and body
+    pytest.param(lambda digest, body: b"", id="empty"),
+    pytest.param(lambda digest, body: digest, id="digest-only"),
+    pytest.param(lambda digest, body: digest + body, id="no-newline"),
+    pytest.param(lambda digest, body: _sha(b"w = s1") + b"\n" + body,
+                 id="another-digest"),
+    pytest.param(lambda digest, body: _sha(body + b"\xe9") + b"\n" + body
+                 + b"\xe9", id="not-utf8"),
+    pytest.param(lambda digest, body: json.dumps(
+        {"sha256": digest.decode(), "text": body.decode()}).encode(),
+        id="old-layout"),
 ])
 def test_cache_misshaped_entry_recomputed(tmp_path, entry):
     argv = ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
             "--format", "json", "--cache-dir", str(tmp_path)]
     code, a = _run(argv)
     assert code == 0
-    for f in tmp_path.iterdir():
-        f.write_text(entry)
+    path, = tmp_path.iterdir()
+    stored = path.read_bytes()
+    if callable(entry):
+        digest, _, body = stored.partition(b"\n")
+        path.write_bytes(entry(digest, body))
+    else:
+        path.write_text(entry)
+    assert path.read_bytes() != stored
     code, b = _run(argv)
     assert code == 0 and a == b
     # the recomputed table replaced the bad entry
+    assert path.read_bytes() == stored
     code, c = _run(argv)
     assert code == 0 and a == c
 
 
 def _edit_text(path, edit):
-    """Apply `edit` to the stored text of the cache entry at `path` and
-    leave the stored digest as it was."""
-    entry = json.loads(path.read_text())
-    entry["text"] = edit(entry["text"])
-    path.write_text(json.dumps(entry))
+    """Apply `edit` to the stored text of the cache entry at `path`: the
+    body after the digest line; the digest line stays as it was."""
+    digest, newline, body = path.read_bytes().partition(b"\n")
+    assert newline
+    path.write_bytes(digest + newline + edit(body.decode()).encode())
 
 
 def _edit_entries(mutate):
@@ -524,19 +553,19 @@ def test_cache_non_canonical_entry_recomputed(tmp_path, mutate):
     code, a = _run(argv)
     assert code == 0
     path, = tmp_path.iterdir()
-    stored = path.read_text()
+    stored = path.read_bytes()
     _edit_text(path, _edit_entries(mutate))
-    assert path.read_text() != stored
+    assert path.read_bytes() != stored
     code, b = _run(argv)
     assert code == 0 and a == b
-    assert path.read_text() == stored
+    assert path.read_bytes() == stored
 
 
 def _term(weight, coeff):
     return {"weight": weight, "coeff": coeff}
 
 
-# rank-2 `GA.to_json` lists with one fault each; `to_json` writes none
+# rank-2 `ref_to_json` lists with one fault each; `_dumps` writes none
 BAD_GA_JSON = [
     [_term([0, 1], {"0": 1, "2": 0})],  # a zero coefficient
     [_term([0, 1], {})],  # no coefficient
@@ -575,10 +604,10 @@ def test_cache_bad_value_recomputed(tmp_path, items):
         code, miss = _run(run)
         assert code == 0
         path, = cache.iterdir()
-        stored = path.read_text()
+        stored = path.read_bytes()
         _edit_text(path, _set_last_value(items))
         assert _run(run) == (0, miss), fmt
-        assert path.read_text() == stored
+        assert path.read_bytes() == stored
 
 
 @pytest.mark.parametrize("cut", [0, -1])
@@ -592,10 +621,10 @@ def test_cache_truncated_entry_recomputed(tmp_path, cut):
         code, miss = _run(run)
         assert code == 0
         path, = cache.iterdir()
-        stored = path.read_text()
+        stored = path.read_bytes()
         _edit_text(path, lambda text: "\n".join(text.split("\n")[:cut]))
         assert _run(run) == (0, miss), fmt
-        assert path.read_text() == stored
+        assert path.read_bytes() == stored
 
 
 @pytest.mark.parametrize("fmt,old,new", [
@@ -611,10 +640,10 @@ def test_cache_changed_coefficient_recomputed(tmp_path, fmt, old, new):
     code, miss = _run(argv)
     assert code == 0 and old in miss
     path, = tmp_path.iterdir()
-    stored = path.read_text()
+    stored = path.read_bytes()
     _edit_text(path, lambda text: text.replace(old, new, 1))
     assert _run(argv) == (0, miss)
-    assert path.read_text() == stored
+    assert path.read_bytes() == stored
 
 
 def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
@@ -685,6 +714,54 @@ _json_values = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_writer_matches_json_dumps(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+def _gas(rank):
+    """GA elements of one rank: weights near 0 (so that weights and
+    coefficients repeat across terms) or anywhere in range, v exponents
+    in -20..20, whose strings sort as "-1" < "-10" < "-2"."""
+    coord = st.one_of(st.integers(-2, 2), st.integers(-LIMIT, LIMIT - 1))
+    scalar = st.dictionaries(
+        st.integers(-20, 20),
+        st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
+        max_size=6).map(Scalar)
+    return st.lists(st.tuples(st.tuples(*[coord] * rank), scalar),
+                    max_size=8).map(GA)
+
+
+def _ref_doc(v):
+    """`v` with every GA replaced by its reference encoding."""
+    if type(v) is GA:
+        return ref_to_json(v)
+    if type(v) is dict:
+        return {k: _ref_doc(x) for k, x in v.items()}
+    if type(v) is list:
+        return [_ref_doc(x) for x in v]
+    return v
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_writer_writes_ga_as_reference(data):
+    # `_dumps` writes a GA from its packed keys, with one memo shared
+    # across two ranks and two pads, as json.dumps writes its reference
+    # encoding at that pad
+    ranks = data.draw(st.lists(st.integers(1, 15), min_size=2, max_size=2,
+                               unique=True), label="ranks")
+    pads = data.draw(st.lists(st.sampled_from(["\n", "\n ", "\n  ", "\n   "]),
+                              min_size=2, max_size=2, unique=True),
+                     label="pads")
+    gs = [data.draw(_gas(r), label="g") for r in ranks for _ in range(2)]
+    gs.append(GA({(0,) * ranks[0]: Scalar({-1: 1, -10: 2, -2: 3, 10: 4})}))
+    memo = {}
+    for pad in pads:
+        for g in gs:
+            want = json.dumps(ref_to_json(g), sort_keys=True, indent=1)
+            assert _dumps(g, pad, memo) == want.replace("\n", pad)
+    doc = {"w": "s1", "value": gs[0],
+           "tables": [{"entries": [{"u": "e", "value": g} for g in gs]}]}
+    assert _dumps(doc, "\n", memo) == json.dumps(
+        _ref_doc(doc), sort_keys=True, indent=1)
 
 
 def test_cache_not_writable_exits_2(tmp_path, capsys):
