@@ -11,12 +11,15 @@ of roots beta_1..beta_l with separating hyperplanes H_{-beta_j, d_j};
 the chains drive every transition and Chevalley formula downstream.
 
 Those formulas sum over subsets J of chain positions.  descent_subsets
-finds them in one iterative depth-first pass (an explicit stack, so a
-chain of any length fits) that carries, next to the Weyl element
-reached, the translation part of the composed affine reflections as a
-packed key offset (see charring), so each subset's weight key is read
-off without replaying the reflections (the incremental alcove walk of
-Lenart-Postnikov).  chain_lex_height builds each chain once per root
+finds them for one starting element in one iterative depth-first pass
+(an explicit stack, so a chain of any length fits) that carries, next
+to the Weyl element reached, the translation part of the composed
+affine reflections as a packed key offset (see charring), so each
+subset's weight key is read off without replaying the reflections (the
+incremental alcove walk of Lenart-Postnikov).  It is the walk of a
+single-w table and of every caller that needs each J; the tables of
+many w are summed without listing the J, by the backward pass of
+chevalley.chevalley_chain_many over the same scan_steps.  chain_lex_height builds each chain once per root
 system and weight; chains are immutable and shared.
 
 Alcoves are tracked by one interior point of A, (1 - 1/(2h^2)) rho/h,
@@ -226,6 +229,22 @@ def _validate_chain(chain):
         raise AssertionError("chain reflections do not reach A - lambda")
 
 
+def scan_steps(chain: LambdaChain, ascending, walls, W):
+    """The chain positions in scan order, each as (j, bit, r_j, shift):
+    j the 1-based position, bit the bit of its root in W.inversions
+    (l(cur r_beta) < l(cur) iff cur(beta) < 0, for beta > 0), r_j the
+    element of the reflection in walls[j-1] = H_{alpha,k} and shift the
+    fine weight k alpha, None at level 0."""
+    rs = chain.rs
+    order = range(len(chain)) if ascending else range(len(chain) - 1, -1, -1)
+    return [
+        (j + 1, 1 << walls[j].root.index, W.reflection(walls[j].root),
+         tuple(walls[j].level * rs.h * c for c in walls[j].root.fund)
+         if walls[j].level else None)
+        for j in order
+    ]
+
+
 def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
     """All (u, J, B) with J a sorted tuple of chain positions along which w
     descends: scanning the positions in the given direction, each
@@ -244,21 +263,14 @@ def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
     The depth-first search keeps its open branches on a stack, not the
     call stack, and lists the subsets in the order of the recursion
     that skips a position before taking it.  W is the element store of
-    w (rs.weyl() by default).
+    w (rs.weyl() by default).  This is the walk of one w and the one
+    that lists each J; the tables of many w share one backward pass
+    (chevalley.chevalley_chain_many).
     """
-    rs = chain.rs
-    W = W or rs.weyl()
+    W = W or chain.rs.weyl()
     n = len(chain)
-    order = range(n) if ascending else range(n - 1, -1, -1)
-    # l(cur r_beta) < l(cur) iff cur(beta) < 0, for beta > 0: bit
-    # beta.index of W.inversions(cur)
-    bits = [1 << walls[j].root.index for j in order]
-    steps = [
-        (j + 1, W.reflection(walls[j].root),
-         tuple(walls[j].level * rs.h * c for c in walls[j].root.fund)
-         if walls[j].level else None)
-        for j in order
-    ]
+    steps = scan_steps(chain, ascending, walls, W)
+    bits = [bit for _, bit, _, _ in steps]
     inversions, mul, act_key = W.inversions, W.mul, W.act_key
     out = []
     stack = [(0, w, (), 0)]
@@ -267,7 +279,7 @@ def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
         desc = inversions(cur)
         for pos in range(i, n):
             if desc & bits[pos]:
-                j, refl, shift = steps[pos]
+                j, _, refl, shift = steps[pos]
                 stack.append((pos + 1, mul(cur, refl), J + (j,),
                               B + act_key(cur, shift) if shift else B))
         out.append((cur, J if ascending else J[::-1], B))

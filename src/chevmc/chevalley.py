@@ -7,7 +7,11 @@ motivic Chern class of a Schubert cell,
 
 and are computed here by three independent routes:
   * the lambda-chain formula (subsets J of chain positions with a strict
-    Bruhat chain from u to w),
+    Bruhat chain from u to w): one w walks its subsets depth first
+    (chevalley_chain, which chevalley_table runs), and the tables of
+    many w share one backward pass over (chain position, element)
+    (chevalley_chain_many), which sums each chain suffix once per
+    element; the two agree key for key,
   * the bridge through the affine Hecke transition coefficients
     (q = -y is an identity of the shared parameter ring),
   * the operator formula (the R-operator product along the chain).
@@ -24,7 +28,7 @@ from .charring import (
     GA, Scalar, _BIAS, _HALF, _add_products, _check, _pack, _weight,
     exp_mono,
 )
-from .alcove import chain_lex_height, descent_subsets
+from .alcove import chain_lex_height, descent_subsets, scan_steps
 
 
 @lru_cache(maxsize=1024)
@@ -97,6 +101,69 @@ def chevalley_chain(chain, w, sign, W=None):
         _add_products(by_u.setdefault(u, {}), ((key - _HALF, 1),),
                       coeff.c.items())
     return {u: GA._new(c) for u, c in _checked(by_u, chain.rs.rank).items()}
+
+
+def chevalley_chain_many(chain, ws, sign, W=None):
+    """{w: chevalley_chain(chain, w, sign, W)} for the elements ws, in
+    one pass that every w shares.
+
+    F_i(x), the sum of the chain formula over the subsets J of the scan
+    positions from i on, walked from x, obeys
+
+        F_n(x) = e^{+-x(lambda)},
+        F_i(x) = F_{i+1}(x) + c_i(x) e^{-x(k beta)} F_{i+1}(x r_i)
+
+    when x descends at step i (r_i the reflection, H_{beta,k} the wall
+    and c_i(x) = _term_coeff(1, l(x) - l(x r_i) - 1, beta_i < 0, sign));
+    the table of w is F_0(w).  The factors along a J multiply to its
+    leaf's coefficient in _leaves and the shifts add to its B, so every
+    key of an F is a leaf key of some table and stays in range.  A
+    forward sweep lists the elements reached at each step and their
+    descents; the backward sweep then keeps one F per element, updated
+    in place: x r_i ascends at step i, so no F read at a step changes
+    there, and an element is dropped before the first step it is not
+    reached at.  An F is {u: key dict}, as in chevalley_chain."""
+    rs = chain.rs
+    W = W or rs.weyl()
+    lam = chain.lam
+    _pack(lam)  # raises on a weight outside the packed range
+    positive = sign > 0
+    walls = chain.walls if positive else chain.far_walls
+    length, inversions, mul, act_key = (W.length, W.inversions, W.mul,
+                                        W.act_key)
+    reached = dict.fromkeys(ws)
+    # per step: the (x, x r_i, key pairs of c_i(x) e^{-x(k beta)}) of
+    # the elements x that descend, and the elements first reached after it
+    moves, born = [], []
+    for j, bit, refl, shift in scan_steps(chain, positive, walls, W):
+        odd = not chain.betas[j - 1].positive
+        here, new = [], {}
+        for x in reached:
+            if inversions(x) & bit:
+                y = mul(x, refl)
+                s = _HALF + (act_key(x, shift) if shift else 0)
+                coeff = _term_coeff(1, length[x] - length[y] - 1, odd,
+                                    positive)
+                here.append((x, y, [(k - s, c) for k, c in coeff.c.items()]))
+                if y not in reached:
+                    new[y] = None
+        moves.append(here)
+        born.append(new)
+        reached.update(new)
+    bias = _BIAS[rs.rank]
+    F = {}
+    for x in reached:
+        lk = act_key(x, lam)
+        F[x] = {x: {bias + lk if positive else bias - lk: 1}}
+    for here, new in zip(reversed(moves), reversed(born)):
+        for x, y, a in here:
+            fx = F[x]
+            for u, c in F[y].items():
+                _add_products(fx.setdefault(u, {}), a, c.items())
+        for y in new:
+            del F[y]
+    return {w: {u: GA._new(c) for u, c in _checked(F.pop(w), rs.rank).items()}
+            for w in dict.fromkeys(ws)}
 
 
 def chevalley_bridge(halg, w, lam_fund, sign):

@@ -21,7 +21,7 @@ from . import __version__
 from .charring import FIELD, GA, MASK, _HALF, _weight, exp_mono
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
-from .chevalley import chevalley_table, render_table
+from .chevalley import chevalley_chain_many, chevalley_table, render_table
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
 from .verify import SUITES, run_suite
 
@@ -305,33 +305,42 @@ def _cmd_chevalley(args, out):
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
                                 require_reduced=False)
     cache_dir = args.cache_dir or default_cache_dir()
-    blocks = []
-    memo = {}
-    for wv in ws:
-        word = W.word_str(wv)
-        key = cache_key(
+    words = {wv: W.word_str(wv) for wv in ws}
+    keys = {
+        wv: cache_key(
             "chevalley", rs.family, rs.rank, lam, word, args.method,
             extra={"sign": sign, "word": args.word, "format": args.format,
                    "epsilon": args.epsilon},
         )
-        # a hit is the block as the miss that wrote it printed it
-        block = cache_get(cache_dir, key)
-        if block is None:
-            table = chevalley_table(
-                rs, lam, wv, sign=sign, method=args.method, chain=chain, W=W
-            )
-            block = _chevalley_block(args, W, word, table, memo)
-            try:
-                cache_put(cache_dir, key, block)
-            except OSError as exc:
-                raise CliError("cannot write the cache: %s" % exc)
-        blocks.append(block)
+        for wv, word in words.items()
+    }
+    # a hit is the block as the miss that wrote it printed it
+    blocks = {wv: cache_get(cache_dir, key) for wv, key in keys.items()}
+    misses = [wv for wv, block in blocks.items() if block is None]
+    tables = {}
+    if args.method == "chain" and len(misses) > 1:
+        # the chain tables of many w share one backward pass
+        tables = chevalley_chain_many(
+            chain_lex_height(rs, lam) if chain is None else chain, misses,
+            sign, W)
+    memo = {}
+    for wv in misses:
+        table = tables.pop(wv, None)
+        if table is None:
+            table = chevalley_table(rs, lam, wv, sign=sign,
+                                    method=args.method, chain=chain, W=W)
+        block = blocks[wv] = _chevalley_block(args, W, words[wv], table, memo)
+        try:
+            cache_put(cache_dir, keys[wv], block)
+        except OSError as exc:
+            raise CliError("cannot write the cache: %s" % exc)
     if args.format == "json":
         doc = _doc("chevalley", rs, lam=list(lam), sign=sign,
-                   method=args.method, tables=[_Encoded(b) for b in blocks])
+                   method=args.method,
+                   tables=[_Encoded(b) for b in blocks.values()])
         out.write(_dumps(doc) + "\n")
     else:
-        out.write("\n\n".join(blocks) + "\n")
+        out.write("\n\n".join(blocks.values()) + "\n")
     return 0
 
 
@@ -517,10 +526,12 @@ def _cmd_search_positivity(args, out):
     findings = []
     checked = 0
     for lam in _minuscule_weights(rs):
+        tables = chevalley_chain_many(chain_lex_height(rs, lam), range(W.n),
+                                      1, W)
         for w in range(W.n):
-            table = chevalley_table(rs, lam, w, sign=1)
-            for u, g in table.items():
-                for k, x in g.terms():
+            table = tables.pop(w)
+            for u in sorted(table):
+                for k, x in table[u].terms():
                     checked += 1
                     coeffs = x.y_coeffs()
                     if any(c < 0 for c in coeffs.values()) and any(

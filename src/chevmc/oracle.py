@@ -275,12 +275,13 @@ class StableBasis:
 
         where the composite substitution fixes the scalar ring and
         negates the weights."""
-        from .chevalley import chevalley_table
+        from .chevalley import chevalley_chain_many
 
         W = self.W
+        tables = chevalley_chain_many(chain_lex_height(self.rs, lam_fund),
+                                      range(W.n), -1, W)
         out = {}
-        for w in range(W.n):
-            table = chevalley_table(self.rs, lam_fund, w, sign=-1)
+        for w, table in tables.items():
             for u, g in table.items():
                 out[(u, w)] = g.star() * Scalar.v(W.length[u] - W.length[w])
         return out

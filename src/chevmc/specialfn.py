@@ -18,7 +18,7 @@ from .charring import (
     GA, Scalar, _BIAS, _pack, _wneg, _weight, power_mono, render_terms,
 )
 from .alcove import chain_lex_height, descent_subsets
-from .chevalley import chevalley_table
+from .chevalley import chevalley_chain_many, chevalley_table
 from .localization import dl_step
 from .oracle import KOracle
 
@@ -138,10 +138,11 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
         )
     if method == "chevalley":
         # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
+        tables = chevalley_chain_many(chain_lex_height(rs, lam_fund),
+                                      W.min_coset_reps(parabolic), 1, W)
         return GA.dot(
             (g, Scalar.q(W.length[u]))
-            for w in W.min_coset_reps(parabolic)
-            for u, g in chevalley_table(rs, lam_fund, w, sign=1).items()
+            for table in tables.values() for u, g in table.items()
         )
     if method == "quotient":
         r = big_r(rs, lam_fund)

@@ -8,9 +8,11 @@ failure description otherwise.
 Within one `run_suite` call, the cases of one (family, rank) share one
 RootSystem (and so one Weyl group), one KOracle, one CohOracle, one
 memo of chain tables and the outcome of the lambda-independent stable
-checks (`_shared`).  The sharing ends when the call returns; in a pool
-it lasts as long as each worker.  A case called on its own builds
-everything itself.
+checks (`_shared`).  The memo fills the tables of every w of a
+(lambda, sign) at once, in the one backward pass of
+chevalley_chain_many, on the first case that asks for one of them.
+The sharing ends when the call returns; in a pool it lasts as long as
+each worker.  A case called on its own builds everything itself.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .charring import GA, Scalar
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height
 from .chevalley import (
+    chevalley_chain_many,
     chevalley_table,
     duality_check,
     positivity_terms,
@@ -58,14 +61,18 @@ def _tables(rs):
 
 def _table_fn(rs):
     """chevalley_table(rs, lam_fund, w, sign) by the chain route,
-    memoised on its arguments.  Callers only read the tables."""
+    memoised: the first call for a (lam_fund, sign) fills the tables of
+    every w in one pass (chevalley_chain_many).  Callers only read the
+    tables."""
+    W = rs.weyl()
     tables = {}
 
     def fn(w, lam_fund, sign):
-        key = (w, lam_fund, sign)
+        key = (lam_fund, sign)
         if key not in tables:
-            tables[key] = chevalley_table(rs, lam_fund, w, sign=sign)
-        return tables[key]
+            tables[key] = chevalley_chain_many(
+                chain_lex_height(rs, lam_fund), range(W.n), sign, W)
+        return tables[key][w]
     return fn
 
 
@@ -293,46 +300,38 @@ SUITES = ("dualities", "oracle", "methods", "stable", "hl", "whittaker",
 
 
 def suite_cases(suite, family, rank, max_weight=2):
-    """List of (case_id, func_name, args) for a named suite."""
+    """List of (case_id, func_name, args) for a named suite; 'all' runs
+    every suite in the order of SUITES.  A suite with no cases, or an
+    'all' one of whose suites has none, is refused (ValueError)."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
     # every suite runs on the exhaustive group
     _root_system(family, rank).check_exhaustive()
+    pm = _lams_pm_fund_rho(rank)
+    dominant = _dominant_lams(rank, max_weight)
+    kinds = ("serre", "star", "dynkin", "star_dynkin", "palindromic")
+    parts = {
+        "dualities": [("duality", kind, lam) for kind in kinds for lam in pm],
+        "oracle": [("oracle", lam) for lam in _lams_box(rank, max_weight)],
+        "methods": [("methods", lam) for lam in pm],
+        "stable": [("stable", lam) for lam in dominant[:3]],
+        "hl": [("hl", lam) for lam in dominant],
+        "whittaker": [("whittaker", lam) for lam in pm
+                      if all(c <= 0 for c in lam)],
+        "csm": [("csm", lam) for lam in pm if all(c >= 0 for c in lam)],
+        "positivity": [("positivity", lam) for lam in dominant],
+    }
+    names = SUITES[:-1] if suite == "all" else (suite,)
+    for name in names:
+        if not parts[name]:
+            raise ValueError("suite %r has no cases for %s%d at --max-weight %d"
+                             % (name, family, rank, max_weight))
     cases = []
-
-    def add(func, *args):
-        cases.append(("%s(%s)" % (func, ",".join(map(str, args))), func, args))
-
-    if suite in ("dualities", "all"):
-        for kind in ("serre", "star", "dynkin", "star_dynkin", "palindromic"):
-            for lam in _lams_pm_fund_rho(rank):
-                add("duality", family, rank, kind, lam)
-    if suite in ("oracle", "all"):
-        for lam in _lams_box(rank, max_weight):
-            add("oracle", family, rank, lam)
-    if suite in ("methods", "all"):
-        for lam in _lams_pm_fund_rho(rank):
-            add("methods", family, rank, lam)
-    if suite in ("stable", "all"):
-        for lam in _dominant_lams(rank, max_weight)[:3]:
-            add("stable", family, rank, lam)
-    if suite in ("hl", "all"):
-        for lam in _dominant_lams(rank, max_weight):
-            add("hl", family, rank, lam)
-    if suite in ("whittaker", "all"):
-        for lam in _lams_pm_fund_rho(rank):
-            if all(c <= 0 for c in lam):
-                add("whittaker", family, rank, lam)
-    if suite in ("csm", "all"):
-        for lam in _lams_pm_fund_rho(rank):
-            if all(c >= 0 for c in lam):
-                add("csm", family, rank, lam)
-    if suite in ("positivity", "all"):
-        for lam in _dominant_lams(rank, max_weight):
-            add("positivity", family, rank, lam)
-    if not cases:
-        raise ValueError("suite %r has no cases for %s%d at --max-weight %d"
-                         % (suite, family, rank, max_weight))
+    for name in names:
+        for func, *rest in parts[name]:
+            args = (family, rank, *rest)
+            cases.append(("%s(%s)" % (func, ",".join(map(str, args))), func,
+                          args))
     return cases
 
 
@@ -356,7 +355,10 @@ def _run_in_worker(item):
 
 
 def pool_size(jobs):
-    """Worker processes for `jobs`, at most one per CPU."""
+    """Worker processes for `jobs`, at most one per CPU; jobs below 1
+    are refused (ValueError)."""
+    if jobs < 1:
+        raise ValueError("--jobs %d: need at least 1" % jobs)
     return min(jobs, os.cpu_count() or 1)
 
 

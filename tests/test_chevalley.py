@@ -1,6 +1,7 @@
 """Chevalley coefficient formulas: chain, bridge, operator, dualities."""
 
 import hashlib
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from chevmc import alcove
 from chevmc.alcove import chain_from_word, chain_lex_height
 from chevmc.oracle import KOracle
 from chevmc.chevalley import (
+    chevalley_chain,
+    chevalley_chain_many,
     chevalley_table,
     chevalley_terms,
     chevalley_parabolic,
@@ -315,3 +318,95 @@ def test_chain_and_operator_agree_e7_e8(rank):
         chain = chevalley_table(rs, lam, x, method="chain", W=L)
         assert x in chain and len(chain) == entries
         assert chain == chevalley_table(rs, lam, x, method="operator", W=L)
+
+
+# -- the all-w pass ----------------------------------------------------
+
+def _per_w(chain, ws, sign, W):
+    """The reference: one depth-first walk per w."""
+    return {w: chevalley_chain(chain, w, sign, W) for w in ws}
+
+
+def _weights(rank):
+    return itertools.product(range(-1, 3), repeat=rank)
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 1), ("A", 2), ("A", 3), ("B", 2), ("G", 2),
+])
+def test_chain_many_equals_per_w(family, rank):
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    for lam in _weights(rank):
+        chain = chain_lex_height(rs, lam)
+        for sign in (1, -1):
+            assert chevalley_chain_many(chain, range(W.n), sign, W) == (
+                _per_w(chain, range(W.n), sign, W)), (lam, sign)
+
+
+@pytest.mark.parametrize("family", ["B", "C"])
+def test_chain_many_equals_per_w_rank3(family):
+    # every weight in [-1, 2]^3: all w inside [-1, 1]^3, and a stratified
+    # sample of w through the (length, word) order where a 2 makes the
+    # chains long (the pass then runs on that proper subset)
+    rs = RootSystem(family, 3)
+    W = rs.weyl()
+    for n, lam in enumerate(_weights(3)):
+        ws = range(W.n) if max(lam) < 2 else range(n % 24, W.n, 24)
+        chain = chain_lex_height(rs, lam)
+        for sign in (1, -1):
+            assert chevalley_chain_many(chain, ws, sign, W) == (
+                _per_w(chain, ws, sign, W)), (lam, sign)
+
+
+@pytest.mark.parametrize("family,rank,lam,stride", [
+    ("D", 4, (1, 1, 1, 1), 17), ("F", 4, (1, 0, 0, 0), 97),
+])
+def test_chain_many_equals_per_w_rank4(family, rank, lam, stride):
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    ws = list(range(0, W.n, stride)) + [W.w0]
+    chain = chain_lex_height(rs, lam)
+    for sign in (1, -1):
+        assert chevalley_chain_many(chain, ws, sign, W) == (
+            _per_w(chain, ws, sign, W)), sign
+
+
+@pytest.mark.parametrize("family,rank,lam,word", [
+    ("A", 2, (2, 1), [1, 0, 1, -1, 0, 1]),
+    ("A", 2, (2, 1), [1, 0, 1, -1, 0, 1, 0, 0]),    # not reduced
+    ("A", 3, (0, 1, 0), [1, 2, 0, 1]),
+    ("A", 3, (0, 1, 0), [1, 2, 0, 1, 2, 2]),        # not reduced
+    ("C", 2, (-1, 0), [-1, 1, -1]),
+])
+def test_chain_many_on_word_chains(family, rank, lam, word):
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    chain = chain_from_word(rs, lam, word, require_reduced=False)
+    for sign in (1, -1):
+        assert chevalley_chain_many(chain, range(W.n), sign, W) == (
+            _per_w(chain, range(W.n), sign, W)), sign
+
+
+def test_chain_many_keeps_the_asked_elements():
+    rs = RootSystem("A", 3)
+    W = rs.weyl()
+    chain = chain_lex_height(rs, (1, -1, 2))
+    ws = [W.w0, 5, 0, 5, 17]
+    got = chevalley_chain_many(chain, ws, -1, W)
+    assert list(got) == [W.w0, 5, 0, 17]
+    assert got == _per_w(chain, got, -1, W)
+
+
+def test_chain_many_range_error():
+    # on A1 the fine exponents of lambda = 4096 reach 8192, just outside
+    # the packed range; the pass refuses it as the walk does
+    rs = RootSystem("A", 1)
+    W = rs.weyl()
+    chain = chain_lex_height(rs, (4096,))
+    with pytest.raises(ValueError) as walk:
+        chevalley_chain(chain, 0, 1, W)
+    for sign in (1, -1):
+        with pytest.raises(ValueError) as many:
+            chevalley_chain_many(chain, range(W.n), sign, W)
+        assert str(many.value) == str(walk.value)

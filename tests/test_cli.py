@@ -190,6 +190,28 @@ def test_verify_empty_suite_names_max_weight(capsys):
         suite_cases("nope", "A", 2, 0)
 
 
+def test_verify_all_with_an_empty_suite_exits_2(capsys):
+    # at these values the oracle, stable, hl and positivity suites have
+    # no cases; 'all' must refuse them, not run the others and pass
+    for mw in ("0", "-1"):
+        capsys.readouterr()
+        code, text = _run(["verify", "--suite", "all", "--type", "A2",
+                           "--max-weight", mw])
+        err = capsys.readouterr().err
+        assert code == 2 and not text, mw
+        assert "suite 'oracle'" in err and "--max-weight %s" % mw in err, err
+
+
+def test_verify_jobs_below_1_exits_2(capsys):
+    for jobs in ("0", "-1"):
+        capsys.readouterr()
+        code, text = _run(["verify", "--suite", "methods", "--type", "A2",
+                           "--jobs", jobs])
+        err = capsys.readouterr().err
+        assert code == 2 and not text, jobs
+        assert err.startswith("error: ") and "--jobs %s" % jobs in err, err
+
+
 def test_verify_case_ids_unique():
     # in rank 1, rho = varpi_1, so the +-varpi_i, +-rho weight list
     # repeats itself unless deduplicated; A2 keeps its order
@@ -664,6 +686,39 @@ def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
             assert _run(one + [cache]) == miss, fmt
 
 
+def test_cache_partly_filled_prints_miss_bytes(tmp_path):
+    # with half the entries of an all-w table deleted, the misses are
+    # computed in one pass over a proper subset of the group; with one
+    # deleted, by the single-word walk; both print the full miss's bytes
+    base = ["chevalley", "--type", "B3", "--lambda=1,1,1", "--w", "all"]
+    for fmt in ("json", "text", "latex"):
+        cache = tmp_path / fmt
+        argv = base + ["--format", fmt, "--cache-dir", str(cache)]
+        code, miss = _run(argv)
+        assert code == 0
+        assert _run(argv) == (0, miss), fmt
+        entries = sorted(cache.iterdir())
+        assert len(entries) == 48
+        for doomed in (entries[::2], entries[:1]):
+            for path in doomed:
+                path.unlink()
+            assert _run(argv) == (0, miss), (fmt, len(doomed))
+            assert len(list(cache.iterdir())) == 48
+
+
+def test_all_w_range_error_matches_single_word(capsys):
+    # lambda = 4096 on A1 leaves the packed range: the all-w pass and the
+    # single-word walk refuse it with one message
+    errs = []
+    for w in ("all", "s1"):
+        capsys.readouterr()
+        assert _run(["chevalley", "--type", "A1", "--lambda=4096",
+                     "--w", w]) == (2, ""), w
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == (
+        "error: exponent 8192 out of range [-8192, 8192)\n")
+
+
 # the all-w tables that dominate the cli benchmark, run twice with one
 # cache: a miss that writes the entry, then a hit that prints it
 _BIG_ARGVS = [
@@ -829,11 +884,12 @@ def test_verify_pool_matches_serial():
 
 
 def _perturbed(real):
-    def table(rs, lam_fund, w, **kwargs):
-        out = dict(real(rs, lam_fund, w, **kwargs))
-        out[w] = out[w] + GA.const(1, rs.rank)
-        return out
-    return table
+    """The all-w pass with 1 added to every table's diagonal entry."""
+    def tables(chain, ws, sign, W=None):
+        one = GA.const(1, chain.rs.rank)
+        return {w: {**t, w: t[w] + one}
+                for w, t in real(chain, ws, sign, W).items()}
+    return tables
 
 
 def test_verify_tables_do_not_outlive_the_suite(monkeypatch):
@@ -842,8 +898,8 @@ def test_verify_tables_do_not_outlive_the_suite(monkeypatch):
 
     results = verify_mod.run_suite("oracle", "A", 2, max_weight=1)
     assert results and all(d is None for _, d in results)
-    monkeypatch.setattr(verify_mod, "chevalley_table",
-                        _perturbed(verify_mod.chevalley_table))
+    monkeypatch.setattr(verify_mod, "chevalley_chain_many",
+                        _perturbed(verify_mod.chevalley_chain_many))
     results = verify_mod.run_suite("oracle", "A", 2, max_weight=1)
     assert any(d is not None for _, d in results)
 
