@@ -18,9 +18,10 @@ affine reflections as a packed key offset (see charring), so each
 subset's weight key is read off without replaying the reflections (the
 incremental alcove walk of Lenart-Postnikov).  It is the walk of a
 single-w table and of every caller that needs each J; the tables of
-many w are summed without listing the J, by the backward pass of
-chevalley.chevalley_chain_many over the same scan_steps.  chain_lex_height builds each chain once per root
-system and weight; chains are immutable and shared.
+many w are summed without listing the J, by a backward pass over the
+same scan_steps (chevalley.chevalley_tables picks one or the other).
+chain_lex_height builds each chain once per root system and weight;
+chains are immutable and shared.
 
 Alcoves are tracked by one interior point of A, (1 - 1/(2h^2)) rho/h,
 which never lies on a wall.  Points are integer tuples on the fine
@@ -265,7 +266,7 @@ def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
     that skips a position before taking it.  W is the element store of
     w (rs.weyl() by default).  This is the walk of one w and the one
     that lists each J; the tables of many w share one backward pass
-    (chevalley.chevalley_chain_many).
+    (see chevalley.chevalley_tables).
     """
     W = W or chain.rs.weyl()
     n = len(chain)

@@ -7,14 +7,20 @@ motivic Chern class of a Schubert cell,
 
 and are computed here by three independent routes:
   * the lambda-chain formula (subsets J of chain positions with a strict
-    Bruhat chain from u to w): one w walks its subsets depth first
-    (chevalley_chain, which chevalley_table runs), and the tables of
-    many w share one backward pass over (chain position, element)
-    (chevalley_chain_many), which sums each chain suffix once per
-    element; the two agree key for key,
+    Bruhat chain from u to w),
   * the bridge through the affine Hecke transition coefficients
     (q = -y is an identity of the shared parameter ring),
   * the operator formula (the R-operator product along the chain).
+
+chevalley_tables is the one entry point for tables, and
+chevalley_table its one-w case.  It takes the lambda = 0 shortcut,
+builds the lex lambda-chain when none is given and picks how the chain
+route runs: one w walks its subsets depth first (chevalley_chain, which
+beats the pass for one w), two or more share one backward pass over
+(chain position, element) (_chain_pass), which sums each chain suffix
+once per element; the two agree key for key.  The operator and bridge
+routes run one w at a time.
+
 Dualities, the parabolic formula and the positivity decomposition for
 dominant weights live here as well.
 """
@@ -103,9 +109,9 @@ def chevalley_chain(chain, w, sign, W=None):
     return {u: GA._new(c) for u, c in _checked(by_u, chain.rs.rank).items()}
 
 
-def chevalley_chain_many(chain, ws, sign, W=None):
-    """{w: chevalley_chain(chain, w, sign, W)} for the elements ws, in
-    one pass that every w shares.
+def _chain_pass(chain, ws, sign, W=None):
+    """{w: chevalley_chain(chain, w, sign, W)} for the distinct elements
+    ws, in one pass that every w shares.
 
     F_i(x), the sum of the chain formula over the subsets J of the scan
     positions from i on, walked from x, obeys
@@ -163,7 +169,7 @@ def chevalley_chain_many(chain, ws, sign, W=None):
         for y in new:
             del F[y]
     return {w: {u: GA._new(c) for u, c in _checked(F.pop(w), rs.rank).items()}
-            for w in dict.fromkeys(ws)}
+            for w in ws}
 
 
 def chevalley_bridge(halg, w, lam_fund, sign):
@@ -233,25 +239,39 @@ def chevalley_operator(chain, w, W=None):
     return {u: GA._new(c) for u, c in state.items()}
 
 
-def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None,
-                    W=None):
-    """Full Chevalley table {u: C^w_{u, sign*lambda}}.  The chain and
-    operator routes run on the element store W of w (rs.weyl() by
-    default); the bridge route needs the exhaustive group."""
+def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None,
+                     W=None):
+    """{w: {u: C^w_{u, sign*lambda}}} for the distinct elements ws, in
+    their order.  The chain and operator routes run on the element store
+    W of ws (rs.weyl() by default), the bridge route on the exhaustive
+    group; chain, a chain for +lambda, defaults to the lex chain."""
+    ws = list(dict.fromkeys(ws))
+    if method not in ("chain", "operator", "bridge"):
+        raise ValueError("unknown method %r" % method)
+    if method == "bridge" and W is not None and W is not rs.weyl():
+        raise ValueError("the bridge route needs the exhaustive group")
+    if not any(lam_fund):
+        return {w: {w: GA.const(1, rs.rank)} for w in ws}
+    if method == "operator" and sign < 0:
+        raise ValueError("operator method computes the +lambda table")
     if method == "bridge":
         from .hecke import HeckeAlgebra
-        return chevalley_bridge(HeckeAlgebra(rs), w, lam_fund, sign)
+        halg = HeckeAlgebra(rs)
+        return {w: chevalley_bridge(halg, w, lam_fund, sign) for w in ws}
     if chain is None:
-        if not any(lam_fund):
-            return {w: GA.const(1, rs.rank)}
         chain = chain_lex_height(rs, lam_fund)
-    if method == "chain":
-        return chevalley_chain(chain, w, sign, W)
     if method == "operator":
-        if sign < 0:
-            raise ValueError("operator method computes the +lambda table")
-        return chevalley_operator(chain, w, W)
-    raise ValueError("unknown method %r" % method)
+        return {w: chevalley_operator(chain, w, W) for w in ws}
+    if len(ws) == 1:
+        return {ws[0]: chevalley_chain(chain, ws[0], sign, W)}
+    return _chain_pass(chain, ws, sign, W)
+
+
+def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None,
+                    W=None):
+    """Full Chevalley table {u: C^w_{u, sign*lambda}}: the one-w case of
+    chevalley_tables."""
+    return chevalley_tables(rs, lam_fund, (w,), sign, method, chain, W)[w]
 
 
 # -- parabolic ---------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import cache, partial
 from itertools import groupby
@@ -21,11 +20,9 @@ from . import __version__
 from .charring import FIELD, GA, MASK, _HALF, _weight, exp_mono
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
-from .chevalley import chevalley_chain_many, chevalley_table, render_table
+from .chevalley import chevalley_tables, render_table
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
 from .verify import SUITES, run_suite
-
-SCHEMA_FILE = os.path.join(os.path.dirname(__file__), "schema.json")
 
 
 class CliError(Exception):
@@ -301,7 +298,7 @@ def _cmd_chevalley(args, out):
     if args.epsilon and args.format != "latex" and rs.family != "A":
         raise CliError("epsilon coordinates exist only in type A")
     chain = None
-    if args.word:
+    if args.word is not None:
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
                                 require_reduced=False)
     cache_dir = args.cache_dir or default_cache_dir()
@@ -317,19 +314,13 @@ def _cmd_chevalley(args, out):
     # a hit is the block as the miss that wrote it printed it
     blocks = {wv: cache_get(cache_dir, key) for wv, key in keys.items()}
     misses = [wv for wv, block in blocks.items() if block is None]
-    tables = {}
-    if args.method == "chain" and len(misses) > 1:
-        # the chain tables of many w share one backward pass
-        tables = chevalley_chain_many(
-            chain_lex_height(rs, lam) if chain is None else chain, misses,
-            sign, W)
+    # a hit computes nothing
+    tables = chevalley_tables(rs, lam, misses, sign=sign, method=args.method,
+                              chain=chain, W=W) if misses else {}
     memo = {}
     for wv in misses:
-        table = tables.pop(wv, None)
-        if table is None:
-            table = chevalley_table(rs, lam, wv, sign=sign,
-                                    method=args.method, chain=chain, W=W)
-        block = blocks[wv] = _chevalley_block(args, W, words[wv], table, memo)
+        block = blocks[wv] = _chevalley_block(args, W, words[wv],
+                                              tables.pop(wv), memo)
         try:
             cache_put(cache_dir, keys[wv], block)
         except OSError as exc:
@@ -369,7 +360,7 @@ def _cmd_hecke(args, out):
 def _cmd_chain(args, out):
     rs = _parse_type(args.type)
     lam = _parse_lambda(args.lam, rs.rank)
-    if args.word:
+    if args.word is not None:
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
                                 require_reduced=False)
     else:
@@ -526,8 +517,7 @@ def _cmd_search_positivity(args, out):
     findings = []
     checked = 0
     for lam in _minuscule_weights(rs):
-        tables = chevalley_chain_many(chain_lex_height(rs, lam), range(W.n),
-                                      1, W)
+        tables = chevalley_tables(rs, lam, range(W.n), W=W)
         for w in range(W.n):
             table = tables.pop(w)
             for u in sorted(table):

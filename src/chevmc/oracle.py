@@ -275,11 +275,10 @@ class StableBasis:
 
         where the composite substitution fixes the scalar ring and
         negates the weights."""
-        from .chevalley import chevalley_chain_many
+        from .chevalley import chevalley_tables
 
         W = self.W
-        tables = chevalley_chain_many(chain_lex_height(self.rs, lam_fund),
-                                      range(W.n), -1, W)
+        tables = chevalley_tables(self.rs, lam_fund, range(W.n), -1, W=W)
         out = {}
         for w, table in tables.items():
             for u, g in table.items():
@@ -314,14 +313,13 @@ class StableBasis:
             out[ws] = GA.term(mu, Scalar.v(1) - Scalar.v(-1))
         return out
 
-    def wall_cross_path(self, lam_fund, chain=None):
+    def wall_cross_path(self, lam_fund):
         """M[w][x]: stab_A(w) = sum_x M[w][x] stab_{A+lambda}(x), by
         composing single wall crossings along the alcove path from A to
         A+lambda read off a reduced lambda-chain."""
         W = self.W
         rs = self.rs
-        if chain is None:
-            chain = chain_lex_height(rs, lam_fund)
+        chain = chain_lex_height(rs, lam_fund)
         walls = [chain.reversed_hyperplane(j) for j in range(1, len(chain) + 1)]
         # M_j expands the stab basis of the j-th alcove on the path in
         # the final basis; start at the far end with the identity.

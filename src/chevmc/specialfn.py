@@ -18,7 +18,7 @@ from .charring import (
     GA, Scalar, _BIAS, _pack, _wneg, _weight, power_mono, render_terms,
 )
 from .alcove import chain_lex_height, descent_subsets
-from .chevalley import chevalley_chain_many, chevalley_table
+from .chevalley import chevalley_table, chevalley_tables
 from .localization import dl_step
 from .oracle import KOracle
 
@@ -138,8 +138,8 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
         )
     if method == "chevalley":
         # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
-        tables = chevalley_chain_many(chain_lex_height(rs, lam_fund),
-                                      W.min_coset_reps(parabolic), 1, W)
+        tables = chevalley_tables(rs, lam_fund, W.min_coset_reps(parabolic),
+                                  W=W)
         return GA.dot(
             (g, Scalar.q(W.length[u]))
             for table in tables.values() for u, g in table.items()
@@ -161,7 +161,7 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
 
 # -- Hall-Littlewood ---------------------------------------------------
 
-def hall_littlewood(rs, lam_fund, method="closed", chain=None):
+def hall_littlewood(rs, lam_fund, method="closed"):
     """HL_lambda(x; t) for dominant lambda, as a GA element whose
     scalars are polynomials in t = q and whose weights are exponents of
     x (e^mu stands for x^mu)."""
@@ -177,15 +177,13 @@ def hall_littlewood(rs, lam_fund, method="closed", chain=None):
     if method in ("chain_restricted", "chain_opposite"):
         formula = 1 if method == "chain_restricted" else 2
         acc = GA()
-        for _w, _j, _u, mono in hl_terms(
-            rs, lam_fund, formula, chain=chain
-        ):
+        for _w, _j, _u, mono in hl_terms(rs, lam_fund, formula):
             acc = acc + mono
         return acc
     raise ValueError("unknown method %r" % method)
 
 
-def hl_terms(rs, lam_fund, formula, chain=None):
+def hl_terms(rs, lam_fund, formula):
     """The individual terms of the two chain formulas for HL_lambda.
 
     Both run over a reduced (-lambda)-chain with hyperplanes
@@ -200,10 +198,7 @@ def hl_terms(rs, lam_fund, formula, chain=None):
         raise ValueError("lambda must be dominant")
     W = rs.weyl()
     parabolic = _lambda_parabolic(rs, lam_fund)
-    if chain is None:
-        chain = chain_lex_height(rs, _wneg(lam_fund))
-    if tuple(chain.lam_fund) != _wneg(tuple(lam_fund)):
-        raise ValueError("chain must be a (-lambda)-chain")
+    chain = chain_lex_height(rs, _wneg(lam_fund))
     lam = rs.weight(lam_fund)
     _pack(lam)  # in range, so each key below decodes exactly
     horiz = len(rs.horizontal_roots(parabolic))

@@ -9,8 +9,8 @@ Within one `run_suite` call, the cases of one (family, rank) share one
 RootSystem (and so one Weyl group), one KOracle, one CohOracle, one
 memo of chain tables and the outcome of the lambda-independent stable
 checks (`_shared`).  The memo fills the tables of every w of a
-(lambda, sign) at once, in the one backward pass of
-chevalley_chain_many, on the first case that asks for one of them.
+(lambda, sign) at once, in one chevalley_tables call, on the first
+case that asks for one of them.
 The sharing ends when the call returns; in a pool it lasts as long as
 each worker.  A case called on its own builds everything itself.
 """
@@ -24,12 +24,7 @@ from multiprocessing import Pool
 from .charring import GA, Scalar
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height
-from .chevalley import (
-    chevalley_chain_many,
-    chevalley_table,
-    duality_check,
-    positivity_terms,
-)
+from .chevalley import chevalley_tables, duality_check, positivity_terms
 from .oracle import KOracle, StableBasis
 
 # what the cases of the running suite share, by key; None outside
@@ -62,16 +57,15 @@ def _tables(rs):
 def _table_fn(rs):
     """chevalley_table(rs, lam_fund, w, sign) by the chain route,
     memoised: the first call for a (lam_fund, sign) fills the tables of
-    every w in one pass (chevalley_chain_many).  Callers only read the
-    tables."""
+    every w at once.  Callers only read the tables."""
     W = rs.weyl()
     tables = {}
 
     def fn(w, lam_fund, sign):
         key = (lam_fund, sign)
         if key not in tables:
-            tables[key] = chevalley_chain_many(
-                chain_lex_height(rs, lam_fund), range(W.n), sign, W)
+            tables[key] = chevalley_tables(rs, lam_fund, range(W.n), sign,
+                                           W=W)
         return tables[key][w]
     return fn
 
@@ -123,12 +117,12 @@ def case_methods_agree(family, rank, lam):
     rs = _root_system(family, rank)
     W = rs.weyl()
     fn = _tables(rs)
+    b, c = (chevalley_tables(rs, tuple(lam), range(W.n), method=m, W=W)
+            for m in ("bridge", "operator"))
     for w in range(W.n):
         a = fn(w, tuple(lam), 1)
-        b = chevalley_table(rs, tuple(lam), w, sign=1, method="bridge")
-        c = chevalley_table(rs, tuple(lam), w, sign=1, method="operator")
-        for u in set(a) | set(b) | set(c):
-            ga, gb, gc = (t.get(u, GA()) for t in (a, b, c))
+        for u in set(a) | set(b[w]) | set(c[w]):
+            ga, gb, gc = (t.get(u, GA()) for t in (a, b[w], c[w]))
             if not (ga == gb == gc):
                 return "method mismatch at u=%s w=%s lambda=%s" % (
                     W.word_str(u), W.word_str(w), lam,

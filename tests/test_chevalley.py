@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from chevmc.charring import GA, Scalar
 from chevmc.rootsystem import RootSystem
-from chevmc import alcove
+from chevmc import alcove, chevalley
 from chevmc.alcove import chain_from_word, chain_lex_height
 from chevmc.oracle import KOracle
 from chevmc.chevalley import (
     chevalley_chain,
-    chevalley_chain_many,
     chevalley_table,
+    chevalley_tables,
     chevalley_terms,
     chevalley_parabolic,
     duality_check,
@@ -340,7 +340,7 @@ def test_chain_many_equals_per_w(family, rank):
     for lam in _weights(rank):
         chain = chain_lex_height(rs, lam)
         for sign in (1, -1):
-            assert chevalley_chain_many(chain, range(W.n), sign, W) == (
+            assert chevalley_tables(rs, lam, range(W.n), sign, W=W) == (
                 _per_w(chain, range(W.n), sign, W)), (lam, sign)
 
 
@@ -355,7 +355,7 @@ def test_chain_many_equals_per_w_rank3(family):
         ws = range(W.n) if max(lam) < 2 else range(n % 24, W.n, 24)
         chain = chain_lex_height(rs, lam)
         for sign in (1, -1):
-            assert chevalley_chain_many(chain, ws, sign, W) == (
+            assert chevalley_tables(rs, lam, ws, sign, W=W) == (
                 _per_w(chain, ws, sign, W)), (lam, sign)
 
 
@@ -368,7 +368,7 @@ def test_chain_many_equals_per_w_rank4(family, rank, lam, stride):
     ws = list(range(0, W.n, stride)) + [W.w0]
     chain = chain_lex_height(rs, lam)
     for sign in (1, -1):
-        assert chevalley_chain_many(chain, ws, sign, W) == (
+        assert chevalley_tables(rs, lam, ws, sign, W=W) == (
             _per_w(chain, ws, sign, W)), sign
 
 
@@ -384,8 +384,8 @@ def test_chain_many_on_word_chains(family, rank, lam, word):
     W = rs.weyl()
     chain = chain_from_word(rs, lam, word, require_reduced=False)
     for sign in (1, -1):
-        assert chevalley_chain_many(chain, range(W.n), sign, W) == (
-            _per_w(chain, range(W.n), sign, W)), sign
+        got = chevalley_tables(rs, lam, range(W.n), sign, chain=chain, W=W)
+        assert got == _per_w(chain, range(W.n), sign, W), sign
 
 
 def test_chain_many_keeps_the_asked_elements():
@@ -393,7 +393,7 @@ def test_chain_many_keeps_the_asked_elements():
     W = rs.weyl()
     chain = chain_lex_height(rs, (1, -1, 2))
     ws = [W.w0, 5, 0, 5, 17]
-    got = chevalley_chain_many(chain, ws, -1, W)
+    got = chevalley_tables(rs, (1, -1, 2), ws, -1, W=W)
     assert list(got) == [W.w0, 5, 0, 17]
     assert got == _per_w(chain, got, -1, W)
 
@@ -408,5 +408,61 @@ def test_chain_many_range_error():
         chevalley_chain(chain, 0, 1, W)
     for sign in (1, -1):
         with pytest.raises(ValueError) as many:
-            chevalley_chain_many(chain, range(W.n), sign, W)
+            chevalley_tables(rs, (4096,), range(W.n), sign, W=W)
         assert str(many.value) == str(walk.value)
+
+
+# -- the entry point ---------------------------------------------------
+
+def test_tables_contract(monkeypatch):
+    rs = RootSystem("B", 2)
+    W = rs.weyl()
+    lam = (1, -1)
+    calls = []
+    real = chevalley._chain_pass
+
+    def pass_of_many(chain, ws, sign, W=None):
+        assert len(ws) > 1, "the pass ran for one w"
+        calls.append(list(ws))
+        return real(chain, ws, sign, W)
+
+    monkeypatch.setattr(chevalley, "_chain_pass", pass_of_many)
+    chain = chain_lex_height(rs, lam)
+    for sign in (1, -1):
+        # one w walks, repeated or not
+        assert chevalley_tables(rs, lam, [3, 3], sign) == (
+            _per_w(chain, [3], sign, W))
+        assert not calls
+        # more take the pass; repeats are dropped, the order is kept
+        got = chevalley_tables(rs, lam, [W.w0, 2, W.w0, 0, 2], sign)
+        assert list(got) == [W.w0, 2, 0] and calls.pop() == [W.w0, 2, 0]
+        assert got == _per_w(chain, got, sign, W)
+    for method in ("operator", "bridge"):
+        got = chevalley_tables(rs, lam, [5, 1, 5], method=method)
+        assert list(got) == [5, 1]
+        assert got == {w: chevalley_table(rs, lam, w, method=method)
+                       for w in (5, 1)}
+    # lambda = 0 is the identity on every route and sign
+    one = GA.const(1, rs.rank)
+    for method in ("chain", "operator", "bridge"):
+        for sign in (1, -1):
+            assert chevalley_tables(rs, (0, 0), [4, 1], sign, method) == {
+                4: {4: one}, 1: {1: one}}, (method, sign)
+    with pytest.raises(ValueError, match="operator method"):
+        chevalley_tables(rs, lam, [1], -1, "operator")
+    with pytest.raises(ValueError, match="unknown method"):
+        chevalley_tables(rs, lam, [1], method="walk")
+
+
+def test_bridge_refuses_a_lazy_store():
+    # a lazy store numbers its elements in the order it meets them, so
+    # its integers do not name the exhaustive group's elements
+    rs = RootSystem("A", 2)
+    L = rs.lazy_weyl()
+    x = L.from_word_str("s1")
+    with pytest.raises(ValueError, match="exhaustive group"):
+        chevalley_table(rs, (1, 0), x, method="bridge", W=L)
+    W = rs.weyl()
+    w = W.from_word_str("s1")
+    assert chevalley_table(rs, (1, 0), w, method="bridge", W=W) == (
+        chevalley_table(rs, (1, 0), w))

@@ -269,6 +269,10 @@ def test_bad_args_exit_2(capsys):
         # s0 reflects in H_{theta~,1}; this one-letter word misses A - lambda
         ["chevalley", "--type", "C2", "--lambda=-1,0", "--w", "s1",
          "--word", "s0"],
+        # an explicit empty word is a word, and it misses A - lambda too
+        ["chain", "--type", "A2", "--lambda", "1,0", "--word", ""],
+        ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
+         "--word", ""],
         # malformed Weyl words
         *(["chevalley", "--type", "A2", "--lambda=1,0", "--w", bad]
           for bad in ("s", "1s2", "ss1", "s1s", "s3", "s0")),
@@ -370,6 +374,19 @@ def test_chain_word_matches_default_table():
     assert code == 0
     assert _run(argv + ["--word", "s0s2s0"]) == (0, default)
     assert "C[u=e] = (y +1)*e^{w1-1*w2}" in default.splitlines()
+
+
+def test_empty_word_at_lambda_zero():
+    # the empty word maps A to A - 0: on every route and sign it gives
+    # the identity table, as the lex chain does
+    base = ["chevalley", "--type", "A2", "--lambda=0,0", "--w", "s1"]
+    for rest in ([], ["--method", "operator", "--sign", "-"],
+                 ["--method", "bridge", "--sign", "-"]):
+        code, default = _run(base + rest)
+        assert code == 0 and "C[u=s1] = 1" in default.splitlines(), rest
+        assert _run(base + rest + ["--word", ""]) == (0, default), rest
+    argv = ["chain", "--type", "A2", "--lambda=0,0", "--format", "json"]
+    assert _run(argv + ["--word", ""]) == _run(argv)
 
 
 def test_long_chain_is_no_recursion(capsys):
@@ -682,7 +699,7 @@ def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
         miss = _run(one + [str(tmp_path / (fmt + "-miss"))])
         assert miss[0] == 0
         with monkeypatch.context() as m:
-            m.setattr("chevmc.cli.chevalley_table", _refuse)
+            m.setattr("chevmc.cli.chevalley_tables", _refuse)
             assert _run(one + [cache]) == miss, fmt
 
 
@@ -884,11 +901,11 @@ def test_verify_pool_matches_serial():
 
 
 def _perturbed(real):
-    """The all-w pass with 1 added to every table's diagonal entry."""
-    def tables(chain, ws, sign, W=None):
-        one = GA.const(1, chain.rs.rank)
+    """chevalley_tables with 1 added to every table's diagonal entry."""
+    def tables(rs, *args, **kwargs):
+        one = GA.const(1, rs.rank)
         return {w: {**t, w: t[w] + one}
-                for w, t in real(chain, ws, sign, W).items()}
+                for w, t in real(rs, *args, **kwargs).items()}
     return tables
 
 
@@ -898,8 +915,8 @@ def test_verify_tables_do_not_outlive_the_suite(monkeypatch):
 
     results = verify_mod.run_suite("oracle", "A", 2, max_weight=1)
     assert results and all(d is None for _, d in results)
-    monkeypatch.setattr(verify_mod, "chevalley_chain_many",
-                        _perturbed(verify_mod.chevalley_chain_many))
+    monkeypatch.setattr(verify_mod, "chevalley_tables",
+                        _perturbed(verify_mod.chevalley_tables))
     results = verify_mod.run_suite("oracle", "A", 2, max_weight=1)
     assert any(d is not None for _, d in results)
 
