@@ -14,12 +14,13 @@ Those formulas sum over subsets J of chain positions.  descent_subsets
 finds them for one starting element in one iterative depth-first pass
 (an explicit stack, so a chain of any length fits) that carries, next
 to the Weyl element reached, the translation part of the composed
-affine reflections as a packed key offset (see charring), so each
-subset's weight key is read off without replaying the reflections (the
-incremental alcove walk of Lenart-Postnikov).  It is the walk of a
-single-w table and of every caller that needs each J; the tables of
-many w are summed without listing the J, by a backward pass over the
-same scan_steps (chevalley.chevalley_tables picks one or the other).
+affine reflections as a packed key offset (see charring) and the parity
+of the negative roots taken, so each subset's weight key and sign are
+read off without replaying the reflections (the incremental alcove walk
+of Lenart-Postnikov).  It is the walk of a single-w table and of every
+caller that needs each J; the tables of many w are summed without
+listing the J, by a backward pass over the same scan_steps
+(chevalley.chevalley_tables picks one or the other).
 chain_lex_height builds each chain once per root system and weight;
 chains are immutable and shared.
 
@@ -247,10 +248,12 @@ def scan_steps(chain: LambdaChain, ascending, walls, W):
 
 
 def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
-    """All (u, J, B) with J a sorted tuple of chain positions along which w
-    descends: scanning the positions in the given direction, each
-    position j in J right-multiplies by r_{h_j} and lowers the length;
-    u is the element reached.
+    """All (u, J, B, odd) with J a sorted tuple of chain positions along
+    which w descends: scanning the positions in the given direction,
+    each position j in J right-multiplies by r_{h_j} and lowers the
+    length; u is the element reached, and odd whether an odd number of
+    the roots beta_j, j in J, is negative (the walk flips it as it takes
+    a position).
 
     B is the translation the walk picks up, as a packed key offset
     (WeylGroup.act_key).  With H_{alpha,k} the j-th entry of `walls`
@@ -272,16 +275,18 @@ def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
     n = len(chain)
     steps = scan_steps(chain, ascending, walls, W)
     bits = [bit for _, bit, _, _ in steps]
+    negative = [not chain.betas[j - 1].positive for j, _, _, _ in steps]
     inversions, mul, act_key = W.inversions, W.mul, W.act_key
     out = []
-    stack = [(0, w, (), 0)]
+    stack = [(0, w, (), 0, False)]
     while stack:
-        i, cur, J, B = stack.pop()
+        i, cur, J, B, odd = stack.pop()
         desc = inversions(cur)
         for pos in range(i, n):
             if desc & bits[pos]:
                 j, _, refl, shift = steps[pos]
                 stack.append((pos + 1, mul(cur, refl), J + (j,),
-                              B + act_key(cur, shift) if shift else B))
-        out.append((cur, J if ascending else J[::-1], B))
+                              B + act_key(cur, shift) if shift else B,
+                              odd ^ negative[pos]))
+        out.append((cur, J if ascending else J[::-1], B, odd))
     return out

@@ -13,13 +13,16 @@ and are computed here by three independent routes:
   * the operator formula (the R-operator product along the chain).
 
 chevalley_tables is the one entry point for tables, and
-chevalley_table its one-w case.  It takes the lambda = 0 shortcut,
-builds the lex lambda-chain when none is given and picks how the chain
-route runs: one w walks its subsets depth first (chevalley_chain, which
-beats the pass for one w), two or more share one backward pass over
-(chain position, element) (_chain_pass), which sums each chain suffix
-once per element; the two agree key for key.  The operator and bridge
-routes run one w at a time.
+chevalley_table its one-w case.  It range-checks lambda ahead of every
+route, takes the lambda = 0 shortcut, builds the lex lambda-chain when
+none is given and picks how the chain route runs: one w walks its
+subsets depth first (chevalley_chain, which beats the pass for one w
+and reads each subset's sign parity off the walk), two or more share
+one backward pass over (chain position, element) (_chain_pass), which
+sums each chain suffix once per element; the two agree key for key.
+The operator and bridge routes run one w at a time; the operator route
+makes one move per chain position, E^beta and E^{<rho,beta^vee> beta}
+B_beta fused into a shift and one product per descent.
 
 Dualities, the parabolic formula and the positivity decomposition for
 dominant weights live here as well.
@@ -47,32 +50,36 @@ def _term_coeff(t, dl, odd, positive):
     return -coeff if odd else coeff
 
 
+@lru_cache(maxsize=1024)
+def _term_pairs(t, dl, odd, positive):
+    """The key pairs of _term_coeff(...) less the v field's bias."""
+    coeff = _term_coeff(t, dl, odd, positive)
+    return tuple((k - _HALF, x) for k, x in coeff.c.items())
+
+
 def _leaves(chain, w, sign, W=None):
-    """(u, J, key, coeff) for every term of the chain formula, w and u
-    elements of the store W (rs.weyl() by default), key the
-    packed key of e^mu (v exponent 0): +-key(u(lambda)) - B over the
-    translation B of the walk.  The weights mu lie in the convex hull of
-    W lambda, so with lambda in range (and Weyl row sums below 64, see
-    charring.pack_columns) every field of mu stays inside its packed
-    field and a range check of the keys is exact."""
+    """(u, J, key, t, dl, odd) for every term of the chain formula, w and
+    u elements of the store W (rs.weyl() by default), key the packed key
+    of e^mu (v exponent 0): +-key(u(lambda)) - B over the translation B
+    of the walk.  The coefficient is _term_coeff(t, dl, odd, sign > 0):
+    t = |J|, dl = l(w) - l(u) - t, odd read off the walk.  The weights
+    mu lie in the convex hull of W lambda, so with lambda in range (as
+    chevalley_tables checks; Weyl row sums below 64, see
+    charring.pack_columns) a range check of the keys is exact."""
     rs = chain.rs
     W = W or rs.weyl()
     lam = chain.lam
-    _pack(lam)  # raises on a weight outside the packed range
     positive = sign > 0
     walls = chain.walls if positive else chain.far_walls
     bias = _BIAS[rs.rank]
     length, act_key = W.length, W.act_key
     lw = length[w]
-    negative = {j for j, b in enumerate(chain.betas, 1) if not b.positive}
-    for u, J, B in descent_subsets(chain, w, positive, walls, W):
+    for u, J, B, odd in descent_subsets(chain, w, positive, walls, W):
         t = len(J)
         dl = lw - length[u] - t
         assert dl % 2 == 0, "parity failure in the Chevalley formula"
         lk = act_key(u, lam)
-        key = (bias + lk if positive else bias - lk) - B
-        odd = len(negative.intersection(J)) % 2
-        yield u, J, key, _term_coeff(t, dl, odd, positive)
+        yield u, J, (bias + lk if positive else bias - lk) - B, t, dl, odd
 
 
 def chevalley_terms(chain, w, sign):
@@ -86,8 +93,8 @@ def chevalley_terms(chain, w, sign):
     the reversed chain.
     """
     r = chain.rs.rank
-    return [(u, J, _weight(key, r), coeff)
-            for u, J, key, coeff in _leaves(chain, w, sign)]
+    return [(u, J, _weight(key, r), _term_coeff(t, dl, odd, sign > 0))
+            for u, J, key, t, dl, odd in _leaves(chain, w, sign)]
 
 
 def _checked(by_u, rank):
@@ -101,11 +108,11 @@ def chevalley_chain(chain, w, sign, W=None):
     """C^w_{u, sign*lambda} as {u: GA} from a chain for +lambda: each
     term's keys are summed straight into its u's dict.  W is the element
     store of w (rs.weyl() by default)."""
+    positive = sign > 0
     by_u = {}
-    for u, _J, key, coeff in _leaves(chain, w, sign, W):
-        # the coefficient's keys carry the v field's bias
-        _add_products(by_u.setdefault(u, {}), ((key - _HALF, 1),),
-                      coeff.c.items())
+    for u, _J, key, t, dl, odd in _leaves(chain, w, sign, W):
+        _add_products(by_u.setdefault(u, {}), ((key, 1),),
+                      _term_pairs(t, dl, odd, positive))
     return {u: GA._new(c) for u, c in _checked(by_u, chain.rs.rank).items()}
 
 
@@ -123,16 +130,16 @@ def _chain_pass(chain, ws, sign, W=None):
     and c_i(x) = _term_coeff(1, l(x) - l(x r_i) - 1, beta_i < 0, sign));
     the table of w is F_0(w).  The factors along a J multiply to its
     leaf's coefficient in _leaves and the shifts add to its B, so every
-    key of an F is a leaf key of some table and stays in range.  A
-    forward sweep lists the elements reached at each step and their
-    descents; the backward sweep then keeps one F per element, updated
-    in place: x r_i ascends at step i, so no F read at a step changes
-    there, and an element is dropped before the first step it is not
-    reached at.  An F is {u: key dict}, as in chevalley_chain."""
+    key of an F is a leaf key of some table and stays in range once
+    chevalley_tables has range-checked lambda.  A forward sweep lists
+    the elements reached at each step and their descents; the backward
+    sweep then keeps one F per element, updated in place: x r_i ascends
+    at step i, so no F read at a step changes there, and an element is
+    dropped before the first step it is not reached at.  An F is
+    {u: key dict}, as in chevalley_chain."""
     rs = chain.rs
     W = W or rs.weyl()
     lam = chain.lam
-    _pack(lam)  # raises on a weight outside the packed range
     positive = sign > 0
     walls = chain.walls if positive else chain.far_walls
     length, inversions, mul, act_key = (W.length, W.inversions, W.mul,
@@ -147,10 +154,10 @@ def _chain_pass(chain, ws, sign, W=None):
         for x in reached:
             if inversions(x) & bit:
                 y = mul(x, refl)
-                s = _HALF + (act_key(x, shift) if shift else 0)
-                coeff = _term_coeff(1, length[x] - length[y] - 1, odd,
+                s = act_key(x, shift) if shift else 0
+                pairs = _term_pairs(1, length[x] - length[y] - 1, odd,
                                     positive)
-                here.append((x, y, [(k - s, c) for k, c in coeff.c.items()]))
+                here.append((x, y, [(k - s, c) for k, c in pairs]))
                 if y not in reached:
                     new[y] = None
         moves.append(here)
@@ -190,51 +197,37 @@ def chevalley_operator(chain, w, W=None):
     basis vector at w, an element of the store W (rs.weyl() by default).
 
     States are {u: key dict} with exponents on the fine lattice, which
-    holds the (1/h) X^*(T) exponents produced by the E-operators.
+    holds the (1/h) X^*(T) exponents produced by the E-operators.  Each
+    R_beta = E^beta + E^{<rho,beta^vee> beta} B_beta is one move: the
+    entry at u is shifted by u(beta/h), and where u s_beta is shorter it
+    is also added at u s_beta times -(1+y) q^{k/2} e^{u s_beta(<rho,
+    beta^vee> beta/h)}, k = l(u) - l(u s_beta) - 1, negated for beta < 0.
     """
     rs = chain.rs
     W = W or rs.weyl()
-    h = rs.h
     r = rs.rank
-
-    def e_step(state, mu_fine, out):
-        """Add e^{u(mu)/h} times the entry at u to out[u]: a shift of its
-        keys by the key offset of u(mu)/h."""
-        assert all(c % h == 0 for c in mu_fine)
-        mu = tuple(c // h for c in mu_fine)
-        for u, c in state.items():
-            _add_products(out.setdefault(u, {}), ((W.act_key(u, mu), 1),),
-                          c.items())
-
-    def b_step(state, root, positive):
-        """Move the entry at u to u s_beta when that is shorter, times
-        -(1+y) q^{k/2} with k = l(u) - l(u s_beta) - 1, negated for a
-        negative root."""
-        out = {}
-        sref = W.reflection(root)
-        bit = 1 << root.index
-        for u, c in state.items():
-            if W.inversions(u) & bit:
-                us = W.mul(u, sref)
-                k = W.length[u] - W.length[us] - 1
-                assert k % 2 == 0
-                coeff = _term_coeff(1, k, not positive, True)
-                _add_products(out.setdefault(us, {}),
-                              [(vk - _HALF, y) for vk, y in coeff.c.items()],
-                              c.items())
-        return out
-
+    length, inversions, mul, act_key = (W.length, W.inversions, W.mul,
+                                        W.act_key)
     state = {w: {_BIAS[r]: 1}}
     for b in chain.betas:
         pos = b.positive
         broot = b if pos else rs.root_by_simple(tuple(-c for c in b.simple))
-        beta_fine = tuple(rs.h * c for c in b.fund)
-        coheight = sum(b.coroot)  # <rho, beta^vee>
-        # R_beta = E^beta + E^{<rho,beta^vee> beta} B_beta
+        sref = W.reflection(broot)
+        bit = 1 << broot.index
+        rho_beta = tuple(sum(b.coroot) * c for c in b.fund)
         nxt = {}
-        e_step(state, beta_fine, nxt)
-        e_step(b_step(state, broot, pos),
-               tuple(coheight * c for c in beta_fine), nxt)
+        for u, c in state.items():
+            off = act_key(u, b.fund)
+            nxt[u] = {k + off: x for k, x in c.items()}
+        for u, c in state.items():
+            if inversions(u) & bit:
+                us = mul(u, sref)
+                k = length[u] - length[us] - 1
+                assert k % 2 == 0
+                off = act_key(us, rho_beta)
+                _add_products(nxt.setdefault(us, {}), [
+                    (vk + off, y) for vk, y in _term_pairs(1, k, not pos, True)
+                ], c.items())
         state = _checked(nxt, r)
     return {u: GA._new(c) for u, c in state.items()}
 
@@ -250,6 +243,7 @@ def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None,
         raise ValueError("unknown method %r" % method)
     if method == "bridge" and W is not None and W is not rs.weyl():
         raise ValueError("the bridge route needs the exhaustive group")
+    _pack(rs.weight(lam_fund))  # raises on a weight outside the packed range
     if not any(lam_fund):
         return {w: {w: GA.const(1, rs.rank)} for w in ws}
     if method == "operator" and sign < 0:

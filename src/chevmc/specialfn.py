@@ -207,7 +207,8 @@ def hl_terms(rs, lam_fund, formula):
     bias = _BIAS[rs.rank]
     out = []
     for w in W.min_coset_reps(parabolic):
-        for u, J, B in descent_subsets(chain, w, formula == 1, chain.walls):
+        for u, J, B, _ in descent_subsets(chain, w, formula == 1,
+                                          chain.walls):
             nj = len(J)
             if formula == 1:
                 power2 = W.length[w] + W.length[u] - nj

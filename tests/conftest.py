@@ -5,7 +5,10 @@ The Hall-Littlewood term tables are stored as sets of
 """
 
 from chevmc.alcove import _in_alcove, _scale, _walls
-from chevmc.charring import FIELD, MASK, _HALF, _weight
+from chevmc.charring import (
+    FIELD, GA, MASK, _BIAS, _HALF, _add_products, _weight,
+)
+from chevmc.chevalley import _checked, _term_coeff
 from chevmc.localization import _delta
 
 # lambda = first fundamental weight in A2, expansion degree 1
@@ -166,3 +169,62 @@ def dl_left(o, i, F):
         if g:
             out[sw] = g
     return out
+
+
+def ref_operator(chain, w, W=None):
+    """C^w_{u,lambda} via the operator formula R^[lambda] applied to the
+    basis vector at w, an element of the store W (rs.weyl() by default).
+
+    States are {u: key dict} with exponents on the fine lattice, which
+    holds the (1/h) X^*(T) exponents produced by the E-operators.
+
+    The reference operator route, three states per chain position (the
+    B_beta move, then both E-shifts into the next state), that the
+    library's fused step (`chevalley.chevalley_operator`) is checked
+    against.
+    """
+    rs = chain.rs
+    W = W or rs.weyl()
+    h = rs.h
+    r = rs.rank
+
+    def e_step(state, mu_fine, out):
+        """Add e^{u(mu)/h} times the entry at u to out[u]: a shift of its
+        keys by the key offset of u(mu)/h."""
+        assert all(c % h == 0 for c in mu_fine)
+        mu = tuple(c // h for c in mu_fine)
+        for u, c in state.items():
+            _add_products(out.setdefault(u, {}), ((W.act_key(u, mu), 1),),
+                          c.items())
+
+    def b_step(state, root, positive):
+        """Move the entry at u to u s_beta when that is shorter, times
+        -(1+y) q^{k/2} with k = l(u) - l(u s_beta) - 1, negated for a
+        negative root."""
+        out = {}
+        sref = W.reflection(root)
+        bit = 1 << root.index
+        for u, c in state.items():
+            if W.inversions(u) & bit:
+                us = W.mul(u, sref)
+                k = W.length[u] - W.length[us] - 1
+                assert k % 2 == 0
+                coeff = _term_coeff(1, k, not positive, True)
+                _add_products(out.setdefault(us, {}),
+                              [(vk - _HALF, y) for vk, y in coeff.c.items()],
+                              c.items())
+        return out
+
+    state = {w: {_BIAS[r]: 1}}
+    for b in chain.betas:
+        pos = b.positive
+        broot = b if pos else rs.root_by_simple(tuple(-c for c in b.simple))
+        beta_fine = tuple(rs.h * c for c in b.fund)
+        coheight = sum(b.coroot)  # <rho, beta^vee>
+        # R_beta = E^beta + E^{<rho,beta^vee> beta} B_beta
+        nxt = {}
+        e_step(state, beta_fine, nxt)
+        e_step(b_step(state, broot, pos),
+               tuple(coheight * c for c in beta_fine), nxt)
+        state = _checked(nxt, r)
+    return {u: GA._new(c) for u, c in state.items()}

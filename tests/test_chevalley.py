@@ -13,6 +13,7 @@ from chevmc.alcove import chain_from_word, chain_lex_height
 from chevmc.oracle import KOracle
 from chevmc.chevalley import (
     chevalley_chain,
+    chevalley_operator,
     chevalley_table,
     chevalley_tables,
     chevalley_terms,
@@ -21,6 +22,7 @@ from chevmc.chevalley import (
     positivity_terms,
     render_table,
 )
+from conftest import ref_operator
 
 RS = RootSystem("A", 2)
 W = RS.weyl()
@@ -50,6 +52,35 @@ def test_tables_golden_digest():
                 table = chevalley_table(rs, lam, w, sign=sign, method=method)
                 h.update(render_table(rs, table).encode())
     assert h.hexdigest() == _GOLDEN_SHA256
+
+
+@pytest.mark.parametrize("family,rank,lam,stride", _GOLDEN_CASES,
+                         ids=["%s%d" % c[:2] for c in _GOLDEN_CASES])
+def test_operator_equals_reference(family, rank, lam, stride):
+    # the fused step (one shift and one product per descent at each chain
+    # position) against the three-state reference, key for key: every w
+    # up to rank 3, sampled w of D4 and F4
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    chain = chain_lex_height(rs, lam)
+    assert any(not b.positive for b in chain.betas) == any(c < 0 for c in lam)
+    for w in range(0, W.n, stride):
+        assert chevalley_operator(chain, w, W) == ref_operator(chain, w, W), w
+
+
+@pytest.mark.parametrize("rank,lam,word", [
+    (6, (1, 0, 0, 0, 0, 0), (5, 4, 3, 1, 2, 0)),
+    (6, (0, 0, 0, 0, 0, -1), (0, 2, 3, 1, 4, 3, 2, 0)),
+    (7, (0, 0, 0, 0, 0, 0, 1), tuple(range(7)) * 3),
+    (7, (-1, 0, 0, 0, 0, 0, 0), tuple(range(6, -1, -1)) * 2 + (0,)),
+])
+def test_operator_equals_reference_on_a_lazy_store(rank, lam, word):
+    rs = _lazy_rs("E", rank)
+    L = rs.lazy_weyl()
+    x = L.from_word(word)
+    chain = chain_lex_height(rs, lam)
+    got = chevalley_operator(chain, x, L)
+    assert x in got and got == ref_operator(chain, x, L)
 
 
 def test_one_chain_per_root_system_and_weight(monkeypatch):
@@ -400,16 +431,44 @@ def test_chain_many_keeps_the_asked_elements():
 
 def test_chain_many_range_error():
     # on A1 the fine exponents of lambda = 4096 reach 8192, just outside
-    # the packed range; the pass refuses it as the walk does
+    # the packed range; chevalley_tables refuses it ahead of the walk and
+    # the pass alike, and each still refuses it when called on its own
     rs = RootSystem("A", 1)
     W = rs.weyl()
     chain = chain_lex_height(rs, (4096,))
-    with pytest.raises(ValueError) as walk:
-        chevalley_chain(chain, 0, 1, W)
     for sign in (1, -1):
+        with pytest.raises(ValueError) as walk:
+            chevalley_tables(rs, (4096,), [0], sign, W=W)
         with pytest.raises(ValueError) as many:
             chevalley_tables(rs, (4096,), range(W.n), sign, W=W)
-        assert str(many.value) == str(walk.value)
+        assert str(many.value) == str(walk.value) == (
+            "exponent 8192 out of range [-8192, 8192)")
+        with pytest.raises(ValueError, match="out of range"):
+            chevalley._chain_pass(chain, range(W.n), sign, W)
+    with pytest.raises(ValueError, match="out of range"):
+        chevalley_chain(chain, 0, 1, W)
+
+
+def test_range_checked_ahead_of_every_route(monkeypatch):
+    # a weight outside the packed range is refused before a chain is
+    # built or any route takes a step: the operator route used to run
+    # until its keys left the range, for seconds on A1 at 5000
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route ran")
+
+    for name in ("chain_lex_height", "chevalley_chain", "_chain_pass",
+                 "chevalley_operator", "chevalley_bridge"):
+        monkeypatch.setattr(chevalley, name, refuse)
+    for (family, rank), lam, exponent in (
+        (("A", 1), (5000,), 10000), (("A", 2), (3000, 3000), 9000),
+        (("B", 3), (0, -3000, 0), -18000),
+    ):
+        rs = RootSystem(family, rank)
+        for method in ("chain", "operator", "bridge"):
+            for ws in ([1], [0, 1]):
+                with pytest.raises(ValueError, match=(
+                        r"^exponent %d out of range" % exponent)):
+                    chevalley_tables(rs, lam, ws, method=method)
 
 
 # -- the entry point ---------------------------------------------------

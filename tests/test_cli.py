@@ -273,6 +273,12 @@ def test_bad_args_exit_2(capsys):
         ["chain", "--type", "A2", "--lambda", "1,0", "--word", ""],
         ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
          "--word", ""],
+        # a weight outside the packed range: refused before the operator
+        # route takes a step, with the exponent named
+        ["chevalley", "--type", "A1", "--lambda=5000", "--w", "s1",
+         "--method", "operator"],
+        ["chevalley", "--type", "A2", "--lambda=3000,3000", "--w", "s1",
+         "--method", "operator"],
         # malformed Weyl words
         *(["chevalley", "--type", "A2", "--lambda=1,0", "--w", bad]
           for bad in ("s", "1s2", "ss1", "s1s", "s3", "s0")),
@@ -291,6 +297,9 @@ def test_bad_args_exit_2(capsys):
         assert err.startswith("error: ") and "Traceback" not in err, argv
         if "E7" in argv:
             assert "above the cap 100000" in err, argv
+        if argv[3] in ("--lambda=5000", "--lambda=3000,3000"):
+            assert err == "error: exponent %d out of range [-8192, 8192)\n" % (
+                {"A1": 10000, "A2": 9000}[argv[2]]), argv
 
 
 def _refuse(*args, **kwargs):
