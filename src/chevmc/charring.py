@@ -29,9 +29,9 @@ the monomial text a caller passes (`exp_mono`, `power_mono`), and
 `render_terms` joins the terms.
 
 There is no fraction type.  A Demazure-Lusztig step divides once in the
-ring (localization.dl_step; the slice recursion of
-`Localization.slice_class` and `StableBasis.hecke_T` once per pair of
-points), so does a Bernstein
+ring (localization.dl_step; the right slice recursion of
+`Localization.slice_class`, with no Weyl move, and `StableBasis.hecke_T`
+once per pair of points), so does a Bernstein
 step of the bridge route (hecke.py), and every localization quotient
 is one exact division over a
 W-fixed denominator (localization.Localization.root_quotient): a

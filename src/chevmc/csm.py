@@ -95,6 +95,8 @@ class CohPoly(GA):
         for exps, pairs in groups.items():
             image = None
             for (_, pw), e in zip(moves, exps):
+                if not e:
+                    continue  # pw[0] = 1
                 while len(pw) <= e:
                     pw.append(pw[-1] * pw[1])
                 image = pw[e] if image is None else image * pw[e]
@@ -190,7 +192,8 @@ class CohOracle(Localization):
     def expand_chern_product(self, lam_fund, w):
         """{u: coefficient} of c1(L_lambda) . csm(X(w)^o) in the CSM
         basis."""
-        return self.expand_cell_product(self.first_chern(lam_fund), w)
+        return self._expand(self.mul(self.first_chern(lam_fund),
+                                     self.slice_class(w)), self.slice_class)
 
 
 # -- closed Chevalley formulas -----------------------------------------

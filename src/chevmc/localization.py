@@ -4,8 +4,8 @@ A class is stored by its restrictions to the torus fixed points e_w, as
 a dict {w: ring element}; the ring is charring.GA (packed keys, int
 coefficients) in K-theory and csm.CohPoly in cohomology.  The two
 theories differ only in that ring, in the Euler factor eul(mu) of a
-cotangent weight mu, in the coefficients (b, e, d) of the left
-Demazure-Lusztig operator and in how the Weyl group acts on ring
+cotangent weight mu, in the coefficients (b, e, d) of the
+Demazure-Lusztig operators and in how the Weyl group acts on ring
 elements; a subclass supplies those, and this class does the rest: the
 operator recursion for the classes of Schubert cells, the Atiyah-Bott
 sum and the expansion of a class in the cell basis.
@@ -17,30 +17,33 @@ so: `dl_step` in specialfn (ScalarDL) and csm.DegenerateHecke.t_left,
 and oracle.StableBasis.hecke_T, which divides once per pair {w, w s_i}
 since D(w s_i) = e^{w a_i} D(w).
 
-The cell classes are built on their slice parts.  The left operator
-T_i, (T_i F)|_w = (a s_i(F|_{s_i w}) - b F|_w) / d, takes cell(v) to
-cell(s_i v) when l(s_i v) > l(v), starting from the point class.  At
+The cell classes are built on their slice parts.  The right operator
+T_i of Aluffi-Mihalcea-Schuermann-Su,
+(F T_i)|_w = ((w s_i)(a) F|_{w s_i} - b F|_w) / w(d), takes cell(v) to
+cell(v s_i) when l(v s_i) > l(v), starting from the point class.  It
+gives the classes of the paper's left operators (the test reference
+`dl_left`) but is K_T(pt)-linear.  At
 every fixed point x, each cell(v)|_x is divisible by P_x, the product of
-the l(x) factors `cell_factor(x)`: P_id = 1 and P_{s_i w} = s_i(P_w) a_i
-when l(s_i w) > l(w).  `slice_class(v)` caches the slice parts Q_{v,x} =
-cell(v)|_x / P_x, and the recursion runs on them, with one exact
-division per pair {w, s_i w} (`_slice_step`).  `cell_class` multiplies
-the factors back for the users of full classes.  A slice part is a
-Minkowski summand of the full value, since P_x has the monomial 1, so it
-stays in the exponent range of that value.
+the l(x) factors `cell_factor(x)`: P_id = 1 and P_{x s_i} = P_x x(a)
+when l(x s_i) > l(x).  `slice_class(v)` caches the slice parts Q_{v,x}
+= cell(v)|_x / P_x, and the recursion runs on them, with one exact
+division per pair {x, x s_i} and no Weyl move (`_slice_step`).
+`cell_class` multiplies the factors back for the users of full classes.
+A slice part is a Minkowski summand of the full value, since P_x has
+the monomial 1, so it stays in the exponent range of that value.
 
 The expansion in the cell basis is a triangular solve of exact
-divisions.  The product G cell(w) expands on slice parts
-(`expand_cell_product`), on values a third the size and with the same
-quotients.  Each genuine
-quotient is one exact division over a W-fixed denominator.  For a
-positive root b, eul(b) is a unit times eul(-b), so a sum of numerators
-over Euler factors of weights +-b is a ring sum over the product of the
-eul(-b) (`cofactor`, `root_quotient`): the Atiyah-Bott sum over the
-Weyl denominator, the G/P pushforward coset by coset and specialfn's
-orbit sums.  A Segre-type class is a ring-valued numerator class over
-one W-invariant constant, so its pairing is one more exact division by
-that constant.
+divisions (`_expand`).  A product G cell(w) expands on slice parts, on
+values a third the size: every remainder of the solve of G|_x Q_{w,x}
+against the slice parts is the full solve's over P_x, so every quotient
+is the same.  Each genuine quotient is one exact division over a
+W-fixed denominator.  For a positive root b, eul(b) is a unit times
+eul(-b), so a sum of numerators over Euler factors of weights +-b is a
+ring sum over the product of the eul(-b) (`cofactor`, `root_quotient`):
+the Atiyah-Bott sum over the Weyl denominator, the G/P pushforward
+coset by coset and specialfn's orbit sums.  A Segre-type class is a
+ring-valued numerator class over one W-invariant constant, so its
+pairing is one more exact division by that constant.
 
 The ring arithmetic is fused (charring.GA.dot): a step forms its sums
 in one accumulator, and `integral` its whole Atiyah-Bott sum.  The
@@ -95,11 +98,11 @@ class Localization:
         self._unit = {
             b: self._den[b].exact_div(self._euler(b)) for b in self.pos_roots
         }
-        self._slices = {}
+        self._slices = {0: self.point_class()}
         self._factors = {}
         self._cells = {}
         self._opposite = {}
-        self._dl_data = {}
+        self._steps = {}
         self._ab = None
 
     def _one(self):
@@ -136,94 +139,93 @@ class Localization:
         z = self.ring()
         return all(F.get(v, z) == G.get(v, z) for v in set(F) | set(G))
 
-    def w0_left(self, F):
-        """The left w0 action: (w0 F)|_v = w0(F|_{w0 v})."""
-        W = self.W
-        out = {}
-        for v in range(W.n):
-            src = W.mul(W.w0, v)
-            if src in F:
-                out[v] = self._act(W.w0, F[src])
-        return out
-
     # -- Demazure-Lusztig ----------------------------------------------
-    def _dl(self, i):
-        """The data of the slice step for s_i, built once: with (b, e, d)
-        = `dl_coeffs(rs, i)`, the ring elements -b, d, b u and e d for
-        u = -d / s_i(d) (an asserted exact division: e^{-alpha_i} in
-        K-theory, 1 in cohomology), the factor a = b + e d, s_i and the
-        map w -> s_i w."""
-        data = self._dl_data.get(i)
+    def _dr(self, i):
+        """The data of the slice step for s_i, built once, with all its
+        Weyl moves: for (b, e, d) = `dl_coeffs(rs, i)`, -b, a = b + e d
+        and the tuples (x, x s_i, D, b x(v), e D) over the pairs x < x s_i,
+        with D = (x s_i)(d) and v = -s_i(d) / d (e^{alpha_i} in K-theory,
+        1 in cohomology)."""
+        data = self._steps.get(i)
         if data is None:
             W = self.W
+            act = self._act
             b, e, d = self.dl_coeffs(self.rs, i)
-            si = W.from_word((i,))
-            u = (-d).exact_div(self._act(si, d))
-            assert u is not None, "d / s_i(d) is not polynomial"
+            v = (-act(W.from_word((i,)), d)).exact_div(d)
+            assert v is not None, "s_i(d) / d is not polynomial"
             one = self._one()
-            ed = one * e * d
-            data = self._dl_data[i] = (
-                one * -b, d, one * b * u, ed, one * b + ed,
-                si, [W.inv[W.right[W.inv[w]][i]] for w in range(W.n)],
-            )
+            pairs = []
+            for x, row in enumerate(W.right):
+                if row[i] > x:
+                    D = act(row[i], d)
+                    pairs.append((x, row[i], D, act(x, v) * b, D * e))
+            data = self._steps[i] = (one * -b, one * b + one * e * d, pairs)
         return data
 
     def _slice_step(self, i, Q):
-        """The slice parts of T_i F from those of F, for F = cell(v) and
-        l(s_i v) > l(v).  With P_{w'} = s_i(P_w) a on each pair w < w' =
-        s_i w, the operator (see the module docstring) becomes
+        """The slice parts of F T_i from those of F = cell(w), l(w s_i) >
+        l(w).  With P_{x s_i} = P_x x(a) on each pair x < x s_i, the right
+        operator (see the module docstring) becomes
 
-            Q'_{w'} = E = (s_i(Q_w) - b Q_{w'}) / d,
-            Q'_w = s_i(b u E + e d Q_{w'}),   u = -d / s_i(d),
+            Q'_{x s_i} = E = (Q_x - b Q_{x s_i}) / D,
+            Q'_x = b x(v) E + e D Q_{x s_i},
 
         by a s_i(a) - b^2 = e d s_i(d): one exact division per pair."""
-        mb, d, bu, ed, _, si, left = self._dl(i)
+        mb, _, pairs = self._dr(i)
         dot = self.ring.dot
-        act = self._act
         zero = self.ring()
         out = {}
-        for w, sw in enumerate(left):
-            if sw < w or (w not in Q and sw not in Q):
-                continue  # each pair {w, s_i w} once, from its lower point
-            q = Q.get(sw, zero)
-            E = dot(((1, act(si, Q.get(w, zero))), (mb, q))).exact_div(d)
+        for x, xs, D, bxv, eD in pairs:
+            if x not in Q and xs not in Q:
+                continue
+            q = Q.get(xs, zero)
+            E = dot(((1, Q.get(x, zero)), (mb, q))).exact_div(D)
             assert E is not None, "Demazure-Lusztig step is not polynomial"
             if E:
-                out[sw] = E
-            g = act(si, dot(((bu, E), (ed, q))))
+                out[xs] = E
+            g = dot(((bxv, E), (eD, q)))
             if g:
-                out[w] = g
+                out[x] = g
         return out
 
     def slice_class(self, w):
         """{x: Q} with cell(w)|_x = Q P_x, P_x the product of
         `cell_factor(x)`: the slice parts of the class of X(w)^o, by the
-        Demazure-Lusztig recursion from the point class (P_id = 1)."""
+        right Demazure-Lusztig recursion from the point class (P_id = 1),
+        up the shortest path of right descents w -> w s_i from w to a
+        class already built, so that the classes of one solve share
+        their steps."""
         cache = self._slices
         if w not in cache:
-            if w == 0:
-                cache[0] = self.point_class()
-            else:
-                word = self.W.word(w)
-                rest = self.W.from_word(word[1:])
-                cache[w] = self._slice_step(word[0], self.slice_class(rest))
+            up = {w: None}  # y -> (y s_i, i), one step nearer to w
+            todo = [w]
+            for x in todo:  # breadth first; the point class ends it
+                if x in cache:
+                    break
+                for i, y in enumerate(self.W.right[x]):
+                    if y < x and y not in up:
+                        up[y] = (x, i)
+                        todo.append(y)
+            while up[x]:
+                z, i = up[x]
+                cache[z] = self._slice_step(i, cache[x])
+                x = z
         return cache[w]
 
     def cell_factor(self, x):
-        """The l(x) factors of P_x, read off a reduced word of x = s_i x'
-        by P_x = a_i s_i(P_{x'}), with a_i = b + e d the first numerator
-        of T_i: 1 + y e^{x beta} in K-theory and 1 - x(beta) in
-        cohomology over the beta > 0 with x beta < 0."""
+        """The l(x) factors of P_x, read off a reduced word of x = x' s_i
+        by P_x = P_{x'} x'(a), with a = b + e d the first numerator of
+        T_i: 1 + y e^{x beta} in K-theory and 1 - x(beta) in cohomology
+        over the beta > 0 with x beta < 0."""
         cache = self._factors
         if x not in cache:
             if x == 0:
                 cache[0] = []
             else:
-                word = self.W.word(x)
-                rest = self.W.from_word(word[1:])
-                _, _, _, _, a, si, _ = self._dl(word[0])
-                act = self._act
-                cache[x] = [a] + [act(si, f) for f in self.cell_factor(rest)]
+                i = self.W.word(x)[-1]
+                rest = self.W.right[x][i]
+                cache[x] = self.cell_factor(rest) + [
+                    self._act(rest, self._dr(i)[1])]
         return cache[x]
 
     def cell_class(self, w):
@@ -240,10 +242,13 @@ class Localization:
         return cache[w]
 
     def opposite_cell_class(self, w):
-        """The class of the opposite cell Y(w)^o = w0 X(w0 w)^o."""
+        """The class of the opposite cell Y(w)^o = w0 X(w0 w)^o, by the
+        left w0 action (w0 F)|_v = w0(F|_{w0 v})."""
         if w not in self._opposite:
             W = self.W
-            self._opposite[w] = self.w0_left(self.cell_class(W.mul(W.w0, w)))
+            F = self.cell_class(W.mul(W.w0, w))
+            self._opposite[w] = dict(sorted(
+                (W.mul(W.w0, u), self._act(W.w0, f)) for u, f in F.items()))
         return self._opposite[w]
 
     # -- quotients over root factors -----------------------------------
@@ -292,13 +297,6 @@ class Localization:
         return self.integral(self.mul(F, G))
 
     # -- expansion in the cell basis -----------------------------------
-    def expand_cell_product(self, G, w):
-        """{u: coefficient} of G cell(w) in the cell basis, solved on slice
-        parts: every remainder of the solve on G|_x Q_{w,x} against the
-        slice parts is the full solve's over P_x, so every quotient is
-        the same."""
-        return self._expand(self.mul(G, self.slice_class(w)), self.slice_class)
-
     def _expand(self, F, cell=None, points=None):
         """{u: coefficient} of F in the cell basis by a triangular solve
         from the top: once the cells above v are subtracted, the

@@ -2,7 +2,7 @@
 
 On the shared localization core (localization.py) with the character
 ring as coefficients, the module provides line bundles, motivic Chern
-classes of Schubert cells (by the left Demazure-Lusztig recursion),
+classes of Schubert cells (by the right Demazure-Lusztig recursion),
 Segre motivic classes (by their defining formula), Euler
 characteristics by the Atiyah-Bott fixed-point sum, and the expansion
 of a line bundle times a motivic class in the motivic basis, on G/B
@@ -10,15 +10,16 @@ and on G/P.  Everything here is independent of the lambda-chain
 combinatorics, so agreement with the chain formulas is a genuine
 cross-check.
 
-Every value is a GA element (packed keys, see charring.py).  The
-Demazure-Lusztig steps (left on MC classes, right in the affine Hecke
-action `StableBasis.hecke_T`) and the triangular solve are exact
-divisions, and so is each genuine quotient, over a W-fixed
-denominator: the Atiyah-Bott sum and each coset of `pushforward` over
-root factors, and the Segre-type classes (`smc`, `mc_prime`) are a
-numerator class over Lambda = prod over all roots beta of
-(1 + y e^beta), so that pairing with one is one more division by
-Lambda.
+Every value is a GA element (packed keys, see charring.py).  A line
+bundle multiplies each value by one monomial e^{x(lambda)}, a shift of
+its keys (`KOracle._twist`).  The Demazure-Lusztig steps (right, on the
+slice parts of MC classes and in the affine Hecke action
+`StableBasis.hecke_T`) and the triangular solve are exact divisions,
+and so is each genuine quotient, over a W-fixed denominator: the
+Atiyah-Bott sum and each coset of `pushforward` over root factors, and
+the Segre-type classes (`smc`, `mc_prime`) are a numerator class over
+Lambda = prod over all roots beta of (1 + y e^beta), so that pairing
+with one is one more division by Lambda.
 
 The stable-basis layer of the cotangent bundle lives at the end of the
 file; it is the only place where half powers of q (odd powers of v)
@@ -27,7 +28,7 @@ occur.
 
 from __future__ import annotations
 
-from .charring import GA, Scalar, _wneg
+from .charring import GA, Scalar, _check, _pack, _wneg
 from .alcove import chain_lex_height
 from .localization import Localization, _delta
 
@@ -131,9 +132,24 @@ class KOracle(Localization):
         return out
 
     # -- Chevalley expansion -------------------------------------------
+    def _twist(self, lam_fund, F):
+        """L_lambda F: each F|_x shifted by the key offset of x(lambda),
+        range-checked; lambda is checked first, so no offset carries
+        across the packed fields."""
+        lam = self.rs.weight(lam_fund)
+        _pack(lam)  # raises on a weight outside the packed range
+        out = {}
+        for x, f in F.items():
+            s = self.W.act_key(x, lam)
+            out[x] = GA._new({k + s: a for k, a in f.c.items()})
+            _check(out[x].c, self.rank)
+        return out
+
     def expand_product(self, lam_fund, w):
-        """{u: C^w_{u,lambda}} by expanding L_lambda (x) MC(X(w)^o)."""
-        return self.expand_cell_product(self.line_bundle(lam_fund), w)
+        """{u: C^w_{u,lambda}} by expanding L_lambda (x) MC(X(w)^o) on
+        slice parts."""
+        return self._expand(self._twist(lam_fund, self.slice_class(w)),
+                            self.slice_class)
 
     # -- parabolic model -----------------------------------------------
     def parabolic_points(self, parabolic):
@@ -168,10 +184,8 @@ class KOracle(Localization):
         if w not in points:
             raise ValueError("w must be a minimal coset representative")
         cells = {x: self.pushforward(self.mc(x), parabolic) for x in points}
-        return self._expand(
-            self.mul(self.line_bundle(lam_fund), cells[w]), cells.__getitem__,
-            points,
-        )
+        return self._expand(self._twist(lam_fund, cells[w]),
+                            cells.__getitem__, points)
 
 
 # -- stable-basis layer ------------------------------------------------

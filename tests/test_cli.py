@@ -452,6 +452,13 @@ def test_oracle_exponent_range(capsys):
         assert _run(argv + ["--lambda=%d" % lam]) == (2, ""), lam
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), lam
+    # a weight outside the packed range is refused before any shift,
+    # with the exponent named
+    for lam in (9000, -9000):
+        capsys.readouterr()
+        assert _run(argv + ["--lambda=%d" % lam]) == (2, ""), lam
+        assert capsys.readouterr().err == (
+            "error: exponent %d out of range [-8192, 8192)\n" % (2 * lam)), lam
 
 
 def test_cache_round_trip(tmp_path):

@@ -1,5 +1,6 @@
-"""The split Demazure-Lusztig step b (x - f)/d + e x and the paired
-left operator of both localization oracles."""
+"""The split Demazure-Lusztig step b (x - f)/d + e x, the paired left
+reference operator and the right slice recursion of both localization
+oracles."""
 
 from collections import Counter
 
@@ -168,13 +169,30 @@ def _reference_cells(o):
 @pytest.mark.parametrize("label", SLICE_LABELS)
 @pytest.mark.parametrize("oracle", [KOracle, CohOracle])
 def test_cell_class_is_the_dl_left_recursion(label, oracle):
-    """The slice parts times their factors are the classes of the left
-    Demazure-Lusztig recursion from the point class, at every w and
-    every point."""
+    """The slice parts of the right recursion times their factors are
+    the classes of the left Demazure-Lusztig recursion from the point
+    class, at every w and every point."""
     o = oracle(RootSystem(label[0], int(label[1])))
     ref = _reference_cells(o)
     for w in range(o.W.n):
         assert o.cell_class(w) == ref[w], (label, w)
+
+
+@pytest.mark.parametrize("oracle", [KOracle, CohOracle])
+def test_slice_recursion_makes_no_weyl_move(oracle):
+    """Once `_dr(i)` is built for every i, every slice class on B3 is
+    built without a Weyl move: the right step is K_T(pt)-linear."""
+    o = oracle(RootSystem("B", 3))
+    for i in range(o.rank):
+        o._dr(i)
+
+    def refuse(w, g):
+        raise AssertionError("Weyl move in the slice recursion")
+
+    o._act = refuse
+    for w in range(o.W.n):
+        o.slice_class(w)
+    assert len(o._slices) == o.W.n
 
 
 @pytest.mark.parametrize("label", LABELS)
