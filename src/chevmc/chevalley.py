@@ -235,14 +235,12 @@ def chevalley_operator(chain, w, W=None):
 def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None,
                      W=None):
     """{w: {u: C^w_{u, sign*lambda}}} for the distinct elements ws, in
-    their order.  The chain and operator routes run on the element store
-    W of ws (rs.weyl() by default), the bridge route on the exhaustive
-    group; chain, a chain for +lambda, defaults to the lex chain."""
+    their order.  Every route runs on the element store W of ws
+    (rs.weyl() by default); chain, a chain for +lambda, defaults to the
+    lex chain."""
     ws = list(dict.fromkeys(ws))
     if method not in ("chain", "operator", "bridge"):
         raise ValueError("unknown method %r" % method)
-    if method == "bridge" and W is not None and W is not rs.weyl():
-        raise ValueError("the bridge route needs the exhaustive group")
     _pack(rs.weight(lam_fund))  # raises on a weight outside the packed range
     if not any(lam_fund):
         return {w: {w: GA.const(1, rs.rank)} for w in ws}
@@ -250,7 +248,7 @@ def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None,
         raise ValueError("operator method computes the +lambda table")
     if method == "bridge":
         from .hecke import HeckeAlgebra
-        halg = HeckeAlgebra(rs)
+        halg = HeckeAlgebra(W or rs.weyl())
         return {w: chevalley_bridge(halg, w, lam_fund, sign) for w in ws}
     if chain is None:
         chain = chain_lex_height(rs, lam_fund)

@@ -285,12 +285,9 @@ def _chevalley_block(args, W, word, table, memo):
 def _cmd_chevalley(args, out):
     rs = _parse_type(args.type)
     lam = _parse_lambda(args.lam, rs.rank)
-    # one word on the chain or operator route visits only the elements
-    # its walk reaches; 'all' and the bridge route need the whole group
-    if _is_all(args.w) or args.method == "bridge":
-        W = rs.weyl()
-    else:
-        W = rs.lazy_weyl()
+    # one word, on any route, visits only the elements its walk reaches;
+    # 'all' needs the whole group
+    W = rs.weyl() if _is_all(args.w) else rs.lazy_weyl()
     w = _parse_w(W, args.w)
     sign = _parse_sign(args.sign)
     ws = range(W.n) if w is None else [w]
@@ -338,10 +335,10 @@ def _cmd_chevalley(args, out):
 def _cmd_hecke(args, out):
     from .hecke import HeckeAlgebra
     rs = _parse_type(args.type)
-    W = rs.weyl()
+    W = rs.lazy_weyl()
     lam = _parse_lambda(args.lam, rs.rank)
     w = _parse_one_w(W, args.w, "hecke-coeffs")
-    halg = HeckeAlgebra(rs)
+    halg = HeckeAlgebra(W)
     table = halg.transition_direct(w, lam)
     entries = [
         {

@@ -21,11 +21,13 @@ from .charring import GA, Scalar
 
 
 class HeckeAlgebra:
-    """The affine Hecke algebra of a finite root system."""
+    """The affine Hecke algebra of a finite root system, on the element
+    store W of its Weyl group: rs.weyl() or rs.lazy_weyl(), whichever
+    the caller's w and the u it reports are elements of."""
 
-    def __init__(self, rs):
-        self.rs = rs
-        self.W = rs.weyl()
+    def __init__(self, W):
+        self.W = W
+        self.rs = W.rs
 
     def transition_direct(self, w, lam_fund):
         """c_{u,mu}^{w,lambda}: expand T_{w^-1}^-1 X^lambda in the basis
@@ -51,7 +53,8 @@ class HeckeAlgebra:
         c = q_inv - Scalar.one()
         state = {0: GA.term(rs.weight(lam_fund))}
         for i in reversed(W.word(w)):
-            mat = W.mats[W.from_word((i,))]
+            si = W.reflection(rs.simple_roots[i])
+            mat = W.mats[si]
             alpha = rs.weight(rs.simple_roots[i].fund)
             den = GA.const(1, rs.rank) - GA.term(tuple(-a for a in alpha))
             nxt = {}
@@ -61,7 +64,7 @@ class HeckeAlgebra:
                 D = diff.exact_div(den)
                 if D is None:
                     raise ValueError("Hecke weights must be integral")
-                xs = W.right[x][i]
+                xs = W.mul(x, si)
                 if W.length[xs] > W.length[x]:
                     nxt.setdefault(x, []).extend(((c, D), (-c, diff)))
                     nxt.setdefault(xs, []).append((1, sP))

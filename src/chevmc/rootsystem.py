@@ -503,17 +503,16 @@ class WeylGroup(_Elements):
         return sorted(out)
 
 
-class _Right(dict):
-    """w -> (w s_1, ..., w s_r) in a LazyWeyl, each row made on first
-    lookup."""
+class _Memo(dict):
+    """w -> make(w), each value made on first lookup."""
 
-    def __init__(self, W):
+    def __init__(self, make):
         super().__init__()
-        self.W = W
+        self.make = make
 
     def __missing__(self, w):
-        row = self[w] = tuple(self.W.mul(w, s) for s in self.W.simple)
-        return row
+        value = self[w] = self.make(w)
+        return value
 
 
 class LazyWeyl(_Elements):
@@ -540,7 +539,9 @@ class LazyWeyl(_Elements):
         self._negative = _negative_keys(rs)
         self._element(_identity(rs.rank))
         self.simple = [self.reflection(a) for a in rs.simple_roots]
-        self.right = _Right(self)
+        self.right = _Memo(
+            lambda w: tuple(self.mul(w, s) for s in self.simple))
+        self.inv = _Memo(lambda w: self.from_word(reversed(self.words[w])))
 
     def _element(self, mat, rho=None):
         """The element of a matrix, made on first sight; rho is

@@ -282,7 +282,8 @@ _LAZY_TYPES = (
     + [("G", 2), ("F", 4)]
 )
 _LAZY_RS = {}
-_ROUTES = ((1, "chain"), (-1, "chain"), (1, "operator"))
+_ROUTES = ((1, "chain"), (-1, "chain"), (1, "operator"), (1, "bridge"),
+           (-1, "bridge"))
 
 
 def _lazy_rs(family, rank):
@@ -348,7 +349,8 @@ def test_chain_and_operator_agree_e7_e8(rank):
         x = L.from_word(word)
         chain = chevalley_table(rs, lam, x, method="chain", W=L)
         assert x in chain and len(chain) == entries
-        assert chain == chevalley_table(rs, lam, x, method="operator", W=L)
+        for method in ("operator", "bridge"):
+            assert chain == chevalley_table(rs, lam, x, method=method, W=L)
 
 
 # -- the all-w pass ----------------------------------------------------
@@ -512,16 +514,3 @@ def test_tables_contract(monkeypatch):
     with pytest.raises(ValueError, match="unknown method"):
         chevalley_tables(rs, lam, [1], method="walk")
 
-
-def test_bridge_refuses_a_lazy_store():
-    # a lazy store numbers its elements in the order it meets them, so
-    # its integers do not name the exhaustive group's elements
-    rs = RootSystem("A", 2)
-    L = rs.lazy_weyl()
-    x = L.from_word_str("s1")
-    with pytest.raises(ValueError, match="exhaustive group"):
-        chevalley_table(rs, (1, 0), x, method="bridge", W=L)
-    W = rs.weyl()
-    w = W.from_word_str("s1")
-    assert chevalley_table(rs, (1, 0), w, method="bridge", W=W) == (
-        chevalley_table(rs, (1, 0), w))

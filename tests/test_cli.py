@@ -286,9 +286,8 @@ def test_bad_args_exit_2(capsys):
         *([command, "--type", "E7", "--lambda=0,0,0,0,0,0,1"] + rest
           for command, rest in (
               ("chevalley", ["--w", "all"]),
-              ("chevalley", ["--w", "s1", "--method", "bridge"]),
               ("oracle", ["--w", "s1"]), ("csm", ["--w", "s1"]),
-              ("stab", []), ("hecke-coeffs", ["--w", "s1"]))),
+              ("stab", []))),
         ["verify", "--suite", "all", "--type", "E7"],
     ):
         capsys.readouterr()
@@ -307,7 +306,7 @@ def _refuse(*args, **kwargs):
 
 
 def test_single_word_builds_no_weyl_group(monkeypatch):
-    # one word on the chain or operator route runs on the lazy element
+    # one word on any route, and hecke-coeffs, runs on the lazy element
     # store: with the exhaustive build made to fail, both signs, an
     # explicit affine word and every format still exit 0
     lam = (0, 0, 0, 1, 0)
@@ -317,24 +316,43 @@ def test_single_word_builds_no_weyl_group(monkeypatch):
             "--w", "s2s3s4s5"]
     monkeypatch.setattr(WeylGroup, "__init__", _refuse)
     for extra in ([], ["--method", "operator"], ["--sign", "-"],
+                  ["--method", "bridge"],
+                  ["--method", "bridge", "--sign", "-"],
                   ["--word", word], ["--word", word, "--sign", "-"]):
         for fmt in ("text", "json", "latex"):
             code, text = _run(base + extra + ["--format", fmt])
             assert code == 0 and "s2s3s4s5" in text, (extra, fmt)
     assert _run(base + ["--word", word]) == _run(base)
+    code, text = _run(["hecke-coeffs"] + base[1:] + ["--format", "json"])
+    assert code == 0 and json.loads(text)["w"] == "s2s3s4s5"
+
+
+def test_e7_word_on_the_bridge():
+    # the bridge and hecke-coeffs take one E7 word on the lazy store, out
+    # of the exhaustive group's reach; the bridge prints the chain's tables
+    base = ["--type", "E7", "--lambda=0,0,0,0,0,0,1", "--w", "s5s6s7",
+            "--format", "json"]
+    tables = []
+    for method in ("chain", "bridge"):
+        code, text = _run(["chevalley"] + base + ["--method", method])
+        assert code == 0, method
+        tables.append(json.loads(text)["tables"])
+    assert len(tables[0][0]["entries"]) == 4 and tables[0] == tables[1]
+    code, text = _run(["hecke-coeffs"] + base)
+    assert code == 0 and json.loads(text)["entries"]
 
 
 def test_e8_single_word():
     # E8 is out of the exhaustive group's reach; one word runs, and the
-    # chain and operator routes print the same tables
+    # three routes print the same tables
     base = ["chevalley", "--type", "E8", "--lambda=0,0,0,0,0,0,0,1",
             "--w", "s8s7s6s5s4s3s2s1", "--format", "json"]
     tables = []
-    for method in ("chain", "operator"):
+    for method in ("chain", "operator", "bridge"):
         code, text = _run(base + ["--method", method])
         assert code == 0, method
         tables.append(json.loads(text)["tables"])
-    assert tables[0] == tables[1]
+    assert tables[0] == tables[1] == tables[2]
     assert tables[0][0]["w"] == "s8s7s6s5s4s2s3s1"  # canonical: s2 < s3
     assert _run(["chain", "--type", "E8",
                  "--lambda=0,0,0,0,0,0,0,1"])[0] == 0

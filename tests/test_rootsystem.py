@@ -246,7 +246,7 @@ def test_lazy_store_matches_exhaustive(family, rank):
         for v in vectors:
             assert L.act(x, v) == W.act(w, v)
             assert L.act_key(x, v) == W.act_key(w, v)
-        assert L.mul(x, lazy[W.inv[w]]) == 0
+        assert L.inv[x] == lazy[W.inv[w]] and L.mul(x, L.inv[x]) == 0
     for a in rs.positive_roots:
         assert L.reflection(a) == lazy[W.reflection(a)]
 
