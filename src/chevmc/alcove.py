@@ -159,7 +159,7 @@ def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
             t = tuple(a + b for a, b in zip(t, W.act(wcur, theta_fine)))
             wcur = W.mul(wcur, s_theta)
         else:
-            wcur = W.right[wcur][i]
+            wcur = W.mul(wcur, W.simple[i])
     # l(v_{-lambda}) counts the hyperplanes separating A from A - lambda
     reduced = len(word) == sum(
         abs(rs.pairing(lam_fund, rt)) for rt in rs.positive_roots

@@ -433,7 +433,9 @@ def _cmd_hl(args, out):
     g = hall_littlewood(rs, lam, method=args.method)
     # |lambda| as a partition has sum(i * c_i) boxes
     degree = sum((i + 1) * c for i, c in enumerate(lam))
-    if rs.family == "A" and args.basis == "schur":
+    if args.format == "json":
+        text = None  # the document carries the value alone
+    elif rs.family == "A" and args.basis == "schur":
         text = render_schur(rs, schur_expansion(rs, g), degree)
     elif rs.family == "A":
         text = render_x(rs, g, degree)

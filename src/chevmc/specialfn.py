@@ -10,15 +10,31 @@ parameter t is the Hecke parameter q of the shared coefficient ring
 Everything here stays in the character ring GA: each operator step is
 one exact division (localization.dl_step), and each localization
 formula is one exact division by the Weyl denominator.
+
+The chain formulas (Lenart 2011) sum over w in W^P and the subsets J
+of the reduced (-lambda)-chain along which w descends to u
+(alcove.descent_subsets, with translation B):
+
+  chain_restricted (u ->(J>) w): t^{(l(w)+l(u)-|J|)/2} (1-t)^{|J|}
+      x^{w rhat_{J<}(lambda)}, that is x^{u(lambda) + B};
+  chain_opposite (u ->(J<) w): t^{(2 dim G/P - l(w)-l(u)-|J|)/2}
+      (1-t)^{|J|} x^{u rhat_{J<}(lambda)}, that is x^{w(lambda) - B}.
+
+Each term counts its packed x-key in one dict per (t power, |J|), which
+meets the key pairs of its t^a (1-t)^b in one _add_products, as
+chevalley.chevalley_chain sums the Chevalley formula: t = -y, so
+t^a (1-t)^b is the memoised coefficient (1+y)^b q^a of a -lambda term.
+One _check follows.
 """
 
 from __future__ import annotations
 
 from .charring import (
-    GA, Scalar, _BIAS, _pack, _wneg, _weight, power_mono, render_terms,
+    GA, Scalar, _BIAS, _add_products, _check, _pack, _wneg, power_mono,
+    render_terms,
 )
 from .alcove import chain_lex_height, descent_subsets
-from .chevalley import chevalley_table, chevalley_tables
+from .chevalley import _term_pairs, chevalley_table, chevalley_tables
 from .localization import dl_step
 from .oracle import KOracle
 
@@ -91,10 +107,8 @@ def big_r(rs, lam_fund, method="localization"):
     if method == "operators":
         dl = ScalarDL(rs)
         e_lam = GA.term(rs.weight(lam_fund))
-        acc = GA()
-        for w in range(rs.weyl().n):
-            acc = acc + dl.apply(w, e_lam, variant="tilde_vee")
-        return acc
+        return GA.dot((dl.apply(w, e_lam, variant="tilde_vee"), 1)
+                      for w in range(rs.weyl().n))
     if method in ("localization", "chevalley"):
         return big_h(rs, lam_fund, method=method, parabolic=())
     raise ValueError("unknown method %r" % method)
@@ -175,51 +189,37 @@ def hall_littlewood(rs, lam_fund, method="closed"):
             [_wneg(a.fund) for a in rs.horizontal_roots(parabolic)],
         )
     if method in ("chain_restricted", "chain_opposite"):
-        formula = 1 if method == "chain_restricted" else 2
-        acc = GA()
-        for _w, _j, _u, mono in hl_terms(rs, lam_fund, formula):
-            acc = acc + mono
-        return acc
+        restricted = method == "chain_restricted"
+        W = rs.weyl()
+        chain = chain_lex_height(rs, _wneg(lam_fund))
+        lam = rs.weight(lam_fund)
+        _pack(lam)  # in range, so each key below decodes exactly
+        horiz = len(rs.horizontal_roots(parabolic))
+        bias = _BIAS[rs.rank]
+        length, act_key = W.length, W.act_key
+        groups = {}  # (2 * t power, |J|) -> {key of the x-monomial: count}
+        for w in W.min_coset_reps(parabolic):
+            lw, wk = length[w], act_key(w, lam)
+            for u, J, B, _ in descent_subsets(chain, w, restricted,
+                                              chain.walls):
+                nj = len(J)
+                if restricted:
+                    power2 = lw + length[u] - nj
+                    key = bias + act_key(u, lam) + B
+                else:
+                    power2 = 2 * horiz - lw - length[u] - nj
+                    key = bias + wk - B
+                assert power2 % 2 == 0 and power2 >= 0
+                keys = groups.setdefault((power2, nj), {})
+                keys[key] = keys.get(key, 0) + 1
+        acc = {}
+        for (power2, nj), keys in groups.items():
+            # t^{power2/2} (1-t)^{|J|}, the coefficient of a -lambda term
+            _add_products(acc, keys.items(), _term_pairs(nj, power2, False,
+                                                         False))
+        _check(acc, rs.rank)
+        return GA._new(acc)
     raise ValueError("unknown method %r" % method)
-
-
-def hl_terms(rs, lam_fund, formula):
-    """The individual terms of the two chain formulas for HL_lambda.
-
-    Both run over a reduced (-lambda)-chain with hyperplanes
-    H_{beta_j, d_j}.  Yields (w, J, u, monomial):
-
-      formula 1 (restricted Bruhat condition u ->(J>) w, w in W^P):
-          t^{(l(w)+l(u)-|J|)/2} (1-t)^{|J|} x^{w rhat_{J<}(lambda)}
-      formula 2 (opposite condition u ->(J<) w, w in W^P):
-          t^{(2 dim G/P - l(w)-l(u)-|J|)/2} (1-t)^{|J|} x^{u rhat_{J<}(lambda)}
-    """
-    if not all(c >= 0 for c in lam_fund):
-        raise ValueError("lambda must be dominant")
-    W = rs.weyl()
-    parabolic = _lambda_parabolic(rs, lam_fund)
-    chain = chain_lex_height(rs, _wneg(lam_fund))
-    lam = rs.weight(lam_fund)
-    _pack(lam)  # in range, so each key below decodes exactly
-    horiz = len(rs.horizontal_roots(parabolic))
-    t = Scalar.q(1)
-    one_minus_t = Scalar.one() - t
-    bias = _BIAS[rs.rank]
-    out = []
-    for w in W.min_coset_reps(parabolic):
-        for u, J, B, _ in descent_subsets(chain, w, formula == 1,
-                                          chain.walls):
-            nj = len(J)
-            if formula == 1:
-                power2 = W.length[w] + W.length[u] - nj
-                key = bias + W.act_key(u, lam) + B
-            else:
-                power2 = 2 * horiz - W.length[w] - W.length[u] - nj
-                key = bias + W.act_key(w, lam) - B
-            assert power2 % 2 == 0 and power2 >= 0
-            coeff = Scalar.q(power2 // 2) * one_minus_t ** nj
-            out.append((w, J, u, GA.term(_weight(key, rs.rank), coeff)))
-    return out
 
 
 # -- GL_n coordinates (type A) -----------------------------------------
@@ -308,9 +308,7 @@ def render_schur(rs, expansion, degree, var="t"):
 def casselman_shalika_sides(rs, lam_fund):
     """(sum_w W_{lambda,w},  prod(1+y e^alpha) chi_{w0 lambda})."""
     W = rs.weyl()
-    acc = GA()
-    for w in range(W.n):
-        acc = acc + whittaker(rs, lam_fund, w)
+    acc = GA.dot((whittaker(rs, lam_fund, w), 1) for w in range(W.n))
     lam_id = GA.const(1, rs.rank)
     for a in rs.positive_roots:
         af = tuple(rs.h * c for c in a.fund)

@@ -4,12 +4,16 @@ The Hall-Littlewood term tables are stored as sets of
 (w_word, J, u_word, t_power, one_minus_t_power, x_exponents).
 """
 
-from chevmc.alcove import _in_alcove, _scale, _walls
+from chevmc.alcove import (
+    _in_alcove, _scale, _walls, chain_lex_height, descent_subsets,
+)
 from chevmc.charring import (
-    FIELD, GA, MASK, _BIAS, _HALF, _add_products, _weight,
+    FIELD, GA, MASK, Scalar, _BIAS, _HALF, _add_products, _pack, _wneg,
+    _weight,
 )
 from chevmc.chevalley import _checked, _term_coeff
 from chevmc.localization import _delta
+from chevmc.specialfn import _lambda_parabolic
 
 # lambda = first fundamental weight in A2, expansion degree 1
 GOLD_W1_F1 = {
@@ -61,10 +65,46 @@ GOLD_2W2_F2 = {
 }
 
 
+def hl_terms(rs, lam_fund, formula):
+    """The individual terms of the two chain formulas for HL_lambda, as
+    a list of (w, J, u, monomial): formula 1 is `chain_restricted`,
+    formula 2 `chain_opposite` (see the specialfn module docstring).
+
+    The reference, one ring element per term, that the packed sum of
+    `specialfn.hall_littlewood` is checked against.
+    """
+    if not all(c >= 0 for c in lam_fund):
+        raise ValueError("lambda must be dominant")
+    W = rs.weyl()
+    parabolic = _lambda_parabolic(rs, lam_fund)
+    chain = chain_lex_height(rs, _wneg(lam_fund))
+    lam = rs.weight(lam_fund)
+    _pack(lam)  # in range, so each key below decodes exactly
+    horiz = len(rs.horizontal_roots(parabolic))
+    t = Scalar.q(1)
+    one_minus_t = Scalar.one() - t
+    bias = _BIAS[rs.rank]
+    out = []
+    for w in W.min_coset_reps(parabolic):
+        for u, J, B, _ in descent_subsets(chain, w, formula == 1,
+                                          chain.walls):
+            nj = len(J)
+            if formula == 1:
+                power2 = W.length[w] + W.length[u] - nj
+                key = bias + W.act_key(u, lam) + B
+            else:
+                power2 = 2 * horiz - W.length[w] - W.length[u] - nj
+                key = bias + W.act_key(w, lam) - B
+            assert power2 % 2 == 0 and power2 >= 0
+            coeff = Scalar.q(power2 // 2) * one_minus_t ** nj
+            out.append((w, J, u, GA.term(_weight(key, rs.rank), coeff)))
+    return out
+
+
 def hl_terms_as_tuples(rs, lam, formula, degree):
     """Normalize hl_terms output to the frozen golden-table format."""
     from chevmc.charring import Scalar
-    from chevmc.specialfn import hl_terms, gl_exponents
+    from chevmc.specialfn import gl_exponents
 
     W = rs.weyl()
     out = set()

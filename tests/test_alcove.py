@@ -1,5 +1,6 @@
 """Lambda-chains, alcove paths and hyperplane data."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -167,6 +168,26 @@ def test_descent_translation_matches_affine_reflections(family):
                 assert _add(W.act(w, _neg(lam)), _neg(B)) == W.act(u, rhat)
                 translated += any(B)
     assert translated > 0
+
+
+def test_e8_chain_from_word_reads_no_right_row():
+    # each letter steps the prefix by one product w s_i; the lazy store's
+    # `right`, which would make a row of r products, is never read, and
+    # the chain's roots and levels are those pinned for this word
+    class Refuse:
+        def __getitem__(self, w):
+            raise AssertionError("right row of %r read" % (w,))
+
+    rs = RootSystem("E", 8)
+    lam = (0,) * 7 + (1,)
+    rs.lazy_weyl().right = Refuse()
+    word = v_minus_lambda(rs, lam)
+    chain = chain_from_word(rs, lam, word)
+    assert chain.reduced and len(chain) == len(word) == 58
+    digest = hashlib.sha256(repr(
+        ([b.simple for b in chain.betas], chain.levels)).encode()).hexdigest()
+    assert digest == (
+        "619314aba2fcada126a8326d5d65178bbda6838aef16040ea349e00ae43e8d2e")
 
 
 def test_v_minus_lambda_word():

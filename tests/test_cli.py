@@ -143,6 +143,23 @@ def test_hl_monomial_basis():
     assert "x1" in text and "x2" in text and "x3" in text
 
 
+def test_hl_json_renders_no_text(monkeypatch):
+    # the JSON document carries the value alone: no Schur expansion or
+    # rendering runs, and the bytes are the pinned ones of this argv
+    import chevmc.specialfn as specialfn
+
+    def refuse(*args):
+        raise AssertionError("text rendered for --format json")
+
+    for name in ("schur_expansion", "render_schur", "render_x"):
+        monkeypatch.setattr(specialfn, name, refuse)
+    code, text = _run(["hl", "--type", "A2", "--lambda", "0,2",
+                       "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5fad03f018833aebda9f7af690490a5dada3bb67d1c084c458585c91bcf58416")
+
+
 def test_hl_rejects_non_dominant():
     code, _ = _run(["hl", "--type", "A2", "--lambda=-1,0"])
     assert code == 2
