@@ -29,14 +29,13 @@ the monomial text a caller passes (`exp_mono`, `power_mono`), and
 `render_terms` joins the terms.
 
 There is no fraction type.  A Demazure-Lusztig step divides once in the
-ring (localization.dl_step; the right slice recursion of
-`Localization.slice_class`, with no Weyl move, and `StableBasis.hecke_T`
-once per pair of points), so does a Bernstein
-step of the bridge route (hecke.py), and every localization quotient
-is one exact division over a
-W-fixed denominator (localization.Localization.root_quotient): a
-product of root factors, or a W-invariant constant under a Segre-type
-class.
+ring (localization.dl_step; the right operator `Localization.dl_right`,
+also the affine Hecke action on stable envelopes under the star, and
+its slice recursion, with no Weyl move, once per pair of points), so
+does a Bernstein step of the bridge route (hecke.py), and every
+localization quotient is one exact division over a W-fixed denominator
+(localization.Localization.root_quotient): a product of root factors,
+or a W-invariant constant under a Segre-type class.
 
 One kernel, `_add_products`, adds monomial products into a coefficient
 dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a

@@ -14,23 +14,28 @@ Every value is a ring element.  Every Demazure-Lusztig step of the
 package is (a x - b f)/d with a = b + e d, computed as b D + e x over
 the one exact division D = (x - f)/d, polynomial by theory and asserted
 so: `dl_step` in specialfn (ScalarDL) and csm.DegenerateHecke.t_left,
-and oracle.StableBasis.hecke_T, which divides once per pair {w, w s_i}
-since D(w s_i) = e^{w a_i} D(w).
+and the right operator `dl_right`, which divides once per pair
+{x, x s_i}.
 
-The cell classes are built on their slice parts.  The right operator
-T_i of Aluffi-Mihalcea-Schuermann-Su,
-(F T_i)|_w = ((w s_i)(a) F|_{w s_i} - b F|_w) / w(d), takes cell(v) to
+The right operator T_i of Aluffi-Mihalcea-Schuermann-Su,
+(F T_i)|_x = ((x s_i)(a) F|_{x s_i} - b F|_x) / x(d), takes cell(v) to
 cell(v s_i) when l(v s_i) > l(v), starting from the point class.  It
 gives the classes of the paper's left operators (the test reference
-`dl_left`) but is K_T(pt)-linear.  At
-every fixed point x, each cell(v)|_x is divisible by P_x, the product of
-the l(x) factors `cell_factor(x)`: P_id = 1 and P_{x s_i} = P_x x(a)
-when l(x s_i) > l(x).  `slice_class(v)` caches the slice parts Q_{v,x}
-= cell(v)|_x / P_x, and the recursion runs on them, with one exact
-division per pair {x, x s_i} and no Weyl move (`_slice_step`).
-`cell_class` multiplies the factors back for the users of full classes.
-A slice part is a Minkowski summand of the full value, since P_x has
-the monomial 1, so it stays in the exponent range of that value.
+`dl_left`) but is K_T(pt)-linear, so `dl_right` makes no Weyl move: the
+pair data of `_dr(i)` carry them all.  `cell_class` builds the full
+classes with it.  In K-theory at y = -q, conjugated by the star
+e^mu -> e^{-mu}, which fixes scalars, it is the affine Hecke operator
+on stable envelopes (oracle.StableBasis.hecke_T_on_stab).
+
+The expansions run on slice parts.  At every fixed point x, each
+cell(v)|_x is divisible by P_x, a product of l(x) factors: P_id = 1 and
+P_{x s_i} = P_x x(a) when l(x s_i) > l(x).  `slice_class(v)` caches the
+slice parts Q_{v,x} = cell(v)|_x / P_x, and the recursion runs on them
+too, with one exact division per pair {x, x s_i} and no Weyl move
+(`_slice_step`); it climbs the same shortest path of right descents as
+`cell_class` (`_climb`).  A slice part is a Minkowski summand of the
+full value, since P_x has the monomial 1, so it stays in the exponent
+range of that value.
 
 The expansion in the cell basis is a triangular solve of exact
 divisions (`_expand`).  A product G cell(w) expands on slice parts, on
@@ -99,8 +104,7 @@ class Localization:
             b: self._den[b].exact_div(self._euler(b)) for b in self.pos_roots
         }
         self._slices = {0: self.point_class()}
-        self._factors = {}
-        self._cells = {}
+        self._cells = dict(self._slices)
         self._opposite = {}
         self._steps = {}
         self._ab = None
@@ -141,11 +145,11 @@ class Localization:
 
     # -- Demazure-Lusztig ----------------------------------------------
     def _dr(self, i):
-        """The data of the slice step for s_i, built once, with all its
-        Weyl moves: for (b, e, d) = `dl_coeffs(rs, i)`, -b, a = b + e d
-        and the tuples (x, x s_i, D, b x(v), e D) over the pairs x < x s_i,
-        with D = (x s_i)(d) and v = -s_i(d) / d (e^{alpha_i} in K-theory,
-        1 in cohomology)."""
+        """The data of the right steps for s_i, built once, with all their
+        Weyl moves: for (b, e, d) = `dl_coeffs(rs, i)`, b and the tuples
+        (x, x s_i, D, b x(v), e D, -e x(v), -e (x s_i)(v)) over the pairs
+        x < x s_i, with D = (x s_i)(d) and v = -s_i(d) / d (e^{alpha_i} in
+        K-theory, 1 in cohomology), so that s_i(v) = 1 / v."""
         data = self._steps.get(i)
         if data is None:
             W = self.W
@@ -153,14 +157,45 @@ class Localization:
             b, e, d = self.dl_coeffs(self.rs, i)
             v = (-act(W.from_word((i,)), d)).exact_div(d)
             assert v is not None, "s_i(d) / d is not polynomial"
-            one = self._one()
             pairs = []
             for x, row in enumerate(W.right):
-                if row[i] > x:
-                    D = act(row[i], d)
-                    pairs.append((x, row[i], D, act(x, v) * b, D * e))
-            data = self._steps[i] = (one * -b, one * b + one * e * d, pairs)
+                xs = row[i]
+                if xs > x:
+                    D = act(xs, d)
+                    xv = act(x, v)
+                    pairs.append((x, xs, D, xv * b, D * e, xv * -e,
+                                  act(xs, v) * -e))
+            data = self._steps[i] = (b, pairs)
         return data
+
+    def dl_right(self, i, F):
+        """F T_i for the right operator (see the module docstring).  On each
+        pair x < x s_i, with D = (x s_i)(d) = -x(v) x(d) and 1 / x(v) =
+        (x s_i)(v), it is
+
+            Delta = (F|_x - F|_{x s_i}) / D,
+            (F T_i)|_x = b x(v) Delta - e x(v) F|_{x s_i},
+            (F T_i)|_{x s_i} = b Delta - e (x s_i)(v) F|_x:
+
+        one exact division per pair and no Weyl move."""
+        b, pairs = self._dr(i)
+        dot = self.ring.dot
+        zero = self.ring()
+        out = {}
+        for x, xs, D, bxv, _, exv, exsv in pairs:
+            if x not in F and xs not in F:
+                continue
+            f = F.get(x, zero)
+            g = F.get(xs, zero)
+            delta = (f - g).exact_div(D)
+            assert delta is not None, "Demazure-Lusztig step is not polynomial"
+            h = dot(((bxv, delta), (exv, g)))
+            if h:
+                out[x] = h
+            h = dot(((b, delta), (exsv, f)))
+            if h:
+                out[xs] = h
+        return out
 
     def _slice_step(self, i, Q):
         """The slice parts of F T_i from those of F = cell(w), l(w s_i) >
@@ -171,11 +206,12 @@ class Localization:
             Q'_x = b x(v) E + e D Q_{x s_i},
 
         by a s_i(a) - b^2 = e d s_i(d): one exact division per pair."""
-        mb, _, pairs = self._dr(i)
+        b, pairs = self._dr(i)
+        mb = -b
         dot = self.ring.dot
         zero = self.ring()
         out = {}
-        for x, xs, D, bxv, eD in pairs:
+        for x, xs, D, bxv, eD, _, _ in pairs:
             if x not in Q and xs not in Q:
                 continue
             q = Q.get(xs, zero)
@@ -188,14 +224,11 @@ class Localization:
                 out[x] = g
         return out
 
-    def slice_class(self, w):
-        """{x: Q} with cell(w)|_x = Q P_x, P_x the product of
-        `cell_factor(x)`: the slice parts of the class of X(w)^o, by the
-        right Demazure-Lusztig recursion from the point class (P_id = 1),
-        up the shortest path of right descents w -> w s_i from w to a
-        class already built, so that the classes of one solve share
-        their steps."""
-        cache = self._slices
+    def _climb(self, cache, step, w):
+        """cache[w], made by `step(i, F)` from F = cache[y] to F T_i =
+        cache[y s_i] up the shortest path of right descents w -> w s_i
+        from w to a class already in the cache, so that the classes of
+        one solve share their steps."""
         if w not in cache:
             up = {w: None}  # y -> (y s_i, i), one step nearer to w
             todo = [w]
@@ -208,38 +241,19 @@ class Localization:
                         todo.append(y)
             while up[x]:
                 z, i = up[x]
-                cache[z] = self._slice_step(i, cache[x])
+                cache[z] = step(i, cache[x])
                 x = z
         return cache[w]
 
-    def cell_factor(self, x):
-        """The l(x) factors of P_x, read off a reduced word of x = x' s_i
-        by P_x = P_{x'} x'(a), with a = b + e d the first numerator of
-        T_i: 1 + y e^{x beta} in K-theory and 1 - x(beta) in cohomology
-        over the beta > 0 with x beta < 0."""
-        cache = self._factors
-        if x not in cache:
-            if x == 0:
-                cache[0] = []
-            else:
-                i = self.W.word(x)[-1]
-                rest = self.W.right[x][i]
-                cache[x] = self.cell_factor(rest) + [
-                    self._act(rest, self._dr(i)[1])]
-        return cache[x]
+    def slice_class(self, w):
+        """{x: Q} with cell(w)|_x = Q P_x: the slice parts of the class of
+        X(w)^o, by the slice step from the point class (P_id = 1)."""
+        return self._climb(self._slices, self._slice_step, w)
 
     def cell_class(self, w):
-        """The class of the Schubert cell X(w)^o: its slice parts times
-        their factors, one factor at a time."""
-        cache = self._cells
-        if w not in cache:
-            out = {}
-            for x, q in self.slice_class(w).items():
-                for f in self.cell_factor(x):
-                    q = q * f
-                out[x] = q
-            cache[w] = out
-        return cache[w]
+        """The class of the Schubert cell X(w)^o, by `dl_right` from the
+        point class."""
+        return self._climb(self._cells, self.dl_right, w)
 
     def opposite_cell_class(self, w):
         """The class of the opposite cell Y(w)^o = w0 X(w0 w)^o, by the

@@ -12,9 +12,10 @@ cross-check.
 
 Every value is a GA element (packed keys, see charring.py).  A line
 bundle multiplies each value by one monomial e^{x(lambda)}, a shift of
-its keys (`KOracle._twist`).  The Demazure-Lusztig steps (right, on the
-slice parts of MC classes and in the affine Hecke action
-`StableBasis.hecke_T`) and the triangular solve are exact divisions,
+its keys (`KOracle._twist`).  The Demazure-Lusztig steps (right, on MC
+classes and their slice parts, and in the affine Hecke action on stable
+envelopes, which is `dl_right` at y = -q conjugated by the star
+e^mu -> e^{-mu}) and the triangular solve are exact divisions,
 and so is each genuine quotient, over a W-fixed denominator: the
 Atiyah-Bott sum and each coset of `pushforward` over root factors, and
 the Segre-type classes (`smc`, `mc_prime`) are a numerator class over
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from .charring import GA, Scalar, _check, _pack, _wneg
 from .alcove import chain_lex_height
-from .localization import Localization, _delta
+from .localization import Localization
 
 
 class KOracle(Localization):
@@ -205,6 +206,7 @@ class StableBasis:
         self.rs = oracle.rs
         self.W = oracle.W
         self._stab = {}
+        self._starred = {}
 
     def stab(self, w):
         if w not in self._stab:
@@ -222,63 +224,34 @@ class StableBasis:
             self._stab[w] = out
         return self._stab[w]
 
-    def hecke_coeffs(self, i, w):
-        """(b, e, d) of the affine Hecke operator T_i at the point w:
-        b = 1 - q, d = 1 - e^{w a_i} and e = (a - b) / d = -q e^{-w a_i}
-        for the first numerator a = 1 - q e^{-w a_i}."""
-        rs = self.rs
-        q = Scalar.q(1)
-        wa = self.W.act(w, rs.weight(rs.simple_roots[i].fund))
-        return (Scalar.one() - q, GA.term(_wneg(wa), -q),
-                GA.const(1, rs.rank) - GA.term(wa))
-
-    def hecke_T(self, i, F):
-        """The affine Hecke operator T_i on the localization model, a right
-        Demazure-Lusztig step with (b, e, d) = `hecke_coeffs(i, w)`:
-
-            (T_i F)|_w = ((1 - q e^{-w a_i}) F|_{w s_i} - (1 - q) F|_w)
-                         / (1 - e^{w a_i}),
-
-        that is b D(w) + e F|_{w s_i} with D(w) = (F|_{w s_i} - F|_w) / d.
-        The points w and w s_i share one division: with z = 1 - d =
-        e^{w a_i}, D(w s_i) = z D(w), so
-
-            (T_i F)|_{w s_i} = z (b D(w) - q F|_w).
-        """
-        W = self.W
-        mq = Scalar.q(1, -1)
-        one = GA.const(1, self.rs.rank)
-        zero = GA()
-        out = {}
-        for w in range(W.n):
-            ws = W.right[w][i]
-            if ws < w or (w not in F and ws not in F):
-                continue  # each pair {w, w s_i} once, from its lower point
-            b, e, d = self.hecke_coeffs(i, w)
-            f = F.get(w, zero)
-            x = F.get(ws, zero)
-            D = _delta(x, f, d)
-            g = GA.dot(((b, D), (e, x)))
-            if g:
-                out[w] = g
-            g = (one - d) * GA.dot(((b, D), (mq, f)))
-            if g:
-                out[ws] = g
-        return out
+    def _stab_star(self, w):
+        """stab(w) under the star e^mu -> e^{-mu}, made once per w."""
+        if w not in self._starred:
+            self._starred[w] = {v: g.star() for v, g in self.stab(w).items()}
+        return self._starred[w]
 
     def hecke_T_on_stab(self, i, w):
         """(lhs, rhs) of T_i(stab(w)) = the two-case expansion
 
             (q-1) stab(w) + q^{1/2} stab(w s_i)   if w s_i < w,
-            q^{1/2} stab(w s_i)                   if w s_i > w.
-        """
+            q^{1/2} stab(w s_i)                   if w s_i > w,
+
+        both under the star, which fixes scalars.  The affine Hecke
+        operator on the localization model,
+
+            (T_i F)|_w = ((1 - q e^{-w a_i}) F|_{w s_i} - (1 - q) F|_w)
+                         / (1 - e^{w a_i}),
+
+        is star o `dl_right`(i) o star, since the oracle's operator is at
+        y = Scalar.y(1) = -q."""
         o = self.o
         W = self.W
-        lhs = self.hecke_T(i, self.stab(w))
+        lhs = o.dl_right(i, self._stab_star(w))
         ws = W.right[w][i]
-        rhs = o.scale(self.stab(ws), Scalar.v(1))
+        rhs = o.scale(self._stab_star(ws), Scalar.v(1))
         if W.length[ws] < W.length[w]:
-            rhs = o.add(rhs, o.scale(self.stab(w), Scalar.q(1) - Scalar.one()))
+            rhs = o.add(rhs, o.scale(self._stab_star(w),
+                                     Scalar.q(1) - Scalar.one()))
         return lhs, rhs
 
     # -- alcove change -------------------------------------------------

@@ -308,10 +308,9 @@ def parse_word(text, rank):
 class _Elements:
     """The action on weights, shared by both element stores.  A store
     keeps, indexed by element, `mats` (the matrix on fundamental
-    coordinates), `words` (the canonical word), `length`, `right`
-    (w -> (w s_1, ..., w s_r)) and the caches `_cols` and `_inversions`,
-    and provides `_element` (the element of a matrix), `from_word` and
-    `mul`."""
+    coordinates), `words` (the canonical word), `length`, `inv` and the
+    caches `_cols` and `_inversions`, and provides `_element` (the
+    element of a matrix), `from_word` and `mul`."""
 
     def word(self, w):
         return self.words[w]
@@ -539,8 +538,6 @@ class LazyWeyl(_Elements):
         self._negative = _negative_keys(rs)
         self._element(_identity(rs.rank))
         self.simple = [self.reflection(a) for a in rs.simple_roots]
-        self.right = _Memo(
-            lambda w: tuple(self.mul(w, s) for s in self.simple))
         self.inv = _Memo(lambda w: self.from_word(reversed(self.words[w])))
 
     def _element(self, mat, rho=None):

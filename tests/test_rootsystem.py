@@ -212,7 +212,7 @@ def _lazy_elements(rs):
     seen = {0}
     frontier = [0]
     while frontier:
-        frontier = {v for w in frontier for v in L.right[w]} - seen
+        frontier = {L.mul(w, s) for w in frontier for s in L.simple} - seen
         seen |= frontier
     return L, sorted(seen)
 
@@ -241,7 +241,8 @@ def test_lazy_store_matches_exhaustive(family, rank):
     for w, x in enumerate(lazy):
         assert L.length[x] == W.length[w]
         assert L.inversions(x) == W.inversions(w)
-        assert L.right[x] == tuple(lazy[v] for v in W.right[w])
+        assert tuple(L.mul(x, s) for s in L.simple) == tuple(
+            lazy[v] for v in W.right[w])
         assert L.from_word_str(W.word_str(w)) == x
         for v in vectors:
             assert L.act(x, v) == W.act(w, v)
