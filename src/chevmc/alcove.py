@@ -18,9 +18,11 @@ affine reflections as a packed key offset (see charring) and the parity
 of the negative roots taken, so each subset's weight key and sign are
 read off without replaying the reflections (the incremental alcove walk
 of Lenart-Postnikov).  It is the walk of a single-w table and of every
-caller that needs each J; the tables of many w are summed without
-listing the J, by a backward pass over the same scan_steps
-(chevalley.chevalley_tables picks one or the other).
+caller that needs each J; the tables of many w, and the weighted sums
+behind H_lambda, the Hall-Littlewood chain formulas and the Whittaker
+functions, are summed without listing the J, by a backward pass over
+the same scan_steps (chevalley.chevalley_tables picks one or the other;
+chevalley.chevalley_sum always takes the pass).
 chain_lex_height builds each chain once per root system and weight;
 chains are immutable and shared.
 

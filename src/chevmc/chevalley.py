@@ -20,6 +20,8 @@ subsets depth first (chevalley_chain, which beats the pass for one w
 and reads each subset's sign parity off the walk), two or more share
 one backward pass over (chain position, element) (_chain_pass), which
 sums each chain suffix once per element; the two agree key for key.
+chevalley_sum runs the same pass for sum_w sum_u q^{l(u)} C^w_{u,lambda}
+with one dict per element (specialfn's H_lambda, HL and Whittaker sums).
 The operator and bridge routes run one w at a time; the operator route
 makes one move per chain position, E^beta and E^{<rho,beta^vee> beta}
 B_beta fused into a shift and one product per descent.
@@ -116,14 +118,14 @@ def chevalley_chain(chain, w, sign, W=None):
     return {u: GA._new(c) for u, c in _checked(by_u, chain.rs.rank).items()}
 
 
-def _chain_pass(chain, ws, sign, W=None):
+def _chain_pass(chain, ws, sign, W=None, seed=None):
     """{w: chevalley_chain(chain, w, sign, W)} for the distinct elements
     ws, in one pass that every w shares.
 
     F_i(x), the sum of the chain formula over the subsets J of the scan
     positions from i on, walked from x, obeys
 
-        F_n(x) = e^{+-x(lambda)},
+        F_n(x) = e^{+-x(lambda)} at u = x,
         F_i(x) = F_{i+1}(x) + c_i(x) e^{-x(k beta)} F_{i+1}(x r_i)
 
     when x descends at step i (r_i the reflection, H_{beta,k} the wall
@@ -136,7 +138,9 @@ def _chain_pass(chain, ws, sign, W=None):
     sweep then keeps one F per element, updated in place: x r_i ascends
     at step i, so no F read at a step changes there, and an element is
     dropped before the first step it is not reached at.  An F is
-    {u: key dict}, as in chevalley_chain."""
+    {u: key dict}, as in chevalley_chain; seed(x, key), given the packed
+    key of e^{+-x(lambda)}, is F_n(x) ({x: {key: 1}} by default), and
+    the u of a term is that of the F_n it starts from."""
     rs = chain.rs
     W = W or rs.weyl()
     lam = chain.lam
@@ -167,7 +171,8 @@ def _chain_pass(chain, ws, sign, W=None):
     F = {}
     for x in reached:
         lk = act_key(x, lam)
-        F[x] = {x: {bias + lk if positive else bias - lk: 1}}
+        key = bias + lk if positive else bias - lk
+        F[x] = seed(x, key) if seed else {x: {key: 1}}
     for here, new in zip(reversed(moves), reversed(born)):
         for x, y, a in here:
             fx = F[x]
@@ -257,6 +262,19 @@ def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None,
     if len(ws) == 1:
         return {ws[0]: chevalley_chain(chain, ws[0], sign, W)}
     return _chain_pass(chain, ws, sign, W)
+
+
+def chevalley_sum(rs, lam_fund, ws, sign=1, W=None):
+    """sum_{w in ws} sum_u q^{l(u)} C^w_{u, sign*lambda} over the distinct
+    elements ws of the store W (rs.weyl() by default): the pass of
+    chevalley_tables on the lex chain, lambda range-checked as there,
+    with F_n(x) = q^{l(x)} e^{+-x(lambda)} under one shared u, so that
+    the pass keeps one dict per element."""
+    W = W or rs.weyl()
+    _pack(rs.weight(lam_fund))  # raises on a weight outside the packed range
+    F = _chain_pass(chain_lex_height(rs, lam_fund), list(dict.fromkeys(ws)),
+                    sign, W, lambda x, key: {0: {key + 2 * W.length[x]: 1}})
+    return GA.dot((f[0], 1) for f in F.values() if f)
 
 
 def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None,
@@ -369,12 +387,12 @@ def positivity_terms(chain, w):
     return out
 
 
-def render_table(rs, table, var="y", W=None):
+def render_table(rs, table, W=None):
     """One line per u; W is the element store of the table (rs.weyl()
     by default)."""
     W = W or rs.weyl()
     mono = exp_mono(rs.h)
     return "\n".join(
-        "C[u=%s] = %s" % (W.word_str(u), table[u].render(mono, var))
+        "C[u=%s] = %s" % (W.word_str(u), table[u].render(mono))
         for u in sorted(table)
     )

@@ -238,14 +238,14 @@ def _latex_weight(h, fine):
     return "e^{%s}" % "+".join(parts).replace("+-", "-") if parts else "1"
 
 
-def _latex_table(W, table, var="y"):
+def _latex_table(W, table):
     """The table as LaTeX: the `*` rendering with each `*` a space, as
     the LaTeX monomials contain none."""
     mono = partial(_latex_weight, W.rs.h)
     lines = ["\\begin{aligned}"]
     for u in sorted(table):
         word = W.word_str(u).replace("s", "s_")
-        text = table[u].render(mono, var).replace("*", " ")
+        text = table[u].render(mono).replace("*", " ")
         lines.append("C_{%s} &= %s \\\\" % (word, text))
     lines.append("\\end{aligned}")
     return "\n".join(lines)

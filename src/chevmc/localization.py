@@ -311,20 +311,18 @@ class Localization:
         return self.integral(self.mul(F, G))
 
     # -- expansion in the cell basis -----------------------------------
-    def _expand(self, F, cell=None, points=None):
+    def _expand(self, F, cell, points=None):
         """{u: coefficient} of F in the cell basis by a triangular solve
         from the top: once the cells above v are subtracted, the
         coefficient at v is F|_v over the diagonal cell(v)|_v.  `cell`
         maps a fixed point to its cell class (on G/P, the pushed-forward
         one; with F's slice parts, the slice parts), and `points` lists
-        the fixed points in Bruhat-compatible order; the defaults are the
-        cells of G/B and all of W.
+        the fixed points in Bruhat-compatible order, all of W by
+        default.
 
         The remainder is written in place (see the module docstring),
         except at x = v: the exact division has shown that rem[v] is
         g cell(v)|_v."""
-        if cell is None:
-            cell = self.cell_class
         if points is None:
             points = range(self.W.n)
         ring = self.ring

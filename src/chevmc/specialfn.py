@@ -12,29 +12,26 @@ one exact division (localization.dl_step), and each localization
 formula is one exact division by the Weyl denominator.
 
 The chain formulas (Lenart 2011) sum over w in W^P and the subsets J
-of the reduced (-lambda)-chain along which w descends to u
-(alcove.descent_subsets, with translation B):
+of the reduced (-lambda)-chain along which w descends to u, with
+translation B (see alcove.descent_subsets):
 
   chain_restricted (u ->(J>) w): t^{(l(w)+l(u)-|J|)/2} (1-t)^{|J|}
       x^{w rhat_{J<}(lambda)}, that is x^{u(lambda) + B};
   chain_opposite (u ->(J<) w): t^{(2 dim G/P - l(w)-l(u)-|J|)/2}
       (1-t)^{|J|} x^{u rhat_{J<}(lambda)}, that is x^{w(lambda) - B}.
 
-Each term counts its packed x-key in one dict per (t power, |J|), which
-meets the key pairs of its t^a (1-t)^b in one _add_products, as
-chevalley.chevalley_chain sums the Chevalley formula: t = -y, so
-t^a (1-t)^b is the memoised coefficient (1+y)^b q^a of a -lambda term.
-One _check follows.
+With t = q = -y and S^sign_lambda = sum_{w in W^P} sum_u q^{l(u)}
+C^w_{u,sign*lambda} (chevalley.chevalley_sum), H_lambda = S^+_lambda,
+chain_restricted = star(S^+_{-lambda}) term for term (keys starred,
+coefficients times q^{l(u)}; no sign, as every root of the -lambda chain
+is negative) and chain_opposite = star(S^-_lambda) as sums; so nothing
+here walks subsets.
 """
 
 from __future__ import annotations
 
-from .charring import (
-    GA, Scalar, _BIAS, _add_products, _check, _pack, _wneg, power_mono,
-    render_terms,
-)
-from .alcove import chain_lex_height, descent_subsets
-from .chevalley import _term_pairs, chevalley_table, chevalley_tables
+from .charring import GA, Scalar, _pack, _wneg, power_mono, render_terms
+from .chevalley import chevalley_sum
 from .localization import dl_step
 from .oracle import KOracle
 
@@ -90,16 +87,13 @@ def whittaker_chevalley(rs, lam_fund, w):
     """W_{lambda,w} from the Chevalley coefficients:
 
         e^rho sum_u (-1)^{l(u)} C^w_{u,lambda-rho}|_{y -> 1/y} y^{l(w)-l(u)}
-    """
+      = e^rho y^{l(w)} (sum_u q^{l(u)} C^w_{u,lambda-rho})|_{y -> 1/y},
+
+    as (-1)^{l(u)} y^{-l(u)} is q^{l(u)} under y -> 1/y."""
     W = rs.weyl()
     shifted = tuple(c - 1 for c in lam_fund)
-    table = chevalley_table(rs, shifted, w, sign=1)
-    lw = W.length[w]
-    acc = GA.dot(
-        (g.y_inverse(), Scalar.y(lw - W.length[u], (-1) ** W.length[u]))
-        for u, g in table.items()
-    )
-    return GA.term(rs.rho()) * acc
+    acc = chevalley_sum(rs, shifted, (w,), 1, W).y_inverse()
+    return GA.term(rs.rho(), Scalar.y(W.length[w])) * acc
 
 
 def big_r(rs, lam_fund, method="localization"):
@@ -139,7 +133,8 @@ def _orbit_sum(rs, lam_fund, parabolic, roots):
 
 
 def big_h(rs, lam_fund, method="localization", parabolic=None):
-    """H_lambda(y) = chi_T(G/P_lambda, lambda_y(T*) (x) L_lambda)."""
+    """H_lambda(y) = chi_T(G/P_lambda, lambda_y(T*) (x) L_lambda), by the
+    Chevalley formula sum_{w in W^P} sum_u q^{l(u)} C^w_{u,lambda}."""
     W = rs.weyl()
     if parabolic is None:
         if not (all(c >= 0 for c in lam_fund) or all(c <= 0 for c in lam_fund)):
@@ -151,13 +146,7 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
             [a.fund for a in rs.horizontal_roots(parabolic)],
         )
     if method == "chevalley":
-        # H_lambda = sum_{w in W^P} sum_u C^w_{u,lambda} (-y)^{l(u)}
-        tables = chevalley_tables(rs, lam_fund, W.min_coset_reps(parabolic),
-                                  W=W)
-        return GA.dot(
-            (g, Scalar.q(W.length[u]))
-            for table in tables.values() for u, g in table.items()
-        )
+        return chevalley_sum(rs, lam_fund, W.min_coset_reps(parabolic), 1, W)
     if method == "quotient":
         r = big_r(rs, lam_fund)
         den = Scalar.zero()
@@ -178,7 +167,8 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
 def hall_littlewood(rs, lam_fund, method="closed"):
     """HL_lambda(x; t) for dominant lambda, as a GA element whose
     scalars are polynomials in t = q and whose weights are exponents of
-    x (e^mu stands for x^mu)."""
+    x (e^mu stands for x^mu); the chain formulas are stars of
+    chevalley_sum over W^P (see the module docstring)."""
     if not all(c >= 0 for c in lam_fund):
         raise ValueError("lambda must be dominant")
     parabolic = _lambda_parabolic(rs, lam_fund)
@@ -189,36 +179,13 @@ def hall_littlewood(rs, lam_fund, method="closed"):
             [_wneg(a.fund) for a in rs.horizontal_roots(parabolic)],
         )
     if method in ("chain_restricted", "chain_opposite"):
-        restricted = method == "chain_restricted"
+        # lambda is range-checked as given, ahead of the sum at -lambda
+        _pack(rs.weight(lam_fund))
         W = rs.weyl()
-        chain = chain_lex_height(rs, _wneg(lam_fund))
-        lam = rs.weight(lam_fund)
-        _pack(lam)  # in range, so each key below decodes exactly
-        horiz = len(rs.horizontal_roots(parabolic))
-        bias = _BIAS[rs.rank]
-        length, act_key = W.length, W.act_key
-        groups = {}  # (2 * t power, |J|) -> {key of the x-monomial: count}
-        for w in W.min_coset_reps(parabolic):
-            lw, wk = length[w], act_key(w, lam)
-            for u, J, B, _ in descent_subsets(chain, w, restricted,
-                                              chain.walls):
-                nj = len(J)
-                if restricted:
-                    power2 = lw + length[u] - nj
-                    key = bias + act_key(u, lam) + B
-                else:
-                    power2 = 2 * horiz - lw - length[u] - nj
-                    key = bias + wk - B
-                assert power2 % 2 == 0 and power2 >= 0
-                keys = groups.setdefault((power2, nj), {})
-                keys[key] = keys.get(key, 0) + 1
-        acc = {}
-        for (power2, nj), keys in groups.items():
-            # t^{power2/2} (1-t)^{|J|}, the coefficient of a -lambda term
-            _add_products(acc, keys.items(), _term_pairs(nj, power2, False,
-                                                         False))
-        _check(acc, rs.rank)
-        return GA._new(acc)
+        ws = W.min_coset_reps(parabolic)
+        if method == "chain_restricted":
+            return chevalley_sum(rs, _wneg(lam_fund), ws, 1, W).star()
+        return chevalley_sum(rs, lam_fund, ws, -1, W).star()
     raise ValueError("unknown method %r" % method)
 
 

@@ -18,6 +18,7 @@ from chevmc.chevalley import (
     chevalley_tables,
     chevalley_terms,
     chevalley_parabolic,
+    chevalley_sum,
     duality_check,
     positivity_terms,
     render_table,
@@ -471,6 +472,43 @@ def test_range_checked_ahead_of_every_route(monkeypatch):
                 with pytest.raises(ValueError, match=(
                         r"^exponent %d out of range" % exponent)):
                     chevalley_tables(rs, lam, ws, method=method)
+
+
+# -- the weighted sum --------------------------------------------------
+
+@pytest.mark.parametrize("family,rank,lams", [
+    ("A", 2, [(0, 0), (2, 1), (1, -2)]),
+    ("B", 2, [(0, 0), (1, 1), (-1, 2)]),
+    ("G", 2, [(0, 0), (1, 0), (1, -1)]),
+    ("A", 3, [(0, 0, 0), (1, 0, 1), (1, -1, 0)]),
+    ("B", 3, [(0, 0, 0), (0, 1, 0), (1, 0, -1), (2, -1, 1)]),
+    ("C", 3, [(0, 0, 0), (1, 0, 0), (0, 1, -1), (1, 1, -2)]),
+])
+def test_chevalley_sum_equals_weighted_tables(family, rank, lams):
+    # sum_{w in ws} sum_u q^{l(u)} C^w_{u, sign*lambda}, read off the
+    # tables, for ws every w, the minimal coset representatives W^P of
+    # the first maximal parabolic's complement, and one w
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    sets = (list(range(W.n)), W.min_coset_reps(tuple(range(1, rank))),
+            [W.n // 2])
+    for lam in lams:
+        for sign in (1, -1):
+            for ws in sets:
+                tables = chevalley_tables(rs, lam, ws, sign, W=W)
+                ref = GA.dot((g, Scalar.q(W.length[u]))
+                             for t in tables.values() for u, g in t.items())
+                assert chevalley_sum(rs, lam, ws, sign, W) == ref, (
+                    lam, sign, len(ws))
+
+
+def test_chevalley_sum_range_error():
+    # refused ahead of the pass, with the exponent of lambda named
+    rs = RootSystem("A", 1)
+    for sign in (1, -1):
+        with pytest.raises(ValueError, match=(
+                r"^exponent 10000 out of range \[-8192, 8192\)$")):
+            chevalley_sum(rs, (5000,), [0, 1], sign)
 
 
 # -- the entry point ---------------------------------------------------

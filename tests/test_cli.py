@@ -160,6 +160,51 @@ def test_hl_json_renders_no_text(monkeypatch):
         "5fad03f018833aebda9f7af690490a5dada3bb67d1c084c458585c91bcf58416")
 
 
+# SHA-256 of `hl --format json` for both chain formulas on ranks 2-4
+_HL_CHAIN = {
+    ("G2", "2,1", "chain_restricted"):
+        "9dbc1fdf29ae7caaac2a9b40cc111ff37221ddefdf26648d64a67452ccbf47e6",
+    ("G2", "2,1", "chain_opposite"):
+        "a03a04339bd478de87d63f85203821817bb99f67e07773f25edc61d20aa279a9",
+    ("B3", "1,1,0", "chain_restricted"):
+        "b468f3b1daa63bf1508d25fb0278c3f90096104cb42dff166f77755fdbedafaa",
+    ("B3", "1,1,0", "chain_opposite"):
+        "9184b29dcbe93aed60c35846059fee7409502eb8c6d544ccfe14ab581983eefa",
+    ("C3", "1,1,1", "chain_restricted"):
+        "817ac71ec337340709641f233f35cb69a517b25e0149fcdc2f0e4da7dbba4013",
+    ("C3", "1,1,1", "chain_opposite"):
+        "2e418d0fe8357e11debd09da2f842aab3672692d41578023149bca7e3cc29b9d",
+    ("D4", "1,0,1,1", "chain_restricted"):
+        "2cea922f7784fb3d3dd22f15c0bea7e15df8cd63a2dd3d5732e4969d72a916d4",
+    ("D4", "1,0,1,1", "chain_opposite"):
+        "d3737e6449f007037cbd32e96cc2a4fb34a9912b050be5447fd58b51ea34247e",
+}
+
+
+def test_hl_chain_json_digests():
+    for (typ, lam, method), digest in _HL_CHAIN.items():
+        code, text = _run(["hl", "--type", typ, "--lambda", lam,
+                           "--method", method, "--format", "json"])
+        assert code == 0, (typ, method)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (
+            typ, method)
+
+
+def test_hl_chain_range_errors(capsys):
+    # lambda is range-checked as given, ahead of the chain sum: the
+    # error names the exponent of lambda, also at 4096, where -lambda
+    # would still pack
+    for n in (5000, 4096):
+        for method in ("chain_restricted", "chain_opposite"):
+            capsys.readouterr()
+            argv = ["hl", "--type", "A1", "--lambda", str(n), "--method",
+                    method]
+            assert _run(argv) == (2, ""), (n, method)
+            assert capsys.readouterr().err == (
+                "error: exponent %d out of range [-8192, 8192)\n" % (2 * n)
+            ), (n, method)
+
+
 def test_hl_rejects_non_dominant():
     code, _ = _run(["hl", "--type", "A2", "--lambda=-1,0"])
     assert code == 2

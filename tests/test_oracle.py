@@ -142,9 +142,9 @@ def test_expand_leaves_its_inputs(label):
         for lam in ((1, 1), (-1, 0)):
             F = o.mul(o.line_bundle(lam), o.mc(w))
             F0 = copy.deepcopy(F)
-            assert o.expand_product(lam, w) == o._expand(F)
+            assert o.expand_product(lam, w) == o._expand(F, o.cell_class)
             assert F == F0
-        assert o._expand(o.mc(w)) == {w: GA.const(1, 2)}
+        assert o._expand(o.mc(w), o.cell_class) == {w: GA.const(1, 2)}
     assert cells == before
     assert all(o.mc(w) is cells[w] for w in range(o.W.n))
 
@@ -170,7 +170,7 @@ def test_expand_raises_on_out_of_range_remainder():
             pass
     assert v in F and x not in F
     with pytest.raises(ValueError):
-        o._expand(F)
+        o._expand(F, o.cell_class)
 
 
 @pytest.mark.parametrize("parab,lam", [((1,), (2, 0)), ((0,), (0, 1))])

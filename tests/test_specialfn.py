@@ -1,10 +1,12 @@
 """Whittaker functions, summation identities, Hall-Littlewood polynomials."""
 
+import hashlib
 import itertools
+import sys
 
 import pytest
 
-from chevmc.charring import GA, Scalar
+from chevmc.charring import GA, Scalar, exp_mono
 from chevmc.rootsystem import RootSystem
 from chevmc.alcove import chain_lex_height
 from chevmc.oracle import KOracle
@@ -126,6 +128,40 @@ def test_big_h_methods(lam):
     assert a == b == c
 
 
+def _digest(rs, values):
+    mono = exp_mono(rs.h)
+    text = "\n".join(g.render(mono) for g in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,lam,digest", [
+    ("B", (-1, -1),
+     "4a517f7bccd1324c6c20a428b5a9a34828af92a92f65e90223a85344299d60df"),
+    ("B", (-2, -1),
+     "1f1f2b82fb932ab06a05289f09a051af0ae26e9d5eb9a3904e8b1cae4afa09ec"),
+    ("G", (-1, -1),
+     "005da42047bd279db4a4de08adf05bc0ef8be2a2dc8fb39e461b8d422a909dad"),
+    ("G", (-1, -2),
+     "3e9ed97fcc0b066a4b23de5b85ce960ec8069f8e519beb8ec684f060109a9406"),
+])
+def test_whittaker_chevalley_digests(family, lam, digest):
+    # the rendered W_{lambda,w} of every w, one line each
+    rs = RootSystem(family, 2)
+    values = [whittaker_chevalley(rs, lam, w) for w in range(rs.weyl().n)]
+    assert _digest(rs, values) == digest
+
+
+@pytest.mark.parametrize("lam,digest", [
+    ((1, 1, 1),
+     "1f2917f4ea28b8c5e6b13a391f7af914ce1358ddb26836f15ac54c82d422ec23"),
+    ((-1, -1, -1),
+     "5e37ae2ac8e68ff3418f1907f746f81f64364a7c27e185f6845dbf70144ff4ae"),
+])
+def test_big_h_chevalley_digests(lam, digest):
+    rs = RootSystem("B", 3)
+    assert _digest(rs, [big_h(rs, lam, "chevalley")]) == digest
+
+
 @pytest.mark.parametrize("lam", [(1, 0), (0, 2), (1, 1), (2, 1)])
 def test_hl_methods_and_bridges(lam):
     closed = hall_littlewood(RS, lam, "closed")
@@ -142,6 +178,41 @@ def test_hl_methods_and_bridges(lam):
     )
     pref = Scalar.y(-d, (-1) ** d)
     assert closed == (big_h(RS, lam) * pref).y_inverse()
+
+
+@pytest.mark.parametrize("family,rank,lams", [
+    ("A", 2, [(0, 0), (1, 0), (2, 1)]),
+    ("B", 2, [(1, 0), (1, 1), (0, 2)]),
+    ("G", 2, [(0, 1), (1, 1)]),
+    ("A", 3, [(1, 0, 1), (0, 1, 0)]),
+])
+def test_chain_sums_walk_no_subsets(monkeypatch, family, rank, lams):
+    # the Hall-Littlewood chain formulas, H_lambda by the Chevalley
+    # formula and the Whittaker functions from the Chevalley coefficients
+    # all run the one backward pass: with the depth-first walk made to
+    # fail wherever it is bound, they equal the closed formula, the
+    # localization sum and the scalar Demazure-Lusztig operators
+    def refuse(*args, **kwargs):
+        raise AssertionError("a subset walk ran")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chevmc"):
+            for attr in ("descent_subsets", "chevalley_chain"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    for lam in lams:
+        closed = hall_littlewood(rs, lam, "closed")
+        for method in ("chain_restricted", "chain_opposite"):
+            assert hall_littlewood(rs, lam, method) == closed, (lam, method)
+        for sign in (1, -1):
+            mu = tuple(sign * c for c in lam)
+            assert big_h(rs, mu, "chevalley") == big_h(rs, mu), mu
+        anti = tuple(-c for c in lam)
+        for w in range(W.n):
+            assert whittaker_chevalley(rs, anti, w) == whittaker(
+                rs, anti, w), (anti, w)
 
 
 @pytest.mark.parametrize("lam", [(1, 0), (1, 1), (2, 1), (0, 2)])
