@@ -128,7 +128,7 @@ def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
     `word` uses letters 0..r-1 for s_1..s_r and -1 (or r) for s_0.
     The path endpoint is verified against lambda; a letter outside
     -1..r or a word that does not map A to A - lambda raises ValueError.
-    The prefixes are walked on the lazy element store, so any rank the
+    The prefixes make only the Weyl elements they reach, so any rank the
     root system accepts works.
     """
     word = tuple(-1 if i == rs.rank else i for i in word)
@@ -161,7 +161,7 @@ def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
             t = tuple(a + b for a, b in zip(t, W.act(wcur, theta_fine)))
             wcur = W.mul(wcur, s_theta)
         else:
-            wcur = W.mul(wcur, W.simple[i])
+            wcur = W.step(wcur, i)
     # l(v_{-lambda}) counts the hyperplanes separating A from A - lambda
     reduced = len(word) == sum(
         abs(rs.pairing(lam_fund, rt)) for rt in rs.positive_roots
@@ -184,7 +184,7 @@ def chain_lex_height(rs: RootSystem, lam_fund):
     The multiset of hyperplanes is forced (those separating A from
     A - lambda); the order sorts h(s_{alpha,k}) lexicographically with
     the natural Dynkin-node order.  Built once per (rs, lambda) and kept
-    in rs.lex_chains, as rs.weyl() keeps its group.
+    in rs.lex_chains, as rs.lazy_weyl() keeps its elements.
     """
     lam_fund = tuple(lam_fund)
     chain = rs.lex_chains.get(lam_fund)
@@ -233,13 +233,14 @@ def _validate_chain(chain):
         raise AssertionError("chain reflections do not reach A - lambda")
 
 
-def scan_steps(chain: LambdaChain, ascending, walls, W):
+def scan_steps(chain: LambdaChain, ascending, walls):
     """The chain positions in scan order, each as (j, bit, r_j, shift):
-    j the 1-based position, bit the bit of its root in W.inversions
+    j the 1-based position, bit the bit of its root in WeylGroup.inversions
     (l(cur r_beta) < l(cur) iff cur(beta) < 0, for beta > 0), r_j the
     element of the reflection in walls[j-1] = H_{alpha,k} and shift the
     fine weight k alpha, None at level 0."""
     rs = chain.rs
+    W = rs.lazy_weyl()
     order = range(len(chain)) if ascending else range(len(chain) - 1, -1, -1)
     return [
         (j + 1, 1 << walls[j].root.index, W.reflection(walls[j].root),
@@ -249,7 +250,7 @@ def scan_steps(chain: LambdaChain, ascending, walls, W):
     ]
 
 
-def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
+def descent_subsets(chain: LambdaChain, w, ascending, walls):
     """All (u, J, B, odd) with J a sorted tuple of chain positions along
     which w descends: scanning the positions in the given direction,
     each position j in J right-multiplies by r_{h_j} and lowers the
@@ -268,14 +269,13 @@ def descent_subsets(chain: LambdaChain, w, ascending, walls, W=None):
 
     The depth-first search keeps its open branches on a stack, not the
     call stack, and lists the subsets in the order of the recursion
-    that skips a position before taking it.  W is the element store of
-    w (rs.weyl() by default).  This is the walk of one w and the one
-    that lists each J; the tables of many w share one backward pass
-    (see chevalley.chevalley_tables).
+    that skips a position before taking it.  This is the walk of one w
+    and the one that lists each J; the tables of many w share one
+    backward pass (see chevalley.chevalley_tables).
     """
-    W = W or chain.rs.weyl()
+    W = chain.rs.lazy_weyl()
     n = len(chain)
-    steps = scan_steps(chain, ascending, walls, W)
+    steps = scan_steps(chain, ascending, walls)
     bits = [bit for _, bit, _, _ in steps]
     negative = [not chain.betas[j - 1].positive for j, _, _, _ in steps]
     inversions, mul, act_key = W.inversions, W.mul, W.act_key

@@ -59,24 +59,23 @@ def _term_pairs(t, dl, odd, positive):
     return tuple((k - _HALF, x) for k, x in coeff.c.items())
 
 
-def _leaves(chain, w, sign, W=None):
-    """(u, J, key, t, dl, odd) for every term of the chain formula, w and
-    u elements of the store W (rs.weyl() by default), key the packed key
-    of e^mu (v exponent 0): +-key(u(lambda)) - B over the translation B
-    of the walk.  The coefficient is _term_coeff(t, dl, odd, sign > 0):
-    t = |J|, dl = l(w) - l(u) - t, odd read off the walk.  The weights
-    mu lie in the convex hull of W lambda, so with lambda in range (as
-    chevalley_tables checks; Weyl row sums below 64, see
-    charring.pack_columns) a range check of the keys is exact."""
+def _leaves(chain, w, sign):
+    """(u, J, key, t, dl, odd) for every term of the chain formula, key
+    the packed key of e^mu (v exponent 0): +-key(u(lambda)) - B over the
+    translation B of the walk.  The coefficient is _term_coeff(t, dl,
+    odd, sign > 0): t = |J|, dl = l(w) - l(u) - t, odd read off the
+    walk.  The weights mu lie in the convex hull of W lambda, so with
+    lambda in range (as chevalley_tables checks; Weyl row sums below 64,
+    see charring.pack_columns) a range check of the keys is exact."""
     rs = chain.rs
-    W = W or rs.weyl()
+    W = rs.lazy_weyl()
     lam = chain.lam
     positive = sign > 0
     walls = chain.walls if positive else chain.far_walls
     bias = _BIAS[rs.rank]
     length, act_key = W.length, W.act_key
     lw = length[w]
-    for u, J, B, odd in descent_subsets(chain, w, positive, walls, W):
+    for u, J, B, odd in descent_subsets(chain, w, positive, walls):
         t = len(J)
         dl = lw - length[u] - t
         assert dl % 2 == 0, "parity failure in the Chevalley formula"
@@ -106,20 +105,19 @@ def _checked(by_u, rank):
     return out
 
 
-def chevalley_chain(chain, w, sign, W=None):
+def chevalley_chain(chain, w, sign):
     """C^w_{u, sign*lambda} as {u: GA} from a chain for +lambda: each
-    term's keys are summed straight into its u's dict.  W is the element
-    store of w (rs.weyl() by default)."""
+    term's keys are summed straight into its u's dict."""
     positive = sign > 0
     by_u = {}
-    for u, _J, key, t, dl, odd in _leaves(chain, w, sign, W):
+    for u, _J, key, t, dl, odd in _leaves(chain, w, sign):
         _add_products(by_u.setdefault(u, {}), ((key, 1),),
                       _term_pairs(t, dl, odd, positive))
     return {u: GA._new(c) for u, c in _checked(by_u, chain.rs.rank).items()}
 
 
-def _chain_pass(chain, ws, sign, W=None, seed=None):
-    """{w: chevalley_chain(chain, w, sign, W)} for the distinct elements
+def _chain_pass(chain, ws, sign, seed=None):
+    """{w: chevalley_chain(chain, w, sign)} for the distinct elements
     ws, in one pass that every w shares.
 
     F_i(x), the sum of the chain formula over the subsets J of the scan
@@ -142,7 +140,7 @@ def _chain_pass(chain, ws, sign, W=None, seed=None):
     key of e^{+-x(lambda)}, is F_n(x) ({x: {key: 1}} by default), and
     the u of a term is that of the F_n it starts from."""
     rs = chain.rs
-    W = W or rs.weyl()
+    W = rs.lazy_weyl()
     lam = chain.lam
     positive = sign > 0
     walls = chain.walls if positive else chain.far_walls
@@ -152,7 +150,7 @@ def _chain_pass(chain, ws, sign, W=None, seed=None):
     # per step: the (x, x r_i, key pairs of c_i(x) e^{-x(k beta)}) of
     # the elements x that descend, and the elements first reached after it
     moves, born = [], []
-    for j, bit, refl, shift in scan_steps(chain, positive, walls, W):
+    for j, bit, refl, shift in scan_steps(chain, positive, walls):
         odd = not chain.betas[j - 1].positive
         here, new = [], {}
         for x in reached:
@@ -197,9 +195,9 @@ def chevalley_bridge(halg, w, lam_fund, sign):
             for u, g in table.items()}
 
 
-def chevalley_operator(chain, w, W=None):
+def chevalley_operator(chain, w):
     """C^w_{u,lambda} via the operator formula R^[lambda] applied to the
-    basis vector at w, an element of the store W (rs.weyl() by default).
+    basis vector at w.
 
     States are {u: key dict} with exponents on the fine lattice, which
     holds the (1/h) X^*(T) exponents produced by the E-operators.  Each
@@ -209,7 +207,7 @@ def chevalley_operator(chain, w, W=None):
     beta^vee> beta/h)}, k = l(u) - l(u s_beta) - 1, negated for beta < 0.
     """
     rs = chain.rs
-    W = W or rs.weyl()
+    W = rs.lazy_weyl()
     r = rs.rank
     length, inversions, mul, act_key = (W.length, W.inversions, W.mul,
                                         W.act_key)
@@ -237,12 +235,10 @@ def chevalley_operator(chain, w, W=None):
     return {u: GA._new(c) for u, c in state.items()}
 
 
-def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None,
-                     W=None):
+def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None):
     """{w: {u: C^w_{u, sign*lambda}}} for the distinct elements ws, in
-    their order.  Every route runs on the element store W of ws
-    (rs.weyl() by default); chain, a chain for +lambda, defaults to the
-    lex chain."""
+    their order; chain, a chain for +lambda, defaults to the lex chain.
+    Every route makes only the Weyl elements it reaches."""
     ws = list(dict.fromkeys(ws))
     if method not in ("chain", "operator", "bridge"):
         raise ValueError("unknown method %r" % method)
@@ -253,35 +249,33 @@ def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None,
         raise ValueError("operator method computes the +lambda table")
     if method == "bridge":
         from .hecke import HeckeAlgebra
-        halg = HeckeAlgebra(W or rs.weyl())
+        halg = HeckeAlgebra(rs)
         return {w: chevalley_bridge(halg, w, lam_fund, sign) for w in ws}
     if chain is None:
         chain = chain_lex_height(rs, lam_fund)
     if method == "operator":
-        return {w: chevalley_operator(chain, w, W) for w in ws}
+        return {w: chevalley_operator(chain, w) for w in ws}
     if len(ws) == 1:
-        return {ws[0]: chevalley_chain(chain, ws[0], sign, W)}
-    return _chain_pass(chain, ws, sign, W)
+        return {ws[0]: chevalley_chain(chain, ws[0], sign)}
+    return _chain_pass(chain, ws, sign)
 
 
-def chevalley_sum(rs, lam_fund, ws, sign=1, W=None):
+def chevalley_sum(rs, lam_fund, ws, sign=1):
     """sum_{w in ws} sum_u q^{l(u)} C^w_{u, sign*lambda} over the distinct
-    elements ws of the store W (rs.weyl() by default): the pass of
-    chevalley_tables on the lex chain, lambda range-checked as there,
-    with F_n(x) = q^{l(x)} e^{+-x(lambda)} under one shared u, so that
-    the pass keeps one dict per element."""
-    W = W or rs.weyl()
+    elements ws: the pass of chevalley_tables on the lex chain, lambda
+    range-checked as there, with F_n(x) = q^{l(x)} e^{+-x(lambda)} under
+    one shared u, so that the pass keeps one dict per element."""
     _pack(rs.weight(lam_fund))  # raises on a weight outside the packed range
+    length = rs.lazy_weyl().length
     F = _chain_pass(chain_lex_height(rs, lam_fund), list(dict.fromkeys(ws)),
-                    sign, W, lambda x, key: {0: {key + 2 * W.length[x]: 1}})
+                    sign, lambda x, key: {0: {key + 2 * length[x]: 1}})
     return GA.dot((f[0], 1) for f in F.values() if f)
 
 
-def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None,
-                    W=None):
+def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None):
     """Full Chevalley table {u: C^w_{u, sign*lambda}}: the one-w case of
     chevalley_tables."""
-    return chevalley_tables(rs, lam_fund, (w,), sign, method, chain, W)[w]
+    return chevalley_tables(rs, lam_fund, (w,), sign, method, chain)[w]
 
 
 # -- parabolic ---------------------------------------------------------
@@ -387,12 +381,11 @@ def positivity_terms(chain, w):
     return out
 
 
-def render_table(rs, table, W=None):
-    """One line per u; W is the element store of the table (rs.weyl()
-    by default)."""
-    W = W or rs.weyl()
+def render_table(rs, table):
+    """One line per u, in the order of (length, canonical word)."""
+    W = rs.lazy_weyl()
     mono = exp_mono(rs.h)
     return "\n".join(
         "C[u=%s] = %s" % (W.word_str(u), table[u].render(mono))
-        for u in sorted(table)
+        for u in W.ordered(table)
     )

@@ -60,7 +60,7 @@ def _is_all(text):
 
 
 def _parse_w(W, text):
-    """The element of a word in the store W, or None for 'all'."""
+    """The element of a word, or None for 'all'."""
     if _is_all(text):
         return None
     try:
@@ -105,7 +105,7 @@ def _table_json(W, table):
             "u": W.word_str(u),
             "value": table[u],
         }
-        for u in sorted(table)
+        for u in W.ordered(table)
     ]
 
 
@@ -243,7 +243,7 @@ def _latex_table(W, table):
     the LaTeX monomials contain none."""
     mono = partial(_latex_weight, W.rs.h)
     lines = ["\\begin{aligned}"]
-    for u in sorted(table):
+    for u in W.ordered(table):
         word = W.word_str(u).replace("s", "s_")
         text = table[u].render(mono).replace("*", " ")
         lines.append("C_{%s} &= %s \\\\" % (word, text))
@@ -263,7 +263,7 @@ def _epsilon_render(W, table):
         )
 
     return "\n".join("C[u=%s] = %s" % (W.word_str(u), table[u].render(mono))
-                     for u in sorted(table))
+                     for u in W.ordered(table))
 
 
 # -- subcommand bodies -------------------------------------------------
@@ -279,18 +279,18 @@ def _chevalley_block(args, W, word, table, memo):
         return "%% w = %s\n%s" % (word, _latex_table(W, table))
     if args.epsilon:
         return "w = %s\n%s" % (word, _epsilon_render(W, table))
-    return "w = %s\n%s" % (word, render_table(W.rs, table, W=W))
+    return "w = %s\n%s" % (word, render_table(W.rs, table))
 
 
 def _cmd_chevalley(args, out):
     rs = _parse_type(args.type)
     lam = _parse_lambda(args.lam, rs.rank)
-    # one word, on any route, visits only the elements its walk reaches;
+    # one word, on any route, makes only the elements its walk reaches;
     # 'all' needs the whole group
-    W = rs.weyl() if _is_all(args.w) else rs.lazy_weyl()
+    W = rs.lazy_weyl()
     w = _parse_w(W, args.w)
     sign = _parse_sign(args.sign)
-    ws = range(W.n) if w is None else [w]
+    ws = rs.weyl().order if w is None else [w]
     # --epsilon is refused outside type A, except by LaTeX, which ignores it
     if args.epsilon and args.format != "latex" and rs.family != "A":
         raise CliError("epsilon coordinates exist only in type A")
@@ -313,7 +313,7 @@ def _cmd_chevalley(args, out):
     misses = [wv for wv, block in blocks.items() if block is None]
     # a hit computes nothing
     tables = chevalley_tables(rs, lam, misses, sign=sign, method=args.method,
-                              chain=chain, W=W) if misses else {}
+                              chain=chain) if misses else {}
     memo = {}
     for wv in misses:
         block = blocks[wv] = _chevalley_block(args, W, words[wv],
@@ -338,7 +338,7 @@ def _cmd_hecke(args, out):
     W = rs.lazy_weyl()
     lam = _parse_lambda(args.lam, rs.rank)
     w = _parse_one_w(W, args.w, "hecke-coeffs")
-    halg = HeckeAlgebra(W)
+    halg = HeckeAlgebra(rs)
     table = halg.transition_direct(w, lam)
     entries = [
         {
@@ -346,7 +346,7 @@ def _cmd_hecke(args, out):
             "mu": list(rs.weight_user(mu)),
             "coeff": c.to_json(),
         }
-        for u in sorted(table) for mu, c in table[u].terms()
+        for u in W.ordered(table) for mu, c in table[u].terms()
     ]
     doc = _doc("hecke-coeffs", rs, lam=list(lam), w=W.word_str(w),
                entries=entries)
@@ -390,7 +390,7 @@ def _cmd_stab(args, out):
     w = _parse_w(W, args.w)
     sb = StableBasis(KOracle(rs))
     S = sb.shift_matrix(lam)
-    rows = range(W.n) if w is None else [w]
+    rows = W.order if w is None else [w]
     blocks = []
     docs = []
     for wv in rows:
@@ -410,7 +410,7 @@ def _cmd_whittaker(args, out):
     W = rs.weyl()
     lam = _parse_lambda(args.lam, rs.rank)
     w = _parse_w(W, args.w)
-    ws = range(W.n) if w is None else [w]
+    ws = W.order if w is None else [w]
     lines = []
     docs = []
     for wv in ws:
@@ -461,11 +461,11 @@ def _cmd_csm(args, out):
                 for k, x in table[u].terms()
             ],
         }
-        for u in sorted(table)
+        for u in W.ordered(table)
     ]
     lines = [
         "c1[u=%s] = %s" % (W.word_str(u), table[u].render())
-        for u in sorted(table)
+        for u in W.ordered(table)
     ]
     doc = _doc("csm", rs, lam=list(lam), w=W.word_str(w), entries=entries)
     _emit(doc, "\n".join(lines), args.format, out)
@@ -516,10 +516,10 @@ def _cmd_search_positivity(args, out):
     findings = []
     checked = 0
     for lam in _minuscule_weights(rs):
-        tables = chevalley_tables(rs, lam, range(W.n), W=W)
-        for w in range(W.n):
+        tables = chevalley_tables(rs, lam, W.order)
+        for w in W.order:
             table = tables.pop(w)
-            for u in sorted(table):
+            for u in W.ordered(table):
                 for k, x in table[u].terms():
                     checked += 1
                     coeffs = x.y_coeffs()

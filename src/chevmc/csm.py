@@ -143,7 +143,7 @@ class DegenerateHecke:
 
         for w, p in elem.items():
             sp = p.act(W, si)
-            put(W.inv[W.right[W.inv[w]][i]], sp)  # s_i w
+            put(W.inv(W.right[W.inv(w)][i]), sp)  # s_i w
             put(w, dl_step(1, 0, sp, p, ai))
         return out
 

@@ -21,13 +21,12 @@ from .charring import GA, Scalar
 
 
 class HeckeAlgebra:
-    """The affine Hecke algebra of a finite root system, on the element
-    store W of its Weyl group: rs.weyl() or rs.lazy_weyl(), whichever
-    the caller's w and the u it reports are elements of."""
+    """The affine Hecke algebra of a finite root system; its Weyl
+    elements are those of rs.lazy_weyl(), made as they are reached."""
 
-    def __init__(self, W):
-        self.W = W
-        self.rs = W.rs
+    def __init__(self, rs):
+        self.rs = rs
+        self.W = rs.lazy_weyl()
 
     def transition_direct(self, w, lam_fund):
         """c_{u,mu}^{w,lambda}: expand T_{w^-1}^-1 X^lambda in the basis
@@ -64,7 +63,7 @@ class HeckeAlgebra:
                 D = diff.exact_div(den)
                 if D is None:
                     raise ValueError("Hecke weights must be integral")
-                xs = W.mul(x, si)
+                xs = W.step(x, i)
                 if W.length[xs] > W.length[x]:
                     nxt.setdefault(x, []).extend(((c, D), (-c, diff)))
                     nxt.setdefault(xs, []).append((1, sP))
@@ -73,12 +72,12 @@ class HeckeAlgebra:
                     nxt.setdefault(xs, []).append((q_inv, sP))
             state = {x: g for x, pairs in nxt.items()
                      if (g := GA.dot(pairs))}
-        return {W.inv[x]: P for x, P in state.items()}
+        return {W.inv(x): P for x, P in state.items()}
 
     def render_transition(self, table):
         W = self.W
         return "\n".join(
             "c[u=%s, mu=%s] = %s"
             % (W.word_str(u), self.rs.weight_user(mu), c.render(var="q"))
-            for u in sorted(table) for mu, c in table[u].terms()
+            for u in W.ordered(table) for mu, c in table[u].terms()
         )

@@ -158,9 +158,10 @@ class Localization:
             v = (-act(W.from_word((i,)), d)).exact_div(d)
             assert v is not None, "s_i(d) / d is not polynomial"
             pairs = []
-            for x, row in enumerate(W.right):
-                xs = row[i]
-                if xs > x:
+            right, length = W.right, W.length
+            for x in W.order:
+                xs = right[x][i]
+                if length[xs] > length[x]:
                     D = act(xs, d)
                     xv = act(x, v)
                     pairs.append((x, xs, D, xv * b, D * e, xv * -e,
@@ -230,13 +231,14 @@ class Localization:
         from w to a class already in the cache, so that the classes of
         one solve share their steps."""
         if w not in cache:
+            length = self.W.length
             up = {w: None}  # y -> (y s_i, i), one step nearer to w
             todo = [w]
             for x in todo:  # breadth first; the point class ends it
                 if x in cache:
                     break
                 for i, y in enumerate(self.W.right[x]):
-                    if y < x and y not in up:
+                    if length[y] < length[x] and y not in up:
                         up[y] = (x, i)
                         todo.append(y)
             while up[x]:
@@ -261,8 +263,8 @@ class Localization:
         if w not in self._opposite:
             W = self.W
             F = self.cell_class(W.mul(W.w0, w))
-            self._opposite[w] = dict(sorted(
-                (W.mul(W.w0, u), self._act(W.w0, f)) for u, f in F.items()))
+            moved = {W.mul(W.w0, u): self._act(W.w0, f) for u, f in F.items()}
+            self._opposite[w] = {u: moved[u] for u in W.ordered(moved)}
         return self._opposite[w]
 
     # -- quotients over root factors -----------------------------------
@@ -317,14 +319,14 @@ class Localization:
         coefficient at v is F|_v over the diagonal cell(v)|_v.  `cell`
         maps a fixed point to its cell class (on G/P, the pushed-forward
         one; with F's slice parts, the slice parts), and `points` lists
-        the fixed points in Bruhat-compatible order, all of W by
-        default.
+        the fixed points in Bruhat-compatible order, all of W in its
+        `order` by default.
 
         The remainder is written in place (see the module docstring),
         except at x = v: the exact division has shown that rem[v] is
         g cell(v)|_v."""
         if points is None:
-            points = range(self.W.n)
+            points = self.W.order
         ring = self.ring
         rank = self.rank
         rem = {x: f.c for x, f in F.items()}

@@ -265,7 +265,7 @@ class StableBasis:
         from .chevalley import chevalley_tables
 
         W = self.W
-        tables = chevalley_tables(self.rs, lam_fund, range(W.n), -1, W=W)
+        tables = chevalley_tables(self.rs, lam_fund, range(W.n), -1)
         out = {}
         for w, table in tables.items():
             for u, g in table.items():

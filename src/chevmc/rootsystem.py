@@ -6,21 +6,17 @@ lattice, weights are stored scaled by h = <rho, theta^vee> + 1 (the
 "fine" lattice): the integral weight sum(c_i varpi_i) has fine
 coordinates (h*c_1, ..., h*c_r).
 
-Weyl-group elements are integers held by one of two stores.  A
-WeylGroup builds every element up front and numbers them 0..N-1 in the
-order of (length, canonical word); the Bruhat order, cosets and every
-all-w computation need it, and it refuses groups above WEYL_CAP
-elements.  A LazyWeyl makes an element only when a computation reaches
-it, so a query about one w touches only the elements the route visits
-and works on E7 and E8 too.  In both, an element is a matrix on the
-fundamental lattice plus its canonical word, the lexicographically least
-reduced word, and element 0 is the identity.
+Weyl-group elements are integers of one store per root system
+(WeylGroup), made when a computation first reaches them, so a query
+about one w works on E7 and E8 too; the Bruhat order, cosets and every
+all-w computation complete the store, which refuses groups above
+WEYL_CAP elements.
 """
 
 from __future__ import annotations
 
 import re
-from operator import mul
+from operator import mul, sub
 
 from .charring import MAX_RANK, pack_columns
 
@@ -36,7 +32,7 @@ _WEYL_ORDER = {
 }
 
 
-# the largest group the exhaustive WeylGroup builds (E6 and F4 fit)
+# the largest group a WeylGroup completes (E6 and F4 fit)
 WEYL_CAP = 100000
 
 
@@ -138,7 +134,6 @@ class RootSystem:
         # Coxeter number: <rho, theta^vee> + 1 with theta^vee the highest coroot
         self.h = 1 + max(t.coheight() for t in self.positive_roots)
         self._weyl = None
-        self._lazy = None
         # reduced lambda-chains by weight, kept by alcove.chain_lex_height
         self.lex_chains = {}
 
@@ -236,20 +231,19 @@ class RootSystem:
             c - m * f + level * self.h * f for c, f in zip(fine, root.fund)
         )
 
-    def weyl(self):
-        """The exhaustive group, built on first use."""
+    def lazy_weyl(self):
+        """The element store, made on first use and kept: only the
+        elements a computation reaches are made."""
         if self._weyl is None:
             self._weyl = WeylGroup(self)
         return self._weyl
 
-    def lazy_weyl(self):
-        """The lazy element store, kept like weyl()."""
-        if self._lazy is None:
-            self._lazy = LazyWeyl(self)
-        return self._lazy
+    def weyl(self):
+        """The whole group: the element store, completed."""
+        return self.lazy_weyl().complete()
 
     def check_exhaustive(self):
-        """Raise ValueError when the exhaustive group is above WEYL_CAP."""
+        """Raise ValueError when the whole group is above WEYL_CAP."""
         if self.weyl_order > WEYL_CAP:
             raise ValueError(
                 "exhaustive mode for %s%d needs %d Weyl elements, above the "
@@ -264,27 +258,8 @@ def _mat_vec(a, v):
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
 
 
-def _mat_mul(a, b):
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
 def _identity(r):
     return tuple(tuple(1 if i == j else 0 for j in range(r)) for i in range(r))
-
-
-def _alpha_entries(rs):
-    """alpha_i in fundamental coordinates, for each i its nonzero
-    entries (j, <alpha_i, alpha_j^vee>)."""
-    r = rs.rank
-    return [[(j, rs.cartan[j][i]) for j in range(r) if rs.cartan[j][i]]
-            for i in range(r)]
-
-
-def _negative_keys(rs):
-    """The packed key offsets of the negative roots, read by inversions()."""
-    cols = pack_columns(_identity(rs.rank))
-    return {sum(map(mul, a.fund, cols)) for a in rs.roots if not a.positive}
 
 
 _WORD = re.compile(r"(?:s[0-9]+)+")
@@ -305,33 +280,171 @@ def parse_word(text, rank):
     return word
 
 
-class _Elements:
-    """The action on weights, shared by both element stores.  A store
-    keeps, indexed by element, `mats` (the matrix on fundamental
-    coordinates), `words` (the canonical word), `length`, `inv` and the
-    caches `_cols` and `_inversions`, and provides `_element` (the
-    element of a matrix), `from_word` and `mul`."""
+class WeylGroup:
+    """The Weyl group of a root system, each element made when a
+    computation first reaches it.
 
+    Elements are integers in the order they are made, 0 the identity,
+    with `mats` (the matrix on fundamental coordinates) and `length`;
+    w(rho) names w (Casselman, Machine calculations in Weyl groups,
+    1994).  A right step w s_i changes one column of w's matrix and is
+    kept in `right`; `mul(a, b)` walks b's canonical word, the lex-least
+    reduced word (`word`), through those steps.  `complete()` makes the
+    rest of the group level by level, refusing groups above WEYL_CAP;
+    only then do `n`, `order` (the elements by length, then canonical
+    word), `w0`, the Bruhat order and the cosets exist.  A fresh store
+    completes to 0..n-1 in that order.
+    """
+
+    def __init__(self, rs: RootSystem):
+        self.rs = rs
+        r = rs.rank
+        # alpha_i in fundamental coordinates, as its nonzero entries
+        # (j, <alpha_i, alpha_j^vee>)
+        self._alphas = [[(j, rs.cartan[j][i]) for j in range(r)
+                         if rs.cartan[j][i]] for i in range(r)]
+        self._positive = {a.fund for a in rs.positive_roots}
+        cols = pack_columns(_identity(r))
+        # the packed key offsets of the negative roots, read by inversions()
+        self._negative = {sum(map(mul, a.fund, cols)) for a in rs.roots
+                          if not a.positive}
+        self.mats, self.length, self.words, self.right = [], [], [], []
+        self._rhos, self._by_rho, self._cols, self._inversions = [], {}, [], []
+        self._inv = {}
+        self._refl_cache = {}
+        self._leq_mask = None
+        self._make(_identity(r), (1,) * r, 0, ())
+
+    def _make(self, mat, rho, length, word):
+        v = len(self.mats)
+        self._by_rho[rho] = v
+        self.mats.append(mat)
+        self._rhos.append(rho)
+        self.length.append(length)
+        self.words.append(word)
+        self.right.append([None] * self.rs.rank)
+        self._cols.append(None)
+        self._inversions.append(None)
+        return v
+
+    def _step(self, w, i):
+        """w s_i, made if new: (m s_i)[a][i] = m[a][i] - d_a with
+        d = w(alpha_i), so w s_i (rho) = w(rho) - d, and l(w s_i) =
+        l(w) + 1 when d is a positive root."""
+        alpha = self._alphas[i]
+        m = self.mats[w]
+        d = [sum([row[j] * c for j, c in alpha]) for row in m]
+        rho = tuple(map(sub, self._rhos[w], d))
+        v = self._by_rho.get(rho)
+        if v is None:
+            up = tuple(d) in self._positive
+            v = self._make(tuple(row[:i] + (row[i] - x,) + row[i + 1:]
+                                 if x else row for row, x in zip(m, d)),
+                           rho, self.length[w] + (1 if up else -1), None)
+        self.right[w][i] = v
+        self.right[v][i] = w
+        return v
+
+    def _canonical(self, rho):
+        """The lex-least reduced word of the w with w(rho) = rho: its
+        first letter is the least left descent i of w, the first negative
+        coordinate, and the rest is the word of s_i w."""
+        mu = list(rho)
+        word = []
+        while True:
+            i = next((i for i, c in enumerate(mu) if c < 0), None)
+            if i is None:
+                return tuple(word)
+            word.append(i)
+            c = mu[i]
+            for j, a in self._alphas[i]:
+                mu[j] -= c * a
+
+    def complete(self):
+        """The store with every element made; ValueError above WEYL_CAP.
+        Each element met first gets the canonical word of the element it
+        was reached from plus the step's letter."""
+        if hasattr(self, "n"):
+            return self
+        self.rs.check_exhaustive()
+        length, words, right = self.length, self.words, self.right
+        met = bytearray(self.rs.weyl_order)
+        met[0] = 1
+        level = [0]
+        # level by level, each in the order of canonical words: the first
+        # w s_i (i ascending) to reach an element spells its canonical word
+        while level:
+            nxt = []
+            for w in level:
+                lw = length[w]
+                rw = right[w]
+                for i, v in enumerate(rw):
+                    if v is None:
+                        v = self._step(w, i)
+                    if not met[v] and length[v] > lw:
+                        met[v] = 1
+                        words[v] = words[w] + (i,)
+                        nxt.append(v)
+            level = nxt
+        if len(self.mats) != self.rs.weyl_order:
+            raise AssertionError("enumerated %d elements, expected %d"
+                                 % (len(self.mats), self.rs.weyl_order))
+        self.n = len(self.mats)
+        self.order = self.ordered(range(self.n))
+        self.w0 = self.order[-1]
+        return self
+
+    def ordered(self, xs):
+        """The elements xs in the order of (length, canonical word)."""
+        return sorted(xs, key=lambda x: (self.length[x], self.word(x)))
+
+    # -- basic operations ---------------------------------------------
     def word(self, w):
-        return self.words[w]
+        """The canonical word of w, spelled on first use."""
+        word = self.words[w]
+        if word is None:
+            word = self.words[w] = self._canonical(self._rhos[w])
+        return word
+
+    def step(self, w, i):
+        """w s_i, made on first use."""
+        v = self.right[w][i]
+        return self._step(w, i) if v is None else v
+
+    def mul(self, a, b):
+        """a b: b's canonical word walked from a through right steps."""
+        right = self.right
+        for i in self.words[b] or self.word(b):
+            v = right[a][i]
+            a = self._step(a, i) if v is None else v
+        return a
+
+    def from_word(self, word):
+        w = 0
+        for i in word:
+            w = self.step(w, i)
+        return w
+
+    def inv(self, w):
+        """w^-1, kept once made."""
+        v = self._inv.get(w)
+        if v is None:
+            v = self._inv[w] = self.from_word(reversed(self.word(w)))
+        return v
 
     def act(self, w, fine):
         """w(mu) on fine-lattice coordinates."""
         return _mat_vec(self.mats[w], fine)
 
-    def columns(self, w):
-        """The packed columns of w's matrix (charring.pack_columns),
-        built on first use."""
+    def act_key(self, w, fine):
+        """The packed key offset of w(mu): sum_j mu_j * column j of w, r
+        integer multiply-adds, with the packed columns of w's matrix
+        (charring.pack_columns) built on first use.  Adding charring's
+        bias for the rank gives the key of e^{w(mu)}."""
         cols = self._cols[w]
         if cols is None:
             cols = self._cols[w] = pack_columns(self.mats[w])
-        return cols
-
-    def act_key(self, w, fine):
-        """The packed key offset of w(mu): sum_j mu_j * column j of w, r
-        integer multiply-adds.  Adding charring's bias for the rank gives
-        the key of e^{w(mu)}."""
-        return sum(map(mul, fine, self._cols[w] or self.columns(w)))
+        return sum(map(mul, fine, cols))
 
     def inversions(self, w):
         """Bitmask of the positive roots beta (bit beta.index) that w
@@ -346,109 +459,28 @@ class _Elements:
         return mask
 
     def reflection(self, root):
-        """The element s_alpha of a (positive) root."""
+        """The element s_alpha of a (positive) root, made from its matrix
+        on fundamental coordinates if new."""
         s = self._refl_cache.get(root.simple)
         if s is None:
             r = self.rs.rank
-            # the matrix of s_alpha on fundamental coordinates
-            s = self._refl_cache[root.simple] = self._element(tuple(
-                tuple(
-                    (1 if j == k else 0) - root.fund[j] * root.coroot[k]
-                    for k in range(r)
-                )
-                for j in range(r)
-            ))
+            mat = tuple(tuple((j == k) - root.fund[j] * root.coroot[k]
+                              for k in range(r)) for j in range(r))
+            rho = tuple(map(sum, mat))
+            s = self._by_rho.get(rho)
+            if s is None:
+                word = self._canonical(rho)
+                s = self._make(mat, rho, len(word), word)
+            self._refl_cache[root.simple] = s
         return s
 
     def word_str(self, w):
-        ww = self.words[w]
+        ww = self.word(w)
         return "e" if not ww else "".join("s%d" % (i + 1) for i in ww)
 
     def from_word_str(self, s):
         """Parse words like 's1s2s1' or 'e' (1-based generators)."""
         return self.from_word(parse_word(s, self.rs.rank))
-
-
-class WeylGroup(_Elements):
-    """Exhaustive Weyl group with canonical (lex-least reduced) words.
-
-    Elements are integers 0..N-1 in order of (length, canonical word);
-    element 0 is the identity.
-    """
-
-    def __init__(self, rs: RootSystem):
-        rs.check_exhaustive()
-        self.rs = rs
-        r = rs.rank
-        # (m s_i) differs from m only in column i:
-        # (m s_i)[a][i] = m[a][i] - sum_j m[a][j] * cartan[j][i].
-        cols = _alpha_entries(rs)
-        ident = _identity(r)
-        mats = [ident]
-        words = [()]
-        index = {ident: 0}
-        right = [[None] * r]
-        level = [0]
-        while level:
-            nxt = []
-            for w in level:
-                m = mats[w]
-                rw = right[w]
-                for i in range(r):
-                    if rw[i] is not None:
-                        continue  # w s_i was met earlier as v with v s_i = w
-                    rows = []
-                    for row in m:
-                        d = sum(row[j] * c for j, c in cols[i])
-                        rows.append(
-                            row[:i] + (row[i] - d,) + row[i + 1:] if d else row
-                        )
-                    child = tuple(rows)
-                    v = index.get(child)
-                    if v is None:
-                        v = len(mats)
-                        index[child] = v
-                        mats.append(child)
-                        words.append(words[w] + (i,))
-                        right.append([None] * r)
-                        nxt.append(v)
-                    rw[i] = v
-                    right[v][i] = w
-            level = nxt
-        if len(mats) != rs.weyl_order:
-            raise AssertionError(
-                "enumerated %d elements, expected %d" % (len(mats), rs.weyl_order)
-            )
-        self.mats = mats
-        self.words = words
-        self.index = index
-        self.n = len(mats)
-        self.length = [len(w) for w in words]
-        self.w0 = max(range(self.n), key=lambda i: self.length[i])
-        # right multiplication by simple generators
-        self.right = [tuple(row) for row in right]
-        self.inv = [self.from_word(reversed(word)) for word in words]
-        self._leq_mask = None
-        self._refl_cache = {}
-        self._cols = [None] * self.n
-        self._inversions = [None] * self.n
-        self._negative = _negative_keys(rs)
-
-    # -- basic operations ---------------------------------------------
-    def _element(self, mat):
-        return self.index[mat]
-
-    def mul(self, a, b):
-        out = a
-        for i in self.words[b]:
-            out = self.right[out][i]
-        return out
-
-    def from_word(self, word):
-        out = 0
-        for i in word:
-            out = self.right[out][i]
-        return out
 
     # -- Bruhat order -------------------------------------------------
     def leq_masks(self):
@@ -456,7 +488,7 @@ class WeylGroup(_Elements):
         if self._leq_mask is None:
             masks = [0] * self.n
             refls = [self.reflection(t) for t in self.rs.positive_roots]
-            for w in range(self.n):
+            for w in self.order:
                 m = 1 << w
                 lw = self.length[w]
                 for s in refls:
@@ -478,13 +510,15 @@ class WeylGroup(_Elements):
         while changed:
             changed = False
             for i in parabolic:
-                if self.length[self.right[w][i]] < self.length[w]:
-                    w = self.right[w][i]
+                v = self.step(w, i)
+                if self.length[v] < self.length[w]:
+                    w = v
                     changed = True
         return w
 
     def min_coset_reps(self, parabolic):
-        return sorted({self.min_coset_rep(w, parabolic) for w in range(self.n)})
+        return self.ordered({self.min_coset_rep(w, parabolic)
+                             for w in range(self.n)})
 
     def parabolic_elements(self, parabolic):
         """All elements of W_P."""
@@ -494,95 +528,9 @@ class WeylGroup(_Elements):
             nxt = []
             for w in frontier:
                 for i in parabolic:
-                    v = self.right[w][i]
+                    v = self.step(w, i)
                     if v not in out:
                         out.add(v)
                         nxt.append(v)
             frontier = nxt
-        return sorted(out)
-
-
-class _Memo(dict):
-    """w -> make(w), each value made on first lookup."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, w):
-        value = self[w] = self.make(w)
-        return value
-
-
-class LazyWeyl(_Elements):
-    """Weyl-group elements made when a computation reaches them, with
-    the canonical words and the (length, word) order of WeylGroup but
-    without enumerating the group.
-
-    The regular weight w(rho) names w (Casselman, Machine calculations in
-    Weyl groups, 1994): the left descents of w are the negative
-    coordinates of w(rho), so reflecting away the first one, step by
-    step, spells the lex-least reduced word.  The element of length l
-    with that word is the integer l * r^l + (the letters as base-r
-    digits), so integers order elements as WeylGroup numbers them and
-    the identity is 0.
-    """
-
-    def __init__(self, rs: RootSystem):
-        self.rs = rs
-        self._alphas = _alpha_entries(rs)
-        self.mats, self.words, self.length = {}, {}, {}
-        self._cols, self._inversions = {}, {}
-        self._by_rho = {}
-        self._refl_cache = {}
-        self._negative = _negative_keys(rs)
-        self._element(_identity(rs.rank))
-        self.simple = [self.reflection(a) for a in rs.simple_roots]
-        self.inv = _Memo(lambda w: self.from_word(reversed(self.words[w])))
-
-    def _element(self, mat, rho=None):
-        """The element of a matrix, made on first sight; rho is
-        mat(rho) when the caller has it."""
-        if rho is None:
-            rho = tuple(map(sum, mat))
-        w = self._by_rho.get(rho)
-        if w is None:
-            word = self._canonical(rho)
-            r = self.rs.rank
-            w = len(word)
-            for i in word:
-                w = w * r + i
-            self._by_rho[rho] = w
-            self.mats[w] = mat
-            self.words[w] = word
-            self.length[w] = len(word)
-            self._cols[w] = self._inversions[w] = None
-        return w
-
-    def _canonical(self, rho):
-        """The lex-least reduced word of the w with w(rho) = rho: its
-        first letter is the least left descent i of w, the first negative
-        coordinate, and the rest is the word of s_i w."""
-        mu = list(rho)
-        word = []
-        while True:
-            i = next((i for i, c in enumerate(mu) if c < 0), None)
-            if i is None:
-                return tuple(word)
-            word.append(i)
-            c = mu[i]
-            for j, a in self._alphas[i]:
-                mu[j] -= c * a
-
-    def mul(self, a, b):
-        ma, mb = self.mats[a], self.mats[b]
-        # (ab)(rho) names the product before its matrix is needed
-        rho = _mat_vec(ma, tuple(map(sum, mb)))
-        w = self._by_rho.get(rho)
-        return self._element(_mat_mul(ma, mb), rho) if w is None else w
-
-    def from_word(self, word):
-        m = self.mats[0]
-        for i in word:
-            m = _mat_mul(m, self.mats[self.simple[i]])
-        return self._element(m)
+        return self.ordered(out)

@@ -92,7 +92,7 @@ def whittaker_chevalley(rs, lam_fund, w):
     as (-1)^{l(u)} y^{-l(u)} is q^{l(u)} under y -> 1/y."""
     W = rs.weyl()
     shifted = tuple(c - 1 for c in lam_fund)
-    acc = chevalley_sum(rs, shifted, (w,), 1, W).y_inverse()
+    acc = chevalley_sum(rs, shifted, (w,), 1).y_inverse()
     return GA.term(rs.rho(), Scalar.y(W.length[w])) * acc
 
 
@@ -146,7 +146,7 @@ def big_h(rs, lam_fund, method="localization", parabolic=None):
             [a.fund for a in rs.horizontal_roots(parabolic)],
         )
     if method == "chevalley":
-        return chevalley_sum(rs, lam_fund, W.min_coset_reps(parabolic), 1, W)
+        return chevalley_sum(rs, lam_fund, W.min_coset_reps(parabolic), 1)
     if method == "quotient":
         r = big_r(rs, lam_fund)
         den = Scalar.zero()
@@ -184,8 +184,8 @@ def hall_littlewood(rs, lam_fund, method="closed"):
         W = rs.weyl()
         ws = W.min_coset_reps(parabolic)
         if method == "chain_restricted":
-            return chevalley_sum(rs, _wneg(lam_fund), ws, 1, W).star()
-        return chevalley_sum(rs, lam_fund, ws, -1, W).star()
+            return chevalley_sum(rs, _wneg(lam_fund), ws, 1).star()
+        return chevalley_sum(rs, lam_fund, ws, -1).star()
     raise ValueError("unknown method %r" % method)
 
 

@@ -64,8 +64,7 @@ def _table_fn(rs):
     def fn(w, lam_fund, sign):
         key = (lam_fund, sign)
         if key not in tables:
-            tables[key] = chevalley_tables(rs, lam_fund, range(W.n), sign,
-                                           W=W)
+            tables[key] = chevalley_tables(rs, lam_fund, range(W.n), sign)
         return tables[key][w]
     return fn
 
@@ -117,7 +116,7 @@ def case_methods_agree(family, rank, lam):
     rs = _root_system(family, rank)
     W = rs.weyl()
     fn = _tables(rs)
-    b, c = (chevalley_tables(rs, tuple(lam), range(W.n), method=m, W=W)
+    b, c = (chevalley_tables(rs, tuple(lam), range(W.n), method=m)
             for m in ("bridge", "operator"))
     for w in range(W.n):
         a = fn(w, tuple(lam), 1)
@@ -299,7 +298,7 @@ def suite_cases(suite, family, rank, max_weight=2):
     'all' one of whose suites has none, is refused (ValueError)."""
     if suite not in SUITES:
         raise ValueError("unknown suite %r" % suite)
-    # every suite runs on the exhaustive group
+    # every suite needs the whole group
     _root_system(family, rank).check_exhaustive()
     pm = _lams_pm_fund_rho(rank)
     dominant = _dominant_lams(rank, max_weight)

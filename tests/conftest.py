@@ -196,8 +196,8 @@ def dl_left(o, i, F):
     zero = o.ring()
     out = {}
     for w in range(W.n):
-        sw = W.inv[W.right[W.inv[w]][i]]
-        if sw < w or (w not in F and sw not in F):
+        sw = W.inv(W.right[W.inv(w)][i])
+        if W.length[sw] < W.length[w] or (w not in F and sw not in F):
             continue  # each pair {w, s_i w} once, from its lower point
         f = F.get(w, zero)
         x = o._act(si, F[sw]) if sw in F else zero
@@ -211,9 +211,9 @@ def dl_left(o, i, F):
     return out
 
 
-def ref_operator(chain, w, W=None):
+def ref_operator(chain, w):
     """C^w_{u,lambda} via the operator formula R^[lambda] applied to the
-    basis vector at w, an element of the store W (rs.weyl() by default).
+    basis vector at w.
 
     States are {u: key dict} with exponents on the fine lattice, which
     holds the (1/h) X^*(T) exponents produced by the E-operators.
@@ -224,7 +224,7 @@ def ref_operator(chain, w, W=None):
     against.
     """
     rs = chain.rs
-    W = W or rs.weyl()
+    W = rs.lazy_weyl()
     h = rs.h
     r = rs.rank
 

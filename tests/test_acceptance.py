@@ -80,7 +80,7 @@ def test_criterion_01_hecke_transition_golden_tables():
     """Frozen affine-Hecke transition tables for w = s2s1, both signs,
     and the chain table on a word chain against the bridge table."""
     budget = Budget(1.0)
-    alg = HeckeAlgebra(A2.weyl())
+    alg = HeckeAlgebra(A2)
     chain = chain_from_word(A2, (2, 1), [1, 0, 1, -1, 0, 1])
     w = W2.from_word_str("s2s1")
     one = Scalar.one()

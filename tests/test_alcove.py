@@ -171,9 +171,9 @@ def test_descent_translation_matches_affine_reflections(family):
 
 
 def test_e8_chain_from_word_reads_no_right_row():
-    # each letter steps the prefix by one product w s_i (the lazy store
-    # keeps no row of r right products), and the chain's roots and
-    # levels are those pinned for this word
+    # each letter steps the prefix by one right step w s_i, made on first
+    # use (no row of r right products is built), and the chain's roots
+    # and levels are those pinned for this word
     rs = RootSystem("E", 8)
     lam = (0,) * 7 + (1,)
     word = v_minus_lambda(rs, lam)

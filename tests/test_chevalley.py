@@ -66,7 +66,7 @@ def test_operator_equals_reference(family, rank, lam, stride):
     chain = chain_lex_height(rs, lam)
     assert any(not b.positive for b in chain.betas) == any(c < 0 for c in lam)
     for w in range(0, W.n, stride):
-        assert chevalley_operator(chain, w, W) == ref_operator(chain, w, W), w
+        assert chevalley_operator(chain, w) == ref_operator(chain, w), w
 
 
 @pytest.mark.parametrize("rank,lam,word", [
@@ -80,8 +80,8 @@ def test_operator_equals_reference_on_a_lazy_store(rank, lam, word):
     L = rs.lazy_weyl()
     x = L.from_word(word)
     chain = chain_lex_height(rs, lam)
-    got = chevalley_operator(chain, x, L)
-    assert x in got and got == ref_operator(chain, x, L)
+    got = chevalley_operator(chain, x)
+    assert x in got and got == ref_operator(chain, x)
 
 
 def test_one_chain_per_root_system_and_weight(monkeypatch):
@@ -94,6 +94,7 @@ def test_one_chain_per_root_system_and_weight(monkeypatch):
 
     monkeypatch.setattr(alcove.LambdaChain, "__init__", counting_init)
     rs = RootSystem("B", 3)
+    rs.weyl()
     chevalley_table(rs, (1, -1, 1), 5, sign=1)
     chevalley_table(rs, (1, -1, 1), 7, sign=-1)
     chevalley_table(rs, (1, -1, 1), 7, method="operator")
@@ -103,7 +104,9 @@ def test_one_chain_per_root_system_and_weight(monkeypatch):
                 chain.far_walls):
         assert type(seq) is tuple
     # the memo belongs to the root system
-    chevalley_table(RootSystem("B", 3), (1, -1, 1), 5)
+    other = RootSystem("B", 3)
+    other.weyl()
+    chevalley_table(other, (1, -1, 1), 5)
     assert len(built) == 2
 
 
@@ -275,14 +278,16 @@ def test_routes_agree_fuzzed(case):
         assert _tables_equal(chain, _FUZZ_ORACLES[rs].expand_product(lam, w))
 
 
-# the lazy element store against the exhaustive group: every capped type
-# the CLI accepts, each route the single-word path runs
+# single words on a store grown one word at a time against the whole
+# group of a second root system: every capped type the CLI accepts, each
+# route the single-word path runs
 _LAZY_TYPES = (
     [("A", n) for n in range(1, 6)] + [("B", n) for n in range(2, 6)]
     + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(3, 6)]
     + [("G", 2), ("F", 4)]
 )
 _LAZY_RS = {}
+_WHOLE_RS = {}
 _ROUTES = ((1, "chain"), (-1, "chain"), (1, "operator"), (1, "bridge"),
            (-1, "bridge"))
 
@@ -293,19 +298,27 @@ def _lazy_rs(family, rank):
     return _LAZY_RS[family, rank]
 
 
+def _whole_rs(family, rank):
+    if (family, rank) not in _WHOLE_RS:
+        _WHOLE_RS[family, rank] = RootSystem(family, rank)
+        _WHOLE_RS[family, rank].weyl()
+    return _WHOLE_RS[family, rank]
+
+
 def _listed(W, table):
     """(canonical word, value) of every entry, in the table's order."""
-    return [(W.word_str(u), table[u]) for u in sorted(table)]
+    return [(W.word_str(u), table[u]) for u in W.ordered(table)]
 
 
-def _assert_stores_agree(rs, lam, word):
-    W, L = rs.weyl(), rs.lazy_weyl()
+def _assert_stores_agree(family, rank, lam, word):
+    whole, lazy = _whole_rs(family, rank), _lazy_rs(family, rank)
+    W, L = whole.weyl(), lazy.lazy_weyl()
     w, x = W.from_word(word), L.from_word(word)
     assert L.word_str(x) == W.word_str(w)
     for sign, method in _ROUTES:
-        exhaustive = chevalley_table(rs, lam, w, sign=sign, method=method)
-        lazy = chevalley_table(rs, lam, x, sign=sign, method=method, W=L)
-        assert _listed(L, lazy) == _listed(W, exhaustive), (sign, method)
+        exhaustive = chevalley_table(whole, lam, w, sign=sign, method=method)
+        single = chevalley_table(lazy, lam, x, sign=sign, method=method)
+        assert _listed(L, single) == _listed(W, exhaustive), (sign, method)
 
 
 @pytest.mark.parametrize("family,rank", _LAZY_TYPES,
@@ -322,7 +335,7 @@ def test_lazy_tables_equal_exhaustive(family, rank, data):
         lam = tuple(c * (j == i) for j in range(rank))
     word = data.draw(st.lists(st.integers(0, rank - 1),
                               max_size=rs.n_positive()))
-    _assert_stores_agree(rs, lam, word)
+    _assert_stores_agree(family, rank, lam, word)
 
 
 @pytest.mark.parametrize("lam,word", [
@@ -331,7 +344,7 @@ def test_lazy_tables_equal_exhaustive(family, rank, data):
     ((0, 1, 0, 0, 0, 0), (1, 3, 2, 4, 3, 1, 5)),
 ])
 def test_lazy_tables_equal_exhaustive_e6(lam, word):
-    _assert_stores_agree(_lazy_rs("E", 6), lam, word)
+    _assert_stores_agree("E", 6, lam, word)
 
 
 @pytest.mark.parametrize("rank", [7, 8])
@@ -348,17 +361,17 @@ def test_chain_and_operator_agree_e7_e8(rank):
          {7: 34, 8: 66}[rank]),
     ]:
         x = L.from_word(word)
-        chain = chevalley_table(rs, lam, x, method="chain", W=L)
+        chain = chevalley_table(rs, lam, x, method="chain")
         assert x in chain and len(chain) == entries
         for method in ("operator", "bridge"):
-            assert chain == chevalley_table(rs, lam, x, method=method, W=L)
+            assert chain == chevalley_table(rs, lam, x, method=method)
 
 
 # -- the all-w pass ----------------------------------------------------
 
-def _per_w(chain, ws, sign, W):
+def _per_w(chain, ws, sign):
     """The reference: one depth-first walk per w."""
-    return {w: chevalley_chain(chain, w, sign, W) for w in ws}
+    return {w: chevalley_chain(chain, w, sign) for w in ws}
 
 
 def _weights(rank):
@@ -374,8 +387,8 @@ def test_chain_many_equals_per_w(family, rank):
     for lam in _weights(rank):
         chain = chain_lex_height(rs, lam)
         for sign in (1, -1):
-            assert chevalley_tables(rs, lam, range(W.n), sign, W=W) == (
-                _per_w(chain, range(W.n), sign, W)), (lam, sign)
+            assert chevalley_tables(rs, lam, range(W.n), sign) == (
+                _per_w(chain, range(W.n), sign)), (lam, sign)
 
 
 @pytest.mark.parametrize("family", ["B", "C"])
@@ -389,8 +402,8 @@ def test_chain_many_equals_per_w_rank3(family):
         ws = range(W.n) if max(lam) < 2 else range(n % 24, W.n, 24)
         chain = chain_lex_height(rs, lam)
         for sign in (1, -1):
-            assert chevalley_tables(rs, lam, ws, sign, W=W) == (
-                _per_w(chain, ws, sign, W)), (lam, sign)
+            assert chevalley_tables(rs, lam, ws, sign) == (
+                _per_w(chain, ws, sign)), (lam, sign)
 
 
 @pytest.mark.parametrize("family,rank,lam,stride", [
@@ -402,8 +415,8 @@ def test_chain_many_equals_per_w_rank4(family, rank, lam, stride):
     ws = list(range(0, W.n, stride)) + [W.w0]
     chain = chain_lex_height(rs, lam)
     for sign in (1, -1):
-        assert chevalley_tables(rs, lam, ws, sign, W=W) == (
-            _per_w(chain, ws, sign, W)), sign
+        assert chevalley_tables(rs, lam, ws, sign) == (
+            _per_w(chain, ws, sign)), sign
 
 
 @pytest.mark.parametrize("family,rank,lam,word", [
@@ -418,8 +431,8 @@ def test_chain_many_on_word_chains(family, rank, lam, word):
     W = rs.weyl()
     chain = chain_from_word(rs, lam, word, require_reduced=False)
     for sign in (1, -1):
-        got = chevalley_tables(rs, lam, range(W.n), sign, chain=chain, W=W)
-        assert got == _per_w(chain, range(W.n), sign, W), sign
+        got = chevalley_tables(rs, lam, range(W.n), sign, chain=chain)
+        assert got == _per_w(chain, range(W.n), sign), sign
 
 
 def test_chain_many_keeps_the_asked_elements():
@@ -427,9 +440,9 @@ def test_chain_many_keeps_the_asked_elements():
     W = rs.weyl()
     chain = chain_lex_height(rs, (1, -1, 2))
     ws = [W.w0, 5, 0, 5, 17]
-    got = chevalley_tables(rs, (1, -1, 2), ws, -1, W=W)
+    got = chevalley_tables(rs, (1, -1, 2), ws, -1)
     assert list(got) == [W.w0, 5, 0, 17]
-    assert got == _per_w(chain, got, -1, W)
+    assert got == _per_w(chain, got, -1)
 
 
 def test_chain_many_range_error():
@@ -441,15 +454,15 @@ def test_chain_many_range_error():
     chain = chain_lex_height(rs, (4096,))
     for sign in (1, -1):
         with pytest.raises(ValueError) as walk:
-            chevalley_tables(rs, (4096,), [0], sign, W=W)
+            chevalley_tables(rs, (4096,), [0], sign)
         with pytest.raises(ValueError) as many:
-            chevalley_tables(rs, (4096,), range(W.n), sign, W=W)
+            chevalley_tables(rs, (4096,), range(W.n), sign)
         assert str(many.value) == str(walk.value) == (
             "exponent 8192 out of range [-8192, 8192)")
         with pytest.raises(ValueError, match="out of range"):
-            chevalley._chain_pass(chain, range(W.n), sign, W)
+            chevalley._chain_pass(chain, range(W.n), sign)
     with pytest.raises(ValueError, match="out of range"):
-        chevalley_chain(chain, 0, 1, W)
+        chevalley_chain(chain, 0, 1)
 
 
 def test_range_checked_ahead_of_every_route(monkeypatch):
@@ -495,10 +508,10 @@ def test_chevalley_sum_equals_weighted_tables(family, rank, lams):
     for lam in lams:
         for sign in (1, -1):
             for ws in sets:
-                tables = chevalley_tables(rs, lam, ws, sign, W=W)
+                tables = chevalley_tables(rs, lam, ws, sign)
                 ref = GA.dot((g, Scalar.q(W.length[u]))
                              for t in tables.values() for u, g in t.items())
-                assert chevalley_sum(rs, lam, ws, sign, W) == ref, (
+                assert chevalley_sum(rs, lam, ws, sign) == ref, (
                     lam, sign, len(ws))
 
 
@@ -520,22 +533,22 @@ def test_tables_contract(monkeypatch):
     calls = []
     real = chevalley._chain_pass
 
-    def pass_of_many(chain, ws, sign, W=None):
+    def pass_of_many(chain, ws, sign):
         assert len(ws) > 1, "the pass ran for one w"
         calls.append(list(ws))
-        return real(chain, ws, sign, W)
+        return real(chain, ws, sign)
 
     monkeypatch.setattr(chevalley, "_chain_pass", pass_of_many)
     chain = chain_lex_height(rs, lam)
     for sign in (1, -1):
         # one w walks, repeated or not
         assert chevalley_tables(rs, lam, [3, 3], sign) == (
-            _per_w(chain, [3], sign, W))
+            _per_w(chain, [3], sign))
         assert not calls
         # more take the pass; repeats are dropped, the order is kept
         got = chevalley_tables(rs, lam, [W.w0, 2, W.w0, 0, 2], sign)
         assert list(got) == [W.w0, 2, 0] and calls.pop() == [W.w0, 2, 0]
-        assert got == _per_w(chain, got, sign, W)
+        assert got == _per_w(chain, got, sign)
     for method in ("operator", "bridge"):
         got = chevalley_tables(rs, lam, [5, 1, 5], method=method)
         assert list(got) == [5, 1]

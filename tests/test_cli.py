@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output formats, schema, caching."""
 
 import contextlib
+import functools
 import gc
 import hashlib
 import io
@@ -349,8 +350,10 @@ def test_bad_args_exit_2(capsys):
           for command, rest in (
               ("chevalley", ["--w", "all"]),
               ("oracle", ["--w", "s1"]), ("csm", ["--w", "s1"]),
-              ("stab", []))),
-        ["verify", "--suite", "all", "--type", "E7"],
+              ("stab", []), ("whittaker", []))),
+        *(["verify", "--suite", suite, "--type", "E7"]
+          for suite in ("all", "methods")),
+        ["search-positivity", "--type", "E7"],
     ):
         capsys.readouterr()
         assert _run(argv)[0] == 2, argv
@@ -358,7 +361,7 @@ def test_bad_args_exit_2(capsys):
         assert err.startswith("error: ") and "Traceback" not in err, argv
         if "E7" in argv:
             assert "above the cap 100000" in err, argv
-        if argv[3] in ("--lambda=5000", "--lambda=3000,3000"):
+        if argv[3:4] in (["--lambda=5000"], ["--lambda=3000,3000"]):
             assert err == "error: exponent %d out of range [-8192, 8192)\n" % (
                 {"A1": 10000, "A2": 9000}[argv[2]]), argv
 
@@ -368,15 +371,16 @@ def _refuse(*args, **kwargs):
 
 
 def test_single_word_builds_no_weyl_group(monkeypatch):
-    # one word on any route, and hecke-coeffs, runs on the lazy element
-    # store: with the exhaustive build made to fail, both signs, an
-    # explicit affine word and every format still exit 0
+    # one word on any route, and hecke-coeffs, makes only the Weyl
+    # elements its walk reaches: with the group's completion made to
+    # fail, both signs, an explicit affine word and every format still
+    # exit 0
     lam = (0, 0, 0, 1, 0)
     word = "".join("s%d" % (i + 1)  # letter -1 is s0
                    for i in v_minus_lambda(RootSystem("D", 5), lam))
     base = ["chevalley", "--type", "D5", "--lambda=0,0,0,1,0",
             "--w", "s2s3s4s5"]
-    monkeypatch.setattr(WeylGroup, "__init__", _refuse)
+    monkeypatch.setattr(WeylGroup, "complete", _refuse)
     for extra in ([], ["--method", "operator"], ["--sign", "-"],
                   ["--method", "bridge"],
                   ["--method", "bridge", "--sign", "-"],
@@ -390,8 +394,8 @@ def test_single_word_builds_no_weyl_group(monkeypatch):
 
 
 def test_e7_word_on_the_bridge():
-    # the bridge and hecke-coeffs take one E7 word on the lazy store, out
-    # of the exhaustive group's reach; the bridge prints the chain's tables
+    # the bridge and hecke-coeffs take one E7 word, whose group is above
+    # the cap; the bridge prints the chain's tables
     base = ["--type", "E7", "--lambda=0,0,0,0,0,0,1", "--w", "s5s6s7",
             "--format", "json"]
     tables = []
@@ -405,8 +409,8 @@ def test_e7_word_on_the_bridge():
 
 
 def test_e8_single_word():
-    # E8 is out of the exhaustive group's reach; one word runs, and the
-    # three routes print the same tables
+    # the E8 group is above the cap; one word runs, and the three routes
+    # print the same tables
     base = ["chevalley", "--type", "E8", "--lambda=0,0,0,0,0,0,0,1",
             "--w", "s8s7s6s5s4s3s2s1", "--format", "json"]
     tables = []
@@ -434,8 +438,8 @@ def _fund(rank, i):
     ["--type", "A15", _fund(15, 8), "--w", "s8s7s6s5s4s3s2s1"],
 ], ids=lambda argv: argv[1])
 def test_ranks_above_5_agree_across_routes(argv):
-    # every family reaches rank 15 on the lazy store; the chain and
-    # operator routes print the same tables there
+    # every family reaches rank 15 on one word; the chain and operator
+    # routes print the same tables there
     tables = []
     for method in ("chain", "operator"):
         code, text = _run(["chevalley"] + argv
@@ -782,8 +786,8 @@ def test_cache_changed_coefficient_recomputed(tmp_path, fmt, old, new):
 
 
 def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
-    # `--w all` on the exhaustive group writes one entry per w; a later
-    # one-word run on the lazy store reads its entry and prints the bytes
+    # `--w all` writes one entry per w; a later one-word run, which makes
+    # only the elements it reaches, reads its entry and prints the bytes
     # that a miss prints
     base = ["chevalley", "--type", "A3", "--lambda=1,0,1", "--sign", "-"]
     for fmt in ("text", "json", "latex"):
@@ -884,17 +888,39 @@ def test_writer_matches_json_dumps(value):
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=1)
 
 
+@functools.cache
 def _gas(rank):
-    """GA elements of one rank: weights near 0 (so that weights and
-    coefficients repeat across terms) or anywhere in range, v exponents
-    in -20..20, whose strings sort as "-1" < "-10" < "-2"."""
-    coord = st.one_of(st.integers(-2, 2), st.integers(-LIMIT, LIMIT - 1))
+    """GA elements of one rank: each weight coordinate near 0 (so that
+    weights and coefficients repeat across terms) or anywhere in range,
+    v exponents in -20..20, whose strings sort as "-1" < "-10" < "-2".
+    A weight takes two draws, not one strategy per coordinate: which
+    coordinates are anywhere (bits), and three bytes per coordinate, the
+    first read as a coordinate near 0 and the next two as one anywhere,
+    each as (-1)^d ceil(d/2) of a digit d (0, -1, 1, -2, ...), except
+    that one in 16 of the latter is an end of the range."""
+    def zigzag(d):
+        return -(d + 1 >> 1) if d & 1 else d >> 1
+
+    def anywhere(v):
+        if v >> 12 == 15:
+            return LIMIT - 1 if v & 1 else -LIMIT
+        return zigzag(v % (2 * LIMIT))
+
+    def weight(drawn):
+        far, b = drawn
+        return tuple(
+            anywhere(b[3 * i + 1] << 8 | b[3 * i + 2])
+            if far >> i & 1 else zigzag(b[3 * i] % 5)
+            for i in range(rank))
+
+    weights = st.tuples(st.integers(0, 2 ** rank - 1),
+                        st.binary(min_size=3 * rank, max_size=3 * rank)
+                        ).map(weight)
     scalar = st.dictionaries(
         st.integers(-20, 20),
         st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
         max_size=6).map(Scalar)
-    return st.lists(st.tuples(st.tuples(*[coord] * rank), scalar),
-                    max_size=8).map(GA)
+    return st.lists(st.tuples(weights, scalar), max_size=8).map(GA)
 
 
 def _ref_doc(v):

@@ -18,7 +18,7 @@ VARIANTS = ("tilde", "tilde_vee")
 
 RS = TYPES["A2"]
 W = RS.weyl()
-ALG = HeckeAlgebra(W)
+ALG = HeckeAlgebra(RS)
 
 
 def _scalars():

@@ -1,11 +1,15 @@
 """Root systems, Weyl groups, Bruhat order."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chevmc.charring import MAX_RANK, _BIAS, _weight
+from chevmc.chevalley import chevalley_table, chevalley_tables, render_table
+from chevmc.oracle import KOracle
 from chevmc.rootsystem import RootSystem, _mat_vec, cartan_matrix
 from conftest import reflect
 
@@ -84,8 +88,8 @@ def test_mul_inverse():
     rs = RootSystem("B", 2)
     W = rs.weyl()
     for w in range(W.n):
-        assert W.mul(w, W.inv[w]) == 0
-        assert W.length[W.inv[w]] == W.length[w]
+        assert W.mul(w, W.inv(w)) == 0
+        assert W.length[W.inv(w)] == W.length[w]
 
 
 def test_reflection_lengths():
@@ -162,7 +166,7 @@ def test_weyl_invariants(family, rank):
             v = W.right[w][i]
             assert W.right[v][i] == w
             assert abs(W.length[v] - W.length[w]) == 1
-        m, mi = W.mats[w], W.mats[W.inv[w]]
+        m, mi = W.mats[w], W.mats[W.inv(w)]
         assert tuple(
             tuple(sum(mi[a][k] * m[k][b] for k in range(rank))
                   for b in range(rank))
@@ -205,64 +209,143 @@ def test_packed_action_matches_matrices(family, rank, stride):
             assert bool(mask >> i & 1) == (W.length[W.mul(w, s)] < W.length[w])
 
 
-def _lazy_elements(rs):
-    """Every element of the lazy store, reached through right
-    multiplication by simple reflections and listed in integer order."""
+def _reached_elements(rs):
+    """Every element of a store that is never completed, reached through
+    right steps by the simple reflections."""
     L = rs.lazy_weyl()
     seen = {0}
     frontier = [0]
     while frontier:
-        frontier = {L.mul(w, s) for w in frontier for s in L.simple} - seen
+        frontier = {L.step(w, i) for w in frontier
+                    for i in range(rs.rank)} - seen
         seen |= frontier
-    return L, sorted(seen)
+    return L, seen
 
 
 @pytest.mark.parametrize("family,rank", sorted(_WORDS_SHA256))
 def test_lazy_words_match_pinned(family, rank):
-    # the lazy store spells each element's canonical word from w(rho)
-    # alone, and its integers order the elements as WeylGroup numbers them
+    # the store spells each element's canonical word from w(rho) alone,
+    # and its length from the steps, without completing itself
     rs = RootSystem(family, rank)
-    L, elements = _lazy_elements(rs)
-    assert len(elements) == rs.weyl_order
-    words = [L.words[w] for w in elements]
-    assert words == sorted(words, key=lambda ww: (len(ww), ww))
+    L, elements = _reached_elements(rs)
+    assert len(elements) == rs.weyl_order and not hasattr(L, "n")
+    assert all(L.length[w] == len(L.word(w)) for w in elements)
+    words = sorted((L.word(w) for w in elements),
+                   key=lambda ww: (len(ww), ww))
     digest = hashlib.sha256(repr(words).encode()).hexdigest()
     assert digest == _WORDS_SHA256[family, rank]
 
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
 def test_lazy_store_matches_exhaustive(family, rank):
+    # single words on one root system's store, longest first, against the
+    # whole group of another
     rs = RootSystem(family, rank)
-    W, L = rs.weyl(), rs.lazy_weyl()
-    lazy = [L.from_word(word) for word in W.words]
-    assert [L.words[x] for x in lazy] == W.words
-    assert lazy == sorted(lazy) and lazy[0] == 0
+    W, L = rs.weyl(), RootSystem(family, rank).lazy_weyl()
+    lazy = [None] * W.n
+    for w in reversed(range(W.n)):
+        lazy[w] = L.from_word(W.words[w])
+    assert [L.word(x) for x in lazy] == W.words
+    assert lazy[0] == 0
     vectors = [rs.weight(a.fund) for a in rs.roots] + [rs.rho()]
     for w, x in enumerate(lazy):
         assert L.length[x] == W.length[w]
         assert L.inversions(x) == W.inversions(w)
-        assert tuple(L.mul(x, s) for s in L.simple) == tuple(
-            lazy[v] for v in W.right[w])
+        assert tuple(L.mul(x, L.from_word((i,))) for i in range(rank)) == (
+            tuple(lazy[v] for v in W.right[w]))
         assert L.from_word_str(W.word_str(w)) == x
         for v in vectors:
             assert L.act(x, v) == W.act(w, v)
             assert L.act_key(x, v) == W.act_key(w, v)
-        assert L.inv[x] == lazy[W.inv[w]] and L.mul(x, L.inv[x]) == 0
+        assert L.inv(x) == lazy[W.inv(w)] and L.mul(x, L.inv(x)) == 0
     for a in rs.positive_roots:
         assert L.reflection(a) == lazy[W.reflection(a)]
+    assert not hasattr(L, "n")
+
+
+_FRESH = {}
+
+
+def _fresh(family, rank):
+    """A root system whose group was completed first, and its oracle."""
+    if (family, rank) not in _FRESH:
+        rs = RootSystem(family, rank)
+        rs.weyl()
+        _FRESH[family, rank] = rs, KOracle(rs)
+    return _FRESH[family, rank]
+
+
+def _all_w_tables(rs, lam, sign):
+    W = rs.weyl()
+    tables = chevalley_tables(rs, lam, W.order, sign)
+    return "\n\n".join("w = %s\n%s" % (W.word_str(w), render_table(rs, t))
+                       for w, t in tables.items())
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("G", 2)])
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_grown_store_completes_to_the_fresh_group(family, rank, data):
+    # a store grown by single words and a single-word table, then
+    # completed, numbers its elements in another order than a fresh one;
+    # matched by canonical word, everything that reads the order agrees
+    grown = RootSystem(family, rank)
+    L = grown.lazy_weyl()
+    # s_r ... s_1 first, so that the integers never follow the words
+    L.from_word(range(rank - 1, -1, -1))
+    words = data.draw(st.lists(st.lists(st.integers(0, rank - 1),
+                                        max_size=2 * grown.n_positive()),
+                               max_size=4))
+    for word in words:
+        L.from_word(word)
+    lam = data.draw(st.tuples(*[st.integers(-1, 1)] * rank).filter(any))
+    x = L.from_word(data.draw(st.lists(st.integers(0, rank - 1),
+                                       max_size=grown.n_positive())))
+    chevalley_table(grown, lam, x, sign=data.draw(st.sampled_from((1, -1))))
+    W = grown.weyl()
+    fresh, oracle = _fresh(family, rank)
+    F = fresh.weyl()
+    assert list(F.order) == list(range(F.n))
+    to_fresh = [F.from_word(W.words[w]) for w in range(W.n)]
+    assert sorted(to_fresh) == list(range(F.n))
+    assert [to_fresh[w] for w in W.order] == list(F.order)
+    vectors = [grown.weight(a.fund) for a in grown.roots]
+    for w, f in enumerate(to_fresh):
+        assert W.words[w] == F.words[f] and W.length[w] == F.length[f]
+        assert [to_fresh[v] for v in W.right[w]] == F.right[f]
+        assert W.inversions(w) == F.inversions(f)
+        assert [W.act_key(w, v) for v in vectors] == [
+            F.act_key(f, v) for v in vectors]
+        for u, g in enumerate(to_fresh):
+            assert W.leq(u, w) == F.leq(g, f)
+    for size in range(rank + 1):
+        for parabolic in itertools.combinations(range(rank), size):
+            assert [to_fresh[v] for v in W.min_coset_reps(parabolic)] == (
+                F.min_coset_reps(parabolic))
+    for sign in (1, -1):
+        assert _all_w_tables(grown, lam, sign) == _all_w_tables(
+            fresh, lam, sign)
+    mine = KOracle(grown)
+    for w in data.draw(st.lists(st.sampled_from(range(W.n)), min_size=1,
+                                max_size=2)):
+        got = mine.expand_product(lam, w)
+        want = oracle.expand_product(lam, to_fresh[w])
+        assert render_table(grown, got) == render_table(fresh, want)
 
 
 @pytest.mark.parametrize("rank,n_pos,h", [(7, 63, 18), (8, 120, 30)])
 def test_e7_e8_lazy_only(rank, n_pos, h):
-    # E7 and E8 construct; their elements come from the lazy store, and
-    # the exhaustive group refuses them with the cap message
+    # E7 and E8 construct and make the elements a word reaches, and
+    # completing the store refuses them with the cap message
     rs = RootSystem("E", rank)
     assert rs.n_positive() == n_pos and rs.h == h
     L = rs.lazy_weyl()
     word = tuple(range(rank - 1, -1, -1))
     w = L.from_word(word)
     assert L.length[w] == rank
-    assert L.words[w] == word[:rank - 3] + (1, 2, 0)  # s4 s2 s3 s1 in E
+    assert L.word(w) == word[:rank - 3] + (1, 2, 0)  # s4 s2 s3 s1 in E
+    with pytest.raises(ValueError, match="above the cap 100000"):
+        L.complete()
     with pytest.raises(ValueError, match="above the cap 100000"):
         rs.weyl()
 
