@@ -381,10 +381,11 @@ def positivity_terms(chain, w):
     return out
 
 
-def render_table(rs, table):
-    """One line per u, in the order of (length, canonical word)."""
+def render_table(rs, table, mono=None):
+    """One line per u, in the order of (length, canonical word); `mono`
+    is the monomial text of a fine weight, `exp_mono` by default."""
     W = rs.lazy_weyl()
-    mono = exp_mono(rs.h)
+    mono = mono or exp_mono(rs.h)
     return "\n".join(
         "C[u=%s] = %s" % (W.word_str(u), table[u].render(mono))
         for u in W.ordered(table)

@@ -6,6 +6,12 @@ verification, 2 parse/usage error or an input the library rejects.  All
 weights are given in fundamental-weight coordinates; type-A output can
 additionally be displayed in the epsilon coordinates of the standard
 torus.
+
+`run` parses the shared options once, in the order --type, --lambda,
+--w (on the element store; a one-word command refuses 'all'), before a
+command completes the Weyl group, so of two faults the first in that
+order is reported.  A command hands `_emit` its document's fields and
+its text as a callable, and only the printed format is built.
 """
 
 from __future__ import annotations
@@ -55,25 +61,14 @@ def _parse_lambda(text, rank):
     return lam
 
 
-def _is_all(text):
-    return text.strip().lower() == "all"
-
-
 def _parse_w(W, text):
     """The element of a word, or None for 'all'."""
-    if _is_all(text):
+    if text.strip().lower() == "all":
         return None
     try:
         return W.from_word_str(text.replace("*", ""))
     except ValueError:
         raise CliError("bad Weyl word %r" % text)
-
-
-def _parse_one_w(W, text, command):
-    w = _parse_w(W, text)
-    if w is None:
-        raise CliError("%s needs a single Weyl word" % command)
-    return w
 
 
 def _parse_word(rank, text):
@@ -107,18 +102,6 @@ def _table_json(W, table):
         }
         for u in W.ordered(table)
     ]
-
-
-def _doc(command, rs, **fields):
-    doc = {
-        "command": command,
-        "version": __version__,
-        "type": "%s%d" % (rs.family, rs.rank),
-        "rank": rs.rank,
-        "lattice_scale": rs.h,
-    }
-    doc.update(fields)
-    return doc
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -211,11 +194,27 @@ def _ga_json(g, pad, memo):
     return "[%s%s]" % ("".join(parts), pad)
 
 
-def _emit(doc, text, fmt, out):
-    if fmt == "json":
-        out.write(_dumps(doc) + "\n")
-    else:
-        out.write(text + "\n")
+def _emit(args, out, text, **fields):
+    """Print, in the format of `args`, either the JSON document of the
+    command (its header, the parsed lambda and single w, and `fields`)
+    or the string `text()`: only the printed one is built."""
+    if args.format != "json":
+        out.write(text() + "\n")
+        return
+    rs = args.rs
+    doc = {
+        "command": args.command,
+        "version": __version__,
+        "type": "%s%d" % (rs.family, rs.rank),
+        "rank": rs.rank,
+        "lattice_scale": rs.h,
+    }
+    if "lam" in args:
+        doc["lam"] = list(args.lam)
+    if "one_word" in args:
+        doc["w"] = rs.lazy_weyl().word_str(args.w)
+    doc.update(fields)
+    out.write(_dumps(doc) + "\n")
 
 
 def _latex_weight(h, fine):
@@ -225,10 +224,7 @@ def _latex_weight(h, fine):
     for i, c in enumerate(fine):
         if not c:
             continue
-        if c % h == 0:
-            cs = c // h
-        else:
-            cs = "%d/%d" % (c, h)
+        cs = c // h if c % h == 0 else "%d/%d" % (c, h)
         if cs == 1:
             parts.append("\\varpi_%d" % (i + 1))
         elif cs == -1:
@@ -251,19 +247,13 @@ def _latex_table(W, table):
     return "\n".join(lines)
 
 
-def _epsilon_render(W, table):
-    """Type-A display in epsilon coordinates of GL_{r+1}."""
-    rs = W.rs
-
-    def mono(k):
-        fund = [c / rs.h for c in k]
-        sums = [sum(fund[j:]) for j in range(rs.rank)] + [0.0]
-        return "x^(%s)" % ",".join(
-            str(int(c)) if float(c).is_integer() else str(c) for c in sums
-        )
-
-    return "\n".join("C[u=%s] = %s" % (W.word_str(u), table[u].render(mono))
-                     for u in W.ordered(table))
+def _epsilon_weight(rs, fine):
+    """The type-A monomial x^(...) of a fine weight in the epsilon
+    coordinates of GL_{r+1}: the partial sums of its fundamental
+    coordinates from the right, the last one 0."""
+    fund = rs.weight_user(fine)
+    return "x^(%s)" % ",".join(str(sum(fund[j:]))
+                               for j in range(rs.rank + 1))
 
 
 # -- subcommand bodies -------------------------------------------------
@@ -277,20 +267,17 @@ def _chevalley_block(args, W, word, table, memo):
                       memo)
     if args.format == "latex":
         return "%% w = %s\n%s" % (word, _latex_table(W, table))
-    if args.epsilon:
-        return "w = %s\n%s" % (word, _epsilon_render(W, table))
-    return "w = %s\n%s" % (word, render_table(W.rs, table))
+    mono = partial(_epsilon_weight, W.rs) if args.epsilon else None
+    return "w = %s\n%s" % (word, render_table(W.rs, table, mono))
 
 
 def _cmd_chevalley(args, out):
-    rs = _parse_type(args.type)
-    lam = _parse_lambda(args.lam, rs.rank)
+    rs, lam = args.rs, args.lam
     # one word, on any route, makes only the elements its walk reaches;
     # 'all' needs the whole group
     W = rs.lazy_weyl()
-    w = _parse_w(W, args.w)
     sign = _parse_sign(args.sign)
-    ws = rs.weyl().order if w is None else [w]
+    ws = rs.weyl().order if args.w is None else [args.w]
     # --epsilon is refused outside type A, except by LaTeX, which ignores it
     if args.epsilon and args.format != "latex" and rs.family != "A":
         raise CliError("epsilon coordinates exist only in type A")
@@ -322,103 +309,72 @@ def _cmd_chevalley(args, out):
             cache_put(cache_dir, keys[wv], block)
         except OSError as exc:
             raise CliError("cannot write the cache: %s" % exc)
-    if args.format == "json":
-        doc = _doc("chevalley", rs, lam=list(lam), sign=sign,
-                   method=args.method,
-                   tables=[_Encoded(b) for b in blocks.values()])
-        out.write(_dumps(doc) + "\n")
-    else:
-        out.write("\n\n".join(blocks.values()) + "\n")
+    _emit(args, out, lambda: "\n\n".join(blocks.values()), sign=sign,
+          method=args.method, tables=[_Encoded(b) for b in blocks.values()])
     return 0
 
 
 def _cmd_hecke(args, out):
     from .hecke import HeckeAlgebra
-    rs = _parse_type(args.type)
+    rs = args.rs
     W = rs.lazy_weyl()
-    lam = _parse_lambda(args.lam, rs.rank)
-    w = _parse_one_w(W, args.w, "hecke-coeffs")
     halg = HeckeAlgebra(rs)
-    table = halg.transition_direct(w, lam)
-    entries = [
-        {
-            "u": W.word_str(u),
-            "mu": list(rs.weight_user(mu)),
-            "coeff": c.to_json(),
-        }
-        for u in W.ordered(table) for mu, c in table[u].terms()
-    ]
-    doc = _doc("hecke-coeffs", rs, lam=list(lam), w=W.word_str(w),
-               entries=entries)
-    _emit(doc, halg.render_transition(table), args.format, out)
+    table = halg.transition_direct(args.w, args.lam)
+    entries = [{"u": W.word_str(u), "mu": list(rs.weight_user(mu)),
+                "coeff": c.to_json()}
+               for u in W.ordered(table) for mu, c in table[u].terms()]
+    _emit(args, out, lambda: halg.render_transition(table), entries=entries)
     return 0
 
 
 def _cmd_chain(args, out):
-    rs = _parse_type(args.type)
-    lam = _parse_lambda(args.lam, rs.rank)
+    rs, lam = args.rs, args.lam
     if args.word is not None:
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
                                 require_reduced=False)
     else:
         chain = chain_lex_height(rs, lam)
-    doc = _doc("chain", rs, lam=list(lam), reduced=chain.reduced,
-               steps=chain.to_json())
-    _emit(doc, chain.render(), args.format, out)
+    _emit(args, out, chain.render, reduced=chain.reduced,
+          steps=chain.to_json())
     return 0
 
 
 def _cmd_oracle(args, out):
     from .oracle import KOracle
-    rs = _parse_type(args.type)
+    rs = args.rs
     W = rs.weyl()
-    lam = _parse_lambda(args.lam, rs.rank)
-    w = _parse_one_w(W, args.w, "oracle")
-    o = KOracle(rs)
-    table = o.expand_product(lam, w)
-    doc = _doc("oracle", rs, lam=list(lam), w=W.word_str(w),
-               method="solve", entries=_table_json(W, table))
-    _emit(doc, render_table(rs, table), args.format, out)
+    table = KOracle(rs).expand_product(args.lam, args.w)
+    _emit(args, out, lambda: render_table(rs, table), method="solve",
+          entries=_table_json(W, table))
     return 0
 
 
 def _cmd_stab(args, out):
     from .oracle import KOracle, StableBasis
-    rs = _parse_type(args.type)
+    rs = args.rs
     W = rs.weyl()
-    lam = _parse_lambda(args.lam, rs.rank)
-    w = _parse_w(W, args.w)
-    sb = StableBasis(KOracle(rs))
-    S = sb.shift_matrix(lam)
-    rows = W.order if w is None else [w]
-    blocks = []
-    docs = []
-    for wv in rows:
-        table = S[wv]
-        docs.append({"w": W.word_str(wv), "entries": _table_json(W, table)})
-        blocks.append("stab-shift row w = %s\n%s"
-                      % (W.word_str(wv),
-                         render_table(rs, table)))
-    doc = _doc("stab", rs, lam=list(lam), tables=docs)
-    _emit(doc, "\n\n".join(blocks), args.format, out)
+    S = StableBasis(KOracle(rs)).shift_matrix(args.lam)
+    rows = [(W.word_str(wv), S[wv])
+            for wv in (W.order if args.w is None else [args.w])]
+    _emit(args, out,
+          lambda: "\n\n".join("stab-shift row w = %s\n%s"
+                               % (word, render_table(rs, table))
+                               for word, table in rows),
+          tables=[{"w": word, "entries": _table_json(W, table)}
+                  for word, table in rows])
     return 0
 
 
 def _cmd_whittaker(args, out):
     from .specialfn import whittaker
-    rs = _parse_type(args.type)
+    rs = args.rs
     W = rs.weyl()
-    lam = _parse_lambda(args.lam, rs.rank)
-    w = _parse_w(W, args.w)
-    ws = W.order if w is None else [w]
-    lines = []
-    docs = []
-    for wv in ws:
-        g = whittaker(rs, lam, wv)
-        docs.append({"w": W.word_str(wv), "value": g})
-        lines.append("W[%s] = %s" % (W.word_str(wv), g.render(exp_mono(rs.h))))
-    doc = _doc("whittaker", rs, lam=list(lam), values=docs)
-    _emit(doc, "\n".join(lines), args.format, out)
+    values = [(W.word_str(wv), whittaker(rs, args.lam, wv))
+              for wv in (W.order if args.w is None else [args.w])]
+    _emit(args, out,
+          lambda: "\n".join("W[%s] = %s" % (word, g.render(exp_mono(rs.h)))
+                            for word, g in values),
+          values=[{"w": word, "value": g} for word, g in values])
     return 0
 
 
@@ -426,73 +382,60 @@ def _cmd_hl(args, out):
     from .specialfn import (
         hall_littlewood, render_x, schur_expansion, render_schur,
     )
-    rs = _parse_type(args.type)
-    lam = _parse_lambda(args.lam, rs.rank)
+    rs, lam = args.rs, args.lam
     if not all(c >= 0 for c in lam):
         raise CliError("Hall-Littlewood needs a dominant weight")
     g = hall_littlewood(rs, lam, method=args.method)
     # |lambda| as a partition has sum(i * c_i) boxes
     degree = sum((i + 1) * c for i, c in enumerate(lam))
-    if args.format == "json":
-        text = None  # the document carries the value alone
-    elif rs.family == "A" and args.basis == "schur":
-        text = render_schur(rs, schur_expansion(rs, g), degree)
-    elif rs.family == "A":
-        text = render_x(rs, g, degree)
-    else:
-        text = g.render(exp_mono(rs.h), var="t")
-    doc = _doc("hl", rs, lam=list(lam), method=args.method, value=g)
-    _emit(doc, text, args.format, out)
+
+    def text():
+        if rs.family == "A" and args.basis == "schur":
+            return render_schur(rs, schur_expansion(rs, g), degree)
+        if rs.family == "A":
+            return render_x(rs, g, degree)
+        return g.render(exp_mono(rs.h), var="t")
+
+    _emit(args, out, text, method=args.method, value=g)
     return 0
 
 
 def _cmd_csm(args, out):
     from .csm import csm_chevalley
-    rs = _parse_type(args.type)
+    rs = args.rs
     W = rs.weyl()
-    lam = _parse_lambda(args.lam, rs.rank)
-    w = _parse_one_w(W, args.w, "csm")
-    table = csm_chevalley(rs, lam, w)
-    entries = [
-        {
-            "u": W.word_str(u),
-            "value": [
-                {"exponents": list(k), "coeff": str(x)}
-                for k, x in table[u].terms()
-            ],
-        }
-        for u in W.ordered(table)
-    ]
-    lines = [
-        "c1[u=%s] = %s" % (W.word_str(u), table[u].render())
-        for u in W.ordered(table)
-    ]
-    doc = _doc("csm", rs, lam=list(lam), w=W.word_str(w), entries=entries)
-    _emit(doc, "\n".join(lines), args.format, out)
+    table = csm_chevalley(rs, args.lam, args.w)
+    us = W.ordered(table)
+    entries = [{"u": W.word_str(u),
+                "value": [{"exponents": list(k), "coeff": str(x)}
+                          for k, x in table[u].terms()]}
+               for u in us]
+    _emit(args, out,
+          lambda: "\n".join("c1[u=%s] = %s" % (W.word_str(u),
+                                               table[u].render())
+                            for u in us),
+          entries=entries)
     return 0
 
 
 def _cmd_verify(args, out):
-    rs = _parse_type(args.type)
+    rs = args.rs
     results = run_suite(
         args.suite, rs.family, rs.rank,
         max_weight=args.max_weight, jobs=args.jobs,
     )
-    failed = 0
-    lines = []
-    for case_id, detail in results:
-        if detail is None:
-            lines.append("PASS %s" % case_id)
-        else:
-            failed += 1
-            lines.append("FAIL %s: %s" % (case_id, detail))
-    lines.append("%d/%d cases passed" % (len(results) - failed, len(results)))
-    doc = _doc("verify", rs, suite=args.suite,
-               results=[
-                   {"case": cid, "ok": d is None, "detail": d}
-                   for cid, d in results
-               ])
-    _emit(doc, "\n".join(lines), args.format, out)
+    failed = sum(d is not None for _, d in results)
+
+    def text():
+        lines = ["PASS %s" % cid if d is None else "FAIL %s: %s" % (cid, d)
+                 for cid, d in results]
+        lines.append("%d/%d cases passed"
+                     % (len(results) - failed, len(results)))
+        return "\n".join(lines)
+
+    _emit(args, out, text, suite=args.suite,
+          results=[{"case": cid, "ok": d is None, "detail": d}
+                   for cid, d in results])
     return 1 if failed else 0
 
 
@@ -511,7 +454,7 @@ def _cmd_search_positivity(args, out):
     exponential times a polynomial in y; empirically these polynomials are
     sign-coherent in small rank, but counterexamples exist in large enough
     rank, so this command reports findings and never asserts positivity."""
-    rs = _parse_type(args.type)
+    rs = args.rs
     W = rs.weyl()
     findings = []
     checked = 0
@@ -522,10 +465,8 @@ def _cmd_search_positivity(args, out):
             for u in W.ordered(table):
                 for k, x in table[u].terms():
                     checked += 1
-                    coeffs = x.y_coeffs()
-                    if any(c < 0 for c in coeffs.values()) and any(
-                        c > 0 for c in coeffs.values()
-                    ):
+                    coeffs = x.y_coeffs().values()
+                    if min(coeffs) < 0 < max(coeffs):
                         findings.append({
                             "lambda": list(lam),
                             "w": W.word_str(w),
@@ -533,16 +474,20 @@ def _cmd_search_positivity(args, out):
                             "weight": list(k),
                             "coeff": x.to_json(),
                         })
-    lines = ["scanned %d terms over %d minuscule weight(s)"
-             % (checked, len(_minuscule_weights(rs)))]
-    if findings:
-        lines.append("mixed-sign coefficients found: %d" % len(findings))
-        for f in findings[:20]:
-            lines.append("  lambda=%s w=%s u=%s" % (f["lambda"], f["w"], f["u"]))
-    else:
-        lines.append("no sign violations in this range (not a proof)")
-    doc = _doc("search-positivity", rs, findings=findings, scanned=checked)
-    _emit(doc, "\n".join(lines), args.format, out)
+
+    def text():
+        lines = ["scanned %d terms over %d minuscule weight(s)"
+                 % (checked, len(_minuscule_weights(rs)))]
+        if findings:
+            lines.append("mixed-sign coefficients found: %d" % len(findings))
+            for f in findings[:20]:
+                lines.append("  lambda=%s w=%s u=%s"
+                             % (f["lambda"], f["w"], f["u"]))
+        else:
+            lines.append("no sign violations in this range (not a proof)")
+        return "\n".join(lines)
+
+    _emit(args, out, text, findings=findings, scanned=checked)
     return 0
 
 
@@ -562,7 +507,7 @@ def build_parser():
 
     def common(sp, need_lambda=True, w=None, formats=("text", "json")):
         """`w` is None (no --w), "all" (a word or 'all', the default) or
-        "one" (a required single word)."""
+        "one" (a required single word; `run` refuses 'all')."""
         sp.add_argument("--type", required=True, help="root system, e.g. A2")
         if need_lambda:
             sp.add_argument("--lambda", dest="lam", required=True,
@@ -572,6 +517,7 @@ def build_parser():
                             help="Weyl word like s2*s1, or 'all'")
         elif w == "one":
             sp.add_argument("--w", required=True, help="Weyl word like s2*s1")
+            sp.set_defaults(one_word=True)
         sp.add_argument("--format", choices=formats, default="text")
 
     sp = sub.add_parser("chevalley", help="Chevalley coefficient table")
@@ -646,6 +592,13 @@ def run(argv=None, out=None):
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
     try:
+        rs = args.rs = _parse_type(args.type)
+        if "lam" in args:
+            args.lam = _parse_lambda(args.lam, rs.rank)
+        if "w" in args:
+            args.w = _parse_w(rs.lazy_weyl(), args.w)
+            if args.w is None and "one_word" in args:
+                raise CliError("%s needs a single Weyl word" % args.command)
         return args.func(args, out)
     except (CliError, ValueError) as exc:
         # a library ValueError is a rejected input, not a crash

@@ -144,21 +144,48 @@ def test_hl_monomial_basis():
     assert "x1" in text and "x2" in text and "x3" in text
 
 
-def test_hl_json_renders_no_text(monkeypatch):
-    # the JSON document carries the value alone: no Schur expansion or
-    # rendering runs, and the bytes are the pinned ones of this argv
+def test_hl_json_renders_no_text(monkeypatch, tmp_path):
+    # a JSON document is built alone: with every text renderer made to
+    # fail, one --format json argv of each subcommand (a chevalley cache
+    # miss among them) exits 0 and prints its pinned bytes
+    import chevmc.chevalley as chevalley
+    import chevmc.cli as cli
     import chevmc.specialfn as specialfn
+    from chevmc.alcove import LambdaChain
+    from chevmc.hecke import HeckeAlgebra
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("text rendered for --format json")
 
     for name in ("schur_expansion", "render_schur", "render_x"):
         monkeypatch.setattr(specialfn, name, refuse)
-    code, text = _run(["hl", "--type", "A2", "--lambda", "0,2",
-                       "--format", "json"])
-    assert code == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5fad03f018833aebda9f7af690490a5dada3bb67d1c084c458585c91bcf58416")
+    for owner, name in ((chevalley, "render_table"), (cli, "render_table"),
+                        (GA, "render"), (Scalar, "render"),
+                        (HeckeAlgebra, "render_transition"),
+                        (LambdaChain, "render")):
+        monkeypatch.setattr(owner, name, refuse)
+    golden = dict(_GOLDEN)
+    for argv, digest in (
+        ("chevalley --type A2 --lambda 2,1 --w all --format json --cache-dir "
+         + str(tmp_path), golden["chevalley --type A2 --lambda 2,1 --w all "
+                                 "--format json"]),
+        *((argv, golden[argv]) for argv in (
+            "hecke-coeffs --type B2 --lambda 0,1 --w s2s1 --format json",
+            "chain --type B3 --lambda 1,0,0 --format json",
+            "oracle --type B2 --lambda 1,0 --w s2 --format json",
+            "stab --type A2 --lambda 1,1 --format json",
+            "whittaker --type B2 --lambda=-1,0 --w s1 --format json",
+            "hl --type A3 --lambda 0,1,0 --format json",
+            "csm --type B3 --lambda 1,0,1 --w s1s2s3 --format json",
+            "search-positivity --type A2 --format json")),
+        ("hl --type A2 --lambda 0,2 --format json",
+         "5fad03f018833aebda9f7af690490a5dada3bb67d1c084c458585c91bcf58416"),
+        ("verify --suite methods --type A2 --max-weight 1 --format json",
+         "51d71bb0a149c3bbe8603ca8d9408a52b2722b023b7f9be0b7d9ee115c898595"),
+    ):
+        code, text = _run(argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
 
 
 # SHA-256 of `hl --format json` for both chain formulas on ranks 2-4
@@ -364,6 +391,19 @@ def test_bad_args_exit_2(capsys):
         if argv[3:4] in (["--lambda=5000"], ["--lambda=3000,3000"]):
             assert err == "error: exponent %d out of range [-8192, 8192)\n" % (
                 {"A1": 10000, "A2": 9000}[argv[2]]), argv
+    # two faults: the first in the order --type, --lambda, --w is the
+    # one reported, ahead of the cap of the whole E7 group
+    for argv, line in (
+        ("oracle --type E7 --lambda=1 --w s1",
+         "weight '1' has 1 coordinates, expected 7"),
+        ("whittaker --type E7 --lambda=0,0,0,0,0,0,-1 --w sQ",
+         "bad Weyl word 'sQ'"),
+        ("oracle --type E7 --lambda=0,0,0,0,0,0,1 --w all",
+         "oracle needs a single Weyl word"),
+    ):
+        capsys.readouterr()
+        assert _run(argv.split()) == (2, ""), argv
+        assert capsys.readouterr().err == "error: %s\n" % line, argv
 
 
 def _refuse(*args, **kwargs):
