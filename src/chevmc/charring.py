@@ -44,21 +44,19 @@ Demazure-Lusztig step b Delta + e x or an Atiyah-Bott sum builds no
 intermediate product or sum; the cell solve runs it, negated, into its
 remainders in place (`_mul_into`).  What `*` and `dot` return passes
 `_check` once, on the finished sum.  `exact_div` by a two-term divisor,
-the shape of every Demazure-Lusztig denominator 1 - e^{-alpha_i} and of
-a linear form, divides chain by chain (`_chain_div`): a step leaves its
-one carry a fixed key gap below, so the keys of each residue class
-modulo that gap divide alone, from the top, with the carry in a local
-and no ordered remainder.  Longer divisors, such as the solve's
-diagonals, take the long division (`_long_div`).  Both keep the exact
-coefficient quotient and the box test; the final `_check` runs unless
-the box already lies in range.  A Weyl move (`GA.transform`) adds to
-each key only the packed columns of mat - 1 that are nonzero: one for a
-simple reflection.
+the shape of every Demazure-Lusztig and Bernstein denominator
+1 - e^gamma and of a linear form, divides line by line (`_line_div`):
+each line {k - m gap} of keys, gap the divisor's key difference,
+divides alone, walked once from its top with the carry in a local, no
+ordered remainder and no box.  Longer divisors, such as the solve's
+diagonals, take the long division (`_long_div`) inside the quotient's
+box.  A Weyl move (`GA.transform`) adds to each key only the packed
+columns of mat - 1 that are nonzero: one for a simple reflection.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 
 FIELD = 20
 MASK = (1 << FIELD) - 1
@@ -91,6 +89,14 @@ def _check(c, rank):
     _, lo, bad = _LAYOUT[rank]
     if any(map(bad.__and__, map(lo.__rsub__, c))):
         raise ValueError("exponent out of range [%d, %d)" % (-LIMIT, LIMIT))
+
+
+def _negative(c, rank):
+    """True when some key of `c` (all in range) has a negative
+    exponent: the key less the bias then borrows out of that field."""
+    bias = _BIAS[rank]
+    bad = ~sum((LIMIT - 1) << (FIELD * i) for i in range(rank + 1))
+    return any(map(bad.__and__, map(bias.__rsub__, c)))
 
 
 def _pack(weight):
@@ -179,43 +185,57 @@ def _long_div(a, d, bias, box):
     return quot
 
 
-def _chain_div(a, d, bias, box):
-    """`_long_div` for a two-term divisor c1 e^k1 + c2 e^k2, k1 > k2.
+def _line_div(a, d, bias):
+    """The coefficient dict of a / d for a two-term divisor
+    c1 e^k1 + c2 e^k2, k1 > k2, or None; unchecked (see GA.exact_div).
 
-    A step at key k leaves its one carry at k - gap, gap = k1 - k2, so
-    the keys congruent modulo gap form one chain that divides alone:
-    from its top, each step takes the dividend's coefficient plus the
-    carry, until the two cancel.  So no order of the remainder is kept:
-    each round walks down from the top of every chain that has keys
-    left, the keys below the end of a walk wait for the next round, and
-    the box test bounds every walk."""
-    lok, hik, test = box
+    A quotient term at k - k1 carries into k - gap, gap = k1 - k2, so
+    each line {k - m gap} of the exponent lattice divides alone, walked
+    down from its top: each step adds the dividend's coefficient to the
+    carry, and a nonzero sum makes a quotient term and the next carry.
+    The dividend keys are taken in descending order, and each one that
+    no walk has reached starts a walk, which ends where the carry
+    cancels.  A step moves each field by less than 2 LIMIT, so from an
+    in-range key it never borrows across fields: every walk key is the
+    packed key of the next point of the line.  A line keeps the fields
+    above the most significant one in which k1 and k2 differ, so its
+    dividend keys lie in the run of sorted keys that share those
+    fields.  A carry that reaches a key out of the range, or below that
+    run, has passed every dividend key of its line and proves
+    indivisibility; both are tested where the walk finds no dividend
+    key."""
     k1, k2 = max(d), min(d)
     c1, c2 = d[k1], d[k2]
     gap = k1 - k2
+    _, lo, bad = _LAYOUT[_rank(k1)]
+    high = ((k1 ^ k2).bit_length() - 1) // FIELD * FIELD + FIELD
     shift = bias - k1
+    unit = c1 if c1 in (1, -1) else 0  # then x / c1 = x * c1
     rem = dict(a)
     pop = rem.pop
+    keys = sorted(a)
     quot = {}
-    while rem:
-        tops = {}
-        top = tops.get
-        for k in rem:
-            r = k % gap
-            if k > top(r, 0):
-                tops[r] = k
-        for k in tops.values():
-            x = pop(k)
-            while x:
+    for k in reversed(keys):
+        x = pop(k, 0)
+        low = None
+        while x:
+            if unit:
+                qc = x * unit
+            else:
                 qc, r = divmod(x, c1)
                 if r:
                     return None
-                qk = k + shift
-                if ((qk - lok) | (hik - qk)) & test:
+            quot[k + shift] = qc
+            k -= gap
+            y = pop(k, None)
+            if y is None:  # no dividend key here: test the walk key
+                if low is None:  # the lowest key of the walk's run
+                    low = keys[bisect_left(keys, k >> high << high)]
+                if k < low or (k - lo) & bad:
                     return None
-                quot[qk] = qc
-                k -= gap
-                x = pop(k, 0) - qc * c2
+                x = -qc * c2
+            else:
+                x = y - qc * c2
     return quot
 
 
@@ -512,21 +532,26 @@ class GA:
     def exact_div(self, other):
         """Exact quotient self/other, or None when not divisible.
 
-        An exact quotient q of Laurent polynomials satisfies, field by
-        field, max(q) = max(self) - max(other) and likewise for min (the
-        extreme monomials of a product never cancel), so every quotient
-        monomial lies in that box, cut at 0 in a polynomial ring; a
-        reduction step that leaves the box proves indivisibility, and
-        steps inside it are finitely many since the leading key strictly
-        decreases.  The box test is two packed subtractions: every field
-        difference is far below the bias in size, so a negative one
-        borrows and sets the top bit of its field.  A two-term divisor
-        divides chain by chain (`_chain_div`), a longer one by the long
-        division (`_long_div`).  The box fields are read through C-level
-        maps.  Every quotient key passes the box test, so when the box
-        lies inside [-LIMIT, LIMIT) in every field the quotient is in
-        range and the final `_check` is skipped; otherwise it runs, and
-        an exponent out of range raises ValueError.
+        A two-term divisor, the shape of every Demazure-Lusztig and
+        Bernstein denominator 1 - e^gamma and of a linear form, divides
+        line by line (`_line_div`); the quotient then passes `_check`
+        once (its keys are walk keys, so in range, when the divisor's
+        leading key is that of a constant), and in a polynomial ring a
+        negative exponent means no quotient.  A longer divisor takes the
+        long division (`_long_div`) inside a box: an exact quotient q of
+        Laurent polynomials satisfies, field by field, max(q) = max(self)
+        - max(other) and likewise for min (the extreme monomials of a
+        product never cancel), so every quotient monomial lies in that
+        box, cut at 0 in a polynomial ring; a reduction step that leaves
+        the box proves indivisibility, and steps inside it are finitely
+        many since the leading key strictly decreases.  The box test is
+        two packed subtractions: every field difference is far below the
+        bias in size, so a negative one borrows and sets the top bit of
+        its field.  The box fields are read through C-level maps.  Every
+        quotient key passes the box test, so when the box lies inside
+        [-LIMIT, LIMIT) in every field the quotient is in range and the
+        final `_check` is skipped; otherwise it runs.  An exponent out of
+        range raises ValueError.
         """
         if not other:
             raise ZeroDivisionError
@@ -535,6 +560,15 @@ class GA:
             return type(self)._new({})
         r = _rank(next(iter(a)))
         bias = _BIAS[r]
+        if len(d) == 2:
+            quot = _line_div(a, d, bias)
+            if quot is None:
+                return None
+            if max(d) != bias:  # else the quotient keys are walk keys
+                _check(quot, r)
+            if not self.laurent and _negative(quot, r):
+                return None
+            return type(self)._new(quot)
         lok = hik = 0
         inside = True  # the box lies in [-LIMIT, LIMIT) in every field
         top = FIELD * r
@@ -556,8 +590,7 @@ class GA:
             lok += (lo + _HALF) << s
             hik += (hi + _HALF) << s
         box = (lok, hik, bias | (1 << (FIELD * (r + 1))))
-        div = _chain_div if len(d) == 2 else _long_div
-        quot = div(a, d, bias, box)
+        quot = _long_div(a, d, bias, box)
         if quot is None:
             return None
         if not inside:

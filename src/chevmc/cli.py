@@ -291,7 +291,8 @@ def _cmd_chevalley(args, out):
         wv: cache_key(
             "chevalley", rs.family, rs.rank, lam, word, args.method,
             extra={"sign": sign, "word": args.word, "format": args.format,
-                   "epsilon": args.epsilon},
+                   # only the text format prints epsilon coordinates
+                   "epsilon": args.epsilon and args.format == "text"},
         )
         for wv, word in words.items()
     }

@@ -8,8 +8,8 @@ from chevmc.alcove import (
     _in_alcove, _scale, _walls, chain_lex_height, descent_subsets,
 )
 from chevmc.charring import (
-    FIELD, GA, MASK, Scalar, _BIAS, _HALF, _add_products, _pack, _wneg,
-    _weight,
+    FIELD, GA, LIMIT, MASK, Scalar, _BIAS, _HALF, _add_products, _check,
+    _pack, _rank, _wneg, _weight,
 )
 from chevmc.chevalley import _checked, _term_coeff
 from chevmc.localization import _delta
@@ -268,3 +268,64 @@ def ref_operator(chain, w):
                tuple(coheight * c for c in beta_fine), nxt)
         state = _checked(nxt, r)
     return {u: GA._new(c) for u, c in state.items()}
+
+
+def ref_chain_div(n, d):
+    """n / d for a two-term divisor d by the chain-by-chain division, or
+    None.
+
+    The quotient box: field by field, an exact quotient's exponents lie
+    in [min(n) - min(d), max(n) - max(d)], cut at 0 in a polynomial
+    ring.  A step at key k leaves its one carry at k - gap, gap = k1 -
+    k2, so the keys congruent modulo gap form one chain: each round
+    walks down from the top of every chain that has keys left, until
+    the carry cancels, and the box test bounds every walk.  The final
+    `_check` runs unless the box lies in range.
+
+    The reference that `GA.exact_div`'s line-by-line division is checked
+    against."""
+    a, c = n.c, d.c
+    assert len(c) == 2
+    if not a:
+        return type(n)._new({})
+    r = _rank(next(iter(a)))
+    bias = _BIAS[r]
+    lok = hik = 0
+    inside = True
+    for s in range(0, FIELD * r + 1, FIELD):
+        fa = [k >> s & MASK for k in a]
+        fd = [k >> s & MASK for k in c]
+        lo, hi = min(fa) - min(fd), max(fa) - max(fd)
+        if not n.laurent:
+            lo = max(lo, 0)
+        if lo > hi:
+            return None
+        inside = inside and -LIMIT <= lo and hi < LIMIT
+        lok += (lo + _HALF) << s
+        hik += (hi + _HALF) << s
+    test = bias | (1 << (FIELD * (r + 1)))
+    k1, k2 = max(c), min(c)
+    c1, c2 = c[k1], c[k2]
+    gap = k1 - k2
+    rem = dict(a)
+    quot = {}
+    while rem:
+        tops = {}
+        for k in rem:
+            if k > tops.get(k % gap, 0):
+                tops[k % gap] = k
+        for k in tops.values():
+            x = rem.pop(k)
+            while x:
+                qc, rest = divmod(x, c1)
+                if rest:
+                    return None
+                qk = k + bias - k1
+                if ((qk - lok) | (hik - qk)) & test:
+                    return None
+                quot[qk] = qc
+                k -= gap
+                x = rem.pop(k, 0) - qc * c2
+    if not inside:
+        _check(quot, r)
+    return type(n)._new(quot)

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from chevmc.charring import GA, LIMIT, Scalar
 from chevmc.csm import CohPoly
 from chevmc.rootsystem import RootSystem
-from conftest import ref_to_json
+from conftest import ref_chain_div, ref_to_json
 
 
 weights = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
@@ -116,7 +116,7 @@ coh_monomials = st.builds(
 @given(data=st.data())
 @settings(max_examples=80)
 def test_exact_div_two_terms(elems, divisors, monomials, data):
-    """The chain-by-chain division by a two-term divisor: a returned
+    """The line-by-line division by a two-term divisor: a returned
     quotient is exact, a product divides back, a product plus a stray
     term does not, and it agrees with the long division by d*m."""
     n, p, m = data.draw(elems), data.draw(elems), data.draw(elems)
@@ -297,10 +297,10 @@ def test_exact_div_fails_promptly():
 
 
 def test_exact_div_quotient_out_of_range_raises():
-    """Divisible inputs whose quotient box straddles the range, so the
-    final `_check` is not skipped: the quotient leaves the range and
-    raises, in a weight field and in the v field, by the chain-by-chain
-    and by the long division."""
+    """Divisible inputs whose quotient leaves the range raise, in a
+    weight field and in the v field: by the line-by-line division, whose
+    final `_check` always runs, and by the long division, whose box
+    straddles the range, so its final `_check` is not skipped."""
     d = GA.term((-1, 0)) - GA.term((-2, 0))
     # d (1 + e^{(LIMIT, 0)})
     n = d + GA.term((LIMIT - 1, 0)) - GA.term((LIMIT - 2, 0))
@@ -319,3 +319,136 @@ def test_exact_div_quotient_out_of_range_raises():
     # inside the range the same shapes divide
     q = GA.term((0, 5)) + GA.const(1, 2)
     assert (d * q).exact_div(d) == q
+
+
+# -- two-term division by lines, against the chain-by-chain reference ----
+
+def _fine_roots(rs):
+    return [tuple(rs.h * c for c in a.fund) for a in rs.roots]
+
+
+ROOTS = {r: _fine_roots(RootSystem("A" if r == 1 else "B", r))
+         for r in range(1, 5)}
+nonzero = st.integers(-3, 3).filter(bool)
+
+
+def _ga_case(r):
+    """(term strategy, divisor strategy) in GA at rank r: 1 + y differs
+    only in the v field, 1 -+ e^{-k varpi_r} only in the lowest weight
+    field, 1 - e^root in several fields, 2 - e^mu has the leading
+    coefficient 2 when mu < 0, and 1 - y^50 e^mu, with mu a first
+    fundamental weight, differs far more in the v field than in the
+    most significant one."""
+    weights = st.tuples(*[st.integers(-4, 4)] * r)
+    term = st.builds(lambda w, n, c: GA.term(w, Scalar.v(n, c)),
+                     weights, st.integers(-4, 4), nonzero)
+    one = GA.const(1, r)
+    zero = (0,) * (r - 1)
+    divisor = st.one_of(
+        st.just(one + GA.const(Scalar.y(1), r)),
+        st.builds(lambda k, c: one + GA.term(zero + (-k,), c),
+                  st.integers(1, 3), st.sampled_from([1, -1])),
+        st.sampled_from(ROOTS[r]).map(lambda a: one - GA.term(a)),
+        weights.filter(any).map(lambda mu: 2 * one - GA.term(mu)),
+        st.just(one - GA.term((1,) + zero, Scalar.y(50))),
+    )
+    return term, divisor
+
+
+def _scalar_case():
+    term = st.builds(Scalar.v, st.integers(-6, 6), nonzero)
+    one = Scalar.one()
+    divisor = st.one_of(
+        st.just(one + Scalar.y(1)),
+        st.builds(lambda n, c: c * one - Scalar.v(n),
+                  st.integers(-5, 5).filter(bool), st.sampled_from([1, 2])),
+    )
+    return term, divisor
+
+
+def _coh_case(r):
+    """varpi_r + c in the lowest field, a varpi_i + b varpi_j in two
+    fields (leading coefficient a, not a unit when |a| > 1)."""
+    term = st.builds(CohPoly.term, st.tuples(*[st.integers(0, 3)] * r),
+                     nonzero)
+    one = CohPoly.const(1, r)
+
+    def form(i, j, a, b):
+        coords = [0] * r
+        coords[i] += a
+        coords[j] += b
+        return CohPoly.linear(coords)
+
+    divisor = st.builds(
+        lambda c: CohPoly.linear((0,) * (r - 1) + (1,)) + c * one, nonzero)
+    if r > 1:
+        pair = st.lists(st.integers(0, r - 1), min_size=2, max_size=2,
+                        unique=True)
+        divisor |= st.builds(lambda ij, a, b: form(*ij, a, b), pair,
+                             nonzero, nonzero)
+    return term, divisor
+
+
+@st.composite
+def two_term_cases(draw):
+    """(dividend, two-term divisor) over GA, Scalar and CohPoly at ranks
+    1-4: a product p d, or a product plus one stray term."""
+    ring = draw(st.sampled_from(["GA", "Scalar", "CohPoly"]))
+    r = draw(st.integers(1, 4))
+    term, divisor = (_ga_case(r) if ring == "GA" else _scalar_case()
+                     if ring == "Scalar" else _coh_case(r))
+    d = draw(divisor)
+    p = d * 0
+    for t in draw(st.lists(term, min_size=1, max_size=6)):
+        p = p + t
+    n = p * d
+    if draw(st.booleans()):
+        n = n + draw(term)
+    return n, d
+
+
+def _quotient(n, d, div):
+    try:
+        return div(n, d)
+    except ValueError:
+        return "out of range"
+
+
+@given(two_term_cases())
+@settings(max_examples=300, deadline=None)
+def test_exact_div_lines_match_chains(case):
+    """Line-by-line division against the chain-by-chain reference, with
+    its box: the same quotient or the same None.  A walk over residue
+    classes modulo the gap without the box would lump keys of many
+    lines (all keys with one v exponent, for 1 + e^{-varpi_r}) and, on
+    a product plus a stray term, carry on for minutes; the alarm turns
+    that into a failure."""
+    n, d = case
+    assert len(d.c) == 2
+
+    def stop(signum, frame):
+        raise AssertionError("exact_div did not return")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(5)
+    try:
+        got = _quotient(n, d, type(n).exact_div)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got == _quotient(n, d, ref_chain_div)
+
+
+def test_exact_div_steep_lines_stay_apart():
+    """1 - y^4000 e^{2 varpi_1} moves the v field 4000 times as far as
+    the weight field along a line.  e^{263 varpi_1} v^-276 and v^300 lie
+    on two lines, so the difference is not divisible; a walk that went
+    on past the range would reach the packed key of v^300 after 131
+    steps, its v field borrowing from the weight field, cancel there
+    and raise on its out-of-range quotient."""
+    d = GA.const(1, 1) - GA.term((2,), Scalar.y(4000))
+    n = GA.term((263,), Scalar.v(-276)) - GA.term((0,), Scalar.v(300))
+    assert n.exact_div(d) is None
+    assert ref_chain_div(n, d) is None
+    q = GA.term((263,), Scalar.v(-276))
+    assert (q * d).exact_div(d) == q

@@ -843,6 +843,21 @@ def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
             assert _run(one + [cache]) == miss, fmt
 
 
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_cache_epsilon_shares_the_entry(tmp_path, monkeypatch, fmt):
+    # only the text format prints epsilon coordinates, so a JSON or LaTeX
+    # run with --epsilon reads the entry the plain run wrote, and prints
+    # its bytes without computing a table
+    argv = ["chevalley", "--type", "A2", "--lambda=2,1", "--w", "s1s2",
+            "--format", fmt, "--cache-dir", str(tmp_path)]
+    code, miss = _run(argv)
+    assert code == 0
+    with monkeypatch.context() as m:
+        m.setattr("chevmc.cli.chevalley_tables", _refuse)
+        assert _run(argv + ["--epsilon"]) == (0, miss)
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 def test_cache_partly_filled_prints_miss_bytes(tmp_path):
     # with half the entries of an all-w table deleted, the misses are
     # computed in one pass over a proper subset of the group; with one
