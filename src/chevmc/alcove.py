@@ -21,8 +21,8 @@ of Lenart-Postnikov).  It is the walk of a single-w table and of every
 caller that needs each J; the tables of many w, and the weighted sums
 behind H_lambda, the Hall-Littlewood chain formulas and the Whittaker
 functions, are summed without listing the J, by a backward pass over
-the same scan_steps (chevalley.chevalley_tables picks one or the other;
-chevalley.chevalley_sum always takes the pass).
+the same LambdaChain.steps (chevalley.chevalley_tables picks one or
+the other; chevalley.chevalley_sum always takes the pass).
 chain_lex_height builds each chain once per root system and weight;
 chains are immutable and shared.
 
@@ -96,9 +96,30 @@ class LambdaChain:
         self.far_walls = tuple(
             Hyperplane(rs, b, k) for b, k in zip(betas, self.far_levels)
         )
+        self._steps, self._lam_keys = {}, {}
 
     def __len__(self):
         return len(self.betas)
+
+    def steps(self, ascending, far):
+        """The positions in scan order as (j, a, kh, odd, c), once per
+        direction and wall list (far_walls if far, else walls): walls[j-1]
+        = H_{alpha_a,k}, kh = k h, odd = beta_j < 0, c = <rho, alpha^vee>."""
+        memo = (ascending, far)
+        if memo not in self._steps:
+            order = range(len(self))
+            walls = self.far_walls if far else self.walls
+            self._steps[memo] = [
+                (j + 1, walls[j].root.index, walls[j].level * self.rs.h,
+                 not self.betas[j].positive, walls[j].root.coheight())
+                for j in (order if ascending else reversed(order))]
+        return self._steps[memo]
+
+    def lam_key(self, u):
+        """The packed key offset of u(lambda), kept by u."""
+        if u not in self._lam_keys:
+            self._lam_keys[u] = self.rs.lazy_weyl().act_key(u, self.lam)
+        return self._lam_keys[u]
 
     def reversed_hyperplane(self, j):
         """h'_j = H_{beta_{l+1-j}, <lambda, beta^vee_{l+1-j}> - d_{l+1-j}}."""
@@ -233,62 +254,39 @@ def _validate_chain(chain):
         raise AssertionError("chain reflections do not reach A - lambda")
 
 
-def scan_steps(chain: LambdaChain, ascending, walls):
-    """The chain positions in scan order, each as (j, bit, r_j, shift):
-    j the 1-based position, bit the bit of its root in WeylGroup.inversions
-    (l(cur r_beta) < l(cur) iff cur(beta) < 0, for beta > 0), r_j the
-    element of the reflection in walls[j-1] = H_{alpha,k} and shift the
-    fine weight k alpha, None at level 0."""
-    rs = chain.rs
-    W = rs.lazy_weyl()
-    order = range(len(chain)) if ascending else range(len(chain) - 1, -1, -1)
-    return [
-        (j + 1, 1 << walls[j].root.index, W.reflection(walls[j].root),
-         tuple(walls[j].level * rs.h * c for c in walls[j].root.fund)
-         if walls[j].level else None)
-        for j in order
-    ]
-
-
-def descent_subsets(chain: LambdaChain, w, ascending, walls):
+def descent_subsets(chain: LambdaChain, w, ascending, far):
     """All (u, J, B, odd) with J a sorted tuple of chain positions along
     which w descends: scanning the positions in the given direction,
     each position j in J right-multiplies by r_{h_j} and lowers the
     length; u is the element reached, and odd whether an odd number of
-    the roots beta_j, j in J, is negative (the walk flips it as it takes
-    a position).
+    the roots beta_j, j in J, is negative.
 
     B is the translation the walk picks up, as a packed key offset
-    (WeylGroup.act_key).  With H_{alpha,k} the j-th entry of `walls`
-    (chain.walls or chain.far_walls), choosing j adds cur(k alpha), cur
-    being the element reached just before j.  So if j(1), ..., j(t) are
-    the positions of J in scan order and r_j is the affine reflection in
-    walls[j-1],
+    (WeylGroup.act_key).  With walls chain.far_walls if far, else
+    chain.walls, and H_{alpha,k} their j-th entry, choosing j adds
+    cur(k alpha), cur being the element reached just before j; cur's
+    images give its key and whether cur descends at j.  So if j(1), ...,
+    j(t) are the positions of J in scan order and r_j is the affine
+    reflection in walls[j-1],
 
         w r_{j(1)} ... r_{j(t)} (x) = u(x) + B.
 
-    The depth-first search keeps its open branches on a stack, not the
-    call stack, and lists the subsets in the order of the recursion
-    that skips a position before taking it.  This is the walk of one w
-    and the one that lists each J; the tables of many w share one
-    backward pass (see chevalley.chevalley_tables).
+    The open branches sit on a stack, not the call stack, listed in the
+    order of the recursion that skips a position before taking it.
     """
     W = chain.rs.lazy_weyl()
-    n = len(chain)
-    steps = scan_steps(chain, ascending, walls)
-    bits = [bit for _, bit, _, _ in steps]
-    negative = [not chain.betas[j - 1].positive for j, _, _, _ in steps]
-    inversions, mul, act_key = W.inversions, W.mul, W.act_key
-    out = []
-    stack = [(0, w, (), 0, False)]
+    steps = chain.steps(ascending, far)
+    roots = [a for _, a, _, _, _ in steps]
+    n, images, mul_refl, keys = W.npos, W.images, W.mul_refl, W.root_keys
+    out, stack = [], [(0, w, (), 0, False)]
     while stack:
         i, cur, J, B, odd = stack.pop()
-        desc = inversions(cur)
-        for pos in range(i, n):
-            if desc & bits[pos]:
-                j, _, refl, shift = steps[pos]
-                stack.append((pos + 1, mul(cur, refl), J + (j,),
-                              B + act_key(cur, shift) if shift else B,
-                              odd ^ negative[pos]))
+        img = images(cur)
+        for pos in range(i, len(steps)):
+            b = img[roots[pos]]
+            if b >= n:
+                j, a, kh, neg, _ = steps[pos]
+                stack.append((pos + 1, mul_refl(cur, a), J + (j,),
+                              B + kh * keys[b], odd ^ neg))
         out.append((cur, J if ascending else J[::-1], B, odd))
     return out

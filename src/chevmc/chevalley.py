@@ -16,15 +16,17 @@ chevalley_tables is the one entry point for tables, and
 chevalley_table its one-w case.  It range-checks lambda ahead of every
 route, takes the lambda = 0 shortcut, builds the lex lambda-chain when
 none is given and picks how the chain route runs: one w walks its
-subsets depth first (chevalley_chain, which beats the pass for one w
-and reads each subset's sign parity off the walk), two or more share
-one backward pass over (chain position, element) (_chain_pass), which
-sums each chain suffix once per element; the two agree key for key.
-chevalley_sum runs the same pass for sum_w sum_u q^{l(u)} C^w_{u,lambda}
-with one dict per element (specialfn's H_lambda, HL and Whittaker sums).
-The operator and bridge routes run one w at a time; the operator route
-makes one move per chain position, E^beta and E^{<rho,beta^vee> beta}
-B_beta fused into a shift and one product per descent.
+subsets depth first (chevalley_chain, one product per coefficient),
+two or more share one backward pass over (chain position, element)
+(_chain_pass), which sums each chain suffix once per element; the two
+agree key for key.  chevalley_sum runs the same pass for sum_w sum_u
+q^{l(u)} C^w_{u,lambda} with one dict per element (specialfn's
+H_lambda, HL and Whittaker sums).  The operator and bridge routes run
+one w at a time; the operator route makes one move per chain position,
+E^beta a key offset per element and E^{<rho,beta^vee> beta} B_beta one
+product per descent.  The walk, the pass and the operator route read
+their steps off LambdaChain.steps and their Weyl moves off the tables
+of WeylGroup (images, mul_refl).
 
 Dualities, the parabolic formula and the positivity decomposition for
 dominant weights live here as well.
@@ -39,7 +41,7 @@ from .charring import (
     GA, Scalar, _BIAS, _HALF, _add_products, _check, _pack, _weight,
     exp_mono,
 )
-from .alcove import chain_lex_height, descent_subsets, scan_steps
+from .alcove import chain_lex_height, descent_subsets
 
 
 @lru_cache(maxsize=1024)
@@ -68,18 +70,15 @@ def _leaves(chain, w, sign):
     lambda in range (as chevalley_tables checks; Weyl row sums below 64,
     see charring.pack_columns) a range check of the keys is exact."""
     rs = chain.rs
-    W = rs.lazy_weyl()
-    lam = chain.lam
+    length = rs.lazy_weyl().length
     positive = sign > 0
-    walls = chain.walls if positive else chain.far_walls
     bias = _BIAS[rs.rank]
-    length, act_key = W.length, W.act_key
     lw = length[w]
-    for u, J, B, odd in descent_subsets(chain, w, positive, walls):
+    for u, J, B, odd in descent_subsets(chain, w, positive, not positive):
         t = len(J)
         dl = lw - length[u] - t
         assert dl % 2 == 0, "parity failure in the Chevalley formula"
-        lk = act_key(u, lam)
+        lk = chain.lam_key(u)
         yield u, J, (bias + lk if positive else bias - lk) - B, t, dl, odd
 
 
@@ -106,13 +105,17 @@ def _checked(by_u, rank):
 
 
 def chevalley_chain(chain, w, sign):
-    """C^w_{u, sign*lambda} as {u: GA} from a chain for +lambda: each
-    term's keys are summed straight into its u's dict."""
+    """C^w_{u, sign*lambda} as {u: GA} from a chain for +lambda: the
+    term keys of each (u, t, dl, odd) are counted, then multiplied."""
     positive = sign > 0
-    by_u = {}
+    groups = {}
     for u, _J, key, t, dl, odd in _leaves(chain, w, sign):
-        _add_products(by_u.setdefault(u, {}), ((key, 1),),
-                      _term_pairs(t, dl, odd, positive))
+        g = groups.setdefault((u, t, dl, odd), {})
+        g[key] = g.get(key, 0) + 1
+    by_u = {}
+    for (u, t, dl, odd), g in groups.items():
+        _add_products(by_u.setdefault(u, {}), _term_pairs(t, dl, odd,
+                                                          positive), g.items())
     return {u: GA._new(c) for u, c in _checked(by_u, chain.rs.rank).items()}
 
 
@@ -141,22 +144,19 @@ def _chain_pass(chain, ws, sign, seed=None):
     the u of a term is that of the F_n it starts from."""
     rs = chain.rs
     W = rs.lazy_weyl()
-    lam = chain.lam
     positive = sign > 0
-    walls = chain.walls if positive else chain.far_walls
-    length, inversions, mul, act_key = (W.length, W.inversions, W.mul,
-                                        W.act_key)
+    n, length, images, mul_refl, keys = (W.npos, W.length, W.images,
+                                         W.mul_refl, W.root_keys)
     reached = dict.fromkeys(ws)
     # per step: the (x, x r_i, key pairs of c_i(x) e^{-x(k beta)}) of
     # the elements x that descend, and the elements first reached after it
     moves, born = [], []
-    for j, bit, refl, shift in scan_steps(chain, positive, walls):
-        odd = not chain.betas[j - 1].positive
+    for _j, a, kh, odd, _c in chain.steps(positive, not positive):
         here, new = [], {}
         for x in reached:
-            if inversions(x) & bit:
-                y = mul(x, refl)
-                s = act_key(x, shift) if shift else 0
+            b = images(x)[a]
+            if b >= n:
+                y, s = mul_refl(x, a), kh * keys[b]
                 pairs = _term_pairs(1, length[x] - length[y] - 1, odd,
                                     positive)
                 here.append((x, y, [(k - s, c) for k, c in pairs]))
@@ -168,7 +168,7 @@ def _chain_pass(chain, ws, sign, seed=None):
     bias = _BIAS[rs.rank]
     F = {}
     for x in reached:
-        lk = act_key(x, lam)
+        lk = chain.lam_key(x)
         key = bias + lk if positive else bias - lk
         F[x] = seed(x, key) if seed else {x: {key: 1}}
     for here, new in zip(reversed(moves), reversed(born)):
@@ -200,39 +200,41 @@ def chevalley_operator(chain, w):
     basis vector at w.
 
     States are {u: key dict} with exponents on the fine lattice, which
-    holds the (1/h) X^*(T) exponents produced by the E-operators.  Each
-    R_beta = E^beta + E^{<rho,beta^vee> beta} B_beta is one move: the
-    entry at u is shifted by u(beta/h), and where u s_beta is shorter it
-    is also added at u s_beta times -(1+y) q^{k/2} e^{u s_beta(<rho,
-    beta^vee> beta/h)}, k = l(u) - l(u s_beta) - 1, negated for beta < 0.
-    """
+    holds the (1/h) X^*(T) exponents produced by the E-operators, less
+    an offset per u.  Each R_beta = E^beta + E^{<rho,beta^vee> beta}
+    B_beta is one move: u's offset grows by u(beta/h), and where u
+    s_beta is shorter the entry is added at u s_beta times -(1+y) q^{k/2}
+    e^{u s_beta(<rho, beta^vee> beta/h)}, k = l(u) - l(u s_beta) - 1,
+    negated for beta < 0."""
     rs = chain.rs
     W = rs.lazy_weyl()
     r = rs.rank
-    length, inversions, mul, act_key = (W.length, W.inversions, W.mul,
-                                        W.act_key)
-    state = {w: {_BIAS[r]: 1}}
-    for b in chain.betas:
-        pos = b.positive
-        broot = b if pos else rs.root_by_simple(tuple(-c for c in b.simple))
-        sref = W.reflection(broot)
-        bit = 1 << broot.index
-        rho_beta = tuple(sum(b.coroot) * c for c in b.fund)
-        nxt = {}
-        for u, c in state.items():
-            off = act_key(u, b.fund)
-            nxt[u] = {k + off: x for k, x in c.items()}
-        for u, c in state.items():
-            if inversions(u) & bit:
-                us = mul(u, sref)
-                k = length[u] - length[us] - 1
-                assert k % 2 == 0
-                off = act_key(us, rho_beta)
-                _add_products(nxt.setdefault(us, {}), [
-                    (vk + off, y) for vk, y in _term_pairs(1, k, not pos, True)
-                ], c.items())
-        state = _checked(nxt, r)
-    return {u: GA._new(c) for u, c in state.items()}
+    n, length, images, mul_refl, keys = (W.npos, W.length, W.images,
+                                         W.mul_refl, W.root_keys)
+    state, offset = {w: {_BIAS[r]: 1}}, {w: 0}
+    for _j, a, _kh, neg, ch in chain.steps(True, False):
+        down = []
+        for u in state:
+            b = images(u)[a]
+            kb = keys[b]
+            if b >= n:  # u s_beta (beta) = -u(beta)
+                down.append((u, mul_refl(u, a), offset[u] - ch * kb))
+            offset[u] += -kb if neg else kb
+        for u, us, off in down:
+            k = length[u] - length[us] - 1
+            assert k % 2 == 0
+            if us not in state:
+                state[us], offset[us] = {}, off
+            off -= offset[us]
+            _add_products(state[us], [
+                (vk + off, y) for vk, y in _term_pairs(1, k, neg, True)
+            ], state[u].items())
+        for u in [u for u, c in state.items() if not c]:
+            del state[u], offset[u]
+        _check(itertools.chain.from_iterable(
+            map(offset[u].__add__, c) for u, c in state.items()), r)
+    return {u: GA._new({k + offset[u]: x for k, x in c.items()})
+            for u, c in state.items()}
 
 
 def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None):

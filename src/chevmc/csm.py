@@ -212,7 +212,7 @@ def csm_chevalley(rs, lam_fund, w, parabolic=()):
     if diag:
         out[w] = diag
     for a in rs.positive_roots:
-        ws = W.mul(w, W.reflection(a))
+        ws = W.mul_refl(w, a.index)
         if W.length[ws] < W.length[w]:
             pairing = rs.pairing(lam_fund, a)
             if pairing:

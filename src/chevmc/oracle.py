@@ -292,8 +292,7 @@ class StableBasis:
         W = self.W
         rs = self.rs
         out = {w: GA.const(1, rs.rank)}
-        sref = W.reflection(root)
-        ws = W.mul(w, sref)
+        ws = W.mul_refl(w, root.index)
         if W.length[ws] > W.length[w]:
             af = tuple(rs.h * c for c in root.fund)
             mu = _wneg(tuple(level * c for c in W.act(w, af)))

@@ -16,9 +16,10 @@ WEYL_CAP elements.
 from __future__ import annotations
 
 import re
-from operator import mul, sub
+from array import array
+from operator import mul
 
-from .charring import MAX_RANK, pack_columns
+from .charring import MAX_RANK, _BIAS, _weight, pack_columns
 
 
 _WEYL_ORDER = {
@@ -255,7 +256,7 @@ class RootSystem:
 
 
 def _mat_vec(a, v):
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
 
 
 def _identity(r):
@@ -289,11 +290,13 @@ class WeylGroup:
     w(rho) names w (Casselman, Machine calculations in Weyl groups,
     1994).  A right step w s_i changes one column of w's matrix and is
     kept in `right`; `mul(a, b)` walks b's canonical word, the lex-least
-    reduced word (`word`), through those steps.  `complete()` makes the
-    rest of the group level by level, refusing groups above WEYL_CAP;
-    only then do `n`, `order` (the elements by length, then canonical
-    word), `w0`, the Bruhat order and the cosets exist.  A fresh store
-    completes to 0..n-1 in that order.
+    reduced word (`word`), through those steps.  Two tables filled on
+    first use give the chain routes their moves: signed root images
+    (`images`, keyed by `root_keys`) and products w s_beta (`mul_refl`).
+    `complete()` makes the rest of the group level by level, refusing
+    groups above WEYL_CAP; only then do `n`, `order` (the elements by
+    length, then canonical word), `w0`, the Bruhat order and the cosets
+    exist.  A fresh store completes to 0..n-1 in that order.
     """
 
     def __init__(self, rs: RootSystem):
@@ -303,17 +306,21 @@ class WeylGroup:
         # (j, <alpha_i, alpha_j^vee>)
         self._alphas = [[(j, rs.cartan[j][i]) for j in range(r)
                          if rs.cartan[j][i]] for i in range(r)]
-        self._positive = {a.fund for a in rs.positive_roots}
-        cols = pack_columns(_identity(r))
-        # the packed key offsets of the negative roots, read by inversions()
-        self._negative = {sum(map(mul, a.fund, cols)) for a in rs.roots
-                          if not a.positive}
+        # roots by signed index, alpha_a at a and -alpha_a at npos + a
+        self.npos = n = rs.n_positive()
+        self._funds = [a.fund for a in rs.positive_roots]
+        self._funds += [tuple(-c for c in f) for f in self._funds]
+        self._ids = pack_columns(_identity(r))
+        self.root_keys = [self.key(f) for f in self._funds]
+        self._signed = {k: b for b, k in enumerate(self.root_keys)}
+        # s_i(alpha_a) = +-alpha_p, p = _perms[i][a], - only at alpha_i
+        self._perms = [[self._signed[k - f[i] * self.root_keys[ai.index]] % n
+                        for f, k in zip(self._funds, self.root_keys[:n])]
+                       for i, ai in enumerate(rs.simple_roots)]
         self.mats, self.length, self.words, self.right = [], [], [], []
-        self._rhos, self._by_rho, self._cols, self._inversions = [], {}, [], []
-        self._inv = {}
-        self._refl_cache = {}
-        self._leq_mask = None
-        self._make(_identity(r), (1,) * r, 0, ())
+        self._rhos, self._by_rho, self._images, self._products = [], {}, [], []
+        self._inv, self._leq_mask = {}, None
+        self._make(_identity(r), self.key((1,) * r), 0, ())
 
     def _make(self, mat, rho, length, word):
         v = len(self.mats)
@@ -323,8 +330,8 @@ class WeylGroup:
         self.length.append(length)
         self.words.append(word)
         self.right.append([None] * self.rs.rank)
-        self._cols.append(None)
-        self._inversions.append(None)
+        self._images.append(None)
+        self._products.append(None)
         return v
 
     def _step(self, w, i):
@@ -334,10 +341,11 @@ class WeylGroup:
         alpha = self._alphas[i]
         m = self.mats[w]
         d = [sum([row[j] * c for j, c in alpha]) for row in m]
-        rho = tuple(map(sub, self._rhos[w], d))
+        kd = self.key(d)
+        rho = self._rhos[w] - kd
         v = self._by_rho.get(rho)
         if v is None:
-            up = tuple(d) in self._positive
+            up = self._signed[kd] < self.npos
             v = self._make(tuple(row[:i] + (row[i] - x,) + row[i + 1:]
                                  if x else row for row, x in zip(m, d)),
                            rho, self.length[w] + (1 if up else -1), None)
@@ -346,10 +354,11 @@ class WeylGroup:
         return v
 
     def _canonical(self, rho):
-        """The lex-least reduced word of the w with w(rho) = rho: its
-        first letter is the least left descent i of w, the first negative
-        coordinate, and the rest is the word of s_i w."""
-        mu = list(rho)
+        """The lex-least reduced word of the w with packed w(rho) = rho:
+        its first letter is the least left descent i of w, the first
+        negative coordinate, and the rest is the word of s_i w."""
+        r = self.rs.rank
+        mu = list(_weight(_BIAS[r] + rho, r))
         word = []
         while True:
             i = next((i for i, c in enumerate(mu) if c < 0), None)
@@ -436,43 +445,60 @@ class WeylGroup:
         """w(mu) on fine-lattice coordinates."""
         return _mat_vec(self.mats[w], fine)
 
-    def act_key(self, w, fine):
-        """The packed key offset of w(mu): sum_j mu_j * column j of w, r
-        integer multiply-adds, with the packed columns of w's matrix
-        (charring.pack_columns) built on first use.  Adding charring's
-        bias for the rank gives the key of e^{w(mu)}."""
-        cols = self._cols[w]
-        if cols is None:
-            cols = self._cols[w] = pack_columns(self.mats[w])
-        return sum(map(mul, fine, cols))
+    def key(self, fine):
+        """The packed key offset of the fine weight mu."""
+        return sum(map(mul, fine, self._ids))
 
-    def inversions(self, w):
-        """Bitmask of the positive roots beta (bit beta.index) that w
-        sends negative, i.e. with l(w s_beta) < l(w); built on first use
-        from the packed action."""
-        mask = self._inversions[w]
-        if mask is None:
-            mask = self._inversions[w] = sum(
-                1 << a.index for a in self.rs.positive_roots
-                if self.act_key(w, a.fund) in self._negative
-            )
-        return mask
+    def act_key(self, w, fine):
+        """The packed key offset of w(mu); adding charring's bias gives
+        the key of e^{w(mu)}."""
+        return self.key(self.act(w, fine))
+
+    def images(self, w):
+        """Entry a is the signed index of w(alpha_a), >= npos iff l(w
+        s_alpha_a) < l(w); on first use permuted from a right neighbour's,
+        w(alpha_a) = w s_i (s_i alpha_a), else from the packed action.
+        The permutation is the cheap route (filling every image of D5 or
+        F4 in `leq_masks` takes a quarter of the time it takes packed)."""
+        n, images = self.npos, self._images
+        if images[w] is None:
+            for i, v in enumerate(self.right[w]):
+                if v is not None and images[v] is not None:
+                    img = array("H", [images[v][p] for p in self._perms[i]])
+                    a = self.rs.simple_roots[i].index
+                    img[a] = (img[a] + n) % (2 * n)
+                    break
+            else:
+                cols = pack_columns(self.mats[w])
+                img = array("H", [self._signed[sum(map(mul, f, cols))]
+                                  for f in self._funds[:n]])
+            images[w] = img
+        return images[w]
+
+    def mul_refl(self, w, a):
+        """w s_beta, beta = alpha_a, kept once made: w(rho) less <rho,
+        beta^vee> w(beta) names it, its matrix is w's less w(beta) beta^vee."""
+        row = self._products[w]
+        if row is None:
+            row = self._products[w] = array("i", [-1]) * self.npos
+        v = row[a]
+        if v < 0:
+            beta = self.rs.positive_roots[a]
+            b = self.images(w)[a]
+            rho = self._rhos[w] - beta.coheight() * self.root_keys[b]
+            v = self._by_rho.get(rho)
+            if v is None:
+                word = self._canonical(rho)
+                v = self._make(tuple(
+                    tuple(m - f * d for m, d in zip(line, beta.coroot))
+                    for line, f in zip(self.mats[w], self._funds[b])),
+                    rho, len(word), word)
+            row[a] = v
+        return v
 
     def reflection(self, root):
-        """The element s_alpha of a (positive) root, made from its matrix
-        on fundamental coordinates if new."""
-        s = self._refl_cache.get(root.simple)
-        if s is None:
-            r = self.rs.rank
-            mat = tuple(tuple((j == k) - root.fund[j] * root.coroot[k]
-                              for k in range(r)) for j in range(r))
-            rho = tuple(map(sum, mat))
-            s = self._by_rho.get(rho)
-            if s is None:
-                word = self._canonical(rho)
-                s = self._make(mat, rho, len(word), word)
-            self._refl_cache[root.simple] = s
-        return s
+        """The element s_alpha of a positive root, made if new."""
+        return self.mul_refl(0, root.index)
 
     def word_str(self, w):
         ww = self.word(w)
@@ -484,17 +510,27 @@ class WeylGroup:
 
     # -- Bruhat order -------------------------------------------------
     def leq_masks(self):
-        """leq_masks()[w] is a bitmask of {u : u <= w}."""
+        """leq_masks()[w] is a bitmask of {u : u <= w}, the union over
+        the w s_beta one shorter.  By length: with i w's last letter and
+        x = w s_i, w s_beta = x s_{s_i beta} s_i fills w's products."""
         if self._leq_mask is None:
-            masks = [0] * self.n
-            refls = [self.reflection(t) for t in self.rs.positive_roots]
-            for w in self.order:
-                m = 1 << w
-                lw = self.length[w]
-                for s in refls:
-                    v = self.mul(w, s)
-                    if self.length[v] == lw - 1:
-                        m |= masks[v]
+            masks = [1] + [0] * (self.n - 1)
+            n, length, right, rows = (self.npos, self.length, self.right,
+                                      self._products)
+            for w in self.order[1:]:
+                i = self.words[w][-1]
+                x, perm = right[w][i], self._perms[i]
+                xrow, ai = rows[x], self.rs.simple_roots[i].index
+                row = rows[w] = rows[w] or array("i", [-1]) * n
+                m, lw = 1 << w, length[w] - 1
+                for a, b in enumerate(self.images(w)):
+                    if b >= n:
+                        v = row[a]
+                        if v < 0:
+                            v = row[a] = (x if a == ai else
+                                          right[xrow[perm[a]]][i])
+                        if length[v] == lw:
+                            m |= masks[v]
                 masks[w] = m
             self._leq_mask = masks
         return self._leq_mask

@@ -11,7 +11,7 @@ from chevmc.charring import (
     FIELD, GA, LIMIT, MASK, Scalar, _BIAS, _HALF, _add_products, _check,
     _pack, _rank, _wneg, _weight,
 )
-from chevmc.chevalley import _checked, _term_coeff
+from chevmc.chevalley import _checked, _term_coeff, _term_pairs
 from chevmc.localization import _delta
 from chevmc.specialfn import _lambda_parabolic
 
@@ -86,8 +86,7 @@ def hl_terms(rs, lam_fund, formula):
     bias = _BIAS[rs.rank]
     out = []
     for w in W.min_coset_reps(parabolic):
-        for u, J, B, _ in descent_subsets(chain, w, formula == 1,
-                                          chain.walls):
+        for u, J, B, _ in descent_subsets(chain, w, formula == 1, False):
             nj = len(J)
             if formula == 1:
                 power2 = W.length[w] + W.length[u] - nj
@@ -140,6 +139,14 @@ def ref_to_json(g):
             out.append({"weight": list(_weight(k, r)), "coeff": coeff})
         coeff[str((k & MASK) - _HALF)] = c[k]
     return out
+
+
+def inversions(W, w):
+    """Bitmask of the positive roots beta (bit beta.index) that w sends
+    negative, i.e. with l(w s_beta) < l(w), read off w's matrix."""
+    negative = {a.fund for a in W.rs.roots if not a.positive}
+    return sum(1 << a.index for a in W.rs.positive_roots
+               if W.act(w, a.fund) in negative)
 
 
 def reflect(rs, fine, root):
@@ -245,7 +252,7 @@ def ref_operator(chain, w):
         sref = W.reflection(root)
         bit = 1 << root.index
         for u, c in state.items():
-            if W.inversions(u) & bit:
+            if inversions(W, u) & bit:
                 us = W.mul(u, sref)
                 k = W.length[u] - W.length[us] - 1
                 assert k % 2 == 0
@@ -268,6 +275,58 @@ def ref_operator(chain, w):
                tuple(coheight * c for c in beta_fine), nxt)
         state = _checked(nxt, r)
     return {u: GA._new(c) for u, c in state.items()}
+
+
+def ref_descent_subsets(chain, w, ascending, walls):
+    """All (u, J, B, odd) of `alcove.descent_subsets`, walked without the
+    element store's tables or the chain's step data: the scan positions
+    are read off `walls` in scan order, cur descends at j when the
+    product cur s_alpha (a walk of s_alpha's word) is shorter, and the
+    translation adds the packed key of cur(k alpha) from cur's matrix.
+
+    The reference walk that the library's, and the grouped chain route
+    built on it, are checked against."""
+    rs = chain.rs
+    W = rs.lazy_weyl()
+    order = range(len(chain)) if ascending else range(len(chain) - 1, -1, -1)
+    steps = [(j + 1, W.reflection(walls[j].root),
+              tuple(walls[j].level * rs.h * c for c in walls[j].root.fund),
+              not chain.betas[j].positive) for j in order]
+    out = []
+    stack = [(0, w, (), 0, False)]
+    while stack:
+        i, cur, J, B, odd = stack.pop()
+        for pos in range(i, len(steps)):
+            j, refl, shift, negative = steps[pos]
+            down = W.mul(cur, refl)
+            if W.length[down] < W.length[cur]:
+                stack.append((pos + 1, down, J + (j,),
+                              B + W.key(W.act(cur, shift)), odd ^ negative))
+        out.append((cur, J if ascending else J[::-1], B, odd))
+    return out
+
+
+def ref_chevalley_chain(chain, w, sign):
+    """C^w_{u, sign*lambda} as {u: GA}, one product per term: each leaf
+    of `ref_descent_subsets` adds its key +-key(u(lambda)) - B times its
+    coefficient straight into its u's dict.
+
+    The reference per-leaf route that `chevalley.chevalley_chain`, which
+    counts the keys of each coefficient first, is checked against."""
+    rs = chain.rs
+    W = rs.lazy_weyl()
+    positive = sign > 0
+    walls = chain.walls if positive else chain.far_walls
+    bias = _BIAS[rs.rank]
+    by_u = {}
+    for u, J, B, odd in ref_descent_subsets(chain, w, positive, walls):
+        t = len(J)
+        dl = W.length[w] - W.length[u] - t
+        lk = W.key(W.act(u, chain.lam))
+        key = (bias + lk if positive else bias - lk) - B
+        _add_products(by_u.setdefault(u, {}), ((key, 1),),
+                      _term_pairs(t, dl, odd, positive))
+    return {u: GA._new(c) for u, c in _checked(by_u, rs.rank).items()}
 
 
 def ref_chain_div(n, d):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from chevmc.charring import GA, Scalar
 from chevmc.rootsystem import RootSystem
 from chevmc import alcove, chevalley
-from chevmc.alcove import chain_from_word, chain_lex_height
+from chevmc.alcove import chain_from_word, chain_lex_height, descent_subsets
 from chevmc.oracle import KOracle
 from chevmc.chevalley import (
     chevalley_chain,
@@ -23,7 +23,9 @@ from chevmc.chevalley import (
     positivity_terms,
     render_table,
 )
-from conftest import ref_operator
+from conftest import (
+    ref_chevalley_chain, ref_descent_subsets, ref_operator, v_minus_lambda,
+)
 
 RS = RootSystem("A", 2)
 W = RS.weyl()
@@ -365,6 +367,47 @@ def test_chain_and_operator_agree_e7_e8(rank):
         assert x in chain and len(chain) == entries
         for method in ("operator", "bridge"):
             assert chain == chevalley_table(rs, lam, x, method=method)
+
+
+# -- the grouped walk ------------------------------------------------
+
+def _keys(table):
+    return {u: g.c for u, g in table.items()}
+
+
+_GROUPED_CASES = [
+    ("A", 3, [(1, -1, 1), (0, 2, 0)]), ("B", 3, [(1, 0, 1), (0, 1, -1)]),
+    ("C", 3, [(0, 1, -1), (1, 1, 0)]), ("G", 2, [(1, -1), (2, 1)]),
+]
+
+
+@pytest.mark.parametrize("family,rank,lams", _GROUPED_CASES,
+                         ids=["%s%d" % c[:2] for c in _GROUPED_CASES])
+def test_grouped_walk_matches_per_leaf_reference(family, rank, lams):
+    # the chain route counts the keys of each coefficient and multiplies
+    # once, reading its steps off the chain and its moves off the store's
+    # tables; the per-leaf reference reads neither.  Key for key on every
+    # w at +-lambda, on the lex chain and then on chains of words for
+    # v_{-lambda} (one reduced, one with s_1 s_1 inserted), with the
+    # J< walk over the chain's own walls in between: step data kept under
+    # the wrong chain or the wrong wall list would be read back here
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    for lam in lams:
+        lex = chain_lex_height(rs, lam)
+        word = v_minus_lambda(rs, lam)
+        mid = len(word) // 2
+        padded = chain_from_word(rs, lam, word[:mid] + (0, 0) + word[mid:],
+                                 require_reduced=False)
+        assert (padded.betas, padded.levels) != (lex.betas, lex.levels)
+        for chain in (lex, chain_from_word(rs, lam, word), padded):
+            for w in range(W.n):
+                assert _keys(chevalley_chain(chain, w, 1)) == _keys(
+                    ref_chevalley_chain(chain, w, 1)), (lam, w)
+                assert descent_subsets(chain, w, False, False) == (
+                    ref_descent_subsets(chain, w, False, chain.walls))
+                assert _keys(chevalley_chain(chain, w, -1)) == _keys(
+                    ref_chevalley_chain(chain, w, -1)), (lam, w)
 
 
 # -- the all-w pass ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -191,9 +192,9 @@ _PACKED_CASES = (
     ids=["%s%d" % c[:2] for c in _PACKED_CASES],
 )
 def test_packed_action_matches_matrices(family, rank, stride):
-    # the packed columns give the matrix action on the fundamental
-    # weights and on every root, and the inversion masks read off them
-    # are the right descents l(w s_beta) < l(w)
+    # the packed keys give the matrix action on the fundamental weights
+    # and on every root, and the negative root images are the right
+    # descents l(w s_beta) < l(w)
     rs = RootSystem(family, rank)
     W = rs.weyl()
     vectors = [rs.weight(tuple(int(i == j) for j in range(rank)))
@@ -204,9 +205,92 @@ def test_packed_action_matches_matrices(family, rank, stride):
         for v in vectors:
             key = _BIAS[rank] + W.act_key(w, v)
             assert _weight(key, rank) == _mat_vec(W.mats[w], v)
-        mask = W.inversions(w)
+        img = W.images(w)
         for i, s in refls:
-            assert bool(mask >> i & 1) == (W.length[W.mul(w, s)] < W.length[w])
+            assert (img[i] >= W.npos) == (W.length[W.mul(w, s)] < W.length[w])
+
+
+def _reflection_words(rs):
+    """A word for each s_beta, beta > 0, from the simple reflections up:
+    s_{s_j beta} = s_j s_beta s_j."""
+    words = {a.simple: (i,) for i, a in enumerate(rs.simple_roots)}
+    todo = list(rs.simple_roots)
+    while todo:
+        b = todo.pop()
+        for j in range(rs.rank):
+            up = tuple(c - b.fund[j] * (k == j) for k, c in enumerate(b.simple))
+            if min(up) >= 0 and up not in words:
+                words[up] = (j,) + words[b.simple] + (j,)
+                todo.append(rs.root_by_simple(up))
+    return [words[a.simple] for a in rs.positive_roots]
+
+
+def _check_tables(rs, W, elements, roots_of):
+    """The store's tables against the matrices at each w of `elements`:
+    root images against W.act, w s_beta against w times s_beta's word
+    (roots_of(w) of them) and against its action on rho, the negative
+    images against the shorter w s_beta, and the shift key k key(w(beta))
+    against act_key."""
+    n = W.npos
+    signed = {a.fund: a.index for a in rs.positive_roots}
+    signed.update({tuple(-c for c in f): b + n for f, b in signed.items()})
+    refls = [W.from_word(word) for word in _reflection_words(rs)]
+    rho = rs.rho()
+    for w in elements:
+        img = W.images(w)
+        assert list(img) == [signed[W.act(w, a.fund)]
+                             for a in rs.positive_roots]
+        assert [b >= n for b in img] == [
+            W.length[W.mul_refl(w, a.index)] < W.length[w]
+            for a in rs.positive_roots]
+        for a in rs.positive_roots:
+            v = W.mul_refl(w, a.index)
+            assert W.act(v, rho) == W.act(w, reflect(rs, rho, a))
+            for k in (1, -2, 3):
+                fine = tuple(k * rs.h * c for c in a.fund)
+                assert k * rs.h * W.root_keys[img[a.index]] == (
+                    W.act_key(w, fine))
+        for a in roots_of(w):
+            assert W.mul_refl(w, a.index) == W.mul(w, refls[a.index])
+
+
+@pytest.mark.parametrize("family,rank", [
+    ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4)])
+def test_store_tables_match_matrices(family, rank):
+    # every element, every positive root; the order of the elements is
+    # reversed so that the images are built from the matrices as well as
+    # permuted from a neighbour's.  The Bruhat masks, which fill the
+    # products of the descents from a shorter neighbour's, equal the
+    # masks of products walked along the reflections' words, on this
+    # store (products all made) and on a fresh one (none made)
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    _check_tables(rs, W, reversed(range(W.n)), lambda w: rs.positive_roots)
+    refls = [W.from_word(word) for word in _reflection_words(rs)]
+    masks = [0] * W.n
+    for w in W.order:
+        masks[w] = 1 << w
+        for v in (W.mul(w, s) for s in refls):
+            if W.length[v] == W.length[w] - 1:
+                masks[w] |= masks[v]
+    assert W.leq_masks() == masks
+    assert RootSystem(family, rank).weyl().leq_masks() == masks
+
+
+@pytest.mark.parametrize("rank,seed", [(7, 7), (8, 8)])
+def test_lazy_store_tables_match_matrices(rank, seed):
+    # a store grown by seeded random words, never completed: the products
+    # are made straight from w(rho) and the matrices, and each is walked
+    # against s_beta's word for a seeded sample of roots
+    rs = RootSystem("E", rank)
+    W = rs.lazy_weyl()
+    rng = random.Random(seed)
+    for _ in range(3):
+        W.from_word([rng.randrange(rank) for _ in range(rng.randrange(12))])
+    elements = range(len(W.mats))
+    _check_tables(rs, W, elements,
+                  lambda w: rng.sample(rs.positive_roots, 3))
+    assert len(W.mats) > len(elements) and not hasattr(W, "n")
 
 
 def _reached_elements(rs):
@@ -250,7 +334,7 @@ def test_lazy_store_matches_exhaustive(family, rank):
     vectors = [rs.weight(a.fund) for a in rs.roots] + [rs.rho()]
     for w, x in enumerate(lazy):
         assert L.length[x] == W.length[w]
-        assert L.inversions(x) == W.inversions(w)
+        assert L.images(x) == W.images(w)
         assert tuple(L.mul(x, L.from_word((i,))) for i in range(rank)) == (
             tuple(lazy[v] for v in W.right[w]))
         assert L.from_word_str(W.word_str(w)) == x
@@ -313,7 +397,7 @@ def test_grown_store_completes_to_the_fresh_group(family, rank, data):
     for w, f in enumerate(to_fresh):
         assert W.words[w] == F.words[f] and W.length[w] == F.length[f]
         assert [to_fresh[v] for v in W.right[w]] == F.right[f]
-        assert W.inversions(w) == F.inversions(f)
+        assert W.images(w) == F.images(f)
         assert [W.act_key(w, v) for v in vectors] == [
             F.act_key(f, v) for v in vectors]
         for u, g in enumerate(to_fresh):
