@@ -165,7 +165,6 @@ def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
     # d_j = k - <t, beta_j^vee>.
     by_fine = {tuple(h * c for c in rt.fund): rt for rt in rs.roots}
     theta = walls[-1][0]
-    s_theta = W.reflection(theta)
     theta_fine = tuple(h * c for c in theta.fund)
     betas = []
     levels = []
@@ -180,7 +179,7 @@ def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
         if k:
             # v s_0 = (x -> wcur s_theta~(x) + wcur(theta~) + t)
             t = tuple(a + b for a, b in zip(t, W.act(wcur, theta_fine)))
-            wcur = W.mul(wcur, s_theta)
+            wcur = W.mul_refl(wcur, theta.index)
         else:
             wcur = W.step(wcur, i)
     # l(v_{-lambda}) counts the hyperplanes separating A from A - lambda

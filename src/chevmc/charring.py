@@ -32,10 +32,10 @@ There is no fraction type.  A Demazure-Lusztig step divides once in the
 ring (localization.dl_step; the right operator `Localization.dl_right`,
 also the affine Hecke action on stable envelopes under the star, and
 its slice recursion, with no Weyl move, once per pair of points), so
-does a Bernstein step of the bridge route (hecke.py), and every
-localization quotient is one exact division over a W-fixed denominator
-(localization.Localization.root_quotient): a product of root factors,
-or a W-invariant constant under a Segre-type class.
+does a Bernstein step of the bridge route (chevalley.transition_direct),
+and every localization quotient is one exact division over a W-fixed
+denominator (localization.Localization.root_quotient): a product of
+root factors, or a W-invariant constant under a Segre-type class.
 
 One kernel, `_add_products`, adds monomial products into a coefficient
 dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a

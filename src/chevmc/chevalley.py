@@ -9,7 +9,8 @@ and are computed here by three independent routes:
   * the lambda-chain formula (subsets J of chain positions with a strict
     Bruhat chain from u to w),
   * the bridge through the affine Hecke transition coefficients
-    (q = -y is an identity of the shared parameter ring),
+    (transition_direct; q = -y is an identity of the shared parameter
+    ring),
   * the operator formula (the R-operator product along the chain).
 
 chevalley_tables is the one entry point for tables, and
@@ -182,15 +183,65 @@ def _chain_pass(chain, ws, sign, seed=None):
             for w in ws}
 
 
-def chevalley_bridge(halg, w, lam_fund, sign):
+def transition_direct(rs, w, lam_fund):
+    """c_{u,mu}^{w,lambda} of the affine Hecke algebra (coefficients in
+    Z[q, q^-1] inside Z[v, v^-1], q = v^2): expand T_{w^-1}^-1 X^lambda
+    in the basis X^mu T_{u^-1}^-1, as {u: GA} with c_{u,mu} the
+    coefficient of e^mu (fine weight mu) in the entry at u.
+
+    T_{w^-1}^-1 = T_{i_1}^-1 ... T_{i_l}^-1 along the canonical word
+    (i_1..i_l) of w, so T_i^-1 acts on X^lambda for i = i_l, ..., i_1,
+    each step on a sum of P_x T_x^-1 (x = u^-1).  T_i^-1 =
+    q^-1 T_i + (q^-1 - 1) and the Bernstein relation
+
+        T_i P = s_i(P) T_i + (1 - q) D,  D = (s_i(P) - P) / (1 - e^{-alpha_i}),
+
+    one exact division in the character ring, give
+
+        T_i^-1 P T_x^-1 = (q^-1 - 1)(D + P - s_i P) T_x^-1
+                          + s_i(P) T_{x s_i}^-1          if x s_i > x,
+                        = (q^-1 - 1)(D + P) T_x^-1
+                          + q^-1 s_i(P) T_{x s_i}^-1     if x s_i < x,
+
+    the second case from T_i^-2 = q^-1 + (q^-1 - 1) T_i^-1; so no Hecke
+    products are needed.  Only the Weyl elements reached are made.
+    """
+    W = rs.lazy_weyl()
+    q_inv = Scalar.q(-1)
+    c = q_inv - Scalar.one()
+    state = {0: GA.term(rs.weight(lam_fund))}
+    for i in reversed(W.word(w)):
+        mat = W.mats[W.step(0, i)]
+        alpha = rs.weight(rs.simple_roots[i].fund)
+        den = GA.const(1, rs.rank) - GA.term(tuple(-a for a in alpha))
+        nxt = {}
+        for x, P in state.items():
+            sP = P.transform(mat)
+            diff = sP - P
+            D = diff.exact_div(den)
+            if D is None:
+                raise ValueError("Hecke weights must be integral")
+            xs = W.step(x, i)
+            if W.length[xs] > W.length[x]:
+                nxt.setdefault(x, []).extend(((c, D), (-c, diff)))
+                nxt.setdefault(xs, []).append((1, sP))
+            else:
+                nxt.setdefault(x, []).extend(((c, D), (c, P)))
+                nxt.setdefault(xs, []).append((q_inv, sP))
+        state = {x: g for x, pairs in nxt.items()
+                 if (g := GA.dot(pairs))}
+    return {W.inv(x): P for x, P in state.items()}
+
+
+def chevalley_bridge(rs, w, lam_fund, sign):
     """C^w_{u, sign*lambda} through the Hecke transition coefficients:
 
         C_{u,-lambda}^w = sum_mu y^{l(w)-l(u)} e^{-mu} c_{u,mu}^{w,lambda}
 
     with q = -y built into the shared ring, one entry at a time.
     """
-    W = halg.W
-    table = halg.transition_direct(w, tuple(sign * -c for c in lam_fund))
+    W = rs.lazy_weyl()
+    table = transition_direct(rs, w, tuple(sign * -c for c in lam_fund))
     return {u: g.star() * Scalar.y(W.length[w] - W.length[u])
             for u, g in table.items()}
 
@@ -250,9 +301,7 @@ def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None):
     if method == "operator" and sign < 0:
         raise ValueError("operator method computes the +lambda table")
     if method == "bridge":
-        from .hecke import HeckeAlgebra
-        halg = HeckeAlgebra(rs)
-        return {w: chevalley_bridge(halg, w, lam_fund, sign) for w in ws}
+        return {w: chevalley_bridge(rs, w, lam_fund, sign) for w in ws}
     if chain is None:
         chain = chain_lex_height(rs, lam_fund)
     if method == "operator":

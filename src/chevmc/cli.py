@@ -26,7 +26,7 @@ from . import __version__
 from .charring import FIELD, GA, MASK, _HALF, _weight, exp_mono
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height, chain_from_word
-from .chevalley import chevalley_tables, render_table
+from .chevalley import chevalley_tables, render_table, transition_direct
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
 from .verify import SUITES, run_suite
 
@@ -316,15 +316,16 @@ def _cmd_chevalley(args, out):
 
 
 def _cmd_hecke(args, out):
-    from .hecke import HeckeAlgebra
     rs = args.rs
     W = rs.lazy_weyl()
-    halg = HeckeAlgebra(rs)
-    table = halg.transition_direct(args.w, args.lam)
-    entries = [{"u": W.word_str(u), "mu": list(rs.weight_user(mu)),
-                "coeff": c.to_json()}
-               for u in W.ordered(table) for mu, c in table[u].terms()]
-    _emit(args, out, lambda: halg.render_transition(table), entries=entries)
+    table = transition_direct(rs, args.w, args.lam)
+    rows = [(W.word_str(u), rs.weight_user(mu), c)
+            for u in W.ordered(table) for mu, c in table[u].terms()]
+    _emit(args, out,
+          lambda: "\n".join("c[u=%s, mu=%s] = %s" % (u, mu, c.render(var="q"))
+                            for u, mu, c in rows),
+          entries=[{"u": u, "mu": list(mu), "coeff": c.to_json()}
+                   for u, mu, c in rows])
     return 0
 
 
@@ -351,10 +352,10 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_stab(args, out):
-    from .oracle import KOracle, StableBasis
+    from .oracle import shift_matrix
     rs = args.rs
     W = rs.weyl()
-    S = StableBasis(KOracle(rs)).shift_matrix(args.lam)
+    S = shift_matrix(rs, args.lam)
     rows = [(W.word_str(wv), S[wv])
             for wv in (W.order if args.w is None else [args.w])]
     _emit(args, out,

@@ -6,8 +6,9 @@ all of GA's arithmetic, exact division and rendering and supplies only
 the polynomial (not Laurent) exponent range, linear forms, the Weyl
 action and its monomial format.  On it sit a localization model of
 H_T*(G/B) (the shared core of localization.py with the cohomological
-Demazure-Lusztig operator), the degenerate affine Hecke algebra with
-its commutation lemma, CSM classes of Schubert cells, and the
+Demazure-Lusztig operator), the left action of the degenerate affine
+Hecke algebra (`t_left`, `t_w_times_x`, functions of the root system)
+with its commutation lemma, CSM classes of Schubert cells, and the
 first-Chern-class Chevalley formula
 
     c1(L_lambda) . csm(X(w W_P)^o)
@@ -115,45 +116,39 @@ class CohPoly(GA):
 
 
 # -- degenerate affine Hecke algebra -----------------------------------
+# Elements are maps w -> CohPoly meaning sum p_w(x) T_w (with the
+# polynomial part written on the left).
 
-class DegenerateHecke:
-    """Elements are maps w -> CohPoly meaning sum p_w(x) T_w (with the
-    polynomial part written on the left)."""
+def t_left(rs, i, elem):
+    """T_i . (sum p_w T_w) with T_i x_lam = x_{s_i lam} T_i
+    - <lam, a_i^vee>, that is T_i p T_w = s_i(p) T_{s_i w}
+    - partial_i(p) T_w: s_i acts once per term, and -partial_i(p) =
+    (s_i p - p) / alpha_i."""
+    W = rs.weyl()
+    si = W.from_word((i,))
+    ai = CohPoly.linear(rs.simple_roots[i].fund)
+    out = {}
 
-    def __init__(self, rs):
-        self.rs = rs
-        self.W = rs.weyl()
+    def put(w, p):
+        s = out.get(w, CohPoly()) + p
+        if s:
+            out[w] = s
+        elif w in out:
+            del out[w]
 
-    def t_left(self, i, elem):
-        """T_i . (sum p_w T_w) with T_i x_lam = x_{s_i lam} T_i
-        - <lam, a_i^vee>, that is T_i p T_w = s_i(p) T_{s_i w}
-        - partial_i(p) T_w: s_i acts once per term, and -partial_i(p) =
-        (s_i p - p) / alpha_i."""
-        W = self.W
-        si = W.from_word((i,))
-        ai = CohPoly.linear(self.rs.simple_roots[i].fund)
-        out = {}
+    for w, p in elem.items():
+        sp = p.act(W, si)
+        put(W.inv(W.right[W.inv(w)][i]), sp)  # s_i w
+        put(w, dl_step(1, 0, sp, p, ai))
+    return out
 
-        def put(w, p):
-            s = out.get(w, CohPoly()) + p
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
 
-        for w, p in elem.items():
-            sp = p.act(W, si)
-            put(W.inv(W.right[W.inv(w)][i]), sp)  # s_i w
-            put(w, dl_step(1, 0, sp, p, ai))
-        return out
-
-    def t_w_times_x(self, w, lam_fund):
-        """T_w x_lambda rewritten to normal form by direct relation use."""
-        W = self.W
-        elem = {0: CohPoly.linear(lam_fund)}
-        for i in reversed(W.word(w)):
-            elem = self.t_left(i, elem)
-        return elem
+def t_w_times_x(rs, w, lam_fund):
+    """T_w x_lambda rewritten to normal form by direct relation use."""
+    elem = {0: CohPoly.linear(lam_fund)}
+    for i in reversed(rs.weyl().word(w)):
+        elem = t_left(rs, i, elem)
+    return elem
 
 
 # -- cohomological localization oracle ---------------------------------

@@ -13,7 +13,7 @@ sum and the expansion of a class in the cell basis.
 Every value is a ring element.  Every Demazure-Lusztig step of the
 package is (a x - b f)/d with a = b + e d, computed as b D + e x over
 the one exact division D = (x - f)/d, polynomial by theory and asserted
-so: `dl_step` in specialfn (ScalarDL) and csm.DegenerateHecke.t_left,
+so: `dl_step` in specialfn.dl_simple and csm.t_left,
 and the right operator `dl_right`, which divides once per pair
 {x, x s_i}.
 
@@ -25,7 +25,7 @@ gives the classes of the paper's left operators (the test reference
 pair data of `_dr(i)` carry them all.  `cell_class` builds the full
 classes with it.  In K-theory at y = -q, conjugated by the star
 e^mu -> e^{-mu}, which fixes scalars, it is the affine Hecke operator
-on stable envelopes (oracle.StableBasis.hecke_T_on_stab).
+on stable envelopes (oracle.KOracle.hecke_T_on_stab).
 
 The expansions run on slice parts.  At every fixed point x, each
 cell(v)|_x is divisible by P_x, a product of l(x) factors: P_id = 1 and
@@ -106,6 +106,7 @@ class Localization:
         self._slices = {0: self.point_class()}
         self._cells = dict(self._slices)
         self._opposite = {}
+        self._stab, self._starred = {}, {}  # KOracle.stab, its stars
         self._steps = {}
         self._ab = None
 

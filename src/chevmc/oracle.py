@@ -22,15 +22,18 @@ the Segre-type classes (`smc`, `mc_prime`) are a numerator class over
 Lambda = prod over all roots beta of (1 + y e^beta), so that pairing
 with one is one more division by Lambda.
 
-The stable-basis layer of the cotangent bundle lives at the end of the
-file; it is the only place where half powers of q (odd powers of v)
-occur.
+Stable envelopes of the cotangent bundle are classes of the oracle
+(`KOracle.stab`, with the affine Hecke action on them); their shift and
+wall-crossing matrices, at the end of the file, are functions of the
+root system alone and build no oracle.  Only these use half powers of q
+(odd powers of v).
 """
 
 from __future__ import annotations
 
 from .charring import GA, Scalar, _check, _pack, _wneg
 from .alcove import chain_lex_height
+from .chevalley import chevalley_tables
 from .localization import Localization
 
 
@@ -113,24 +116,54 @@ class KOracle(Localization):
             self.scale(self.mc(w), self.lambda_y_cotangent(0))
         )
 
-    # -- characters ----------------------------------------------------
-    def weyl_character(self, mu_fund):
-        """chi_mu for dominant mu by the Weyl character formula."""
-        rs = self.rs
+    # -- stable envelopes ----------------------------------------------
+    def stab(self, w):
+        """The stable envelope of T*(G/B) at w for the anti-dominant
+        chamber, anchored to the motivic class of the opposite cell:
+
+            stab(w) = (-1)^N q^{N - l(w)/2} [MC_y(Y(w)^o)]_{y -> -q^{-1}}
+                      (x) L_{-2 rho}."""
+        if w not in self._stab:
+            W = self.W
+            pref = Scalar.v(2 * self.N - W.length[w], (-1) ** self.N)
+            rho2 = tuple(2 * c for c in self.rs.rho())
+            out = {}
+            for v, f in self.mc_y(w).items():
+                g = f.y_inverse()  # y -> -q^{-1} is v -> 1/v
+                g = g * GA.term(_wneg(W.act(v, rho2)), pref)
+                if g:
+                    out[v] = g
+            self._stab[w] = out
+        return self._stab[w]
+
+    def _stab_star(self, w):
+        """stab(w) under the star e^mu -> e^{-mu}, made once per w."""
+        if w not in self._starred:
+            self._starred[w] = {v: g.star() for v, g in self.stab(w).items()}
+        return self._starred[w]
+
+    def hecke_T_on_stab(self, i, w):
+        """(lhs, rhs) of T_i(stab(w)) = the two-case expansion
+
+            (q-1) stab(w) + q^{1/2} stab(w s_i)   if w s_i < w,
+            q^{1/2} stab(w s_i)                   if w s_i > w,
+
+        both under the star, which fixes scalars.  The affine Hecke
+        operator on the localization model,
+
+            (T_i F)|_w = ((1 - q e^{-w a_i}) F|_{w s_i} - (1 - q) F|_w)
+                         / (1 - e^{w a_i}),
+
+        is star o `dl_right`(i) o star, since the oracle's operator is at
+        y = Scalar.y(1) = -q."""
         W = self.W
-        if not all(c >= 0 for c in mu_fund):
-            raise ValueError("weight must be dominant")
-        rho = rs.rho()
-        mur = tuple(a + b for a, b in zip(rs.weight(mu_fund), rho))
-        num = GA()
-        den = GA()
-        for w in range(W.n):
-            s = (-1) ** W.length[w]
-            num = num + GA.term(W.act(w, mur), s)
-            den = den + GA.term(W.act(w, rho), s)
-        out = num.exact_div(den)
-        assert out is not None
-        return out
+        lhs = self.dl_right(i, self._stab_star(w))
+        ws = W.right[w][i]
+        rhs = self.scale(self._stab_star(ws), Scalar.v(1))
+        if W.length[ws] < W.length[w]:
+            rhs = self.add(rhs, self.scale(self._stab_star(w),
+                                           Scalar.q(1) - Scalar.one()))
+        return lhs, rhs
 
     # -- Chevalley expansion -------------------------------------------
     def _twist(self, lam_fund, F):
@@ -191,133 +224,67 @@ class KOracle(Localization):
 
 # -- stable-basis layer ------------------------------------------------
 
-class StableBasis:
-    """Stable envelopes of T*(G/B) for the anti-dominant chamber,
-    anchored to the motivic classes of opposite Schubert cells:
+def chevalley_coeffs(rs, lam_fund):
+    """{(u, w): coefficient} of L_lambda (x) stab(u) in the stab basis:
 
-        stab(w) = (-1)^N q^{N - l(w)/2} [MC_y(Y(w)^o)]_{y -> -q^{-1}}
-                  (x) L_{-2 rho}.
+        q^{(l(u)-l(w))/2} (C^w_{u,-lambda})^vee|_{y = -q^{-1}},
 
-    Only this layer uses odd powers of v (half powers of q).
+    where the composite substitution fixes the scalar ring and
+    negates the weights."""
+    W = rs.weyl()
+    tables = chevalley_tables(rs, lam_fund, range(W.n), -1)
+    out = {}
+    for w, table in tables.items():
+        for u, g in table.items():
+            out[(u, w)] = g.star() * Scalar.v(W.length[u] - W.length[w])
+    return out
+
+
+def shift_matrix(rs, lam_fund):
+    """S[u][w]: stab_{A+lambda}(u) = sum_w S[u][w] stab_A(w)."""
+    W = rs.weyl()
+    lam = rs.weight(lam_fund)
+    out = {u: {} for u in range(W.n)}
+    for (u, w), g in chevalley_coeffs(rs, lam_fund).items():
+        out[u][w] = g * GA.term(_wneg(W.act(u, lam)))
+    return out
+
+
+def wall_cross(rs, root, level, w):
+    """stab_{A1}(w) in the stab_{A2} basis for adjacent alcoves
+    separated by H_{root, level}, A2 on the positive side:
+
+        stab_{A1}(w) = stab_{A2}(w)
+            + [w s_a > w] e^{-n w(a)} (q^{1/2} - q^{-1/2}) stab_{A2}(w s_a).
     """
+    W = rs.weyl()
+    out = {w: GA.const(1, rs.rank)}
+    ws = W.mul_refl(w, root.index)
+    if W.length[ws] > W.length[w]:
+        af = tuple(rs.h * c for c in root.fund)
+        mu = _wneg(tuple(level * c for c in W.act(w, af)))
+        out[ws] = GA.term(mu, Scalar.v(1) - Scalar.v(-1))
+    return out
 
-    def __init__(self, oracle: KOracle):
-        self.o = oracle
-        self.rs = oracle.rs
-        self.W = oracle.W
-        self._stab = {}
-        self._starred = {}
 
-    def stab(self, w):
-        if w not in self._stab:
-            o = self.o
-            rs = self.rs
-            W = self.W
-            pref = Scalar.v(2 * o.N - W.length[w], (-1) ** o.N)
-            rho2 = tuple(2 * c for c in rs.rho())
-            out = {}
-            for v, f in o.mc_y(w).items():
-                g = f.y_inverse()  # y -> -q^{-1} is v -> 1/v
-                g = g * GA.term(_wneg(W.act(v, rho2)), pref)
-                if g:
-                    out[v] = g
-            self._stab[w] = out
-        return self._stab[w]
-
-    def _stab_star(self, w):
-        """stab(w) under the star e^mu -> e^{-mu}, made once per w."""
-        if w not in self._starred:
-            self._starred[w] = {v: g.star() for v, g in self.stab(w).items()}
-        return self._starred[w]
-
-    def hecke_T_on_stab(self, i, w):
-        """(lhs, rhs) of T_i(stab(w)) = the two-case expansion
-
-            (q-1) stab(w) + q^{1/2} stab(w s_i)   if w s_i < w,
-            q^{1/2} stab(w s_i)                   if w s_i > w,
-
-        both under the star, which fixes scalars.  The affine Hecke
-        operator on the localization model,
-
-            (T_i F)|_w = ((1 - q e^{-w a_i}) F|_{w s_i} - (1 - q) F|_w)
-                         / (1 - e^{w a_i}),
-
-        is star o `dl_right`(i) o star, since the oracle's operator is at
-        y = Scalar.y(1) = -q."""
-        o = self.o
-        W = self.W
-        lhs = o.dl_right(i, self._stab_star(w))
-        ws = W.right[w][i]
-        rhs = o.scale(self._stab_star(ws), Scalar.v(1))
-        if W.length[ws] < W.length[w]:
-            rhs = o.add(rhs, o.scale(self._stab_star(w),
-                                     Scalar.q(1) - Scalar.one()))
-        return lhs, rhs
-
-    # -- alcove change -------------------------------------------------
-    def chevalley_coeffs(self, lam_fund):
-        """{(u, w): coefficient} of L_lambda (x) stab(u) in the stab basis:
-
-            q^{(l(u)-l(w))/2} (C^w_{u,-lambda})^vee|_{y = -q^{-1}},
-
-        where the composite substitution fixes the scalar ring and
-        negates the weights."""
-        from .chevalley import chevalley_tables
-
-        W = self.W
-        tables = chevalley_tables(self.rs, lam_fund, range(W.n), -1)
-        out = {}
-        for w, table in tables.items():
-            for u, g in table.items():
-                out[(u, w)] = g.star() * Scalar.v(W.length[u] - W.length[w])
-        return out
-
-    def shift_matrix(self, lam_fund):
-        """S[u][w]: stab_{A+lambda}(u) = sum_w S[u][w] stab_A(w)."""
-        W = self.W
-        coeffs = self.chevalley_coeffs(lam_fund)
-        lam = self.rs.weight(lam_fund)
-        out = {u: {} for u in range(W.n)}
-        for (u, w), g in coeffs.items():
-            out[u][w] = g * GA.term(_wneg(W.act(u, lam)))
-        return out
-
-    def wall_cross(self, root, level, w):
-        """stab_{A1}(w) in the stab_{A2} basis for adjacent alcoves
-        separated by H_{root, level}, A2 on the positive side:
-
-            stab_{A1}(w) = stab_{A2}(w)
-                + [w s_a > w] e^{-n w(a)} (q^{1/2} - q^{-1/2}) stab_{A2}(w s_a).
-        """
-        W = self.W
-        rs = self.rs
-        out = {w: GA.const(1, rs.rank)}
-        ws = W.mul_refl(w, root.index)
-        if W.length[ws] > W.length[w]:
-            af = tuple(rs.h * c for c in root.fund)
-            mu = _wneg(tuple(level * c for c in W.act(w, af)))
-            out[ws] = GA.term(mu, Scalar.v(1) - Scalar.v(-1))
-        return out
-
-    def wall_cross_path(self, lam_fund):
-        """M[w][x]: stab_A(w) = sum_x M[w][x] stab_{A+lambda}(x), by
-        composing single wall crossings along the alcove path from A to
-        A+lambda read off a reduced lambda-chain."""
-        W = self.W
-        rs = self.rs
-        chain = chain_lex_height(rs, lam_fund)
-        walls = [chain.reversed_hyperplane(j) for j in range(1, len(chain) + 1)]
-        # M_j expands the stab basis of the j-th alcove on the path in
-        # the final basis; start at the far end with the identity.
-        m = {w: {w: GA.const(1, rs.rank)} for w in range(W.n)}
-        for h in reversed(walls):
-            nxt = {}
-            for w in range(W.n):
-                pairs = {}
-                for x, c in self.wall_cross(h.root, h.level, w).items():
-                    for z, d in m[x].items():
-                        pairs.setdefault(z, []).append((c, d))
-                sums = ((z, GA.dot(ps)) for z, ps in pairs.items())
-                nxt[w] = {z: s for z, s in sums if s}
-            m = nxt
-        return m
+def wall_cross_path(rs, lam_fund):
+    """M[w][x]: stab_A(w) = sum_x M[w][x] stab_{A+lambda}(x), by
+    composing single wall crossings along the alcove path from A to
+    A+lambda read off a reduced lambda-chain."""
+    W = rs.weyl()
+    chain = chain_lex_height(rs, lam_fund)
+    walls = [chain.reversed_hyperplane(j) for j in range(1, len(chain) + 1)]
+    # M_j expands the stab basis of the j-th alcove on the path in
+    # the final basis; start at the far end with the identity.
+    m = {w: {w: GA.const(1, rs.rank)} for w in range(W.n)}
+    for h in reversed(walls):
+        nxt = {}
+        for w in range(W.n):
+            pairs = {}
+            for x, c in wall_cross(rs, h.root, h.level, w).items():
+                for z, d in m[x].items():
+                    pairs.setdefault(z, []).append((c, d))
+            sums = ((z, GA.dot(ps)) for z, ps in pairs.items())
+            nxt[w] = {z: s for z, s in sums if s}
+        m = nxt
+    return m

@@ -1,11 +1,26 @@
-"""Scalar Demazure-Lusztig operators and their consequences.
+"""Left Demazure-Lusztig operators on the character ring and their
+consequences.
 
-Iwahori-Whittaker functions, Casselman-Shalika summation, the
-Euler-characteristic series R_lambda and its parabolic quotient
+The operators are functions of the root system (`dl_coeffs`,
+`dl_simple`, `dl_apply`) that make only the Weyl elements they reach:
+
+    T~_i     = (1 + y e^{a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i})
+    T~vee_i  = (1 + y e^{-a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i})
+
+T~vee_i is the oracle's left operator (KOracle.dl_coeffs), and T~_i
+differs from it only in the sign of a_i in the first numerator.  Both
+satisfy the braid relations and the common quadratic relation, so
+T~_w is defined along any reduced word.  Each is one step
+(localization.dl_step) with b = 1 + y, d = 1 - e^{-a_i} and e the
+first numerator minus b over d: -y for T~vee_i, y e^{a_i} for T~_i.
+
+On them rest Iwahori-Whittaker functions, Casselman-Shalika summation,
+the Euler-characteristic series R_lambda and its parabolic quotient
 H_lambda, and Hall-Littlewood polynomials by a closed localization
-formula and by two lambda-chain formulas.  The Hall-Littlewood
-parameter t is the Hecke parameter q of the shared coefficient ring
-(t = -y), so no new generator is introduced.
+formula and by two lambda-chain formulas, with their expansion in Weyl
+characters.  The Hall-Littlewood parameter t is the Hecke parameter q
+of the shared coefficient ring (t = -y), so no new generator is
+introduced.
 
 Everything here stays in the character ring GA: each operator step is
 one exact division (localization.dl_step), and each localization
@@ -36,43 +51,28 @@ from .localization import dl_step
 from .oracle import KOracle
 
 
-class ScalarDL:
-    """The Demazure-Lusztig operators on the character ring:
+def dl_coeffs(rs, i, variant="tilde"):
+    """(b, e, d) of T~_i (variant "tilde") or T~vee_i ("tilde_vee")."""
+    if variant not in ("tilde", "tilde_vee"):
+        raise ValueError("unknown variant %r" % variant)
+    b, e, d = KOracle.dl_coeffs(rs, i)
+    if variant == "tilde":
+        e = GA.term(rs.weight(rs.simple_roots[i].fund), Scalar.y(1))
+    return b, e, d
 
-        T~_i     = (1 + y e^{a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i})
-        T~vee_i  = (1 + y e^{-a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i})
 
-    T~vee_i is the oracle's left operator (KOracle.dl_coeffs), and T~_i
-    differs from it only in the sign of a_i in the first numerator.  Both
-    satisfy the braid relations and the common quadratic relation, so
-    T~_w is defined along any reduced word.  Each is one step
-    (localization.dl_step) with b = 1 + y, d = 1 - e^{-a_i} and e the
-    first numerator minus b over d: -y for T~vee_i, y e^{a_i} for T~_i.
-    """
+def dl_simple(rs, i, f, variant="tilde"):
+    """T~_i f or T~vee_i f; only s_i is made in the element store."""
+    b, e, d = dl_coeffs(rs, i, variant)
+    W = rs.lazy_weyl()
+    return dl_step(b, e, f.transform(W.mats[W.step(0, i)]), f, d)
 
-    def __init__(self, rs):
-        self.rs = rs
-        self.W = rs.weyl()
 
-    def dl_coeffs(self, i, variant="tilde"):
-        """(b, e, d) of T~_i (variant "tilde") or T~vee_i ("tilde_vee")."""
-        if variant not in ("tilde", "tilde_vee"):
-            raise ValueError("unknown variant %r" % variant)
-        b, e, d = KOracle.dl_coeffs(self.rs, i)
-        if variant == "tilde":
-            rs = self.rs
-            e = GA.term(rs.weight(rs.simple_roots[i].fund), Scalar.y(1))
-        return b, e, d
-
-    def apply_simple(self, i, f, variant="tilde"):
-        b, e, d = self.dl_coeffs(i, variant)
-        W = self.W
-        return dl_step(b, e, f.transform(W.mats[W.from_word((i,))]), f, d)
-
-    def apply(self, w, f, variant="tilde"):
-        for i in reversed(self.W.word(w)):
-            f = self.apply_simple(i, f, variant)
-        return f
+def dl_apply(rs, w, f, variant="tilde"):
+    """T~_w f or T~vee_w f along the canonical word of w."""
+    for i in reversed(rs.lazy_weyl().word(w)):
+        f = dl_simple(rs, i, f, variant)
+    return f
 
 
 def whittaker(rs, lam_fund, w):
@@ -80,7 +80,7 @@ def whittaker(rs, lam_fund, w):
     anti-dominant lambda."""
     if not all(c <= 0 for c in lam_fund):
         raise ValueError("weight must be anti-dominant")
-    return ScalarDL(rs).apply(w, GA.term(rs.weight(lam_fund)))
+    return dl_apply(rs, w, GA.term(rs.weight(lam_fund)))
 
 
 def whittaker_chevalley(rs, lam_fund, w):
@@ -99,9 +99,8 @@ def whittaker_chevalley(rs, lam_fund, w):
 def big_r(rs, lam_fund, method="localization"):
     """R_lambda(y) = chi_T(G/B, lambda_y(T*) (x) L_lambda)."""
     if method == "operators":
-        dl = ScalarDL(rs)
         e_lam = GA.term(rs.weight(lam_fund))
-        return GA.dot((dl.apply(w, e_lam, variant="tilde_vee"), 1)
+        return GA.dot((dl_apply(rs, w, e_lam, variant="tilde_vee"), 1)
                       for w in range(rs.weyl().n))
     if method in ("localization", "chevalley"):
         return big_h(rs, lam_fund, method=method, parabolic=())
@@ -217,13 +216,30 @@ def render_x(rs, g, degree, var="t"):
     return " + ".join(parts) if parts else "0"
 
 
+def weyl_character(rs, mu_fund):
+    """chi_mu for dominant mu by the Weyl character formula."""
+    if not all(c >= 0 for c in mu_fund):
+        raise ValueError("weight must be dominant")
+    W = rs.weyl()
+    rho = rs.rho()
+    mur = tuple(a + b for a, b in zip(rs.weight(mu_fund), rho))
+    num = GA()
+    den = GA()
+    for w in range(W.n):
+        s = (-1) ** W.length[w]
+        num = num + GA.term(W.act(w, mur), s)
+        den = den + GA.term(W.act(w, rho), s)
+    out = num.exact_div(den)
+    assert out is not None
+    return out
+
+
 def schur_expansion(rs, g):
     """Expand a Weyl-invariant GA element in Weyl characters.
 
     Returns {dominant weight (fund coords): Scalar}; peels the leading
     dominant term repeatedly, so it terminates exactly when g lies in
     the character ring."""
-    o = KOracle(rs)
 
     def key(fine):
         # partition-style partial sums give a dominance-compatible order
@@ -240,7 +256,7 @@ def schur_expansion(rs, g):
         mu = rs.weight_user(lead)
         coeff = coeffs[lead]
         out[mu] = coeff
-        rem = rem - o.weyl_character(mu) * coeff
+        rem = rem - weyl_character(rs, mu) * coeff
     return out
 
 
@@ -281,7 +297,7 @@ def casselman_shalika_sides(rs, lam_fund):
         af = tuple(rs.h * c for c in a.fund)
         lam_id = lam_id * (GA.const(1, rs.rank) + GA.term(af, Scalar.y(1)))
     w0lam = rs.weight_user(W.act(W.w0, rs.weight(lam_fund)))
-    chi = KOracle(rs).weyl_character(w0lam)
+    chi = weyl_character(rs, w0lam)
     return acc, lam_id * chi
 
 

@@ -171,13 +171,15 @@ def test_descent_translation_matches_affine_reflections(family):
 
 def test_e8_chain_from_word_reads_no_right_row():
     # each letter steps the prefix by one right step w s_i, made on first
-    # use (no row of r right products is built), and the chain's roots
-    # and levels are those pinned for this word
+    # use (no row of r right products is built), an s_0 letter by one
+    # product w s_theta~, so the store holds no more than the prefixes;
+    # and the chain's roots and levels are those pinned for this word
     rs = RootSystem("E", 8)
     lam = (0,) * 7 + (1,)
     word = v_minus_lambda(rs, lam)
     chain = chain_from_word(rs, lam, word)
     assert chain.reduced and len(chain) == len(word) == 58
+    assert len(rs.lazy_weyl().mats) <= len(word) + 1
     digest = hashlib.sha256(repr(
         ([b.simple for b in chain.betas], chain.levels)).encode()).hexdigest()
     assert digest == (

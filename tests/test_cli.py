@@ -152,7 +152,6 @@ def test_hl_json_renders_no_text(monkeypatch, tmp_path):
     import chevmc.cli as cli
     import chevmc.specialfn as specialfn
     from chevmc.alcove import LambdaChain
-    from chevmc.hecke import HeckeAlgebra
 
     def refuse(*args, **kwargs):
         raise AssertionError("text rendered for --format json")
@@ -161,7 +160,6 @@ def test_hl_json_renders_no_text(monkeypatch, tmp_path):
         monkeypatch.setattr(specialfn, name, refuse)
     for owner, name in ((chevalley, "render_table"), (cli, "render_table"),
                         (GA, "render"), (Scalar, "render"),
-                        (HeckeAlgebra, "render_transition"),
                         (LambdaChain, "render")):
         monkeypatch.setattr(owner, name, refuse)
     golden = dict(_GOLDEN)
@@ -1169,6 +1167,9 @@ _GOLDEN = [
      "8af4a18a46ee278f205a81516b488bccbae3c169cae294ca8b248bcfd5804118"),
     ("chevalley --type G2 --lambda 1,0 --w s2s1 --method bridge",
      "ef29ed3b4990d3429ccad7f1c745e576868f61ca2927da047cb3e94c0a81ff03"),
+    ("chevalley --type B3 --lambda 1,1,0 --w s1s2s3s2 --method bridge "
+     "--format json",
+     "790f982a0c5e6b40a030a05c8e331093bece7d0655af7348b5617f6d91e0254f"),
     ("chevalley --type C3 --lambda 0,1,0 --w s3s2",
      "bfbb2b2e6e8eb38e8f232ff85f797e00171beeafff334e4410c05d6fa66cf5d2"),
     ("chevalley --type A2 --lambda 1,1 --w s1s2 --epsilon",
@@ -1181,6 +1182,11 @@ _GOLDEN = [
      "f3aa0be07598abc57c97bd88bd53661abe462c265cd50dced2231e4a44c7340a"),
     ("hecke-coeffs --type B2 --lambda 0,1 --w s2s1 --format json",
      "d60068dcdf301aa5528422cf01ed3793941cbce3d0eb75451f66ba9ae818b047"),
+    ("hecke-coeffs --type G2 --lambda 2,1 --w s1s2s1",
+     "3ea6fb8950cd92e30de104964611b5cd2da25fdd3dbd48b66912c8b80f779c2f"),
+    ("hecke-coeffs --type E8 --lambda=0,0,0,0,0,0,0,1 --w s8s7s6s5s4s3s2s1 "
+     "--format json",
+     "852f176a1cf8eed757fdc766bf4c18a9f8ebbd8dd059c1f4e2c1184b7934ce87"),
     ("chain --type A2 --lambda 2,1",
      "11842b6c9f6750bb7a5f6c4ce1e0ddfe6a1db85518dcf432d907182dace222c9"),
     ("chain --type B3 --lambda 1,0,0 --format json",
@@ -1195,10 +1201,16 @@ _GOLDEN = [
      "42adfddac56691bb39733c4945ef2e9f0a33181b597274b5f9c9ebd4dbb3607b"),
     ("stab --type A2 --lambda 1,1 --format json",
      "1511c87a9366d5c1d840ac953ffa48d00f9aa07e854b3e5c58c031ccb490b2ec"),
+    ("stab --type G2 --lambda 1,1 --format json",
+     "54c7f8c3bca66b8450941ffbd56f3a0838ca5933d34bc95980b4012772b8d8ee"),
+    ("stab --type B3 --lambda 1,0,0 --w s1s2s3",
+     "828beca875600fba4a541acd41f7079292308a17579eb505f9ab9accea8f2fe6"),
     ("whittaker --type A2 --lambda=-1,-1 --w all",
      "b088138c6366dc3734c15291988396b8b5e3fcdd219ed22435206c99c5664023"),
     ("whittaker --type B2 --lambda=-1,0 --w s1 --format json",
      "47e1d50b32934b5ddfaf9d226b29f88dee8ef3a9dff434bdb1e5732f26e0ab2a"),
+    ("whittaker --type G2 --lambda=-1,-1 --w all --format json",
+     "63c05f63dba0147c0bbc85f4340e78306228bf6bc9ae344186f7da6b87e19439"),
     ("hl --type A2 --lambda 0,2",
      "cfd50bd8c70582e9cd0400ee23ed4f51a4309760ea1fa0b190a8b02de13efff2"),
     ("hl --type A2 --lambda 1,1 --basis monomial",
@@ -1211,6 +1223,8 @@ _GOLDEN = [
      "6fdcee9fad3fe4d0cd618f562f8ed5a078119bc29906d432bb74115ede2ea6d6"),
     ("hl --type A3 --lambda 0,1,0 --format json",
      "ebeba9d7da2b47bbe66bf31fb61adc0dbc7523cf421ce87ccfa20a3f8ac3b71e"),
+    ("hl --type A3 --lambda 1,1,0",
+     "26f4e05a59dbe671fd364bd920ffc53a590c476323fdbf0947f83c352461d27a"),
     ("csm --type A2 --lambda 1,1 --w s1s2",
      "d50434176028287110c96c7e2d9a35ba815cf4a2cd65318240bd2ef583a50dc4"),
     ("csm --type B3 --lambda 1,0,1 --w s1s2s3 --format json",
@@ -1229,6 +1243,34 @@ def test_cli_golden_digests():
             code, text = _run(argv.split())
             assert code == 0, argv
             assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+
+
+def test_stab_and_schur_expansion_build_no_oracle(monkeypatch):
+    # the shift matrix and the Weyl character are functions of the root
+    # system: with every localization oracle made to fail, `stab` prints
+    # its pinned bytes and schur_expansion expands A2 Hall-Littlewood
+    # polynomials as it did when it built a KOracle
+    from chevmc.localization import Localization
+    from chevmc.specialfn import hall_littlewood, schur_expansion
+
+    rs = RootSystem("A", 2)
+    hl = {lam: hall_littlewood(rs, lam, "closed") for lam in ((2, 1), (1, 1))}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a localization oracle was built")
+
+    monkeypatch.setattr(Localization, "__init__", refuse)
+    golden = dict(_GOLDEN)
+    for argv in ("stab --type A2 --lambda 1,0 --w s1",
+                 "stab --type G2 --lambda 1,1 --format json"):
+        code, text = _run(argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(text.encode()).hexdigest() == golden[argv], argv
+    t = Scalar.q(1)
+    assert schur_expansion(rs, hl[(2, 1)]) == {
+        (2, 1): Scalar.one(), (0, 2): -t, (1, 0): -t}
+    assert schur_expansion(rs, hl[(1, 1)]) == {
+        (1, 1): Scalar.one(), (0, 0): -(t * t + t)}
 
 
 # argv fuzz over rank <= 2: each command with its own options, drawn from

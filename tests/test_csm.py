@@ -6,8 +6,8 @@ from chevmc.rootsystem import RootSystem
 from chevmc.csm import (
     CohPoly,
     CohOracle,
-    DegenerateHecke,
     csm_chevalley,
+    t_w_times_x,
 )
 from conftest import dl_left
 
@@ -87,11 +87,10 @@ def test_chevalley_closed_vs_oracle(oracle, lam):
 
 @pytest.mark.parametrize("lam", [(1, 0), (0, 1), (1, 1)])
 def test_commutation_lemma(lam):
-    dh = DegenerateHecke(RS)
     for w in range(W.n):
         # x_{w lambda} T_w - sum_{alpha>0, w s_alpha < w}
         # <lambda, alpha^vee> T_{w s_alpha}: the CSM Chevalley table
-        lhs = dh.t_w_times_x(w, lam)
+        lhs = t_w_times_x(RS, w, lam)
         rhs = csm_chevalley(RS, lam, w)
         assert set(lhs) == set(rhs), (lam, w)
         for u in lhs:

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from chevmc.charring import GA, Scalar
 from chevmc.csm import CohOracle, CohPoly
 from chevmc.localization import dl_step
-from chevmc.oracle import KOracle, StableBasis
+from chevmc.oracle import KOracle
 from chevmc.rootsystem import RootSystem
-from chevmc.specialfn import ScalarDL
+from chevmc.specialfn import dl_coeffs
 from conftest import dl_left
 
 LABELS = ("A2", "B2", "G2", "A3")
 TYPES = {label: RootSystem(label[0], int(label[1])) for label in LABELS}
-STABLE = {label: StableBasis(KOracle(rs)) for label, rs in TYPES.items()}
+ORACLES = {label: KOracle(rs) for label, rs in TYPES.items()}
 
 
 def _alpha(rs, i):
@@ -40,16 +40,15 @@ def _coefficient_sets(label):
     W = rs.weyl()
     one = GA.const(1, rs.rank)
     y, q = Scalar.y(1), Scalar.q(1)
-    dl = ScalarDL(rs)
     out = []
     for i in range(rs.rank):
         ai = _alpha(rs, i)
         nai = tuple(-c for c in ai)
         out.append(("K left", GA, KOracle.dl_coeffs(rs, i),
                     one + GA.term(nai, y)))
-        out.append(("tilde_vee", GA, dl.dl_coeffs(i, "tilde_vee"),
+        out.append(("tilde_vee", GA, dl_coeffs(rs, i, "tilde_vee"),
                     one + GA.term(nai, y)))
-        out.append(("tilde", GA, dl.dl_coeffs(i, "tilde"),
+        out.append(("tilde", GA, dl_coeffs(rs, i, "tilde"),
                     one + GA.term(ai, y)))
         for w in range(W.n):
             wa = tuple(-c for c in W.act(w, ai))
@@ -58,7 +57,7 @@ def _coefficient_sets(label):
         lin = CohPoly.linear(rs.simple_roots[i].fund)
         out.append(("CSM", CohPoly, CohOracle.dl_coeffs(rs, i),
                     lin + CohPoly.const(1, rs.rank)))
-        # DegenerateHecke.t_left: (s_i p - p) / alpha_i
+        # csm.t_left: (s_i p - p) / alpha_i
         out.append(("degenerate T_i", CohPoly, (1, 0, lin),
                     CohPoly.const(1, rs.rank)))
     return out
@@ -165,14 +164,14 @@ def test_hecke_T_is_the_pointwise_formula(label):
     b F|_v) / d with (b, e, d) = `_hecke_coeffs(rs, i, v)` and a = b + e d
     at every point v, is star o dl_right(i) o star on every stab(w)."""
     rs = TYPES[label]
-    sb = STABLE[label]
-    W = sb.W
+    o = ORACLES[label]
+    W = o.W
     zero = GA()
     for i in range(rs.rank):
         si = W.from_word((i,))
         for w in range(W.n):
-            F = sb.stab(w)
-            G = sb.o.dl_right(i, {v: f.star() for v, f in F.items()})
+            F = o.stab(w)
+            G = o.dl_right(i, {v: f.star() for v, f in F.items()})
             for v in range(W.n):
                 b, e, d = _hecke_coeffs(rs, i, v)
                 b = _ring(GA, b, rs.rank)
