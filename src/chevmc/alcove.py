@@ -35,6 +35,7 @@ are moved only by RootSystem.affine_reflect with the level scaled by S.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from .rootsystem import RootSystem
 
@@ -96,7 +97,7 @@ class LambdaChain:
         self.far_walls = tuple(
             Hyperplane(rs, b, k) for b, k in zip(betas, self.far_levels)
         )
-        self._steps, self._lam_keys = {}, {}
+        self._steps, self._lam_keys, self._descents = {}, {}, {}
 
     def __len__(self):
         return len(self.betas)
@@ -114,6 +115,31 @@ class LambdaChain:
                  not self.betas[j].positive, walls[j].root.coheight())
                 for j in (order if ascending else reversed(order))]
         return self._steps[memo]
+
+    def descents(self, ascending, far):
+        """({u: the bitmask of the positions of steps(ascending, far) at
+        which u descends}, [(a, the bits of the positions whose root is
+        alpha_a)]); descent_subsets fills each mask on first use."""
+        memo = (ascending, far)
+        if memo not in self._descents:
+            at = {}
+            for pos, (_, a, _, _, _) in enumerate(self.steps(ascending, far)):
+                at[a] = at.get(a, 0) | 1 << pos
+            self._descents[memo] = {}, list(at.items())
+        return self._descents[memo]
+
+    @cached_property
+    def exponent_bound(self):
+        """A bound on |e| for every exponent e the operator route
+        (chevalley.chevalley_operator) reaches from any w: a position with
+        c = <rho, alpha^vee> shifts an entry by u(beta/h) or moves it by c
+        u(beta), never both, so a weight field by at most R (1 + c), R the
+        largest |fundamental coordinate| of a root; along a path the v
+        exponents k + {0, 2} of -(1+y) q^{k/2} add to l(w) + t <= 2N."""
+        rs = self.rs
+        R = max(abs(c) for rt in rs.positive_roots for c in rt.fund)
+        return max(R * sum(1 + st[4] for st in self.steps(True, False)),
+                   2 * rs.n_positive())
 
     def lam_key(self, u):
         """The packed key offset of u(lambda), kept by u."""
@@ -271,21 +297,28 @@ def descent_subsets(chain: LambdaChain, w, ascending, far):
         w r_{j(1)} ... r_{j(t)} (x) = u(x) + B.
 
     The open branches sit on a stack, not the call stack, listed in the
-    order of the recursion that skips a position before taking it.
+    order of the recursion that skips a position before taking it; a
+    node's positions are the set bits of its mask (chain.descents).
     """
     W = chain.rs.lazy_weyl()
     steps = chain.steps(ascending, far)
-    roots = [a for _, a, _, _, _ in steps]
+    masks, at = chain.descents(ascending, far)
     n, images, mul_refl, keys = W.npos, W.images, W.mul_refl, W.root_keys
     out, stack = [], [(0, w, (), 0, False)]
     while stack:
         i, cur, J, B, odd = stack.pop()
-        img = images(cur)
-        for pos in range(i, len(steps)):
-            b = img[roots[pos]]
-            if b >= n:
+        m = masks.get(cur)
+        if m is None:
+            img = images(cur)
+            m = masks[cur] = sum(bits for a, bits in at if img[a] >= n)
+        m = m >> i << i
+        if m:
+            img = images(cur)
+            while m:
+                pos = (m & -m).bit_length() - 1
+                m &= m - 1
                 j, a, kh, neg, _ = steps[pos]
                 stack.append((pos + 1, mul_refl(cur, a), J + (j,),
-                              B + kh * keys[b], odd ^ neg))
+                              B + kh * keys[img[a]], odd ^ neg))
         out.append((cur, J if ascending else J[::-1], B, odd))
     return out

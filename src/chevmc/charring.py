@@ -31,11 +31,12 @@ the monomial text a caller passes (`exp_mono`, `power_mono`), and
 There is no fraction type.  A Demazure-Lusztig step divides once in the
 ring (localization.dl_step; the right operator `Localization.dl_right`,
 also the affine Hecke action on stable envelopes under the star, and
-its slice recursion, with no Weyl move, once per pair of points), so
-does a Bernstein step of the bridge route (chevalley.transition_direct),
-and every localization quotient is one exact division over a W-fixed
+its slice recursion, with no Weyl move, once per pair of points), and
+every localization quotient is one exact division over a W-fixed
 denominator (localization.Localization.root_quotient): a product of
-root factors, or a W-invariant constant under a Segre-type class.
+root factors, or a W-invariant constant under a Segre-type class.  A
+Bernstein step of the bridge route (chevalley.transition_direct)
+divides nothing: its divided difference is summed in closed form.
 
 One kernel, `_add_products`, adds monomial products into a coefficient
 dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a
@@ -44,8 +45,8 @@ Demazure-Lusztig step b Delta + e x or an Atiyah-Bott sum builds no
 intermediate product or sum; the cell solve runs it, negated, into its
 remainders in place (`_mul_into`).  What `*` and `dot` return passes
 `_check` once, on the finished sum.  `exact_div` by a two-term divisor,
-the shape of every Demazure-Lusztig and Bernstein denominator
-1 - e^gamma and of a linear form, divides line by line (`_line_div`):
+the shape of every Demazure-Lusztig denominator 1 - e^gamma and
+of a linear form, divides line by line (`_line_div`):
 each line {k - m gap} of keys, gap the divisor's key difference,
 divides alone, walked once from its top with the carry in a local, no
 ordered remainder and no box.  Longer divisors, such as the solve's
@@ -532,8 +533,8 @@ class GA:
     def exact_div(self, other):
         """Exact quotient self/other, or None when not divisible.
 
-        A two-term divisor, the shape of every Demazure-Lusztig and
-        Bernstein denominator 1 - e^gamma and of a linear form, divides
+        A two-term divisor, the shape of every Demazure-Lusztig
+        denominator 1 - e^gamma and of a linear form, divides
         line by line (`_line_div`); the quotient then passes `_check`
         once (its keys are walk keys, so in range, when the divisor's
         leading key is that of a constant), and in a polynomial ring a

@@ -25,9 +25,11 @@ q^{l(u)} C^w_{u,lambda} with one dict per element (specialfn's
 H_lambda, HL and Whittaker sums).  The operator and bridge routes run
 one w at a time; the operator route makes one move per chain position,
 E^beta a key offset per element and E^{<rho,beta^vee> beta} B_beta one
-product per descent.  The walk, the pass and the operator route read
-their steps off LambdaChain.steps and their Weyl moves off the tables
-of WeylGroup (images, mul_refl).
+product per descent, and range-checks its states only when the chain's
+exponent_bound reaches LIMIT; the bridge route takes each Bernstein
+divided difference in closed form, term by term.  The walk, the pass
+and the operator route read their steps off LambdaChain.steps and their
+Weyl moves off the tables of WeylGroup (images, mul_refl).
 
 Dualities, the parabolic formula and the positivity decomposition for
 dominant weights live here as well.
@@ -39,8 +41,8 @@ import itertools
 from functools import lru_cache
 
 from .charring import (
-    GA, Scalar, _BIAS, _HALF, _add_products, _check, _pack, _weight,
-    exp_mono,
+    FIELD, GA, LIMIT, MASK, Scalar, _BIAS, _HALF, _add_products, _check,
+    _pack, _weight, _wneg, exp_mono,
 )
 from .alcove import chain_lex_height, descent_subsets
 
@@ -191,12 +193,9 @@ def transition_direct(rs, w, lam_fund):
 
     T_{w^-1}^-1 = T_{i_1}^-1 ... T_{i_l}^-1 along the canonical word
     (i_1..i_l) of w, so T_i^-1 acts on X^lambda for i = i_l, ..., i_1,
-    each step on a sum of P_x T_x^-1 (x = u^-1).  T_i^-1 =
-    q^-1 T_i + (q^-1 - 1) and the Bernstein relation
-
-        T_i P = s_i(P) T_i + (1 - q) D,  D = (s_i(P) - P) / (1 - e^{-alpha_i}),
-
-    one exact division in the character ring, give
+    each step on a sum of P_x T_x^-1 (x = u^-1).  T_i^-1 = q^-1 T_i +
+    (q^-1 - 1) and the Bernstein relation T_i P = s_i(P) T_i + (1 - q) D,
+    D = (s_i(P) - P) / (1 - e^{-alpha_i}), give
 
         T_i^-1 P T_x^-1 = (q^-1 - 1)(D + P - s_i P) T_x^-1
                           + s_i(P) T_{x s_i}^-1          if x s_i > x,
@@ -204,30 +203,41 @@ def transition_direct(rs, w, lam_fund):
                           + q^-1 s_i(P) T_{x s_i}^-1     if x s_i < x,
 
     the second case from T_i^-2 = q^-1 + (q^-1 - 1) T_i^-1; so no Hecke
-    products are needed.  Only the Weyl elements reached are made.
+    products are needed.  With m = <mu, alpha_i^vee>, D(e^mu) is
+    -sum_{j=0}^{m-1} e^{mu - j alpha_i} if m > 0, sum_{j=1}^{-m} e^{mu +
+    j alpha_i} if m < 0, so the first coefficient sums e^{mu - j alpha_i}
+    over j in [1, m + up), negated, or [m + up, 1), up = 1 if x s_i > x:
+    terms between mu and s_i mu, in range when s_i P is.  Only the Weyl
+    elements reached are made.
     """
     W = rs.lazy_weyl()
+    r, h = rs.rank, rs.h
     q_inv = Scalar.q(-1)
     c = q_inv - Scalar.one()
     state = {0: GA.term(rs.weight(lam_fund))}
     for i in reversed(W.word(w)):
-        mat = W.mats[W.step(0, i)]
-        alpha = rs.weight(rs.simple_roots[i].fund)
-        den = GA.const(1, rs.rank) - GA.term(tuple(-a for a in alpha))
+        s = FIELD * (r - i)  # the weight field i of a key
+        ak = W.key(rs.weight(rs.simple_roots[i].fund))
         nxt = {}
         for x, P in state.items():
-            sP = P.transform(mat)
-            diff = sP - P
-            D = diff.exact_div(den)
-            if D is None:
-                raise ValueError("Hecke weights must be integral")
             xs = W.step(x, i)
-            if W.length[xs] > W.length[x]:
-                nxt.setdefault(x, []).extend(((c, D), (-c, diff)))
-                nxt.setdefault(xs, []).append((1, sP))
-            else:
-                nxt.setdefault(x, []).extend(((c, D), (c, P)))
-                nxt.setdefault(xs, []).append((q_inv, sP))
+            up = W.length[xs] > W.length[x]
+            line, sP = {}, {}
+            for k, a in P.c.items():
+                m, rest = divmod((k >> s & MASK) - _HALF, h)
+                if rest:
+                    raise ValueError("Hecke weights must be integral")
+                sP[k - m * ak] = a
+                if m > 0:  # the keys of e^{mu - j alpha_i}
+                    kjs, a = range(k - ak, k - (m + up) * ak, -ak), -a
+                else:
+                    kjs = range(k - (m + up) * ak, k - ak, -ak)
+                for kj in kjs:
+                    line[kj] = line.get(kj, 0) + a
+            _check(sP, r)
+            nxt.setdefault(x, []).append(
+                (c, GA._new({k: a for k, a in line.items() if a})))
+            nxt.setdefault(xs, []).append((1 if up else q_inv, GA._new(sP)))
         state = {x: g for x, pairs in nxt.items()
                  if (g := GA.dot(pairs))}
     return {W.inv(x): P for x, P in state.items()}
@@ -256,10 +266,12 @@ def chevalley_operator(chain, w):
     B_beta is one move: u's offset grows by u(beta/h), and where u
     s_beta is shorter the entry is added at u s_beta times -(1+y) q^{k/2}
     e^{u s_beta(<rho, beta^vee> beta/h)}, k = l(u) - l(u s_beta) - 1,
-    negated for beta < 0."""
+    negated for beta < 0.  The states are range-checked at each position
+    only when no bound below LIMIT holds (LambdaChain.exponent_bound)."""
     rs = chain.rs
     W = rs.lazy_weyl()
     r = rs.rank
+    check = chain.exponent_bound >= LIMIT
     n, length, images, mul_refl, keys = (W.npos, W.length, W.images,
                                          W.mul_refl, W.root_keys)
     state, offset = {w: {_BIAS[r]: 1}}, {w: 0}
@@ -282,8 +294,9 @@ def chevalley_operator(chain, w):
             ], state[u].items())
         for u in [u for u, c in state.items() if not c]:
             del state[u], offset[u]
-        _check(itertools.chain.from_iterable(
-            map(offset[u].__add__, c) for u, c in state.items()), r)
+        if check:
+            _check(itertools.chain.from_iterable(
+                map(offset[u].__add__, c) for u, c in state.items()), r)
     return {u: GA._new({k + offset[u]: x for k, x in c.items()})
             for u, c in state.items()}
 
@@ -357,17 +370,6 @@ def chevalley_parabolic(rs, lam_fund, w, parabolic, method="chain"):
 
 # -- dualities ---------------------------------------------------------
 
-def _iota(rs, g):
-    """iota = w0 o *: e^mu -> e^{-w0 mu}, parameters fixed."""
-    W = rs.weyl()
-    return g.transform(tuple(tuple(-x for x in row) for row in W.mats[W.w0]))
-
-
-def _w0_act(rs, g):
-    W = rs.weyl()
-    return g.transform(W.mats[W.w0])
-
-
 def duality_check(rs, lam_fund, w, u, kind, table_fn):
     """Return (lhs, rhs) GA values of the chosen duality for C^w_{u,lambda}.
 
@@ -376,23 +378,22 @@ def duality_check(rs, lam_fund, w, u, kind, table_fn):
     """
     W = rs.weyl()
     w0 = W.w0
+    m0 = W.mats[w0]
+    iota = tuple(tuple(-x for x in row) for row in m0)  # e^mu -> e^{-w0 mu}
     dl = W.length[w] - W.length[u]
     lhs = table_fn(w, lam_fund, 1).get(u, GA())
     if kind == "serre":
         # C^w_{u,lambda} = (-y)^{l(w)-l(u)} w0((C^{w0u}_{w0w,-lambda})^vee)
         t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
-        rhs = _w0_act(rs, t.dual_vee()) * Scalar.q(dl)
+        rhs = t.dual_vee().transform(m0) * Scalar.q(dl)
     elif kind == "star":
         t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
-        rhs = _iota(rs, t) * (-1 if dl % 2 else 1)
+        rhs = t.transform(iota) * (-1 if dl % 2 else 1)
     elif kind == "dynkin":
-        nlam = rs.weight_user(
-            tuple(-c for c in W.act(w0, rs.weight(lam_fund)))
-        )
-        t = table_fn(
-            W.mul(W.mul(w0, w), w0), nlam, 1
-        ).get(W.mul(W.mul(w0, u), w0), GA())
-        rhs = _iota(rs, t)
+        nlam = rs.weight_user(_wneg(W.act(w0, rs.weight(lam_fund))))
+        t = table_fn(W.mul(W.mul(w0, w), w0), nlam, 1).get(
+            W.mul(W.mul(w0, u), w0), GA())
+        rhs = t.transform(iota)
     elif kind == "star_dynkin":
         w0lam = rs.weight_user(W.act(w0, rs.weight(lam_fund)))
         t = table_fn(W.mul(u, w0), w0lam, 1).get(W.mul(w, w0), GA())
@@ -414,10 +415,10 @@ def positivity_terms(chain, w):
     l(w) - l(u).  Raises if the chain has a negative root (lambda not
     dominant) .
     """
-    rs = chain.rs
-    W = rs.weyl()
+    W = chain.rs.weyl()
     if any(not b.positive for b in chain.betas):
         raise ValueError("positivity decomposition needs a dominant lambda")
+    qm1 = Scalar.q(1) - Scalar.one()
     out = []
     for u, J, mu, coeff in chevalley_terms(chain, w, +1):
         b = len(J)
@@ -425,7 +426,6 @@ def positivity_terms(chain, w):
         a = (dl - b) // 2
         assert (dl - b) % 2 == 0
         # verify the claimed factorization exactly
-        qm1 = Scalar.q(1) - Scalar.one()
         expect = Scalar.q(a) * qm1 ** b
         assert coeff == expect, (coeff, expect)
         out.append((u, mu, a, b))

@@ -277,6 +277,46 @@ def ref_operator(chain, w):
     return {u: GA._new(c) for u, c in state.items()}
 
 
+def ref_transition_direct(rs, w, lam_fund):
+    """c_{u,mu}^{w,lambda} of the affine Hecke algebra as {u: GA}, as
+    `chevalley.transition_direct` returns them, each Bernstein step by
+    one exact division in the character ring:
+
+        T_i P = s_i(P) T_i + (1 - q) D,  D = (s_i(P) - P) / (1 - e^{-alpha_i}),
+
+    with T_i^-1 P T_x^-1 = (q^-1 - 1)(D + P - s_i P) T_x^-1 + s_i(P)
+    T_{x s_i}^-1 if x s_i > x, and (q^-1 - 1)(D + P) T_x^-1 + q^-1
+    s_i(P) T_{x s_i}^-1 if x s_i < x.
+
+    The reference that the library's closed-form step is checked
+    against."""
+    W = rs.lazy_weyl()
+    q_inv = Scalar.q(-1)
+    c = q_inv - Scalar.one()
+    state = {0: GA.term(rs.weight(lam_fund))}
+    for i in reversed(W.word(w)):
+        mat = W.mats[W.step(0, i)]
+        alpha = rs.weight(rs.simple_roots[i].fund)
+        den = GA.const(1, rs.rank) - GA.term(tuple(-a for a in alpha))
+        nxt = {}
+        for x, P in state.items():
+            sP = P.transform(mat)
+            diff = sP - P
+            D = diff.exact_div(den)
+            if D is None:
+                raise ValueError("Hecke weights must be integral")
+            xs = W.step(x, i)
+            if W.length[xs] > W.length[x]:
+                nxt.setdefault(x, []).extend(((c, D), (-c, diff)))
+                nxt.setdefault(xs, []).append((1, sP))
+            else:
+                nxt.setdefault(x, []).extend(((c, D), (c, P)))
+                nxt.setdefault(xs, []).append((q_inv, sP))
+        state = {x: g for x, pairs in nxt.items()
+                 if (g := GA.dot(pairs))}
+    return {W.inv(x): P for x, P in state.items()}
+
+
 def ref_descent_subsets(chain, w, ascending, walls):
     """All (u, J, B, odd) of `alcove.descent_subsets`, walked without the
     element store's tables or the chain's step data: the scan positions

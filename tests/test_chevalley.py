@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevmc.charring import GA, Scalar
+from chevmc.charring import FIELD, GA, MASK, Scalar, _HALF
 from chevmc.rootsystem import RootSystem
 from chevmc import alcove, chevalley
 from chevmc.alcove import chain_from_word, chain_lex_height, descent_subsets
@@ -69,6 +69,77 @@ def test_operator_equals_reference(family, rank, lam, stride):
     assert any(not b.positive for b in chain.betas) == any(c < 0 for c in lam)
     for w in range(0, W.n, stride):
         assert chevalley_operator(chain, w) == ref_operator(chain, w), w
+
+
+@pytest.mark.parametrize("family,rank,top", [
+    ("A", 1, 1), ("A", 2, 1), ("A", 3, 1), ("A", 4, 1), ("B", 2, 1),
+    ("B", 3, 1), ("B", 4, 2), ("C", 3, 1), ("D", 4, 1), ("G", 2, 1),
+    ("F", 4, 4),
+])
+def test_operator_bound_holds_on_every_state(monkeypatch, family, rank,
+                                              top):
+    # with the per-step check forced (LIMIT 0 in the route), a spy on it
+    # sees every state: each exponent, weight and v fields alike, stays
+    # within the chain's bound, at every weight in [-1, 1]^r and three w
+    # per weight out of the first 1/top of the elements (the longer
+    # elements of B4 and F4 take up to seconds per table)
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    seen = []
+
+    def spy(keys, r):
+        # as in charring._check: every exponent of k lies in [-2^p, 2^p),
+        # 2^p <= bound, iff k - lo sets no bit outside ok; a key that
+        # fails this is measured field by field
+        keys = list(keys)
+        p = bound.bit_length() - 1
+        lo = sum((_HALF - (1 << p)) << (FIELD * f) for f in range(r + 1))
+        ok = sum(((2 << p) - 1) << (FIELD * f) for f in range(r + 1))
+        if any(map((~ok).__and__, map(lo.__rsub__, keys))):
+            assert max(abs((k >> (FIELD * f) & MASK) - _HALF)
+                       for k in keys for f in range(r + 1)) <= bound
+        seen.append(r)
+
+    monkeypatch.setattr(chevalley, "LIMIT", 0)
+    monkeypatch.setattr(chevalley, "_check", spy)
+    stride = max(1, W.n // top // 3)
+    for n, lam in enumerate(itertools.product((-1, 0, 1), repeat=rank)):
+        if not any(lam):
+            continue
+        chain = chain_lex_height(rs, lam)
+        bound = chain.exponent_bound
+        for w in range(n % stride, W.n // top, stride):
+            del seen[:]
+            chevalley_operator(chain, w)
+            assert len(seen) == len(chain), (lam, w)
+
+
+def test_operator_checks_each_step_only_at_a_bound_reaching_limit(
+        monkeypatch):
+    # A1 at lambda = 2048: the bound 2 * 2048 * (1 + 1) reaches LIMIT, so
+    # the route checks its states once per chain position; at 2047 and
+    # on B3 at (1, 0, 1) (bound 100) it makes no per-step call
+    calls = []
+    real = chevalley._check
+
+    def counting(keys, r):
+        calls.append(r)
+        real(keys, r)
+
+    monkeypatch.setattr(chevalley, "_check", counting)
+    for (family, rank), lam, checked in (
+        (("A", 1), (2048,), True), (("A", 1), (2047,), False),
+        (("B", 3), (1, 0, 1), False),
+    ):
+        rs = RootSystem(family, rank)
+        W = rs.weyl()
+        chain = chain_lex_height(rs, lam)
+        assert (chain.exponent_bound >= chevalley.LIMIT) == checked
+        for w in ((0,) if rank == 1 else range(W.n)):
+            del calls[:]
+            got = chevalley_table(rs, lam, w, method="operator")
+            assert len(calls) == (len(chain) if checked else 0), (lam, w)
+            assert got == ref_operator(chain, w), (lam, w)
 
 
 @pytest.mark.parametrize("rank,lam,word", [

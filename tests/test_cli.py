@@ -1233,6 +1233,19 @@ _GOLDEN = [
      "6d412e85bb8c06868449ce79c33cf80ff054471b849aad84ed5b101f756988d4"),
     ("search-positivity --type A2 --format json",
      "7d03a7024a870168df7083a34bf2757cd1b0a6a75dad3e3bd47981c00d9cbf78"),
+    # the closed-form bridge, the operator route without its per-step
+    # check and the single-w walk on descent masks, pinned before either
+    ("chevalley --type C3 --lambda=0,2,-1 --w all --method bridge "
+     "--format json",
+     "e239632832f26aeca3dc1b4882ff11e3e546801a2079383e3d8c6a8de3669360"),
+    ("hecke-coeffs --type B3 --lambda=2,-1,1 --w s1s2s3s2s1 --format json",
+     "111c0c061eb32396ba1338a5dcd7cd0cffdc61db31b4e92cb4ca06492e7437e3"),
+    ("chevalley --type F4 --lambda=1,0,0,0 --w s1s2s3s4s1s2s3s4s1s2s3s4 "
+     "--method operator --format json",
+     "1735730134c3432a2d2d039204e24a8af7e1e66573d03944efad7a5722adddd5"),
+    ("chevalley --type B4 --lambda=1,0,0,1 --w s1s2s3s4s3s2s1 --sign - "
+     "--format json",
+     "88f878145f7f1dee9ba816d6e9ed61d4ededf36c5bd5b73b0b00727de2168e95"),
 ]
 
 

@@ -9,7 +9,7 @@ from chevmc.rootsystem import RootSystem
 from chevmc.alcove import chain_lex_height
 from chevmc.chevalley import chevalley_table, transition_direct
 from chevmc.specialfn import dl_simple
-from conftest import reflect
+from conftest import ref_transition_direct, reflect
 
 TYPES = {label: RootSystem(label[0], 2) for label in ("A2", "B2", "G2")}
 VARIANTS = ("tilde", "tilde_vee")
@@ -65,8 +65,8 @@ def test_braid_relation(lf, variant):
 def test_bernstein_divisibility(lf, variant, i, lam):
     """(T_i(e^mu f) - e^{s_i mu} T_i f)(1 - e^-alpha_i) = (1-q)(e^{s_i mu} - e^mu) f,
 
-    the relation whose quotient chevalley.transition_direct takes as
-    one exact division per character."""
+    the relation whose quotient chevalley.transition_direct sums in
+    closed form, term by term."""
     label, f = lf
     rs = TYPES[label]
     root = rs.simple_roots[i]
@@ -97,3 +97,34 @@ def test_transition_direct_vs_chain(label):
 def test_transition_identity_weight_zero():
     t = transition_direct(RS, W.from_word_str("s1s2"), (0, 0))
     assert t == {W.from_word_str("s1s2"): GA.term((0, 0))}
+
+
+@pytest.mark.parametrize("family,rank,lams", [
+    ("A", 2, [(2, -1), (0, -2), (-1, 1)]),
+    ("B", 2, [(2, -1), (0, -2), (-1, 1)]),
+    ("G", 2, [(2, -1), (0, -2), (-1, 1)]),
+    ("A", 3, [(-1, 0, 2), (0, 2, -1)]),
+    ("B", 3, [(-1, 0, 2), (0, 2, -1)]),
+    ("C", 3, [(-1, 0, 2), (0, 2, -1)]),
+])
+def test_transition_direct_equals_division_reference(family, rank, lams):
+    # the closed-form Bernstein step against one exact division per
+    # character, key for key, at every w and at weights whose pairings
+    # with the simple coroots are positive, negative and zero
+    rs = RootSystem(family, rank)
+    for lam in lams:
+        for w in range(rs.weyl().n):
+            got = transition_direct(rs, w, lam)
+            ref = ref_transition_direct(rs, w, lam)
+            assert list(got) == list(ref), (lam, w)
+            assert all(got[u].c == ref[u].c for u in ref), (lam, w)
+
+
+def test_transition_direct_equals_division_reference_e8():
+    # one word on the lazy E8 store, at the first fundamental weight
+    rs = RootSystem("E", 8)
+    w = rs.lazy_weyl().from_word_str("s8s7s6s5s4s3s2s1")
+    lam = (1, 0, 0, 0, 0, 0, 0, 0)
+    got = transition_direct(rs, w, lam)
+    assert len(got) > 1 and got == ref_transition_direct(rs, w, lam)
+    assert not hasattr(rs.lazy_weyl(), "n")  # the group was not completed
