@@ -135,7 +135,9 @@ class LambdaChain:
         c = <rho, alpha^vee> shifts an entry by u(beta/h) or moves it by c
         u(beta), never both, so a weight field by at most R (1 + c), R the
         largest |fundamental coordinate| of a root; along a path the v
-        exponents k + {0, 2} of -(1+y) q^{k/2} add to l(w) + t <= 2N."""
+        exponents k + {0, 2} of -(1+y) q^{k/2} add to l(w) + t <= 2N.
+        The route refuses a chain whose bound reaches 2^17 and checks its
+        output only when the bound reaches charring.LIMIT."""
         rs = self.rs
         R = max(abs(c) for rt in rs.positive_roots for c in rt.fund)
         return max(R * sum(1 + st[4] for st in self.steps(True, False)),

@@ -25,14 +25,14 @@ q^{l(u)} C^w_{u,lambda} with one dict per element (specialfn's
 H_lambda, HL and Whittaker sums).  The operator and bridge routes run
 one w at a time; the operator route makes one move per chain position,
 E^beta a key offset per element and E^{<rho,beta^vee> beta} B_beta one
-product per descent, and range-checks its states only when the chain's
-exponent_bound reaches LIMIT; the bridge route takes each Bernstein
-divided difference in closed form, term by term.  The walk, the pass
-and the operator route read their steps off LambdaChain.steps and their
-Weyl moves off the tables of WeylGroup (images, mul_refl).
+product per descent, refuses a chain whose exponent_bound reaches 2^17
+and range-checks its output once, only when that bound reaches LIMIT;
+the bridge route takes each Bernstein divided difference in closed
+form, term by term.  The walk, the pass and the operator route read
+their steps off LambdaChain.steps and their Weyl moves off the tables
+of WeylGroup (images, mul_refl).
 
-Dualities, the parabolic formula and the positivity decomposition for
-dominant weights live here as well.
+Dualities and the parabolic formula live here as well.
 """
 
 from __future__ import annotations
@@ -266,12 +266,15 @@ def chevalley_operator(chain, w):
     B_beta is one move: u's offset grows by u(beta/h), and where u
     s_beta is shorter the entry is added at u s_beta times -(1+y) q^{k/2}
     e^{u s_beta(<rho, beta^vee> beta/h)}, k = l(u) - l(u s_beta) - 1,
-    negated for beta < 0.  The states are range-checked at each position
-    only when no bound below LIMIT holds (LambdaChain.exponent_bound)."""
+    negated for beta < 0.  Exponents and offsets stay within the chain's
+    exponent_bound, so below the guard of 2^17 no key carries across its
+    fields; the output is range-checked once if the bound reaches LIMIT."""
     rs = chain.rs
     W = rs.lazy_weyl()
     r = rs.rank
-    check = chain.exponent_bound >= LIMIT
+    bound = chain.exponent_bound
+    if bound >= _HALF // 4:
+        raise ValueError("chain exponent bound %d out of range" % bound)
     n, length, images, mul_refl, keys = (W.npos, W.length, W.images,
                                          W.mul_refl, W.root_keys)
     state, offset = {w: {_BIAS[r]: 1}}, {w: 0}
@@ -294,11 +297,11 @@ def chevalley_operator(chain, w):
             ], state[u].items())
         for u in [u for u, c in state.items() if not c]:
             del state[u], offset[u]
-        if check:
-            _check(itertools.chain.from_iterable(
-                map(offset[u].__add__, c) for u, c in state.items()), r)
-    return {u: GA._new({k + offset[u]: x for k, x in c.items()})
-            for u, c in state.items()}
+    out = {u: GA._new({k + offset[u]: x for k, x in c.items()})
+           for u, c in state.items()}
+    if bound >= LIMIT:
+        _check(itertools.chain.from_iterable(g.c for g in out.values()), r)
+    return out
 
 
 def chevalley_tables(rs, lam_fund, ws, sign=1, method="chain", chain=None):
@@ -403,33 +406,6 @@ def duality_check(rs, lam_fund, w, u, kind, table_fn):
     else:
         raise ValueError("unknown duality %r" % kind)
     return lhs, rhs
-
-
-# -- positivity --------------------------------------------------------
-
-def positivity_terms(chain, w):
-    """Structure of Prop-style positivity for dominant lambda.
-
-    Returns a list of (u, mu_fine, a, b) with each +lambda term equal to
-    e^mu q^a (q-1)^b under q = -y, and checks b has the parity of
-    l(w) - l(u).  Raises if the chain has a negative root (lambda not
-    dominant) .
-    """
-    W = chain.rs.weyl()
-    if any(not b.positive for b in chain.betas):
-        raise ValueError("positivity decomposition needs a dominant lambda")
-    qm1 = Scalar.q(1) - Scalar.one()
-    out = []
-    for u, J, mu, coeff in chevalley_terms(chain, w, +1):
-        b = len(J)
-        dl = W.length[w] - W.length[u]
-        a = (dl - b) // 2
-        assert (dl - b) % 2 == 0
-        # verify the claimed factorization exactly
-        expect = Scalar.q(a) * qm1 ** b
-        assert coeff == expect, (coeff, expect)
-        out.append((u, mu, a, b))
-    return out
 
 
 def render_table(rs, table, mono=None):

@@ -32,10 +32,11 @@ cell(v)|_x is divisible by P_x, a product of l(x) factors: P_id = 1 and
 P_{x s_i} = P_x x(a) when l(x s_i) > l(x).  `slice_class(v)` caches the
 slice parts Q_{v,x} = cell(v)|_x / P_x, and the recursion runs on them
 too, with one exact division per pair {x, x s_i} and no Weyl move
-(`_slice_step`); it climbs the same shortest path of right descents as
-`cell_class` (`_climb`).  A slice part is a Minkowski summand of the
-full value, since P_x has the monomial 1, so it stays in the exponent
-range of that value.
+(`_slice_step`).  Both climb the prefix tree of the canonical words
+(`_climb`): the class of w is one step from that of its longest proper
+prefix, so each class is built once, from one already built.  A slice
+part is a Minkowski summand of the full value, since P_x has the
+monomial 1, so it stays in the exponent range of that value.
 
 The expansion in the cell basis is a triangular solve of exact
 divisions (`_expand`).  A product G cell(w) expands on slice parts, on
@@ -52,12 +53,12 @@ pairing is one more exact division by that constant.
 
 The ring arithmetic is fused (charring.GA.dot): a step forms its sums
 in one accumulator, and `integral` its whole Atiyah-Bott sum.  The
-triangular solve keeps its remainder as raw coefficient dicts, each
-copied from F on its first write, so neither F nor the cached classes
-change; it subtracts g cell(v)|_x into them in place, with no product
-or difference built, and passes each written remainder through
-`_check` just before dividing it, so an exponent that left the range
-raises ValueError there rather than reaching a quotient.
+triangular solve keeps its remainder as raw coefficient dicts, copied
+from F once at the start, so neither F nor the cached classes change;
+it subtracts g cell(v)|_x into them in place, with no product or
+difference built, and passes each remainder through `_check` just
+before dividing it, so an exponent that left the range raises
+ValueError there rather than reaching a quotient.
 """
 
 from __future__ import annotations
@@ -227,25 +228,14 @@ class Localization:
         return out
 
     def _climb(self, cache, step, w):
-        """cache[w], made by `step(i, F)` from F = cache[y] to F T_i =
-        cache[y s_i] up the shortest path of right descents w -> w s_i
-        from w to a class already in the cache, so that the classes of
-        one solve share their steps."""
+        """cache[w], made by `step(i, F)` from F = cache[x], x = w s_i for
+        the last letter i of w's canonical word: a prefix of a lex-least
+        reduced word is lex-least, so the classes follow the prefix tree
+        of the canonical words (Casselman 1994), l(x s_i) > l(x) on every
+        step, and each step makes one new class."""
         if w not in cache:
-            length = self.W.length
-            up = {w: None}  # y -> (y s_i, i), one step nearer to w
-            todo = [w]
-            for x in todo:  # breadth first; the point class ends it
-                if x in cache:
-                    break
-                for i, y in enumerate(self.W.right[x]):
-                    if length[y] < length[x] and y not in up:
-                        up[y] = (x, i)
-                        todo.append(y)
-            while up[x]:
-                z, i = up[x]
-                cache[z] = step(i, cache[x])
-                x = z
+            i = self.W.word(w)[-1]
+            cache[w] = step(i, self._climb(cache, step, self.W.right[w][i]))
         return cache[w]
 
     def slice_class(self, w):
@@ -323,32 +313,26 @@ class Localization:
         the fixed points in Bruhat-compatible order, all of W in its
         `order` by default.
 
-        The remainder is written in place (see the module docstring),
-        except at x = v: the exact division has shown that rem[v] is
-        g cell(v)|_v."""
+        The remainders are copies of F's dicts, written in place (see the
+        module docstring), except at x = v: the exact division has shown
+        that rem[v] is g cell(v)|_v."""
         if points is None:
             points = self.W.order
         ring = self.ring
         rank = self.rank
-        rem = {x: f.c for x, f in F.items()}
-        own = set()  # the points whose remainder dict is a private copy
+        rem = {x: dict(f.c) for x, f in F.items()}
         out = {}
         for v in reversed(points):
             c = rem.pop(v, None)
             if not c:
                 continue
-            if v in own:
-                _check(c, rank)
+            _check(c, rank)
             cv = cell(v)
             g = ring._new(c).exact_div(cv[v])
             assert g is not None, "non-polynomial Chevalley coefficient"
             out[v] = g
             for x, f in cv.items():
-                if x == v:
-                    continue
-                if x not in own:
-                    own.add(x)
-                    rem[x] = dict(rem.get(x, ()))
-                _mul_into(rem[x], g.c, f.c, -1)
+                if x != v:
+                    _mul_into(rem.setdefault(x, {}), g.c, f.c, -1)
         assert not any(rem.values()), "expansion left a remainder"
         return out

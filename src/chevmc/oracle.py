@@ -186,9 +186,6 @@ class KOracle(Localization):
                             self.slice_class)
 
     # -- parabolic model -----------------------------------------------
-    def parabolic_points(self, parabolic):
-        return self.W.min_coset_reps(parabolic)
-
     def pushforward(self, F, parabolic):
         """pi_*: inside a coset v W_P the vertical Euler factors are units
         times prod_{gamma in Phi_P^+} (1 - e^{-v gamma}), so each coset
@@ -199,7 +196,7 @@ class KOracle(Localization):
         levi = [a.fund for a in rs.positive_roots if a not in horiz]
         wp = W.parabolic_elements(parabolic)
         out = {}
-        for v in self.parabolic_points(parabolic):
+        for v in W.min_coset_reps(parabolic):
             roots = [W.act(v, g) for g in levi]
             coset = [W.mul(v, p) for p in wp]
             num = GA.dot(
@@ -214,7 +211,7 @@ class KOracle(Localization):
     def expand_product_parabolic(self, lam_fund, w, parabolic):
         """{u in W^P: C^{w,P}_{u,lambda}} in the G/P localization model,
         by the triangular solve against the pushed-forward cell classes."""
-        points = self.parabolic_points(parabolic)
+        points = self.W.min_coset_reps(parabolic)
         if w not in points:
             raise ValueError("w must be a minimal coset representative")
         cells = {x: self.pushforward(self.mc(x), parabolic) for x in points}

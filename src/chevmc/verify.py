@@ -24,7 +24,7 @@ from multiprocessing import Pool
 from .charring import GA, Scalar
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height
-from .chevalley import chevalley_tables, duality_check, positivity_terms
+from .chevalley import chevalley_tables, chevalley_terms, duality_check
 from .oracle import KOracle, shift_matrix, wall_cross_path
 
 # what the cases of the running suite share, by key; None outside
@@ -229,8 +229,8 @@ def case_csm(family, rank, lam):
 
 
 def case_positivity(family, rank, lam):
-    """Each +lambda term is e^mu q^a (q-1)^b with a, b >= 0 and b of the
-    parity of l(w) - l(u), and the terms sum to the Chevalley table."""
+    """Each +lambda term is e^mu q^a (q-1)^b with b = |J| and 2a = l(w) -
+    l(u) - b, a >= 0 an integer, and the terms sum to the Chevalley table."""
     rs = _root_system(family, rank)
     W = rs.weyl()
     if not all(c >= 0 for c in lam):
@@ -241,12 +241,14 @@ def case_positivity(family, rank, lam):
     qm1 = Scalar.q(1) - Scalar.one()
     for w in range(W.n):
         acc = {}
-        for u, mu, a, b in positivity_terms(chain, w):
-            if a < 0 or b < 0 or (W.length[w] - W.length[u] - b) % 2:
+        for u, J, mu, coeff in chevalley_terms(chain, w, +1):
+            b = len(J)
+            a, odd = divmod(W.length[w] - W.length[u] - b, 2)
+            if a < 0 or odd or coeff != Scalar.q(a) * qm1 ** b:
                 return "term q^%d (q-1)^%d out of shape at u=%s w=%s" % (
                     a, b, W.word_str(u), W.word_str(w),
                 )
-            acc[u] = acc.get(u, GA()) + GA.term(mu, Scalar.q(a) * qm1 ** b)
+            acc[u] = acc.get(u, GA()) + GA.term(mu, coeff)
         table = fn(w, lam, 1)  # the table of the same chain
         if {u: g for u, g in acc.items() if g} != table:
             return "positivity terms miss the table at w=%s lambda=%s" % (

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chevmc.charring import FIELD, GA, MASK, Scalar, _HALF
 from chevmc.rootsystem import RootSystem
-from chevmc import alcove, chevalley
+from chevmc import alcove, chevalley, verify
 from chevmc.alcove import chain_from_word, chain_lex_height, descent_subsets
 from chevmc.oracle import KOracle
 from chevmc.chevalley import (
@@ -20,7 +20,6 @@ from chevmc.chevalley import (
     chevalley_parabolic,
     chevalley_sum,
     duality_check,
-    positivity_terms,
     render_table,
 )
 from conftest import (
@@ -78,47 +77,54 @@ def test_operator_equals_reference(family, rank, lam, stride):
 ])
 def test_operator_bound_holds_on_every_state(monkeypatch, family, rank,
                                               top):
-    # with the per-step check forced (LIMIT 0 in the route), a spy on it
-    # sees every state: each exponent, weight and v fields alike, stays
-    # within the chain's bound, at every weight in [-1, 1]^r and three w
-    # per weight out of the first 1/top of the elements (the longer
-    # elements of B4 and F4 take up to seconds per table)
+    # a spy on the route's product kernel sees every state it writes:
+    # each stored key, an exponent less its element's offset, keeps every
+    # field, weight and v fields alike, within bias +- 2 bound, so below
+    # the route's guard no key carries into the next field, and every
+    # exponent of the output lies within the bound; at every weight in
+    # [-1, 1]^r and three w per weight out of the first 1/top of the
+    # elements (the longer elements of B4 and F4 take up to seconds per
+    # table)
     rs = RootSystem(family, rank)
     W = rs.weyl()
-    seen = []
+    real = chevalley._add_products
+    calls = []
 
-    def spy(keys, r):
-        # as in charring._check: every exponent of k lies in [-2^p, 2^p),
-        # 2^p <= bound, iff k - lo sets no bit outside ok; a key that
-        # fails this is measured field by field
-        keys = list(keys)
-        p = bound.bit_length() - 1
-        lo = sum((_HALF - (1 << p)) << (FIELD * f) for f in range(r + 1))
-        ok = sum(((2 << p) - 1) << (FIELD * f) for f in range(r + 1))
-        if any(map((~ok).__and__, map(lo.__rsub__, keys))):
+    def spy(acc, pairs, items):
+        # every field of k - lo lies in [0, 2^(p+1)), 2^p <= 2 bound, iff
+        # k - lo sets no bit of bad; a dict that fails this is measured
+        # field by field
+        real(acc, pairs, items)
+        if any(map(bad.__and__, map(lo.__rsub__, acc))):
             assert max(abs((k >> (FIELD * f) & MASK) - _HALF)
-                       for k in keys for f in range(r + 1)) <= bound
-        seen.append(r)
+                       for k in acc for f in range(rank + 1)) <= 2 * bound
+        calls.append(len(acc))
 
-    monkeypatch.setattr(chevalley, "LIMIT", 0)
-    monkeypatch.setattr(chevalley, "_check", spy)
+    monkeypatch.setattr(chevalley, "_add_products", spy)
     stride = max(1, W.n // top // 3)
     for n, lam in enumerate(itertools.product((-1, 0, 1), repeat=rank)):
         if not any(lam):
             continue
         chain = chain_lex_height(rs, lam)
         bound = chain.exponent_bound
+        p = (2 * bound).bit_length() - 1
+        lo = sum((_HALF - (1 << p)) << (FIELD * f) for f in range(rank + 1))
+        bad = ~sum(((2 << p) - 1) << (FIELD * f) for f in range(rank + 1))
         for w in range(n % stride, W.n // top, stride):
-            del seen[:]
-            chevalley_operator(chain, w)
-            assert len(seen) == len(chain), (lam, w)
+            table = chevalley_operator(chain, w)
+            assert max(abs((k >> (FIELD * f) & MASK) - _HALF)
+                       for g in table.values() for k in g.c
+                       for f in range(rank + 1)) <= bound, (lam, w)
+    assert calls
 
 
-def test_operator_checks_each_step_only_at_a_bound_reaching_limit(
+def test_operator_checks_its_output_only_at_a_bound_reaching_limit(
         monkeypatch):
-    # A1 at lambda = 2048: the bound 2 * 2048 * (1 + 1) reaches LIMIT, so
-    # the route checks its states once per chain position; at 2047 and
-    # on B3 at (1, 0, 1) (bound 100) it makes no per-step call
+    # A1 at lambda = 2048 (w = e) and 4095 (w = s1): the bound
+    # 2 * lambda * (1 + 1) reaches LIMIT, so the route range-checks its
+    # output once; at 2047 and on B3 at (1, 0, 1) (bound 100, every w) it
+    # makes no check; every table equals the reference route's and the
+    # chain route's
     calls = []
     real = chevalley._check
 
@@ -127,19 +133,32 @@ def test_operator_checks_each_step_only_at_a_bound_reaching_limit(
         real(keys, r)
 
     monkeypatch.setattr(chevalley, "_check", counting)
-    for (family, rank), lam, checked in (
-        (("A", 1), (2048,), True), (("A", 1), (2047,), False),
-        (("B", 3), (1, 0, 1), False),
+    for (family, rank), lam, ws, checked in (
+        (("A", 1), (2048,), (0,), True), (("A", 1), (4095,), (1,), True),
+        (("A", 1), (2047,), (0,), False), (("B", 3), (1, 0, 1), None, False),
     ):
         rs = RootSystem(family, rank)
         W = rs.weyl()
         chain = chain_lex_height(rs, lam)
         assert (chain.exponent_bound >= chevalley.LIMIT) == checked
-        for w in ((0,) if rank == 1 else range(W.n)):
+        for w in ws or range(W.n):
             del calls[:]
-            got = chevalley_table(rs, lam, w, method="operator")
-            assert len(calls) == (len(chain) if checked else 0), (lam, w)
+            got = chevalley_operator(chain, w)
+            assert len(calls) == (1 if checked else 0), (lam, w)
             assert got == ref_operator(chain, w), (lam, w)
+            assert got == chevalley_table(rs, lam, w), (lam, w)
+    # a chain whose bound reaches 2^17 is refused before the loop; one
+    # just below it is walked and checked once
+    rs = RootSystem("A", 1)
+    rs.weyl()
+    chain = chain_lex_height(rs, (1,))
+    want = ref_operator(chain, 1)
+    monkeypatch.setattr(chain, "exponent_bound", 1 << 17)
+    with pytest.raises(ValueError):
+        chevalley_operator(chain, 1)
+    monkeypatch.setattr(chain, "exponent_bound", (1 << 17) - 1)
+    del calls[:]
+    assert chevalley_operator(chain, 1) == want and len(calls) == 1
 
 
 @pytest.mark.parametrize("rank,lam,word", [
@@ -274,18 +293,33 @@ def test_parabolic_diagonal():
         assert dict(t[w].terms()).get(W.act(w, RS.weight(lam))) is not None
 
 
-def test_positivity_structure():
-    chain = chain_lex_height(RS, (2, 1))
-    for w in range(W.n):
-        for u, mu, a, b in positivity_terms(chain, w):
-            assert a >= 0 and b >= 0
-            assert (W.length[w] - W.length[u] - b) % 2 == 0
+def test_positivity_structure(monkeypatch):
+    assert verify.case_positivity("A", 2, (2, 1)) is None
+    # one term's coefficient bent to -q^a (q - 1)^b leaves the shape; the
+    # run above memoised the key pairs of every coefficient the tables
+    # need, and the memo is dropped afterwards, so no table reads the
+    # bent coefficient
+    real = chevalley._term_coeff
+    bent = []
+
+    def bend(t, dl, odd, positive):
+        c = real(t, dl, odd, positive)
+        if t and not bent:
+            bent.append(c)
+            return -c
+        return c
+
+    monkeypatch.setattr(chevalley, "_term_coeff", bend)
+    try:
+        got = verify.case_positivity("A", 2, (2, 1))
+    finally:
+        chevalley._term_pairs.cache_clear()
+    assert bent and got.startswith("term q^") and "out of shape" in got, got
 
 
 def test_positivity_rejects_non_dominant():
-    chain = chain_lex_height(RS, (-1, 1))
-    with pytest.raises(ValueError):
-        positivity_terms(chain, W.w0)
+    assert (verify.case_positivity("A", 2, (-1, 1))
+            == "lambda (-1, 1) is not dominant")
 
 
 def test_cancellation_example_a3():

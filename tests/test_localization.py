@@ -3,6 +3,9 @@ reference operator, the right operator `dl_right` (and the affine Hecke
 operator of the stable layer as its conjugate by the star) and the right
 slice recursion of both localization oracles."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -240,6 +243,81 @@ def test_cell_recursion_makes_no_weyl_move(oracle):
     for w in range(o.W.n):
         o.cell_class(w)
     assert len(o._cells) == o.W.n
+
+
+def _canonical_prefixes(W, w):
+    word = W.word(w)
+    return {W.from_word(word[:k]) for k in range(len(word) + 1)}
+
+
+def _class_digest(F):
+    return hashlib.sha256(repr(sorted(
+        (x, sorted(f.c.items())) for x, f in F.items())).encode()).hexdigest()
+
+
+# sha256 of the slice and cell classes at w0, built before the climb
+# followed the canonical prefixes (by a search for the nearest class
+# already built)
+_W0_DIGESTS = {
+    ("KOracle", "B3"): (
+        "35c09efc4249c80506a2cdfa203fc1cfaf1c50996663e64c47994dcaac84dc8d",
+        "f44f6f5a8af5d1d2657df91d014da9083fb5a6d3c027f3bc38675d21699a2a39"),
+    ("KOracle", "G2"): (
+        "d8d98ba0d8c73b49ef4864ddcb929d59ebb5e5fd213eddd0f16e1548aaddf3a5",
+        "377ffdc3d27f408d825ad33983fe5c28b2d56d7aa0d2660c525cada01839db3f"),
+    ("CohOracle", "B3"): (
+        "3ab6b15070b330dbe4c294586c1e5a04848f5b04ec0daaa53a868a518d11713d",
+        "1e8f437c626a13f56c01021f319e788b9be92023895f72bf9e5678ac0c7057e7"),
+    ("CohOracle", "G2"): (
+        "41360b354f9a12841eb678937519b2e286f30f1e03f32e8fff9e1d929339a460",
+        "98a79d5c5f342f760abedceee0589c1ec70f0ed62faf538eb92d3d326d7a148e"),
+}
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+@pytest.mark.parametrize("oracle", [KOracle, CohOracle])
+def test_climb_builds_the_canonical_prefixes(label, oracle):
+    """On a fresh oracle, the slice class of w builds exactly the classes
+    of the prefixes of w's canonical word, one slice step each."""
+    rs = RootSystem(label[0], int(label[1]))
+    W = rs.weyl()
+    for w in (W.w0, W.order[W.n // 2], W.order[W.n - 2]):
+        o = oracle(rs)
+        steps = []
+        step = o._slice_step
+        o._slice_step = lambda i, Q: steps.append(i) or step(i, Q)
+        o.slice_class(w)
+        assert set(o._slices) == _canonical_prefixes(W, w), w
+        assert len(steps) == len(o._slices) - 1 == W.length[w]
+
+
+@pytest.mark.parametrize("label", ["B3", "G2"])
+@pytest.mark.parametrize("oracle", [KOracle, CohOracle])
+def test_climb_in_any_order_builds_the_same_classes(label, oracle):
+    """Slice and cell classes built in three seeded random orders equal
+    those built in W.order, and at w0 those pinned before the climb
+    followed the canonical prefixes; each slice step makes one new
+    class."""
+    rs = RootSystem(label[0], int(label[1]))
+    W = rs.weyl()
+    ref = oracle(rs)
+    slices = {w: ref.slice_class(w) for w in W.order}
+    cells = {w: ref.cell_class(w) for w in W.order}
+    assert (_class_digest(slices[W.w0]), _class_digest(cells[W.w0])) == (
+        _W0_DIGESTS[oracle.__name__, label])
+    for seed in range(3):
+        order = list(W.order)
+        random.Random(seed).shuffle(order)
+        o = oracle(rs)
+        steps = []
+        step = o._slice_step
+        o._slice_step = lambda i, Q: steps.append(i) or step(i, Q)
+        for w in order:
+            assert o.slice_class(w) == slices[w], (seed, w)
+            assert len(steps) == len(o._slices) - 1, (seed, w)
+        for w in order:
+            assert o.cell_class(w) == cells[w], (seed, w)
+        assert len(steps) == W.n - 1
 
 
 @pytest.mark.parametrize("label", LABELS)

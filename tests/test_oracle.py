@@ -128,8 +128,8 @@ def test_expand_product_pairing_method(oracle):
 
 @pytest.mark.parametrize("label", ["B2", "G2"])
 def test_expand_leaves_its_inputs(label):
-    """The solve subtracts in place into remainders copied on first
-    write: the input class and every cached cell class stay as they
+    """The solve subtracts in place into remainders copied from the
+    input once: the input class and every cached cell class stay as they
     were, also when the input is a cached cell class itself."""
     o = KOracle(RootSystem(label[0], int(label[1])))
     cells = [o.mc(w) for w in range(o.W.n)]
@@ -174,7 +174,7 @@ def test_parabolic_pushforward(oracle, parab, lam):
     # the two maximal parabolics of A2, B2 and G2
     for o in (oracle, KOracle(RootSystem("B", 2)),
               KOracle(RootSystem("G", 2))):
-        for w in o.parabolic_points(parab):
+        for w in o.W.min_coset_reps(parab):
             a = o.expand_product_parabolic(lam, w, parab)
             b = chevalley_parabolic(o.rs, lam, w, parab)
             for u in set(a) | set(b):
