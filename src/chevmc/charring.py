@@ -53,17 +53,34 @@ ordered remainder and no box.  Longer divisors, such as the solve's
 diagonals, take the long division (`_long_div`) inside the quotient's
 box.  A Weyl move (`GA.transform`) adds to each key only the packed
 columns of mat - 1 that are nonzero: one for a simple reflection.
+
+A v-line (`to_line`) is the same dict with v substituted by 2^SLOT:
+{k >> FIELD: sum_e c_e 2^(SLOT e)} over the weight keys, c_e the
+coefficient of v^e, e >= 0.  Its keys have the weight fields only, so
+they read as the keys of one rank less, and the kernel, `dot` and both
+divisions run on lines unchanged, one integer product per pair of
+weights (the localization solve and slice recursion, see localization.py).
+The substitution is a ring map, one-to-one on the polynomials whose
+coefficients lie in [-2^(SLOT-1), 2^(SLOT-1)); `from_line` and
+`line_max` read the coefficients back as the residues of the slots in
+that range, and `fits` raises ValueError on a bound that leaves it, so
+that a caller certifies each line it decodes.  A CohPoly has no v, so
+its line holds its plain int coefficients.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from bisect import bisect_left, insort
+from itertools import repeat
 
 FIELD = 20
 MASK = (1 << FIELD) - 1
 _HALF = 1 << (FIELD - 1)  # the bias of every field
 LIMIT = 1 << 13  # exponents lie in [-LIMIT, LIMIT)
 MAX_RANK = 15
+SLOT = 64  # the bits of one power of v in a v-line: 8, 16, 32 or 64
 
 
 def _layout(rank):
@@ -238,6 +255,73 @@ def _line_div(a, d, bias):
             else:
                 x = y - qc * c2
     return quot
+
+
+def to_line(c):
+    """The v-line of a coefficient dict whose v exponents are >= 0:
+    {k >> FIELD: sum_e c_e 2^(SLOT e)} over the weight keys, c_e the
+    coefficient of v^e (see the module docstring)."""
+    out = {}
+    for k, x in c.items():
+        e = (k & MASK) - _HALF
+        if e < 0:
+            raise ValueError("a v-line holds no negative power of v")
+        wk = k >> FIELD
+        s = out.get(wk, 0) + (x << SLOT * e)
+        if s:
+            out[wk] = s
+        else:
+            del out[wk]
+    return out
+
+
+_TYPECODES = {array(t).itemsize * 8: t for t in "qlihb"}
+
+
+def _slots(c):
+    """(n, slots): the lines of `c` as n slots each, in order, every slot
+    its coefficient c_e as a signed int.  Adding 2^(SLOT-1) to every
+    slot of a line carries nothing when each c_e lies in
+    [-2^(SLOT-1), 2^(SLOT-1)), and flipping the top bit of each slot
+    back leaves c_e in two's complement, so the bytes of the result are
+    the slots; n has room for every line's top coefficient and one slot
+    more.  SLOT is 8, 16, 32 or 64, the width of an array item."""
+    vals = c.values()
+    n = max(map(int.bit_length, map(abs, vals)), default=0) // SLOT + 2
+    # 2^(SLOT-1) in each of n slots
+    off = ((1 << SLOT * n) - 1) // ((1 << SLOT) - 1) << (SLOT - 1)
+    data = b"".join(map(int.to_bytes, map(off.__xor__, map(off.__add__, vals)),
+                        repeat(n * SLOT // 8), repeat(sys.byteorder)))
+    return n, array(_TYPECODES[SLOT], data)
+
+
+def line_max(c):
+    """The max norm of the polynomial whose v-line is `c` (see
+    `from_line`), read off the slots with no dict built."""
+    slots = _slots(c)[1].tolist()
+    return max(max(slots), -min(slots)) if slots else 0
+
+
+def from_line(c):
+    """(coefficient dict, l1 norm) of the polynomial whose v-line is `c`,
+    each c_e read as the residue of its slot in [-2^(SLOT-1),
+    2^(SLOT-1)): the polynomial of the line when all its coefficients
+    lie there (see `fits`).  The v exponents are not range-checked."""
+    n, slots = _slots(c)
+    keys = [(wk << FIELD) + _HALF for wk in c]
+    out = {}
+    for i, x in enumerate(slots):
+        if x:
+            out[keys[i // n] + i % n] = x
+    return out, sum(map(abs, out.values()))
+
+
+def fits(n):
+    """Raise ValueError unless a bound n on the coefficients of a
+    polynomial certifies that its v-line decodes to it: n < 2^(SLOT-1)."""
+    if n >> (SLOT - 1):
+        raise ValueError("coefficient bound %d reaches 2^%d of a v-line"
+                         % (n, SLOT - 1))
 
 
 def pack_columns(mat):

@@ -6,7 +6,9 @@ all of GA's arithmetic, exact division and rendering and supplies only
 the polynomial (not Laurent) exponent range, linear forms, the Weyl
 action and its monomial format.  On it sit a localization model of
 H_T*(G/B) (the shared core of localization.py with the cohomological
-Demazure-Lusztig operator), the left action of the degenerate affine
+Demazure-Lusztig operator; CohPoly has no v, so the lines of its slice
+recursion and solve hold plain int coefficients and need no
+certificate), the left action of the degenerate affine
 Hecke algebra (`t_left`, `t_w_times_x`, functions of the root system)
 with its commutation lemma, CSM classes of Schubert cells, and the
 first-Chern-class Chevalley formula
@@ -157,6 +159,7 @@ class CohOracle(Localization):
     """Localization model of H_T*(G/B) over the polynomial ring."""
 
     ring = CohPoly
+    packed = False  # no v: a line holds plain ints
 
     def _euler(self, mu):
         """-mu."""
@@ -187,8 +190,9 @@ class CohOracle(Localization):
     def expand_chern_product(self, lam_fund, w):
         """{u: coefficient} of c1(L_lambda) . csm(X(w)^o) in the CSM
         basis."""
-        return self._expand(self.mul(self.first_chern(lam_fund),
-                                     self.slice_class(w)), self.slice_class)
+        chern, _ = self._lines(self.first_chern(lam_fund))
+        lines, _ = self._slice_lines(w)
+        return self._expand((self.mul(chern, lines), None), self._slice_lines)
 
 
 # -- closed Chevalley formulas -----------------------------------------

@@ -22,7 +22,9 @@ The right operator T_i of Aluffi-Mihalcea-Schuermann-Su,
 cell(v s_i) when l(v s_i) > l(v), starting from the point class.  It
 gives the classes of the paper's left operators (the test reference
 `dl_left`) but is K_T(pt)-linear, so `dl_right` makes no Weyl move: the
-pair data of `_dr(i)` carry them all.  `cell_class` builds the full
+pair data of `_dr(i)` carry them all.  Those of a pair x < x s_i are
+functions of the root x(alpha_i) alone, so they are made once per
+positive root, on its first pair (`_root`).  `cell_class` builds the full
 classes with it.  In K-theory at y = -q, conjugated by the star
 e^mu -> e^{-mu}, which fixes scalars, it is the affine Hecke operator
 on stable envelopes (oracle.KOracle.hecke_T_on_stab).
@@ -52,10 +54,28 @@ ring-valued numerator class over one W-invariant constant, so its
 pairing is one more exact division by that constant.
 
 The ring arithmetic is fused (charring.GA.dot): a step forms its sums
-in one accumulator, and `integral` its whole Atiyah-Bott sum.  The
-triangular solve keeps its remainder as raw coefficient dicts, copied
-from F once at the start, so neither F nor the cached classes change;
-it subtracts g cell(v)|_x into them in place, with no product or
+in one accumulator, and `integral` its whole Atiyah-Bott sum.
+
+The slice recursion and the solve run on lines (`_lines`): each value
+is kept as its v-line (charring.to_line), one int per weight, so the
+same `dot`, `exact_div` and `_mul_into` multiply one integer per pair
+of weights; the right step is K_T(pt)-linear and its divisors are
+v-free.  In cohomology there is no v (`packed` false) and a line holds
+plain ints.  In K-theory every run certifies (charring.fits) that each
+line is its polynomial, all coefficients in [-2^(SLOT-1), 2^(SLOT-1)):
+v -> 2^SLOT is a ring map, one-to-one there, so a quotient q decoded
+from the integer quotient of a by d is a / d when every coefficient of
+q d - a lies there too.  Each slice part keeps its max
+norm; `_slice_step` bounds E D - (Q_x - b Q_{x s_i}) and Q'_x, and the
+solve bounds the remainder at x by the max norm of F|_x plus, over the
+pivots v so far, ||g_v||_1 times that of Q_{v,x}, the quotient at x
+counted once x has been a pivot; a bound that reaches 2^(SLOT-1)
+raises ValueError.  Only the coefficients g_v, and the parts that
+`slice_class` returns, are decoded.
+
+The triangular solve keeps its remainder as raw line dicts, copied from
+F once at the start, so neither F nor the cached classes change; it
+subtracts g cell(v)|_x into them in place, with no product or
 difference built, and passes each remainder through `_check` just
 before dividing it, so an exponent that left the range raises
 ValueError there rather than reaching a quotient.
@@ -63,7 +83,10 @@ ValueError there rather than reaching a quotient.
 
 from __future__ import annotations
 
-from .charring import _check, _mul_into, _wneg
+from .charring import (
+    FIELD, _HALF, _check, _mul_into, _wneg, fits, from_line, line_max,
+    to_line,
+)
 
 
 def _delta(x, f, d):
@@ -87,10 +110,12 @@ class Localization:
     """Localization model for one root system; caches are write-once.
 
     Subclasses set `ring` and define `_euler(mu)` for mu in fundamental
-    coordinates, the static `dl_coeffs(rs, i)` and `_act(w, g)`.
+    coordinates, the static `dl_coeffs(rs, i)` and `_act(w, g)`; a ring
+    without v sets `packed` false, so that its lines hold plain ints.
     """
 
     ring = None
+    packed = True  # lines pack the powers of v (see the module docstring)
 
     def __init__(self, rs):
         self.rs = rs
@@ -104,11 +129,11 @@ class Localization:
         self._unit = {
             b: self._den[b].exact_div(self._euler(b)) for b in self.pos_roots
         }
-        self._slices = {0: self.point_class()}
-        self._cells = dict(self._slices)
+        self._cells = {0: self.point_class()}
+        self._slices = {0: self._lines(self._cells[0])}
         self._opposite = {}
         self._stab, self._starred = {}, {}  # KOracle.stab, its stars
-        self._steps = {}
+        self._steps, self._roots = {}, {}
         self._ab = None
 
     def _one(self):
@@ -147,29 +172,56 @@ class Localization:
 
     # -- Demazure-Lusztig ----------------------------------------------
     def _dr(self, i):
-        """The data of the right steps for s_i, built once, with all their
-        Weyl moves: for (b, e, d) = `dl_coeffs(rs, i)`, b and the tuples
-        (x, x s_i, D, b x(v), e D, -e x(v), -e (x s_i)(v)) over the pairs
-        x < x s_i, with D = (x s_i)(d) and v = -s_i(d) / d (e^{alpha_i} in
-        K-theory, 1 in cohomology), so that s_i(v) = 1 / v."""
-        data = self._steps.get(i)
-        if data is None:
+        """The pairs x < x s_i of the right steps for s_i, built once, as
+        (x, x s_i, ring data, line data) with the data of the root beta =
+        x(alpha_i) (`_root`), made on its first pair for any i."""
+        pairs = self._steps.get(i)
+        if pairs is None:
             W = self.W
-            act = self._act
             b, e, d = self.dl_coeffs(self.rs, i)
-            v = (-act(W.from_word((i,)), d)).exact_div(d)
+            v = (-self._act(W.from_word((i,)), d)).exact_div(d)
             assert v is not None, "s_i(d) / d is not polynomial"
+            alpha = self.rs.weight(self.rs.simple_roots[i].fund)
+            right, length, act_key = W.right, W.length, W.act_key
+            roots = self._roots
             pairs = []
-            right, length = W.right, W.length
             for x in W.order:
                 xs = right[x][i]
                 if length[xs] > length[x]:
-                    D = act(xs, d)
-                    xv = act(x, v)
-                    pairs.append((x, xs, D, xv * b, D * e, xv * -e,
-                                  act(xs, v) * -e))
-            data = self._steps[i] = (b, pairs)
-        return data
+                    k = act_key(x, alpha)
+                    if k not in roots:
+                        roots[k] = self._root(b, e, d, v, x, xs)
+                    pairs.append((x, xs) + roots[k])
+            self._steps[i] = pairs
+        return pairs
+
+    def _root(self, b, e, d, v, x, xs):
+        """The data of the pairs x < x s_i with x(alpha_i) = beta, for (b,
+        e, d) = `dl_coeffs(rs, i)` and v = -s_i(d) / d (e^{alpha_i} in
+        K-theory, 1 in cohomology), so that s_i(v) = 1 / v.  b and e do
+        not depend on i, and d and v depend on it through alpha_i alone,
+        so with D = (x s_i)(d) these are functions of beta: the ring data
+        (D, b x(v), b, -e x(v), -e (x s_i)(v)) of `dl_right` and the line
+        data (D, -b, b x(v), e D, norms) of `_slice_step`, -b as an int
+        and, in a packed ring, norms the l1 norms of D, b, b x(v) and e D
+        for its certificate (else None)."""
+        act = self._act
+        D = act(xs, d)
+        xv = act(x, v)
+        bxv, eD = xv * b, D * e
+        ring = (D, bxv, b, xv * -e, act(xs, v) * -e)
+        if isinstance(b, int):
+            mb, b1 = -b, abs(b)
+        else:  # a Scalar: its line is one int at the weight key 0
+            mb, b1 = -to_line(b.c)[0], sum(map(abs, b.c.values()))
+        norms = None
+        if self.packed:
+            norms = (sum(map(abs, D.c.values())), b1,
+                     sum(map(abs, bxv.c.values())),
+                     sum(map(abs, eD.c.values())))
+        new = self.ring._new
+        return ring, (new(to_line(D.c)), mb, new(to_line(bxv.c)),
+                      new(to_line(eD.c)), norms)
 
     def dl_right(self, i, F):
         """F T_i for the right operator (see the module docstring).  On each
@@ -181,11 +233,10 @@ class Localization:
             (F T_i)|_{x s_i} = b Delta - e (x s_i)(v) F|_x:
 
         one exact division per pair and no Weyl move."""
-        b, pairs = self._dr(i)
         dot = self.ring.dot
         zero = self.ring()
         out = {}
-        for x, xs, D, bxv, _, exv, exsv in pairs:
+        for x, xs, (D, bxv, b, exv, exsv), _ in self._dr(i):
             if x not in F and xs not in F:
                 continue
             f = F.get(x, zero)
@@ -200,32 +251,46 @@ class Localization:
                 out[xs] = h
         return out
 
-    def _slice_step(self, i, Q):
+    def _slice_step(self, i, F):
         """The slice parts of F T_i from those of F = cell(w), l(w s_i) >
-        l(w).  With P_{x s_i} = P_x x(a) on each pair x < x s_i, the right
-        operator (see the module docstring) becomes
+        l(w), as lines with their norms (see `_lines`).  With P_{x s_i} =
+        P_x x(a) on each pair x < x s_i, the right operator (see the
+        module docstring) becomes
 
             Q'_{x s_i} = E = (Q_x - b Q_{x s_i}) / D,
             Q'_x = b x(v) E + e D Q_{x s_i},
 
         by a s_i(a) - b^2 = e d s_i(d): one exact division per pair."""
-        b, pairs = self._dr(i)
-        mb = -b
+        Q, N = F
         dot = self.ring.dot
         zero = self.ring()
         out = {}
-        for x, xs, D, bxv, eD, _, _ in pairs:
+        M = None if N is None else {}
+        for x, xs, _, (D, mb, bxv, eD, norms) in self._dr(i):
             if x not in Q and xs not in Q:
                 continue
             q = Q.get(xs, zero)
             E = dot(((1, Q.get(x, zero)), (mb, q))).exact_div(D)
             assert E is not None, "Demazure-Lusztig step is not polynomial"
+            g = dot(((bxv, E), (eD, q)))
+            if M is not None:
+                # the certificate: E is Q'_{x s_i} when every coefficient
+                # of E D - (Q_x - b Q_{x s_i}) lies below a slot, and g
+                # is the line of Q'_x when every coefficient of it does
+                d1, b1, bx1, ed1 = norms
+                nq = N.get(xs, 0)
+                e = line_max(E.c)
+                fits(e * d1 + N.get(x, 0) + b1 * nq)
+                fits(e * bx1 + ed1 * nq)
+                if E:
+                    M[xs] = e
+                if g:
+                    M[x] = line_max(g.c)
             if E:
                 out[xs] = E
-            g = dot(((bxv, E), (eD, q)))
             if g:
                 out[x] = g
-        return out
+        return out, M
 
     def _climb(self, cache, step, w):
         """cache[w], made by `step(i, F)` from F = cache[x], x = w s_i for
@@ -238,10 +303,16 @@ class Localization:
             cache[w] = step(i, self._climb(cache, step, self.W.right[w][i]))
         return cache[w]
 
+    def _slice_lines(self, w):
+        """The slice parts of cell(w) as lines with their norms, by the
+        slice step from the point class (P_id = 1)."""
+        return self._climb(self._slices, self._slice_step, w)
+
     def slice_class(self, w):
         """{x: Q} with cell(w)|_x = Q P_x: the slice parts of the class of
-        X(w)^o, by the slice step from the point class (P_id = 1)."""
-        return self._climb(self._slices, self._slice_step, w)
+        X(w)^o, decoded from their lines."""
+        return {x: self._decode(q)[0]
+                for x, q in self._slice_lines(w)[0].items()}
 
     def cell_class(self, w):
         """The class of the Schubert cell X(w)^o, by `dl_right` from the
@@ -303,34 +374,64 @@ class Localization:
     def pair(self, F, G):
         return self.integral(self.mul(F, G))
 
+    # -- lines ---------------------------------------------------------
+    def _lines(self, F):
+        """(lines, norms) of a class F: {x: the line of F|_x} and, in a
+        packed ring, {x: ||F|_x||_inf}, else None."""
+        new = self.ring._new
+        lines = {x: new(to_line(f.c)) for x, f in F.items()}
+        if not self.packed:
+            return lines, None
+        return lines, {x: max(map(abs, f.c.values())) for x, f in F.items()}
+
+    def _decode(self, g):
+        """(f, ||f||_1) for the ring element f whose line is g, the norm
+        None when lines hold plain ints; the range is checked."""
+        if not self.packed:
+            return self.ring._new(
+                {(k << FIELD) + _HALF: x for k, x in g.c.items()}), None
+        c, n1 = from_line(g.c)
+        _check(c, self.rank)
+        return self.ring._new(c), n1
+
     # -- expansion in the cell basis -----------------------------------
     def _expand(self, F, cell, points=None):
         """{u: coefficient} of F in the cell basis by a triangular solve
         from the top: once the cells above v are subtracted, the
-        coefficient at v is F|_v over the diagonal cell(v)|_v.  `cell`
+        coefficient at v is F|_v over the diagonal cell(v)|_v.  F and the
+        values of `cell` are (lines, norms) pairs (see `_lines`); `cell`
         maps a fixed point to its cell class (on G/P, the pushed-forward
         one; with F's slice parts, the slice parts), and `points` lists
         the fixed points in Bruhat-compatible order, all of W in its
-        `order` by default.
+        `order` by default.  The coefficients are decoded ring elements.
 
-        The remainders are copies of F's dicts, written in place (see the
-        module docstring), except at x = v: the exact division has shown
-        that rem[v] is g cell(v)|_v."""
+        The remainders are copies of F's line dicts, written in place (see
+        the module docstring), except at x = v: the exact division has
+        shown that rem[v] is g cell(v)|_v.  In a packed ring, bound[x]
+        bounds every coefficient of the remainder at x, with the
+        quotient at x itself once x has been a pivot, and `fits`
+        certifies each bound as it grows."""
         if points is None:
             points = self.W.order
         ring = self.ring
-        rank = self.rank
-        rem = {x: dict(f.c) for x, f in F.items()}
+        rank = self.rank - 1  # line keys hold the weight fields only
+        lines, norms = F
+        rem = {x: dict(f.c) for x, f in lines.items()}
+        bound = None if norms is None else dict(norms)
         out = {}
         for v in reversed(points):
             c = rem.pop(v, None)
             if not c:
                 continue
             _check(c, rank)
-            cv = cell(v)
+            cv, nv = cell(v)
             g = ring._new(c).exact_div(cv[v])
             assert g is not None, "non-polynomial Chevalley coefficient"
-            out[v] = g
+            out[v], g1 = self._decode(g)
+            if bound is not None:
+                for x, n in nv.items():
+                    bound[x] = b = bound.get(x, 0) + g1 * n
+                    fits(b)
             for x, f in cv.items():
                 if x != v:
                     _mul_into(rem.setdefault(x, {}), g.c, f.c, -1)

@@ -10,12 +10,17 @@ and on G/P.  Everything here is independent of the lambda-chain
 combinatorics, so agreement with the chain formulas is a genuine
 cross-check.
 
-Every value is a GA element (packed keys, see charring.py).  A line
-bundle multiplies each value by one monomial e^{x(lambda)}, a shift of
-its keys (`KOracle._twist`).  The Demazure-Lusztig steps (right, on MC
-classes and their slice parts, and in the affine Hecke action on stable
-envelopes, which is `dl_right` at y = -q conjugated by the star
-e^mu -> e^{-mu}) and the triangular solve are exact divisions,
+Every value is a GA element (packed keys, see charring.py); the slice
+parts of the MC classes, and the classes the solve reads and writes,
+are kept as their v-lines, GA elements on weight keys whose
+coefficients hold the coefficients of the powers of v in 64-bit slots,
+certified on every run (localization.py).  A line bundle multiplies
+each value by one monomial e^{x(lambda)}, a shift of its keys
+(`KOracle._twist`).
+The Demazure-Lusztig steps (right, on MC classes and their slice
+parts, and in the affine Hecke action on stable envelopes, which is
+`dl_right` at y = -q conjugated by the star e^mu -> e^{-mu}) and the
+triangular solve are exact divisions,
 and so is each genuine quotient, over a W-fixed denominator: the
 Atiyah-Bott sum and each coset of `pushforward` over root factors, and
 the Segre-type classes (`smc`, `mc_prime`) are a numerator class over
@@ -31,7 +36,7 @@ root system alone and build no oracle.  Only these use half powers of q
 
 from __future__ import annotations
 
-from .charring import GA, Scalar, _check, _pack, _wneg
+from .charring import FIELD, GA, Scalar, _check, _pack, _wneg
 from .alcove import chain_lex_height
 from .chevalley import chevalley_tables
 from .localization import Localization
@@ -167,23 +172,25 @@ class KOracle(Localization):
 
     # -- Chevalley expansion -------------------------------------------
     def _twist(self, lam_fund, F):
-        """L_lambda F: each F|_x shifted by the key offset of x(lambda),
-        range-checked; lambda is checked first, so no offset carries
-        across the packed fields."""
+        """L_lambda F for F as (lines, norms): each line shifted by the
+        weight key offset of x(lambda), range-checked, the norms kept;
+        lambda is checked first, so no offset carries across the packed
+        fields."""
         lam = self.rs.weight(lam_fund)
         _pack(lam)  # raises on a weight outside the packed range
+        lines, norms = F
         out = {}
-        for x, f in F.items():
-            s = self.W.act_key(x, lam)
+        for x, f in lines.items():
+            s = self.W.act_key(x, lam) >> FIELD
             out[x] = GA._new({k + s: a for k, a in f.c.items()})
-            _check(out[x].c, self.rank)
-        return out
+            _check(out[x].c, self.rank - 1)
+        return out, norms
 
     def expand_product(self, lam_fund, w):
         """{u: C^w_{u,lambda}} by expanding L_lambda (x) MC(X(w)^o) on
         slice parts."""
-        return self._expand(self._twist(lam_fund, self.slice_class(w)),
-                            self.slice_class)
+        return self._expand(self._twist(lam_fund, self._slice_lines(w)),
+                            self._slice_lines)
 
     # -- parabolic model -----------------------------------------------
     def pushforward(self, F, parabolic):
@@ -214,7 +221,8 @@ class KOracle(Localization):
         points = self.W.min_coset_reps(parabolic)
         if w not in points:
             raise ValueError("w must be a minimal coset representative")
-        cells = {x: self.pushforward(self.mc(x), parabolic) for x in points}
+        cells = {x: self._lines(self.pushforward(self.mc(x), parabolic))
+                 for x in points}
         return self._expand(self._twist(lam_fund, cells[w]),
                             cells.__getitem__, points)
 

@@ -9,7 +9,7 @@ from chevmc.alcove import (
 )
 from chevmc.charring import (
     FIELD, GA, LIMIT, MASK, Scalar, _BIAS, _HALF, _add_products, _check,
-    _pack, _rank, _wneg, _weight,
+    _mul_into, _pack, _rank, _wneg, _weight,
 )
 from chevmc.chevalley import _checked, _term_coeff, _term_pairs
 from chevmc.localization import _delta
@@ -428,3 +428,88 @@ def ref_chain_div(n, d):
     if not inside:
         _check(quot, r)
     return type(n)._new(quot)
+
+
+def ref_slice_step(o, i, Q):
+    """The slice parts of F T_i from those Q of F = cell(w), l(w s_i) >
+    l(w), on ring elements with full keys: for (b, e, d) =
+    `o.dl_coeffs(rs, i)` and v = -s_i(d) / d, on each pair x < x s_i,
+    with D = (x s_i)(d),
+
+        Q'_{x s_i} = E = (Q_x - b Q_{x s_i}) / D,
+        Q'_x = b x(v) E + e D Q_{x s_i},
+
+    every Weyl move made on the spot.  The reference that the line step
+    (`Localization._slice_step`) is checked against."""
+    W = o.W
+    b, e, d = o.dl_coeffs(o.rs, i)
+    v = (-o._act(W.from_word((i,)), d)).exact_div(d)
+    dot = o.ring.dot
+    zero = o.ring()
+    out = {}
+    for x in W.order:
+        xs = W.right[x][i]
+        if W.length[xs] < W.length[x] or (x not in Q and xs not in Q):
+            continue
+        D = o._act(xs, d)
+        q = Q.get(xs, zero)
+        E = dot(((1, Q.get(x, zero)), (-b, q))).exact_div(D)
+        assert E is not None, "Demazure-Lusztig step is not polynomial"
+        if E:
+            out[xs] = E
+        g = dot(((o._act(x, v) * b, E), (D * e, q)))
+        if g:
+            out[x] = g
+    return out
+
+
+def ref_slices(o):
+    """{w: slice parts of cell(w)} for every w by `ref_slice_step` from
+    the point class, along the canonical words."""
+    W = o.W
+    out = {0: o.point_class()}
+    for w in W.order[1:]:
+        i = W.word(w)[-1]
+        out[w] = ref_slice_step(o, i, out[W.right[w][i]])
+    return out
+
+
+def ref_expand(o, F, cell, points=None):
+    """{u: coefficient} of the ring-valued class F in the cell basis by
+    the triangular solve on full keys: at each v from the top, the
+    remainder at v over the diagonal cell(v)|_v, then g cell(v)|_x
+    subtracted from the remainders in place.
+
+    The reference that the line solve (`Localization._expand`) is checked
+    against."""
+    if points is None:
+        points = o.W.order
+    rem = {x: dict(f.c) for x, f in F.items()}
+    out = {}
+    for v in reversed(points):
+        c = rem.pop(v, None)
+        if not c:
+            continue
+        _check(c, o.rank)
+        cv = cell(v)
+        g = o.ring._new(c).exact_div(cv[v])
+        assert g is not None, "non-polynomial Chevalley coefficient"
+        out[v] = g
+        for x, f in cv.items():
+            if x != v:
+                _mul_into(rem.setdefault(x, {}), g.c, f.c, -1)
+    assert not any(rem.values()), "expansion left a remainder"
+    return out
+
+
+def solve_classes(o, F, cell, points=None):
+    """`o._expand` on a ring-valued class F and ring-valued cell classes
+    `cell`, each turned into lines once."""
+    lines = {}
+
+    def line_cell(v):
+        if v not in lines:
+            lines[v] = o._lines(cell(v))
+        return lines[v]
+
+    return o._expand(o._lines(F), line_cell, points)

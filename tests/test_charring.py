@@ -5,7 +5,10 @@ import signal
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevmc.charring import GA, LIMIT, Scalar
+from chevmc import charring
+from chevmc.charring import (
+    GA, LIMIT, Scalar, from_line, line_max, to_line,
+)
 from chevmc.csm import CohPoly
 from chevmc.rootsystem import RootSystem
 from conftest import ref_chain_div, ref_to_json
@@ -452,3 +455,47 @@ def test_exact_div_steep_lines_stay_apart():
     assert ref_chain_div(n, d) is None
     q = GA.term((263,), Scalar.v(-276))
     assert (q * d).exact_div(d) == q
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_line_round_trip(data):
+    """GA -> v-line -> GA is the identity, with the l1 norm, and
+    `line_max` reads the max norm, for v exponents 0..40 and
+    coefficients up to +-(2^63 - 1)."""
+    rank = data.draw(st.integers(1, 3))
+    big = 2 ** 63 - 1
+    terms = data.draw(st.dictionaries(st.tuples(
+        st.tuples(*[st.integers(-5, 5)] * rank), st.integers(0, 40)),
+        st.integers(-big, big), max_size=12))
+    g = GA((w, Scalar({e: x})) for (w, e), x in terms.items())
+    line = to_line(g.c)
+    c, n1 = from_line(line)
+    assert c == g.c
+    assert n1 == sum(map(abs, g.c.values()))
+    assert line_max(line) == max(map(abs, g.c.values()), default=0)
+
+
+def test_line_refuses_negative_powers_of_v():
+    with pytest.raises(ValueError):
+        to_line(GA.term((0, 0), Scalar.v(-1)).c)
+
+
+def test_narrow_slots_are_refused(monkeypatch):
+    """With 8-bit slots the certificate cannot bound the B2 expansion at
+    2 rho and w0 below 2^7, nor the B3 one, whose decoded coefficients
+    differ from the chain table when the bounds are not checked, so both
+    raise ValueError; with 64-bit slots the B2 one equals the chain
+    table."""
+    from chevmc.chevalley import chevalley_table
+    from chevmc.oracle import KOracle
+
+    b2, b3 = RootSystem("B", 2), RootSystem("B", 3)
+    w0 = b2.weyl().w0
+    assert KOracle(b2).expand_product((2, 2), w0) == chevalley_table(
+        b2, (2, 2), w0, sign=1)
+    monkeypatch.setattr(charring, "SLOT", 8)
+    with pytest.raises(ValueError):
+        KOracle(b2).expand_product((2, 2), w0)
+    with pytest.raises(ValueError):
+        KOracle(b3).expand_product((2, 2, 2), b3.weyl().w0)

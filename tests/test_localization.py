@@ -15,7 +15,7 @@ from chevmc.localization import dl_step
 from chevmc.oracle import KOracle
 from chevmc.rootsystem import RootSystem
 from chevmc.specialfn import dl_coeffs
-from conftest import dl_left
+from conftest import dl_left, ref_expand, ref_slices, solve_classes
 
 LABELS = ("A2", "B2", "G2", "A3")
 TYPES = {label: RootSystem(label[0], int(label[1])) for label in LABELS}
@@ -359,7 +359,7 @@ def _expand_product(o, lam, w):
 def _full_solve(o, lam, w):
     """The same expansion by the solve on the full cell classes."""
     G = o.line_bundle(lam) if isinstance(o, KOracle) else o.first_chern(lam)
-    return o._expand(o.mul(G, o.cell_class(w)), o.cell_class)
+    return solve_classes(o, o.mul(G, o.cell_class(w)), o.cell_class)
 
 
 def _weights(rank):
@@ -378,6 +378,56 @@ def test_slice_solve_is_the_full_solve(label, oracle):
         for w in range(o.W.n):
             assert _expand_product(o, lam, w) == _full_solve(o, lam, w), (
                 label, lam, w)
+
+
+def _keyed(F):
+    return {x: (type(f), f.c) for x, f in F.items()}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+@pytest.mark.parametrize("oracle", [KOracle, CohOracle])
+def test_line_recursion_and_solve_are_the_references(label, oracle):
+    """Every slice class built on lines, and every expansion at varpi_1,
+    -varpi_1 and rho solved on lines, equals key for key the reference
+    step and solve on full keys (`ref_slices`, `ref_expand`)."""
+    rs = RootSystem(label[0], int(label[1]))
+    o = oracle(rs)
+    W = o.W
+    ref = ref_slices(o)
+    for w in W.order:
+        assert _keyed(o.slice_class(w)) == _keyed(ref[w]), (label, w)
+    for lam in _weights(o.rank):
+        G = (o.line_bundle(lam) if oracle is KOracle
+             else o.first_chern(lam))
+        for w in W.order:
+            want = ref_expand(o, o.mul(G, ref[w]), ref.__getitem__)
+            assert _keyed(_expand_product(o, lam, w)) == _keyed(want), (
+                label, lam, w)
+
+
+def test_slice_step_certificate(monkeypatch):
+    """The slice step is K_T(pt)-linear: from 100 times the point class
+    it builds 100 times every slice class of B2, but with 8-bit slots its
+    quotients and sums are no longer bounded below 2^7, and it raises
+    ValueError rather than store a line it cannot decode."""
+    from chevmc import charring
+
+    rs = TYPES["B2"]
+    W = rs.weyl()
+    want = {w: KOracle(rs).slice_class(w) for w in W.order}
+
+    def scaled():
+        o = KOracle(rs)
+        o._slices = {0: o._lines({0: o.point_class()[0] * 100})}
+        return o
+
+    o = scaled()
+    for w in W.order:
+        assert o.slice_class(w) == {x: f * 100 for x, f in want[w].items()}
+    monkeypatch.setattr(charring, "SLOT", 8)
+    o = scaled()
+    with pytest.raises(ValueError):
+        o.slice_class(W.w0)
 
 
 @pytest.mark.parametrize("oracle", [KOracle, CohOracle])
@@ -416,7 +466,9 @@ def test_a_changed_slice_part_is_caught(oracle):
         o = oracle(rs)
         for w in range(W.n):
             o.slice_class(w)
-        Q = dict(o._slices[v])
-        Q[x] = Q[x] + mono if Q[x] + mono else Q[x] - mono
-        o._slices[v] = Q
+        Q, N = o._slices[v]
+        Q = dict(Q)
+        m = o._lines({0: mono})[0][0]
+        Q[x] = Q[x] + m if Q[x] + m else Q[x] - m
+        o._slices[v] = (Q, N)
         assert caught(o), (v, x)

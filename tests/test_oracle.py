@@ -10,7 +10,7 @@ from chevmc.oracle import KOracle, shift_matrix, wall_cross_path
 from chevmc.chevalley import chevalley_table, chevalley_parabolic
 from chevmc.specialfn import weyl_character
 from chevmc.verify import case_stable
-from conftest import dl_left
+from conftest import dl_left, ref_expand, solve_classes
 
 RS = RootSystem("A", 2)
 W = RS.weyl()
@@ -129,20 +129,28 @@ def test_expand_product_pairing_method(oracle):
 @pytest.mark.parametrize("label", ["B2", "G2"])
 def test_expand_leaves_its_inputs(label):
     """The solve subtracts in place into remainders copied from the
-    input once: the input class and every cached cell class stay as they
-    were, also when the input is a cached cell class itself."""
+    input once: the input class and every cached cell and slice class
+    stay as they were, also when the input is a cached class itself."""
     o = KOracle(RootSystem(label[0], int(label[1])))
     cells = [o.mc(w) for w in range(o.W.n)]
+    slices = [o._slice_lines(w) for w in range(o.W.n)]
     before = copy.deepcopy(cells)
+    slices_before = copy.deepcopy(slices)
     for w in range(o.W.n):
         for lam in ((1, 1), (-1, 0)):
-            F = o.mul(o.line_bundle(lam), o.mc(w))
+            F = o._lines(o.mul(o.line_bundle(lam), o.mc(w)))
             F0 = copy.deepcopy(F)
-            assert o.expand_product(lam, w) == o._expand(F, o.cell_class)
+            assert o.expand_product(lam, w) == o._expand(
+                F, lambda v: o._lines(o.cell_class(v)))
             assert F == F0
-        assert o._expand(o.mc(w), o.cell_class) == {w: GA.const(1, 2)}
+        assert solve_classes(o, o.mc(w), o.cell_class) == {
+            w: GA.const(1, 2)}
+        assert o._expand(o._slice_lines(w), o._slice_lines) == {
+            w: GA.const(1, 2)}
     assert cells == before
+    assert slices == slices_before
     assert all(o.mc(w) is cells[w] for w in range(o.W.n))
+    assert all(o._slice_lines(w) is slices[w] for w in range(o.W.n))
 
 
 def test_expand_raises_on_out_of_range_remainder():
@@ -166,7 +174,7 @@ def test_expand_raises_on_out_of_range_remainder():
             pass
     assert v in F and x not in F
     with pytest.raises(ValueError):
-        o._expand(F, o.cell_class)
+        solve_classes(o, F, o.cell_class)
 
 
 @pytest.mark.parametrize("parab,lam", [((1,), (2, 0)), ((0,), (0, 1))])
@@ -179,6 +187,26 @@ def test_parabolic_pushforward(oracle, parab, lam):
             b = chevalley_parabolic(o.rs, lam, w, parab)
             for u in set(a) | set(b):
                 assert a.get(u, GA()) == b.get(u, GA()), (o.rs, parab, w, u)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_parabolic_solve_is_the_reference(label):
+    """expand_product_parabolic, on lines, equals key for key the
+    reference solve on full keys against the pushed-forward cells, at
+    +-varpi_j and 2 varpi_j on both maximal parabolics."""
+    o = KOracle(RootSystem(label[0], int(label[1])))
+    for parab, j in (((1,), 0), ((0,), 1)):
+        points = o.W.min_coset_reps(parab)
+        cells = {x: o.pushforward(o.mc(x), parab) for x in points}
+        for c in (1, -1, 2):
+            lam = tuple(c * (i == j) for i in range(2))
+            G = o.line_bundle(lam)
+            for w in points:
+                got = o.expand_product_parabolic(lam, w, parab)
+                want = ref_expand(o, o.mul(G, cells[w]), cells.__getitem__,
+                                  points)
+                assert {u: g.c for u, g in got.items()} == {
+                    u: g.c for u, g in want.items()}, (label, parab, lam, w)
 
 
 def test_star_identity(oracle):
