@@ -10,19 +10,22 @@ highest short root).  Each word for v_{-lambda} yields a lambda-chain
 of roots beta_1..beta_l with separating hyperplanes H_{-beta_j, d_j};
 the chains drive every transition and Chevalley formula downstream.
 
-Those formulas sum over subsets J of chain positions.  descent_subsets
-finds them for one starting element in one iterative depth-first pass
-(an explicit stack, so a chain of any length fits) that carries, next
-to the Weyl element reached, the translation part of the composed
-affine reflections as a packed key offset (see charring) and the parity
-of the negative roots taken, so each subset's weight key and sign are
-read off without replaying the reflections (the incremental alcove walk
-of Lenart-Postnikov).  It is the walk of a single-w table and of every
-caller that needs each J; the tables of many w, and the weighted sums
-behind H_lambda, the Hall-Littlewood chain formulas and the Whittaker
-functions, are summed without listing the J, by a backward pass over
-the same LambdaChain.steps (chevalley.chevalley_tables picks one or
-the other; chevalley.chevalley_sum always takes the pass).
+Those formulas sum over subsets J of chain positions, scanned in one
+of two ways: the walls h_j in ascending j (+lambda) or the far walls,
+those of the reversed chain, in descending j (-lambda); a LambdaChain
+keeps just these two scans.  descent_subsets finds the J for one
+starting element in one iterative depth-first pass (an explicit stack,
+so a chain of any length fits) that carries, next to the Weyl element
+reached, |J|, the translation part of the composed affine reflections
+as a packed key offset (see charring) and the parity of the negative
+roots taken, so each subset's weight key and sign are read off without
+replaying the reflections (the incremental alcove walk of
+Lenart-Postnikov).  It is the walk of a single-w table; the tables of
+many w, and the weighted sums behind H_lambda, the Hall-Littlewood
+chain formulas and the Whittaker functions, are summed without listing
+the J, by a backward pass over the same LambdaChain.steps
+(chevalley.chevalley_tables picks one or the other;
+chevalley.chevalley_sum always takes the pass).
 chain_lex_height builds each chain once per root system and weight;
 chains are immutable and shared.
 
@@ -38,23 +41,6 @@ from fractions import Fraction
 from functools import cached_property
 
 from .rootsystem import RootSystem
-
-
-class Hyperplane:
-    """H_{alpha,k} = {x : <x, alpha^vee> = k}, stored with alpha > 0.
-
-    H_{alpha,k} and H_{-alpha,-k} are the same hyperplane; the canonical
-    form keeps the positive root.
-    """
-
-    __slots__ = ("root", "level")
-
-    def __init__(self, rs: RootSystem, root, level):
-        if not root.positive:
-            root = rs.root_by_simple(tuple(-c for c in root.simple))
-            level = -level
-        self.root = root
-        self.level = level
 
 
 def _walls(rs):
@@ -77,56 +63,51 @@ def _in_alcove(rs, walls, p):
 
 class LambdaChain:
     """A lambda-chain beta_1..beta_l with separating hyperplanes
-    h_j = H_{-beta_j, d_j}; the walls h'_j of the reversed chain are
-    computed with them."""
+    h_j = H_{-beta_j, d_j}, kept as the two scans every route reads.
 
-    def __init__(self, rs, lam_fund, betas, levels, word, reduced):
+    steps(True) lists the walls h_j in ascending j, steps(False) the far
+    walls H_{beta_j, <lambda, beta_j^vee> - d_j} (beta_j's wall seen
+    from A - lambda, the walls of the reversed chain) in descending j.
+    A position is (a, kh, odd, c) for its wall H_{alpha_a,k} written
+    with alpha_a > 0 (so k changes sign where beta_j < 0): kh = k h,
+    odd = beta_j < 0 and c = <rho, alpha_a^vee>."""
+
+    def __init__(self, rs, lam_fund, betas, levels, reduced):
         self.rs = rs
         self.lam_fund = tuple(lam_fund)
         self.lam = rs.weight(lam_fund)
         self.betas = tuple(betas)      # Root objects, signs allowed
         self.levels = tuple(levels)    # d_j with hyperplane H_{-beta_j, d_j}
-        self.word = tuple(word)
         self.reduced = reduced
-        # H_{-beta_j, d_j} = H_{beta_j, -d_j}, and beta_j's wall seen from
-        # A - lambda: H_{beta_j, <lambda, beta_j^vee> - d_j}
-        self.walls = tuple(Hyperplane(rs, b, -d) for b, d in zip(betas, levels))
-        self.far_levels = tuple(
-            rs.pairing(lam_fund, b) - d for b, d in zip(betas, levels)
-        )
-        self.far_walls = tuple(
-            Hyperplane(rs, b, k) for b, k in zip(betas, self.far_levels)
-        )
-        self._steps, self._lam_keys, self._descents = {}, {}, {}
+        near, far = [], []
+        for b, d in zip(self.betas, self.levels):
+            odd = not b.positive
+            a = rs.root_by_simple(tuple(-x for x in b.simple)) if odd else b
+            s, c = -rs.h if odd else rs.h, a.coheight()
+            near.append((a.index, -d * s, odd, c))
+            far.append((a.index, (rs.pairing(lam_fund, b) - d) * s, odd, c))
+        self._scans = tuple(far[::-1]), tuple(near)
+        self._descents = []
+        for scan in self._scans:
+            at = {}
+            for pos, st in enumerate(scan):
+                at[st[0]] = at.get(st[0], 0) | 1 << pos
+            self._descents.append(({}, list(at.items())))
+        self._lam_keys = {}
 
     def __len__(self):
         return len(self.betas)
 
-    def steps(self, ascending, far):
-        """The positions in scan order as (j, a, kh, odd, c), once per
-        direction and wall list (far_walls if far, else walls): walls[j-1]
-        = H_{alpha_a,k}, kh = k h, odd = beta_j < 0, c = <rho, alpha^vee>."""
-        memo = (ascending, far)
-        if memo not in self._steps:
-            order = range(len(self))
-            walls = self.far_walls if far else self.walls
-            self._steps[memo] = [
-                (j + 1, walls[j].root.index, walls[j].level * self.rs.h,
-                 not self.betas[j].positive, walls[j].root.coheight())
-                for j in (order if ascending else reversed(order))]
-        return self._steps[memo]
+    def steps(self, ascending):
+        """The positions as (a, kh, odd, c): the walls h_j in ascending
+        j, or else the far walls in descending j."""
+        return self._scans[ascending]
 
-    def descents(self, ascending, far):
-        """({u: the bitmask of the positions of steps(ascending, far) at
-        which u descends}, [(a, the bits of the positions whose root is
+    def descents(self, ascending):
+        """({u: the bitmask of the positions of steps(ascending) at which
+        u descends}, [(a, the bits of the positions whose root is
         alpha_a)]); descent_subsets fills each mask on first use."""
-        memo = (ascending, far)
-        if memo not in self._descents:
-            at = {}
-            for pos, (_, a, _, _, _) in enumerate(self.steps(ascending, far)):
-                at[a] = at.get(a, 0) | 1 << pos
-            self._descents[memo] = {}, list(at.items())
-        return self._descents[memo]
+        return self._descents[ascending]
 
     @cached_property
     def exponent_bound(self):
@@ -140,7 +121,7 @@ class LambdaChain:
         output only when the bound reaches charring.LIMIT."""
         rs = self.rs
         R = max(abs(c) for rt in rs.positive_roots for c in rt.fund)
-        return max(R * sum(1 + st[4] for st in self.steps(True, False)),
+        return max(R * sum(1 + st[3] for st in self.steps(True)),
                    2 * rs.n_positive())
 
     def lam_key(self, u):
@@ -148,10 +129,6 @@ class LambdaChain:
         if u not in self._lam_keys:
             self._lam_keys[u] = self.rs.lazy_weyl().act_key(u, self.lam)
         return self._lam_keys[u]
-
-    def reversed_hyperplane(self, j):
-        """h'_j = H_{beta_{l+1-j}, <lambda, beta^vee_{l+1-j}> - d_{l+1-j}}."""
-        return self.far_walls[len(self) - j]
 
     def render(self):
         out = []
@@ -165,18 +142,17 @@ class LambdaChain:
         return "[" + ", ".join(out) + "]"
 
     def to_json(self):
-        return [
-            {"beta": list(b.simple), "level": d}
-            for b, d in zip(self.betas, self.levels)
-        ]
+        return [{"beta": list(b.simple), "level": d}
+                for b, d in zip(self.betas, self.levels)]
 
 
-def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
+def chain_from_word(rs: RootSystem, lam_fund, word):
     """Build the lambda-chain of an affine word for v_{-lambda}.
 
     `word` uses letters 0..r-1 for s_1..s_r and -1 (or r) for s_0.
     The path endpoint is verified against lambda; a letter outside
-    -1..r or a word that does not map A to A - lambda raises ValueError.
+    -1..r or a word that does not map A to A - lambda raises ValueError;
+    a word longer than l(v_{-lambda}) builds a chain with reduced False.
     The prefixes make only the Weyl elements they reach, so any rank the
     root system accepts works.
     """
@@ -211,18 +187,15 @@ def chain_from_word(rs: RootSystem, lam_fund, word, require_reduced=True):
         else:
             wcur = W.step(wcur, i)
     # l(v_{-lambda}) counts the hyperplanes separating A from A - lambda
-    reduced = len(word) == sum(
-        abs(rs.pairing(lam_fund, rt)) for rt in rs.positive_roots
-    )
-    chain = LambdaChain(rs, lam_fund, betas, levels, word, reduced)
+    reduced = len(word) == sum(abs(rs.pairing(lam_fund, rt))
+                               for rt in rs.positive_roots)
+    chain = LambdaChain(rs, lam_fund, betas, levels, reduced)
     try:
         _validate_chain(chain)
     except AssertionError:
         raise ValueError(
             "word does not map the fundamental alcove to A-lambda"
         ) from None
-    if require_reduced and not reduced:
-        raise ValueError("word is not reduced")
     return chain
 
 
@@ -261,9 +234,8 @@ def _lex_chain(rs, lam_fund):
             # beta = -alpha when k > 0
             entries.append((height, beta, abs(k)))
     entries.sort(key=lambda e: e[0])
-    betas = [e[1] for e in entries]
-    levels = [e[2] for e in entries]
-    chain = LambdaChain(rs, lam_fund, betas, levels, (), True)
+    chain = LambdaChain(rs, lam_fund, [e[1] for e in entries],
+                        [e[2] for e in entries], True)
     _validate_chain(chain)
     return chain
 
@@ -274,41 +246,40 @@ def _validate_chain(chain):
     rs = chain.rs
     S = _scale(rs)
     p = (S - 1,) * rs.rank
-    for h in chain.walls:
-        p = rs.affine_reflect(p, h.root, h.level * S)
+    for a, kh, _odd, _c in chain.steps(True):
+        p = rs.affine_reflect(p, rs.positive_roots[a], kh * (S // rs.h))
     p = tuple(c + S * x for c, x in zip(p, chain.lam))
     if not _in_alcove(rs, _walls(rs), p):
         raise AssertionError("chain reflections do not reach A - lambda")
 
 
-def descent_subsets(chain: LambdaChain, w, ascending, far):
-    """All (u, J, B, odd) with J a sorted tuple of chain positions along
-    which w descends: scanning the positions in the given direction,
-    each position j in J right-multiplies by r_{h_j} and lowers the
-    length; u is the element reached, and odd whether an odd number of
-    the roots beta_j, j in J, is negative.
+def descent_subsets(chain: LambdaChain, w, ascending):
+    """All (u, t, B, odd) for the subsets J of chain positions along
+    which w descends: scanning chain.steps(ascending), each position of
+    J right-multiplies by the reflection in its wall and lowers the
+    length; u is the element reached, t = |J|, and odd whether an odd
+    number of the roots beta_j, j in J, is negative.
 
     B is the translation the walk picks up, as a packed key offset
-    (WeylGroup.act_key).  With walls chain.far_walls if far, else
-    chain.walls, and H_{alpha,k} their j-th entry, choosing j adds
-    cur(k alpha), cur being the element reached just before j; cur's
-    images give its key and whether cur descends at j.  So if j(1), ...,
-    j(t) are the positions of J in scan order and r_j is the affine
-    reflection in walls[j-1],
+    (WeylGroup.act_key).  With H_{alpha,k} the wall of a position,
+    choosing it adds cur(k alpha), cur being the element reached just
+    before it; cur's images give its key and whether cur descends
+    there.  So if r_1, ..., r_t are the affine reflections in the walls
+    of J in scan order,
 
-        w r_{j(1)} ... r_{j(t)} (x) = u(x) + B.
+        w r_1 ... r_t (x) = u(x) + B.
 
     The open branches sit on a stack, not the call stack, listed in the
     order of the recursion that skips a position before taking it; a
     node's positions are the set bits of its mask (chain.descents).
     """
     W = chain.rs.lazy_weyl()
-    steps = chain.steps(ascending, far)
-    masks, at = chain.descents(ascending, far)
+    steps = chain.steps(ascending)
+    masks, at = chain.descents(ascending)
     n, images, mul_refl, keys = W.npos, W.images, W.mul_refl, W.root_keys
-    out, stack = [], [(0, w, (), 0, False)]
+    out, stack = [], [(0, w, 0, 0, False)]
     while stack:
-        i, cur, J, B, odd = stack.pop()
+        i, cur, t, B, odd = stack.pop()
         m = masks.get(cur)
         if m is None:
             img = images(cur)
@@ -319,8 +290,8 @@ def descent_subsets(chain: LambdaChain, w, ascending, far):
             while m:
                 pos = (m & -m).bit_length() - 1
                 m &= m - 1
-                j, a, kh, neg, _ = steps[pos]
-                stack.append((pos + 1, mul_refl(cur, a), J + (j,),
+                a, kh, neg, _ = steps[pos]
+                stack.append((pos + 1, mul_refl(cur, a), t + 1,
                               B + kh * keys[img[a]], odd ^ neg))
-        out.append((cur, J if ascending else J[::-1], B, odd))
+        out.append((cur, t, B, odd))
     return out

@@ -17,12 +17,13 @@ chevalley_tables is the one entry point for tables, and
 chevalley_table its one-w case.  It range-checks lambda ahead of every
 route, takes the lambda = 0 shortcut, builds the lex lambda-chain when
 none is given and picks how the chain route runs: one w walks its
-subsets depth first (chevalley_chain, one product per coefficient),
-two or more share one backward pass over (chain position, element)
-(_chain_pass), which sums each chain suffix once per element; the two
-agree key for key.  chevalley_sum runs the same pass for sum_w sum_u
-q^{l(u)} C^w_{u,lambda} with one dict per element (specialfn's
-H_lambda, HL and Whittaker sums).  The operator and bridge routes run
+subsets J depth first, each read as its u, key, t = |J| and sign
+(chevalley_chain, one product per coefficient), two or more share one
+backward pass over (chain position, element) (_chain_pass), which sums
+each chain suffix once per element; the two agree key for key.
+chevalley_sum runs the same pass for sum_w sum_u q^{l(u)}
+C^w_{u,lambda} with one dict per element (specialfn's H_lambda, HL and
+Whittaker sums).  The operator and bridge routes run
 one w at a time; the operator route makes one move per chain position,
 E^beta a key offset per element and E^{<rho,beta^vee> beta} B_beta one
 product per descent, refuses a chain whose exponent_bound reaches 2^17
@@ -65,11 +66,11 @@ def _term_pairs(t, dl, odd, positive):
 
 
 def _leaves(chain, w, sign):
-    """(u, J, key, t, dl, odd) for every term of the chain formula, key
+    """(u, key, t, dl, odd) for every term of the chain formula, key
     the packed key of e^mu (v exponent 0): +-key(u(lambda)) - B over the
     translation B of the walk.  The coefficient is _term_coeff(t, dl,
-    odd, sign > 0): t = |J|, dl = l(w) - l(u) - t, odd read off the
-    walk.  The weights mu lie in the convex hull of W lambda, so with
+    odd, sign > 0): t = |J| and odd read off the walk, dl = l(w) - l(u)
+    - t.  The weights mu lie in the convex hull of W lambda, so with
     lambda in range (as chevalley_tables checks; Weyl row sums below 64,
     see charring.pack_columns) a range check of the keys is exact."""
     rs = chain.rs
@@ -77,16 +78,16 @@ def _leaves(chain, w, sign):
     positive = sign > 0
     bias = _BIAS[rs.rank]
     lw = length[w]
-    for u, J, B, odd in descent_subsets(chain, w, positive, not positive):
-        t = len(J)
+    for u, t, B, odd in descent_subsets(chain, w, positive):
         dl = lw - length[u] - t
         assert dl % 2 == 0, "parity failure in the Chevalley formula"
         lk = chain.lam_key(u)
-        yield u, J, (bias + lk if positive else bias - lk) - B, t, dl, odd
+        yield u, (bias + lk if positive else bias - lk) - B, t, dl, odd
 
 
 def chevalley_terms(chain, w, sign):
-    """All terms of the chain formula: list of (u, J, mu_fine, coeff).
+    """All terms of the chain formula: list of (u, t, mu_fine, coeff),
+    one per subset J of chain positions, t = |J|.
 
     sign=+1 (coefficient of L_{+lambda}): the J> condition, i.e. the
     descent from w multiplies r_{h_j} with j ascending, and
@@ -96,8 +97,8 @@ def chevalley_terms(chain, w, sign):
     the reversed chain.
     """
     r = chain.rs.rank
-    return [(u, J, _weight(key, r), _term_coeff(t, dl, odd, sign > 0))
-            for u, J, key, t, dl, odd in _leaves(chain, w, sign)]
+    return [(u, t, _weight(key, r), _term_coeff(t, dl, odd, sign > 0))
+            for u, key, t, dl, odd in _leaves(chain, w, sign)]
 
 
 def _checked(by_u, rank):
@@ -112,7 +113,7 @@ def chevalley_chain(chain, w, sign):
     term keys of each (u, t, dl, odd) are counted, then multiplied."""
     positive = sign > 0
     groups = {}
-    for u, _J, key, t, dl, odd in _leaves(chain, w, sign):
+    for u, key, t, dl, odd in _leaves(chain, w, sign):
         g = groups.setdefault((u, t, dl, odd), {})
         g[key] = g.get(key, 0) + 1
     by_u = {}
@@ -154,7 +155,7 @@ def _chain_pass(chain, ws, sign, seed=None):
     # per step: the (x, x r_i, key pairs of c_i(x) e^{-x(k beta)}) of
     # the elements x that descend, and the elements first reached after it
     moves, born = [], []
-    for _j, a, kh, odd, _c in chain.steps(positive, not positive):
+    for a, kh, odd, _c in chain.steps(positive):
         here, new = [], {}
         for x in reached:
             b = images(x)[a]
@@ -278,7 +279,7 @@ def chevalley_operator(chain, w):
     n, length, images, mul_refl, keys = (W.npos, W.length, W.images,
                                          W.mul_refl, W.root_keys)
     state, offset = {w: {_BIAS[r]: 1}}, {w: 0}
-    for _j, a, _kh, neg, ch in chain.steps(True, False):
+    for a, _kh, neg, ch in chain.steps(True):
         down = []
         for u in state:
             b = images(u)[a]

@@ -283,8 +283,7 @@ def _cmd_chevalley(args, out):
         raise CliError("epsilon coordinates exist only in type A")
     chain = None
     if args.word is not None:
-        chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
-                                require_reduced=False)
+        chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word))
     cache_dir = args.cache_dir or default_cache_dir()
     words = {wv: W.word_str(wv) for wv in ws}
     keys = {
@@ -332,8 +331,7 @@ def _cmd_hecke(args, out):
 def _cmd_chain(args, out):
     rs, lam = args.rs, args.lam
     if args.word is not None:
-        chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word),
-                                require_reduced=False)
+        chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word))
     else:
         chain = chain_lex_height(rs, lam)
     _emit(args, out, chain.render, reduced=chain.reduced,

@@ -278,15 +278,15 @@ def wall_cross_path(rs, lam_fund):
     A+lambda read off a reduced lambda-chain."""
     W = rs.weyl()
     chain = chain_lex_height(rs, lam_fund)
-    walls = [chain.reversed_hyperplane(j) for j in range(1, len(chain) + 1)]
     # M_j expands the stab basis of the j-th alcove on the path in
     # the final basis; start at the far end with the identity.
     m = {w: {w: GA.const(1, rs.rank)} for w in range(W.n)}
-    for h in reversed(walls):
+    for a, kh, _odd, _c in reversed(chain.steps(False)):
+        root, level = rs.positive_roots[a], kh // rs.h
         nxt = {}
         for w in range(W.n):
             pairs = {}
-            for x, c in wall_cross(rs, h.root, h.level, w).items():
+            for x, c in wall_cross(rs, root, level, w).items():
                 for z, d in m[x].items():
                     pairs.setdefault(z, []).append((c, d))
             sums = ((z, GA.dot(ps)) for z, ps in pairs.items())

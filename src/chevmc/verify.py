@@ -241,8 +241,7 @@ def case_positivity(family, rank, lam):
     qm1 = Scalar.q(1) - Scalar.one()
     for w in range(W.n):
         acc = {}
-        for u, J, mu, coeff in chevalley_terms(chain, w, +1):
-            b = len(J)
+        for u, b, mu, coeff in chevalley_terms(chain, w, +1):
             a, odd = divmod(W.length[w] - W.length[u] - b, 2)
             if a < 0 or odd or coeff != Scalar.q(a) * qm1 ** b:
                 return "term q^%d (q-1)^%d out of shape at u=%s w=%s" % (

@@ -5,7 +5,7 @@ The Hall-Littlewood term tables are stored as sets of
 """
 
 from chevmc.alcove import (
-    _in_alcove, _scale, _walls, chain_lex_height, descent_subsets,
+    _in_alcove, _scale, _walls, chain_lex_height,
 )
 from chevmc.charring import (
     FIELD, GA, LIMIT, MASK, Scalar, _BIAS, _HALF, _add_products, _check,
@@ -86,7 +86,8 @@ def hl_terms(rs, lam_fund, formula):
     bias = _BIAS[rs.rank]
     out = []
     for w in W.min_coset_reps(parabolic):
-        for u, J, B, _ in descent_subsets(chain, w, formula == 1, False):
+        for u, J, B, _ in ref_descent_subsets(chain, w, formula == 1,
+                                              ref_walls(chain, far=False)):
             nj = len(J)
             if formula == 1:
                 power2 = W.length[w] + W.length[u] - nj
@@ -317,20 +318,37 @@ def ref_transition_direct(rs, w, lam_fund):
     return {W.inv(x): P for x, P in state.items()}
 
 
+def ref_walls(chain, far):
+    """The walls of `chain` in position order as (alpha, k), alpha > 0,
+    for H_{alpha,k}, built from its betas and levels alone: h_j =
+    H_{-beta_j, d_j}, or if far H_{beta_j, <lambda, beta_j^vee> - d_j}."""
+    rs = chain.rs
+    out = []
+    for b, d in zip(chain.betas, chain.levels):
+        k = rs.pairing(chain.lam_fund, b) - d if far else -d
+        if not b.positive:
+            b, k = rs.root_by_simple(tuple(-c for c in b.simple)), -k
+        out.append((b, k))
+    return out
+
+
 def ref_descent_subsets(chain, w, ascending, walls):
-    """All (u, J, B, odd) of `alcove.descent_subsets`, walked without the
-    element store's tables or the chain's step data: the scan positions
-    are read off `walls` in scan order, cur descends at j when the
-    product cur s_alpha (a walk of s_alpha's word) is shorter, and the
-    translation adds the packed key of cur(k alpha) from cur's matrix.
+    """All (u, J, B, odd) with J a sorted tuple of chain positions along
+    which w descends, scanning `walls` (a `ref_walls` list) in the given
+    direction; `alcove.descent_subsets` yields (u, |J|, B, odd) for the
+    walls ascending and the far walls descending.  Walked without the
+    element store's tables or the chain's scans: cur descends at j when
+    the product cur s_alpha (a walk of s_alpha's word) is shorter, and
+    the translation adds the packed key of cur(k alpha) from cur's
+    matrix.
 
     The reference walk that the library's, and the grouped chain route
     built on it, are checked against."""
     rs = chain.rs
     W = rs.lazy_weyl()
     order = range(len(chain)) if ascending else range(len(chain) - 1, -1, -1)
-    steps = [(j + 1, W.reflection(walls[j].root),
-              tuple(walls[j].level * rs.h * c for c in walls[j].root.fund),
+    steps = [(j + 1, W.reflection(walls[j][0]),
+              tuple(walls[j][1] * rs.h * c for c in walls[j][0].fund),
               not chain.betas[j].positive) for j in order]
     out = []
     stack = [(0, w, (), 0, False)]
@@ -356,7 +374,7 @@ def ref_chevalley_chain(chain, w, sign):
     rs = chain.rs
     W = rs.lazy_weyl()
     positive = sign > 0
-    walls = chain.walls if positive else chain.far_walls
+    walls = ref_walls(chain, far=not positive)
     bias = _BIAS[rs.rank]
     by_u = {}
     for u, J, B, odd in ref_descent_subsets(chain, w, positive, walls):

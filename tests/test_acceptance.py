@@ -39,6 +39,8 @@ from conftest import (
     GOLD_2W2_F1,
     GOLD_2W2_F2,
     hl_terms_as_tuples,
+    ref_descent_subsets,
+    ref_walls,
     reflect,
     v_minus_lambda,
 )
@@ -161,7 +163,10 @@ def test_criterion_03_cancellation_example():
     u = W.from_word_str("s3s1")
     chain = chain_from_word(rs, (0, 1, 0), [1, 2, 0, 1])
     terms = [t for t in chevalley_terms(chain, w, +1) if t[0] == u]
-    assert {t[1] for t in terms} == {(2, 3), (1, 2, 3, 4)}
+    assert sorted(t[1] for t in terms) == [2, 4]
+    assert {J for v, J, _, _ in ref_descent_subsets(
+        chain, w, True, ref_walls(chain, far=False)) if v == u} == {
+            (2, 3), (1, 2, 3, 4)}
     y = Scalar.y(1)
     one = Scalar.one()
     total = GA()
@@ -373,9 +378,8 @@ def test_criterion_12_chain_independence():
     for lam in ((1, 1), (2, 1), (1, 2)):
         words = _reduced_words_for_chain(lam, 2)
         chains = [chain_from_word(A2, lam, wd) for wd in words]
-        chains.append(
-            chain_from_word(A2, lam, words[0] + [0, 0], require_reduced=False)
-        )
+        chains.append(chain_from_word(A2, lam, words[0] + [0, 0]))
+        assert not chains[-1].reduced
         for w in range(W2.n):
             base = chevalley_table(A2, lam, w, sign=1, chain=chains[0])
             for chain in chains[1:]:

@@ -8,24 +8,29 @@ import pytest
 from chevmc.charring import _BIAS, _weight
 from chevmc.rootsystem import RootSystem
 from chevmc.chevalley import chevalley_table
-from chevmc.alcove import (
-    Hyperplane,
-    chain_from_word,
-    chain_lex_height,
-    descent_subsets,
-)
-from conftest import v_minus_lambda
+from chevmc.alcove import chain_from_word, chain_lex_height, descent_subsets
+from conftest import ref_descent_subsets, ref_walls, v_minus_lambda
 
 
-def test_hyperplane_canonical():
-    rs = RootSystem("A", 2)
-    a1 = rs.root_by_simple((1, 0))
-    neg = rs.root_by_simple((-1, 0))
-    h1 = Hyperplane(rs, a1, 2)
-    h2 = Hyperplane(rs, neg, -2)
-    assert (h1.root, h1.level) == (h2.root, h2.level)
-    assert h1.level == 2
-    assert h1.root.positive
+def test_scan_roots_positive():
+    # H_{alpha,k} = H_{-alpha,-k}: every scan position holds the positive
+    # root +-beta_j, and kh is k h for the wall H_{beta_j, k} (k = -d_j,
+    # or <lambda, beta_j^vee> - d_j on the far walls), negated where
+    # beta_j < 0; the far walls are scanned from the last position down
+    for family, rank, lam in [("A", 2, (2, -1)), ("C", 3, (0, 1, -1)),
+                              ("G", 2, (1, -1))]:
+        rs = RootSystem(family, rank)
+        chain = chain_lex_height(rs, lam)
+        assert not all(b.positive for b in chain.betas)
+        near, far = chain.steps(True), chain.steps(False)[::-1]
+        for j, (b, d) in enumerate(zip(chain.betas, chain.levels)):
+            s = 1 if b.positive else -1
+            k = rs.pairing(lam, b) - d
+            for (a, kh, odd, c), level in ((near[j], -d), (far[j], k)):
+                root = rs.positive_roots[a]
+                assert root.simple == tuple(s * x for x in b.simple)
+                assert kh == s * level * rs.h and odd == (s < 0)
+                assert c == root.coheight()
 
 
 def test_chain_lengths():
@@ -44,17 +49,15 @@ def test_appendix_chain_from_word():
     betas = [b.simple for b in chain.betas]
     assert betas == [(0, 1), (1, 1), (1, 0), (1, 1), (1, 0), (1, 1)]
     assert chain.levels == (0, 0, 0, 1, 1, 2)
-    # separating hyperplanes are H_{-beta_j, d_j}
-    h4 = chain.walls[3]
-    assert h4.root.simple == (1, 1) and h4.level == -1
+    # separating hyperplanes are H_{-beta_j, d_j}: h_4 = H_{a1+a2, -1}
+    a, kh, _, _ = chain.steps(True)[3]
+    assert rs.positive_roots[a].simple == (1, 1) and kh == -rs.h
 
 
-def test_nonreduced_word_rejected_then_allowed():
+def test_nonreduced_word_builds_unreduced_chain():
     rs = RootSystem("A", 2)
     word = [1, 0, 1, -1, 0, 1, 0, 0]
-    with pytest.raises(ValueError):
-        chain_from_word(rs, (2, 1), word)
-    chain = chain_from_word(rs, (2, 1), word, require_reduced=False)
+    chain = chain_from_word(rs, (2, 1), word)
     assert not chain.reduced
     assert len(chain) == 8
 
@@ -81,15 +84,15 @@ def test_lex_height_minuscule_levels():
     rs = RootSystem("A", 2)
     chain = chain_lex_height(rs, (1, 0))
     # minuscule: all separating hyperplanes pass through the origin
-    assert all(h.level == 0 for h in chain.walls)
+    assert all(kh == 0 for _, kh, _, _ in chain.steps(True))
 
 
 def _compose(rs, walls, order, x):
     """r_{order[0]} ... r_{order[-1]}(x) with r_j the affine reflection in
     walls[j - 1]; the rightmost reflection acts first."""
     for j in reversed(order):
-        h = walls[j - 1]
-        x = rs.affine_reflect(x, h.root, h.level)
+        root, level = walls[j - 1]
+        x = rs.affine_reflect(x, root, level)
     return x
 
 
@@ -102,13 +105,20 @@ def _add(a, b):
 
 
 def _leaves(chain, w, ascending, far):
-    """descent_subsets with each translation B read back as a weight,
-    after checking the sign parity the walk carries: whether an odd
-    number of the roots beta_j, j in J, is negative."""
+    """ref_descent_subsets over the walls (the far walls if far) with
+    each translation B read back as a weight, after checking the sign
+    parity the walk carries (whether an odd number of the roots beta_j,
+    j in J, is negative) and, on the two scans of the chain (walls
+    ascending, far walls descending), that descent_subsets yields the
+    same (u, |J|, B, odd)."""
     r = chain.rs.rank
     negative = {j for j, b in enumerate(chain.betas, 1) if not b.positive}
+    ref = ref_descent_subsets(chain, w, ascending, ref_walls(chain, far))
+    if ascending != far:
+        assert descent_subsets(chain, w, ascending) == [
+            (u, len(J), B, odd) for u, J, B, odd in ref], (w, ascending)
     out = []
-    for u, J, B, odd in descent_subsets(chain, w, ascending, far):
+    for u, J, B, odd in ref:
         assert odd == len(negative.intersection(J)) % 2, (w, J)
         out.append((u, J, _weight(_BIAS[r] + B, r), odd))
     return out
@@ -144,7 +154,7 @@ def test_descent_translation_matches_affine_reflections(family):
     for lam_fund in [(1, 0), (0, 1), (1, 1), (2, -1), (-1, 2), (-2, -1)]:
         chain = chain_lex_height(rs, lam_fund)
         lam = chain.lam
-        walls, far = chain.walls, chain.far_walls
+        walls, far = ref_walls(chain, False), ref_walls(chain, True)
         for w in range(W.n):
             for u, J, B, _ in _leaves(chain, w, True, False):
                 rhat = _compose(rs, walls, J, _neg(lam))

@@ -23,7 +23,8 @@ from chevmc.chevalley import (
     render_table,
 )
 from conftest import (
-    ref_chevalley_chain, ref_descent_subsets, ref_operator, v_minus_lambda,
+    ref_chevalley_chain, ref_descent_subsets, ref_operator, ref_walls,
+    v_minus_lambda,
 )
 
 RS = RootSystem("A", 2)
@@ -192,8 +193,8 @@ def test_one_chain_per_root_system_and_weight(monkeypatch):
     chevalley_table(rs, (1, -1, 1), 7, method="operator")
     assert built == [(1, -1, 1)]
     chain = chain_lex_height(rs, (1, -1, 1))
-    for seq in (chain.betas, chain.levels, chain.walls, chain.far_levels,
-                chain.far_walls):
+    for seq in (chain.betas, chain.levels, chain.steps(True),
+                chain.steps(False)):
         assert type(seq) is tuple
     # the memo belongs to the root system
     other = RootSystem("B", 3)
@@ -270,9 +271,9 @@ def test_chain_independence():
         chain_lex_height(RS, lam),
         chain_from_word(RS, lam, [1, 0, 1, -1, 0, 1]),
         chain_from_word(RS, lam, [0, 1, 0, -1, 0, 1]),
-        chain_from_word(RS, lam, [1, 0, 1, -1, 0, 1, 0, 0],
-                        require_reduced=False),
+        chain_from_word(RS, lam, [1, 0, 1, -1, 0, 1, 0, 0]),
     ]
+    assert not chains[-1].reduced
     base = chevalley_table(RS, lam, w, sign=1, chain=chains[0])
     for chain in chains[1:]:
         t = chevalley_table(RS, lam, w, sign=1, chain=chain)
@@ -334,7 +335,10 @@ def test_cancellation_example_a3():
         (0, 1, 0), (0, 1, 1), (1, 1, 0), (1, 1, 1)
     ]
     terms = [t for t in chevalley_terms(chain, w, +1) if t[0] == u]
-    assert {t[1] for t in terms} == {(2, 3), (1, 2, 3, 4)}
+    assert sorted(t[1] for t in terms) == [2, 4]
+    assert {J for v, J, _, _ in ref_descent_subsets(
+        chain, w, True, ref_walls(chain, far=False)) if v == u} == {
+            (2, 3), (1, 2, 3, 4)}
     y = Scalar.y(1)
     one = Scalar.one()
     expect = (y * y + y + one) * (y + one) ** 2
@@ -494,23 +498,27 @@ def test_grouped_walk_matches_per_leaf_reference(family, rank, lams):
     # tables; the per-leaf reference reads neither.  Key for key on every
     # w at +-lambda, on the lex chain and then on chains of words for
     # v_{-lambda} (one reduced, one with s_1 s_1 inserted), with the
-    # J< walk over the chain's own walls in between: step data kept under
-    # the wrong chain or the wrong wall list would be read back here
+    # walk of each scan checked against the reference walk in between:
+    # descent masks kept under the wrong chain or the wrong scan would
+    # be read back here
     rs = RootSystem(family, rank)
     W = rs.weyl()
     for lam in lams:
         lex = chain_lex_height(rs, lam)
         word = v_minus_lambda(rs, lam)
         mid = len(word) // 2
-        padded = chain_from_word(rs, lam, word[:mid] + (0, 0) + word[mid:],
-                                 require_reduced=False)
+        padded = chain_from_word(rs, lam, word[:mid] + (0, 0) + word[mid:])
+        assert not padded.reduced
         assert (padded.betas, padded.levels) != (lex.betas, lex.levels)
         for chain in (lex, chain_from_word(rs, lam, word), padded):
             for w in range(W.n):
                 assert _keys(chevalley_chain(chain, w, 1)) == _keys(
                     ref_chevalley_chain(chain, w, 1)), (lam, w)
-                assert descent_subsets(chain, w, False, False) == (
-                    ref_descent_subsets(chain, w, False, chain.walls))
+                for asc in (True, False):
+                    assert descent_subsets(chain, w, asc) == [
+                        (u, len(J), B, odd) for u, J, B, odd in
+                        ref_descent_subsets(chain, w, asc,
+                                            ref_walls(chain, not asc))]
                 assert _keys(chevalley_chain(chain, w, -1)) == _keys(
                     ref_chevalley_chain(chain, w, -1)), (lam, w)
 
@@ -577,7 +585,8 @@ def test_chain_many_equals_per_w_rank4(family, rank, lam, stride):
 def test_chain_many_on_word_chains(family, rank, lam, word):
     rs = RootSystem(family, rank)
     W = rs.weyl()
-    chain = chain_from_word(rs, lam, word, require_reduced=False)
+    chain = chain_from_word(rs, lam, word)
+    assert chain.reduced == (len(word) == len(chain_lex_height(rs, lam)))
     for sign in (1, -1):
         got = chevalley_tables(rs, lam, range(W.n), sign, chain=chain)
         assert got == _per_w(chain, range(W.n), sign), sign

@@ -327,6 +327,35 @@ def test_search_positivity_small_types_clean():
         assert doc["scanned"] > 0 and not doc["findings"], label
 
 
+def test_search_positivity_reports_findings(monkeypatch):
+    # one mixed-sign y-coefficient among the scanned tables is reported,
+    # in text and in a JSON document that validates against the schema
+    import chevmc.cli as cli_mod
+
+    real = cli_mod.chevalley_tables
+
+    def tables(rs, lam, ws, *args, **kwargs):
+        out = real(rs, lam, ws, *args, **kwargs)
+        if lam == (1, 0):
+            out[0] = {0: GA.term((0, 0), Scalar.y(1) - Scalar.one())}
+        return out
+
+    monkeypatch.setattr(cli_mod, "chevalley_tables", tables)
+    code, text = _run(["search-positivity", "--type", "A2"])
+    assert code == 0
+    lines = text.splitlines()
+    assert lines[1:] == ["mixed-sign coefficients found: 1",
+                         "  lambda=[1, 0] w=e u=e"]
+    code, text = _run(["search-positivity", "--type", "A2",
+                       "--format", "json"])
+    assert code == 0
+    doc = json.loads(text)
+    jsonschema.validate(doc, _schema())
+    assert doc["findings"] == [{
+        "lambda": [1, 0], "w": "e", "u": "e", "weight": [0, 0],
+        "coeff": (Scalar.y(1) - Scalar.one()).to_json()}]
+
+
 def test_bad_args_exit_2(capsys):
     assert _run(["chevalley", "--type", "Z9", "--lambda", "1,0",
                  "--w", "s1"])[0] == 2
@@ -1094,6 +1123,62 @@ def test_verify_tables_do_not_outlive_the_suite(monkeypatch):
                         _perturbed(verify_mod.chevalley_tables))
     results = verify_mod.run_suite("oracle", "A", 2, max_weight=1)
     assert any(d is not None for _, d in results)
+
+
+def _one_coefficient_off(real):
+    """chevalley_tables with 1 added to one coefficient: C^e_{e,lambda}
+    of the chain route at +lambda."""
+    def tables(rs, lam_fund, ws, sign=1, method="chain", chain=None):
+        out = real(rs, lam_fund, ws, sign, method, chain)
+        if method == "chain" and sign > 0 and 0 in out:
+            out[0] = {**out[0], 0: out[0][0] + GA.const(1, rs.rank)}
+        return out
+    return tables
+
+
+def test_verify_reports_a_changed_coefficient(monkeypatch):
+    # with one chain coefficient off, each case that reads it returns its
+    # failure text, a case that raises is reported as an exception, and
+    # `chevmc verify` exits 1 with "ok": false results in its JSON
+    import chevmc.verify as verify_mod
+
+    real_terms = verify_mod.chevalley_terms
+    monkeypatch.setattr(verify_mod, "chevalley_tables",
+                        _one_coefficient_off(verify_mod.chevalley_tables))
+    lam = (1, 0)
+    where = "at u=e w=e lambda=(1, 0)"
+    assert verify_mod.case_methods_agree("A", 2, lam) == (
+        "method mismatch " + where)
+    assert verify_mod.case_oracle_equivalence("A", 2, lam) == (
+        "oracle mismatch " + where)
+    assert verify_mod.case_duality("A", 2, "serre", lam) == (
+        "duality serre fails " + where)
+    assert verify_mod.case_positivity("A", 2, lam) == (
+        "positivity terms miss the table at w=e lambda=(1, 0)")
+    # a term whose coefficient has the wrong sign is out of shape
+    monkeypatch.setattr(verify_mod, "chevalley_terms", lambda *a: [
+        (u, t, mu, -c) for u, t, mu, c in real_terms(*a)])
+    assert verify_mod.case_positivity("A", 2, lam) == (
+        "term q^0 (q-1)^0 out of shape at u=e w=e")
+
+    def boom(*args, **kwargs):
+        raise ArithmeticError("no tables")
+
+    with monkeypatch.context() as m:
+        m.setattr(verify_mod, "chevalley_tables", boom)
+        assert verify_mod._run_one(("case", "methods", ("A", 2, lam))) == (
+            "case", "exception: ArithmeticError('no tables')")
+    code, text = _run(["verify", "--suite", "methods", "--type", "A2",
+                       "--format", "json"])
+    assert code == 1
+    doc = json.loads(text)
+    jsonschema.validate(doc, _schema())
+    assert doc["results"] and not any(r["ok"] for r in doc["results"])
+    assert doc["results"][0] == {"case": "methods(A,2,(1, 0))", "ok": False,
+                                 "detail": "method mismatch " + where}
+    assert _run(["verify", "--suite", "methods", "--type", "A2"]) == (
+        1, "".join("FAIL %s: %s\n" % (r["case"], r["detail"])
+                   for r in doc["results"]) + "0/6 cases passed\n")
 
 
 def test_verify_holds_nothing_after_return(monkeypatch):
