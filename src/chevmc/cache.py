@@ -1,9 +1,9 @@
-"""Content-addressed on-disk cache for printed tables.
+"""Content-addressed on-disk cache for printed output.
 
-An entry holds a block of text exactly as it is printed, after the
-SHA-256 of its bytes: the 64-character hex digest, a newline, then the
-UTF-8 bytes of the block, in a file named by the SHA-256 of its
-canonical key (with the suffix .json).  The key includes the package
+An entry holds the output of one invocation exactly as it is printed,
+after the SHA-256 of its bytes: the 64-character hex digest, a newline,
+then the UTF-8 bytes of the output, in a file named by the SHA-256 of
+its canonical key (with the suffix .json).  The key includes the package
 version and a digest of the package sources, so results from stale
 code are never reused.  An entry that cannot be read, has no digest
 line, or whose bytes do not match their digest or are not UTF-8, is a

@@ -17,6 +17,7 @@ its text as a callable, and only the printed format is built.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from functools import cache, partial
@@ -24,7 +25,7 @@ from itertools import groupby
 
 from . import __version__
 from .charring import FIELD, GA, MASK, _HALF, _weight, exp_mono
-from .rootsystem import RootSystem
+from .rootsystem import RootSystem, parse_word
 from .alcove import chain_lex_height, chain_from_word
 from .chevalley import chevalley_tables, render_table, transition_direct
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
@@ -73,15 +74,12 @@ def _parse_w(W, text):
 
 def _parse_word(rank, text):
     """Chain letters from an affine word like s0s2s1 over generators
-    0..rank, where 0 is the affine reflection."""
+    0..rank, in the grammar of Weyl words, where s0 is the affine
+    reflection (letter -1)."""
     try:
-        gens = [int(p) for p in text.replace("s", " ").split()]
+        return parse_word(text, rank, affine=True)
     except ValueError:
         raise CliError("bad affine word %r" % text)
-    if any(not 0 <= g <= rank for g in gens):
-        raise CliError("affine word %r has letters outside 0..%d"
-                       % (text, rank))
-    return [g - 1 if g else -1 for g in gens]
 
 
 def _parse_sign(text):
@@ -107,11 +105,6 @@ def _table_json(W, table):
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-class _Encoded(str):
-    """A value already written by `_dumps` at the pad it is placed at,
-    which `_dumps` copies as it is."""
-
-
 def _dumps(v, pad="\n", memo=None):
     """json.dumps(v, sort_keys=True, indent=1), byte for byte, with one
     join per container and the C string encoder (on Python < 3.13,
@@ -120,11 +113,10 @@ def _dumps(v, pad="\n", memo=None):
     [{"coeff": {"<v exponent>": int}, "weight": [...]}], weights
     ascending, straight from its packed keys (`_ga_json`), with the
     fragments of one weight or one coefficient at one pad kept in
-    `memo` (a fresh dict if None; a caller that writes several values
-    in one invocation passes one).  An `_Encoded` value is written as it
-    is, and a value not special-cased here goes through json.dumps and
-    has its lines indented to `pad`, which is exact since a JSON string
-    never holds a raw newline."""
+    `memo` (a fresh dict if None), which the whole document shares.  A
+    value not special-cased here goes through json.dumps and has its
+    lines indented to `pad`, which is exact since a JSON string never
+    holds a raw newline."""
     t = type(v)
     if t is str:
         return _encode_str(v)
@@ -151,8 +143,6 @@ def _dumps(v, pad="\n", memo=None):
              for k, x in sorted(v.items())]), pad)
     if t is GA:
         return _ga_json(v, pad, memo)
-    if t is _Encoded:
-        return v
     return json.dumps(v, sort_keys=True, indent=1).replace("\n", pad)
 
 
@@ -258,59 +248,52 @@ def _epsilon_weight(rs, fine):
 
 # -- subcommand bodies -------------------------------------------------
 
-def _chevalley_block(args, W, word, table, memo):
-    """The printed block of the table of the element `word` in the
-    format of `args`; a JSON block is a `tables` element at its pad,
-    written with the invocation's `_dumps` memo."""
-    if args.format == "json":
-        return _dumps({"w": word, "entries": _table_json(W, table)}, "\n  ",
-                      memo)
-    if args.format == "latex":
-        return "%% w = %s\n%s" % (word, _latex_table(W, table))
-    mono = partial(_epsilon_weight, W.rs) if args.epsilon else None
-    return "w = %s\n%s" % (word, render_table(W.rs, table, mono))
-
-
 def _cmd_chevalley(args, out):
     rs, lam = args.rs, args.lam
-    # one word, on any route, makes only the elements its walk reaches;
-    # 'all' needs the whole group
-    W = rs.lazy_weyl()
     sign = _parse_sign(args.sign)
-    ws = rs.weyl().order if args.w is None else [args.w]
     # --epsilon is refused outside type A, except by LaTeX, which ignores it
     if args.epsilon and args.format != "latex" and rs.family != "A":
         raise CliError("epsilon coordinates exist only in type A")
-    chain = None
-    if args.word is not None:
-        chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word))
+    # one word, on any route, makes only the elements its walk reaches;
+    # 'all' needs the whole group, and only on a miss
+    W = rs.lazy_weyl()
     cache_dir = args.cache_dir or default_cache_dir()
-    words = {wv: W.word_str(wv) for wv in ws}
-    keys = {
-        wv: cache_key(
-            "chevalley", rs.family, rs.rank, lam, word, args.method,
-            extra={"sign": sign, "word": args.word, "format": args.format,
-                   # only the text format prints epsilon coordinates
-                   "epsilon": args.epsilon and args.format == "text"},
-        )
-        for wv, word in words.items()
-    }
-    # a hit is the block as the miss that wrote it printed it
-    blocks = {wv: cache_get(cache_dir, key) for wv, key in keys.items()}
-    misses = [wv for wv, block in blocks.items() if block is None]
-    # a hit computes nothing
-    tables = chevalley_tables(rs, lam, misses, sign=sign, method=args.method,
-                              chain=chain) if misses else {}
-    memo = {}
-    for wv in misses:
-        block = blocks[wv] = _chevalley_block(args, W, words[wv],
-                                              tables.pop(wv), memo)
+    key = cache_key(
+        "chevalley", rs.family, rs.rank, lam,
+        "all" if args.w is None else W.word_str(args.w), args.method,
+        extra={"sign": sign, "word": args.word, "format": args.format,
+               # only the text format prints epsilon coordinates
+               "epsilon": args.epsilon and args.format == "text"},
+    )
+    # a hit is the output of the miss that wrote it, and computes nothing;
+    # only a valid --word ever wrote one
+    text = cache_get(cache_dir, key)
+    if text is None:
+        ws = rs.weyl().order if args.w is None else [args.w]
+        chain = None
+        if args.word is not None:
+            chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word))
+        tables = chevalley_tables(rs, lam, ws, sign=sign, method=args.method,
+                                  chain=chain)
+        rows = [(W.word_str(wv), tables.pop(wv)) for wv in ws]
+        mono = partial(_epsilon_weight, rs) if args.epsilon else None
+
+        def block(word, table):
+            if args.format == "latex":
+                return "%% w = %s\n%s" % (word, _latex_table(W, table))
+            return "w = %s\n%s" % (word, render_table(rs, table, mono))
+
+        buf = io.StringIO()
+        _emit(args, buf, lambda: "\n\n".join([block(*r) for r in rows]),
+              sign=sign, method=args.method,
+              tables=[{"w": word, "entries": _table_json(W, t)}
+                      for word, t in rows])
+        text = buf.getvalue()
         try:
-            cache_put(cache_dir, keys[wv], block)
+            cache_put(cache_dir, key, text)
         except OSError as exc:
             raise CliError("cannot write the cache: %s" % exc)
-    _emit(args, out, lambda: "\n\n".join(blocks.values()), sign=sign,
-          method=args.method, tables=[_Encoded(b) for b in blocks.values()])
+    out.write(text)
     return 0
 
 

@@ -266,17 +266,19 @@ def _identity(r):
 _WORD = re.compile(r"(?:s[0-9]+)+")
 
 
-def parse_word(text, rank):
+def parse_word(text, rank, affine=False):
     """The 0-based generators of a word like 's1s2s1' over s1..s_rank,
     spaces allowed; 'e', 'id', '1' and the empty word are the identity.
-    Anything else raises ValueError."""
+    If `affine`, s0 is allowed too, as -1.  Anything else raises
+    ValueError."""
     s = text.strip().replace(" ", "")
     if s in ("e", "id", "1", ""):
         return ()
     if not _WORD.fullmatch(s):
         raise ValueError("bad Weyl word %r" % text)
     word = tuple(int(k) - 1 for k in s[1:].split("s"))
-    if not all(0 <= i < rank for i in word):
+    lo = -1 if affine else 0
+    if not all(lo <= i < rank for i in word):
         raise ValueError("bad generator in %r" % text)
     return word
 

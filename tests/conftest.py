@@ -238,12 +238,16 @@ def ref_operator(chain, w):
 
     def e_step(state, mu_fine, out):
         """Add e^{u(mu)/h} times the entry at u to out[u]: a shift of its
-        keys by the key offset of u(mu)/h."""
+        keys by the key offset of u(mu)/h, added into an entry already
+        there."""
         assert all(c % h == 0 for c in mu_fine)
         mu = tuple(c // h for c in mu_fine)
         for u, c in state.items():
-            _add_products(out.setdefault(u, {}), ((W.act_key(u, mu), 1),),
-                          c.items())
+            d = W.act_key(u, mu)
+            if u in out:
+                _add_products(out[u], ((d, 1),), c.items())
+            else:
+                out[u] = {k + d: x for k, x in c.items()}
 
     def b_step(state, root, positive):
         """Move the entry at u to u s_beta when that is shorter, times

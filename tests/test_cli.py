@@ -399,6 +399,12 @@ def test_bad_args_exit_2(capsys):
         # malformed Weyl words
         *(["chevalley", "--type", "A2", "--lambda=1,0", "--w", bad]
           for bad in ("s", "1s2", "ss1", "s1s", "s3", "s0")),
+        # malformed affine words, each around the valid word s0s2s0
+        *([command, "--type", "C2", "--lambda=-1,0", "--word", bad] + rest
+          for command, rest in (("chain", []), ("chevalley", ["--w", "s1"]))
+          for bad in ("s0s2s0s", "ss0s2s0", "s0ss2s0", "0 2 0", "s0s3")),
+        # a rank that is not a number
+        ["chain", "--type", "Ax", "--lambda", "1"],
         # E7 where the whole group is needed: above the element cap
         *([command, "--type", "E7", "--lambda=0,0,0,0,0,0,1"] + rest
           for command, rest in (
@@ -413,6 +419,7 @@ def test_bad_args_exit_2(capsys):
         assert _run(argv)[0] == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err, argv
+        assert len(err.splitlines()) == 1, argv
         if "E7" in argv:
             assert "above the cap 100000" in err, argv
         if argv[3:4] in (["--lambda=5000"], ["--lambda=3000,3000"]):
@@ -528,11 +535,13 @@ def test_rank_above_15_exits_2(capsys):
 
 
 def test_chain_word_matches_default_table():
-    # s0 s2 s0 is a reduced word for v_{-lambda} in C2 at lambda = -w1
+    # s0 s2 s0 is a reduced word for v_{-lambda} in C2 at lambda = -w1,
+    # with or without spaces between its letters
     argv = ["chevalley", "--type", "C2", "--lambda=-1,0", "--w", "s1"]
     code, default = _run(argv)
     assert code == 0
     assert _run(argv + ["--word", "s0s2s0"]) == (0, default)
+    assert _run(argv + ["--word", "s0 s2 s0"]) == (0, default)
     assert "C[u=e] = (y +1)*e^{w1-1*w2}" in default.splitlines()
 
 
@@ -704,12 +713,13 @@ def _edit_text(path, edit):
 
 
 def _edit_entries(mutate):
-    """A text edit that applies `mutate` to the entries of a stored JSON
-    block and writes the block back as `chevalley` would."""
+    """A text edit that applies `mutate` to the entries of the first
+    table of a stored JSON document and writes the document back as
+    `chevalley` would."""
     def edit(text):
-        block = json.loads(text)
-        mutate(block["entries"])
-        return _dumps(block, "\n  ")
+        doc = json.loads(text)
+        mutate(doc["tables"][0]["entries"])
+        return _dumps(doc) + "\n"
     return edit
 
 
@@ -791,8 +801,8 @@ BAD_GA_JSON = [
 
 def _set_last_value(items):
     """A text edit that puts `items` in place of the last entry's value:
-    the JSON value in a JSON block, the text after the last " = " in a
-    text block."""
+    the JSON value in a JSON document, the text after the last " = " in
+    a text output."""
     def edit(text):
         if text.startswith("{"):
             return _edit_entries(
@@ -828,7 +838,8 @@ def test_cache_truncated_entry_recomputed(tmp_path, cut):
         assert code == 0
         path, = cache.iterdir()
         stored = path.read_bytes()
-        _edit_text(path, lambda text: "\n".join(text.split("\n")[:cut]))
+        _edit_text(path, lambda text: "".join(
+            text.splitlines(keepends=True)[:cut]))
         assert _run(run) == (0, miss), fmt
         assert path.read_bytes() == stored
 
@@ -852,24 +863,6 @@ def test_cache_changed_coefficient_recomputed(tmp_path, fmt, old, new):
     assert path.read_bytes() == stored
 
 
-def test_cache_all_fills_single_word_hits(tmp_path, monkeypatch):
-    # `--w all` writes one entry per w; a later one-word run, which makes
-    # only the elements it reaches, reads its entry and prints the bytes
-    # that a miss prints
-    base = ["chevalley", "--type", "A3", "--lambda=1,0,1", "--sign", "-"]
-    for fmt in ("text", "json", "latex"):
-        cache = str(tmp_path / fmt)
-        code, _ = _run(base + ["--w", "all", "--format", fmt,
-                               "--cache-dir", cache])
-        assert code == 0
-        one = base + ["--w", "s2s1s3", "--format", fmt, "--cache-dir"]
-        miss = _run(one + [str(tmp_path / (fmt + "-miss"))])
-        assert miss[0] == 0
-        with monkeypatch.context() as m:
-            m.setattr("chevmc.cli.chevalley_tables", _refuse)
-            assert _run(one + [cache]) == miss, fmt
-
-
 @pytest.mark.parametrize("fmt", ["json", "latex"])
 def test_cache_epsilon_shares_the_entry(tmp_path, monkeypatch, fmt):
     # only the text format prints epsilon coordinates, so a JSON or LaTeX
@@ -885,24 +878,37 @@ def test_cache_epsilon_shares_the_entry(tmp_path, monkeypatch, fmt):
     assert len(list(tmp_path.iterdir())) == 1
 
 
-def test_cache_partly_filled_prints_miss_bytes(tmp_path):
-    # with half the entries of an all-w table deleted, the misses are
-    # computed in one pass over a proper subset of the group; with one
-    # deleted, by the single-word walk; both print the full miss's bytes
-    base = ["chevalley", "--type", "B3", "--lambda=1,1,1", "--w", "all"]
+def _entry(printed):
+    """The bytes of the cache entry of a run that printed `printed`."""
+    return _sha(printed.encode()) + b"\n" + printed.encode()
+
+
+def test_cache_one_entry_per_run(tmp_path, monkeypatch):
+    # an all-w run writes one entry, the printed output after its digest,
+    # and its hit computes nothing; a one-word run after it is a miss of
+    # its own that prints the miss bytes and adds one entry; a deleted
+    # entry is recomputed
+    base = ["chevalley", "--type", "B3", "--lambda=1,1,1"]
     for fmt in ("json", "text", "latex"):
         cache = tmp_path / fmt
-        argv = base + ["--format", fmt, "--cache-dir", str(cache)]
+        argv = base + ["--w", "all", "--format", fmt, "--cache-dir",
+                       str(cache)]
         code, miss = _run(argv)
-        assert code == 0
+        assert code == 0, fmt
+        entry, = cache.iterdir()
+        assert entry.read_bytes() == _entry(miss), fmt
+        with monkeypatch.context() as m:
+            m.setattr("chevmc.cli.chevalley_tables", _refuse)
+            assert _run(argv) == (0, miss), fmt
+        one = base + ["--w", "s2s1s3", "--format", fmt, "--cache-dir"]
+        code, one_miss = _run(one + [str(tmp_path / (fmt + "-miss"))])
+        assert code == 0 and one_miss != miss, fmt
+        assert _run(one + [str(cache)]) == (0, one_miss), fmt
+        assert len(list(cache.iterdir())) == 2, fmt
+        entry.unlink()
         assert _run(argv) == (0, miss), fmt
-        entries = sorted(cache.iterdir())
-        assert len(entries) == 48
-        for doomed in (entries[::2], entries[:1]):
-            for path in doomed:
-                path.unlink()
-            assert _run(argv) == (0, miss), (fmt, len(doomed))
-            assert len(list(cache.iterdir())) == 48
+        assert entry.read_bytes() == _entry(miss), fmt
+        assert len(list(cache.iterdir())) == 2, fmt
 
 
 def test_all_w_range_error_matches_single_word(capsys):
@@ -1179,6 +1185,83 @@ def test_verify_reports_a_changed_coefficient(monkeypatch):
     assert _run(["verify", "--suite", "methods", "--type", "A2"]) == (
         1, "".join("FAIL %s: %s\n" % (r["case"], r["detail"])
                    for r in doc["results"]) + "0/6 cases passed\n")
+
+
+def _bumped(table, u, rank):
+    """A CSM table with 1 added to its coefficient at u."""
+    from chevmc.csm import CohPoly
+    return {**table, u: table.get(u, CohPoly()) + CohPoly.const(1, rank)}
+
+
+def _other_side_off(real):
+    """An identity's two sides with 1 added to the second."""
+    def sides(rs, lam_fund):
+        a, b = real(rs, lam_fund)
+        return a, b + GA.const(1, rs.rank)
+    return sides
+
+
+def test_verify_reports_each_failure_of_the_other_suites(monkeypatch):
+    # one value perturbed per check of the stable, hl, whittaker and csm
+    # suites: each case returns that check's text, and `chevmc verify`
+    # exits 1 with schema-valid "ok": false results
+    import chevmc.csm as csm
+    import chevmc.specialfn as specialfn
+    import chevmc.verify as verify_mod
+
+    stab, wall_cross_path = KOracle.stab, verify_mod.wall_cross_path
+    hall_littlewood, big_h = specialfn.hall_littlewood, specialfn.big_h
+    whittaker_chevalley = specialfn.whittaker_chevalley
+    expand = csm.CohOracle.expand_chern_product
+    t_w_times_x = csm.t_w_times_x
+
+    def one_wall_off(rs, lam_fund):
+        m = wall_cross_path(rs, lam_fund)
+        m[0] = {**m[0], 0: m[0].get(0, GA()) + GA.const(1, rs.rank)}
+        return m
+
+    checks = [
+        ("stable", (1, 0), KOracle, "stab",
+         lambda self, w: {**stab(self, w), 0: None} if w else stab(self, w),
+         "stab support fails at w=s1"),
+        ("stable", (1, 0), verify_mod, "wall_cross_path", one_wall_off,
+         "wall-crossing composition fails at (e, e)"),
+        ("hl", (1, 0), specialfn, "hall_littlewood",
+         lambda rs, lam, method="closed": hall_littlewood(rs, lam, method) + (
+             GA.const(1, rs.rank) if method == "chain_opposite" else GA()),
+         "HL method chain_opposite disagrees at lambda=(1, 0)"),
+        ("hl", (1, 0), specialfn, "big_h",
+         lambda rs, lam: big_h(rs, lam) + GA.const(1, rs.rank),
+         "HL bridge through H_{-lambda} fails at lambda=(1, 0)"),
+        ("whittaker", (-1, 0), specialfn, "whittaker_chevalley",
+         lambda rs, lam, w: whittaker_chevalley(rs, lam, w)
+         + GA.const(1, rs.rank),
+         "Whittaker methods disagree at w=e lambda=(-1, 0)"),
+        ("whittaker", (-1, 0), specialfn, "casselman_shalika_sides",
+         _other_side_off(specialfn.casselman_shalika_sides),
+         "Casselman-Shalika fails at lambda=(-1, 0)"),
+        ("whittaker", (-1, 0), specialfn, "whittaker_r_sides",
+         _other_side_off(specialfn.whittaker_r_sides),
+         "Whittaker R-function identity fails at lambda=(-1, 0)"),
+        ("csm", (1, 0), csm.CohOracle, "expand_chern_product",
+         lambda self, lam, w: _bumped(expand(self, lam, w), w,
+                                      self.rs.rank),
+         "CSM Chevalley mismatch at u=e w=e lambda=(1, 0)"),
+        ("csm", (1, 0), csm, "t_w_times_x",
+         lambda rs, w, lam: _bumped(t_w_times_x(rs, w, lam), w, rs.rank),
+         "degenerate commutation fails at w=e lambda=(1, 0)"),
+    ]
+    for suite, lam, owner, name, perturbed, detail in checks:
+        with monkeypatch.context() as m:
+            m.setattr(owner, name, perturbed)
+            assert verify_mod._CASE_FUNCS[suite]("A", 2, lam) == detail, name
+            code, text = _run(["verify", "--suite", suite, "--type", "A2",
+                               "--max-weight", "1", "--format", "json"])
+            assert code == 1, name
+            doc = json.loads(text)
+            jsonschema.validate(doc, _schema())
+            assert doc["results"] and not any(
+                r["ok"] for r in doc["results"]), name
 
 
 def test_verify_holds_nothing_after_return(monkeypatch):
