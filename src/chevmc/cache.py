@@ -9,7 +9,8 @@ code are never reused.  An entry that cannot be read, has no digest
 line, or whose bytes do not match their digest or are not UTF-8, is a
 miss: one changed byte is caught, but an entry whose digest was
 rewritten with it is trusted.  Writes use a temp-file rename so
-concurrent writers of the same key converge on identical content.
+concurrent writers of the same key converge on identical content, with
+the mode of an ordinary file under the umask, not mkstemp's 0600.
 """
 
 from __future__ import annotations
@@ -88,6 +89,8 @@ def cache_put(directory, key, text):
         with os.fdopen(fd, "wb") as fh:
             fh.write(hashlib.sha256(body).hexdigest().encode() + b"\n")
             fh.write(body)
+        os.umask(mask := os.umask(0))
+        os.chmod(tmp, 0o666 & ~mask)
         os.replace(tmp, os.path.join(directory, key + ".json"))
     finally:
         if os.path.exists(tmp):

@@ -42,11 +42,11 @@ One kernel, `_add_products`, adds monomial products into a coefficient
 dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a
 sum s_1 t_1 + ... + s_n t_n into one accumulator, so that a
 Demazure-Lusztig step b Delta + e x or an Atiyah-Bott sum builds no
-intermediate product or sum; the cell solve runs it, negated, into its
-remainders in place (`_mul_into`).  What `*` and `dot` return passes
-`_check` once, on the finished sum.  `exact_div` by a two-term divisor,
-the shape of every Demazure-Lusztig denominator 1 - e^gamma and
-of a linear form, divides line by line (`_line_div`):
+intermediate product or sum; the cell solve runs it into its remainders
+in place, on the pivot's negated terms built once.  What `*` and `dot`
+return passes `_check` once, on the finished sum.  `exact_div` by a
+two-term divisor, the shape of every Demazure-Lusztig denominator
+1 - e^gamma and of a linear form, divides line by line (`_line_div`):
 each line {k - m gap} of keys, gap the divisor's key difference,
 divides alone, walked once from its top with the carry in a local, no
 ordered remainder and no box.  Longer divisors, such as the solve's
@@ -54,18 +54,19 @@ diagonals, take the long division (`_long_div`) inside the quotient's
 box.  A Weyl move (`GA.transform`) adds to each key only the packed
 columns of mat - 1 that are nonzero: one for a simple reflection.
 
-A v-line (`to_line`) is the same dict with v substituted by 2^SLOT:
-{k >> FIELD: sum_e c_e 2^(SLOT e)} over the weight keys, c_e the
-coefficient of v^e, e >= 0.  Its keys have the weight fields only, so
-they read as the keys of one rank less, and the kernel, `dot` and both
-divisions run on lines unchanged, one integer product per pair of
-weights (the localization solve and slice recursion, see localization.py).
-The substitution is a ring map, one-to-one on the polynomials whose
-coefficients lie in [-2^(SLOT-1), 2^(SLOT-1)); `from_line` and
-`line_max` read the coefficients back as the residues of the slots in
-that range, and `fits` raises ValueError on a bound that leaves it, so
-that a caller certifies each line it decodes.  A CohPoly has no v, so
-its line holds its plain int coefficients.
+A y-line (`to_line`) is the same dict for a polynomial in y = -v^2,
+with v^2 substituted by 2^SLOT: {k >> FIELD: sum_j c_j 2^(SLOT j)} over
+the weight keys, c_j the coefficient of v^(2j), one slot per power of y;
+an odd or negative power of v raises ValueError.  Its keys have the
+weight fields only, so they read as the keys of one rank less, and the
+kernel, `dot` and both divisions run on lines unchanged, one integer
+product per pair of weights (the slice recursion and solve of
+localization.py).  The substitution is a ring map, one-to-one on the
+polynomials whose coefficients lie in [-2^(SLOT-1), 2^(SLOT-1));
+`from_line` and `line_max` read the coefficients back as the residues
+of the slots in that range, and `fits` raises ValueError on a bound
+that leaves it, so that a caller certifies each line it decodes.  A
+CohPoly has no v, so its line holds its plain int coefficients.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ MASK = (1 << FIELD) - 1
 _HALF = 1 << (FIELD - 1)  # the bias of every field
 LIMIT = 1 << 13  # exponents lie in [-LIMIT, LIMIT)
 MAX_RANK = 15
-SLOT = 64  # the bits of one power of v in a v-line: 8, 16, 32 or 64
+SLOT = 64  # the bits of one power of y in a y-line: 8, 16, 32 or 64
 
 
 def _layout(rank):
@@ -154,15 +155,14 @@ def _add_products(acc, a, b):
                 del acc[k]
 
 
-def _mul_into(acc, a, b, sign=1):
-    """acc += sign * a * b for nonempty coefficient dicts a and b, the
-    shorter one in the outer loop; returns the rank of the product, for
-    the caller's `_check` of the accumulator."""
+def _mul_into(acc, a, b):
+    """acc += a * b for nonempty coefficient dicts, the shorter in the
+    outer loop; returns the product's rank for the caller's `_check`."""
     ra, rb = _rank(next(iter(a))), _rank(next(iter(b)))
     bias = _BIAS[min(ra, rb)]
     if len(a) > len(b):
         a, b = b, a
-    _add_products(acc, [(k - bias, sign * x) for k, x in a.items()], b.items())
+    _add_products(acc, [(k - bias, x) for k, x in a.items()], b.items())
     return max(ra, rb)
 
 
@@ -258,16 +258,16 @@ def _line_div(a, d, bias):
 
 
 def to_line(c):
-    """The v-line of a coefficient dict whose v exponents are >= 0:
-    {k >> FIELD: sum_e c_e 2^(SLOT e)} over the weight keys, c_e the
-    coefficient of v^e (see the module docstring)."""
+    """The y-line of a coefficient dict whose v exponents are even and
+    >= 0: {k >> FIELD: sum_j c_j 2^(SLOT j)} over the weight keys, c_j
+    the coefficient of v^(2j) (see the module docstring)."""
     out = {}
     for k, x in c.items():
         e = (k & MASK) - _HALF
-        if e < 0:
-            raise ValueError("a v-line holds no negative power of v")
+        if e < 0 or e & 1:
+            raise ValueError("a y-line holds no odd or negative power of v")
         wk = k >> FIELD
-        s = out.get(wk, 0) + (x << SLOT * e)
+        s = out.get(wk, 0) + (x << SLOT * (e >> 1))
         if s:
             out[wk] = s
         else:
@@ -280,10 +280,10 @@ _TYPECODES = {array(t).itemsize * 8: t for t in "qlihb"}
 
 def _slots(c):
     """(n, slots): the lines of `c` as n slots each, in order, every slot
-    its coefficient c_e as a signed int.  Adding 2^(SLOT-1) to every
-    slot of a line carries nothing when each c_e lies in
+    its coefficient c_j as a signed int.  Adding 2^(SLOT-1) to every
+    slot of a line carries nothing when each c_j lies in
     [-2^(SLOT-1), 2^(SLOT-1)), and flipping the top bit of each slot
-    back leaves c_e in two's complement, so the bytes of the result are
+    back leaves c_j in two's complement, so the bytes of the result are
     the slots; n has room for every line's top coefficient and one slot
     more.  SLOT is 8, 16, 32 or 64, the width of an array item."""
     vals = c.values()
@@ -296,31 +296,31 @@ def _slots(c):
 
 
 def line_max(c):
-    """The max norm of the polynomial whose v-line is `c` (see
+    """The max norm of the polynomial whose y-line is `c` (see
     `from_line`), read off the slots with no dict built."""
     slots = _slots(c)[1].tolist()
     return max(max(slots), -min(slots)) if slots else 0
 
 
 def from_line(c):
-    """(coefficient dict, l1 norm) of the polynomial whose v-line is `c`,
-    each c_e read as the residue of its slot in [-2^(SLOT-1),
-    2^(SLOT-1)): the polynomial of the line when all its coefficients
-    lie there (see `fits`).  The v exponents are not range-checked."""
+    """(coefficient dict, l1 norm) of the polynomial whose y-line is `c`,
+    slot j read as v^(2j), its residue in [-2^(SLOT-1), 2^(SLOT-1)): the
+    polynomial of the line when all its coefficients lie there (see
+    `fits`).  The v exponents are not range-checked."""
     n, slots = _slots(c)
     keys = [(wk << FIELD) + _HALF for wk in c]
     out = {}
     for i, x in enumerate(slots):
         if x:
-            out[keys[i // n] + i % n] = x
+            out[keys[i // n] + 2 * (i % n)] = x
     return out, sum(map(abs, out.values()))
 
 
 def fits(n):
     """Raise ValueError unless a bound n on the coefficients of a
-    polynomial certifies that its v-line decodes to it: n < 2^(SLOT-1)."""
+    polynomial certifies that its y-line decodes to it: n < 2^(SLOT-1)."""
     if n >> (SLOT - 1):
-        raise ValueError("coefficient bound %d reaches 2^%d of a v-line"
+        raise ValueError("coefficient bound %d reaches 2^%d of a y-line"
                          % (n, SLOT - 1))
 
 

@@ -56,36 +56,36 @@ pairing is one more exact division by that constant.
 The ring arithmetic is fused (charring.GA.dot): a step forms its sums
 in one accumulator, and `integral` its whole Atiyah-Bott sum.
 
-The slice recursion and the solve run on lines (`_lines`): each value
-is kept as its v-line (charring.to_line), one int per weight, so the
-same `dot`, `exact_div` and `_mul_into` multiply one integer per pair
-of weights; the right step is K_T(pt)-linear and its divisors are
-v-free.  In cohomology there is no v (`packed` false) and a line holds
-plain ints.  In K-theory every run certifies (charring.fits) that each
-line is its polynomial, all coefficients in [-2^(SLOT-1), 2^(SLOT-1)):
-v -> 2^SLOT is a ring map, one-to-one there, so a quotient q decoded
-from the integer quotient of a by d is a / d when every coefficient of
-q d - a lies there too.  Each slice part keeps its max
-norm; `_slice_step` bounds E D - (Q_x - b Q_{x s_i}) and Q'_x, and the
-solve bounds the remainder at x by the max norm of F|_x plus, over the
-pivots v so far, ||g_v||_1 times that of Q_{v,x}, the quotient at x
-counted once x has been a pivot; a bound that reaches 2^(SLOT-1)
-raises ValueError.  Only the coefficients g_v, and the parts that
-`slice_class` returns, are decoded.
+The slice recursion and the solve run on lines (`_lines`): each value, in
+K-theory a polynomial in y = -v^2, is kept as its y-line
+(charring.to_line), one int per weight, so `dot`, `exact_div` and
+`_add_products` multiply one integer per pair of weights; the right step
+is K_T(pt)-linear and its divisors are v-free.  In cohomology there is no v
+(`packed` false) and a line holds plain ints.  In K-theory every run
+certifies (charring.fits) that each line is its polynomial, all
+coefficients in [-2^(SLOT-1), 2^(SLOT-1)): v^2 -> 2^SLOT is a ring map,
+one-to-one there, so a quotient q decoded from the integer quotient of a
+by d is a / d when every coefficient of q d - a lies there too.  Each slice
+part keeps its max norm; `_slice_step` bounds E D - (Q_x - b Q_{x s_i})
+and Q'_x, and the solve bounds the remainder at x by the max norm of F|_x
+plus, over the pivots v so far, ||g_v||_1 times that of Q_{v,x}, the
+quotient at x counted once x has been a pivot; a bound that reaches
+2^(SLOT-1) raises ValueError.  Only the coefficients g_v, and the parts
+that `slice_class` returns, are decoded.
 
 The triangular solve keeps its remainder as raw line dicts, copied from
 F once at the start, so neither F nor the cached classes change; it
 subtracts g cell(v)|_x into them in place, with no product or
-difference built, and passes each remainder through `_check` just
-before dividing it, so an exponent that left the range raises
-ValueError there rather than reaching a quotient.
+difference built and -g's terms made once per pivot, and passes each
+remainder through `_check` just before dividing it, so an exponent that
+left the range raises ValueError there rather than reaching a quotient.
 """
 
 from __future__ import annotations
 
 from .charring import (
-    FIELD, _HALF, _check, _mul_into, _wneg, fits, from_line, line_max,
-    to_line,
+    FIELD, _BIAS, _HALF, _add_products, _check, _wneg, fits, from_line,
+    line_max, to_line,
 )
 
 
@@ -115,7 +115,7 @@ class Localization:
     """
 
     ring = None
-    packed = True  # lines pack the powers of v (see the module docstring)
+    packed = True  # lines pack the powers of y (see the module docstring)
 
     def __init__(self, rs):
         self.rs = rs
@@ -415,6 +415,7 @@ class Localization:
             points = self.W.order
         ring = self.ring
         rank = self.rank - 1  # line keys hold the weight fields only
+        bias = _BIAS[rank]
         lines, norms = F
         rem = {x: dict(f.c) for x, f in lines.items()}
         bound = None if norms is None else dict(norms)
@@ -432,8 +433,9 @@ class Localization:
                 for x, n in nv.items():
                     bound[x] = b = bound.get(x, 0) + g1 * n
                     fits(b)
+            neg = [(k - bias, -a) for k, a in g.c.items()]
             for x, f in cv.items():
                 if x != v:
-                    _mul_into(rem.setdefault(x, {}), g.c, f.c, -1)
+                    _add_products(rem.setdefault(x, {}), neg, f.c.items())
         assert not any(rem.values()), "expansion left a remainder"
         return out

@@ -12,11 +12,10 @@ cross-check.
 
 Every value is a GA element (packed keys, see charring.py); the slice
 parts of the MC classes, and the classes the solve reads and writes,
-are kept as their v-lines, GA elements on weight keys whose
-coefficients hold the coefficients of the powers of v in 64-bit slots,
-certified on every run (localization.py).  A line bundle multiplies
-each value by one monomial e^{x(lambda)}, a shift of its keys
-(`KOracle._twist`).
+are kept as their y-lines, GA elements on weight keys whose
+coefficients give each power of y = -v^2 one 64-bit slot, certified on
+every run (localization.py).  A line bundle multiplies each value by
+one monomial e^{x(lambda)}, a shift of its keys (`KOracle._twist`).
 The Demazure-Lusztig steps (right, on MC classes and their slice
 parts, and in the affine Hecke action on stable envelopes, which is
 `dl_right` at y = -q conjugated by the star e^mu -> e^{-mu}) and the

@@ -519,7 +519,7 @@ def ref_expand(o, F, cell, points=None):
         out[v] = g
         for x, f in cv.items():
             if x != v:
-                _mul_into(rem.setdefault(x, {}), g.c, f.c, -1)
+                _mul_into(rem.setdefault(x, {}), (-g).c, f.c)
     assert not any(rem.values()), "expansion left a remainder"
     return out
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chevmc import charring
 from chevmc.charring import (
-    GA, LIMIT, Scalar, from_line, line_max, to_line,
+    GA, LIMIT, Scalar, _pack, from_line, line_max, to_line,
 )
 from chevmc.csm import CohPoly
 from chevmc.rootsystem import RootSystem
@@ -460,13 +460,14 @@ def test_exact_div_steep_lines_stay_apart():
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_line_round_trip(data):
-    """GA -> v-line -> GA is the identity, with the l1 norm, and
-    `line_max` reads the max norm, for v exponents 0..40 and
+    """GA -> y-line -> GA is the identity, with the l1 norm, and
+    `line_max` reads the max norm, for even v exponents 0..40 and
     coefficients up to +-(2^63 - 1)."""
     rank = data.draw(st.integers(1, 3))
     big = 2 ** 63 - 1
     terms = data.draw(st.dictionaries(st.tuples(
-        st.tuples(*[st.integers(-5, 5)] * rank), st.integers(0, 40)),
+        st.tuples(*[st.integers(-5, 5)] * rank),
+        st.integers(0, 20).map(lambda j: 2 * j)),
         st.integers(-big, big), max_size=12))
     g = GA((w, Scalar({e: x})) for (w, e), x in terms.items())
     line = to_line(g.c)
@@ -479,6 +480,33 @@ def test_line_round_trip(data):
 def test_line_refuses_negative_powers_of_v():
     with pytest.raises(ValueError):
         to_line(GA.term((0, 0), Scalar.v(-1)).c)
+    with pytest.raises(ValueError):
+        to_line(GA.term((0, 0), Scalar.y(-1)).c)
+
+
+@pytest.mark.parametrize("e", [1, 3, 41])
+def test_line_refuses_odd_powers_of_v(e):
+    """A y-line has one slot per power of y = -v^2: an odd power of v,
+    alone or next to even ones, raises ValueError."""
+    with pytest.raises(ValueError):
+        to_line(GA.term((0, 0), Scalar.v(e)).c)
+    with pytest.raises(ValueError):
+        to_line(GA.term((1, 0), Scalar({0: 1, 2: 5, e: 1})).c)
+
+
+def test_line_slot_j_holds_y_to_the_j():
+    """y^j = (-1)^j v^(2j) lands in slot j, and the line decodes back:
+    y^3 is -2^(3 SLOT) at its weight key, 1 + y is 1 - 2^SLOT, and
+    slots 0..2 of one weight hold the coefficients of 1, v^2 and v^4."""
+    slot = charring.SLOT
+    k = _pack((0, 0))
+    assert to_line(GA.term((0, 0), Scalar.y(3)).c) == {k: -(1 << 3 * slot)}
+    assert to_line(GA.term((0, 0), Scalar.y(0) + Scalar.y(1)).c) == {
+        k: 1 - (1 << slot)}
+    g = GA.term((2, -1), Scalar.y(0, 5) + Scalar.y(1, 7) + Scalar.y(2, -3))
+    line = to_line(g.c)
+    assert line == {_pack((2, -1)): 5 - (7 << slot) - (3 << 2 * slot)}
+    assert from_line(line) == (g.c, 15)
 
 
 def test_narrow_slots_are_refused(monkeypatch):

@@ -650,6 +650,23 @@ def test_cache_key_includes_version(tmp_path, monkeypatch):
     assert cache_get(str(tmp_path), stale) is None
 
 
+@pytest.mark.parametrize("umask, mode", [
+    (0o022, 0o644), (0o002, 0o664), (0o077, 0o600)])
+def test_cache_entry_has_the_umask_mode(tmp_path, umask, mode):
+    """An entry gets the mode of an ordinary file under the umask, not
+    mkstemp's 0600, so other users of a shared directory can read it;
+    the umask itself is left as it was."""
+    old = os.umask(umask)
+    try:
+        cache_put(str(tmp_path), "k", "w = s1\n")
+        assert os.umask(umask) == umask
+    finally:
+        os.umask(old)
+    entry, = tmp_path.iterdir()
+    assert entry.name == "k.json"
+    assert entry.stat().st_mode & 0o777 == mode
+
+
 def test_cache_corrupted_entry_recomputed(tmp_path):
     argv = ["chevalley", "--type", "A2", "--lambda", "1,0", "--w", "s1",
             "--format", "json", "--cache-dir", str(tmp_path)]
