@@ -50,9 +50,10 @@ two-term divisor, the shape of every Demazure-Lusztig denominator
 each line {k - m gap} of keys, gap the divisor's key difference,
 divides alone, walked once from its top with the carry in a local, no
 ordered remainder and no box.  Longer divisors, such as the solve's
-diagonals, take the long division (`_long_div`) inside the quotient's
-box.  A Weyl move (`GA.transform`) adds to each key only the packed
-columns of mat - 1 that are nonzero: one for a simple reflection.
+diagonals, first try a one-term quotient (`_monomial_div`), then take
+the long division (`_long_div`) inside the quotient's box.  A Weyl move
+(`GA.transform`) adds to each key only the packed columns of mat - 1
+that are nonzero: one for a simple reflection.
 
 A y-line (`to_line`) is the same dict for a polynomial in y = -v^2,
 with v^2 substituted by 2^SLOT: {k >> FIELD: sum_j c_j 2^(SLOT j)} over
@@ -201,6 +202,23 @@ def _long_div(a, d, bias, box):
             else:
                 del rem[kk]
     return quot
+
+
+def _monomial_div(a, d, bias):
+    """{key: int} of the monomial q with a = q d, or None; for |a| = |d|
+    (see GA.exact_div).  q is lead(a) / lead(d), by one divmod, and
+    q d = a when a[k + s] = q d[k] at every key k of d, s = lead(a) -
+    lead(d): then a has those |d| terms and no other.  Unchecked."""
+    ak, dk = max(a), max(d)
+    qc, r = divmod(a[ak], d[dk])
+    if r:
+        return None
+    s = ak - dk
+    get = a.get
+    for k, x in d.items():
+        if get(k + s) != qc * x:
+            return None
+    return {s + bias: qc}
 
 
 def _line_div(a, d, bias):
@@ -622,8 +640,10 @@ class GA:
         line by line (`_line_div`); the quotient then passes `_check`
         once (its keys are walk keys, so in range, when the divisor's
         leading key is that of a constant), and in a polynomial ring a
-        negative exponent means no quotient.  A longer divisor takes the
-        long division (`_long_div`) inside a box: an exact quotient q of
+        negative exponent means no quotient.  A longer divisor d first
+        tries a one-term quotient when self has |d| terms, as a monomial
+        times d has (`_monomial_div`), under the same two tests.
+        Otherwise it takes the long division (`_long_div`) inside a box: an exact quotient q of
         Laurent polynomials satisfies, field by field, max(q) = max(self)
         - max(other) and likewise for min (the extreme monomials of a
         product never cancel), so every quotient monomial lies in that
@@ -654,6 +674,13 @@ class GA:
             if not self.laurent and _negative(quot, r):
                 return None
             return type(self)._new(quot)
+        if len(a) == len(d):
+            quot = _monomial_div(a, d, bias)
+            if quot is not None:
+                if not self.laurent and _negative(quot, r):
+                    return None
+                _check(quot, r)
+                return type(self)._new(quot)
         lok = hik = 0
         inside = True  # the box lies in [-LIMIT, LIMIT) in every field
         top = FIELD * r

@@ -66,10 +66,12 @@ certifies (charring.fits) that each line is its polynomial, all
 coefficients in [-2^(SLOT-1), 2^(SLOT-1)): v^2 -> 2^SLOT is a ring map,
 one-to-one there, so a quotient q decoded from the integer quotient of a
 by d is a / d when every coefficient of q d - a lies there too.  Each slice
-part keeps its max norm; `_slice_step` bounds E D - (Q_x - b Q_{x s_i})
-and Q'_x, and the solve bounds the remainder at x by the max norm of F|_x
-plus, over the pivots v so far, ||g_v||_1 times that of Q_{v,x}, the
-quotient at x counted once x has been a pivot; a bound that reaches
+part keeps a bound on its max norm: `_slice_step` bounds E D - (Q_x - b
+Q_{x s_i}) and Q'_x, and keeps the max norm of E = Q'_{x s_i}, read off
+its slots, and the bound just certified for Q'_x.  The solve bounds the
+remainder at x by the bound of F|_x plus, over the pivots v so far,
+||g_v||_1 times that of Q_{v,x}, the quotient at x counted once x has
+been a pivot.  An upper bound is all that these need; one that reaches
 2^(SLOT-1) raises ValueError.  Only the coefficients g_v, and the parts
 that `slice_class` returns, are decoded.
 
@@ -253,7 +255,9 @@ class Localization:
 
     def _slice_step(self, i, F):
         """The slice parts of F T_i from those of F = cell(w), l(w s_i) >
-        l(w), as lines with their norms (see `_lines`).  With P_{x s_i} =
+        l(w), as lines with bounds on their max norms (see `_lines`): E's
+        read off its slots, since a quotient has no a-priori bound, and
+        Q'_x's the bound its certificate has just proved.  With P_{x s_i} =
         P_x x(a) on each pair x < x s_i, the right operator (see the
         module docstring) becomes
 
@@ -281,11 +285,12 @@ class Localization:
                 nq = N.get(xs, 0)
                 e = line_max(E.c)
                 fits(e * d1 + N.get(x, 0) + b1 * nq)
-                fits(e * bx1 + ed1 * nq)
+                n = e * bx1 + ed1 * nq
+                fits(n)
                 if E:
                     M[xs] = e
                 if g:
-                    M[x] = line_max(g.c)
+                    M[x] = n
             if E:
                 out[xs] = E
             if g:

@@ -1,6 +1,7 @@
 """Group-algebra elements and factored fractions."""
 
 import signal
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -455,6 +456,91 @@ def test_exact_div_steep_lines_stay_apart():
     assert ref_chain_div(n, d) is None
     q = GA.term((263,), Scalar.v(-276))
     assert (q * d).exact_div(d) == q
+
+
+# -- one-term quotients by a longer divisor -------------------------------
+
+KINDS = ("GA", "line", "CohPoly")
+
+
+def _element(data, kind, rank, size):
+    """An element of `kind` with rank weight fields and `size` terms: a
+    GA with Scalar coefficients, a y-line whose ints span several slots
+    (keys of one rank less), or a CohPoly."""
+    low = 0 if kind == "CohPoly" else -4
+    weight = st.tuples(*[st.integers(low, 4)] * rank)
+    if kind == "GA":
+        terms = data.draw(st.dictionaries(
+            st.tuples(weight, st.integers(-4, 4)),
+            st.integers(-5, 5).filter(bool), min_size=size, max_size=size))
+        return GA((w, Scalar.v(e, x)) for (w, e), x in terms.items())
+    big = 1 << 3 * charring.SLOT
+    coeffs = (st.integers(-5, 5) if kind == "CohPoly"
+              else st.integers(-big, big)).filter(bool)
+    terms = data.draw(st.dictionaries(weight, coeffs, min_size=size,
+                                      max_size=size))
+    if kind == "CohPoly":
+        return CohPoly(terms)
+    return GA._new({_pack(w): x for w, x in terms.items()})
+
+
+def _long_only(a, d):
+    """a.exact_div(d) with the one-term attempt switched off: the long
+    division's answer."""
+    with mock.patch.object(charring, "_monomial_div", lambda a, d, b: None):
+        return a.exact_div(d)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_exact_div_by_a_longer_divisor_finds_a_monomial(kind, data):
+    """(q d) / d == q for a monomial q and a divisor d of three or more
+    terms, at rank 1 to 3: q d has |d| terms, so the one-term
+    quotient is tried first and found."""
+    rank = data.draw(st.integers(1, 3))
+    q = _element(data, kind, rank, 1)
+    d = _element(data, kind, rank, data.draw(st.integers(3, 6)))
+    a = q * d
+    assert len(a.c) == len(d.c)
+    assert a.exact_div(d) == q
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_exact_div_of_equal_length_non_multiples(kind, data):
+    """A dividend with as many terms as d that is no monomial times d,
+    random or one coefficient away from q d, gets the long division's
+    answer, None or its quotient; in the polynomial ring a quotient
+    x_1^-1 c with a = c p and d = x_1 p is None."""
+    rank = data.draw(st.integers(1, 3))
+    d = _element(data, kind, rank, data.draw(st.integers(3, 6)))
+    near = dict((_element(data, kind, rank, 1) * d).c)
+    k = data.draw(st.sampled_from(sorted(near)))
+    near[k] += data.draw(st.sampled_from([-1, 1]))
+    for c in (near, _element(data, kind, rank, len(d.c)).c):
+        a = type(d)._new(c)
+        if len(a.c) == len(d.c):
+            q = a.exact_div(d)
+            assert q == _long_only(a, d)
+            assert q is None or q * d == a
+    if kind == "CohPoly":
+        x1 = CohPoly.term((1,) + (0,) * (rank - 1))
+        p = _element(data, kind, rank, data.draw(st.integers(3, 6)))
+        assert (3 * p).exact_div(x1 * p) is None
+
+
+def test_exact_div_of_equal_length_by_a_longer_quotient():
+    """(1 - x)(1 + x + x^2 + x^4) = 1 - x^3 + x^4 - x^5 has as many terms
+    as its divisor, yet its quotient has two: the one-term attempt
+    fails and the long division finds it, in both rings."""
+    for ring in (GA, CohPoly):
+        x = [ring.term((j, 0)) for j in range(6)]
+        d = x[0] + x[1] + x[2] + x[4]
+        a = x[0] - x[3] + x[4] - x[5]
+        assert len(a.c) == len(d.c)
+        assert a.exact_div(d) == x[0] - x[1]
 
 
 @given(data=st.data())

@@ -9,7 +9,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chevmc.charring import GA, Scalar
+from chevmc import charring, localization
+from chevmc.charring import GA, Scalar, from_line
 from chevmc.csm import CohOracle, CohPoly
 from chevmc.localization import dl_step
 from chevmc.oracle import KOracle
@@ -410,8 +411,6 @@ def test_slice_step_certificate(monkeypatch):
     it builds 100 times every slice class of B2, but with 8-bit slots its
     quotients and sums are no longer bounded below 2^7, and it raises
     ValueError rather than store a line it cannot decode."""
-    from chevmc import charring
-
     rs = TYPES["B2"]
     W = rs.weyl()
     want = {w: KOracle(rs).slice_class(w) for w in W.order}
@@ -428,6 +427,36 @@ def test_slice_step_certificate(monkeypatch):
     o = scaled()
     with pytest.raises(ValueError):
         o.slice_class(W.w0)
+
+
+@pytest.mark.parametrize("label", ["A3", "B3", "G2"])
+def test_slice_norms_bound_the_parts(label):
+    """At every point of every slice class, the norm that the step keeps
+    bounds the decoded part's max norm: read off the slots for E, the
+    certified bound for Q'_x."""
+    o = KOracle(RootSystem(label[0], int(label[1])))
+    for w in o.W.order:
+        lines, norms = o._slice_lines(w)
+        assert set(norms) == set(lines), (label, w)
+        for x, g in lines.items():
+            c, _ = from_line(g.c)
+            assert norms[x] >= max(map(abs, c.values())), (label, w, x)
+
+
+def test_certified_bounds_stay_small(monkeypatch):
+    """The largest bound certified in a fresh D4 varpi_1 expansion at w0
+    stays below 2^24, far from 2^63, so slice norms taken from their
+    certified bounds do not compound."""
+    seen = []
+
+    def fits(n):
+        seen.append(n)
+        charring.fits(n)
+
+    monkeypatch.setattr(localization, "fits", fits)
+    o = KOracle(RootSystem("D", 4))
+    o.expand_product((1, 0, 0, 0), o.W.w0)
+    assert seen and max(seen) < 1 << 24
 
 
 @pytest.mark.parametrize("oracle", [KOracle, CohOracle])
