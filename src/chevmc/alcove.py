@@ -127,7 +127,7 @@ class LambdaChain:
     def lam_key(self, u):
         """The packed key offset of u(lambda), kept by u."""
         if u not in self._lam_keys:
-            self._lam_keys[u] = self.rs.lazy_weyl().act_key(u, self.lam)
+            self._lam_keys[u] = self.rs.weyl().act_key(u, self.lam)
         return self._lam_keys[u]
 
     def render(self):
@@ -159,7 +159,7 @@ def chain_from_word(rs: RootSystem, lam_fund, word):
     word = tuple(-1 if i == rs.rank else i for i in word)
     if not all(-1 <= i < rs.rank for i in word):
         raise ValueError("word letters must lie in -1..%d" % rs.rank)
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     h = rs.h
     walls = _walls(rs)
     # One pass over the prefixes v = s_{i1} ... s_{i_{j-1}}, each the map
@@ -205,7 +205,7 @@ def chain_lex_height(rs: RootSystem, lam_fund):
     The multiset of hyperplanes is forced (those separating A from
     A - lambda); the order sorts h(s_{alpha,k}) lexicographically with
     the natural Dynkin-node order.  Built once per (rs, lambda) and kept
-    in rs.lex_chains, as rs.lazy_weyl() keeps its elements.
+    in rs.lex_chains, as rs.weyl() keeps its elements.
     """
     lam_fund = tuple(lam_fund)
     chain = rs.lex_chains.get(lam_fund)
@@ -273,7 +273,7 @@ def descent_subsets(chain: LambdaChain, w, ascending):
     order of the recursion that skips a position before taking it; a
     node's positions are the set bits of its mask (chain.descents).
     """
-    W = chain.rs.lazy_weyl()
+    W = chain.rs.weyl()
     steps = chain.steps(ascending)
     masks, at = chain.descents(ascending)
     n, images, mul_refl, keys = W.npos, W.images, W.mul_refl, W.root_keys

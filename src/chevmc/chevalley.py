@@ -74,7 +74,7 @@ def _leaves(chain, w, sign):
     lambda in range (as chevalley_tables checks; Weyl row sums below 64,
     see charring.pack_columns) a range check of the keys is exact."""
     rs = chain.rs
-    length = rs.lazy_weyl().length
+    length = rs.weyl().length
     positive = sign > 0
     bias = _BIAS[rs.rank]
     lw = length[w]
@@ -147,7 +147,7 @@ def _chain_pass(chain, ws, sign, seed=None):
     key of e^{+-x(lambda)}, is F_n(x) ({x: {key: 1}} by default), and
     the u of a term is that of the F_n it starts from."""
     rs = chain.rs
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     positive = sign > 0
     n, length, images, mul_refl, keys = (W.npos, W.length, W.images,
                                          W.mul_refl, W.root_keys)
@@ -211,7 +211,7 @@ def transition_direct(rs, w, lam_fund):
     terms between mu and s_i mu, in range when s_i P is.  Only the Weyl
     elements reached are made.
     """
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     r, h = rs.rank, rs.h
     q_inv = Scalar.q(-1)
     c = q_inv - Scalar.one()
@@ -251,7 +251,7 @@ def chevalley_bridge(rs, w, lam_fund, sign):
 
     with q = -y built into the shared ring, one entry at a time.
     """
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     table = transition_direct(rs, w, tuple(sign * -c for c in lam_fund))
     return {u: g.star() * Scalar.y(W.length[w] - W.length[u])
             for u, g in table.items()}
@@ -271,7 +271,7 @@ def chevalley_operator(chain, w):
     exponent_bound, so below the guard of 2^17 no key carries across its
     fields; the output is range-checked once if the bound reaches LIMIT."""
     rs = chain.rs
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     r = rs.rank
     bound = chain.exponent_bound
     if bound >= _HALF // 4:
@@ -334,7 +334,7 @@ def chevalley_sum(rs, lam_fund, ws, sign=1):
     range-checked as there, with F_n(x) = q^{l(x)} e^{+-x(lambda)} under
     one shared u, so that the pass keeps one dict per element."""
     _pack(rs.weight(lam_fund))  # raises on a weight outside the packed range
-    length = rs.lazy_weyl().length
+    length = rs.weyl().length
     F = _chain_pass(chain_lex_height(rs, lam_fund), list(dict.fromkeys(ws)),
                     sign, lambda x, key: {0: {key + 2 * length[x]: 1}})
     return GA.dot((f[0], 1) for f in F.values() if f)
@@ -412,7 +412,7 @@ def duality_check(rs, lam_fund, w, u, kind, table_fn):
 def render_table(rs, table, mono=None):
     """One line per u, in the order of (length, canonical word); `mono`
     is the monomial text of a fine weight, `exp_mono` by default."""
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     mono = mono or exp_mono(rs.h)
     return "\n".join(
         "C[u=%s] = %s" % (W.word_str(u), table[u].render(mono))

@@ -9,7 +9,7 @@ torus.
 
 `run` parses the shared options once, in the order --type, --lambda,
 --w (on the element store; a one-word command refuses 'all'), before a
-command completes the Weyl group, so of two faults the first in that
+command reads the whole Weyl group, so of two faults the first in that
 order is reported.  A command hands `_emit` its document's fields and
 its text as a callable, and only the printed format is built.
 """
@@ -202,7 +202,7 @@ def _emit(args, out, text, **fields):
     if "lam" in args:
         doc["lam"] = list(args.lam)
     if "one_word" in args:
-        doc["w"] = rs.lazy_weyl().word_str(args.w)
+        doc["w"] = rs.weyl().word_str(args.w)
     doc.update(fields)
     out.write(_dumps(doc) + "\n")
 
@@ -254,9 +254,8 @@ def _cmd_chevalley(args, out):
     # --epsilon is refused outside type A, except by LaTeX, which ignores it
     if args.epsilon and args.format != "latex" and rs.family != "A":
         raise CliError("epsilon coordinates exist only in type A")
-    # one word, on any route, makes only the elements its walk reaches;
-    # 'all' needs the whole group, and only on a miss
-    W = rs.lazy_weyl()
+    # 'all' reads the whole group, and only on a miss
+    W = rs.weyl()
     cache_dir = args.cache_dir or default_cache_dir()
     key = cache_key(
         "chevalley", rs.family, rs.rank, lam,
@@ -269,7 +268,7 @@ def _cmd_chevalley(args, out):
     # only a valid --word ever wrote one
     text = cache_get(cache_dir, key)
     if text is None:
-        ws = rs.weyl().order if args.w is None else [args.w]
+        ws = W.order if args.w is None else [args.w]
         chain = None
         if args.word is not None:
             chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word))
@@ -299,7 +298,7 @@ def _cmd_chevalley(args, out):
 
 def _cmd_hecke(args, out):
     rs = args.rs
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     table = transition_direct(rs, args.w, args.lam)
     rows = [(W.word_str(u), rs.weight_user(mu), c)
             for u in W.ordered(table) for mu, c in table[u].terms()]
@@ -579,7 +578,7 @@ def run(argv=None, out=None):
         if "lam" in args:
             args.lam = _parse_lambda(args.lam, rs.rank)
         if "w" in args:
-            args.w = _parse_w(rs.lazy_weyl(), args.w)
+            args.w = _parse_w(rs.weyl(), args.w)
             if args.w is None and "one_word" in args:
                 raise CliError("%s needs a single Weyl word" % args.command)
         return args.func(args, out)

@@ -140,7 +140,7 @@ def t_left(rs, i, elem):
 
     for w, p in elem.items():
         sp = p.act(W, si)
-        put(W.inv(W.right[W.inv(w)][i]), sp)  # s_i w
+        put(W.mul(si, w), sp)
         put(w, dl_step(1, 0, sp, p, ai))
     return out
 

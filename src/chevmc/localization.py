@@ -122,6 +122,7 @@ class Localization:
     def __init__(self, rs):
         self.rs = rs
         self.W = rs.weyl()
+        self.W.order  # the whole group, refused above WEYL_CAP before any class
         self.rank = rs.rank
         self.N = rs.n_positive()
         self.pos_roots = [a.fund for a in rs.positive_roots]
@@ -184,11 +185,11 @@ class Localization:
             v = (-self._act(W.from_word((i,)), d)).exact_div(d)
             assert v is not None, "s_i(d) / d is not polynomial"
             alpha = self.rs.weight(self.rs.simple_roots[i].fund)
-            right, length, act_key = W.right, W.length, W.act_key
+            step, length, act_key = W.step, W.length, W.act_key
             roots = self._roots
             pairs = []
             for x in W.order:
-                xs = right[x][i]
+                xs = step(x, i)
                 if length[xs] > length[x]:
                     k = act_key(x, alpha)
                     if k not in roots:
@@ -305,7 +306,7 @@ class Localization:
         step, and each step makes one new class."""
         if w not in cache:
             i = self.W.word(w)[-1]
-            cache[w] = step(i, self._climb(cache, step, self.W.right[w][i]))
+            cache[w] = step(i, self._climb(cache, step, self.W.step(w, i)))
         return cache[w]
 
     def _slice_lines(self, w):

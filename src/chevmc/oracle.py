@@ -162,7 +162,7 @@ class KOracle(Localization):
         y = Scalar.y(1) = -q."""
         W = self.W
         lhs = self.dl_right(i, self._stab_star(w))
-        ws = W.right[w][i]
+        ws = W.step(w, i)
         rhs = self.scale(self._stab_star(ws), Scalar.v(1))
         if W.length[ws] < W.length[w]:
             rhs = self.add(rhs, self.scale(self._stab_star(w),

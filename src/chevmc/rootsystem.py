@@ -7,16 +7,17 @@ lattice, weights are stored scaled by h = <rho, theta^vee> + 1 (the
 coordinates (h*c_1, ..., h*c_r).
 
 Weyl-group elements are integers of one store per root system
-(WeylGroup), made when a computation first reaches them, so a query
-about one w works on E7 and E8 too; the Bruhat order, cosets and every
-all-w computation complete the store, which refuses groups above
-WEYL_CAP elements.
+(`RootSystem.weyl()`), made when a computation first reaches them, so a
+query about one w works on E7 and E8 too; the first read of the whole
+group (the Bruhat order, cosets, any all-w computation) completes the
+store, which refuses groups above WEYL_CAP elements.
 """
 
 from __future__ import annotations
 
 import re
 from array import array
+from functools import cached_property
 from operator import mul
 
 from .charring import MAX_RANK, _BIAS, _weight, pack_columns
@@ -232,24 +233,13 @@ class RootSystem:
             c - m * f + level * self.h * f for c, f in zip(fine, root.fund)
         )
 
-    def lazy_weyl(self):
+    def weyl(self):
         """The element store, made on first use and kept: only the
-        elements a computation reaches are made."""
+        elements a computation reaches are made, until something reads
+        the whole group."""
         if self._weyl is None:
             self._weyl = WeylGroup(self)
         return self._weyl
-
-    def weyl(self):
-        """The whole group: the element store, completed."""
-        return self.lazy_weyl().complete()
-
-    def check_exhaustive(self):
-        """Raise ValueError when the whole group is above WEYL_CAP."""
-        if self.weyl_order > WEYL_CAP:
-            raise ValueError(
-                "exhaustive mode for %s%d needs %d Weyl elements, above the "
-                "cap %d" % (self.family, self.rank, self.weyl_order, WEYL_CAP)
-            )
 
     def __repr__(self):
         return "RootSystem(%s%d)" % (self.family, self.rank)
@@ -290,15 +280,16 @@ class WeylGroup:
     Elements are integers in the order they are made, 0 the identity,
     with `mats` (the matrix on fundamental coordinates) and `length`;
     w(rho) names w (Casselman, Machine calculations in Weyl groups,
-    1994).  A right step w s_i changes one column of w's matrix and is
-    kept in `right`; `mul(a, b)` walks b's canonical word, the lex-least
-    reduced word (`word`), through those steps.  Two tables filled on
-    first use give the chain routes their moves: signed root images
-    (`images`, keyed by `root_keys`) and products w s_beta (`mul_refl`).
-    `complete()` makes the rest of the group level by level, refusing
-    groups above WEYL_CAP; only then do `n`, `order` (the elements by
-    length, then canonical word), `w0`, the Bruhat order and the cosets
-    exist.  A fresh store completes to 0..n-1 in that order.
+    1994).  A right step w s_i (`step`) changes one column of w's matrix
+    and is kept; `mul(a, b)` walks b's canonical word, the lex-least
+    reduced word (`word`), through those steps, and `w0` is made along
+    the canonical word of -rho.  Two tables filled on first use give the
+    chain routes their moves: signed root images (`images`, keyed by
+    `root_keys`) and products w s_beta (`mul_refl`).  The first read of
+    `n` or `order` (the elements by length, then canonical word), as by
+    the Bruhat order and the cosets, completes the store level by level,
+    refusing groups above WEYL_CAP; a fresh store completes to 0..n-1 in
+    that order.
     """
 
     def __init__(self, rs: RootSystem):
@@ -371,15 +362,19 @@ class WeylGroup:
             for j, a in self._alphas[i]:
                 mu[j] -= c * a
 
-    def complete(self):
-        """The store with every element made; ValueError above WEYL_CAP.
-        Each element met first gets the canonical word of the element it
-        was reached from plus the step's letter."""
-        if hasattr(self, "n"):
-            return self
-        self.rs.check_exhaustive()
+    @cached_property
+    def order(self):
+        """Every element by length, then canonical word, the rest of the
+        store made on first read (ValueError above WEYL_CAP): an element
+        met first gets the word of the element it was reached from plus
+        the step's letter."""
+        rs = self.rs
+        if rs.weyl_order > WEYL_CAP:
+            raise ValueError(
+                "exhaustive mode for %s%d needs %d Weyl elements, above the "
+                "cap %d" % (rs.family, rs.rank, rs.weyl_order, WEYL_CAP))
         length, words, right = self.length, self.words, self.right
-        met = bytearray(self.rs.weyl_order)
+        met = bytearray(rs.weyl_order)
         met[0] = 1
         level = [0]
         # level by level, each in the order of canonical words: the first
@@ -388,8 +383,7 @@ class WeylGroup:
             nxt = []
             for w in level:
                 lw = length[w]
-                rw = right[w]
-                for i, v in enumerate(rw):
+                for i, v in enumerate(right[w]):
                     if v is None:
                         v = self._step(w, i)
                     if not met[v] and length[v] > lw:
@@ -397,13 +391,21 @@ class WeylGroup:
                         words[v] = words[w] + (i,)
                         nxt.append(v)
             level = nxt
-        if len(self.mats) != self.rs.weyl_order:
+        if len(self.mats) != rs.weyl_order:
             raise AssertionError("enumerated %d elements, expected %d"
-                                 % (len(self.mats), self.rs.weyl_order))
-        self.n = len(self.mats)
-        self.order = self.ordered(range(self.n))
-        self.w0 = self.order[-1]
-        return self
+                                 % (len(self.mats), rs.weyl_order))
+        return self.ordered(range(len(self.mats)))
+
+    @cached_property
+    def n(self):
+        """The order of the group; the first read completes the store."""
+        return len(self.order)
+
+    @cached_property
+    def w0(self):
+        """The longest element, w0(rho) = -rho, made along its canonical
+        word: l(w0) + 1 elements at most, the store not completed."""
+        return self.from_word(self._canonical(-self._rhos[0]))
 
     def ordered(self, xs):
         """The elements xs in the order of (length, canonical word)."""

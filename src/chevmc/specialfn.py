@@ -64,13 +64,13 @@ def dl_coeffs(rs, i, variant="tilde"):
 def dl_simple(rs, i, f, variant="tilde"):
     """T~_i f or T~vee_i f; only s_i is made in the element store."""
     b, e, d = dl_coeffs(rs, i, variant)
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     return dl_step(b, e, f.transform(W.mats[W.step(0, i)]), f, d)
 
 
 def dl_apply(rs, w, f, variant="tilde"):
     """T~_w f or T~vee_w f along the canonical word of w."""
-    for i in reversed(rs.lazy_weyl().word(w)):
+    for i in reversed(rs.weyl().word(w)):
         f = dl_simple(rs, i, f, variant)
     return f
 
@@ -90,10 +90,9 @@ def whittaker_chevalley(rs, lam_fund, w):
       = e^rho y^{l(w)} (sum_u q^{l(u)} C^w_{u,lambda-rho})|_{y -> 1/y},
 
     as (-1)^{l(u)} y^{-l(u)} is q^{l(u)} under y -> 1/y."""
-    W = rs.weyl()
     shifted = tuple(c - 1 for c in lam_fund)
     acc = chevalley_sum(rs, shifted, (w,), 1).y_inverse()
-    return GA.term(rs.rho(), Scalar.y(W.length[w])) * acc
+    return GA.term(rs.rho(), Scalar.y(rs.weyl().length[w])) * acc
 
 
 def big_r(rs, lam_fund, method="localization"):
@@ -180,8 +179,7 @@ def hall_littlewood(rs, lam_fund, method="closed"):
     if method in ("chain_restricted", "chain_opposite"):
         # lambda is range-checked as given, ahead of the sum at -lambda
         _pack(rs.weight(lam_fund))
-        W = rs.weyl()
-        ws = W.min_coset_reps(parabolic)
+        ws = rs.weyl().min_coset_reps(parabolic)
         if method == "chain_restricted":
             return chevalley_sum(rs, _wneg(lam_fund), ws, 1).star()
         return chevalley_sum(rs, lam_fund, ws, -1).star()

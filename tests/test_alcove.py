@@ -189,7 +189,7 @@ def test_e8_chain_from_word_reads_no_right_row():
     word = v_minus_lambda(rs, lam)
     chain = chain_from_word(rs, lam, word)
     assert chain.reduced and len(chain) == len(word) == 58
-    assert len(rs.lazy_weyl().mats) <= len(word) + 1
+    assert len(rs.weyl().mats) <= len(word) + 1
     digest = hashlib.sha256(repr(
         ([b.simple for b in chain.betas], chain.levels)).encode()).hexdigest()
     assert digest == (

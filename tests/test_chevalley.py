@@ -140,6 +140,7 @@ def test_operator_checks_its_output_only_at_a_bound_reaching_limit(
     ):
         rs = RootSystem(family, rank)
         W = rs.weyl()
+        W.order  # completed first: 0..n-1 in order
         chain = chain_lex_height(rs, lam)
         assert (chain.exponent_bound >= chevalley.LIMIT) == checked
         for w in ws or range(W.n):
@@ -151,7 +152,7 @@ def test_operator_checks_its_output_only_at_a_bound_reaching_limit(
     # a chain whose bound reaches 2^17 is refused before the loop; one
     # just below it is walked and checked once
     rs = RootSystem("A", 1)
-    rs.weyl()
+    rs.weyl().order  # completed first: 0..n-1 in order
     chain = chain_lex_height(rs, (1,))
     want = ref_operator(chain, 1)
     monkeypatch.setattr(chain, "exponent_bound", 1 << 17)
@@ -170,7 +171,7 @@ def test_operator_checks_its_output_only_at_a_bound_reaching_limit(
 ])
 def test_operator_equals_reference_on_a_lazy_store(rank, lam, word):
     rs = _lazy_rs("E", rank)
-    L = rs.lazy_weyl()
+    L = rs.weyl()
     x = L.from_word(word)
     chain = chain_lex_height(rs, lam)
     got = chevalley_operator(chain, x)
@@ -187,7 +188,7 @@ def test_one_chain_per_root_system_and_weight(monkeypatch):
 
     monkeypatch.setattr(alcove.LambdaChain, "__init__", counting_init)
     rs = RootSystem("B", 3)
-    rs.weyl()
+    rs.weyl().order  # completed first: 0..n-1 in order
     chevalley_table(rs, (1, -1, 1), 5, sign=1)
     chevalley_table(rs, (1, -1, 1), 7, sign=-1)
     chevalley_table(rs, (1, -1, 1), 7, method="operator")
@@ -198,7 +199,7 @@ def test_one_chain_per_root_system_and_weight(monkeypatch):
         assert type(seq) is tuple
     # the memo belongs to the root system
     other = RootSystem("B", 3)
-    other.weyl()
+    other.weyl().order  # completed first: 0..n-1 in order
     chevalley_table(other, (1, -1, 1), 5)
     assert len(built) == 2
 
@@ -411,8 +412,8 @@ def _lazy_rs(family, rank):
 
 def _whole_rs(family, rank):
     if (family, rank) not in _WHOLE_RS:
-        _WHOLE_RS[family, rank] = RootSystem(family, rank)
-        _WHOLE_RS[family, rank].weyl()
+        rs = _WHOLE_RS[family, rank] = RootSystem(family, rank)
+        rs.weyl().order  # completed first: 0..n-1 in order
     return _WHOLE_RS[family, rank]
 
 
@@ -423,7 +424,7 @@ def _listed(W, table):
 
 def _assert_stores_agree(family, rank, lam, word):
     whole, lazy = _whole_rs(family, rank), _lazy_rs(family, rank)
-    W, L = whole.weyl(), lazy.lazy_weyl()
+    W, L = whole.weyl(), lazy.weyl()
     w, x = W.from_word(word), L.from_word(word)
     assert L.word_str(x) == W.word_str(w)
     for sign, method in _ROUTES:
@@ -461,7 +462,7 @@ def test_lazy_tables_equal_exhaustive_e6(lam, word):
 @pytest.mark.parametrize("rank", [7, 8])
 def test_chain_and_operator_agree_e7_e8(rank):
     rs = RootSystem("E", rank)
-    L = rs.lazy_weyl()
+    L = rs.weyl()
     top = tuple(int(j == rank - 1) for j in range(rank))
     down = tuple(range(rank - 1, -1, -1))
     # the cube of the Coxeter element s1...sr is reduced (3 < h/2)
@@ -595,6 +596,7 @@ def test_chain_many_on_word_chains(family, rank, lam, word):
 def test_chain_many_keeps_the_asked_elements():
     rs = RootSystem("A", 3)
     W = rs.weyl()
+    W.order  # completed first: 0..n-1 in order
     chain = chain_lex_height(rs, (1, -1, 2))
     ws = [W.w0, 5, 0, 5, 17]
     got = chevalley_tables(rs, (1, -1, 2), ws, -1)
@@ -686,6 +688,7 @@ def test_chevalley_sum_range_error():
 def test_tables_contract(monkeypatch):
     rs = RootSystem("B", 2)
     W = rs.weyl()
+    W.order  # completed first: 0..n-1 in order
     lam = (1, -1)
     calls = []
     real = chevalley._chain_pass

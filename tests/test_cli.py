@@ -19,7 +19,7 @@ from chevmc.cli import _dumps, build_parser, run
 from chevmc.cache import cache_key, cache_get, cache_put
 from chevmc.charring import GA, LIMIT, Scalar
 from chevmc.oracle import KOracle
-from chevmc.rootsystem import RootSystem, WeylGroup
+from chevmc.rootsystem import RootSystem
 from chevmc.verify import run_suite, suite_cases
 import chevmc
 from conftest import ref_to_json, v_minus_lambda
@@ -409,8 +409,7 @@ def test_bad_args_exit_2(capsys):
         *([command, "--type", "E7", "--lambda=0,0,0,0,0,0,1"] + rest
           for command, rest in (
               ("chevalley", ["--w", "all"]),
-              ("oracle", ["--w", "s1"]), ("csm", ["--w", "s1"]),
-              ("stab", []), ("whittaker", []))),
+              ("oracle", ["--w", "s1"]), ("stab", []), ("whittaker", []))),
         *(["verify", "--suite", suite, "--type", "E7"]
           for suite in ("all", "methods")),
         ["search-positivity", "--type", "E7"],
@@ -444,7 +443,7 @@ def _refuse(*args, **kwargs):
     raise AssertionError("not expected on this path")
 
 
-def test_single_word_builds_no_weyl_group(monkeypatch):
+def test_single_word_builds_no_weyl_group(no_completion):
     # one word on any route, and hecke-coeffs, makes only the Weyl
     # elements its walk reaches: with the group's completion made to
     # fail, both signs, an explicit affine word and every format still
@@ -454,7 +453,6 @@ def test_single_word_builds_no_weyl_group(monkeypatch):
                    for i in v_minus_lambda(RootSystem("D", 5), lam))
     base = ["chevalley", "--type", "D5", "--lambda=0,0,0,1,0",
             "--w", "s2s3s4s5"]
-    monkeypatch.setattr(WeylGroup, "complete", _refuse)
     for extra in ([], ["--method", "operator"], ["--sign", "-"],
                   ["--method", "bridge"],
                   ["--method", "bridge", "--sign", "-"],
@@ -480,6 +478,25 @@ def test_e7_word_on_the_bridge():
     assert len(tables[0][0]["entries"]) == 4 and tables[0] == tables[1]
     code, text = _run(["hecke-coeffs"] + base)
     assert code == 0 and json.loads(text)["entries"]
+
+
+def test_csm_and_one_word_whittaker_above_the_cap(no_completion):
+    # csm and a one-word whittaker read only the elements their walks
+    # reach: on E7 and E8, with the group's completion made to fail, both
+    # print non-empty JSON
+    for rank in (7, 8):
+        top = ",".join("1" if j == rank else "0" for j in range(1, rank + 1))
+        for argv in (
+            ["csm", "--type", "E%d" % rank, "--lambda=" + top, "--w", "s1"],
+            ["csm", "--type", "E%d" % rank, "--lambda=" + top,
+             "--w", "s%d" % rank],
+            ["whittaker", "--type", "E%d" % rank,
+             "--lambda=" + top.replace("1", "-1"), "--w", "s1s3s4"],
+        ):
+            code, text = _run(argv + ["--format", "json"])
+            assert code == 0, argv
+            doc = json.loads(text)
+            assert doc.get("entries") or doc["values"][0]["value"], argv
 
 
 def test_e8_single_word():

@@ -97,6 +97,21 @@ def test_commutation_lemma(lam):
             assert lhs[u] == rhs[u], (lam, w, u)
 
 
+@pytest.mark.parametrize("rank,word,lam", [
+    (7, "s1s3s4s2s5", (1, 0, 0, 0, 0, 0, 0)),
+    (7, "s7s6s5s4", (0, 0, 0, 0, 0, 0, 1)),
+    (8, "s8s7s6s5s4", (1, 0, 0, 0, 0, 0, 0, 0)),
+    (8, "s2s4s3s5s4", (0, 0, 0, 0, 0, 0, 0, 1)),
+])
+def test_commutation_lemma_above_the_cap(no_completion, rank, word, lam):
+    # one E7 or E8 word reads w's inversions and the steps s_i w of its
+    # word alone: the closed table is T_w x_lambda without the whole group
+    rs = RootSystem("E", rank)
+    w = rs.weyl().from_word_str(word)
+    table = csm_chevalley(rs, lam, w)
+    assert table and t_w_times_x(rs, w, lam) == table
+
+
 def test_parabolic_min_rep_and_support():
     w = W.from_word_str("s2s1")
     tab = csm_chevalley(RS, (1, 0), w, parabolic=(1,))

@@ -319,3 +319,13 @@ def test_expand_solve_equals_pairing(label, lams):
             a = o.expand_product(lam, w)
             b = _expand_by_pairing(o, lam, w)
             assert a == b, (label, lam, w)
+
+
+def test_oracle_above_the_cap_refused_before_its_point_class(monkeypatch):
+    # the oracle reads the whole group first: E7 is refused at once, not
+    # after the 2.9M-term Weyl denominator of its point class
+    def refuse(self):
+        raise AssertionError("point class built above the cap")
+    monkeypatch.setattr(KOracle, "point_class", refuse)
+    with pytest.raises(ValueError, match="above the cap 100000"):
+        KOracle(RootSystem("E", 7))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from chevmc.charring import MAX_RANK, _BIAS, _weight
 from chevmc.chevalley import chevalley_table, chevalley_tables, render_table
 from chevmc.oracle import KOracle
-from chevmc.rootsystem import RootSystem, _mat_vec, cartan_matrix
+from chevmc.rootsystem import WEYL_CAP, RootSystem, _mat_vec, cartan_matrix
 from conftest import reflect
 
 
@@ -79,7 +79,7 @@ def test_weyl_words_canonical():
     assert W.words[0] == ()
     assert W.length[W.w0] == 3
     # lex-least reduced word for w0 in A2 is s1 s2 s1
-    assert W.words[W.w0] == (0, 1, 0)
+    assert W.word(W.w0) == (0, 1, 0)
     for w in range(W.n):
         assert W.from_word(W.words[w]) == w
         assert W.length[W.from_word(W.words[w])] == len(W.words[w])
@@ -283,20 +283,20 @@ def test_lazy_store_tables_match_matrices(rank, seed):
     # are made straight from w(rho) and the matrices, and each is walked
     # against s_beta's word for a seeded sample of roots
     rs = RootSystem("E", rank)
-    W = rs.lazy_weyl()
+    W = rs.weyl()
     rng = random.Random(seed)
     for _ in range(3):
         W.from_word([rng.randrange(rank) for _ in range(rng.randrange(12))])
     elements = range(len(W.mats))
     _check_tables(rs, W, elements,
                   lambda w: rng.sample(rs.positive_roots, 3))
-    assert len(W.mats) > len(elements) and not hasattr(W, "n")
+    assert len(elements) < len(W.mats) < rs.weyl_order
 
 
 def _reached_elements(rs):
     """Every element of a store that is never completed, reached through
     right steps by the simple reflections."""
-    L = rs.lazy_weyl()
+    L = rs.weyl()
     seen = {0}
     frontier = [0]
     while frontier:
@@ -312,7 +312,8 @@ def test_lazy_words_match_pinned(family, rank):
     # and its length from the steps, without completing itself
     rs = RootSystem(family, rank)
     L, elements = _reached_elements(rs)
-    assert len(elements) == rs.weyl_order and not hasattr(L, "n")
+    # completing the store would have spelled every word
+    assert len(elements) == rs.weyl_order == L.words.count(None) + 1
     assert all(L.length[w] == len(L.word(w)) for w in elements)
     words = sorted((L.word(w) for w in elements),
                    key=lambda ww: (len(ww), ww))
@@ -325,7 +326,7 @@ def test_lazy_store_matches_exhaustive(family, rank):
     # single words on one root system's store, longest first, against the
     # whole group of another
     rs = RootSystem(family, rank)
-    W, L = rs.weyl(), RootSystem(family, rank).lazy_weyl()
+    W, L = rs.weyl(), RootSystem(family, rank).weyl()
     lazy = [None] * W.n
     for w in reversed(range(W.n)):
         lazy[w] = L.from_word(W.words[w])
@@ -344,7 +345,7 @@ def test_lazy_store_matches_exhaustive(family, rank):
         assert L.inv(x) == lazy[W.inv(w)] and L.mul(x, L.inv(x)) == 0
     for a in rs.positive_roots:
         assert L.reflection(a) == lazy[W.reflection(a)]
-    assert not hasattr(L, "n")
+    assert "order" not in vars(L)  # the store was not completed
 
 
 _FRESH = {}
@@ -354,7 +355,7 @@ def _fresh(family, rank):
     """A root system whose group was completed first, and its oracle."""
     if (family, rank) not in _FRESH:
         rs = RootSystem(family, rank)
-        rs.weyl()
+        rs.weyl().order  # completed first: 0..n-1 in order
         _FRESH[family, rank] = rs, KOracle(rs)
     return _FRESH[family, rank]
 
@@ -374,7 +375,7 @@ def test_grown_store_completes_to_the_fresh_group(family, rank, data):
     # completed, numbers its elements in another order than a fresh one;
     # matched by canonical word, everything that reads the order agrees
     grown = RootSystem(family, rank)
-    L = grown.lazy_weyl()
+    L = grown.weyl()
     # s_r ... s_1 first, so that the integers never follow the words
     L.from_word(range(rank - 1, -1, -1))
     words = data.draw(st.lists(st.lists(st.integers(0, rank - 1),
@@ -423,15 +424,46 @@ def test_e7_e8_lazy_only(rank, n_pos, h):
     # completing the store refuses them with the cap message
     rs = RootSystem("E", rank)
     assert rs.n_positive() == n_pos and rs.h == h
-    L = rs.lazy_weyl()
+    L = rs.weyl()
     word = tuple(range(rank - 1, -1, -1))
     w = L.from_word(word)
     assert L.length[w] == rank
     assert L.word(w) == word[:rank - 3] + (1, 2, 0)  # s4 s2 s3 s1 in E
     with pytest.raises(ValueError, match="above the cap 100000"):
-        L.complete()
+        L.order
     with pytest.raises(ValueError, match="above the cap 100000"):
-        rs.weyl()
+        rs.weyl().n
+
+
+# every type whose group is within the cap: A8, B7, C7 and D7 are above it
+_CAPPED_TYPES = [
+    (family, rank) for family, ranks in (
+        ("A", range(1, 9)), ("B", range(2, 8)), ("C", range(2, 8)),
+        ("D", range(3, 8)), ("E", (6,)), ("F", (4,)), ("G", (2,)))
+    for rank in ranks if RootSystem(family, rank).weyl_order <= WEYL_CAP
+]
+
+
+@pytest.mark.parametrize("family,rank", _CAPPED_TYPES,
+                         ids=["%s%d" % t for t in _CAPPED_TYPES])
+def test_w0_from_minus_rho_is_the_last_element(family, rank):
+    # w0 is made along the canonical word of -rho, one element per
+    # letter, and is the last element of the completed group
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    w0 = W.w0
+    assert len(W.mats) == rs.n_positive() + 1 == W.length[w0] + 1
+    assert w0 == W.order[-1]
+
+
+@pytest.mark.parametrize("rank,made", [(7, 64), (8, 121)])
+def test_w0_above_the_cap(no_completion, rank, made):
+    # w0(rho) = -rho names w0, made with l(w0) + 1 elements in all
+    rs = RootSystem("E", rank)
+    W = rs.weyl()
+    w0 = W.w0
+    assert len(W.mats) == made
+    assert W.act(w0, rs.rho()) == tuple(-c for c in rs.rho())
 
 
 def _root_lengths(A):

@@ -82,6 +82,21 @@ def test_whittaker_chevalley_form(lam):
         assert whittaker(RS, lam, w) == whittaker_chevalley(RS, lam, w), (lam, w)
 
 
+@pytest.mark.parametrize("rank,word,lam", [
+    (7, "s1s3s4s2", (-1, 0, 0, 0, 0, 0, 0)),
+    (7, "s7s6s5s4", (0, 0, 0, 0, 0, 0, -1)),
+    (8, "s8s7s6s5", (0, 0, 0, 0, 0, 0, 0, -1)),
+    (8, "s2s4s3s5", (-1, 0, 0, 0, 0, 0, 0, 0)),
+])
+def test_whittaker_chevalley_form_above_the_cap(no_completion, rank, word,
+                                                lam):
+    # one E7 or E8 word: the operator walk and the Chevalley sum make only
+    # the elements they reach
+    rs = RootSystem("E", rank)
+    w = rs.weyl().from_word_str(word)
+    assert whittaker(rs, lam, w) == whittaker_chevalley(rs, lam, w)
+
+
 def test_whittaker_rho_twist(oracle):
     # chi_T(L_rho (x) MC'(X(w)^o)) = (-1)^{l(w)} e^rho
     o = oracle
