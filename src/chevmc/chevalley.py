@@ -33,7 +33,9 @@ form, term by term.  The walk, the pass and the operator route read
 their steps off LambdaChain.steps and their Weyl moves off the tables
 of WeylGroup (images, mul_refl).
 
-Dualities and the parabolic formula live here as well.
+Dualities, the parabolic formula and the stable-basis matrices of
+T*(G/B) (shift_matrix, wall_cross_path: functions of the root system
+that build no oracle) live here as well.
 """
 
 from __future__ import annotations
@@ -407,6 +409,60 @@ def duality_check(rs, lam_fund, w, u, kind, table_fn):
     else:
         raise ValueError("unknown duality %r" % kind)
     return lhs, rhs
+
+
+# -- stable basis (of oracle.KOracle.stab) -----------------------------
+
+def shift_matrix(rs, lam_fund):
+    """S[u][w]: stab_{A+lambda}(u) = sum_w S[u][w] stab_A(w), the
+    coefficient q^{(l(u)-l(w))/2} (C^w_{u,-lambda})^vee|_{y = -q^{-1}} of
+    L_lambda (x) stab(u) at stab(w) times e^{-u(lambda)}.  The
+    substitution fixes scalars and negates weights, so each entry is one
+    product (C^w_{u,-lambda})^star e^{-u(lambda)} v^{l(u)-l(w)}."""
+    W = rs.weyl()
+    lam = rs.weight(lam_fund)
+    out = {u: {} for u in range(W.n)}
+    for w, table in chevalley_tables(rs, lam_fund, range(W.n), -1).items():
+        for u, g in table.items():
+            out[u][w] = g.star() * GA.term(_wneg(W.act(u, lam)),
+                                           Scalar.v(W.length[u] - W.length[w]))
+    return out
+
+
+def wall_cross_path(rs, lam_fund):
+    """M[w][x]: stab_A(w) = sum_x M[w][x] stab_{A+lambda}(x), composed
+    along the alcove path from A to A+lambda of the lex lambda-chain.
+    Crossing H_{beta,n} from A1 to A2, on its positive side,
+
+        stab_{A1}(w) = stab_{A2}(w) + [w s_beta > w] e^{-n w(beta)}
+                       (q^{1/2} - q^{-1/2}) stab_{A2}(w s_beta),
+
+    so a w that does not ascend keeps its row as it is."""
+    W = rs.weyl()
+    one = GA.const(1, rs.rank)
+    qdiff = Scalar.v(1) - Scalar.v(-1)
+    # M_j expands the stab basis of the j-th alcove on the path in
+    # the final basis; start at the far end with the identity.
+    m = {w: {w: one} for w in range(W.n)}
+    for a, kh, _odd, _c in reversed(
+            chain_lex_height(rs, lam_fund).steps(False)):
+        nb = tuple(-(kh // rs.h) * rs.h * c
+                   for c in rs.positive_roots[a].fund)  # -n beta, fine lattice
+        nxt = {}
+        for w, row in m.items():
+            ws = W.mul_refl(w, a)
+            if W.length[ws] > W.length[w]:
+                c = GA.term(W.act(w, nb), qdiff)
+                row = dict(row)
+                for z, d in m[ws].items():
+                    s = GA.dot(((one, row[z]), (c, d))) if z in row else c * d
+                    if s:
+                        row[z] = s
+                    else:
+                        del row[z]
+            nxt[w] = row
+        m = nxt
+    return m
 
 
 def render_table(rs, table, mono=None):

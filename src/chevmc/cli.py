@@ -27,7 +27,9 @@ from . import __version__
 from .charring import FIELD, GA, MASK, _HALF, _weight, exp_mono
 from .rootsystem import RootSystem, parse_word
 from .alcove import chain_lex_height, chain_from_word
-from .chevalley import chevalley_tables, render_table, transition_direct
+from .chevalley import (
+    chevalley_tables, render_table, shift_matrix, transition_direct,
+)
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
 from .verify import SUITES, run_suite
 
@@ -332,7 +334,6 @@ def _cmd_oracle(args, out):
 
 
 def _cmd_stab(args, out):
-    from .oracle import shift_matrix
     rs = args.rs
     W = rs.weyl()
     S = shift_matrix(rs, args.lam)

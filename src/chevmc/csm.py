@@ -10,8 +10,8 @@ Demazure-Lusztig operator; CohPoly has no v, so the lines of its slice
 recursion and solve hold plain int coefficients and need no
 certificate), the left action of the degenerate affine
 Hecke algebra (`t_left`, `t_w_times_x`, functions of the root system)
-with its commutation lemma, CSM classes of Schubert cells, and the
-first-Chern-class Chevalley formula
+with its commutation lemma, CSM classes of Schubert cells
+(`CohOracle.cell_class`), and the first-Chern-class Chevalley formula
 
     c1(L_lambda) . csm(X(w W_P)^o)
         = w(lambda) csm(X(w W_P)^o)
@@ -173,8 +173,6 @@ class CohOracle(Localization):
         """(b, e, d) of T_i = ((alpha_i + 1) s_i^L - 1) / alpha_i: b = 1,
         d = alpha_i and e = (alpha_i + 1 - b) / d = 1."""
         return 1, 1, CohPoly.linear(rs.simple_roots[i].fund)
-
-    csm = Localization.cell_class  # c_SM(X(w)^o)
 
     def first_chern(self, lam_fund):
         """c1(L_lambda)|_v = v(lambda)."""

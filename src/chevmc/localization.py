@@ -134,7 +134,6 @@ class Localization:
         }
         self._cells = {0: self.point_class()}
         self._slices = {0: self._lines(self._cells[0])}
-        self._opposite = {}
         self._stab, self._starred = {}, {}  # KOracle.stab, its stars
         self._steps, self._roots = {}, {}
         self._ab = None
@@ -327,13 +326,11 @@ class Localization:
 
     def opposite_cell_class(self, w):
         """The class of the opposite cell Y(w)^o = w0 X(w0 w)^o, by the
-        left w0 action (w0 F)|_v = w0(F|_{w0 v})."""
-        if w not in self._opposite:
-            W = self.W
-            F = self.cell_class(W.mul(W.w0, w))
-            moved = {W.mul(W.w0, u): self._act(W.w0, f) for u, f in F.items()}
-            self._opposite[w] = {u: moved[u] for u in W.ordered(moved)}
-        return self._opposite[w]
+        left w0 action (w0 F)|_v = w0(F|_{w0 v}), made on each call."""
+        W = self.W
+        F = self.cell_class(W.mul(W.w0, w))
+        moved = {W.mul(W.w0, u): self._act(W.w0, f) for u, f in F.items()}
+        return {u: moved[u] for u in W.ordered(moved)}
 
     # -- quotients over root factors -----------------------------------
     def cofactor(self, weights, roots=None):
@@ -376,9 +373,6 @@ class Localization:
         return self.root_quotient(
             self.ring.dot((f, ab[w]) for w, f in F.items())
         )
-
-    def pair(self, F, G):
-        return self.integral(self.mul(F, G))
 
     # -- lines ---------------------------------------------------------
     def _lines(self, F):

@@ -6,9 +6,9 @@ classes of Schubert cells (by the right Demazure-Lusztig recursion),
 Segre motivic classes (by their defining formula), Euler
 characteristics by the Atiyah-Bott fixed-point sum, and the expansion
 of a line bundle times a motivic class in the motivic basis, on G/B
-and on G/P.  Everything here is independent of the lambda-chain
-combinatorics, so agreement with the chain formulas is a genuine
-cross-check.
+and on G/P.  The module imports only charring and localization, so
+nothing here reads the lambda-chain combinatorics, and agreement with
+the chain formulas is a genuine cross-check.
 
 Every value is a GA element (packed keys, see charring.py); the slice
 parts of the MC classes, and the classes the solve reads and writes,
@@ -27,17 +27,13 @@ Lambda = prod over all roots beta of (1 + y e^beta), so that pairing
 with one is one more division by Lambda.
 
 Stable envelopes of the cotangent bundle are classes of the oracle
-(`KOracle.stab`, with the affine Hecke action on them); their shift and
-wall-crossing matrices, at the end of the file, are functions of the
-root system alone and build no oracle.  Only these use half powers of q
-(odd powers of v).
+(`KOracle.stab`, with the affine Hecke action on them); only these use
+half powers of q (odd powers of v).
 """
 
 from __future__ import annotations
 
 from .charring import FIELD, GA, Scalar, _check, _pack, _wneg
-from .alcove import chain_lex_height
-from .chevalley import chevalley_tables
 from .localization import Localization
 
 
@@ -68,10 +64,6 @@ class KOracle(Localization):
         lam = self.rs.weight(lam_fund)
         return {w: GA.term(self.W.act(w, lam)) for w in range(self.W.n)}
 
-    def constant(self, ga):
-        """A class pulled back from the point."""
-        return {w: ga for w in range(self.W.n)}
-
     def scale(self, F, c):
         return {w: f * c for w, f in F.items()}
 
@@ -88,10 +80,6 @@ class KOracle(Localization):
         return g
 
     # -- motivic classes -----------------------------------------------
-    mc = Localization.cell_class  # MC_y(X(w)^o)
-    mc_y = Localization.opposite_cell_class  # MC_y(Y(w)^o)
-    euler_char = Localization.integral
-
     def _over_lambda_y(self, F):
         """F / lambda_y(T*) as (numerator class, Lambda)."""
         num = {w: f * self.lambda_y_cotangent(w, -1) for w, f in F.items()}
@@ -111,13 +99,14 @@ class KOracle(Localization):
     def smc(self, u):
         """SMC_y(Y(u)^o) = (-y)^{dim Y(u)} D(MC_y(Y(u)^o)) / lambda_y(T*),
         the basis dual to the MC classes, as (numerator class, Lambda)."""
-        return self._segre(self.mc_y(u), self.N - self.W.length[u])
+        return self._segre(self.opposite_cell_class(u),
+                           self.N - self.W.length[u])
 
     def mc_prime(self, w):
         """MC'_y(X(w)^o) = lambda_y(id) MC_y(X(w)^o) / lambda_y(T*) as
         (numerator class, Lambda)."""
         return self._over_lambda_y(
-            self.scale(self.mc(w), self.lambda_y_cotangent(0))
+            self.scale(self.cell_class(w), self.lambda_y_cotangent(0))
         )
 
     # -- stable envelopes ----------------------------------------------
@@ -132,7 +121,7 @@ class KOracle(Localization):
             pref = Scalar.v(2 * self.N - W.length[w], (-1) ** self.N)
             rho2 = tuple(2 * c for c in self.rs.rho())
             out = {}
-            for v, f in self.mc_y(w).items():
+            for v, f in self.opposite_cell_class(w).items():
                 g = f.y_inverse()  # y -> -q^{-1} is v -> 1/v
                 g = g * GA.term(_wneg(W.act(v, rho2)), pref)
                 if g:
@@ -220,75 +209,9 @@ class KOracle(Localization):
         points = self.W.min_coset_reps(parabolic)
         if w not in points:
             raise ValueError("w must be a minimal coset representative")
-        cells = {x: self._lines(self.pushforward(self.mc(x), parabolic))
+        cells = {x: self._lines(self.pushforward(self.cell_class(x),
+                                                 parabolic))
                  for x in points}
         return self._expand(self._twist(lam_fund, cells[w]),
                             cells.__getitem__, points)
 
-
-# -- stable-basis layer ------------------------------------------------
-
-def chevalley_coeffs(rs, lam_fund):
-    """{(u, w): coefficient} of L_lambda (x) stab(u) in the stab basis:
-
-        q^{(l(u)-l(w))/2} (C^w_{u,-lambda})^vee|_{y = -q^{-1}},
-
-    where the composite substitution fixes the scalar ring and
-    negates the weights."""
-    W = rs.weyl()
-    tables = chevalley_tables(rs, lam_fund, range(W.n), -1)
-    out = {}
-    for w, table in tables.items():
-        for u, g in table.items():
-            out[(u, w)] = g.star() * Scalar.v(W.length[u] - W.length[w])
-    return out
-
-
-def shift_matrix(rs, lam_fund):
-    """S[u][w]: stab_{A+lambda}(u) = sum_w S[u][w] stab_A(w)."""
-    W = rs.weyl()
-    lam = rs.weight(lam_fund)
-    out = {u: {} for u in range(W.n)}
-    for (u, w), g in chevalley_coeffs(rs, lam_fund).items():
-        out[u][w] = g * GA.term(_wneg(W.act(u, lam)))
-    return out
-
-
-def wall_cross(rs, root, level, w):
-    """stab_{A1}(w) in the stab_{A2} basis for adjacent alcoves
-    separated by H_{root, level}, A2 on the positive side:
-
-        stab_{A1}(w) = stab_{A2}(w)
-            + [w s_a > w] e^{-n w(a)} (q^{1/2} - q^{-1/2}) stab_{A2}(w s_a).
-    """
-    W = rs.weyl()
-    out = {w: GA.const(1, rs.rank)}
-    ws = W.mul_refl(w, root.index)
-    if W.length[ws] > W.length[w]:
-        af = tuple(rs.h * c for c in root.fund)
-        mu = _wneg(tuple(level * c for c in W.act(w, af)))
-        out[ws] = GA.term(mu, Scalar.v(1) - Scalar.v(-1))
-    return out
-
-
-def wall_cross_path(rs, lam_fund):
-    """M[w][x]: stab_A(w) = sum_x M[w][x] stab_{A+lambda}(x), by
-    composing single wall crossings along the alcove path from A to
-    A+lambda read off a reduced lambda-chain."""
-    W = rs.weyl()
-    chain = chain_lex_height(rs, lam_fund)
-    # M_j expands the stab basis of the j-th alcove on the path in
-    # the final basis; start at the far end with the identity.
-    m = {w: {w: GA.const(1, rs.rank)} for w in range(W.n)}
-    for a, kh, _odd, _c in reversed(chain.steps(False)):
-        root, level = rs.positive_roots[a], kh // rs.h
-        nxt = {}
-        for w in range(W.n):
-            pairs = {}
-            for x, c in wall_cross(rs, root, level, w).items():
-                for z, d in m[x].items():
-                    pairs.setdefault(z, []).append((c, d))
-            sums = ((z, GA.dot(ps)) for z, ps in pairs.items())
-            nxt[w] = {z: s for z, s in sums if s}
-        m = nxt
-    return m

@@ -24,8 +24,11 @@ from multiprocessing import Pool
 from .charring import GA, Scalar
 from .rootsystem import RootSystem
 from .alcove import chain_lex_height
-from .chevalley import chevalley_tables, chevalley_terms, duality_check
-from .oracle import KOracle, shift_matrix, wall_cross_path
+from .chevalley import (
+    chevalley_tables, chevalley_terms, duality_check, shift_matrix,
+    wall_cross_path,
+)
+from .oracle import KOracle
 
 # what the cases of the running suite share, by key; None outside
 # run_suite and before a pool worker's first case
@@ -158,10 +161,7 @@ def case_stable(family, rank, lam):
     M = wall_cross_path(rs, tuple(lam))
     for w in range(W.n):
         for z in range(W.n):
-            acc = GA()
-            for x, c in M[w].items():
-                if z in S[x]:
-                    acc = acc + c * S[x][z]
+            acc = GA.dot((c, S[x][z]) for x, c in M[w].items() if z in S[x])
             want = GA.const(1 if w == z else 0, rank)
             if acc != want:
                 return "wall-crossing composition fails at (%s, %s)" % (

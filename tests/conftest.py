@@ -216,7 +216,7 @@ def dl_left(o, i, F):
     zero = o.ring()
     out = {}
     for w in range(W.n):
-        sw = W.inv(W.right[W.inv(w)][i])
+        sw = W.mul(si, w)
         if W.length[sw] < W.length[w] or (w not in F and sw not in F):
             continue  # each pair {w, s_i w} once, from its lower point
         f = F.get(w, zero)

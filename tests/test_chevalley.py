@@ -725,3 +725,50 @@ def test_tables_contract(monkeypatch):
     with pytest.raises(ValueError, match="unknown method"):
         chevalley_tables(rs, lam, [1], method="walk")
 
+
+
+# SHA-256 of (u, w, sorted packed key items) over the entries of the
+# shift and wall-crossing matrices, pinned while they were built from a
+# dict keyed by (u, w) and by summing every row of every wall crossing
+_STABLE_GOLDEN = [
+    ("A", 2, (2, 1),
+     "8f372fd538490bdefea5ec350e6188c54bffc7717274843b6a82dfccfb920fd2",
+     "a5472cb0fd9bcf2a418436c64c49ac8105b8261db334a521f089cbe6dcf71fab"),
+    ("A", 2, (-1, 1),
+     "cd59de1eb44868f4b60642d365ce0db2994807386a2566cd5ac3abedf349e88a",
+     "99a7f1e1bde161ac49e6c148791c04832339995dc576a20b15e08593cf622381"),
+    ("B", 2, (1, 1),
+     "ae562d3150d3ed70bad673f316eb193618141330f204a78c6638867da2145802",
+     "135a65c60e186b545b01d88cb2367909e784482ee5540d72de928366fa55963a"),
+    ("G", 2, (1, 0),
+     "a645ffba377327c0c2875ac4ee00b1d1243c151b71a0612e665d154718512fcd",
+     "83a7bbeecdb7b646272f63fb0be369eb9e1095820f05435380b294380a57eb6d"),
+    ("G", 2, (-1, 2),
+     "b68163b4ae75b3955a4f1c5a7a9631694cf7647ba0ea0612218e811a82b59aa7",
+     "5a20ac9a969215d24962498eabf23ec3b064743390dfbeb50bec4496a2c4cbfc"),
+    ("A", 3, (1, 0, 1),
+     "9c9b49027f6d72e81638b354306358576975ae5efa25d541a9e6da2b83aec4e8",
+     "c4c36976b995e1257fefba1d8fbf0f924aa5da17f1fcf654e9acc145e9735843"),
+    ("B", 3, (1, 0, 0),
+     "cc68bc1f532cb1d01acd9fc2d3556329b74228983e7aa2b38c2815ee2b1a82a0",
+     "f57dd1501cbfdaea88827ba0d41922b2e0b3d4d27415ee00b3f89802de43ae1f"),
+    ("C", 3, (0, 1, -1),
+     "e3f8fd56680d613a56c33fa37d4c9ed3d8a4765bbfefce8ff436290b58265ff7",
+     "24c1371ffa113da953c825baccb204c2789e9ad7f45a7d1b52dc6a4ff2789c53"),
+]
+
+
+def _matrix_digest(m):
+    return hashlib.sha256(repr([
+        (u, w, sorted(m[u][w].c.items()))
+        for u in sorted(m) for w in sorted(m[u])
+    ]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family,rank,lam,shift,wall", _STABLE_GOLDEN, ids=[
+    "%s%d:%s" % (f, r, ",".join(map(str, lam)))
+    for f, r, lam, _, _ in _STABLE_GOLDEN])
+def test_stable_basis_matrices_golden(family, rank, lam, shift, wall):
+    rs = RootSystem(family, rank)
+    assert _matrix_digest(chevalley.shift_matrix(rs, lam)) == shift
+    assert _matrix_digest(chevalley.wall_cross_path(rs, lam)) == wall

@@ -1460,6 +1460,27 @@ def test_cli_golden_digests():
             assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
 
 
+# SHA-256 of `stab` stdout over every row, pinned while the shift matrix
+# was built from a dict keyed by (u, w)
+_STAB_GOLDEN = [
+    ("stab --type A2 --lambda=2,1",
+     "b4af2a649477ac4f0fadee1bb830e359401a70b0a6f8b133bfaaa5daaf51cb5c"),
+    ("stab --type A2 --lambda=2,1 --format json",
+     "c590a653cb7000091cd8b0e1d7756e4d703ee614a499b6507e55e697098a2f1b"),
+    ("stab --type B2 --lambda=1,1",
+     "a669a77ec124bb1b2071074173d664d6f6d224716b72f9fecceae4c328afb119"),
+    ("stab --type B2 --lambda=1,1 --format json",
+     "eea589866982e8f4615638e274c8d66862631e85c9ba18c2279640ab4e8511bd"),
+]
+
+
+def test_stab_golden_digests():
+    for argv, digest in _STAB_GOLDEN:
+        code, text = _run(argv.split())
+        assert code == 0, argv
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, argv
+
+
 def test_stab_and_schur_expansion_build_no_oracle(monkeypatch):
     # the shift matrix and the Weyl character are functions of the root
     # system: with every localization oracle made to fail, `stab` prints

@@ -30,7 +30,7 @@ def _classes_equal(F, G):
 def test_operator_involution(oracle):
     o = oracle
     for i in range(2):
-        for F in (o.point_class(), o.csm(W.w0)):
+        for F in (o.point_class(), o.cell_class(W.w0)):
             G = dl_left(o, i, dl_left(o, i, F))
             assert _classes_equal(F, G), i
 
@@ -41,7 +41,7 @@ def test_integrals(oracle):
     const1 = {w: CohPoly.const(1, 2) for w in range(W.n)}
     assert o.integral(const1) == CohPoly()
     for w in range(W.n):
-        assert o.integral(o.csm(w)) == CohPoly.const(1, 2), w
+        assert o.integral(o.cell_class(w)) == CohPoly.const(1, 2), w
 
 
 def _sm_y(o, u):
@@ -69,7 +69,7 @@ def test_duality_pairing(label):
     for u in range(n):
         num, c = _sm_y(o, u)
         for w in range(n):
-            p = o.pair(o.csm(w), num).exact_div(c)
+            p = o.integral(o.mul(o.cell_class(w), num)).exact_div(c)
             assert p == CohPoly.const(1 if u == w else 0, o.rank), (w, u)
 
 

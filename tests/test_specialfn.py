@@ -58,10 +58,10 @@ def test_twisted_euler_char_vs_operators(oracle, lam):
     L = o.line_bundle(lam)
     e_lam = GA.term(RS.weight(lam))
     for w in range(W.n):
-        lhs1 = o.euler_char(o.mul(L, o.mc(w)))
+        lhs1 = o.integral(o.mul(L, o.cell_class(w)))
         assert lhs1 == dl_apply(RS, w, e_lam, "tilde_vee"), (lam, w)
         num, den = o.mc_prime(w)
-        lhs2 = o.euler_char(o.mul(L, num)).exact_div(den)
+        lhs2 = o.integral(o.mul(L, num)).exact_div(den)
         assert lhs2 == dl_apply(RS, w, e_lam, "tilde"), (lam, w)
 
 
@@ -103,7 +103,7 @@ def test_whittaker_rho_twist(oracle):
     L = o.line_bundle((1, 1))
     for w in range(W.n):
         num, den = o.mc_prime(w)
-        val = o.euler_char(o.mul(L, num)).exact_div(den)
+        val = o.integral(o.mul(L, num)).exact_div(den)
         assert val == GA.term(RS.rho(), (-1) ** W.length[w]), w
 
 
