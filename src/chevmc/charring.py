@@ -33,10 +33,10 @@ ring (localization.dl_step; the right operator `Localization.dl_right`,
 also the affine Hecke action on stable envelopes under the star, and
 its slice recursion, with no Weyl move, once per pair of points), and
 every localization quotient is one exact division over a W-fixed
-denominator (localization.Localization.root_quotient): a product of
-root factors, or a W-invariant constant under a Segre-type class.  A
-Bernstein step of the bridge route (chevalley.transition_direct)
-divides nothing: its divided difference is summed in closed form.
+denominator (localization.Localization.root_quotient), a product of
+root factors.  A Bernstein step of the bridge route
+(chevalley.transition_direct) divides nothing: its divided difference
+is summed in closed form.
 
 One kernel, `_add_products`, adds monomial products into a coefficient
 dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a
@@ -741,10 +741,6 @@ class Scalar(GA):
         self.c = {_pack((n,)): x for n, x in c.items() if x} if c else {}
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def zero():
-        return Scalar()
-
     @staticmethod
     def one():
         return Scalar.v(0)

@@ -7,8 +7,8 @@ theories differ only in that ring, in the Euler factor eul(mu) of a
 cotangent weight mu, in the coefficients (b, e, d) of the
 Demazure-Lusztig operators and in how the Weyl group acts on ring
 elements; a subclass supplies those, and this class does the rest: the
-operator recursion for the classes of Schubert cells, the Atiyah-Bott
-sum and the expansion of a class in the cell basis.
+operator recursion for the classes of Schubert cells and the expansion
+of a class in the cell basis.
 
 Every value is a ring element.  Every Demazure-Lusztig step of the
 package is (a x - b f)/d with a = b + e d, computed as b D + e x over
@@ -31,7 +31,7 @@ on stable envelopes (oracle.KOracle.hecke_T_on_stab).
 
 The expansions run on slice parts.  At every fixed point x, each
 cell(v)|_x is divisible by P_x, a product of l(x) factors: P_id = 1 and
-P_{x s_i} = P_x x(a) when l(x s_i) > l(x).  `slice_class(v)` caches the
+P_{x s_i} = P_x x(a) when l(x s_i) > l(x).  `_slice_lines(v)` caches the
 slice parts Q_{v,x} = cell(v)|_x / P_x, and the recursion runs on them
 too, with one exact division per pair {x, x s_i} and no Weyl move
 (`_slice_step`).  Both climb the prefix tree of the canonical words
@@ -48,13 +48,11 @@ is the same.  Each genuine quotient is one exact division over a
 W-fixed denominator.  For a positive root b, eul(b) is a unit times
 eul(-b), so a sum of numerators over Euler factors of weights +-b is a
 ring sum over the product of the eul(-b) (`cofactor`, `root_quotient`):
-the Atiyah-Bott sum over the Weyl denominator, the G/P pushforward
-coset by coset and specialfn's orbit sums.  A Segre-type class is a
-ring-valued numerator class over one W-invariant constant, so its
-pairing is one more exact division by that constant.
+the G/P pushforward coset by coset and specialfn's orbit sums.
 
 The ring arithmetic is fused (charring.GA.dot): a step forms its sums
-in one accumulator, and `integral` its whole Atiyah-Bott sum.
+in one accumulator, and an orbit sum or a pushforward coset its whole
+numerator.
 
 The slice recursion and the solve run on lines (`_lines`): each value, in
 K-theory a polynomial in y = -v^2, is kept as its y-line
@@ -72,8 +70,7 @@ its slots, and the bound just certified for Q'_x.  The solve bounds the
 remainder at x by the bound of F|_x plus, over the pivots v so far,
 ||g_v||_1 times that of Q_{v,x}, the quotient at x counted once x has
 been a pivot.  An upper bound is all that these need; one that reaches
-2^(SLOT-1) raises ValueError.  Only the coefficients g_v, and the parts
-that `slice_class` returns, are decoded.
+2^(SLOT-1) raises ValueError.  Only the coefficients g_v are decoded.
 
 The triangular solve keeps its remainder as raw line dicts, copied from
 F once at the start, so neither F nor the cached classes change; it
@@ -136,7 +133,6 @@ class Localization:
         self._slices = {0: self._lines(self._cells[0])}
         self._stab, self._starred = {}, {}  # KOracle.stab, its stars
         self._steps, self._roots = {}, {}
-        self._ab = None
 
     def _one(self):
         return self.ring.const(1, self.rank)
@@ -313,12 +309,6 @@ class Localization:
         slice step from the point class (P_id = 1)."""
         return self._climb(self._slices, self._slice_step, w)
 
-    def slice_class(self, w):
-        """{x: Q} with cell(w)|_x = Q P_x: the slice parts of the class of
-        X(w)^o, decoded from their lines."""
-        return {x: self._decode(q)[0]
-                for x, q in self._slice_lines(w)[0].items()}
-
     def cell_class(self, w):
         """The class of the Schubert cell X(w)^o, by `dl_right` from the
         point class."""
@@ -329,8 +319,7 @@ class Localization:
         left w0 action (w0 F)|_v = w0(F|_{w0 v}), made on each call."""
         W = self.W
         F = self.cell_class(W.mul(W.w0, w))
-        moved = {W.mul(W.w0, u): self._act(W.w0, f) for u, f in F.items()}
-        return {u: moved[u] for u in W.ordered(moved)}
+        return {W.mul(W.w0, u): self._act(W.w0, f) for u, f in F.items()}
 
     # -- quotients over root factors -----------------------------------
     def cofactor(self, weights, roots=None):
@@ -359,20 +348,6 @@ class Localization:
         g = num.exact_div(d)
         assert g is not None, "localization sum is not polynomial"
         return g
-
-    def integral(self, F):
-        """Atiyah-Bott: the pushforward of F to a point,
-        sum_w F|_w / prod_{alpha>0} eul(w alpha)."""
-        if self._ab is None:
-            W = self.W
-            self._ab = [
-                self.cofactor([W.act(w, b) for b in self.pos_roots])
-                for w in range(W.n)
-            ]
-        ab = self._ab
-        return self.root_quotient(
-            self.ring.dot((f, ab[w]) for w, f in F.items())
-        )
 
     # -- lines ---------------------------------------------------------
     def _lines(self, F):

@@ -1,12 +1,10 @@
 """Brute-force localization model of equivariant K-theory of G/B.
 
 On the shared localization core (localization.py) with the character
-ring as coefficients, the module provides line bundles, motivic Chern
-classes of Schubert cells (by the right Demazure-Lusztig recursion),
-Segre motivic classes (by their defining formula), Euler
-characteristics by the Atiyah-Bott fixed-point sum, and the expansion
-of a line bundle times a motivic class in the motivic basis, on G/B
-and on G/P.  The module imports only charring and localization, so
+ring as coefficients, the module provides motivic Chern classes of
+Schubert cells (by the right Demazure-Lusztig recursion) and the
+expansion of a line bundle times a motivic class in the motivic basis,
+on G/B and on G/P.  The module imports only charring and localization, so
 nothing here reads the lambda-chain combinatorics, and agreement with
 the chain formulas is a genuine cross-check.
 
@@ -20,11 +18,8 @@ The Demazure-Lusztig steps (right, on MC classes and their slice
 parts, and in the affine Hecke action on stable envelopes, which is
 `dl_right` at y = -q conjugated by the star e^mu -> e^{-mu}) and the
 triangular solve are exact divisions,
-and so is each genuine quotient, over a W-fixed denominator: the
-Atiyah-Bott sum and each coset of `pushforward` over root factors, and
-the Segre-type classes (`smc`, `mc_prime`) are a numerator class over
-Lambda = prod over all roots beta of (1 + y e^beta), so that pairing
-with one is one more division by Lambda.
+and so is each coset of `pushforward`, a genuine quotient over the
+W-fixed product of its root factors.
 
 Stable envelopes of the cotangent bundle are classes of the oracle
 (`KOracle.stab`, with the affine Hecke action on them); only these use
@@ -52,62 +47,14 @@ class KOracle(Localization):
     @staticmethod
     def dl_coeffs(rs, i):
         """(b, e, d) of T_i = (a s_i - b) / d with a = 1 + y e^{-a_i},
-        b = 1 + y and d = 1 - e^{-a_i}, which is also specialfn's
-        T~vee_i: e = (a - b) / d = -y."""
+        b = 1 + y and d = 1 - e^{-a_i}, the left operator T~vee_i: e =
+        (a - b) / d = -y.  specialfn's T~_i shares b and d."""
         nai = _wneg(rs.weight(rs.simple_roots[i].fund))
         return (Scalar.one() + Scalar.y(1), Scalar.y(1, -1),
                 GA.const(1, rs.rank) - GA.term(nai))
 
-    # -- basic classes -------------------------------------------------
-    def line_bundle(self, lam_fund):
-        """L_lambda with restriction e^{w(lambda)} at e_w."""
-        lam = self.rs.weight(lam_fund)
-        return {w: GA.term(self.W.act(w, lam)) for w in range(self.W.n)}
-
     def scale(self, F, c):
         return {w: f * c for w, f in F.items()}
-
-    def lambda_y_cotangent(self, w, sign=1):
-        """lambda_y(T*)|_w = prod_{alpha>0} (1 + y e^{w(alpha)}); with
-        sign=-1 the product over the -w(alpha), so that the two signs
-        multiply to Lambda = prod over all roots beta of (1 + y e^beta),
-        which W fixes."""
-        y = Scalar.y(1)
-        g = self._one()
-        for b in self.pos_roots:
-            wb = self.rs.weight(self.W.act(w, b))
-            g = g * (self._one() + GA.term(tuple(sign * c for c in wb), y))
-        return g
-
-    # -- motivic classes -----------------------------------------------
-    def _over_lambda_y(self, F):
-        """F / lambda_y(T*) as (numerator class, Lambda)."""
-        num = {w: f * self.lambda_y_cotangent(w, -1) for w, f in F.items()}
-        return num, self.lambda_y_cotangent(0) * self.lambda_y_cotangent(0, -1)
-
-    def _segre(self, F, d):
-        """(-y)^d D(F) / lambda_y(T*) as (numerator class, Lambda), with
-        the duality D(F)|_w = (-1)^{dim G/B} e^{2 w rho} (F|_w)^vee."""
-        W = self.W
-        pref = Scalar.q(d) * ((-1) ** self.N)
-        rho2 = tuple(2 * c for c in self.rs.rho())
-        return self._over_lambda_y({
-            w: f.dual_vee() * GA.term(W.act(w, rho2), pref)
-            for w, f in F.items()
-        })
-
-    def smc(self, u):
-        """SMC_y(Y(u)^o) = (-y)^{dim Y(u)} D(MC_y(Y(u)^o)) / lambda_y(T*),
-        the basis dual to the MC classes, as (numerator class, Lambda)."""
-        return self._segre(self.opposite_cell_class(u),
-                           self.N - self.W.length[u])
-
-    def mc_prime(self, w):
-        """MC'_y(X(w)^o) = lambda_y(id) MC_y(X(w)^o) / lambda_y(T*) as
-        (numerator class, Lambda)."""
-        return self._over_lambda_y(
-            self.scale(self.cell_class(w), self.lambda_y_cotangent(0))
-        )
 
     # -- stable envelopes ----------------------------------------------
     def stab(self, w):

@@ -500,10 +500,6 @@ class WeylGroup:
             row[a] = v
         return v
 
-    def reflection(self, root):
-        """The element s_alpha of a positive root, made if new."""
-        return self.mul_refl(0, root.index)
-
     def word_str(self, w):
         ww = self.word(w)
         return "e" if not ww else "".join("s%d" % (i + 1) for i in ww)

@@ -1,26 +1,24 @@
 """Left Demazure-Lusztig operators on the character ring and their
 consequences.
 
-The operators are functions of the root system (`dl_coeffs`,
-`dl_simple`, `dl_apply`) that make only the Weyl elements they reach:
+The operator is a function of the root system (`dl_coeffs`,
+`dl_simple`, `dl_apply`) that makes only the Weyl elements it reaches:
 
-    T~_i     = (1 + y e^{a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i})
-    T~vee_i  = (1 + y e^{-a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i})
+    T~_i = (1 + y e^{a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i}).
 
-T~vee_i is the oracle's left operator (KOracle.dl_coeffs), and T~_i
-differs from it only in the sign of a_i in the first numerator.  Both
-satisfy the braid relations and the common quadratic relation, so
-T~_w is defined along any reduced word.  Each is one step
-(localization.dl_step) with b = 1 + y, d = 1 - e^{-a_i} and e the
-first numerator minus b over d: -y for T~vee_i, y e^{a_i} for T~_i.
+It satisfies the braid relations and the quadratic relation, so T~_w
+is defined along any reduced word.  It is one step
+(localization.dl_step) with b = 1 + y and d = 1 - e^{-a_i}, the
+oracle's (KOracle.dl_coeffs), and e = y e^{a_i}, the first numerator
+minus b over d.
 
-On them rest Iwahori-Whittaker functions, Casselman-Shalika summation,
-the Euler-characteristic series R_lambda and its parabolic quotient
-H_lambda, and Hall-Littlewood polynomials by a closed localization
-formula and by two lambda-chain formulas, with their expansion in Weyl
-characters.  The Hall-Littlewood parameter t is the Hecke parameter q
-of the shared coefficient ring (t = -y), so no new generator is
-introduced.
+On it rest Iwahori-Whittaker functions and Casselman-Shalika
+summation.  Beside them are the Euler-characteristic series R_lambda
+and its parabolic analogue H_lambda, and Hall-Littlewood polynomials
+by a closed localization formula and by two lambda-chain formulas,
+with their expansion in Weyl characters.  The Hall-Littlewood
+parameter t is the Hecke parameter q of the shared coefficient ring
+(t = -y), so no new generator is introduced.
 
 Everything here stays in the character ring GA: each operator step is
 one exact division (localization.dl_step), and each localization
@@ -51,27 +49,23 @@ from .localization import dl_step
 from .oracle import KOracle
 
 
-def dl_coeffs(rs, i, variant="tilde"):
-    """(b, e, d) of T~_i (variant "tilde") or T~vee_i ("tilde_vee")."""
-    if variant not in ("tilde", "tilde_vee"):
-        raise ValueError("unknown variant %r" % variant)
-    b, e, d = KOracle.dl_coeffs(rs, i)
-    if variant == "tilde":
-        e = GA.term(rs.weight(rs.simple_roots[i].fund), Scalar.y(1))
-    return b, e, d
+def dl_coeffs(rs, i):
+    """(b, e, d) of T~_i: the oracle's b and d, and e = y e^{a_i}."""
+    b, _, d = KOracle.dl_coeffs(rs, i)
+    return b, GA.term(rs.weight(rs.simple_roots[i].fund), Scalar.y(1)), d
 
 
-def dl_simple(rs, i, f, variant="tilde"):
-    """T~_i f or T~vee_i f; only s_i is made in the element store."""
-    b, e, d = dl_coeffs(rs, i, variant)
+def dl_simple(rs, i, f):
+    """T~_i f; only s_i is made in the element store."""
+    b, e, d = dl_coeffs(rs, i)
     W = rs.weyl()
     return dl_step(b, e, f.transform(W.mats[W.step(0, i)]), f, d)
 
 
-def dl_apply(rs, w, f, variant="tilde"):
-    """T~_w f or T~vee_w f along the canonical word of w."""
+def dl_apply(rs, w, f):
+    """T~_w f along the canonical word of w."""
     for i in reversed(rs.weyl().word(w)):
-        f = dl_simple(rs, i, f, variant)
+        f = dl_simple(rs, i, f)
     return f
 
 
@@ -95,15 +89,9 @@ def whittaker_chevalley(rs, lam_fund, w):
     return GA.term(rs.rho(), Scalar.y(rs.weyl().length[w])) * acc
 
 
-def big_r(rs, lam_fund, method="localization"):
+def big_r(rs, lam_fund):
     """R_lambda(y) = chi_T(G/B, lambda_y(T*) (x) L_lambda)."""
-    if method == "operators":
-        e_lam = GA.term(rs.weight(lam_fund))
-        return GA.dot((dl_apply(rs, w, e_lam, variant="tilde_vee"), 1)
-                      for w in range(rs.weyl().n))
-    if method in ("localization", "chevalley"):
-        return big_h(rs, lam_fund, method=method, parabolic=())
-    raise ValueError("unknown method %r" % method)
+    return big_h(rs, lam_fund, parabolic=())
 
 
 def _lambda_parabolic(rs, lam_fund):
@@ -130,34 +118,18 @@ def _orbit_sum(rs, lam_fund, parabolic, roots):
     return o.root_quotient(GA.dot(pairs))
 
 
-def big_h(rs, lam_fund, method="localization", parabolic=None):
-    """H_lambda(y) = chi_T(G/P_lambda, lambda_y(T*) (x) L_lambda), by the
-    Chevalley formula sum_{w in W^P} sum_u q^{l(u)} C^w_{u,lambda}."""
-    W = rs.weyl()
+def big_h(rs, lam_fund, parabolic=None):
+    """H_lambda(y) = chi_T(G/P_lambda, lambda_y(T*) (x) L_lambda) by the
+    localization sum over W^P, which the Chevalley formula sum_{w in W^P}
+    sum_u q^{l(u)} C^w_{u,lambda} equals."""
     if parabolic is None:
         if not (all(c >= 0 for c in lam_fund) or all(c <= 0 for c in lam_fund)):
             raise ValueError("lambda or -lambda must be dominant")
         parabolic = _lambda_parabolic(rs, lam_fund)
-    if method == "localization":
-        return _orbit_sum(
-            rs, lam_fund, parabolic,
-            [a.fund for a in rs.horizontal_roots(parabolic)],
-        )
-    if method == "chevalley":
-        return chevalley_sum(rs, lam_fund, W.min_coset_reps(parabolic), 1)
-    if method == "quotient":
-        r = big_r(rs, lam_fund)
-        den = Scalar.zero()
-        for p in W.parabolic_elements(parabolic):
-            lp = W.length[p]
-            den = den + Scalar.q(lp)
-        out = []
-        for k, x in r.terms():
-            d = x.exact_div(den)
-            assert d is not None, "R_lambda is not divisible by the W_P sum"
-            out.append((k, d))
-        return GA(out)
-    raise ValueError("unknown method %r" % method)
+    return _orbit_sum(
+        rs, lam_fund, parabolic,
+        [a.fund for a in rs.horizontal_roots(parabolic)],
+    )
 
 
 # -- Hall-Littlewood ---------------------------------------------------
@@ -203,13 +175,14 @@ def gl_exponents(rs, mu_fund, degree):
     return tuple(a + shift for a in partial)
 
 
-def render_x(rs, g, degree, var="t"):
-    """Render a GA element in GL_n x-monomials (type A)."""
+def render_x(rs, g, degree):
+    """Render a GA element in GL_n x-monomials (type A), its
+    coefficients in t."""
     xmono = power_mono("x")
     parts = []
     for k, x in reversed(g.terms()):
         mono = xmono(gl_exponents(rs, rs.weight_user(k), degree))
-        cs = x.render(var=var)
+        cs = x.render(var="t")
         parts.append(mono if cs == "1" else "(%s)*%s" % (cs, mono))
     return " + ".join(parts) if parts else "0"
 
@@ -221,12 +194,9 @@ def weyl_character(rs, mu_fund):
     W = rs.weyl()
     rho = rs.rho()
     mur = tuple(a + b for a, b in zip(rs.weight(mu_fund), rho))
-    num = GA()
-    den = GA()
-    for w in range(W.n):
-        s = (-1) ** W.length[w]
-        num = num + GA.term(W.act(w, mur), s)
-        den = den + GA.term(W.act(w, rho), s)
+    signs = [(-1) ** W.length[w] for w in range(W.n)]
+    num = GA.dot((GA.term(W.act(w, mur)), s) for w, s in enumerate(signs))
+    den = GA.dot((GA.term(W.act(w, rho)), s) for w, s in enumerate(signs))
     out = num.exact_div(den)
     assert out is not None
     return out
@@ -258,7 +228,7 @@ def schur_expansion(rs, g):
     return out
 
 
-def render_schur(rs, expansion, degree, var="t"):
+def render_schur(rs, expansion, degree):
     """Type-A rendering like 's22 - t*s211' with partition subscripts.
 
     `degree` is the GL partition size; each dominant weight is lifted to
@@ -280,7 +250,7 @@ def render_schur(rs, expansion, degree, var="t"):
         else:
             label = "s" + "".join(map(str, partition))
         x = expansion[mu]
-        terms.append((x.render(var=var), len(x.c) == 1, label))
+        terms.append((x.render(var="t"), len(x.c) == 1, label))
     return render_terms(terms)
 
 

@@ -4,6 +4,8 @@ The Hall-Littlewood term tables are stored as sets of
 (w_word, J, u_word, t_power, one_minus_t_power, x_exponents).
 """
 
+import weakref
+
 import pytest
 
 from chevmc.alcove import (
@@ -14,9 +16,10 @@ from chevmc.charring import (
     _mul_into, _pack, _rank, _wneg, _weight,
 )
 from chevmc.chevalley import _checked, _term_coeff, _term_pairs
-from chevmc.localization import _delta
+from chevmc.localization import _delta, dl_step
+from chevmc.oracle import KOracle
 from chevmc.rootsystem import WeylGroup
-from chevmc.specialfn import _lambda_parabolic
+from chevmc.specialfn import _lambda_parabolic, big_r, dl_simple
 
 # lambda = first fundamental weight in A2, expansion degree 1
 GOLD_W1_F1 = {
@@ -266,7 +269,7 @@ def ref_operator(chain, w):
         -(1+y) q^{k/2} with k = l(u) - l(u s_beta) - 1, negated for a
         negative root."""
         out = {}
-        sref = W.reflection(root)
+        sref = W.mul_refl(0, root.index)
         bit = 1 << root.index
         for u, c in state.items():
             if inversions(W, u) & bit:
@@ -363,7 +366,7 @@ def ref_descent_subsets(chain, w, ascending, walls):
     rs = chain.rs
     W = rs.weyl()
     order = range(len(chain)) if ascending else range(len(chain) - 1, -1, -1)
-    steps = [(j + 1, W.reflection(walls[j][0]),
+    steps = [(j + 1, W.mul_refl(0, walls[j][0].index),
               tuple(walls[j][1] * rs.h * c for c in walls[j][0].fund),
               not chain.betas[j].positive) for j in order]
     out = []
@@ -547,3 +550,124 @@ def solve_classes(o, F, cell, points=None):
         return lines[v]
 
     return o._expand(o._lines(F), line_cell, points)
+
+
+# -- classes and formulas that only tests evaluate ---------------------
+
+def line_bundle(o, lam_fund):
+    """L_lambda on the K-theory oracle `o`: restriction e^{w(lambda)} at
+    e_w."""
+    lam = o.rs.weight(lam_fund)
+    return {w: GA.term(o.W.act(w, lam)) for w in range(o.W.n)}
+
+
+def lambda_y_cotangent(o, w, sign=1):
+    """lambda_y(T*)|_w = prod_{alpha>0} (1 + y e^{w(alpha)}); with
+    sign=-1 the product over the -w(alpha), so that the two signs
+    multiply to Lambda = prod over all roots beta of (1 + y e^beta),
+    which W fixes."""
+    y = Scalar.y(1)
+    g = o._one()
+    for b in o.pos_roots:
+        wb = o.rs.weight(o.W.act(w, b))
+        g = g * (o._one() + GA.term(tuple(sign * c for c in wb), y))
+    return g
+
+
+def _over_lambda_y(o, F):
+    """F / lambda_y(T*) as (numerator class, Lambda)."""
+    num = {w: f * lambda_y_cotangent(o, w, -1) for w, f in F.items()}
+    return num, lambda_y_cotangent(o, 0) * lambda_y_cotangent(o, 0, -1)
+
+
+def segre(o, F, d):
+    """(-y)^d D(F) / lambda_y(T*) as (numerator class, Lambda), with
+    the duality D(F)|_w = (-1)^{dim G/B} e^{2 w rho} (F|_w)^vee."""
+    W = o.W
+    pref = Scalar.q(d) * ((-1) ** o.N)
+    rho2 = tuple(2 * c for c in o.rs.rho())
+    return _over_lambda_y(o, {
+        w: f.dual_vee() * GA.term(W.act(w, rho2), pref)
+        for w, f in F.items()
+    })
+
+
+def smc(o, u):
+    """SMC_y(Y(u)^o) = (-y)^{dim Y(u)} D(MC_y(Y(u)^o)) / lambda_y(T*),
+    the basis dual to the MC classes (Aluffi-Mihalcea-Schuermann-Su), as
+    (numerator class, Lambda)."""
+    return segre(o, o.opposite_cell_class(u), o.N - o.W.length[u])
+
+
+def mc_prime(o, w):
+    """MC'_y(X(w)^o) = lambda_y(id) MC_y(X(w)^o) / lambda_y(T*) as
+    (numerator class, Lambda)."""
+    return _over_lambda_y(
+        o, o.scale(o.cell_class(w), lambda_y_cotangent(o, 0)))
+
+
+_AB = weakref.WeakKeyDictionary()  # per oracle: the Atiyah-Bott cofactors
+
+
+def integral(o, F):
+    """Atiyah-Bott on either oracle: the pushforward of F to a point,
+    sum_w F|_w / prod_{alpha>0} eul(w alpha), one exact division by the
+    Weyl denominator (`Localization.root_quotient`)."""
+    if o not in _AB:
+        W = o.W
+        _AB[o] = [o.cofactor([W.act(w, b) for b in o.pos_roots])
+                  for w in range(W.n)]
+    ab = _AB[o]
+    return o.root_quotient(o.ring.dot((f, ab[w]) for w, f in F.items()))
+
+
+def slice_class(o, w):
+    """{x: Q} with cell(w)|_x = Q P_x: the slice parts of the class of
+    X(w)^o, decoded from their lines (`Localization._slice_lines`)."""
+    return {x: o._decode(q)[0] for x, q in o._slice_lines(w)[0].items()}
+
+
+def dl_simple_vee(rs, i, f):
+    """T~vee_i f for
+
+        T~vee_i = (1 + y e^{-a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i}),
+
+    one `localization.dl_step` with the oracle's (b, e, d)
+    (`KOracle.dl_coeffs`), which are T~vee_i's: e = -y.  It differs from
+    specialfn's T~_i only in the sign of a_i in the first numerator."""
+    b, e, d = KOracle.dl_coeffs(rs, i)
+    W = rs.weyl()
+    return dl_step(b, e, f.transform(W.mats[W.step(0, i)]), f, d)
+
+
+def dl_apply_vee(rs, w, f):
+    """T~vee_w f along the canonical word of w."""
+    for i in reversed(rs.weyl().word(w)):
+        f = dl_simple_vee(rs, i, f)
+    return f
+
+
+# T~_i and T~vee_i by name, for the tests that check both operators
+DL_SIMPLE = {"tilde": dl_simple, "tilde_vee": dl_simple_vee}
+
+
+def big_r_operators(rs, lam_fund):
+    """R_lambda = sum_w T~vee_w e^lambda."""
+    e_lam = GA.term(rs.weight(lam_fund))
+    return GA.dot((dl_apply_vee(rs, w, e_lam), 1)
+                  for w in range(rs.weyl().n))
+
+
+def big_h_quotient(rs, lam_fund):
+    """H_lambda = R_lambda / sum_{p in W_P} q^{l(p)}, P = P_lambda."""
+    W = rs.weyl()
+    r = big_r(rs, lam_fund)
+    den = Scalar()
+    for p in W.parabolic_elements(_lambda_parabolic(rs, lam_fund)):
+        den = den + Scalar.q(W.length[p])
+    out = []
+    for k, x in r.terms():
+        d = x.exact_div(den)
+        assert d is not None, "R_lambda is not divisible by the W_P sum"
+        out.append((k, d))
+    return GA(out)

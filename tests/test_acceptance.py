@@ -17,7 +17,6 @@ from chevmc.chevalley import (
 )
 from chevmc.oracle import KOracle
 from chevmc.specialfn import (
-    dl_simple,
     hall_littlewood,
     schur_expansion,
     render_schur,
@@ -38,7 +37,11 @@ from conftest import (
     GOLD_W1_F2,
     GOLD_2W2_F1,
     GOLD_2W2_F2,
+    DL_SIMPLE,
     hl_terms_as_tuples,
+    integral,
+    line_bundle,
+    mc_prime,
     ref_descent_subsets,
     ref_walls,
     reflect,
@@ -249,8 +252,8 @@ def test_criterion_07_hecke_axioms_randomized():
             for variant in ("tilde", "tilde_vee"):
                 for i in range(2):
                     # T_i^2 = (q - 1) T_i + q
-                    tf = dl_simple(rs, i, f, variant)
-                    ttf = dl_simple(rs, i, tf, variant)
+                    tf = DL_SIMPLE[variant](rs, i, f)
+                    ttf = DL_SIMPLE[variant](rs, i, tf)
                     assert ttf == tf * (q - Scalar.one()) + f * q
                     cases += 1
                     # Bernstein: (T_i(e^mu f) - e^{s_i mu} T_i f)
@@ -259,7 +262,7 @@ def test_criterion_07_hecke_axioms_randomized():
                     mu = rs.weight((rng.randint(-3, 3), rng.randint(-3, 3)))
                     smu = reflect(rs, mu, root)
                     alpha = rs.weight(root.fund)
-                    comm = (dl_simple(rs, i, GA.term(mu) * f, variant)
+                    comm = (DL_SIMPLE[variant](rs, i, GA.term(mu) * f)
                             - GA.term(smu) * tf)
                     lhs = comm * (GA.const(1, 2)
                                   - GA.term(tuple(-c for c in alpha)))
@@ -269,8 +272,8 @@ def test_criterion_07_hecke_axioms_randomized():
                 # braid: m factors on each side, m = |W| / 2
                 lhs, rhs = f, f
                 for k in range(rs.weyl().n // 2):
-                    lhs = dl_simple(rs, k % 2, lhs, variant)
-                    rhs = dl_simple(rs, 1 - k % 2, rhs, variant)
+                    lhs = DL_SIMPLE[variant](rs, k % 2, lhs)
+                    rhs = DL_SIMPLE[variant](rs, 1 - k % 2, rhs)
                 assert lhs == rhs, (family, variant)
                 cases += 1
     assert cases >= 200
@@ -301,10 +304,10 @@ def test_criterion_09_whittaker():
     """Euler characteristic twist and Whittaker identities."""
     budget = Budget(30.0)
     oracle = KOracle(A2)
-    L = oracle.line_bundle((1, 1))
+    L = line_bundle(oracle, (1, 1))
     for w in range(W2.n):
-        num, den = oracle.mc_prime(w)
-        val = oracle.integral(oracle.mul(L, num)).exact_div(den)
+        num, den = mc_prime(oracle, w)
+        val = integral(oracle, oracle.mul(L, num)).exact_div(den)
         assert val == GA.term(A2.rho(), (-1) ** W2.length[w]), w
     for lam in [(-1, 0), (0, -1), (-1, -1), (-2, -1)]:
         detail = case_whittaker("A", 2, lam)

@@ -8,8 +8,7 @@ from chevmc.charring import GA, Scalar
 from chevmc.rootsystem import RootSystem
 from chevmc.alcove import chain_lex_height
 from chevmc.chevalley import chevalley_table, transition_direct
-from chevmc.specialfn import dl_simple
-from conftest import ref_transition_direct, reflect
+from conftest import DL_SIMPLE, ref_transition_direct, reflect
 
 TYPES = {label: RootSystem(label[0], 2) for label in ("A2", "B2", "G2")}
 VARIANTS = ("tilde", "tilde_vee")
@@ -41,8 +40,8 @@ def test_quadratic_relation(lf, variant):
     label, f = lf
     q = Scalar.q(1)
     for i in range(2):
-        tf = dl_simple(TYPES[label], i, f, variant)
-        ttf = dl_simple(TYPES[label], i, tf, variant)
+        tf = DL_SIMPLE[variant](TYPES[label], i, f)
+        ttf = DL_SIMPLE[variant](TYPES[label], i, tf)
         assert ttf == tf * (q - Scalar.one()) + f * q, (label, variant, i)
 
 
@@ -54,8 +53,8 @@ def test_braid_relation(lf, variant):
     rs = TYPES[label]
     lhs, rhs = f, f
     for k in range(rs.weyl().n // 2):
-        lhs = dl_simple(rs, k % 2, lhs, variant)
-        rhs = dl_simple(rs, 1 - k % 2, rhs, variant)
+        lhs = DL_SIMPLE[variant](rs, k % 2, lhs)
+        rhs = DL_SIMPLE[variant](rs, 1 - k % 2, rhs)
     assert lhs == rhs, (label, variant)
 
 
@@ -73,8 +72,8 @@ def test_bernstein_divisibility(lf, variant, i, lam):
     mu = rs.weight(lam)
     smu = reflect(rs, mu, root)
     alpha = rs.weight(root.fund)
-    comm = (dl_simple(rs, i, GA.term(mu) * f, variant)
-            - GA.term(smu) * dl_simple(rs, i, f, variant))
+    comm = (DL_SIMPLE[variant](rs, i, GA.term(mu) * f)
+            - GA.term(smu) * DL_SIMPLE[variant](rs, i, f))
     lhs = comm * (GA.const(1, 2) - GA.term(tuple(-c for c in alpha)))
     rhs = (GA.term(smu) - GA.term(mu)) * f * (Scalar.one() - Scalar.q(1))
     assert lhs == rhs, (label, variant, i, lam)

@@ -97,7 +97,7 @@ def test_reflection_lengths():
     rs = RootSystem("A", 3)
     W = rs.weyl()
     for a in rs.positive_roots:
-        s = W.reflection(a)
+        s = W.mul_refl(0, a.index)
         # l(s_alpha) = 2 height' - 1 is odd
         assert W.length[s] % 2 == 1
 
@@ -174,7 +174,7 @@ def test_weyl_invariants(family, rank):
             for a in range(rank)
         ) == ident
     for a in rs.positive_roots:
-        assert W.length[W.reflection(a)] % 2 == 1
+        assert W.length[W.mul_refl(0, a.index)] % 2 == 1
     if (family, rank) in _WORDS_SHA256:
         digest = hashlib.sha256(repr(W.words).encode()).hexdigest()
         assert digest == _WORDS_SHA256[family, rank]
@@ -200,7 +200,7 @@ def test_packed_action_matches_matrices(family, rank, stride):
     vectors = [rs.weight(tuple(int(i == j) for j in range(rank)))
                for i in range(rank)]
     vectors += [rs.weight(a.fund) for a in rs.roots]
-    refls = [(a.index, W.reflection(a)) for a in rs.positive_roots]
+    refls = [(a.index, W.mul_refl(0, a.index)) for a in rs.positive_roots]
     for w in range(0, W.n, stride):
         for v in vectors:
             key = _BIAS[rank] + W.act_key(w, v)
@@ -344,7 +344,7 @@ def test_lazy_store_matches_exhaustive(family, rank):
             assert L.act_key(x, v) == W.act_key(w, v)
         assert L.inv(x) == lazy[W.inv(w)] and L.mul(x, L.inv(x)) == 0
     for a in rs.positive_roots:
-        assert L.reflection(a) == lazy[W.reflection(a)]
+        assert L.mul_refl(0, a.index) == lazy[W.mul_refl(0, a.index)]
     assert "order" not in vars(L)  # the store was not completed
 
 

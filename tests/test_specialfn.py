@@ -9,10 +9,11 @@ import pytest
 from chevmc.charring import GA, Scalar, exp_mono
 from chevmc.rootsystem import RootSystem
 from chevmc.alcove import chain_lex_height
+from chevmc.chevalley import chevalley_sum
 from chevmc.oracle import KOracle
 from chevmc.specialfn import (
+    _lambda_parabolic,
     dl_apply,
-    dl_simple,
     weyl_character,
     whittaker,
     whittaker_chevalley,
@@ -24,6 +25,10 @@ from chevmc.specialfn import (
     render_schur,
     casselman_shalika_sides,
     whittaker_r_sides,
+)
+from conftest import (
+    DL_SIMPLE, big_h_quotient, big_r_operators, dl_apply_vee, integral,
+    line_bundle, mc_prime,
 )
 
 RS = RootSystem("A", 2)
@@ -40,14 +45,14 @@ def test_operator_relations(variant):
     f = GA.term(RS.weight((1, -2)))
     y = Scalar.y(1)
     for i in range(2):
-        T1 = dl_simple(RS, i, f, variant)
-        T2 = dl_simple(RS, i, T1, variant)
+        T1 = DL_SIMPLE[variant](RS, i, f)
+        T2 = DL_SIMPLE[variant](RS, i, T1)
         assert T2 + T1 * (Scalar.one() + y) + f * y == GA(), i
-    a = dl_simple(
-        RS, 0, dl_simple(RS, 1, dl_simple(RS, 0, f, variant), variant), variant
+    a = DL_SIMPLE[variant](
+        RS, 0, DL_SIMPLE[variant](RS, 1, DL_SIMPLE[variant](RS, 0, f))
     )
-    b = dl_simple(
-        RS, 1, dl_simple(RS, 0, dl_simple(RS, 1, f, variant), variant), variant
+    b = DL_SIMPLE[variant](
+        RS, 1, DL_SIMPLE[variant](RS, 0, DL_SIMPLE[variant](RS, 1, f))
     )
     assert a == b
 
@@ -55,23 +60,22 @@ def test_operator_relations(variant):
 @pytest.mark.parametrize("lam", [(0, 0), (-1, 0), (-1, -2), (1, -1)])
 def test_twisted_euler_char_vs_operators(oracle, lam):
     o = oracle
-    L = o.line_bundle(lam)
+    L = line_bundle(o, lam)
     e_lam = GA.term(RS.weight(lam))
     for w in range(W.n):
-        lhs1 = o.integral(o.mul(L, o.cell_class(w)))
-        assert lhs1 == dl_apply(RS, w, e_lam, "tilde_vee"), (lam, w)
-        num, den = o.mc_prime(w)
-        lhs2 = o.integral(o.mul(L, num)).exact_div(den)
-        assert lhs2 == dl_apply(RS, w, e_lam, "tilde"), (lam, w)
+        lhs1 = integral(o, o.mul(L, o.cell_class(w)))
+        assert lhs1 == dl_apply_vee(RS, w, e_lam), (lam, w)
+        num, den = mc_prime(o, w)
+        lhs2 = integral(o, o.mul(L, num)).exact_div(den)
+        assert lhs2 == dl_apply(RS, w, e_lam), (lam, w)
 
 
 def test_operator_conjugation():
     neg_rho = tuple(-c for c in RS.rho())
     for w in range(W.n):
         f = GA.term(RS.weight((-2, -1)))
-        lhs = dl_apply(RS, w, f, "tilde")
-        inner = dl_apply(RS, w, (f * GA.term(neg_rho)).y_inverse(),
-                         "tilde_vee")
+        lhs = dl_apply(RS, w, f)
+        inner = dl_apply_vee(RS, w, (f * GA.term(neg_rho)).y_inverse())
         rhs = inner.y_inverse() * GA.term(RS.rho()) * Scalar.y(W.length[w])
         assert lhs == rhs, w
 
@@ -100,10 +104,10 @@ def test_whittaker_chevalley_form_above_the_cap(no_completion, rank, word,
 def test_whittaker_rho_twist(oracle):
     # chi_T(L_rho (x) MC'(X(w)^o)) = (-1)^{l(w)} e^rho
     o = oracle
-    L = o.line_bundle((1, 1))
+    L = line_bundle(o, (1, 1))
     for w in range(W.n):
-        num, den = o.mc_prime(w)
-        val = o.integral(o.mul(L, num)).exact_div(den)
+        num, den = mc_prime(o, w)
+        val = integral(o, o.mul(L, num)).exact_div(den)
         assert val == GA.term(RS.rho(), (-1) ** W.length[w]), w
 
 
@@ -121,9 +125,9 @@ def test_whittaker_r_corollary(lam):
 
 @pytest.mark.parametrize("lam", [(0, 0), (1, 1), (-1, -1), (2, 1)])
 def test_big_r_methods(lam):
-    a = big_r(RS, lam, "localization")
-    b = big_r(RS, lam, "operators")
-    c = big_r(RS, lam, "chevalley")
+    a = big_r(RS, lam)
+    b = big_r_operators(RS, lam)
+    c = chevalley_sum(RS, lam, W.min_coset_reps(()), 1)
     assert a == b == c
 
 
@@ -137,9 +141,10 @@ def test_big_r_at_zero():
 
 @pytest.mark.parametrize("lam", [(1, 0), (0, 2), (2, 0), (-1, 0), (1, 1)])
 def test_big_h_methods(lam):
-    a = big_h(RS, lam, "localization")
-    b = big_h(RS, lam, "chevalley")
-    c = big_h(RS, lam, "quotient")
+    a = big_h(RS, lam)
+    ws = W.min_coset_reps(_lambda_parabolic(RS, lam))
+    b = chevalley_sum(RS, lam, ws, 1)
+    c = big_h_quotient(RS, lam)
     assert a == b == c
 
 
@@ -174,7 +179,8 @@ def test_whittaker_chevalley_digests(family, lam, digest):
 ])
 def test_big_h_chevalley_digests(lam, digest):
     rs = RootSystem("B", 3)
-    assert _digest(rs, [big_h(rs, lam, "chevalley")]) == digest
+    ws = rs.weyl().min_coset_reps(_lambda_parabolic(rs, lam))
+    assert _digest(rs, [chevalley_sum(rs, lam, ws, 1)]) == digest
 
 
 @pytest.mark.parametrize("lam", [(1, 0), (0, 2), (1, 1), (2, 1)])
@@ -223,7 +229,8 @@ def test_chain_sums_walk_no_subsets(monkeypatch, family, rank, lams):
             assert hall_littlewood(rs, lam, method) == closed, (lam, method)
         for sign in (1, -1):
             mu = tuple(sign * c for c in lam)
-            assert big_h(rs, mu, "chevalley") == big_h(rs, mu), mu
+            ws = W.min_coset_reps(_lambda_parabolic(rs, mu))
+            assert chevalley_sum(rs, mu, ws, 1) == big_h(rs, mu), mu
         anti = tuple(-c for c in lam)
         for w in range(W.n):
             assert whittaker_chevalley(rs, anti, w) == whittaker(
@@ -338,18 +345,19 @@ def test_operators_off_type_a(family):
     y = Scalar.y(1)
     for variant in ("tilde", "tilde_vee"):
         for i in range(2):
-            T1 = dl_simple(rs, i, f, variant)
-            T2 = dl_simple(rs, i, T1, variant)
+            T1 = DL_SIMPLE[variant](rs, i, f)
+            T2 = DL_SIMPLE[variant](rs, i, T1)
             assert T2 + T1 * (Scalar.one() + y) + f * y == GA(), (variant, i)
         a = b = f
         for k in range(W.length[W.w0]):  # both alternating words for w0
-            a = dl_simple(rs, k % 2, a, variant)
-            b = dl_simple(rs, 1 - k % 2, b, variant)
+            a = DL_SIMPLE[variant](rs, k % 2, a)
+            b = DL_SIMPLE[variant](rs, 1 - k % 2, b)
         assert a == b, variant
     for lam in [(-1, 0), (0, -1), (-1, -1)]:
         for w in range(W.n):
             assert whittaker(rs, lam, w) == whittaker_chevalley(rs, lam, w), (
                 lam, w)
     for lam in [(1, 0), (0, -1)]:
-        a = big_r(rs, lam, "localization")
-        assert a == big_r(rs, lam, "operators") == big_r(rs, lam, "chevalley")
+        a = big_r(rs, lam)
+        assert a == big_r_operators(rs, lam) == chevalley_sum(
+            rs, lam, W.min_coset_reps(()), 1)
