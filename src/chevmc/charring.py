@@ -61,13 +61,16 @@ the weight keys, c_j the coefficient of v^(2j), one slot per power of y;
 an odd or negative power of v raises ValueError.  Its keys have the
 weight fields only, so they read as the keys of one rank less, and the
 kernel, `dot` and both divisions run on lines unchanged, one integer
-product per pair of weights (the slice recursion and solve of
-localization.py).  The substitution is a ring map, one-to-one on the
+product per pair of weights.  Two callers run on lines: the slice
+recursion and solve of localization.py, and the all-w chain pass of
+chevalley.py, each of whose moves is one key shift and one integer
+product per weight.  The substitution is a ring map, one-to-one on the
 polynomials whose coefficients lie in [-2^(SLOT-1), 2^(SLOT-1));
-`from_line` and `line_max` read the coefficients back as the residues
-of the slots in that range, and `fits` raises ValueError on a bound
-that leaves it, so that a caller certifies each line it decodes.  A
-CohPoly has no v, so its line holds its plain int coefficients.
+`from_line`, `line_max` and, for one line, `line_pairs` read the
+coefficients back as the residues of the slots in that range, and
+`fits` raises ValueError on a bound that leaves it, so that each caller
+certifies each line it decodes by a bound it carries beside its lines.
+A CohPoly has no v, so its line holds its plain int coefficients.
 """
 
 from __future__ import annotations
@@ -332,6 +335,23 @@ def from_line(c):
         if x:
             out[keys[i // n] + 2 * (i % n)] = x
     return out, sum(map(abs, out.values()))
+
+
+def line_pairs(line):
+    """The (v field, int) pairs of the polynomial whose y-line is the int
+    `line`, v exponents ascending, read as `from_line` reads them: slot
+    j is v^(2j), its residue in [-2^(SLOT-1), 2^(SLOT-1)).  One slot at
+    a time, with no array, for the few slots of one line."""
+    half = 1 << (SLOT - 1)
+    out = []
+    vk = _HALF
+    while line:
+        x = ((line + half) & (2 * half - 1)) - half
+        if x:
+            out.append((vk, x))
+        line = (line - x) >> SLOT
+        vk += 2
+    return tuple(out)
 
 
 def fits(n):

@@ -20,10 +20,14 @@ none is given and picks how the chain route runs: one w walks its
 subsets J depth first, each read as its u, key, t = |J| and sign
 (chevalley_chain, one product per coefficient), two or more share one
 backward pass over (chain position, element) (_chain_pass), which sums
-each chain suffix once per element; the two agree key for key.
-chevalley_sum runs the same pass for sum_w sum_u q^{l(u)}
-C^w_{u,lambda} with one dict per element (specialfn's H_lambda, HL and
-Whittaker sums).  The operator and bridge routes run
+each chain suffix once per element; the two agree key for key.  The
+pass runs on y-lines (charring.to_line) under a coefficient bound that
+charring.fits certifies, and hands out each table as a PassTable, a
+read-only {u: GA} decoded on its first read, so that cli prints JSON
+from the lines.  chevalley_sum runs the same pass for sum_w sum_u
+q^{l(u)} C^w_{u,lambda} with one entry per element, summed on lines
+(specialfn's H_lambda, HL and Whittaker sums).  The operator and
+bridge routes run
 one w at a time; the operator route makes one move per chain position,
 E^beta a key offset per element and E^{<rho,beta^vee> beta} B_beta one
 product per descent, refuses a chain whose exponent_bound reaches 2^17
@@ -41,11 +45,12 @@ that build no oracle) live here as well.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from functools import lru_cache
 
 from .charring import (
     FIELD, GA, LIMIT, MASK, Scalar, _BIAS, _HALF, _add_products, _check,
-    _pack, _weight, _wneg, exp_mono,
+    _pack, _weight, _wneg, exp_mono, fits, line_pairs, to_line,
 )
 from .alcove import chain_lex_height, descent_subsets
 
@@ -125,9 +130,59 @@ def chevalley_chain(chain, w, sign):
     return {u: GA._new(c) for u, c in _checked(by_u, chain.rs.rank).items()}
 
 
+class PassTable(Mapping):
+    """A read-only {u: GA} table of the pass (see _chain_pass): `lines`
+    holds each entry as {weight key: y-line}, the first read of any entry
+    decodes them all (_decode), and `get` and `items` are then the
+    decoded dict's; `bound` bounds the coefficients."""
+
+    __slots__ = ("lines", "bound", "_memo", "_read")
+
+    def __init__(self, lines, bound, memo):
+        self.lines, self.bound = lines, bound
+        self._memo, self._read = memo, None
+
+    def _decoded(self):
+        if self._read is None:
+            self._read = _decode(self.lines, self._memo)
+        return self._read
+
+    def __getitem__(self, u):
+        return self._decoded()[u]
+
+    def get(self, u, default=None):
+        return self._decoded().get(u, default)
+
+    def items(self):
+        return self._decoded().items()
+
+    def __iter__(self):
+        return iter(self.lines)
+
+    def __len__(self):
+        return len(self.lines)
+
+
+def _decode(lines, memo):
+    """{u: GA} of a table's {u: {weight key: y-line}}, each distinct line
+    read by line_pairs once and kept in memo, which a pass shares."""
+    out = {}
+    for u, entry in lines.items():
+        c = {}
+        for wk, line in entry.items():
+            pairs = memo.get(line)
+            if pairs is None:
+                pairs = memo[line] = line_pairs(line)
+            wk <<= FIELD
+            for vk, x in pairs:
+                c[wk + vk] = x
+        out[u] = GA._new(c)
+    return out
+
+
 def _chain_pass(chain, ws, sign, seed=None):
     """{w: chevalley_chain(chain, w, sign)} for the distinct elements
-    ws, in one pass that every w shares.
+    ws, in one pass that every w shares, each table a PassTable.
 
     F_i(x), the sum of the chain formula over the subsets J of the scan
     positions from i on, walked from x, obeys
@@ -144,48 +199,81 @@ def _chain_pass(chain, ws, sign, seed=None):
     the elements reached at each step and their descents; the backward
     sweep then keeps one F per element, updated in place: x r_i ascends
     at step i, so no F read at a step changes there, and an element is
-    dropped before the first step it is not reached at.  An F is
-    {u: key dict}, as in chevalley_chain; seed(x, key), given the packed
-    key of e^{+-x(lambda)}, is F_n(x) ({x: {key: 1}} by default), and
-    the u of a term is that of the F_n it starts from."""
+    dropped before the first step it is not reached at.
+
+    Every power of v in an F is even and >= 0, so an F is {u: {weight
+    key: y-line}} (charring.to_line, the weight keys those of one rank
+    less), the factor of a move is one weight key shift and one line
+    (from _term_pairs, made once per pass), and a move is one integer
+    product per weight.  Beside each F the pass keeps a bound on its
+    coefficients: 1 at a seed, and B(x) += 2 B(x r_i) per move, since
+    |+-(1+y) y^k|_1 = 2.  Each table's bound goes through charring.fits
+    and its weight keys through _check before the pass returns, so a
+    table whose lines might not decode raises ValueError instead.
+    seed(x) is the (u, line) of F_n(x), (x, 1) by default."""
     rs = chain.rs
     W = rs.weyl()
+    r = rs.rank
     positive = sign > 0
     n, length, images, mul_refl, keys = (W.npos, W.length, W.images,
                                          W.mul_refl, W.root_keys)
+    factors = {}  # the line of c_i(x) by (l(x) - l(x r_i) - 1, odd)
     reached = dict.fromkeys(ws)
-    # per step: the (x, x r_i, key pairs of c_i(x) e^{-x(k beta)}) of
-    # the elements x that descend, and the elements first reached after it
+    # per step: the (x, x r_i, weight key shift of e^{-x(k beta)}, line
+    # of c_i(x)) of the elements x that descend, and the elements first
+    # reached after it
     moves, born = [], []
     for a, kh, odd, _c in chain.steps(positive):
         here, new = [], {}
         for x in reached:
             b = images(x)[a]
             if b >= n:
-                y, s = mul_refl(x, a), kh * keys[b]
-                pairs = _term_pairs(1, length[x] - length[y] - 1, odd,
-                                    positive)
-                here.append((x, y, [(k - s, c) for k, c in pairs]))
+                y = mul_refl(x, a)
+                f = length[x] - length[y] - 1, odd
+                m = factors.get(f)
+                if m is None:
+                    m = factors[f] = to_line({
+                        k + _HALF: c
+                        for k, c in _term_pairs(1, *f, positive)})[0]
+                here.append((x, y, kh * keys[b] >> FIELD, m))
                 if y not in reached:
                     new[y] = None
         moves.append(here)
         born.append(new)
         reached.update(new)
-    bias = _BIAS[rs.rank]
-    F = {}
+    bias = _BIAS[r - 1]  # the weight key of e^0
+    F, B = {}, {}
     for x in reached:
-        lk = chain.lam_key(x)
-        key = bias + lk if positive else bias - lk
-        F[x] = seed(x, key) if seed else {x: {key: 1}}
+        lk = chain.lam_key(x) >> FIELD
+        u, line = seed(x) if seed else (x, 1)
+        F[x] = {u: {bias + lk if positive else bias - lk: line}}
+        B[x] = 1
     for here, new in zip(reversed(moves), reversed(born)):
-        for x, y, a in here:
+        for x, y, s, m in here:
             fx = F[x]
+            B[x] += 2 * B[y]
             for u, c in F[y].items():
-                _add_products(fx.setdefault(u, {}), a, c.items())
+                acc = fx.get(u)
+                if acc is None:
+                    fx[u] = {k - s: m * z for k, z in c.items()}
+                    continue
+                get = acc.get
+                for k, z in c.items():
+                    k -= s
+                    z = get(k, 0) + m * z
+                    if z:
+                        acc[k] = z
+                    else:
+                        del acc[k]
         for y in new:
-            del F[y]
-    return {w: {u: GA._new(c) for u, c in _checked(F.pop(w), rs.rank).items()}
-            for w in ws}
+            del F[y], B[y]
+    memo, out = {}, {}
+    for w in ws:
+        fits(B[w])
+        lines = {u: c for u, c in F.pop(w).items() if c}
+        _check(itertools.chain.from_iterable(lines.values()), r - 1)
+        out[w] = PassTable(lines, B[w], memo)
+    return out
 
 
 def transition_direct(rs, w, lam_fund):
@@ -334,12 +422,21 @@ def chevalley_sum(rs, lam_fund, ws, sign=1):
     """sum_{w in ws} sum_u q^{l(u)} C^w_{u, sign*lambda} over the distinct
     elements ws: the pass of chevalley_tables on the lex chain, lambda
     range-checked as there, with F_n(x) = q^{l(x)} e^{+-x(lambda)} under
-    one shared u, so that the pass keeps one dict per element."""
+    one shared u, so that the pass keeps one entry per element; the
+    entries' lines are summed and decoded once, certified by the sum of
+    their bounds."""
     _pack(rs.weight(lam_fund))  # raises on a weight outside the packed range
     length = rs.weyl().length
-    F = _chain_pass(chain_lex_height(rs, lam_fund), list(dict.fromkeys(ws)),
-                    sign, lambda x, key: {0: {key + 2 * length[x]: 1}})
-    return GA.dot((f[0], 1) for f in F.values() if f)
+    q = to_line(Scalar.q(1).c)[0]
+    tables = _chain_pass(chain_lex_height(rs, lam_fund),
+                         list(dict.fromkeys(ws)), sign,
+                         lambda x: (0, q ** length[x]))
+    acc = {}
+    for t in tables.values():
+        if t:
+            _add_products(acc, ((0, 1),), t.lines[0].items())
+    fits(sum(t.bound for t in tables.values()))
+    return _decode({0: acc}, {})[0]
 
 
 def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None):
@@ -418,14 +515,20 @@ def shift_matrix(rs, lam_fund):
     coefficient q^{(l(u)-l(w))/2} (C^w_{u,-lambda})^vee|_{y = -q^{-1}} of
     L_lambda (x) stab(u) at stab(w) times e^{-u(lambda)}.  The
     substitution fixes scalars and negates weights, so each entry is one
-    product (C^w_{u,-lambda})^star e^{-u(lambda)} v^{l(u)-l(w)}."""
+    product (C^w_{u,-lambda})^star e^{-u(lambda)} v^{l(u)-l(w)}: one map
+    of the packed keys, k -> s - k with the v field restored, s the key
+    sum of 2 bias and the monomial, and one range check."""
     W = rs.weyl()
+    r = rs.rank
     lam = rs.weight(lam_fund)
+    length = W.length
     out = {u: {} for u in range(W.n)}
     for w, table in chevalley_tables(rs, lam_fund, range(W.n), -1).items():
         for u, g in table.items():
-            out[u][w] = g.star() * GA.term(_wneg(W.act(u, lam)),
-                                           Scalar.v(W.length[u] - W.length[w]))
+            s = 2 * _BIAS[r] - W.act_key(u, lam) + length[u] - length[w]
+            c = {s - k + 2 * ((k & MASK) - _HALF): x for k, x in g.c.items()}
+            _check(c, r)
+            out[u][w] = GA._new(c)
     return out
 
 

@@ -24,11 +24,14 @@ from functools import cache, partial
 from itertools import groupby
 
 from . import __version__
-from .charring import FIELD, GA, MASK, _HALF, _weight, exp_mono
+from .charring import (
+    FIELD, GA, MASK, _HALF, _weight, exp_mono, line_pairs, to_line,
+)
 from .rootsystem import RootSystem, parse_word
 from .alcove import chain_lex_height, chain_from_word
 from .chevalley import (
-    chevalley_tables, render_table, shift_matrix, transition_direct,
+    PassTable, chevalley_tables, render_table, shift_matrix,
+    transition_direct,
 )
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
 from .verify import SUITES, run_suite
@@ -95,13 +98,23 @@ def _parse_sign(text):
 # -- emitters ----------------------------------------------------------
 
 def _table_json(W, table):
-    return [
-        {
-            "u": W.word_str(u),
-            "value": table[u],
-        }
-        for u in W.ordered(table)
-    ]
+    """The entries of a table as `_dumps` writes them; a pass table's
+    are written from its y-lines (`_Lines`), with no entry decoded."""
+    if isinstance(table, PassTable):
+        return [{"u": W.word_str(u),
+                 "value": _Lines(table.lines[u], W.rs.rank)}
+                for u in W.ordered(table)]
+    return [{"u": W.word_str(u), "value": table[u]} for u in W.ordered(table)]
+
+
+class _Lines:
+    """One entry {weight key: y-line} of a pass table, of `rank` weight
+    fields, written by `_dumps` as the GA it decodes to."""
+
+    __slots__ = ("entry", "rank")
+
+    def __init__(self, entry, rank):
+        self.entry, self.rank = entry, rank
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -113,8 +126,10 @@ def _dumps(v, pad="\n", memo=None):
     `indent` turns off json's C encoder).  `pad` is the newline and
     indent of v's own line.  A `GA` is written as the list
     [{"coeff": {"<v exponent>": int}, "weight": [...]}], weights
-    ascending, straight from its packed keys (`_ga_json`), with the
-    fragments of one weight or one coefficient at one pad kept in
+    ascending, straight from its packed keys (`_ga_json`), and a pass
+    table entry (`_Lines`) as the same list, straight from its y-lines,
+    each distinct line decoded once per pad and never the entry; the
+    fragments of one weight or one coefficient at one pad are kept in
     `memo` (a fresh dict if None), which the whole document shares.  A
     value not special-cased here goes through json.dumps and has its
     lines indented to `pad`, which is exact since a JSON string never
@@ -145,6 +160,8 @@ def _dumps(v, pad="\n", memo=None):
              for k, x in sorted(v.items())]), pad)
     if t is GA:
         return _ga_json(v, pad, memo)
+    if t is _Lines:
+        return _lines_json(v, pad, memo)
     return json.dumps(v, sort_keys=True, indent=1).replace("\n", pad)
 
 
@@ -152,38 +169,71 @@ def _ga_json(g, pad, memo):
     """The `_dumps` text of a GA at `pad`: its sorted keys grouped by
     weight fields (k >> FIELD), one {"coeff", "weight"} object a group.
     A group is two fragments, its comma, brace and "coeff" dict up to
-    the "weight" key, then its weight list and closing brace; each is
-    formatted once per pad and kept in `memo`, since a table repeats
-    few distinct coefficients and weights over many groups."""
+    the "weight" key (`_coeff_text`), then its weight list and closing
+    brace (`_weight_text`); each is formatted once per pad and kept in
+    `memo`, since a table repeats few distinct coefficients and weights
+    over many groups."""
     c = g.c
     if not c:
         return "[]"
-    i1 = pad + " "
-    i2 = i1 + " "
-    i3 = i2 + " "
     # at one pad, ints (k >> FIELD) key the weight fragments and tuples
     # of (v field, int) pairs the coefficient fragments
     frags = memo.setdefault(pad, {})
-    keys = sorted(c)
     rank = g.rank()
     parts = []
-    for wk, group in groupby(keys, FIELD.__rrshift__):
+    for wk, group in groupby(sorted(c), FIELD.__rrshift__):
         vc = tuple([(k & MASK, c[k]) for k in group])
         text = frags.get(vc)
         if text is None:
-            # the v exponents in the string order of sort_keys
-            items = sorted([(str(vk - _HALF), x) for vk, x in vc])
-            text = frags[vc] = ',%s{%s"coeff": {%s%s%s},%s"weight": ' % (
-                i1, i2, i3, ("," + i3).join(['"%s": %d' % kx for kx in items]),
-                i2, i2)
+            text = frags[vc] = _coeff_text(vc, pad)
         parts.append(text)
         text = frags.get(wk)
         if text is None:
-            text = frags[wk] = "%s%s}" % (
-                _dumps(list(_weight(wk << FIELD, rank)), i2), i1)
+            text = frags[wk] = _weight_text(wk, rank, pad)
         parts.append(text)
     parts[0] = parts[0][1:]  # no comma before the first group
     return "[%s%s]" % ("".join(parts), pad)
+
+
+def _lines_json(v, pad, memo):
+    """The `_ga_json` text of a pass table entry, straight from its
+    y-lines: a line's coefficient fragment is formatted from its
+    `line_pairs` once per pad and kept in `memo` by the line, apart
+    from the weight fragments, which it shares with `_ga_json`."""
+    frags = memo.setdefault(pad, {})
+    lines = memo.setdefault((pad,), {})
+    rank = v.rank
+    parts = []
+    for wk, line in sorted(v.entry.items()):
+        text = lines.get(line)
+        if text is None:
+            text = lines[line] = _coeff_text(line_pairs(line), pad)
+        parts.append(text)
+        text = frags.get(wk)
+        if text is None:
+            text = frags[wk] = _weight_text(wk, rank, pad)
+        parts.append(text)
+    parts[0] = parts[0][1:]  # no comma before the first group
+    return "[%s%s]" % ("".join(parts), pad)
+
+
+def _coeff_text(pairs, pad):
+    """The comma, brace and "coeff" dict of the (v field, int) pairs of
+    a {"coeff", "weight"} object at `pad`, up to its "weight" key."""
+    i2 = pad + "  "
+    i3 = i2 + " "
+    # the v exponents in the string order of sort_keys
+    items = sorted([(str(vk - _HALF), x) for vk, x in pairs])
+    return ',%s {%s"coeff": {%s%s%s},%s"weight": ' % (
+        pad, i2, i3, ("," + i3).join(['"%s": %d' % kx for kx in items]),
+        i2, i2)
+
+
+def _weight_text(wk, rank, pad):
+    """The weight list of the weight fields wk and the closing brace of
+    a {"coeff", "weight"} object at `pad`."""
+    return "%s%s }" % (_dumps(list(_weight(wk << FIELD, rank)), pad + "  "),
+                       pad)
 
 
 def _emit(args, out, text, **fields):
@@ -436,26 +486,38 @@ def _cmd_search_positivity(args, out):
     coefficients.  For minuscule lambda each coefficient is a single
     exponential times a polynomial in y; empirically these polynomials are
     sign-coherent in small rank, but counterexamples exist in large enough
-    rank, so this command reports findings and never asserts positivity."""
+    rank, so this command reports findings and never asserts positivity.
+    A term is read as its weight and the y-line of its coefficient (a
+    pass table's own lines), and each distinct line is tested once, so
+    no table is decoded."""
     rs = args.rs
     W = rs.weyl()
     findings = []
     checked = 0
+    mixed = {}  # a y-line: whether its y-coefficients have both signs
     for lam in _minuscule_weights(rs):
         tables = chevalley_tables(rs, lam, W.order)
         for w in W.order:
             table = tables.pop(w)
             for u in W.ordered(table):
-                for k, x in table[u].terms():
+                entry = (table.lines[u] if isinstance(table, PassTable)
+                         else to_line(table[u].c))
+                for wk, line in sorted(entry.items()):
                     checked += 1
-                    coeffs = x.y_coeffs().values()
-                    if min(coeffs) < 0 < max(coeffs):
+                    m = mixed.get(line)
+                    if m is None:
+                        # y^j is (-1)^j v^(2j)
+                        ys = [-x if (vk - _HALF) & 2 else x
+                              for vk, x in line_pairs(line)]
+                        m = mixed[line] = min(ys) < 0 < max(ys)
+                    if m:
                         findings.append({
                             "lambda": list(lam),
                             "w": W.word_str(w),
                             "u": W.word_str(u),
-                            "weight": list(k),
-                            "coeff": x.to_json(),
+                            "weight": list(_weight(wk << FIELD, rs.rank)),
+                            "coeff": {str(vk - _HALF): x
+                                      for vk, x in line_pairs(line)},
                         })
 
     def text():

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from chevmc import charring
 from chevmc.charring import (
-    GA, LIMIT, Scalar, _pack, from_line, line_max, to_line,
+    FIELD, GA, LIMIT, Scalar, _HALF, _pack, from_line, line_max,
+    line_pairs, to_line,
 )
 from chevmc.csm import CohPoly
 from chevmc.rootsystem import RootSystem
@@ -548,7 +549,8 @@ def test_exact_div_of_equal_length_by_a_longer_quotient():
 def test_line_round_trip(data):
     """GA -> y-line -> GA is the identity, with the l1 norm, and
     `line_max` reads the max norm, for even v exponents 0..40 and
-    coefficients up to +-(2^63 - 1)."""
+    coefficients up to +-(2^63 - 1); `line_pairs` reads each line alone
+    as `from_line` reads them all."""
     rank = data.draw(st.integers(1, 3))
     big = 2 ** 63 - 1
     terms = data.draw(st.dictionaries(st.tuples(
@@ -561,6 +563,8 @@ def test_line_round_trip(data):
     assert c == g.c
     assert n1 == sum(map(abs, g.c.values()))
     assert line_max(line) == max(map(abs, g.c.values()), default=0)
+    assert {(wk << FIELD) + vk: x for wk, y in line.items()
+            for vk, x in line_pairs(y)} == g.c
 
 
 def test_line_refuses_negative_powers_of_v():
@@ -593,6 +597,8 @@ def test_line_slot_j_holds_y_to_the_j():
     line = to_line(g.c)
     assert line == {_pack((2, -1)): 5 - (7 << slot) - (3 << 2 * slot)}
     assert from_line(line) == (g.c, 15)
+    assert line_pairs(line[_pack((2, -1))]) == (
+        (_HALF, 5), (_HALF + 2, -7), (_HALF + 4, -3))
 
 
 def test_narrow_slots_are_refused(monkeypatch):

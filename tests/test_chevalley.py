@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chevmc.charring import FIELD, GA, MASK, Scalar, _HALF
 from chevmc.rootsystem import RootSystem
-from chevmc import alcove, chevalley, verify
+from chevmc import alcove, charring, chevalley, cli, verify
 from chevmc.alcove import chain_from_word, chain_lex_height, descent_subsets
 from chevmc.oracle import KOracle
 from chevmc.chevalley import (
@@ -622,6 +622,51 @@ def test_chain_many_range_error():
             chevalley._chain_pass(chain, range(W.n), sign)
     with pytest.raises(ValueError, match="out of range"):
         chevalley_chain(chain, 0, 1)
+
+
+# -- the pass's y-lines and their certificate -------------------------
+
+@pytest.mark.parametrize("family,rank", [
+    ("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3),
+])
+def test_pass_bound_covers_every_coefficient(family, rank):
+    # each table's bound is at least the largest |coefficient| of any of
+    # its entries, at rho and at an alternating weight, at both signs
+    rs = RootSystem(family, rank)
+    W = rs.weyl()
+    for lam in ((1,) * rank, tuple((-1) ** i for i in range(rank))):
+        for sign in (1, -1):
+            for w, t in chevalley_tables(rs, lam, range(W.n), sign).items():
+                top = max((abs(x) for g in t.values() for x in g.c.values()),
+                          default=0)
+                assert 1 <= top <= t.bound, (lam, sign, w)
+
+
+def test_pass_refuses_a_bound_its_slots_cannot_hold(monkeypatch, capsys):
+    # G2 (1,1) has a table of bound 2037: with 8-bit slots (room for
+    # |c| < 128) the pass, the weighted sum and `chevmc chevalley` refuse
+    # it before decoding; with 16-bit slots the tables are the walk's
+    rs = RootSystem("G", 2)
+    W = rs.weyl()
+    lam = (1, 1)
+    chain = chain_lex_height(rs, lam)
+    want = {sign: _per_w(chain, range(W.n), sign) for sign in (1, -1)}
+    sums = {sign: chevalley_sum(rs, lam, range(W.n), sign) for sign in (1, -1)}
+    assert max(t.bound for t in chevalley_tables(
+        rs, lam, range(W.n)).values()) == 2037
+    monkeypatch.setattr(charring, "SLOT", 8)
+    for sign in (1, -1):
+        with pytest.raises(ValueError, match="reaches 2\\^7 of a y-line"):
+            chevalley_tables(rs, lam, range(W.n), sign)
+        with pytest.raises(ValueError, match="reaches 2\\^7 of a y-line"):
+            chevalley_sum(rs, lam, range(W.n), sign)
+    assert cli.run(["chevalley", "--type", "G2", "--lambda=1,1", "--w",
+                    "all"]) == 2
+    assert capsys.readouterr().err.startswith("error: coefficient bound ")
+    monkeypatch.setattr(charring, "SLOT", 16)
+    for sign in (1, -1):
+        assert chevalley_tables(rs, lam, range(W.n), sign) == want[sign]
+        assert chevalley_sum(rs, lam, range(W.n), sign) == sums[sign]
 
 
 def test_range_checked_ahead_of_every_route(monkeypatch):

@@ -959,18 +959,24 @@ def test_all_w_range_error_matches_single_word(capsys):
 
 
 # the all-w tables that dominate the cli benchmark, run twice with one
-# cache: a miss that writes the entry, then a hit that prints it
-_BIG_ARGVS = [
-    "chevalley --type B3 --lambda=1,1,1 --w all --sign + --format json",
-    "chevalley --type C3 --lambda=-1,-1,-1 --w all --sign - --format json",
-]
+# cache: a miss that writes the entry, then a hit that prints it; the
+# SHA-256 of stdout was pinned while the pass ran on packed-key dicts
+_BIG_ARGVS = {
+    "chevalley --type B3 --lambda=1,1,1 --w all --sign + --format json":
+    "96ccfad08ae596016a4b894dcf71dae1a9e5aa5bf3b0e0b6ee747ceb3a80bea2",
+    "chevalley --type C3 --lambda=-1,-1,-1 --w all --sign - --format json":
+    "6f2548937e97fe96cecc6867e9173291c7a4f1d3050e12b0697df33b6f17465e",
+}
 
 
-@pytest.fixture(scope="module", params=_BIG_ARGVS)
+@pytest.fixture(scope="module", params=list(_BIG_ARGVS))
 def big_runs(request, tmp_path_factory):
     argv = request.param.split() + [
         "--cache-dir", str(tmp_path_factory.mktemp("cache"))]
-    return [_run(argv) for _ in range(2)]
+    runs = [_run(argv) for _ in range(2)]
+    assert hashlib.sha256(runs[0][1].encode()).hexdigest() == (
+        _BIG_ARGVS[request.param])
+    return runs
 
 
 def test_cache_hit_prints_miss_bytes(big_runs):
@@ -984,6 +990,32 @@ def test_writer_on_big_tables(big_runs):
     doc = json.loads(text)
     assert _dumps(doc) + "\n" == text
     assert _dumps(doc) == json.dumps(doc, sort_keys=True, indent=1)
+
+
+def test_pass_tables_print_without_decoding(monkeypatch):
+    # JSON writes a pass table straight from its y-lines and decodes no
+    # entry; text and LaTeX decode each table once, every entry of it
+    from chevmc import chevalley
+
+    rs = RootSystem("B", 3)
+    W = rs.weyl()
+    entries = sum(len(t) for t in chevalley.chevalley_tables(
+        rs, (1, -1, 1), range(W.n), -1).values())
+    real = chevalley._decode
+    calls = []
+
+    def decode(lines, memo):
+        calls.append(lines)
+        return real(lines, memo)
+
+    monkeypatch.setattr(chevalley, "_decode", decode)
+    argv = "chevalley --type B3 --lambda=1,-1,1 --w all --sign -".split()
+    for fmt, decoded in (("json", 0), ("text", entries), ("latex", entries)):
+        calls.clear()
+        code, text = _run(argv + ["--format", fmt])
+        assert code == 0 and text, fmt
+        assert len(set(map(id, calls))) == len(calls), fmt
+        assert sum(map(len, calls)) == decoded, fmt
 
 
 _json_leaves = st.one_of(
@@ -1357,7 +1389,7 @@ def test_one_parser_serves_every_call(capsys):
 
 # SHA-256 of stdout for cheap argvs over every subcommand, text and JSON;
 # any change to CLI output, or to a value it prints, shows up here.
-# LaTeX output is checked by test_chevalley_latex.
+# LaTeX output is pinned once here and checked by test_chevalley_latex.
 _GOLDEN = [
     ("chevalley --type A2 --lambda 2,1 --w all",
      "600ef09fc531f15d5f471206c48a8ec27f23c7cb49399394983251910acff7d8"),
@@ -1448,6 +1480,15 @@ _GOLDEN = [
     ("chevalley --type B4 --lambda=1,0,0,1 --w s1s2s3s4s3s2s1 --sign - "
      "--format json",
      "88f878145f7f1dee9ba816d6e9ed61d4ededf36c5bd5b73b0b00727de2168e95"),
+    # all-w pass tables, pinned while the pass ran on packed-key dicts:
+    # F4 at varpi_1 writes 798 distinct y-lines, and B3 (1,-1,1), whose
+    # lex chain has negative roots, decodes every entry in text and LaTeX
+    ("chevalley --type F4 --lambda=1,0,0,0 --w all --format json",
+     "2c7351dd0b5a448017f12ebb75ccd57ed39f04a19de028fb71807143225d6f89"),
+    ("chevalley --type B3 --lambda=1,-1,1 --w all --sign -",
+     "0c46cfd64daca0052bd77eb61b9af3f2bd5062bcbebd67671bbcad39cb3eac63"),
+    ("chevalley --type B3 --lambda=1,-1,1 --w all --sign - --format latex",
+     "f232a4cc8904519d9bdadc58422e8f42d0b4c40dbe554749890d917ff6415a96"),
 ]
 
 
