@@ -24,9 +24,12 @@ Scalar, the coefficient ring Z[v, v^-1], is the rank-0 case, with keys
 of the v field only, so a Scalar times a GA is the same key sum.
 csm.CohPoly, the polynomial ring Z[varpi_1..varpi_r] on the fundamental
 weights, uses the same keys with v field 0 and the same int
-coefficients.  `GA.render` turns an element of either into text, with
-the monomial text a caller passes (`exp_mono`, `power_mono`), and
-`render_terms` joins the terms.
+coefficients.  `GA.groups` is the one grouped view of an element:
+(weight key, coefficient) groups, weights ascending, the coefficient a
+tuple of (v field, int) pairs or, in a group of a y-line, the line's
+int (`group_pairs` reads either).  `GA.terms` and `render_groups`, the
+one text loop (given the monomial text of a weight: `exp_mono`,
+`power_mono`), read the groups, and `GA.render` is that loop.
 
 There is no fraction type.  A Demazure-Lusztig step divides once in the
 ring (localization.dl_step; the right operator `Localization.dl_right`,
@@ -65,12 +68,13 @@ product per pair of weights.  Two callers run on lines: the slice
 recursion and solve of localization.py, and the all-w chain pass of
 chevalley.py, each of whose moves is one key shift and one integer
 product per weight.  The substitution is a ring map, one-to-one on the
-polynomials whose coefficients lie in [-2^(SLOT-1), 2^(SLOT-1));
-`from_line`, `line_max` and, for one line, `line_pairs` read the
-coefficients back as the residues of the slots in that range, and
-`fits` raises ValueError on a bound that leaves it, so that each caller
-certifies each line it decodes by a bound it carries beside its lines.
-A CohPoly has no v, so its line holds its plain int coefficients.
+polynomials whose coefficients lie in [-2^(SLOT-1), 2^(SLOT-1)):
+`line_pairs` reads one line back as the residues of its slots in that
+range, the one decoder `decode_line` reads a y-line through it, each
+distinct line once, and only `line_max` reads all slots at once
+(`_slots`).  `fits` raises ValueError on a bound that leaves the range,
+so that each caller certifies each line it decodes by a bound it
+carries beside its lines.  A CohPoly's line holds its plain ints.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, insort
-from itertools import repeat
+from itertools import groupby, repeat
 
 FIELD = 20
 MASK = (1 << FIELD) - 1
@@ -317,31 +321,17 @@ def _slots(c):
 
 
 def line_max(c):
-    """The max norm of the polynomial whose y-line is `c` (see
-    `from_line`), read off the slots with no dict built."""
+    """The max norm of the polynomial whose y-line is `c`, read off the
+    slots of all its lines at once, with no dict built."""
     slots = _slots(c)[1].tolist()
     return max(max(slots), -min(slots)) if slots else 0
 
 
-def from_line(c):
-    """(coefficient dict, l1 norm) of the polynomial whose y-line is `c`,
-    slot j read as v^(2j), its residue in [-2^(SLOT-1), 2^(SLOT-1)): the
-    polynomial of the line when all its coefficients lie there (see
-    `fits`).  The v exponents are not range-checked."""
-    n, slots = _slots(c)
-    keys = [(wk << FIELD) + _HALF for wk in c]
-    out = {}
-    for i, x in enumerate(slots):
-        if x:
-            out[keys[i // n] + 2 * (i % n)] = x
-    return out, sum(map(abs, out.values()))
-
-
 def line_pairs(line):
     """The (v field, int) pairs of the polynomial whose y-line is the int
-    `line`, v exponents ascending, read as `from_line` reads them: slot
-    j is v^(2j), its residue in [-2^(SLOT-1), 2^(SLOT-1)).  One slot at
-    a time, with no array, for the few slots of one line."""
+    `line`, v exponents ascending, when all its coefficients lie in
+    [-2^(SLOT-1), 2^(SLOT-1)) (see `fits`): slot j, read one at a time
+    as its residue in that range, is v^(2j)."""
     half = 1 << (SLOT - 1)
     out = []
     vk = _HALF
@@ -352,6 +342,33 @@ def line_pairs(line):
         line = (line - x) >> SLOT
         vk += 2
     return tuple(out)
+
+
+def decode_line(c, memo=None):
+    """The coefficient dict {key: int} of the polynomial whose y-line is
+    `c`, each distinct line read by `line_pairs` once into `memo`, which
+    callers may share.  The v exponents are not range-checked."""
+    memo = {} if memo is None else memo
+    out = {}
+    for wk, line in c.items():
+        pairs = memo.get(line)
+        if pairs is None:
+            pairs = memo[line] = line_pairs(line)
+        wk <<= FIELD
+        for vk, x in pairs:
+            out[wk + vk] = x
+    return out
+
+
+def group_weight(wk):
+    """The weight tuple of a weight key k >> FIELD (see `GA.groups`)."""
+    return _weight(wk << FIELD, _rank(wk) + 1)
+
+
+def group_pairs(c):
+    """The (v field, int) pairs of a group's coefficient: a y-line int,
+    read by `line_pairs`, or the pairs themselves (see `GA.groups`)."""
+    return line_pairs(c) if type(c) is int else c
 
 
 def fits(n):
@@ -419,6 +436,27 @@ def render_terms(terms):
     for p in parts[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
+
+
+def render_groups(groups, mono, var=None, memo=None):
+    """The text of an element from its groups (see `GA.groups`), leading
+    term first: `mono` maps a weight tuple to its monomial text ("1"
+    for the weight 0), each coefficient is rendered by Scalar.render(var)
+    and `render_terms` joins the terms.  `memo`, a pair of dicts for one
+    `mono` and `var`, keeps each coefficient's and weight's text."""
+    coeffs, monos = memo or ({}, {})
+    terms = []
+    for wk, c in reversed(groups):
+        t = coeffs.get(c)
+        if t is None:
+            pairs = group_pairs(c)
+            t = coeffs[c] = (Scalar._new(dict(pairs)).render(var),
+                             len(pairs) == 1)
+        m = monos.get(wk)
+        if m is None:
+            m = monos[wk] = mono(group_weight(wk))
+        terms.append((*t, m))
+    return render_terms(terms)
 
 
 def exp_mono(h):
@@ -594,14 +632,19 @@ class GA:
     def __bool__(self):
         return bool(self.c)
 
+    def groups(self):
+        """(weight key k >> FIELD, ((v field, int), ...)) pairs, weight
+        keys ascending and each group's v fields ascending: the one
+        loop that groups the keys by weight."""
+        c = self.c
+        return [(wk, tuple([(k & MASK, c[k]) for k in ks]))
+                for wk, ks in groupby(sorted(c), FIELD.__rrshift__)]
+
     def terms(self):
         """(weight tuple, Scalar coefficient) pairs, weights ascending."""
         r = self.rank()
-        groups = {}
-        for k in sorted(self.c):
-            groups.setdefault(k >> FIELD, {})[k & MASK] = self.c[k]
-        return [(_weight(wk << FIELD, r), Scalar._new(vc))
-                for wk, vc in groups.items()]
+        return [(_weight(wk << FIELD, r), Scalar._new(dict(vc)))
+                for wk, vc in self.groups()]
 
     # -- lattice / Weyl operations ------------------------------------
     def transform(self, mat):
@@ -731,13 +774,8 @@ class GA:
 
     # -- display ------------------------------------------------------
     def render(self, mono, var=None):
-        """The text of the element, leading term first: `mono` maps a
-        weight tuple to its monomial text ("1" for the weight 0), each
-        coefficient is rendered by Scalar.render(var), and
-        `render_terms` joins the terms.  GA.terms, not an override,
-        gives the Scalar coefficients, so a CohPoly renders too."""
-        return render_terms([(x.render(var=var), len(x.c) == 1, mono(k))
-                             for k, x in reversed(GA.terms(self))])
+        """The text of the element by `render_groups`, a CohPoly's too."""
+        return render_groups(self.groups(), mono, var)
 
     def __repr__(self):
         return "GA(%s)" % self.render(exp_mono(1))

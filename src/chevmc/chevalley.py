@@ -23,19 +23,20 @@ backward pass over (chain position, element) (_chain_pass), which sums
 each chain suffix once per element; the two agree key for key.  The
 pass runs on y-lines (charring.to_line) under a coefficient bound that
 charring.fits certifies, and hands out each table as a PassTable, a
-read-only {u: GA} decoded on its first read, so that cli prints JSON
-from the lines.  chevalley_sum runs the same pass for sum_w sum_u
+read-only {u: GA} decoded on its first read.  entry_groups reads an
+entry of either kind of table as its (weight key, coefficient) groups,
+a pass table's from its lines, so render_table and cli's printers
+decode nothing.  chevalley_sum runs the same pass for sum_w sum_u
 q^{l(u)} C^w_{u,lambda} with one entry per element, summed on lines
 (specialfn's H_lambda, HL and Whittaker sums).  The operator and
-bridge routes run
-one w at a time; the operator route makes one move per chain position,
-E^beta a key offset per element and E^{<rho,beta^vee> beta} B_beta one
-product per descent, refuses a chain whose exponent_bound reaches 2^17
-and range-checks its output once, only when that bound reaches LIMIT;
-the bridge route takes each Bernstein divided difference in closed
-form, term by term.  The walk, the pass and the operator route read
-their steps off LambdaChain.steps and their Weyl moves off the tables
-of WeylGroup (images, mul_refl).
+bridge routes run one w at a time; the operator route makes one move
+per chain position, E^beta a key offset per element and E^{<rho,
+beta^vee> beta} B_beta one product per descent, refuses a chain whose
+exponent_bound reaches 2^17 and range-checks its output once, only
+when that bound reaches LIMIT; the bridge route takes each Bernstein
+divided difference in closed form, term by term.  The walk, the pass
+and the operator route read their steps off LambdaChain.steps and
+their Weyl moves off the tables of WeylGroup (images, mul_refl).
 
 Dualities, the parabolic formula and the stable-basis matrices of
 T*(G/B) (shift_matrix, wall_cross_path: functions of the root system
@@ -50,7 +51,8 @@ from functools import lru_cache
 
 from .charring import (
     FIELD, GA, LIMIT, MASK, Scalar, _BIAS, _HALF, _add_products, _check,
-    _pack, _weight, _wneg, exp_mono, fits, line_pairs, to_line,
+    _pack, _weight, _wneg, decode_line, exp_mono, fits, render_groups,
+    to_line,
 )
 from .alcove import chain_lex_height, descent_subsets
 
@@ -133,8 +135,9 @@ def chevalley_chain(chain, w, sign):
 class PassTable(Mapping):
     """A read-only {u: GA} table of the pass (see _chain_pass): `lines`
     holds each entry as {weight key: y-line}, the first read of any entry
-    decodes them all (_decode), and `get` and `items` are then the
-    decoded dict's; `bound` bounds the coefficients."""
+    decodes them all (charring.decode_line, on a line memo that the pass
+    shares), and `get` and `items` are then the decoded dict's; `bound`
+    bounds the coefficients.  Printers read the lines (entry_groups)."""
 
     __slots__ = ("lines", "bound", "_memo", "_read")
 
@@ -144,7 +147,8 @@ class PassTable(Mapping):
 
     def _decoded(self):
         if self._read is None:
-            self._read = _decode(self.lines, self._memo)
+            self._read = {u: GA._new(decode_line(e, self._memo))
+                          for u, e in self.lines.items()}
         return self._read
 
     def __getitem__(self, u):
@@ -163,21 +167,13 @@ class PassTable(Mapping):
         return len(self.lines)
 
 
-def _decode(lines, memo):
-    """{u: GA} of a table's {u: {weight key: y-line}}, each distinct line
-    read by line_pairs once and kept in memo, which a pass shares."""
-    out = {}
-    for u, entry in lines.items():
-        c = {}
-        for wk, line in entry.items():
-            pairs = memo.get(line)
-            if pairs is None:
-                pairs = memo[line] = line_pairs(line)
-            wk <<= FIELD
-            for vk, x in pairs:
-                c[wk + vk] = x
-        out[u] = GA._new(c)
-    return out
+def entry_groups(table, u):
+    """The groups of table[u] (see GA.groups): a pass table's own y-lines,
+    weight keys ascending, or GA.groups of a {u: GA} table's entry.  The
+    only code that tells the two kinds of table apart."""
+    if type(table) is PassTable:
+        return sorted(table.lines[u].items())
+    return table[u].groups()
 
 
 def _chain_pass(chain, ws, sign, seed=None):
@@ -436,7 +432,7 @@ def chevalley_sum(rs, lam_fund, ws, sign=1):
         if t:
             _add_products(acc, ((0, 1),), t.lines[0].items())
     fits(sum(t.bound for t in tables.values()))
-    return _decode({0: acc}, {})[0]
+    return GA._new(decode_line(acc))
 
 
 def chevalley_table(rs, lam_fund, w, sign=1, method="chain", chain=None):
@@ -568,12 +564,17 @@ def wall_cross_path(rs, lam_fund):
     return m
 
 
-def render_table(rs, table, mono=None):
-    """One line per u, in the order of (length, canonical word); `mono`
-    is the monomial text of a fine weight, `exp_mono` by default."""
+def render_table(rs, table, mono=None, row=None):
+    """One line per u, in the order of (length, canonical word): row(u's
+    canonical word, its entry's text), "C[u=word] = text" by default,
+    `mono` the monomial text of a fine weight (`exp_mono` by default).
+    Each text is rendered from the entry's groups (entry_groups), a pass
+    table's from its lines, each distinct coefficient and weight once."""
     W = rs.weyl()
     mono = mono or exp_mono(rs.h)
+    row = row or (lambda word, text: "C[u=%s] = %s" % (word, text))
+    memo = {}, {}
     return "\n".join(
-        "C[u=%s] = %s" % (W.word_str(u), table[u].render(mono))
-        for u in W.ordered(table)
-    )
+        row(W.word_str(u), render_groups(entry_groups(table, u), mono,
+                                         memo=memo))
+        for u in W.ordered(table))

@@ -10,8 +10,11 @@ torus.
 `run` parses the shared options once, in the order --type, --lambda,
 --w (on the element store; a one-word command refuses 'all'), before a
 command reads the whole Weyl group, so of two faults the first in that
-order is reported.  A command hands `_emit` its document's fields and
-its text as a callable, and only the printed format is built.
+order is reported.  A command hands `_emit` its text and its
+document's fields, each as a callable, and only the printed format is
+built.  Every table entry is printed from its groups
+(chevalley.entry_groups), so no printer decodes a table or asks which
+kind it holds.
 """
 
 from __future__ import annotations
@@ -21,16 +24,13 @@ import io
 import json
 import sys
 from functools import cache, partial
-from itertools import groupby
 
 from . import __version__
-from .charring import (
-    FIELD, GA, MASK, _HALF, _weight, exp_mono, line_pairs, to_line,
-)
+from .charring import GA, _HALF, exp_mono, group_pairs, group_weight
 from .rootsystem import RootSystem, parse_word
 from .alcove import chain_lex_height, chain_from_word
 from .chevalley import (
-    PassTable, chevalley_tables, render_table, shift_matrix,
+    chevalley_tables, entry_groups, render_table, shift_matrix,
     transition_direct,
 )
 from .cache import cache_key, cache_get, cache_put, default_cache_dir
@@ -98,23 +98,18 @@ def _parse_sign(text):
 # -- emitters ----------------------------------------------------------
 
 def _table_json(W, table):
-    """The entries of a table as `_dumps` writes them; a pass table's
-    are written from its y-lines (`_Lines`), with no entry decoded."""
-    if isinstance(table, PassTable):
-        return [{"u": W.word_str(u),
-                 "value": _Lines(table.lines[u], W.rs.rank)}
-                for u in W.ordered(table)]
-    return [{"u": W.word_str(u), "value": table[u]} for u in W.ordered(table)]
+    """The entries of a table as `_dumps` writes them (`_Entry`)."""
+    return [{"u": W.word_str(u), "value": _Entry((table, u))}
+            for u in W.ordered(table)]
 
 
-class _Lines:
-    """One entry {weight key: y-line} of a pass table, of `rank` weight
-    fields, written by `_dumps` as the GA it decodes to."""
+class _Entry(tuple):
+    """(table, u), written by `_dumps` as the GA of the table's entry at
+    u from its groups (`entry_groups`), which it reads only then: a pass
+    table's entry is written from its y-lines, and no entry's group list
+    outlives its writing."""
 
-    __slots__ = ("entry", "rank")
-
-    def __init__(self, entry, rank):
-        self.entry, self.rank = entry, rank
+    __slots__ = ()
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -124,16 +119,15 @@ def _dumps(v, pad="\n", memo=None):
     """json.dumps(v, sort_keys=True, indent=1), byte for byte, with one
     join per container and the C string encoder (on Python < 3.13,
     `indent` turns off json's C encoder).  `pad` is the newline and
-    indent of v's own line.  A `GA` is written as the list
+    indent of v's own line.  A `GA` and a table entry (`_Entry`) are
+    written by `_groups_json` as the list
     [{"coeff": {"<v exponent>": int}, "weight": [...]}], weights
-    ascending, straight from its packed keys (`_ga_json`), and a pass
-    table entry (`_Lines`) as the same list, straight from its y-lines,
-    each distinct line decoded once per pad and never the entry; the
-    fragments of one weight or one coefficient at one pad are kept in
-    `memo` (a fresh dict if None), which the whole document shares.  A
-    value not special-cased here goes through json.dumps and has its
-    lines indented to `pad`, which is exact since a JSON string never
-    holds a raw newline."""
+    ascending, from their groups, so a pass table entry is written
+    straight from its y-lines; the fragments of one weight or one
+    coefficient at one pad are kept in `memo` (a fresh dict if None),
+    which the whole document shares.  A value not special-cased here
+    goes through json.dumps and has its lines indented to `pad`, which
+    is exact since a JSON string never holds a raw newline."""
     t = type(v)
     if t is str:
         return _encode_str(v)
@@ -159,87 +153,50 @@ def _dumps(v, pad="\n", memo=None):
                 else _dumps(x, inner, memo))
              for k, x in sorted(v.items())]), pad)
     if t is GA:
-        return _ga_json(v, pad, memo)
-    if t is _Lines:
-        return _lines_json(v, pad, memo)
+        return _groups_json(v.groups(), pad, memo)
+    if t is _Entry:
+        return _groups_json(entry_groups(*v), pad, memo)
     return json.dumps(v, sort_keys=True, indent=1).replace("\n", pad)
 
 
-def _ga_json(g, pad, memo):
-    """The `_dumps` text of a GA at `pad`: its sorted keys grouped by
-    weight fields (k >> FIELD), one {"coeff", "weight"} object a group.
-    A group is two fragments, its comma, brace and "coeff" dict up to
-    the "weight" key (`_coeff_text`), then its weight list and closing
-    brace (`_weight_text`); each is formatted once per pad and kept in
-    `memo`, since a table repeats few distinct coefficients and weights
-    over many groups."""
-    c = g.c
-    if not c:
+def _groups_json(groups, pad, memo):
+    """The `_dumps` text at `pad` of an element's (weight key,
+    coefficient) groups, one {"coeff", "weight"} object a group.  A
+    group is two fragments, its comma, brace and "coeff" dict up to the
+    "weight" key, then its weight list and closing brace; each is
+    formatted once per pad and kept in `memo`, by the coefficient (a
+    y-line int or a pairs tuple) and, apart, by the weight key, since a
+    table repeats few of either over many groups."""
+    if not groups:
         return "[]"
-    # at one pad, ints (k >> FIELD) key the weight fragments and tuples
-    # of (v field, int) pairs the coefficient fragments
-    frags = memo.setdefault(pad, {})
-    rank = g.rank()
-    parts = []
-    for wk, group in groupby(sorted(c), FIELD.__rrshift__):
-        vc = tuple([(k & MASK, c[k]) for k in group])
-        text = frags.get(vc)
-        if text is None:
-            text = frags[vc] = _coeff_text(vc, pad)
-        parts.append(text)
-        text = frags.get(wk)
-        if text is None:
-            text = frags[wk] = _weight_text(wk, rank, pad)
-        parts.append(text)
-    parts[0] = parts[0][1:]  # no comma before the first group
-    return "[%s%s]" % ("".join(parts), pad)
-
-
-def _lines_json(v, pad, memo):
-    """The `_ga_json` text of a pass table entry, straight from its
-    y-lines: a line's coefficient fragment is formatted from its
-    `line_pairs` once per pad and kept in `memo` by the line, apart
-    from the weight fragments, which it shares with `_ga_json`."""
-    frags = memo.setdefault(pad, {})
-    lines = memo.setdefault((pad,), {})
-    rank = v.rank
-    parts = []
-    for wk, line in sorted(v.entry.items()):
-        text = lines.get(line)
-        if text is None:
-            text = lines[line] = _coeff_text(line_pairs(line), pad)
-        parts.append(text)
-        text = frags.get(wk)
-        if text is None:
-            text = frags[wk] = _weight_text(wk, rank, pad)
-        parts.append(text)
-    parts[0] = parts[0][1:]  # no comma before the first group
-    return "[%s%s]" % ("".join(parts), pad)
-
-
-def _coeff_text(pairs, pad):
-    """The comma, brace and "coeff" dict of the (v field, int) pairs of
-    a {"coeff", "weight"} object at `pad`, up to its "weight" key."""
+    coeffs = memo.setdefault(pad, {})
+    weights = memo.setdefault((pad,), {})
     i2 = pad + "  "
     i3 = i2 + " "
-    # the v exponents in the string order of sort_keys
-    items = sorted([(str(vk - _HALF), x) for vk, x in pairs])
-    return ',%s {%s"coeff": {%s%s%s},%s"weight": ' % (
-        pad, i2, i3, ("," + i3).join(['"%s": %d' % kx for kx in items]),
-        i2, i2)
+    parts = []
+    for wk, c in groups:
+        text = coeffs.get(c)
+        if text is None:
+            # the v exponents in the string order of sort_keys
+            items = sorted([(str(vk - _HALF), x) for vk, x in group_pairs(c)])
+            text = coeffs[c] = ',%s {%s"coeff": {%s%s%s},%s"weight": ' % (
+                pad, i2, i3, ("," + i3).join(['"%s": %d' % kx
+                                              for kx in items]), i2, i2)
+        parts.append(text)
+        text = weights.get(wk)
+        if text is None:
+            text = weights[wk] = "%s%s }" % (
+                _dumps(list(group_weight(wk)), i2), pad)
+        parts.append(text)
+    parts[0] = parts[0][1:]  # no comma before the first group
+    return "[%s%s]" % ("".join(parts), pad)
 
 
-def _weight_text(wk, rank, pad):
-    """The weight list of the weight fields wk and the closing brace of
-    a {"coeff", "weight"} object at `pad`."""
-    return "%s%s }" % (_dumps(list(_weight(wk << FIELD, rank)), pad + "  "),
-                       pad)
-
-
-def _emit(args, out, text, **fields):
+def _emit(args, out, text, fields):
     """Print, in the format of `args`, either the JSON document of the
-    command (its header, the parsed lambda and single w, and `fields`)
-    or the string `text()`: only the printed one is built."""
+    command (its header, the parsed lambda and single w, and the dict
+    `fields()`) or the string `text()`: only the printed one is
+    built."""
     if args.format != "json":
         out.write(text() + "\n")
         return
@@ -255,7 +212,7 @@ def _emit(args, out, text, **fields):
         doc["lam"] = list(args.lam)
     if "one_word" in args:
         doc["w"] = rs.weyl().word_str(args.w)
-    doc.update(fields)
+    doc.update(fields())
     out.write(_dumps(doc) + "\n")
 
 
@@ -276,17 +233,11 @@ def _latex_weight(h, fine):
     return "e^{%s}" % "+".join(parts).replace("+-", "-") if parts else "1"
 
 
-def _latex_table(W, table):
-    """The table as LaTeX: the `*` rendering with each `*` a space, as
-    the LaTeX monomials contain none."""
-    mono = partial(_latex_weight, W.rs.h)
-    lines = ["\\begin{aligned}"]
-    for u in W.ordered(table):
-        word = W.word_str(u).replace("s", "s_")
-        text = table[u].render(mono).replace("*", " ")
-        lines.append("C_{%s} &= %s \\\\" % (word, text))
-    lines.append("\\end{aligned}")
-    return "\n".join(lines)
+def _latex_row(word, text):
+    """The LaTeX `render_table` row of a word and its entry's text, each
+    `*` of the text a space, as the LaTeX monomials contain none."""
+    return "C_{%s} &= %s \\\\" % (word.replace("s", "s_"),
+                                 text.replace("*", " "))
 
 
 def _epsilon_weight(rs, fine):
@@ -327,18 +278,19 @@ def _cmd_chevalley(args, out):
         tables = chevalley_tables(rs, lam, ws, sign=sign, method=args.method,
                                   chain=chain)
         rows = [(W.word_str(wv), tables.pop(wv)) for wv in ws]
-        mono = partial(_epsilon_weight, rs) if args.epsilon else None
-
-        def block(word, table):
-            if args.format == "latex":
-                return "%% w = %s\n%s" % (word, _latex_table(W, table))
-            return "w = %s\n%s" % (word, render_table(rs, table, mono))
-
+        if args.format == "latex":
+            block = "%% w = %s\n\\begin{aligned}\n%s\n\\end{aligned}"
+            mono, row = partial(_latex_weight, rs.h), _latex_row
+        else:
+            block, row = "w = %s\n%s", None
+            mono = partial(_epsilon_weight, rs) if args.epsilon else None
         buf = io.StringIO()
-        _emit(args, buf, lambda: "\n\n".join([block(*r) for r in rows]),
-              sign=sign, method=args.method,
-              tables=[{"w": word, "entries": _table_json(W, t)}
-                      for word, t in rows])
+        _emit(args, buf,
+              lambda: "\n\n".join([block % (word, render_table(
+                  rs, t, mono, row)) for word, t in rows]),
+              lambda: {"sign": sign, "method": args.method,
+                       "tables": [{"w": word, "entries": _table_json(W, t)}
+                                  for word, t in rows]})
         text = buf.getvalue()
         try:
             cache_put(cache_dir, key, text)
@@ -357,8 +309,8 @@ def _cmd_hecke(args, out):
     _emit(args, out,
           lambda: "\n".join("c[u=%s, mu=%s] = %s" % (u, mu, c.render(var="q"))
                             for u, mu, c in rows),
-          entries=[{"u": u, "mu": list(mu), "coeff": c.to_json()}
-                   for u, mu, c in rows])
+          lambda: {"entries": [{"u": u, "mu": list(mu), "coeff": c.to_json()}
+                               for u, mu, c in rows]})
     return 0
 
 
@@ -368,8 +320,8 @@ def _cmd_chain(args, out):
         chain = chain_from_word(rs, lam, _parse_word(rs.rank, args.word))
     else:
         chain = chain_lex_height(rs, lam)
-    _emit(args, out, chain.render, reduced=chain.reduced,
-          steps=chain.to_json())
+    _emit(args, out, chain.render,
+          lambda: {"reduced": chain.reduced, "steps": chain.to_json()})
     return 0
 
 
@@ -378,8 +330,8 @@ def _cmd_oracle(args, out):
     rs = args.rs
     W = rs.weyl()
     table = KOracle(rs).expand_product(args.lam, args.w)
-    _emit(args, out, lambda: render_table(rs, table), method="solve",
-          entries=_table_json(W, table))
+    _emit(args, out, lambda: render_table(rs, table),
+          lambda: {"method": "solve", "entries": _table_json(W, table)})
     return 0
 
 
@@ -393,8 +345,8 @@ def _cmd_stab(args, out):
           lambda: "\n\n".join("stab-shift row w = %s\n%s"
                                % (word, render_table(rs, table))
                                for word, table in rows),
-          tables=[{"w": word, "entries": _table_json(W, table)}
-                  for word, table in rows])
+          lambda: {"tables": [{"w": word, "entries": _table_json(W, table)}
+                              for word, table in rows]})
     return 0
 
 
@@ -407,7 +359,8 @@ def _cmd_whittaker(args, out):
     _emit(args, out,
           lambda: "\n".join("W[%s] = %s" % (word, g.render(exp_mono(rs.h)))
                             for word, g in values),
-          values=[{"w": word, "value": g} for word, g in values])
+          lambda: {"values": [{"w": word, "value": g}
+                              for word, g in values]})
     return 0
 
 
@@ -429,7 +382,7 @@ def _cmd_hl(args, out):
             return render_x(rs, g, degree)
         return g.render(exp_mono(rs.h), var="t")
 
-    _emit(args, out, text, method=args.method, value=g)
+    _emit(args, out, text, lambda: {"method": args.method, "value": g})
     return 0
 
 
@@ -439,15 +392,15 @@ def _cmd_csm(args, out):
     W = rs.weyl()
     table = csm_chevalley(rs, args.lam, args.w)
     us = W.ordered(table)
-    entries = [{"u": W.word_str(u),
-                "value": [{"exponents": list(k), "coeff": str(x)}
-                          for k, x in table[u].terms()]}
-               for u in us]
     _emit(args, out,
           lambda: "\n".join("c1[u=%s] = %s" % (W.word_str(u),
                                                table[u].render())
                             for u in us),
-          entries=entries)
+          lambda: {"entries": [
+              {"u": W.word_str(u),
+               "value": [{"exponents": list(k), "coeff": str(x)}
+                         for k, x in table[u].terms()]}
+              for u in us]})
     return 0
 
 
@@ -466,9 +419,10 @@ def _cmd_verify(args, out):
                      % (len(results) - failed, len(results)))
         return "\n".join(lines)
 
-    _emit(args, out, text, suite=args.suite,
-          results=[{"case": cid, "ok": d is None, "detail": d}
-                   for cid, d in results])
+    _emit(args, out, text,
+          lambda: {"suite": args.suite,
+                   "results": [{"case": cid, "ok": d is None, "detail": d}
+                               for cid, d in results]})
     return 1 if failed else 0
 
 
@@ -487,37 +441,35 @@ def _cmd_search_positivity(args, out):
     exponential times a polynomial in y; empirically these polynomials are
     sign-coherent in small rank, but counterexamples exist in large enough
     rank, so this command reports findings and never asserts positivity.
-    A term is read as its weight and the y-line of its coefficient (a
-    pass table's own lines), and each distinct line is tested once, so
-    no table is decoded."""
+    A term is read as one group of its entry (`entry_groups`: a pass
+    table's own y-lines), and each distinct coefficient is tested once,
+    so no table is decoded."""
     rs = args.rs
     W = rs.weyl()
     findings = []
     checked = 0
-    mixed = {}  # a y-line: whether its y-coefficients have both signs
+    mixed = {}  # a coefficient: whether its y-coefficients have both signs
     for lam in _minuscule_weights(rs):
         tables = chevalley_tables(rs, lam, W.order)
         for w in W.order:
             table = tables.pop(w)
             for u in W.ordered(table):
-                entry = (table.lines[u] if isinstance(table, PassTable)
-                         else to_line(table[u].c))
-                for wk, line in sorted(entry.items()):
+                for wk, c in entry_groups(table, u):
                     checked += 1
-                    m = mixed.get(line)
+                    m = mixed.get(c)
                     if m is None:
                         # y^j is (-1)^j v^(2j)
                         ys = [-x if (vk - _HALF) & 2 else x
-                              for vk, x in line_pairs(line)]
-                        m = mixed[line] = min(ys) < 0 < max(ys)
+                              for vk, x in group_pairs(c)]
+                        m = mixed[c] = min(ys) < 0 < max(ys)
                     if m:
                         findings.append({
                             "lambda": list(lam),
                             "w": W.word_str(w),
                             "u": W.word_str(u),
-                            "weight": list(_weight(wk << FIELD, rs.rank)),
+                            "weight": list(group_weight(wk)),
                             "coeff": {str(vk - _HALF): x
-                                      for vk, x in line_pairs(line)},
+                                      for vk, x in group_pairs(c)},
                         })
 
     def text():
@@ -532,7 +484,8 @@ def _cmd_search_positivity(args, out):
             lines.append("no sign violations in this range (not a proof)")
         return "\n".join(lines)
 
-    _emit(args, out, text, findings=findings, scanned=checked)
+    _emit(args, out, text,
+          lambda: {"findings": findings, "scanned": checked})
     return 0
 
 

@@ -83,7 +83,7 @@ left the range raises ValueError there rather than reaching a quotient.
 from __future__ import annotations
 
 from .charring import (
-    FIELD, _BIAS, _HALF, _add_products, _check, _wneg, fits, from_line,
+    FIELD, _BIAS, _HALF, _add_products, _check, _wneg, decode_line, fits,
     line_max, to_line,
 )
 
@@ -365,9 +365,9 @@ class Localization:
         if not self.packed:
             return self.ring._new(
                 {(k << FIELD) + _HALF: x for k, x in g.c.items()}), None
-        c, n1 = from_line(g.c)
+        c = decode_line(g.c)
         _check(c, self.rank)
-        return self.ring._new(c), n1
+        return self.ring._new(c), sum(map(abs, c.values()))
 
     # -- expansion in the cell basis -----------------------------------
     def _expand(self, F, cell, points=None):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chevmc import charring
 from chevmc.charring import (
-    FIELD, GA, LIMIT, Scalar, _HALF, _pack, from_line, line_max,
+    FIELD, GA, LIMIT, Scalar, _HALF, _pack, decode_line, line_max,
     line_pairs, to_line,
 )
 from chevmc.csm import CohPoly
@@ -550,7 +550,7 @@ def test_line_round_trip(data):
     """GA -> y-line -> GA is the identity, with the l1 norm, and
     `line_max` reads the max norm, for even v exponents 0..40 and
     coefficients up to +-(2^63 - 1); `line_pairs` reads each line alone
-    as `from_line` reads them all."""
+    as `decode_line` reads them all, with or without a shared memo."""
     rank = data.draw(st.integers(1, 3))
     big = 2 ** 63 - 1
     terms = data.draw(st.dictionaries(st.tuples(
@@ -559,9 +559,13 @@ def test_line_round_trip(data):
         st.integers(-big, big), max_size=12))
     g = GA((w, Scalar({e: x})) for (w, e), x in terms.items())
     line = to_line(g.c)
-    c, n1 = from_line(line)
+    c = decode_line(line)
+    n1 = sum(map(abs, c.values()))
     assert c == g.c
     assert n1 == sum(map(abs, g.c.values()))
+    memo = {}
+    assert decode_line(line, memo) == decode_line(line, memo) == g.c
+    assert set(memo) == set(line.values())
     assert line_max(line) == max(map(abs, g.c.values()), default=0)
     assert {(wk << FIELD) + vk: x for wk, y in line.items()
             for vk, x in line_pairs(y)} == g.c
@@ -596,7 +600,8 @@ def test_line_slot_j_holds_y_to_the_j():
     g = GA.term((2, -1), Scalar.y(0, 5) + Scalar.y(1, 7) + Scalar.y(2, -3))
     line = to_line(g.c)
     assert line == {_pack((2, -1)): 5 - (7 << slot) - (3 << 2 * slot)}
-    assert from_line(line) == (g.c, 15)
+    c = decode_line(line)
+    assert (c, sum(map(abs, c.values()))) == (g.c, 15)
     assert line_pairs(line[_pack((2, -1))]) == (
         (_HALF, 5), (_HALF + 2, -7), (_HALF + 4, -3))
 

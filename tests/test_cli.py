@@ -993,29 +993,79 @@ def test_writer_on_big_tables(big_runs):
 
 
 def test_pass_tables_print_without_decoding(monkeypatch):
-    # JSON writes a pass table straight from its y-lines and decodes no
-    # entry; text and LaTeX decode each table once, every entry of it
+    # every printer reads a pass table's entries as groups of y-lines and
+    # decodes no entry: JSON, text, LaTeX, --epsilon text and
+    # search-positivity; reading the tables' items afterwards decodes
+    # each entry once, so the patched decoder is the one tables use
     from chevmc import chevalley
 
+    monkeypatch.delenv("CHEVMC_CACHE_DIR", raising=False)
     rs = RootSystem("B", 3)
     W = rs.weyl()
-    entries = sum(len(t) for t in chevalley.chevalley_tables(
-        rs, (1, -1, 1), range(W.n), -1).values())
-    real = chevalley._decode
+    tables = chevalley.chevalley_tables(rs, (1, -1, 1), range(W.n), -1)
+    entries = sum(len(t) for t in tables.values())
+    real = chevalley.decode_line
     calls = []
 
-    def decode(lines, memo):
-        calls.append(lines)
-        return real(lines, memo)
+    def decode(c, memo=None):
+        calls.append(c)
+        return real(c, memo)
 
-    monkeypatch.setattr(chevalley, "_decode", decode)
-    argv = "chevalley --type B3 --lambda=1,-1,1 --w all --sign -".split()
-    for fmt, decoded in (("json", 0), ("text", entries), ("latex", entries)):
+    monkeypatch.setattr(chevalley, "decode_line", decode)
+    b3 = "chevalley --type B3 --lambda=1,-1,1 --w all --sign -".split()
+    for argv, decoded in (
+            (b3 + ["--format", "json"], 0), (b3 + ["--format", "text"], 0),
+            (b3 + ["--format", "latex"], 0),
+            ("chevalley --type A3 --lambda=1,0,1 --w all --epsilon".split(),
+             0),
+            ("search-positivity --type B3".split(), 0),
+            ("search-positivity --type A3 --format json".split(), 0)):
         calls.clear()
-        code, text = _run(argv + ["--format", fmt])
-        assert code == 0 and text, fmt
-        assert len(set(map(id, calls))) == len(calls), fmt
-        assert sum(map(len, calls)) == decoded, fmt
+        code, text = _run(argv)
+        assert code == 0 and text, argv
+        assert len(set(map(id, calls))) == len(calls), argv
+        assert len(calls) == decoded, argv
+    calls.clear()
+    for t in tables.values():
+        dict(t.items())
+    assert len(set(map(id, calls))) == len(calls) == entries
+
+
+@pytest.mark.parametrize("argv", [
+    "chevalley --type B3 --lambda=1,-1,1 --w all --sign +",
+    "chevalley --type B3 --lambda=1,-1,1 --w all --sign -",
+    "chevalley --type A3 --lambda=1,0,1 --w all --epsilon",
+    "search-positivity --type B3",
+    "search-positivity --type A3",
+])
+def test_pass_tables_print_as_their_decoded_tables(monkeypatch, argv):
+    # a pass table and the {u: GA} it decodes to print the same bytes in
+    # text, LaTeX and JSON (`_dumps`), and scan the same in
+    # search-positivity: the printers' one reader, entry_groups, reads
+    # the first as its y-lines and the second as GA.groups
+    import chevmc.cli as cli_mod
+    from chevmc.chevalley import PassTable
+
+    monkeypatch.delenv("CHEVMC_CACHE_DIR", raising=False)
+    real = cli_mod.chevalley_tables
+
+    def decoded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        assert all(type(t) is PassTable for t in out.values())
+        return {w: dict(t.items()) for w, t in out.items()}
+
+    formats = ("text", "json")
+    if argv.startswith("chevalley"):
+        formats += ("latex",)
+    for fmt in formats:
+        full = argv.split() + ["--format", fmt]
+        code, want = _run(full)
+        with monkeypatch.context() as m:
+            m.setattr(cli_mod, "chevalley_tables", decoded)
+            assert _run(full) == (code, want), full
+        assert code == 0 and want, full
+        if fmt == "json":
+            assert _dumps(json.loads(want)) + "\n" == want
 
 
 _json_leaves = st.one_of(

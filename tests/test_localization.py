@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chevmc import charring, localization
-from chevmc.charring import GA, Scalar, from_line
+from chevmc.charring import GA, Scalar, decode_line
 from chevmc.csm import CohOracle, CohPoly
 from chevmc.localization import dl_step
 from chevmc.oracle import KOracle
@@ -441,7 +441,7 @@ def test_slice_norms_bound_the_parts(label):
         lines, norms = o._slice_lines(w)
         assert set(norms) == set(lines), (label, w)
         for x, g in lines.items():
-            c, _ = from_line(g.c)
+            c = decode_line(g.c)
             assert norms[x] >= max(map(abs, c.values())), (label, w, x)
 
 
