@@ -13,34 +13,36 @@ and are computed here by three independent routes:
     ring),
   * the operator formula (the R-operator product along the chain).
 
-chevalley_tables is the one entry point for tables, and
-chevalley_table its one-w case.  It range-checks lambda ahead of every
-route, takes the lambda = 0 shortcut, builds the lex lambda-chain when
-none is given and picks how the chain route runs: one w walks its
-subsets J depth first, each read as its u, key, t = |J| and sign
-(chevalley_chain, one product per coefficient), two or more share one
-backward pass over (chain position, element) (_chain_pass), which sums
-each chain suffix once per element; the two agree key for key.  The
-pass runs on y-lines (charring.to_line) under a coefficient bound that
-charring.fits certifies, and hands out each table as a PassTable, a
-read-only {u: GA} decoded on its first read.  entry_groups reads an
-entry of either kind of table as its (weight key, coefficient) groups,
-a pass table's from its lines, so render_table and cli's printers
-decode nothing.  chevalley_sum runs the same pass for sum_w sum_u
-q^{l(u)} C^w_{u,lambda} with one entry per element, summed on lines
-(specialfn's H_lambda, HL and Whittaker sums).  The operator and
-bridge routes run one w at a time; the operator route makes one move
-per chain position, E^beta a key offset per element and E^{<rho,
-beta^vee> beta} B_beta one product per descent, refuses a chain whose
-exponent_bound reaches 2^17 and range-checks its output once, only
+chevalley_tables is the one entry point for tables, and chevalley_table
+its one-w case.  It range-checks lambda ahead of every route, takes the
+lambda = 0 shortcut, builds the lex lambda-chain when none is given and
+picks how the chain route runs: one w walks its subsets J depth first,
+each read as its u, key, t = |J| and sign (chevalley_chain, one product
+per coefficient), two or more share one backward pass over (chain
+position, element) (_chain_pass), which sums each chain suffix once per
+element; the two agree key for key.  The pass runs on y-lines
+(charring.to_line) under a coefficient bound that charring.fits
+certifies, and hands out each table as a PassTable, a read-only {u: GA}
+decoded on its first read.  entry_groups reads an entry of either kind
+of table as its (weight key, coefficient) groups, a pass table's from
+its lines, so render_table and cli's printers decode nothing, and
+table_lines a whole table as y-lines and a bound, for the oracle's
+product identity (oracle.KOracle.product_holds).  chevalley_sum runs the
+same pass for sum_w sum_u q^{l(u)} C^w_{u,lambda} with one entry per
+element, summed on lines (specialfn's H_lambda, HL and Whittaker sums).
+The operator and bridge routes run one w at a time; the operator route
+makes one move per chain position, E^beta a key offset per element and
+E^{<rho, beta^vee> beta} B_beta one product per descent, refuses a chain
+whose exponent_bound reaches 2^17 and range-checks its output once, only
 when that bound reaches LIMIT; the bridge route takes each Bernstein
-divided difference in closed form, term by term.  The walk, the pass
-and the operator route read their steps off LambdaChain.steps and
-their Weyl moves off the tables of WeylGroup (images, mul_refl).
+divided difference in closed form, term by term.  The walk, the pass and
+the operator route read their steps off LambdaChain.steps and their Weyl
+moves off the tables of WeylGroup (images, mul_refl).
 
-Dualities, the parabolic formula and the stable-basis matrices of
-T*(G/B) (shift_matrix, wall_cross_path: functions of the root system
-that build no oracle) live here as well.
+Dualities (duality_sides: the right-hand sides of a whole table at
+once), the parabolic formula and the stable-basis matrices of T*(G/B)
+(shift_matrix, wall_cross_path: functions of the root system that build
+no oracle) live here as well.
 """
 
 from __future__ import annotations
@@ -137,7 +139,8 @@ class PassTable(Mapping):
     holds each entry as {weight key: y-line}, the first read of any entry
     decodes them all (charring.decode_line, on a line memo that the pass
     shares), and `get` and `items` are then the decoded dict's; `bound`
-    bounds the coefficients.  Printers read the lines (entry_groups)."""
+    bounds the l1 norm of all entries (see _chain_pass).  Printers and
+    the oracle suite read the lines (entry_groups, table_lines)."""
 
     __slots__ = ("lines", "bound", "_memo", "_read")
 
@@ -169,11 +172,20 @@ class PassTable(Mapping):
 
 def entry_groups(table, u):
     """The groups of table[u] (see GA.groups): a pass table's own y-lines,
-    weight keys ascending, or GA.groups of a {u: GA} table's entry.  The
-    only code that tells the two kinds of table apart."""
+    weight keys ascending, or GA.groups of a {u: GA} table's entry.  With
+    table_lines, the only code that tells the two kinds of table apart."""
     if type(table) is PassTable:
         return sorted(table.lines[u].items())
     return table[u].groups()
+
+
+def table_lines(table):
+    """({u: {weight key: y-line}}, a bound on sum_u ||table[u]||_1): a pass
+    table's own, or to_line and the l1 norms of a {u: GA} table's entries."""
+    if type(table) is PassTable:
+        return table.lines, table.bound
+    return ({u: to_line(g.c) for u, g in table.items()},
+            sum(abs(x) for g in table.values() for x in g.c.values()))
 
 
 def _chain_pass(chain, ws, sign, seed=None):
@@ -201,11 +213,12 @@ def _chain_pass(chain, ws, sign, seed=None):
     key: y-line}} (charring.to_line, the weight keys those of one rank
     less), the factor of a move is one weight key shift and one line
     (from _term_pairs, made once per pass), and a move is one integer
-    product per weight.  Beside each F the pass keeps a bound on its
-    coefficients: 1 at a seed, and B(x) += 2 B(x r_i) per move, since
-    |+-(1+y) y^k|_1 = 2.  Each table's bound goes through charring.fits
-    and its weight keys through _check before the pass returns, so a
-    table whose lines might not decode raises ValueError instead.
+    product per weight.  Beside each F the pass keeps a bound on its l1
+    norm, summed over u, so on every coefficient: 1 at a seed, and B(x)
+    += 2 B(x r_i) per move, since |+-(1+y) y^k|_1 = 2.  Each table's
+    bound goes through charring.fits and its weight keys through _check
+    before the pass returns, so a table whose lines might not decode
+    raises ValueError instead.
     seed(x) is the (u, line) of F_n(x), (x, 1) by default."""
     rs = chain.rs
     W = rs.weyl()
@@ -469,39 +482,53 @@ def chevalley_parabolic(rs, lam_fund, w, parabolic, method="chain"):
 
 # -- dualities ---------------------------------------------------------
 
-def duality_check(rs, lam_fund, w, u, kind, table_fn):
-    """Return (lhs, rhs) GA values of the chosen duality for C^w_{u,lambda}.
+def duality_sides(rs, lam_fund, kind, table_fn):
+    """{w: {u: rhs}}: a duality's right-hand side for each nonzero
+    C^w_{u,lambda}, dl = l(w) - l(u), iota: e^mu -> e^{-w0 mu}:
 
-    table_fn(w, lam_fund, sign) -> {u: GA} computes Chevalley tables.
-    kinds: serre, star, dynkin, star_dynkin, palindromic.
-    """
+        serre        (-y)^dl w0((C^{w0u}_{w0w,-lambda})^vee),
+        star         (-1)^dl iota(C^{w0u}_{w0w,-lambda}),
+        dynkin       iota(C^{w0ww0}_{w0uw0,-w0 lambda}),
+        star_dynkin  (-1)^dl C^{uw0}_{ww0,w0 lambda},
+        palindromic  y^dl C^w_{u,lambda}|_{y -> 1/y},
+
+    from tables table_fn(w, lam_fund, sign) -> {u: GA}: w0, iota, weights
+    and the moves of w and u once per call, then per entry one transform
+    or key map and a key shift for v^{2 dl} and the sign."""
     W = rs.weyl()
-    w0 = W.w0
+    w0, mul, length = W.w0, W.mul, W.length
     m0 = W.mats[w0]
-    iota = tuple(tuple(-x for x in row) for row in m0)  # e^mu -> e^{-w0 mu}
-    dl = W.length[w] - W.length[u]
-    lhs = table_fn(w, lam_fund, 1).get(u, GA())
-    if kind == "serre":
-        # C^w_{u,lambda} = (-y)^{l(w)-l(u)} w0((C^{w0u}_{w0w,-lambda})^vee)
-        t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
-        rhs = t.dual_vee().transform(m0) * Scalar.q(dl)
-    elif kind == "star":
-        t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
-        rhs = t.transform(iota) * (-1 if dl % 2 else 1)
-    elif kind == "dynkin":
-        nlam = rs.weight_user(_wneg(W.act(w0, rs.weight(lam_fund))))
-        t = table_fn(W.mul(W.mul(w0, w), w0), nlam, 1).get(
-            W.mul(W.mul(w0, u), w0), GA())
-        rhs = t.transform(iota)
-    elif kind == "star_dynkin":
-        w0lam = rs.weight_user(W.act(w0, rs.weight(lam_fund)))
-        t = table_fn(W.mul(u, w0), w0lam, 1).get(W.mul(w, w0), GA())
-        rhs = t * (-1 if dl % 2 else 1)
-    elif kind == "palindromic":
-        rhs = lhs.y_inverse() * Scalar.y(dl)
-    else:
+    iota = tuple(tuple(-x for x in row) for row in m0)
+    w0lam = rs.weight_user(W.act(w0, rs.weight(lam_fund)))
+    # the tables' weight and sign, w0 on the left (and iota), on the right
+    # (on one side only, u and w swap), v -> 1/v v^{2 dl}, and (-1)^dl
+    kinds = {
+        "serre": (lam_fund, -1, True, False, True, False),
+        "star": (lam_fund, -1, True, False, False, True),
+        "dynkin": (_wneg(w0lam), 1, True, True, False, False),
+        "star_dynkin": (w0lam, 1, False, True, False, True),
+        "palindromic": (lam_fund, 1, False, False, True, True),
+    }
+    if kind not in kinds:
         raise ValueError("unknown duality %r" % kind)
-    return lhs, rhs
+    mu, sign, left, right, flip, signed = kinds[kind]
+    m = [mul(w0, x) if left else x for x in range(W.n)]
+    if right:
+        m = [mul(x, w0) for x in m]
+    out = {}
+    for a in range(W.n):
+        for b, g in table_fn(a, mu, sign).items():
+            w, u = (m[b], m[a]) if left != right else (m[a], m[b])
+            dl = length[w] - length[u]
+            if left:
+                g = g.dual_vee().transform(m0) if flip else g.transform(iota)
+            elif flip:
+                g = g.y_inverse()
+            s = -1 if signed and dl % 2 else 1
+            if flip or s < 0:
+                g = GA._new({k + 2 * dl * flip: s * x for k, x in g.c.items()})
+            out.setdefault(w, {})[u] = g
+    return out
 
 
 # -- stable basis (of oracle.KOracle.stab) -----------------------------

@@ -28,7 +28,8 @@ half powers of q (odd powers of v).
 
 from __future__ import annotations
 
-from .charring import FIELD, GA, Scalar, _check, _pack, _wneg
+from .charring import (FIELD, GA, Scalar, _BIAS, _add_products, _check,
+                       _pack, _wneg, fits)
 from .localization import Localization
 
 
@@ -126,6 +127,25 @@ class KOracle(Localization):
         slice parts."""
         return self._expand(self._twist(lam_fund, self._slice_lines(w)),
                             self._slice_lines)
+
+    def product_holds(self, lam_fund, w, table, bound):
+        """Whether L_lambda MC(X(w)^o) = sum_u C_u MC(X(u)^o), with C_u's
+        y-lines in table = {u: {weight key: line}} and bound >= sum_u
+        ||C_u||_1.  As cell(u)|_x = P_x Q_{u,x}: whether the twisted slice
+        part of w is sum_u C_u Q_{u,x} at every x, one line product per (u,
+        x).  `fits` first certifies both sides' max norms (the right's is at
+        most bound times a Q_{u,x}'s), so equal lines are equal values."""
+        lines, norms = self._twist(lam_fund, self._slice_lines(w))
+        cells = {u: self._slice_lines(u) for u in table}
+        top = max((max(N.values()) for _, N in cells.values()), default=0)
+        fits(max(max(norms.values()), bound * top))
+        bias = _BIAS[self.rank - 1]  # line keys hold the weight fields only
+        rem = {x: dict(f.c) for x, f in lines.items()}
+        for u, c in table.items():
+            neg = [(k - bias, -a) for k, a in c.items()]
+            for x, f in cells[u][0].items():
+                _add_products(rem.setdefault(x, {}), neg, f.c.items())
+        return not any(rem.values())
 
     # -- parabolic model -----------------------------------------------
     def pushforward(self, F, parabolic):

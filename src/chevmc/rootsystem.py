@@ -136,8 +136,9 @@ class RootSystem:
         # Coxeter number: <rho, theta^vee> + 1 with theta^vee the highest coroot
         self.h = 1 + max(t.coheight() for t in self.positive_roots)
         self._weyl = None
-        # reduced lambda-chains by weight, kept by alcove.chain_lex_height
-        self.lex_chains = {}
+        # reduced lambda-chains by weight, kept by alcove.chain_lex_height,
+        # and Whittaker functions by (weight, w), by specialfn.whittaker
+        self.lex_chains, self.whittakers = {}, {}
 
     # -- roots --------------------------------------------------------
     def _build_roots(self):

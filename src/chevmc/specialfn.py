@@ -2,7 +2,7 @@
 consequences.
 
 The operator is a function of the root system (`dl_coeffs`,
-`dl_simple`, `dl_apply`) that makes only the Weyl elements it reaches:
+`dl_simple`) that makes only the Weyl elements it reaches:
 
     T~_i = (1 + y e^{a_i})/(1 - e^{-a_i}) s_i - (1 + y)/(1 - e^{-a_i}).
 
@@ -12,17 +12,19 @@ is defined along any reduced word.  It is one step
 oracle's (KOracle.dl_coeffs), and e = y e^{a_i}, the first numerator
 minus b over d.
 
-On it rest Iwahori-Whittaker functions and Casselman-Shalika
-summation.  Beside them are the Euler-characteristic series R_lambda
-and its parabolic analogue H_lambda, and Hall-Littlewood polynomials
-by a closed localization formula and by two lambda-chain formulas,
-with their expansion in Weyl characters.  The Hall-Littlewood
+On it rest Iwahori-Whittaker functions, one step per element
+(`whittaker`), and Casselman-Shalika summation.  Beside them are the
+Euler-characteristic series R_lambda and its parabolic analogue
+H_lambda, and Hall-Littlewood polynomials by a closed localization
+formula and by two lambda-chain formulas, with their expansion in Weyl
+characters.  The Hall-Littlewood
 parameter t is the Hecke parameter q of the shared coefficient ring
 (t = -y), so no new generator is introduced.
 
 Everything here stays in the character ring GA: each operator step is
 one exact division (localization.dl_step), and each localization
-formula is one exact division by the Weyl denominator.
+formula is one exact division by the Weyl denominator of a numerator
+built once and moved by each coset representative (`_orbit_sum`).
 
 The chain formulas (Lenart 2011) sum over w in W^P and the subsets J
 of the reduced (-lambda)-chain along which w descends to u, with
@@ -62,19 +64,20 @@ def dl_simple(rs, i, f):
     return dl_step(b, e, f.transform(W.mats[W.step(0, i)]), f, d)
 
 
-def dl_apply(rs, w, f):
-    """T~_w f along the canonical word of w."""
-    for i in reversed(rs.weyl().word(w)):
-        f = dl_simple(rs, i, f)
-    return f
-
-
 def whittaker(rs, lam_fund, w):
     """The Iwahori-Whittaker function W_{lambda,w} = T~_w(e^lambda) for
-    anti-dominant lambda."""
+    anti-dominant lambda: T~_i W_{lambda,s_i w}, i the first letter of w's
+    canonical word, whose suffix (lex-least too) spells s_i w.  Kept in
+    rs.whittakers, so all w take one climb, one step per element."""
     if not all(c <= 0 for c in lam_fund):
         raise ValueError("weight must be anti-dominant")
-    return dl_apply(rs, w, GA.term(rs.weight(lam_fund)))
+    memo, key = rs.whittakers, (tuple(lam_fund), w)
+    if key not in memo:
+        W = rs.weyl()
+        word = W.word(w)
+        memo[key] = GA.term(rs.weight(lam_fund)) if not word else dl_simple(
+            rs, word[0], whittaker(rs, lam_fund, W.from_word(word[1:])))
+    return memo[key]
 
 
 def whittaker_chevalley(rs, lam_fund, w):
@@ -103,19 +106,17 @@ def _orbit_sum(rs, lam_fund, parabolic, roots):
 
     for roots in fundamental coordinates, each +-a positive root: the
     denominators are Euler factors of the K-theory oracle, so the sum is
-    one exact division by the Weyl denominator (Localization.cofactor)."""
+    one exact division by the Weyl denominator (Localization.cofactor).
+    The numerator e^lam prod (1 + y e^a) is built once and moved by each
+    w's matrix (GA.transform), as w acts by a ring map that fixes y."""
     o = KOracle(rs)
     W = o.W
-    lam = rs.weight(lam_fund)
-    one = GA.const(1, rs.rank)
-    pairs = []
-    for w in W.min_coset_reps(parabolic):
-        wroots = [W.act(w, a) for a in roots]
-        g = GA.term(W.act(w, lam))
-        for wa in wroots:
-            g = g * (one + GA.term(rs.weight(wa), Scalar.y(1)))
-        pairs.append((g, o.cofactor(wroots)))
-    return o.root_quotient(GA.dot(pairs))
+    g = GA.term(rs.weight(lam_fund))
+    for a in roots:
+        g = g * (GA.const(1, rs.rank) + GA.term(rs.weight(a), Scalar.y(1)))
+    return o.root_quotient(GA.dot(
+        (g.transform(W.mats[w]), o.cofactor([W.act(w, a) for a in roots]))
+        for w in W.min_coset_reps(parabolic)))
 
 
 def big_h(rs, lam_fund, parabolic=None):
@@ -262,20 +263,17 @@ def casselman_shalika_sides(rs, lam_fund):
     acc = GA.dot((whittaker(rs, lam_fund, w), 1) for w in range(W.n))
     lam_id = GA.const(1, rs.rank)
     for a in rs.positive_roots:
-        af = tuple(rs.h * c for c in a.fund)
-        lam_id = lam_id * (GA.const(1, rs.rank) + GA.term(af, Scalar.y(1)))
-    w0lam = rs.weight_user(W.act(W.w0, rs.weight(lam_fund)))
-    chi = weyl_character(rs, w0lam)
+        lam_id = lam_id * (GA.const(1, rs.rank)
+                           + GA.term(rs.weight(a.fund), Scalar.y(1)))
+    chi = weyl_character(rs, rs.weight_user(W.act(W.w0, rs.weight(lam_fund))))
     return acc, lam_id * chi
 
 
 def whittaker_r_sides(rs, lam_fund):
     """(sum_w y^{-l(w)} W_{lambda,w},  e^rho R_{lambda-rho}(1/y))."""
     W = rs.weyl()
-    acc = GA.dot(
-        (whittaker(rs, lam_fund, w), Scalar.y(-W.length[w]))
-        for w in range(W.n)
-    )
+    acc = GA.dot((whittaker(rs, lam_fund, w), Scalar.y(-W.length[w]))
+                 for w in range(W.n))
     shifted = tuple(c - 1 for c in lam_fund)
     rhs = GA.term(rs.rho()) * big_r(rs, shifted).y_inverse()
     return acc, rhs

@@ -406,6 +406,42 @@ def ref_chevalley_chain(chain, w, sign):
     return {u: GA._new(c) for u, c in _checked(by_u, rs.rank).items()}
 
 
+def duality_check(rs, lam_fund, w, u, kind, table_fn):
+    """Return (lhs, rhs) GA values of the chosen duality for C^w_{u,lambda},
+    one entry at a time: the reference for chevalley.duality_sides.
+
+    table_fn(w, lam_fund, sign) -> {u: GA} computes Chevalley tables.
+    kinds: serre, star, dynkin, star_dynkin, palindromic.
+    """
+    W = rs.weyl()
+    w0 = W.w0
+    m0 = W.mats[w0]
+    iota = tuple(tuple(-x for x in row) for row in m0)  # e^mu -> e^{-w0 mu}
+    dl = W.length[w] - W.length[u]
+    lhs = table_fn(w, lam_fund, 1).get(u, GA())
+    if kind == "serre":
+        # C^w_{u,lambda} = (-y)^{l(w)-l(u)} w0((C^{w0u}_{w0w,-lambda})^vee)
+        t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
+        rhs = t.dual_vee().transform(m0) * Scalar.q(dl)
+    elif kind == "star":
+        t = table_fn(W.mul(w0, u), lam_fund, -1).get(W.mul(w0, w), GA())
+        rhs = t.transform(iota) * (-1 if dl % 2 else 1)
+    elif kind == "dynkin":
+        nlam = rs.weight_user(_wneg(W.act(w0, rs.weight(lam_fund))))
+        t = table_fn(W.mul(W.mul(w0, w), w0), nlam, 1).get(
+            W.mul(W.mul(w0, u), w0), GA())
+        rhs = t.transform(iota)
+    elif kind == "star_dynkin":
+        w0lam = rs.weight_user(W.act(w0, rs.weight(lam_fund)))
+        t = table_fn(W.mul(u, w0), w0lam, 1).get(W.mul(w, w0), GA())
+        rhs = t * (-1 if dl % 2 else 1)
+    elif kind == "palindromic":
+        rhs = lhs.y_inverse() * Scalar.y(dl)
+    else:
+        raise ValueError("unknown duality %r" % kind)
+    return lhs, rhs
+
+
 def ref_chain_div(n, d):
     """n / d for a two-term divisor d by the chain-by-chain division, or
     None.
@@ -625,6 +661,14 @@ def slice_class(o, w):
     """{x: Q} with cell(w)|_x = Q P_x: the slice parts of the class of
     X(w)^o, decoded from their lines (`Localization._slice_lines`)."""
     return {x: o._decode(q)[0] for x, q in o._slice_lines(w)[0].items()}
+
+
+def dl_apply(rs, w, f):
+    """T~_w f along the canonical word of w: the reference for the
+    climb of specialfn.whittaker."""
+    for i in reversed(rs.weyl().word(w)):
+        f = dl_simple(rs, i, f)
+    return f
 
 
 def dl_simple_vee(rs, i, f):

@@ -19,12 +19,12 @@ from chevmc.chevalley import (
     chevalley_terms,
     chevalley_parabolic,
     chevalley_sum,
-    duality_check,
+    duality_sides,
     render_table,
 )
 from conftest import (
-    ref_chevalley_chain, ref_descent_subsets, ref_operator, ref_walls,
-    v_minus_lambda,
+    duality_check, ref_chevalley_chain, ref_descent_subsets, ref_operator,
+    ref_walls, v_minus_lambda,
 )
 
 RS = RootSystem("A", 2)
@@ -262,6 +262,26 @@ def test_dualities_a2(kind):
             for u in range(W.n):
                 lhs, rhs = duality_check(RS, lam, w, u, kind, fn)
                 assert lhs == rhs, (kind, lam, w, u)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_duality_sides_are_the_reference(label):
+    # the table-wide right-hand sides, entry for entry, against the
+    # per-entry reference, for every kind at +-varpi_i and +-rho
+    rs = RootSystem(label[0], int(label[1:]))
+    n = rs.weyl().n
+    fn = verify._table_fn(rs)
+    for kind in ("serre", "star", "dynkin", "star_dynkin", "palindromic"):
+        for lam in verify._lams_pm_fund_rho(rs.rank):
+            sides = duality_sides(rs, lam, kind, fn)
+            assert all(g for row in sides.values() for g in row.values())
+            for w in range(n):
+                for u in range(n):
+                    want = duality_check(rs, lam, w, u, kind, fn)[1]
+                    assert sides.get(w, {}).get(u, GA()) == want, (
+                        label, kind, lam, w, u)
+    with pytest.raises(ValueError, match="unknown duality 'mirror'"):
+        duality_sides(rs, (1,) * rs.rank, "mirror", fn)
 
 
 def test_chain_independence():

@@ -1539,6 +1539,13 @@ _GOLDEN = [
      "0c46cfd64daca0052bd77eb61b9af3f2bd5062bcbebd67671bbcad39cb3eac63"),
     ("chevalley --type B3 --lambda=1,-1,1 --w all --sign - --format latex",
      "f232a4cc8904519d9bdadc58422e8f42d0b4c40dbe554749890d917ff6415a96"),
+    # the benchmark's `verify` argv, in text and JSON, pinned while each
+    # duality entry was checked alone and the oracle suite solved every
+    # expansion
+    ("verify --suite all --type A2",
+     "b74fed5722723c35ae8d950adc2209b7266953bc2973c40e815b0be7bf856c2a"),
+    ("verify --suite all --type A2 --format json",
+     "a680fe16f09b0b330323c31291429e27b0b51f0cd7564b582ab72425e6f8edc5"),
 ]
 
 

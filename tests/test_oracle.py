@@ -10,14 +10,17 @@ from pathlib import Path
 import pytest
 
 import chevmc
-from chevmc.charring import GA, LIMIT, Scalar, _wneg
+from chevmc import charring, verify
+from chevmc.charring import GA, LIMIT, Scalar, _BIAS, _wneg
 from chevmc.rootsystem import RootSystem
 from chevmc.oracle import KOracle
 from chevmc.chevalley import (
-    chevalley_table, chevalley_parabolic, shift_matrix, wall_cross_path,
+    PassTable, chevalley_table, chevalley_tables, chevalley_parabolic,
+    shift_matrix, table_lines, wall_cross_path,
 )
 from chevmc.specialfn import weyl_character
 from chevmc.verify import case_stable
+from test_cli import _one_coefficient_off, _perturbed
 from conftest import (
     dl_left, integral, lambda_y_cotangent, line_bundle, mc_prime, ref_expand,
     segre, smc, solve_classes,
@@ -114,6 +117,87 @@ def test_expand_product_vs_chain(oracle, lam):
         assert set(a) == set(chain), (lam, w)
         for u in a:
             assert a[u] == chain[u], (lam, w, u)
+
+
+def _by_the_solve(rs, lam):
+    """The oracle suite's verdict by the solve alone: each w's chain
+    table against expand_product, the first differing u named."""
+    W = rs.weyl()
+    o = KOracle(rs)
+    fn = verify._table_fn(rs)
+    for w in range(W.n):
+        a = fn(w, lam, 1)
+        b = o.expand_product(lam, w)
+        for u in set(a) | set(b):
+            if a.get(u, GA()) != b.get(u, GA()):
+                return "oracle mismatch at u=%s w=%s lambda=%s" % (
+                    W.word_str(u), W.word_str(w), lam)
+    return None
+
+
+def _entry_off(real, lam, w, u, lines):
+    """chevalley_tables with 1 added to C^w_{u,lambda} of the chain route
+    at +lambda: at the weight 0 of a pass table's y-line when `lines`,
+    else in a {u: GA} copy of the table."""
+    def tables(rs, lam_fund, ws, sign=1, method="chain", chain=None):
+        out = real(rs, lam_fund, ws, sign, method, chain)
+        if tuple(lam_fund) != lam or sign < 0 or method != "chain":
+            return out
+        t = out[w]
+        if lines:
+            zero = _BIAS[rs.rank - 1]
+            c = dict(t.lines.get(u, {}))
+            c[zero] = c.get(zero, 0) + 1
+            out[w] = PassTable({**t.lines, u: {k: x for k, x in c.items()
+                                               if x}}, t.bound + 1, {})
+        else:
+            out[w] = {**t, u: t.get(u, GA()) + GA.const(1, rs.rank)}
+        return out
+    return tables
+
+
+@pytest.mark.parametrize("lam", [(1, 0), (-1, 1)])
+def test_identity_and_solve_report_alike(monkeypatch, lam):
+    # 1 added to any one entry, in or outside a table's support, in a pass
+    # table's lines or in a {u: GA} table: the product identity catches
+    # it, and the case reports the solve's text
+    real = verify.chevalley_tables
+    tables = chevalley_tables(RS, lam, range(W.n))
+    assert any(len(t) < W.n for t in tables.values())
+    assert verify.case_oracle_equivalence("A", 2, lam) is None
+    for w in range(W.n):
+        for u in range(W.n):
+            for lines in (True, False):
+                monkeypatch.setattr(verify, "chevalley_tables",
+                                    _entry_off(real, lam, w, u, lines))
+                got = verify.case_oracle_equivalence("A", 2, lam)
+                assert got is not None, (w, u, lines)
+                assert got == _by_the_solve(RS, lam), (w, u, lines)
+    # and the {u: GA} tables that tests/test_cli.py injects
+    for off in (_one_coefficient_off, _perturbed):
+        monkeypatch.setattr(verify, "chevalley_tables", off(real))
+        got = verify.case_oracle_equivalence("A", 2, lam)
+        assert got is not None and got == _by_the_solve(RS, lam), off
+
+
+def test_identity_refuses_a_bound_its_slots_cannot_hold(monkeypatch):
+    # at A2 (1,1) the tables' l1 bounds reach 33 and the slice parts'
+    # norms 8; with 8-bit slots (room for |c| < 128) tables and slices
+    # fit, but the right side's bound 33 * 8 does not: the identity
+    # raises, and the case reports it and never passes
+    lam = (1, 1)
+    monkeypatch.setattr(charring, "SLOT", 8)
+    o = KOracle(RS)
+    tables = chevalley_tables(RS, lam, range(W.n))
+    w = max(tables, key=lambda w: tables[w].bound)
+    assert tables[w].bound == 33
+    assert max(n for u in range(W.n)
+               for n in o._slice_lines(u)[1].values()) == 8
+    with pytest.raises(ValueError, match="bound 264 reaches 2\\^7"):
+        o.product_holds(lam, w, *table_lines(tables[w]))
+    detail = verify._run_one(("case", "oracle", ("A", 2, lam)))[1]
+    assert detail.startswith("exception: ValueError('coefficient bound ")
+    assert "reaches 2^7 of a y-line" in detail
 
 
 def _expand_by_pairing(o, lam, w):

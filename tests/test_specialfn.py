@@ -13,7 +13,6 @@ from chevmc.chevalley import chevalley_sum
 from chevmc.oracle import KOracle
 from chevmc.specialfn import (
     _lambda_parabolic,
-    dl_apply,
     weyl_character,
     whittaker,
     whittaker_chevalley,
@@ -27,8 +26,8 @@ from chevmc.specialfn import (
     whittaker_r_sides,
 )
 from conftest import (
-    DL_SIMPLE, big_h_quotient, big_r_operators, dl_apply_vee, integral,
-    line_bundle, mc_prime,
+    DL_SIMPLE, big_h_quotient, big_r_operators, dl_apply, dl_apply_vee,
+    integral, line_bundle, mc_prime,
 )
 
 RS = RootSystem("A", 2)
@@ -181,6 +180,45 @@ def test_big_h_chevalley_digests(lam, digest):
     rs = RootSystem("B", 3)
     ws = rs.weyl().min_coset_reps(_lambda_parabolic(rs, lam))
     assert _digest(rs, [chevalley_sum(rs, lam, ws, 1)]) == digest
+
+
+# SHA-256 of the sorted keys of the closed HL polynomial and of H and R at
+# +-lambda, lambda each fundamental weight and rho, pinned while each term
+# of an orbit sum was built at its coset representative
+_ORBIT_SUMS = {
+    "A2": "2829a4e1bb8c4f7388073c7019f8a29de817d3fed38a7afba904f3e8f4473dc5",
+    "B2": "6ad489eb3ef31a08f5b4c79dc2f5a0d9c60f0f0470f77e1911c7234dce018fff",
+    "G2": "d5263e8453b81ab08f85526eb595c2ee4a48f889e4035b3cabe6f436826c03b7",
+    "A3": "00b49906258591a6c343b7863938427e49c716ba7bc9bbddfb3b7386fbb03183",
+}
+
+
+@pytest.mark.parametrize("label", sorted(_ORBIT_SUMS))
+def test_orbit_sums_keep_their_keys(label):
+    rs = RootSystem(label[0], int(label[1:]))
+    r = rs.rank
+    h = hashlib.sha256()
+    for lam in [tuple(int(i == j) for j in range(r)) for i in range(r)] + [
+            (1,) * r]:
+        neg = tuple(-c for c in lam)
+        for g in (hall_littlewood(rs, lam, "closed"), big_h(rs, lam),
+                  big_h(rs, neg), big_r(rs, lam), big_r(rs, neg)):
+            h.update(repr(sorted(g.c.items())).encode())
+    assert h.hexdigest() == _ORBIT_SUMS[label]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_whittaker_climb_is_dl_apply(label):
+    # every W_{lambda,w} of an all-w use, each one step from that of its
+    # canonical word's suffix, is T~_w(e^lambda) along w's canonical word
+    rs = RootSystem(label[0], int(label[1:]))
+    W = rs.weyl()
+    r = rs.rank
+    for lam in ((-1,) * r, (0,) * (r - 1) + (-2,)):
+        e = GA.term(rs.weight(lam))
+        for w in W.order:
+            assert whittaker(rs, lam, w) == dl_apply(rs, w, e), (
+                label, lam, W.word_str(w))
 
 
 @pytest.mark.parametrize("lam", [(1, 0), (0, 2), (1, 1), (2, 1)])
