@@ -35,16 +35,17 @@ There is no fraction type.  A Demazure-Lusztig step divides once in the
 ring (localization.dl_step; the right operator `Localization.dl_right`,
 also the affine Hecke action on stable envelopes under the star, and
 its slice recursion, with no Weyl move, once per pair of points), and
-every localization quotient is one exact division over a W-fixed
-denominator (localization.Localization.root_quotient), a product of
-root factors.  A Bernstein step of the bridge route
+every localization sum over Euler factors of roots is one exact
+division by a product E of root factors 1 - e^{s g}, each term times
+the monomial of x(E) = (-1)^{l(x)} e^{s(x rho_E - rho_E)} E
+(oracle.weyl_quotient).  A Bernstein step of the bridge route
 (chevalley.transition_direct) divides nothing: its divided difference
 is summed in closed form.
 
 One kernel, `_add_products`, adds monomial products into a coefficient
 dict.  `*` runs it into a new dict; `GA.dot` runs all the products of a
 sum s_1 t_1 + ... + s_n t_n into one accumulator, so that a
-Demazure-Lusztig step b Delta + e x or an Atiyah-Bott sum builds no
+Demazure-Lusztig step b Delta + e x or a Weyl-denominator sum builds no
 intermediate product or sum; the cell solve runs it into its remainders
 in place, on the pivot's negated terms built once.  What `*` and `dot`
 return passes `_check` once, on the finished sum.  `exact_div` by a

@@ -44,15 +44,12 @@ The expansion in the cell basis is a triangular solve of exact
 divisions (`_expand`).  A product G cell(w) expands on slice parts, on
 values a third the size: every remainder of the solve of G|_x Q_{w,x}
 against the slice parts is the full solve's over P_x, so every quotient
-is the same.  Each genuine quotient is one exact division over a
-W-fixed denominator.  For a positive root b, eul(b) is a unit times
-eul(-b), so a sum of numerators over Euler factors of weights +-b is a
-ring sum over the product of the eul(-b) (`cofactor`, `root_quotient`):
-the G/P pushforward coset by coset and specialfn's orbit sums.
+is the same.  A sum over the Euler factors of roots, such as a G/P
+pushforward coset, is one exact division, by the Weyl identity
+x(E) = (-1)^{l(x)} e^{s(x rho_E - rho_E)} E (oracle.weyl_quotient).
 
 The ring arithmetic is fused (charring.GA.dot): a step forms its sums
-in one accumulator, and an orbit sum or a pushforward coset its whole
-numerator.
+in one accumulator, and a Weyl-denominator sum its whole numerator.
 
 The slice recursion and the solve run on lines (`_lines`): each value, in
 K-theory a polynomial in y = -v^2, is kept as its y-line
@@ -83,7 +80,7 @@ left the range raises ValueError there rather than reaching a quotient.
 from __future__ import annotations
 
 from .charring import (
-    FIELD, _BIAS, _HALF, _add_products, _check, _wneg, decode_line, fits,
+    FIELD, _BIAS, _HALF, _add_products, _check, decode_line, fits,
     line_max, to_line,
 )
 
@@ -123,12 +120,6 @@ class Localization:
         self.rank = rs.rank
         self.N = rs.n_positive()
         self.pos_roots = [a.fund for a in rs.positive_roots]
-        # per positive root b: the factor eul(-b) of the Weyl denominator
-        # and the unit eul(-b) / eul(b)
-        self._den = {b: self._euler(_wneg(b)) for b in self.pos_roots}
-        self._unit = {
-            b: self._den[b].exact_div(self._euler(b)) for b in self.pos_roots
-        }
         self._cells = {0: self.point_class()}
         self._slices = {0: self._lines(self._cells[0])}
         self._stab, self._starred = {}, {}  # KOracle.stab, its stars
@@ -320,34 +311,6 @@ class Localization:
         W = self.W
         F = self.cell_class(W.mul(W.w0, w))
         return {W.mul(W.w0, u): self._act(W.w0, f) for u, f in F.items()}
-
-    # -- quotients over root factors -----------------------------------
-    def cofactor(self, weights, roots=None):
-        """m with 1 / prod_{mu in weights} eul(mu) = m / prod_{b} eul(-b)
-        over the positive roots b in `roots` (default all), for weights
-        that are +-b for distinct b: eul(b) is eul(-b) over a unit."""
-        roots = self.pos_roots if roots is None else roots
-        m = self._one()
-        rest = set(roots)
-        for mu in weights:
-            if mu in rest:
-                m = m * self._unit[mu]
-                rest.remove(mu)
-            else:
-                rest.remove(_wneg(mu))
-        for b in rest:
-            m = m * self._den[b]
-        return m
-
-    def root_quotient(self, num, roots=None):
-        """num / prod_{b in roots} eul(-b), which must be a polynomial;
-        `roots` defaults to all positive roots."""
-        d = self._one()
-        for b in self.pos_roots if roots is None else roots:
-            d = d * self._den[b]
-        g = num.exact_div(d)
-        assert g is not None, "localization sum is not polynomial"
-        return g
 
     # -- lines ---------------------------------------------------------
     def _lines(self, F):

@@ -17,9 +17,11 @@ one monomial e^{x(lambda)}, a shift of its keys (`KOracle._twist`).
 The Demazure-Lusztig steps (right, on MC classes and their slice
 parts, and in the affine Hecke action on stable envelopes, which is
 `dl_right` at y = -q conjugated by the star e^mu -> e^{-mu}) and the
-triangular solve are exact divisions,
-and so is each coset of `pushforward`, a genuine quotient over the
-W-fixed product of its root factors.
+triangular solve are exact divisions, and so is each coset v W_P of
+`pushforward`: with E_P = prod_{g in Phi_P^+} (1 - e^g), (vp)(E_P) =
+(-1)^{l(p)} e^{v(p rho_P - rho_P)} v(E_P), so a coset is one monomial per
+point and one exact division by v(E_P) (`weyl_quotient`, which also
+gives specialfn's orbit sums and Weyl characters).
 
 Stable envelopes of the cotangent bundle are classes of the oracle
 (`KOracle.stab`, with the affine Hecke action on them); only these use
@@ -31,6 +33,35 @@ from __future__ import annotations
 from .charring import (FIELD, GA, Scalar, _BIAS, _add_products, _check,
                        _pack, _wneg, fits)
 from .localization import Localization
+
+
+def weyl_quotient(rs, values, roots, s, u=0):
+    """sum_x f_x / (u x)(E) over values = ((x, f_x), ...), for E = prod_{g
+    in roots} (1 - e^{s g}), roots the positive roots (fundamental
+    coordinates) of a root subsystem whose Weyl group holds every x.  Such
+    an x permutes the subsystem's roots and negates its inversions, so
+    x(E) = (-1)^{l(x)} e^{s(x rho_E - rho_E)} E, rho_E half the sum of
+    roots, and the sum is
+
+        sum_x (-1)^{l(x)} e^{s u(rho_E - x rho_E)} f_x  /  u(E):
+
+    one monomial per term, a shift of f_x's keys by a key offset (the key
+    of a weight is linear in it), and one exact division, asserted."""
+    W = rs.weyl()
+    one = GA.const(1, rs.rank)
+    rho2 = rs.weight([sum(g[i] for g in roots) for i in range(rs.rank)])
+    top = W.act_key(u, rho2)
+    den = one
+    for g in roots:
+        den = den * (one - GA.term(rs.weight([s * c for c in W.act(u, g)])))
+    acc = {}
+    for x, f in values:
+        off = s * (top - W.act_key(W.mul(u, x), rho2)) // 2
+        _add_products(acc, ((off, (-1) ** W.length[x]),), f.c.items())
+    _check(acc, rs.rank)
+    q = GA._new(acc).exact_div(den)
+    assert q is not None, "localization sum is not polynomial"
+    return q
 
 
 class KOracle(Localization):
@@ -149,23 +180,18 @@ class KOracle(Localization):
 
     # -- parabolic model -----------------------------------------------
     def pushforward(self, F, parabolic):
-        """pi_*: inside a coset v W_P the vertical Euler factors are units
-        times prod_{gamma in Phi_P^+} (1 - e^{-v gamma}), so each coset
-        is one exact division."""
-        rs = self.rs
-        W = self.W
+        """pi_*: (pi_* F)|_v = sum_{p in W_P} F|_{vp} / (vp)(E_P), E_P =
+        prod_{gamma in Phi_P^+} (1 - e^gamma) the Euler factors of the
+        fibre, so each coset v W_P is one `weyl_quotient` with u = v: F|_{vp}
+        times (-1)^{l(p)} e^{v(rho_P - p rho_P)}, over v(E_P)."""
+        rs, W = self.rs, self.W
         horiz = rs.horizontal_roots(parabolic)
         levi = [a.fund for a in rs.positive_roots if a not in horiz]
         wp = W.parabolic_elements(parabolic)
         out = {}
         for v in W.min_coset_reps(parabolic):
-            roots = [W.act(v, g) for g in levi]
-            coset = [W.mul(v, p) for p in wp]
-            num = GA.dot(
-                (F[x], self.cofactor([W.act(x, g) for g in levi], roots))
-                for x in coset if x in F
-            )
-            g = self.root_quotient(num, roots)
+            g = weyl_quotient(rs, [(p, F.get(W.mul(v, p), GA())) for p in wp],
+                              levi, 1, v)
             if g:
                 out[v] = g
         return out

@@ -23,8 +23,11 @@ parameter t is the Hecke parameter q of the shared coefficient ring
 
 Everything here stays in the character ring GA: each operator step is
 one exact division (localization.dl_step), and each localization
-formula is one exact division by the Weyl denominator of a numerator
-built once and moved by each coset representative (`_orbit_sum`).
+formula and Weyl character is sum_w w(n) / w(D_s) for one numerator n
+and D_s = prod_{b>0} (1 - e^{s b}) (`_weyl_sum`).  As w(D_s) =
+(-1)^{l(w)} e^{s(w rho - rho)} D_s, that is n moved by each w's matrix
+times one monomial, and one exact division by D_s
+(oracle.weyl_quotient); no oracle is built.
 
 The chain formulas (Lenart 2011) sum over w in W^P and the subsets J
 of the reduced (-lambda)-chain along which w descends to u, with
@@ -48,7 +51,7 @@ from __future__ import annotations
 from .charring import GA, Scalar, _pack, _wneg, power_mono, render_terms
 from .chevalley import chevalley_sum
 from .localization import dl_step
-from .oracle import KOracle
+from .oracle import KOracle, weyl_quotient
 
 
 def dl_coeffs(rs, i):
@@ -101,22 +104,28 @@ def _lambda_parabolic(rs, lam_fund):
     return tuple(i for i in range(rs.rank) if lam_fund[i] == 0)
 
 
-def _orbit_sum(rs, lam_fund, parabolic, roots):
-    """sum_{w in W^P} e^{w lam} prod_{a in roots} (1 + y e^{wa})/(1 - e^{wa})
+def _weyl_sum(rs, n, ws, s):
+    """sum_{w in ws} w(n) / w(D_s), D_s = prod_{b>0} (1 - e^{s b}): n is
+    moved by each w's matrix (GA.transform), as w acts by a ring map that
+    fixes y, and `weyl_quotient` does the rest."""
+    W = rs.weyl()
+    return weyl_quotient(rs, [(w, n.transform(W.mats[w])) for w in ws],
+                         [a.fund for a in rs.positive_roots], s)
 
-    for roots in fundamental coordinates, each +-a positive root: the
-    denominators are Euler factors of the K-theory oracle, so the sum is
-    one exact division by the Weyl denominator (Localization.cofactor).
-    The numerator e^lam prod (1 + y e^a) is built once and moved by each
-    w's matrix (GA.transform), as w acts by a ring map that fixes y."""
-    o = KOracle(rs)
-    W = o.W
-    g = GA.term(rs.weight(lam_fund))
-    for a in roots:
-        g = g * (GA.const(1, rs.rank) + GA.term(rs.weight(a), Scalar.y(1)))
-    return o.root_quotient(GA.dot(
-        (g.transform(W.mats[w]), o.cofactor([W.act(w, a) for a in roots]))
-        for w in W.min_coset_reps(parabolic)))
+
+def _orbit_sum(rs, lam_fund, parabolic, s):
+    """sum_{w in W^P} e^{w lam} prod_a (1 + y e^{s wa})/(1 - e^{s wa})
+    over the horizontal roots a: the Levi's factors 1 - e^{s g} complete
+    the denominators to D_s, so it is `_weyl_sum` of n = e^lam
+    prod_a (1 + y e^{s a}) prod_g (1 - e^{s g}), built once."""
+    one = GA.const(1, rs.rank)
+    horiz = rs.horizontal_roots(parabolic)
+    n = GA.term(rs.weight(lam_fund))
+    for a in rs.positive_roots:
+        e = rs.weight([s * c for c in a.fund])
+        n = n * (one + GA.term(e, Scalar.y(1)) if a in horiz
+                 else one - GA.term(e))
+    return _weyl_sum(rs, n, rs.weyl().min_coset_reps(parabolic), s)
 
 
 def big_h(rs, lam_fund, parabolic=None):
@@ -127,10 +136,7 @@ def big_h(rs, lam_fund, parabolic=None):
         if not (all(c >= 0 for c in lam_fund) or all(c <= 0 for c in lam_fund)):
             raise ValueError("lambda or -lambda must be dominant")
         parabolic = _lambda_parabolic(rs, lam_fund)
-    return _orbit_sum(
-        rs, lam_fund, parabolic,
-        [a.fund for a in rs.horizontal_roots(parabolic)],
-    )
+    return _orbit_sum(rs, lam_fund, parabolic, 1)
 
 
 # -- Hall-Littlewood ---------------------------------------------------
@@ -144,11 +150,8 @@ def hall_littlewood(rs, lam_fund, method="closed"):
         raise ValueError("lambda must be dominant")
     parabolic = _lambda_parabolic(rs, lam_fund)
     if method == "closed":
-        # (1 - t e^{-wa})/(1 - e^{-wa}) over the negated horizontal roots
-        return _orbit_sum(
-            rs, lam_fund, parabolic,
-            [_wneg(a.fund) for a in rs.horizontal_roots(parabolic)],
-        )
+        # (1 - t e^{-wa})/(1 - e^{-wa}) over the horizontal roots
+        return _orbit_sum(rs, lam_fund, parabolic, -1)
     if method in ("chain_restricted", "chain_opposite"):
         # lambda is range-checked as given, ahead of the sum at -lambda
         _pack(rs.weight(lam_fund))
@@ -189,18 +192,11 @@ def render_x(rs, g, degree):
 
 
 def weyl_character(rs, mu_fund):
-    """chi_mu for dominant mu by the Weyl character formula."""
+    """chi_mu = sum_w w(e^mu) / w(D_-) for dominant mu, the Weyl
+    character formula over e^rho D_- = sum_w (-1)^{l(w)} e^{w rho}."""
     if not all(c >= 0 for c in mu_fund):
         raise ValueError("weight must be dominant")
-    W = rs.weyl()
-    rho = rs.rho()
-    mur = tuple(a + b for a, b in zip(rs.weight(mu_fund), rho))
-    signs = [(-1) ** W.length[w] for w in range(W.n)]
-    num = GA.dot((GA.term(W.act(w, mur)), s) for w, s in enumerate(signs))
-    den = GA.dot((GA.term(W.act(w, rho)), s) for w, s in enumerate(signs))
-    out = num.exact_div(den)
-    assert out is not None
-    return out
+    return _weyl_sum(rs, GA.term(rs.weight(mu_fund)), range(rs.weyl().n), -1)
 
 
 def schur_expansion(rs, g):

@@ -642,19 +642,95 @@ def mc_prime(o, w):
         o, o.scale(o.cell_class(w), lambda_y_cotangent(o, 0)))
 
 
-_AB = weakref.WeakKeyDictionary()  # per oracle: the Atiyah-Bott cofactors
+_AB = weakref.WeakKeyDictionary()  # per oracle: D and the units D / w(D)
 
 
 def integral(o, F):
     """Atiyah-Bott on either oracle: the pushforward of F to a point,
-    sum_w F|_w / prod_{alpha>0} eul(w alpha), one exact division by the
-    Weyl denominator (`Localization.root_quotient`)."""
+    sum_w F|_w / w(D) with D = prod_{alpha>0} eul(alpha), the point
+    class at e_id.  Each w(D) is D over a unit, D.exact_div(w(D)), made
+    once per w and per oracle, so the sum is one exact division by D."""
     if o not in _AB:
-        W = o.W
-        _AB[o] = [o.cofactor([W.act(w, b) for b in o.pos_roots])
-                  for w in range(W.n)]
-    ab = _AB[o]
-    return o.root_quotient(o.ring.dot((f, ab[w]) for w, f in F.items()))
+        D = o.point_class()[0]
+        _AB[o] = D, [D.exact_div(o._act(w, D)) for w in range(o.W.n)]
+    D, units = _AB[o]
+    g = o.ring.dot((f, units[w]) for w, f in F.items()).exact_div(D)
+    assert g is not None, "localization sum is not polynomial"
+    return g
+
+
+def _ref_cofactor(o, weights, roots=None):
+    """m with 1 / prod_{mu in weights} eul(mu) = m / prod_b eul(-b) over
+    the positive roots b in `roots` (default all), for weights that are
+    +-b for distinct b: eul(b) is eul(-b) over a unit."""
+    rest = set(o.pos_roots if roots is None else roots)
+    m = o._one()
+    for mu in weights:
+        if mu in rest:
+            m = m * o._euler(_wneg(mu)).exact_div(o._euler(mu))
+            rest.remove(mu)
+        else:
+            rest.remove(_wneg(mu))
+    for b in rest:
+        m = m * o._euler(_wneg(b))
+    return m
+
+
+def _ref_root_quotient(o, num, roots=None):
+    """num / prod_{b in roots} eul(-b), asserted polynomial."""
+    d = o._one()
+    for b in o.pos_roots if roots is None else roots:
+        d = d * o._euler(_wneg(b))
+    g = num.exact_div(d)
+    assert g is not None, "localization sum is not polynomial"
+    return g
+
+
+def ref_orbit_sum(rs, lam_fund, parabolic, roots):
+    """sum_{w in W^P} e^{w lam} prod_{a in roots} (1 + y e^{wa})/(1 - e^{wa})
+    for roots +-a positive roots, one cofactor per coset representative
+    over the Weyl denominator: the reference for specialfn._orbit_sum."""
+    o = KOracle(rs)
+    W = o.W
+    g = GA.term(rs.weight(lam_fund))
+    for a in roots:
+        g = g * (GA.const(1, rs.rank) + GA.term(rs.weight(a), Scalar.y(1)))
+    return _ref_root_quotient(o, GA.dot(
+        (g.transform(W.mats[w]), _ref_cofactor(o, [W.act(w, a) for a in roots]))
+        for w in W.min_coset_reps(parabolic)))
+
+
+def ref_pushforward(o, F, parabolic):
+    """pi_* F, coset by coset one cofactor per fixed point over the
+    product of the eul(-v gamma), gamma in Phi_P^+: the reference for
+    KOracle.pushforward."""
+    rs, W = o.rs, o.W
+    horiz = rs.horizontal_roots(parabolic)
+    levi = [a.fund for a in rs.positive_roots if a not in horiz]
+    wp = W.parabolic_elements(parabolic)
+    out = {}
+    for v in W.min_coset_reps(parabolic):
+        roots = [W.act(v, g) for g in levi]
+        num = GA.dot(
+            (F[x], _ref_cofactor(o, [W.act(x, g) for g in levi], roots))
+            for x in (W.mul(v, p) for p in wp) if x in F)
+        g = _ref_root_quotient(o, num, roots)
+        if g:
+            out[v] = g
+    return out
+
+
+def ref_weyl_character(rs, mu_fund):
+    """chi_mu as the quotient of the alternants sum_w (-1)^{l(w)}
+    e^{w(mu + rho)} and sum_w (-1)^{l(w)} e^{w rho}: the reference for
+    specialfn.weyl_character."""
+    W = rs.weyl()
+    rho = rs.rho()
+    mur = tuple(a + b for a, b in zip(rs.weight(mu_fund), rho))
+    signs = [(-1) ** W.length[w] for w in range(W.n)]
+    num = GA.dot((GA.term(W.act(w, mur)), s) for w, s in enumerate(signs))
+    den = GA.dot((GA.term(W.act(w, rho)), s) for w, s in enumerate(signs))
+    return num.exact_div(den)
 
 
 def slice_class(o, w):

@@ -1509,6 +1509,14 @@ _GOLDEN = [
      "ebeba9d7da2b47bbe66bf31fb61adc0dbc7523cf421ce87ccfa20a3f8ac3b71e"),
     ("hl --type A3 --lambda 1,1,0",
      "26f4e05a59dbe671fd364bd920ffc53a590c476323fdbf0947f83c352461d27a"),
+    # closed HL on rank 3 at P = B and P != B, pinned while each orbit-sum
+    # term was built from a cofactor of a fresh oracle
+    ("hl --type B3 --lambda 1,1,1",
+     "5b428a3040bf1a14c253ec61ac2eff65b983f3210c468a1515b3ed7a03b049ac"),
+    ("hl --type B3 --lambda 0,1,0 --format json",
+     "509569cb584fdb7c472442196b417770373de62454f08ace15a455993b8a69d8"),
+    ("hl --type C3 --lambda 1,0,1",
+     "8dec99e38996674e6f19561caa6682acac2082a58837c41f33668f2ff0eb9ace"),
     ("csm --type A2 --lambda 1,1 --w s1s2",
      "d50434176028287110c96c7e2d9a35ba815cf4a2cd65318240bd2ef583a50dc4"),
     ("csm --type B3 --lambda 1,0,1 --w s1s2s3 --format json",

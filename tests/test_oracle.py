@@ -23,7 +23,7 @@ from chevmc.verify import case_stable
 from test_cli import _one_coefficient_off, _perturbed
 from conftest import (
     dl_left, integral, lambda_y_cotangent, line_bundle, mc_prime, ref_expand,
-    segre, smc, solve_classes,
+    ref_pushforward, segre, smc, solve_classes,
 )
 
 RS = RootSystem("A", 2)
@@ -287,15 +287,32 @@ def test_parabolic_pushforward(oracle, parab, lam):
                 assert a.get(u, GA()) == b.get(u, GA()), (o.rs, parab, w, u)
 
 
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_pushforward_is_the_reference(label):
+    """pushforward, one Weyl-denominator sum per coset, equals key for
+    key the sum of one cofactor per fixed point, for every cell class on
+    every maximal parabolic."""
+    o = KOracle(RootSystem(label[0], int(label[1])))
+    for j in range(o.rank):
+        parab = tuple(i for i in range(o.rank) if i != j)
+        for w in o.W.order:
+            F = o.cell_class(w)
+            got = o.pushforward(F, parab)
+            want = ref_pushforward(o, F, parab)
+            assert {v: g.c for v, g in got.items()} == {
+                v: g.c for v, g in want.items()}, (label, parab, w)
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 def test_parabolic_solve_is_the_reference(label):
     """expand_product_parabolic, on lines, equals key for key the
-    reference solve on full keys against the pushed-forward cells, at
-    +-varpi_j and 2 varpi_j on both maximal parabolics."""
+    reference solve on full keys against the reference pushforward of
+    the cells, at +-varpi_j and 2 varpi_j on both maximal parabolics."""
     o = KOracle(RootSystem(label[0], int(label[1])))
     for parab, j in (((1,), 0), ((0,), 1)):
         points = o.W.min_coset_reps(parab)
-        cells = {x: o.pushforward(o.cell_class(x), parab) for x in points}
+        cells = {x: ref_pushforward(o, o.cell_class(x), parab)
+                 for x in points}
         for c in (1, -1, 2):
             lam = tuple(c * (i == j) for i in range(2))
             G = line_bundle(o, lam)

@@ -6,13 +6,14 @@ import sys
 
 import pytest
 
-from chevmc.charring import GA, Scalar, exp_mono
+from chevmc.charring import GA, Scalar, _wneg, exp_mono
 from chevmc.rootsystem import RootSystem
 from chevmc.alcove import chain_lex_height
 from chevmc.chevalley import chevalley_sum
 from chevmc.oracle import KOracle
 from chevmc.specialfn import (
     _lambda_parabolic,
+    _orbit_sum,
     weyl_character,
     whittaker,
     whittaker_chevalley,
@@ -27,7 +28,7 @@ from chevmc.specialfn import (
 )
 from conftest import (
     DL_SIMPLE, big_h_quotient, big_r_operators, dl_apply, dl_apply_vee,
-    integral, line_bundle, mc_prime,
+    integral, line_bundle, mc_prime, ref_orbit_sum, ref_weyl_character,
 )
 
 RS = RootSystem("A", 2)
@@ -205,6 +206,57 @@ def test_orbit_sums_keep_their_keys(label):
                   big_h(rs, neg), big_r(rs, lam), big_r(rs, neg)):
             h.update(repr(sorted(g.c.items())).encode())
     assert h.hexdigest() == _ORBIT_SUMS[label]
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_orbit_sums_are_the_reference(label):
+    # H, R and the closed HL sum (at -lambda too, where it is no HL
+    # polynomial), each one Weyl-denominator sum, equal key for key the
+    # sum of one cofactor per coset representative
+    rs = RootSystem(label[0], int(label[1:]))
+    r = rs.rank
+    lams = [tuple(int(i == j) for j in range(r)) for i in range(r)] + [
+        (1,) * r]
+    for lam in lams + [tuple(-c for c in lam) for lam in lams]:
+        parab = _lambda_parabolic(rs, lam)
+        horiz = [a.fund for a in rs.horizontal_roots(parab)]
+        every = [a.fund for a in rs.positive_roots]
+        hl = (hall_littlewood(rs, lam, "closed") if min(lam) >= 0
+              else _orbit_sum(rs, lam, parab, -1))
+        for got, want in (
+                (big_h(rs, lam), ref_orbit_sum(rs, lam, parab, horiz)),
+                (big_r(rs, lam), ref_orbit_sum(rs, lam, (), every)),
+                (hl, ref_orbit_sum(rs, lam, parab, [_wneg(a) for a in horiz]))):
+            assert got.c == want.c, (label, lam)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_weyl_character_is_the_reference(label):
+    # sum_w w(e^mu) / w(D_-) is the quotient of the two alternants
+    rs = RootSystem(label[0], int(label[1:]))
+    for mu in itertools.product(range(3 if rs.rank == 2 else 2),
+                                repeat=rs.rank):
+        assert weyl_character(rs, mu).c == ref_weyl_character(rs, mu).c, (
+            label, mu)
+
+
+def test_special_functions_build_no_oracle(monkeypatch):
+    # the Weyl-denominator sums are functions of the root system: with
+    # every localization oracle made to fail, they still run (the
+    # character is checked first, as schur_expansion peels by it)
+    from chevmc.localization import Localization
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a localization oracle was built")
+
+    monkeypatch.setattr(Localization, "__init__", refuse)
+    for label in ("A2", "B2", "G2"):
+        rs = RootSystem(label[0], 2)
+        for lam in ((1, 0), (0, 1), (1, 1), (2, 1)):
+            assert weyl_character(rs, lam) == ref_weyl_character(rs, lam)
+            assert big_h(rs, lam) and big_r(rs, lam), (label, lam)
+            hl = hall_littlewood(rs, lam, "closed")
+            assert schur_expansion(rs, hl)[lam] == Scalar.one(), (label, lam)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
